@@ -1,16 +1,20 @@
 //! Batched lock-step simulation: N instances of one compiled design,
-//! structure-of-arrays state, one dispatch per instruction per cycle.
+//! structure-of-arrays state, one dispatch per micro-op per cycle.
 //!
 //! Fault campaigns and fuzz sweeps run *thousands* of near-identical
 //! instances of the same design; the scalar VM pays full dispatch and
 //! log-bookkeeping cost for each. [`BatchSim`] amortizes those costs by
 //! running `lanes` instances in lock-step over structure-of-arrays register
 //! state: every flat array of the scalar [`State`](crate::vm) becomes
-//! `reg[r * lanes + lane]`, and the interpreter executes each bytecode op
-//! once *across the whole batch*. Rule scheduling, instruction dispatch, and
+//! `reg[r * lanes + lane]`. Construction lowers the program once to the
+//! register-form micro-ops of [`crate::tac`], and the interpreter decodes
+//! each micro-op once *across the whole batch*, over a per-rule SoA slot
+//! file (`slot * lanes + lane`). Rule scheduling, micro-op dispatch, and
 //! the optimization ladder's log-maintenance memcpys (prologue copies,
 //! commit plans, rollbacks) all become single strided or contiguous
-//! operations over the batch.
+//! operations over the batch. [`Dispatch::Native`] swaps the interpreter
+//! for compiled lane loops emitted from the same micro-ops, over the same
+//! slot files.
 //!
 //! # Divergence fallback
 //!
@@ -24,9 +28,10 @@
 //! * **lanes disagree** → the rule *diverges*: the engine restores the
 //!   batch to its state at rule entry (a snapshot taken after the rule
 //!   prologue, which is idempotent at every level) and re-runs the rule
-//!   per-lane through the *exact scalar executor*
-//!   ([`step_rule_impl`](crate::vm)) — only this rule, only this cycle;
-//!   the next rule starts in lock-step again.
+//!   per-lane through the *exact scalar bytecode executor*
+//!   ([`step_rule_impl`](crate::vm); the compiled scalar rule functions
+//!   under [`Dispatch::Native`]) — only this rule, only this cycle; the
+//!   next rule starts in lock-step again.
 //!
 //! Because the fallback path *is* the scalar semantics and the lock-step
 //! path executes the same checks and side effects lane-wise, per-lane
@@ -69,18 +74,6 @@ const R0: u8 = 0b0001;
 const R1: u8 = 0b0010;
 const W0: u8 = 0b0100;
 const W1: u8 = 0b1000;
-
-/// Why a batched instruction stopped the lock-step loop.
-enum BatchFlow {
-    Next,
-    Jump(u32),
-    /// Every lane failed the same check: one batched rule failure.
-    FailAll { clean: bool },
-    Done,
-    /// Lanes disagreed on control flow: fall back to per-lane execution.
-    Diverge,
-    Trap(&'static str),
-}
 
 /// Per-rule facts precomputed at construction: which flat register indices
 /// the rule can write (bounding the data snapshot needed for divergence
@@ -169,11 +162,8 @@ pub struct BatchSim {
     cyc_d1: Vec<u64>,
     log_d0: Vec<u64>,
     log_d1: Vec<u64>,
-    /// Operand stack, slot-major: slot `s` occupies
-    /// `[s * lanes, (s + 1) * lanes)`. Grows on demand, never shrinks.
-    stack: Vec<u64>,
-    /// Local-variable slots, slot-major.
-    locals: Vec<u64>,
+    /// One scratch stripe (`lanes` wide) for fused micro-op intermediates.
+    tmp: Vec<u64>,
     /// Coverage counters, id-major.
     cov: Vec<u64>,
     cycles: u64,
@@ -208,36 +198,35 @@ pub struct BatchSim {
     /// scalar rule executor.
     scratch: State,
     // Rule-entry snapshot buffers (post-prologue). Only the rw byte plane
-    // and coverage counters are ever saved — data stripes and locals are
-    // recoverable without a snapshot (see `step_rule_batch_inner`).
+    // and coverage counters are ever saved — data stripes and slot files
+    // are recoverable without a snapshot (see `step_rule_batch_inner`).
     snap_rw: Vec<u8>,
     snap_cov: Vec<u64>,
     // Lock-step effectiveness counters.
     lockstep_rules: u64,
     fallback_rules: u64,
-    // Dispatch selection (mirrors the scalar VM's).
+    /// The lock-step engine: [`Dispatch::Tac`] (the micro-op interpreter)
+    /// or [`Dispatch::Native`].
     dispatch: Dispatch,
-    /// Micro-op programs for `Dispatch::Tac` (built by `set_dispatch`).
-    tac: Option<crate::tac::TacProgram>,
+    /// Every rule lowered to micro-ops, once, at construction.
+    tac: Vec<TacRule>,
     /// Per-rule SoA slot files, slot-major (`slot * lanes + lane`), with
-    /// constant slots pre-broadcast across all lanes.
-    tac_slots: Vec<Vec<u64>>,
+    /// constant slots pre-broadcast across all lanes. Both lock-step
+    /// engines run over them: the native lane loops are emitted from the
+    /// same (deterministic) lowering and index `slot * lanes + lane`
+    /// exactly like the interpreter.
+    slots: Vec<Vec<u64>>,
     /// Loaded native engine for `Dispatch::Native` (built by
     /// `set_dispatch`; shared with scalar sims via the process-wide cache).
     native: Option<std::sync::Arc<crate::native::NativeEngine>>,
-    /// Per-rule SoA slot files for the batched native entry points — the
-    /// same layout and lifecycle as `tac_slots` (the generated lane loops
-    /// index `slot * lanes + lane` exactly like the micro-op interpreter).
-    native_slots: Vec<Vec<u64>>,
 }
 
 /// Builds one SoA slot file per rule (`slot * lanes + lane`), constant
 /// slots pre-broadcast across all lanes. Non-constant slots start at zero
 /// and are def-before-use by construction, so the files can persist across
 /// rules and cycles untouched.
-fn soa_slot_files(tac: &crate::tac::TacProgram, lanes: usize) -> Vec<Vec<u64>> {
-    tac.rules
-        .iter()
+fn soa_slot_files(tac: &[TacRule], lanes: usize) -> Vec<Vec<u64>> {
+    tac.iter()
         .map(|r| {
             let mut soa = vec![0u64; r.slot_init.len() * lanes];
             for (s, &v) in r.slot_init.iter().enumerate() {
@@ -285,7 +274,6 @@ impl BatchSim {
         assert!(lanes >= 1, "a batch needs at least one lane");
         let n = prog.init.len();
         let cfg = prog.cfg;
-        let max_locals = prog.rules.iter().fold(0, |m, r| m.max(r.nlocals as usize));
         let nrules = prog.rules.len();
         let mut init_soa = vec![0u64; n * lanes];
         for r in 0..n {
@@ -294,6 +282,8 @@ impl BatchSim {
         let scratch = State::for_program(&prog);
         let rule_meta = rule_metas(&prog);
         let ncov = prog.cov.len();
+        let tac: Vec<TacRule> = prog.rules.iter().map(TacRule::lower).collect();
+        let slots = soa_slot_files(&tac, lanes);
         BatchSim {
             lanes,
             boc: if cfg.no_boc {
@@ -311,8 +301,7 @@ impl BatchSim {
             },
             log_d0: init_soa.clone(),
             log_d1: if cfg.merged_data { Vec::new() } else { init_soa },
-            stack: Vec::new(),
-            locals: vec![0; max_locals * lanes],
+            tmp: vec![0; lanes],
             cov: vec![0; ncov * lanes],
             cycles: 0,
             fired: vec![0; lanes],
@@ -332,29 +321,26 @@ impl BatchSim {
             snap_cov: vec![0; ncov * lanes],
             lockstep_rules: 0,
             fallback_rules: 0,
-            dispatch: Dispatch::default(),
-            tac: None,
-            tac_slots: Vec::new(),
+            dispatch: Dispatch::Tac,
+            tac,
+            slots,
             native: None,
-            native_slots: Vec::new(),
             prog,
         }
     }
 
-    /// Selects the instruction-dispatch strategy for the lock-step engine.
+    /// Selects the lock-step engine.
     ///
-    /// [`Dispatch::Tac`] runs rules through their register-form micro-op
-    /// programs, decoding each micro-op once per cycle for all lanes.
-    /// [`Dispatch::Closure`] has no batched analogue (closures are built
-    /// around the scalar state), so it selects the same lock-step bytecode
-    /// interpreter as [`Dispatch::Match`]. [`Dispatch::Native`] runs each
-    /// rule through its compiled batched entry point: straight-line lane
-    /// loops with no interpreter dispatch at all — the fastest lock-step
-    /// path. On divergence the native dispatch re-runs lanes through the
+    /// Every interpreted dispatch ([`Dispatch::Match`], [`Dispatch::Closure`]
+    /// and [`Dispatch::Tac`]) selects the micro-op interpreter, which
+    /// decodes each micro-op once per cycle for all lanes; the batch then
+    /// reports [`Dispatch::Tac`] from [`BatchSim::dispatch`].
+    /// [`Dispatch::Native`] runs each rule through its compiled batched
+    /// entry point: straight-line lane loops with no interpreter dispatch
+    /// at all. On divergence the native dispatch re-runs lanes through the
     /// compiled *scalar* rule functions (never a silent interpreter
-    /// fallback); the interpreted dispatches re-run through the exact
-    /// scalar bytecode executor. All of these are bit-identical by
-    /// construction.
+    /// fallback); the interpreter re-runs them through the exact scalar
+    /// bytecode executor. All of these are bit-identical by construction.
     ///
     /// # Panics
     ///
@@ -374,33 +360,29 @@ impl BatchSim {
     /// [`crate::NativeError`] when the native engine cannot be emitted,
     /// built, or loaded. The previous dispatch stays selected.
     pub fn try_set_dispatch(&mut self, dispatch: Dispatch) -> Result<(), crate::NativeError> {
+        let dispatch = if dispatch == Dispatch::Native {
+            Dispatch::Native
+        } else {
+            Dispatch::Tac
+        };
+        if dispatch == Dispatch::Native && self.native.is_none() {
+            self.native = Some(crate::native::build_engine_batched(&self.prog, self.lanes)?);
+        }
         if dispatch != self.dispatch {
-            // The interpreted dispatches record per-lane failure info
-            // directly, so a pending lock-step uniform from the native arm
-            // must be materialized before it could be shadowed by stale
-            // per-lane entries.
+            // The interpreter records per-lane failure info directly, so a
+            // pending lock-step uniform from the native arm must be
+            // materialized before it could be shadowed by stale per-lane
+            // entries.
             if let Some(fi) = self.last_fail_uniform.take() {
                 self.last_fail.fill(Some(fi));
             }
         }
-        if dispatch == Dispatch::Native && self.native.is_none() {
-            self.native = Some(crate::native::build_engine_batched(&self.prog, self.lanes)?);
-            // The generated lane loops run over the same slot-file shape
-            // the micro-op interpreter uses (lowering is deterministic, so
-            // this matches what the engine was emitted against).
-            let tac = crate::tac::TacProgram::lower(&self.prog);
-            self.native_slots = soa_slot_files(&tac, self.lanes);
-        }
         self.dispatch = dispatch;
-        if dispatch == Dispatch::Tac && self.tac.is_none() {
-            let tac = crate::tac::TacProgram::lower(&self.prog);
-            self.tac_slots = soa_slot_files(&tac, self.lanes);
-            self.tac = Some(tac);
-        }
         Ok(())
     }
 
-    /// The currently selected dispatch strategy.
+    /// The selected lock-step engine: [`Dispatch::Tac`] or
+    /// [`Dispatch::Native`].
     pub fn dispatch(&self) -> Dispatch {
         self.dispatch
     }
@@ -433,6 +415,7 @@ impl BatchSim {
     /// One lane's current value of `reg` (the same observable as the scalar
     /// VM's `get64`).
     pub fn lane_get64(&self, lane: usize, reg: RegId) -> u64 {
+        assert!(lane < self.lanes, "lane out of range");
         let i = reg.0 as usize * self.lanes + lane;
         if self.prog.cfg.no_boc {
             self.log_d0[i]
@@ -445,6 +428,7 @@ impl BatchSim {
     /// observable as the scalar VM's `set64`). Lanes seeded with different
     /// values are exactly what exercises the divergence fallback.
     pub fn lane_set64(&mut self, lane: usize, reg: RegId, value: u64) {
+        assert!(lane < self.lanes, "lane out of range");
         let r = reg.0 as usize;
         let i = r * self.lanes + lane;
         let v = value & word::mask(self.prog.widths[r]);
@@ -466,11 +450,13 @@ impl BatchSim {
     /// Total rules committed by one lane (lock-step base plus the lane's
     /// divergence-fallback overlay).
     pub fn lane_fired(&self, lane: usize) -> u64 {
+        assert!(lane < self.lanes, "lane out of range");
         self.fired_base + self.fired[lane]
     }
 
     /// One lane's per-rule commit counts (rule-declaration order).
     pub fn lane_fired_per_rule(&self, lane: usize) -> Vec<u64> {
+        assert!(lane < self.lanes, "lane out of range");
         (0..self.prog.rules.len())
             .map(|r| self.fired_per_rule_base[r] + self.fired_per_rule[r * self.lanes + lane])
             .collect()
@@ -478,6 +464,7 @@ impl BatchSim {
 
     /// One lane's per-rule failure counts.
     pub fn lane_fails_per_rule(&self, lane: usize) -> Vec<u64> {
+        assert!(lane < self.lanes, "lane out of range");
         (0..self.prog.rules.len())
             .map(|r| self.fail_per_rule_base[r] + self.fail_per_rule[r * self.lanes + lane])
             .collect()
@@ -485,6 +472,7 @@ impl BatchSim {
 
     /// One lane's most recent rule failure, if any.
     pub fn lane_last_fail(&self, lane: usize) -> Option<FailInfo> {
+        assert!(lane < self.lanes, "lane out of range");
         self.last_fail_uniform.or(self.last_fail[lane])
     }
 
@@ -602,13 +590,14 @@ impl BatchSim {
         // `log_d0/log_d1 == cyc_d0/cyc_d1` at every rule boundary (commits
         // copy log → cyc on the footprint, unclean failures roll back
         // cyc → log, clean failures touch no data), so the divergence path
-        // restores from `cyc_*` directly. Locals are not snapshotted either:
-        // every `Local` read is dominated by a `SetLocal` from the same
-        // invocation (Kôika `let` scoping compiles the binding's store
-        // before any use, including across `Jz` joins), so values clobbered
-        // by an aborted lock-step run are never observed by the scalar
-        // re-run — the same def-before-use argument that lets `tac_slots`
-        // skip restoration.
+        // restores from `cyc_*` directly. Slot files and locals are not
+        // snapshotted either: every non-constant slot is written before it
+        // is read within one rule invocation (Kôika `let` scoping compiles
+        // the binding's store before any use, including across `Jz` joins,
+        // and temporaries are produced before they are consumed), so values
+        // clobbered by an aborted lock-step run are never observed — not by
+        // the scalar re-run, whose locals persist across lanes for the same
+        // reason, and not by the next lock-step run of either engine.
         if cfg.reset_on_fail {
             for &r in &meta.touched {
                 let s = r as usize * lanes;
@@ -620,8 +609,8 @@ impl BatchSim {
             self.snap_cov[s..s + lanes].copy_from_slice(&self.cov[s..s + lanes]);
         }
 
-        // Lock-step execution: compiled-native, micro-op, or bytecode form,
-        // per dispatch.
+        // Lock-step execution: compiled-native or micro-op form, per
+        // dispatch.
         let outcome = if self.dispatch == Dispatch::Native {
             // The compiled batched entry point: straight-line lane loops,
             // no interpreter dispatch. It returns the scalar outcome
@@ -634,7 +623,6 @@ impl BatchSim {
                 .as_ref()
                 .expect("set_dispatch built the native engine")
                 .batch_fn(rule_idx);
-            let mut slots = std::mem::take(&mut self.native_slots[rule_idx]);
             let mut ctx = crate::native::NativeBatchCtx {
                 boc: self.boc.as_mut_ptr(),
                 cyc_rw: self.cyc_rw.as_mut_ptr(),
@@ -644,7 +632,7 @@ impl BatchSim {
                 log_d0: self.log_d0.as_mut_ptr(),
                 log_d1: self.log_d1.as_mut_ptr(),
                 cov: self.cov.as_mut_ptr(),
-                slots: slots.as_mut_ptr(),
+                slots: self.slots[rule_idx].as_mut_ptr(),
                 lanes,
                 fail_reg: 0,
                 pad: 0,
@@ -656,7 +644,6 @@ impl BatchSim {
             // engine was built for exactly `self.lanes` lanes.
             let ret = crate::native::run_rule_batch_native(f, &mut ctx);
             let fail_reg = ctx.fail_reg;
-            self.native_slots[rule_idx] = slots;
             let code = ret & 0xff;
             let payload = (ret >> 8) as usize;
             let cycle = self.cycles;
@@ -701,33 +688,8 @@ impl BatchSim {
                     })
                 }
             }
-        } else if self.dispatch == Dispatch::Tac {
-            let tac = self.tac.take().expect("set_dispatch prepared the micro-op programs");
-            let mut slots = std::mem::take(&mut self.tac_slots[rule_idx]);
-            let out = self.run_uops_batch(&tac.rules[rule_idx], &mut slots, rule_idx);
-            self.tac_slots[rule_idx] = slots;
-            self.tac = Some(tac);
-            out?
         } else {
-            let mut pc = 0usize;
-            let mut sp = 0usize;
-            loop {
-                let insn = self.prog.rules[rule_idx].code[pc];
-                match self.exec_batch_insn(insn, &mut sp, rule_idx, pc) {
-                    BatchFlow::Next => pc += 1,
-                    BatchFlow::Jump(t) => pc = t as usize,
-                    BatchFlow::FailAll { clean } => break Some(Err(clean)),
-                    BatchFlow::Done => break Some(Ok(())),
-                    BatchFlow::Diverge => break None,
-                    BatchFlow::Trap(what) => {
-                        return Err(VmError::CompilerBug {
-                            rule: rule_idx,
-                            pc,
-                            what,
-                        })
-                    }
-                }
-            }
+            self.run_uops_batch(rule_idx)?
         };
 
         match outcome {
@@ -821,7 +783,7 @@ impl BatchSim {
             }
             Some(Err(clean)) => {
                 // Batched failure: every lane failed the same check.
-                // `exec_batch_insn` already recorded per-lane FailInfo
+                // `run_uops_batch` already recorded per-lane FailInfo
                 // (the native arm set the lock-step uniform instead).
                 self.lockstep_rules += 1;
                 self.fail_per_rule_base[rule_idx] += 1;
@@ -959,7 +921,6 @@ impl BatchSim {
             cyc_d1,
             log_d0,
             log_d1,
-            locals,
             cov,
             scratch,
             last_fail,
@@ -986,7 +947,6 @@ impl BatchSim {
         gather!(scratch.cyc_d1, cyc_d1);
         gather!(scratch.log_d0, log_d0);
         gather!(scratch.log_d1, log_d1);
-        gather!(scratch.locals, locals);
         gather!(scratch.cov, cov);
         scratch.stack.clear();
         scratch.cycles = *cycles;
@@ -1005,7 +965,6 @@ impl BatchSim {
                 cyc_d1,
                 log_d0,
                 log_d1,
-                locals,
                 cov,
                 scratch,
                 last_fail,
@@ -1028,7 +987,6 @@ impl BatchSim {
             scatter!(scratch.cyc_d1, cyc_d1);
             scatter!(scratch.log_d0, log_d0);
             scatter!(scratch.log_d1, log_d1);
-            scatter!(scratch.locals, locals);
             scatter!(scratch.cov, cov);
             last_fail[l] = scratch.last_fail;
         }
@@ -1041,638 +999,24 @@ impl BatchSim {
         }
     }
 
-    /// Executes one instruction across every lane. Returns `Diverge` the
-    /// moment lanes disagree on control flow, leaving batch state to be
-    /// discarded by the caller's rule-entry restore.
-    #[allow(clippy::too_many_lines)]
-    #[inline(always)]
-    fn exec_batch_insn(
-        &mut self,
-        insn: Insn,
-        sp: &mut usize,
-        rule_idx: usize,
-        pc: usize,
-    ) -> BatchFlow {
-        let cfg = self.prog.cfg;
-        let cycle = self.cycles;
-        let BatchSim {
-            lanes,
-            stack,
-            boc,
-            cyc_rw,
-            log_rw,
-            cyc_d0,
-            log_d0,
-            log_d1,
-            locals,
-            cov,
-            last_fail,
-            ..
-        } = self;
-        let lanes = *lanes;
-
-        // Ensures the stack can hold one more stripe.
-        macro_rules! grow {
-            () => {
-                if stack.len() < (*sp + 1) * lanes {
-                    stack.resize((*sp + 1) * lanes, 0);
-                }
-            };
-        }
-        macro_rules! need {
-            ($k:expr) => {
-                if *sp < $k {
-                    return BatchFlow::Trap("operand stack underflow");
-                }
-            };
-        }
-        // The top two stripes as exact (dst, src) subslices — adjacent on
-        // the stack, so one `split_at_mut` yields both without overlap.
-        macro_rules! top2 {
-            () => {{
-                need!(2);
-                let base = (*sp - 2) * lanes;
-                stack[base..base + 2 * lanes].split_at_mut(lanes)
-            }};
-        }
-        // Binary op over the top two stripes via the chunked SIMD kernels;
-        // result replaces the lower stripe.
-        macro_rules! vbin {
-            (|$a:ident, $b:ident| $body:expr) => {{
-                let (d, s) = top2!();
-                simd::zip2(d, s, |$a, $b| $body);
-                *sp -= 1;
-                BatchFlow::Next
-            }};
-        }
-        // Binary op through a dedicated width-hoisted kernel.
-        macro_rules! vbin_kern {
-            ($kern:expr) => {{
-                let (d, s) = top2!();
-                $kern(d, s);
-                *sp -= 1;
-                BatchFlow::Next
-            }};
-        }
-        // Unary op over the top stripe, in place, chunked.
-        macro_rules! vun {
-            (|$a:ident| $body:expr) => {{
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::map1(&mut stack[base..base + lanes], |$a| $body);
-                BatchFlow::Next
-            }};
-        }
-
-        match insn {
-            Insn::Const(v) => {
-                grow!();
-                stack[*sp * lanes..(*sp + 1) * lanes].fill(v);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Local(s) => {
-                grow!();
-                let (src, dst) = (s as usize * lanes, *sp * lanes);
-                stack[dst..dst + lanes].copy_from_slice(&locals[src..src + lanes]);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::SetLocal(s) => {
-                need!(1);
-                let (src, dst) = ((*sp - 1) * lanes, s as usize * lanes);
-                locals[dst..dst + lanes].copy_from_slice(&stack[src..src + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Add { mask } => vbin!(|a, b| a.wrapping_add(b) & mask),
-            Insn::Sub { mask } => vbin!(|a, b| a.wrapping_sub(b) & mask),
-            Insn::Mul { mask } => vbin!(|a, b| a.wrapping_mul(b) & mask),
-            Insn::And => vbin!(|a, b| a & b),
-            Insn::Or => vbin!(|a, b| a | b),
-            Insn::Xor => vbin!(|a, b| a ^ b),
-            Insn::Shl { mask } => vbin!(|a, b| simd::shl64(a, b, mask)),
-            Insn::Shr => vbin!(|a, b| simd::shr64(a, b)),
-            Insn::Sra { width } => vbin_kern!(|d, s| simd::sra_zip2(d, s, width)),
-            Insn::Eq => vbin!(|a, b| (a == b) as u64),
-            Insn::Ne => vbin!(|a, b| (a != b) as u64),
-            Insn::Ult => vbin!(|a, b| (a < b) as u64),
-            Insn::Ule => vbin!(|a, b| (a <= b) as u64),
-            Insn::Slt { width } => vbin_kern!(|d, s| simd::slt_zip2(d, s, width)),
-            Insn::Sle { width } => vbin_kern!(|d, s| simd::sle_zip2(d, s, width)),
-            Insn::ConcatShift { low_width, mask } => {
-                vbin_kern!(|d, s| simd::concat_zip2(d, s, low_width, mask))
-            }
-            Insn::Not { mask } => vun!(|a| !a & mask),
-            Insn::Neg { mask } => vun!(|a| a.wrapping_neg() & mask),
-            Insn::Mask { mask } => vun!(|a| a & mask),
-            Insn::Sext { from, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::sext_map1(&mut stack[base..base + lanes], from, mask);
-                BatchFlow::Next
-            }
-            Insn::Slice { lo, mask } => vun!(|a| (a >> lo) & mask),
-            Insn::SliceSext { lo, from, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::slice_sext_map1(&mut stack[base..base + lanes], lo, from, mask);
-                BatchFlow::Next
-            }
-            Insn::Select => {
-                // Pure data selection: no divergence regardless of lanes'
-                // conditions — a branchless mask blend.
-                need!(3);
-                let cbase = (*sp - 3) * lanes;
-                let (c, tf) = stack[cbase..cbase + 3 * lanes].split_at_mut(lanes);
-                let (t, f) = tf.split_at(lanes);
-                simd::select(c, t, f);
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::Rd0 { reg, clean } => {
-                let s = reg as usize * lanes;
-                let chk = if cfg.acc_logs {
-                    &log_rw[s..s + lanes]
-                } else {
-                    &cyc_rw[s..s + lanes]
-                };
-                let npass = simd::count_clear(chk, W0 | W1);
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                grow!();
-                let dst = *sp * lanes;
-                if !cfg.design_specific {
-                    simd::or_bytes(&mut log_rw[s..s + lanes], R0);
-                }
-                let src = if cfg.no_boc {
-                    &log_d0[s..s + lanes]
-                } else {
-                    &boc[s..s + lanes]
-                };
-                stack[dst..dst + lanes].copy_from_slice(src);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Rd1 { reg, clean } => {
-                let s = reg as usize * lanes;
-                let chk = if cfg.acc_logs {
-                    &log_rw[s..s + lanes]
-                } else {
-                    &cyc_rw[s..s + lanes]
-                };
-                let npass = simd::count_clear(chk, W1);
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                grow!();
-                let dst = *sp * lanes;
-                simd::or_bytes(&mut log_rw[s..s + lanes], R1);
-                let out = &mut stack[dst..dst + lanes];
-                let ld0 = &log_d0[s..s + lanes];
-                if cfg.no_boc {
-                    out.copy_from_slice(ld0);
-                } else {
-                    // Branchless forwarding: a rule-log write-0 shadows the
-                    // cycle log, which shadows the beginning-of-cycle value.
-                    let lrw = &log_rw[s..s + lanes];
-                    let bo = &boc[s..s + lanes];
-                    if cfg.acc_logs {
-                        for (((o, &w), &d), &b) in
-                            out.iter_mut().zip(lrw).zip(ld0).zip(bo)
-                        {
-                            let m = lane_mask(w & W0 != 0);
-                            *o = (d & m) | (b & !m);
-                        }
-                    } else {
-                        let crw = &cyc_rw[s..s + lanes];
-                        let cd0 = &cyc_d0[s..s + lanes];
-                        for (((((o, &w), &d), &b), &cw), &cd) in out
-                            .iter_mut()
-                            .zip(lrw)
-                            .zip(ld0)
-                            .zip(bo)
-                            .zip(crw)
-                            .zip(cd0)
-                        {
-                            let m0 = lane_mask(w & W0 != 0);
-                            let m1 = lane_mask(cw & W0 != 0);
-                            *o = (d & m0) | (((cd & m1) | (b & !m1)) & !m0);
-                        }
-                    }
-                }
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Wr0 { reg, clean } => {
-                need!(1);
-                let s = reg as usize * lanes;
-                let npass = if cfg.acc_logs {
-                    simd::count_clear(&log_rw[s..s + lanes], R1 | W0 | W1)
-                } else {
-                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], R1 | W0 | W1)
-                };
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                let vbase = (*sp - 1) * lanes;
-                simd::or_bytes(&mut log_rw[s..s + lanes], W0);
-                log_d0[s..s + lanes].copy_from_slice(&stack[vbase..vbase + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Wr1 { reg, clean } => {
-                need!(1);
-                let s = reg as usize * lanes;
-                let npass = if cfg.acc_logs {
-                    simd::count_clear(&log_rw[s..s + lanes], W1)
-                } else {
-                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], W1)
-                };
-                if npass == 0 {
-                    last_fail.fill(Some(FailInfo {
-                        rule: rule_idx,
-                        pc,
-                        reg: Some(RegId(reg)),
-                        cycle,
-                    }));
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                let vbase = (*sp - 1) * lanes;
-                simd::or_bytes(&mut log_rw[s..s + lanes], W1);
-                let dst = if cfg.merged_data {
-                    &mut log_d0[s..s + lanes]
-                } else {
-                    &mut log_d1[s..s + lanes]
-                };
-                dst.copy_from_slice(&stack[vbase..vbase + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Rd0Fast { reg } | Insn::Rd1Fast { reg } => {
-                grow!();
-                let (src, dst) = (reg as usize * lanes, *sp * lanes);
-                stack[dst..dst + lanes].copy_from_slice(&log_d0[src..src + lanes]);
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::Wr0Fast { reg } | Insn::Wr1Fast { reg } => {
-                need!(1);
-                let (src, dst) = ((*sp - 1) * lanes, reg as usize * lanes);
-                log_d0[dst..dst + lanes].copy_from_slice(&stack[src..src + lanes]);
-                *sp -= 1;
-                BatchFlow::Next
-            }
-            Insn::Rd0Arr { base, mask, clean } => {
-                need!(1);
-                let ibase = (*sp - 1) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs { log_rw[i] } else { cyc_rw[i] };
-                    if check & (W0 | W1) == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                // Replace the index stripe with the value stripe in place.
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    if !cfg.design_specific {
-                        log_rw[i] |= R0;
-                    }
-                    stack[ibase + l] = if cfg.no_boc { log_d0[i] } else { boc[i] };
-                }
-                BatchFlow::Next
-            }
-            Insn::Rd1Arr { base, mask, clean } => {
-                need!(1);
-                let ibase = (*sp - 1) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs { log_rw[i] } else { cyc_rw[i] };
-                    if check & W1 == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    log_rw[i] |= R1;
-                    stack[ibase + l] = if cfg.no_boc || log_rw[i] & W0 != 0 {
-                        log_d0[i]
-                    } else if !cfg.acc_logs && cyc_rw[i] & W0 != 0 {
-                        cyc_d0[i]
-                    } else {
-                        boc[i]
-                    };
-                }
-                BatchFlow::Next
-            }
-            Insn::Wr0Arr { base, mask, clean } => {
-                need!(2);
-                let vbase = (*sp - 1) * lanes;
-                let ibase = (*sp - 2) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs {
-                        log_rw[i]
-                    } else {
-                        log_rw[i] | cyc_rw[i]
-                    };
-                    if check & (R1 | W0 | W1) == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    log_rw[i] |= W0;
-                    log_d0[i] = stack[vbase + l];
-                }
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::Wr1Arr { base, mask, clean } => {
-                need!(2);
-                let vbase = (*sp - 1) * lanes;
-                let ibase = (*sp - 2) * lanes;
-                let mut npass = 0usize;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    let check = if cfg.acc_logs {
-                        log_rw[i]
-                    } else {
-                        log_rw[i] | cyc_rw[i]
-                    };
-                    if check & W1 == 0 {
-                        npass += 1;
-                    }
-                }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc,
-                            reg: Some(RegId(r as u32)),
-                            cycle,
-                        });
-                    }
-                    return BatchFlow::FailAll { clean };
-                }
-                if npass < lanes {
-                    return BatchFlow::Diverge;
-                }
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    let i = r * lanes + l;
-                    log_rw[i] |= W1;
-                    if cfg.merged_data {
-                        log_d0[i] = stack[vbase + l];
-                    } else {
-                        log_d1[i] = stack[vbase + l];
-                    }
-                }
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::Rd0ArrFast { base, mask } | Insn::Rd1ArrFast { base, mask } => {
-                need!(1);
-                let ibase = (*sp - 1) * lanes;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    stack[ibase + l] = log_d0[r * lanes + l];
-                }
-                BatchFlow::Next
-            }
-            Insn::Wr0ArrFast { base, mask } | Insn::Wr1ArrFast { base, mask } => {
-                need!(2);
-                let vbase = (*sp - 1) * lanes;
-                let ibase = (*sp - 2) * lanes;
-                for l in 0..lanes {
-                    let r = base as usize + (stack[ibase + l] & mask as u64) as usize;
-                    log_d0[r * lanes + l] = stack[vbase + l];
-                }
-                *sp -= 2;
-                BatchFlow::Next
-            }
-            Insn::BinRC { op, rhs, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                simd::fused_map1(op, mask, rhs, &mut stack[base..base + lanes]);
-                BatchFlow::Next
-            }
-            Insn::BinRL { op, rhs_slot, mask } => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                let rbase = rhs_slot as usize * lanes;
-                simd::fused_zip2(
-                    op,
-                    mask,
-                    &mut stack[base..base + lanes],
-                    &locals[rbase..rbase + lanes],
-                );
-                BatchFlow::Next
-            }
-            Insn::BinLL {
-                op,
-                a_slot,
-                b_slot,
-                mask,
-            } => {
-                grow!();
-                let dst = *sp * lanes;
-                let (abase, bbase) = (a_slot as usize * lanes, b_slot as usize * lanes);
-                simd::fused_zip2_to(
-                    op,
-                    mask,
-                    &mut stack[dst..dst + lanes],
-                    &locals[abase..abase + lanes],
-                    &locals[bbase..bbase + lanes],
-                );
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::BinLC {
-                op,
-                a_slot,
-                rhs,
-                mask,
-            } => {
-                grow!();
-                let dst = *sp * lanes;
-                let abase = a_slot as usize * lanes;
-                simd::fused_map1_to(
-                    op,
-                    mask,
-                    rhs,
-                    &mut stack[dst..dst + lanes],
-                    &locals[abase..abase + lanes],
-                );
-                *sp += 1;
-                BatchFlow::Next
-            }
-            Insn::LdFast { reg, slot } => {
-                let (src, dst) = (reg as usize * lanes, slot as usize * lanes);
-                locals[dst..dst + lanes].copy_from_slice(&log_d0[src..src + lanes]);
-                BatchFlow::Next
-            }
-            Insn::StFast { reg, slot } => {
-                let (src, dst) = (slot as usize * lanes, reg as usize * lanes);
-                log_d0[dst..dst + lanes].copy_from_slice(&locals[src..src + lanes]);
-                BatchFlow::Next
-            }
-            Insn::SetLocalK { slot, imm } => {
-                let dst = slot as usize * lanes;
-                locals[dst..dst + lanes].fill(imm);
-                BatchFlow::Next
-            }
-            Insn::Jmp(t) => BatchFlow::Jump(t),
-            Insn::Jz(t) => {
-                need!(1);
-                let base = (*sp - 1) * lanes;
-                let nz = simd::count_zero(&stack[base..base + lanes]);
-                *sp -= 1;
-                if nz == 0 {
-                    BatchFlow::Next
-                } else if nz == lanes {
-                    BatchFlow::Jump(t)
-                } else {
-                    BatchFlow::Diverge
-                }
-            }
-            Insn::Abort => {
-                last_fail.fill(Some(FailInfo {
-                    rule: rule_idx,
-                    pc,
-                    reg: None,
-                    cycle,
-                }));
-                BatchFlow::FailAll { clean: false }
-            }
-            Insn::AbortClean => {
-                last_fail.fill(Some(FailInfo {
-                    rule: rule_idx,
-                    pc,
-                    reg: None,
-                    cycle,
-                }));
-                BatchFlow::FailAll { clean: true }
-            }
-            Insn::Cov(id) => {
-                let base = id as usize * lanes;
-                for c in &mut cov[base..base + lanes] {
-                    *c += 1;
-                }
-                BatchFlow::Next
-            }
-            Insn::End => BatchFlow::Done,
-        }
-    }
-
-    /// Lock-step executor for the register-form micro-op program: each
-    /// micro-op is decoded once and applied across every lane, with the
-    /// same all-pass / all-fail / diverge protocol as the bytecode loop.
+    /// Lock-step executor for one rule's micro-op program: each micro-op
+    /// is decoded once and applied across every lane. At every checked
+    /// register access and conditional jump the lanes either all pass, all
+    /// fail, or diverge.
     ///
     /// Returns `Ok(Some(Ok(())))` on a batched commit, `Ok(Some(Err(clean)))`
     /// on a batched failure, and `Ok(None)` on divergence (the caller
     /// restores the rule-entry snapshot and falls back to the scalar
     /// bytecode executor, which is bit-identical to the micro-op form).
     #[allow(clippy::too_many_lines)]
-    fn run_uops_batch(
-        &mut self,
-        tac: &TacRule,
-        slots: &mut [u64],
-        rule_idx: usize,
-    ) -> Result<Option<Result<(), bool>>, VmError> {
+    fn run_uops_batch(&mut self, rule_idx: usize) -> Result<Option<Result<(), bool>>, VmError> {
         let cfg = self.prog.cfg;
         let cycle = self.cycles;
         let BatchSim {
             lanes,
-            stack,
+            tmp,
+            tac,
+            slots,
             boc,
             cyc_rw,
             log_rw,
@@ -1684,10 +1028,8 @@ impl BatchSim {
             ..
         } = self;
         let lanes = *lanes;
-        // One scratch stripe for superinstruction intermediates.
-        if stack.len() < lanes {
-            stack.resize(lanes, 0);
-        }
+        let tac = &tac[rule_idx];
+        let slots = &mut slots[rule_idx][..];
         let uops = &tac.uops;
         let mut pc = 0usize;
 
@@ -1708,52 +1050,14 @@ impl BatchSim {
                 return Ok(Some(Err($clean)));
             }};
         }
-        // Checked-access gates: count passing lanes with the bit-sliced
-        // SWAR kernels (eight lanes per word over the rw-set byte plane),
-        // then fail-all / diverge / proceed — identical to the bytecode
-        // arms.
-        macro_rules! rd0_gate {
-            ($r:expr, $clean:expr) => {{
-                let s = $r * lanes;
-                let chk = if cfg.acc_logs {
-                    &log_rw[s..s + lanes]
-                } else {
-                    &cyc_rw[s..s + lanes]
-                };
-                let npass = simd::count_clear(chk, W0 | W1);
-                if npass == 0 {
-                    fail_all!(Some(RegId($r as u32)), $clean, tac.pcs[pc]);
-                }
-                if npass < lanes {
-                    return Ok(None);
-                }
-            }};
-        }
-        macro_rules! rd1_gate {
-            ($r:expr, $clean:expr) => {{
-                let s = $r * lanes;
-                let chk = if cfg.acc_logs {
-                    &log_rw[s..s + lanes]
-                } else {
-                    &cyc_rw[s..s + lanes]
-                };
-                let npass = simd::count_clear(chk, W1);
-                if npass == 0 {
-                    fail_all!(Some(RegId($r as u32)), $clean, tac.pcs[pc]);
-                }
-                if npass < lanes {
-                    return Ok(None);
-                }
-            }};
-        }
-        macro_rules! wr0_gate {
-            ($r:expr, $clean:expr, $src_pc:expr) => {{
-                let s = $r * lanes;
-                let npass = if cfg.acc_logs {
-                    simd::count_clear(&log_rw[s..s + lanes], R1 | W0 | W1)
-                } else {
-                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], R1 | W0 | W1)
-                };
+        // Checked-access gates: count the lanes whose rw-set byte has none
+        // of `$bits` set with the bit-sliced SWAR kernels (eight lanes per
+        // word), then fail-all / diverge / proceed. Reads check one log
+        // (the accumulated one at `acc_logs` levels, else the cycle's);
+        // writes check the rule log and, below `acc_logs`, the cycle log.
+        macro_rules! gate {
+            ($r:expr, $clean:expr, $src_pc:expr, $npass:expr) => {{
+                let npass = $npass;
                 if npass == 0 {
                     fail_all!(Some(RegId($r as u32)), $clean, $src_pc);
                 }
@@ -1762,16 +1066,54 @@ impl BatchSim {
                 }
             }};
         }
-        macro_rules! wr1_gate {
-            ($r:expr, $clean:expr) => {{
+        macro_rules! rd_gate {
+            ($r:expr, $clean:expr, $bits:expr) => {{
+                let s = $r * lanes;
+                let chk = if cfg.acc_logs {
+                    &log_rw[s..s + lanes]
+                } else {
+                    &cyc_rw[s..s + lanes]
+                };
+                gate!($r, $clean, tac.pcs[pc], simd::count_clear(chk, $bits));
+            }};
+        }
+        macro_rules! wr_gate {
+            ($r:expr, $clean:expr, $src_pc:expr, $bits:expr) => {{
                 let s = $r * lanes;
                 let npass = if cfg.acc_logs {
-                    simd::count_clear(&log_rw[s..s + lanes], W1)
+                    simd::count_clear(&log_rw[s..s + lanes], $bits)
                 } else {
-                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], W1)
+                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], $bits)
                 };
+                gate!($r, $clean, $src_pc, npass);
+            }};
+        }
+        // Indexed accesses: lane `l` targets register
+        // `base + (slots[idx][l] & amask)`, so the gate counts per lane
+        // (`$pass` tests flat index `$i`) and a unanimous failure records
+        // each lane's own register.
+        macro_rules! arr_reg {
+            ($idx:expr, $base:expr, $amask:expr, $l:expr) => {
+                $base as usize + (sl!($idx, $l) & $amask as u64) as usize
+            };
+        }
+        macro_rules! arr_gate {
+            ($idx:expr, $base:expr, $amask:expr, $clean:expr, |$i:ident| $pass:expr) => {{
+                let mut npass = 0usize;
+                for l in 0..lanes {
+                    let $i = arr_reg!($idx, $base, $amask, l) * lanes + l;
+                    npass += ($pass) as usize;
+                }
                 if npass == 0 {
-                    fail_all!(Some(RegId($r as u32)), $clean, tac.pcs[pc]);
+                    for (l, lf) in last_fail.iter_mut().enumerate() {
+                        *lf = Some(FailInfo {
+                            rule: rule_idx,
+                            pc: tac.pcs[pc] as usize,
+                            reg: Some(RegId(arr_reg!($idx, $base, $amask, l) as u32)),
+                            cycle,
+                        });
+                    }
+                    return Ok(Some(Err($clean)));
                 }
                 if npass < lanes {
                     return Ok(None);
@@ -1933,26 +1275,26 @@ impl BatchSim {
                 }
                 Uop::Rd0 { dst, reg, clean } => {
                     let r = reg as usize;
-                    rd0_gate!(r, clean);
+                    rd_gate!(r, clean, W0 | W1);
                     let d = dst as usize * lanes;
                     rd0_stripe!(r, &mut slots[d..d + lanes]);
                 }
                 Uop::Rd1 { dst, reg, clean } => {
                     let r = reg as usize;
-                    rd1_gate!(r, clean);
+                    rd_gate!(r, clean, W1);
                     let d = dst as usize * lanes;
                     rd1_stripe!(r, &mut slots[d..d + lanes]);
                 }
                 Uop::Wr0 { src, reg, clean } => {
                     let r = reg as usize;
-                    wr0_gate!(r, clean, tac.pcs[pc]);
+                    wr_gate!(r, clean, tac.pcs[pc], R1 | W0 | W1);
                     let (s, d) = (src as usize * lanes, r * lanes);
                     simd::or_bytes(&mut log_rw[d..d + lanes], W0);
                     log_d0[d..d + lanes].copy_from_slice(&slots[s..s + lanes]);
                 }
                 Uop::Wr1 { src, reg, clean } => {
                     let r = reg as usize;
-                    wr1_gate!(r, clean);
+                    wr_gate!(r, clean, tac.pcs[pc], W1);
                     let (s, d) = (src as usize * lanes, r * lanes);
                     simd::or_bytes(&mut log_rw[d..d + lanes], W1);
                     let dst = if cfg.merged_data {
@@ -1972,116 +1314,36 @@ impl BatchSim {
                 }
                 Uop::Rd0Arr { dst, idx, base, amask, clean } => {
                     let chk = if cfg.acc_logs { &*log_rw } else { &*cyc_rw };
-                    let mut npass = 0usize;
+                    arr_gate!(idx, base, amask, clean, |i| chk[i] & (W0 | W1) == 0);
                     for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        npass += (chk[r * lanes + l] & (W0 | W1) == 0) as usize;
-                    }
-                    if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
-                    }
-                    if npass < lanes {
-                        return Ok(None);
-                    }
-                    for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        sl!(dst, l) = rd0_val!(r * lanes + l);
+                        sl!(dst, l) = rd0_val!(arr_reg!(idx, base, amask, l) * lanes + l);
                     }
                 }
                 Uop::Rd1Arr { dst, idx, base, amask, clean } => {
                     let chk = if cfg.acc_logs { &*log_rw } else { &*cyc_rw };
-                    let mut npass = 0usize;
+                    arr_gate!(idx, base, amask, clean, |i| chk[i] & W1 == 0);
                     for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        npass += (chk[r * lanes + l] & W1 == 0) as usize;
-                    }
-                    if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
-                    }
-                    if npass < lanes {
-                        return Ok(None);
-                    }
-                    for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        sl!(dst, l) = rd1_val!(r * lanes + l);
+                        sl!(dst, l) = rd1_val!(arr_reg!(idx, base, amask, l) * lanes + l);
                     }
                 }
                 Uop::Wr0Arr { src, idx, base, amask, clean } => {
-                    let acc = cfg.acc_logs;
-                    let mut npass = 0usize;
+                    let cyc_mask = lane_mask(!cfg.acc_logs) as u8;
+                    arr_gate!(idx, base, amask, clean, |i| {
+                        (log_rw[i] | (cyc_rw[i] & cyc_mask)) & (R1 | W0 | W1) == 0
+                    });
                     for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        let i = r * lanes + l;
-                        let check = log_rw[i] | (cyc_rw[i] & lane_mask(!acc) as u8);
-                        npass += (check & (R1 | W0 | W1) == 0) as usize;
-                    }
-                    if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
-                    }
-                    if npass < lanes {
-                        return Ok(None);
-                    }
-                    for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        let i = r * lanes + l;
+                        let i = arr_reg!(idx, base, amask, l) * lanes + l;
                         log_rw[i] |= W0;
                         log_d0[i] = sl!(src, l);
                     }
                 }
                 Uop::Wr1Arr { src, idx, base, amask, clean } => {
-                    let acc = cfg.acc_logs;
-                    let mut npass = 0usize;
+                    let cyc_mask = lane_mask(!cfg.acc_logs) as u8;
+                    arr_gate!(idx, base, amask, clean, |i| {
+                        (log_rw[i] | (cyc_rw[i] & cyc_mask)) & W1 == 0
+                    });
                     for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        let i = r * lanes + l;
-                        let check = log_rw[i] | (cyc_rw[i] & lane_mask(!acc) as u8);
-                        npass += (check & W1 == 0) as usize;
-                    }
-                    if npass == 0 {
-                        for (l, lf) in last_fail.iter_mut().enumerate() {
-                            let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                            *lf = Some(FailInfo {
-                                rule: rule_idx,
-                                pc: tac.pcs[pc] as usize,
-                                reg: Some(RegId(r as u32)),
-                                cycle,
-                            });
-                        }
-                        return Ok(Some(Err(clean)));
-                    }
-                    if npass < lanes {
-                        return Ok(None);
-                    }
-                    for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        let i = r * lanes + l;
+                        let i = arr_reg!(idx, base, amask, l) * lanes + l;
                         log_rw[i] |= W1;
                         if cfg.merged_data {
                             log_d0[i] = sl!(src, l);
@@ -2092,14 +1354,12 @@ impl BatchSim {
                 }
                 Uop::RdArrFast { dst, idx, base, amask } => {
                     for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        sl!(dst, l) = log_d0[r * lanes + l];
+                        sl!(dst, l) = log_d0[arr_reg!(idx, base, amask, l) * lanes + l];
                     }
                 }
                 Uop::WrArrFast { src, idx, base, amask } => {
                     for l in 0..lanes {
-                        let r = base as usize + (sl!(idx, l) & amask as u64) as usize;
-                        log_d0[r * lanes + l] = sl!(src, l);
+                        log_d0[arr_reg!(idx, base, amask, l) * lanes + l] = sl!(src, l);
                     }
                 }
                 Uop::Jmp(t) => {
@@ -2136,7 +1396,7 @@ impl BatchSim {
                 }
                 Uop::RdBin { op, dst, reg, b, mask, clean } => {
                     let r = reg as usize;
-                    rd0_gate!(r, clean);
+                    rd_gate!(r, clean, W0 | W1);
                     let s = r * lanes;
                     if !cfg.design_specific {
                         simd::or_bytes(&mut log_rw[s..s + lanes], R0);
@@ -2158,7 +1418,7 @@ impl BatchSim {
                 }
                 Uop::BinWr { op, a, b, mask, reg, clean } => {
                     let r = reg as usize;
-                    wr0_gate!(r, clean, tac.pcs[pc]);
+                    wr_gate!(r, clean, tac.pcs[pc], R1 | W0 | W1);
                     let d = r * lanes;
                     simd::or_bytes(&mut log_rw[d..d + lanes], W0);
                     simd::fused_zip2_to(
@@ -2171,7 +1431,7 @@ impl BatchSim {
                 }
                 Uop::RdBinWr { op, rreg, b, mask, wreg, rclean, wclean } => {
                     let r = rreg as usize;
-                    rd0_gate!(r, rclean);
+                    rd_gate!(r, rclean, W0 | W1);
                     // The read's effects (recording, value fetch) land
                     // before the write gate, exactly like the unfused pair.
                     let s = r * lanes;
@@ -2187,16 +1447,16 @@ impl BatchSim {
                         simd::fused_zip2_to(
                             op,
                             mask,
-                            &mut stack[..lanes],
+                            tmp,
                             vals,
                             &slots[b as usize * lanes..][..lanes],
                         );
                     }
                     let w = wreg as usize;
-                    wr0_gate!(w, wclean, tac.pcs2[pc]);
+                    wr_gate!(w, wclean, tac.pcs2[pc], R1 | W0 | W1);
                     let d = w * lanes;
                     simd::or_bytes(&mut log_rw[d..d + lanes], W0);
-                    log_d0[d..d + lanes].copy_from_slice(&stack[..lanes]);
+                    log_d0[d..d + lanes].copy_from_slice(tmp);
                 }
                 Uop::BinJz { op, a, b, mask, target } => {
                     let nz = simd::fused_count_zero_at(
@@ -2374,10 +1634,13 @@ mod tests {
                 ..CompileOptions::default()
             };
             let mut batch = BatchSim::compile_with(&td, &opts, 4).unwrap();
+            assert_eq!(batch.dispatch(), Dispatch::Tac);
             let mut scalars: Vec<Sim> =
                 (0..4).map(|_| Sim::compile_with(&td, &opts).unwrap()).collect();
             // Different seeds per lane force the divergence fallback (odd
-            // vs even parity takes different branches).
+            // vs even parity takes different branches): the micro-op engine
+            // must take the same fall-back decisions, and the fallback
+            // (scalar bytecode) must agree with the micro-op lanes.
             for (l, seed) in [7u64, 6, 27, 1].into_iter().enumerate() {
                 batch.lane_set64(l, x, seed);
                 scalars[l].set64(x, seed);
@@ -2398,41 +1661,6 @@ mod tests {
                 batch.fallback_rules() > 0,
                 "{level}: divergent seeds must exercise the fallback"
             );
-        }
-    }
-
-    #[test]
-    fn tac_dispatch_matches_scalar_sims() {
-        let td = collatz();
-        let x = td.reg_id("x");
-        for level in OptLevel::ALL {
-            let opts = CompileOptions {
-                level,
-                ..CompileOptions::default()
-            };
-            let mut batch = BatchSim::compile_with(&td, &opts, 4).unwrap();
-            batch.set_dispatch(Dispatch::Tac);
-            let mut scalars: Vec<Sim> =
-                (0..4).map(|_| Sim::compile_with(&td, &opts).unwrap()).collect();
-            // Divergent seeds: the micro-op engine must take the same
-            // fall-back decisions and the fallback (scalar bytecode) must
-            // agree with the micro-op lanes bit-for-bit.
-            for (l, seed) in [7u64, 6, 27, 1].into_iter().enumerate() {
-                batch.lane_set64(l, x, seed);
-                scalars[l].set64(x, seed);
-            }
-            for cyc in 0..128 {
-                batch.cycle().unwrap();
-                for (l, s) in scalars.iter_mut().enumerate() {
-                    s.cycle();
-                    assert_eq!(
-                        batch.lane_reg_values(l),
-                        s.reg_values(),
-                        "{level} lane {l} cycle {cyc}"
-                    );
-                    assert_eq!(batch.lane_fired(l), s.rules_fired(), "{level} lane {l}");
-                }
-            }
         }
     }
 
@@ -2533,5 +1761,76 @@ mod tests {
                 what: "operand stack underflow",
             }
         );
+    }
+
+    #[test]
+    fn interpreted_dispatches_all_select_the_micro_op_engine() {
+        let mut batch = BatchSim::compile(&collatz(), 2).unwrap();
+        for d in [Dispatch::Match, Dispatch::Closure, Dispatch::Tac] {
+            batch.set_dispatch(d);
+            assert_eq!(batch.dispatch(), Dispatch::Tac, "{}", d.short_name());
+        }
+    }
+
+    /// Two registers and two rules, so an unchecked lane index past the
+    /// end would silently alias lane 0 of the next register or rule.
+    fn two_counters() -> koika::tir::TDesign {
+        let mut b = DesignBuilder::new("two_counters");
+        b.reg("a", 8, 0u64);
+        b.reg("b", 8, 0u64);
+        b.rule("inc_a", vec![wr0("a", rd0("a").add(k(8, 1)))]);
+        b.rule("inc_b", vec![wr0("b", rd0("b").add(k(8, 1)))]);
+        check(&b.build()).unwrap()
+    }
+
+    #[test]
+    fn lane_accessors_reject_out_of_range_lanes() {
+        type Access = fn(&mut BatchSim, usize);
+        let cases: [(&str, Access); 9] = [
+            ("lane_get64", |b, l| {
+                let _ = b.lane_get64(l, RegId(0));
+            }),
+            ("lane_set64", |b, l| b.lane_set64(l, RegId(0), 1)),
+            ("lane_reg_values", |b, l| {
+                let _ = b.lane_reg_values(l);
+            }),
+            ("lane_fired", |b, l| {
+                let _ = b.lane_fired(l);
+            }),
+            ("lane_fired_per_rule", |b, l| {
+                let _ = b.lane_fired_per_rule(l);
+            }),
+            ("lane_fails_per_rule", |b, l| {
+                let _ = b.lane_fails_per_rule(l);
+            }),
+            ("lane_last_fail", |b, l| {
+                let _ = b.lane_last_fail(l);
+            }),
+            ("lane_commits", |b, l| {
+                let _ = b.lane_commits(l);
+            }),
+            ("lane", |b, l| {
+                let _ = b.lane(l).get64(RegId(0));
+            }),
+        ];
+        let td = two_counters();
+        for (name, access) in cases {
+            let mut batch = BatchSim::compile(&td, 4).unwrap();
+            batch.cycle().unwrap();
+            access(&mut batch, 3);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                access(&mut batch, 4);
+            }))
+            .expect_err(name);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            assert_eq!(msg.as_deref(), Some("lane out of range"), "{name}");
+            // The rejected access must not have touched any lane.
+            for l in 0..4 {
+                assert_eq!(batch.lane_reg_values(l), vec![1, 1], "{name} lane {l}");
+            }
+        }
     }
 }

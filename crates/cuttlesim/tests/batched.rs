@@ -4,10 +4,10 @@
 //! (checked both as raw commit sequences and as the FNV-1a digest the
 //! fault-injection campaigns fingerprint with), the same value in every
 //! register, and the same per-rule commit/failure counters and
-//! [`FailInfo`] — at every optimization level, under every dispatch
-//! engine (including the compiled SIMD batch kernels), even when the
-//! lanes start from divergent initial states and stop sharing control
-//! flow.
+//! [`FailInfo`] — at every optimization level, on both lock-step engines
+//! (the micro-op interpreter and the compiled SIMD batch kernels), even
+//! when the lanes start from divergent initial states and stop sharing
+//! control flow.
 //!
 //! This is the oracle that licenses the batched campaign and fuzz paths:
 //! if a lane is bit-identical to a scalar run, any report built from lane
@@ -47,10 +47,10 @@ fn commit_digest(commits: &[u32]) -> u64 {
     })
 }
 
-/// The interpreted dispatches, always available. The native dispatch is
-/// appended by the callers that can afford a compile, gated on the
-/// toolchain.
-const INTERPRETED: [Dispatch; 3] = [Dispatch::Match, Dispatch::Closure, Dispatch::Tac];
+/// The interpreted lock-step engine, always available (every interpreted
+/// dispatch selects it). The native dispatch is appended by the callers
+/// that can afford a compile, gated on the toolchain.
+const INTERPRETED: [Dispatch; 1] = [Dispatch::Tac];
 
 /// Runs `lanes` lanes of the batched engine against `lanes` independent
 /// scalar VMs at the given level and dispatch. Lane 0 keeps the declared
@@ -154,7 +154,7 @@ fn assert_lanes_match_scalar(
     (lockstep, fallback)
 }
 
-/// Every optimization level under every interpreted dispatch.
+/// Every optimization level on the interpreted lock-step engine.
 fn assert_all_levels(td: &TDesign, lanes: usize, cycles: usize, seed: u64) {
     for level in OptLevel::ALL {
         for dispatch in INTERPRETED {
@@ -235,7 +235,7 @@ fn mixed_guard_failures() {
 }
 
 /// Identical lanes must stay in pure lock-step and still match scalar,
-/// under every dispatch including the compiled batch kernels.
+/// on both lock-step engines, including the compiled batch kernels.
 #[test]
 fn identical_lanes_lockstep() {
     let mut b = DesignBuilder::new("lockstep");
@@ -301,14 +301,14 @@ fn one_lane_degenerates_to_scalar() {
 /// `--batch 1` byte-identity: a single-lane batch and a scalar VM started
 /// from the same state must agree on *every* observable — the commit
 /// stream, all registers, the per-rule counters, the failure info, and
-/// the rendered VCD waveform, byte for byte — under every dispatch.
+/// the rendered VCD waveform, byte for byte — under every dispatch, each
+/// selected on both sides (the batch runs its lock-step engine for it).
 #[test]
 fn batch_of_one_is_byte_identical_to_scalar() {
     let td = collatz_like();
-    let mut dispatches = INTERPRETED.to_vec();
-    if toolchain_available() {
-        dispatches.push(Dispatch::Native);
-    }
+    let dispatches = Dispatch::ALL
+        .into_iter()
+        .filter(|&d| d != Dispatch::Native || toolchain_available());
     for dispatch in dispatches {
         let opts = CompileOptions::default();
         let mut batch = BatchSim::compile_with(&td, &opts, 1).unwrap();
@@ -361,7 +361,7 @@ fn batch_of_one_is_byte_identical_to_scalar() {
 
 /// The lock-step accounting invariant, pinned on its own against a design
 /// that mixes all three outcomes (commit, clean failure, divergence):
-/// every scheduled rule lands in exactly one counter under every dispatch,
+/// every scheduled rule lands in exactly one counter on every engine,
 /// and this scenario genuinely exercises both paths.
 #[test]
 fn lockstep_fallback_counters_account_for_every_rule() {
@@ -382,6 +382,94 @@ fn lockstep_fallback_counters_account_for_every_rule() {
     }
 }
 
+/// Switching engines mid-run (tac → native → tac) with divergent lanes
+/// keeps every lane bit-identical to its scalar run: the two engines share
+/// one slot file per rule, and a lock-step failure the native engine left
+/// pending as the shared uniform `FailInfo` must reach every lane before
+/// the interpreter records per-lane failures over it.
+#[test]
+fn dispatch_switches_mid_run_stay_bit_identical() {
+    if !toolchain_available() {
+        return;
+    }
+    // `x` is the same in every lane, so `even_x` and `odd_x` fail in
+    // lock-step on alternate cycles; `y` is seeded per lane, so `ystep`
+    // diverges. `odd_x` runs after the divergence, so a native cycle with
+    // even `x` ends with its failure pending, and the next cycle's first
+    // rule fails again on whichever engine is selected by then.
+    let mut b = DesignBuilder::new("switch");
+    b.reg("x", 8, 0u64);
+    b.reg("y", 16, 7u64);
+    b.reg("seen", 8, 0u64);
+    b.rule(
+        "even_x",
+        vec![
+            guard(rd0("x").bit(0).eq(k(1, 0))),
+            wr0("seen", rd0("seen").add(k(8, 1))),
+        ],
+    );
+    b.rule(
+        "ystep",
+        vec![
+            let_("y0", rd0("y")),
+            iff(
+                var("y0").bit(0).eq(k(1, 1)),
+                vec![wr0("y", var("y0").mul(k(16, 3)).add(k(16, 1)))],
+                vec![wr0("y", var("y0").shr(k(4, 1)))],
+            ),
+        ],
+    );
+    b.rule(
+        "odd_x",
+        vec![
+            guard(rd0("x").bit(0).eq(k(1, 1))),
+            wr1("seen", rd1("seen").xor(k(8, 0x5a))),
+        ],
+    );
+    b.rule("bump", vec![wr0("x", rd0("x").add(k(8, 1)))]);
+    b.schedule(["even_x", "ystep", "odd_x", "bump"]);
+    let td = check(&b.build()).expect("well-typed");
+    let y = td.reg_id("y");
+    for level in OptLevel::ALL {
+        let opts = CompileOptions {
+            level,
+            ..CompileOptions::default()
+        };
+        let mut batch = BatchSim::compile_with(&td, &opts, 4).unwrap();
+        let mut scalars: Vec<Sim> = (0..4)
+            .map(|_| Sim::compile_with(&td, &opts).unwrap())
+            .collect();
+        for (lane, seed) in [7u64, 6, 27, 9].into_iter().enumerate() {
+            batch.lane_set64(lane, y, seed);
+            scalars[lane].set64(y, seed);
+        }
+        // Tac for cycles [0, 41), native for [41, 83), tac after: the last
+        // native cycle (82) has even `x`.
+        for cycle in 0..128 {
+            match cycle {
+                41 => batch.set_dispatch(Dispatch::Native),
+                83 => batch.set_dispatch(Dispatch::Tac),
+                _ => {}
+            }
+            batch.cycle().unwrap();
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                let mut commits = Vec::new();
+                scalar.cycle_obs(&mut CommitRec(&mut commits));
+                let what = format!("{level}, cycle {cycle}, lane {lane}");
+                assert_eq!(batch.lane_commits(lane), commits.as_slice(), "{what}");
+                assert_eq!(batch.lane_reg_values(lane), scalar.reg_values(), "{what}");
+                assert_eq!(batch.lane_fired_per_rule(lane), scalar.fired_per_rule(), "{what}");
+                assert_eq!(batch.lane_fails_per_rule(lane), scalar.fails_per_rule(), "{what}");
+                assert_eq!(batch.lane_last_fail(lane), scalar.last_fail(), "{what}");
+            }
+        }
+        assert!(
+            batch.lockstep_rules() > 0 && batch.fallback_rules() > 0,
+            "{level}: the scenario must exercise both paths",
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Random-design differential matrix (generator shared via koika::testgen)
 // ---------------------------------------------------------------------------
@@ -389,7 +477,7 @@ fn lockstep_fallback_counters_account_for_every_rule() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// The batched matrix: random design x divergent lane inits x every
-    /// optimization level x every interpreted dispatch, lanes bit-compared
+    /// optimization level on the interpreted engine, lanes bit-compared
     /// to scalar runs each cycle. (The native dispatch replays the pinned
     /// corpus below instead — a fresh `rustc` invocation per proptest case
     /// would dwarf the signal.)
@@ -403,7 +491,7 @@ proptest! {
 
 /// The checked-in corpus: seeds whose generated designs exercise rich
 /// divergence patterns, replayed deterministically on every run through
-/// every dispatch — including the compiled SIMD batch path, which the
+/// both engines — including the compiled SIMD batch path, which the
 /// proptest matrix above skips. Across the corpus the native path must
 /// actually leave lock-step at least once, so the per-lane fallback seam
 /// (gather, compiled scalar re-run, scatter) is genuinely traversed.

@@ -3,7 +3,7 @@
 //! extreme concatenation splits, shift counts at and past the operand
 //! width) are run cycle-by-cycle against the reference interpreter on
 //! every VM optimization level, under every dispatch engine, and through
-//! the batched lock-step engine.
+//! both batched lock-step engines.
 //!
 //! These are the widths where the PR-5 bugfix sweep found real bugs
 //! (`ConcatShift` shifting by >= 64 without a guard or result mask,
@@ -21,6 +21,11 @@ use koika::Interp;
 /// Cycle budget: long enough for the 8-bit shift counters to sweep well
 /// past every operand width.
 const CYCLES: usize = 96;
+
+/// The distinct batched lock-step engines: every interpreted dispatch
+/// selects the micro-op interpreter, so the batched rows run it and the
+/// compiled lane loops.
+const BATCH_ENGINES: [Dispatch; 2] = [Dispatch::Tac, Dispatch::Native];
 
 /// Per-cycle full-register-file trace on the reference interpreter.
 fn interp_trace(td: &TDesign, cycles: usize) -> Vec<Vec<u64>> {
@@ -51,9 +56,9 @@ fn assert_regs(td: &TDesign, expected: &[u64], got: &mut dyn RegAccess, what: &s
     }
 }
 
-/// Runs a design on every `(OptLevel, Dispatch)` pair — scalar and
-/// batched — and demands bit-identical register state against the
-/// reference interpreter after every cycle.
+/// Runs a design on every `(OptLevel, Dispatch)` pair — scalar, and
+/// batched on each lock-step engine — and demands bit-identical register
+/// state against the reference interpreter after every cycle.
 fn assert_all_backends_agree(design: &koika::Design) {
     let td = check(design).expect("boundary designs typecheck");
     let reference = interp_trace(&td, CYCLES);
@@ -70,7 +75,8 @@ fn assert_all_backends_agree(design: &koika::Design) {
                 let what = format!("{level}/{}", dispatch.short_name());
                 assert_regs(&td, row, sim.as_reg_access(), &what, cycle);
             }
-
+        }
+        for dispatch in BATCH_ENGINES {
             let lanes = 3;
             let mut batch =
                 BatchSim::compile_with(&td, &opts, lanes).expect("boundary designs compile");
@@ -99,13 +105,13 @@ fn assert_all_backends_agree(design: &koika::Design) {
     // single lane, a width that straddles the fixed SIMD chunks, one and
     // two full 64-lane chunks — and the compiled batch kernels specialize
     // on the exact lane count, so each width is a distinct code path.
-    // Swept at the top optimization level under every dispatch (the
+    // Swept at the top optimization level on every lock-step engine (the
     // level dimension is already covered at a fixed width above).
     let opts = CompileOptions {
         level: OptLevel::max(),
         ..CompileOptions::default()
     };
-    for dispatch in Dispatch::ALL {
+    for dispatch in BATCH_ENGINES {
         for lanes in [1usize, 7, 32, 64] {
             let mut batch =
                 BatchSim::compile_with(&td, &opts, lanes).expect("boundary designs compile");
