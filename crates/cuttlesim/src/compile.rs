@@ -165,7 +165,10 @@ pub struct Program {
 
 /// Fraction of the register file above which footprint copies degrade to
 /// whole-log `memcpy`s (the paper: "if a rule touches most of the registers
-/// in a design, Cuttlesim reverts to copying whole logs").
+/// in a design, Cuttlesim reverts to copying whole logs"). The native
+/// whole-cycle function at the design-specific level no longer consults
+/// the resulting [`CopyPlan`]s: it copies each rule's exact footprint,
+/// dynamic array indices included (see `native::emit_cycle_fn`).
 const FOOTPRINT_MEMCPY_THRESHOLD: f64 = 0.5;
 
 struct RuleCompiler<'a> {

@@ -46,14 +46,27 @@
 //! itself (and, at `reset_on_fail` levels, the rollback merge before
 //! codes `1`/`3`) as baked `BL`-wide lane loops, so the host's lock-step
 //! arms do no plane work at all — only counters.
+//!
+//! The whole-cycle `koika_cycle` commits and rolls back in line. At the
+//! design-specific level it copies each rule's *exact footprint* instead
+//! of its [`CopyPlan`]: the statically named registers its micro-ops can
+//! change, plus, for each dynamic-index site, the one element that site
+//! touched (recorded in a local as the site runs). The begin-cycle clear
+//! likewise zeroes only the registers whose read-write byte some checked
+//! access can flag ([`rw_flag_set`]). Both rest on one invariant of the
+//! reset-on-failure levels — the rule log equals the cycle log at every
+//! rule entry — so copying an entry a rule did not change is a no-op, and
+//! on no engine can a flag appear outside the cleared set; see
+//! [`emit_cycle_fn`].
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::compile::{CopyPlan, Program, RuleCode};
-use crate::insn::FusedBin;
+use crate::insn::{FusedBin, Insn};
 use crate::level::LevelCfg;
 use crate::tac::{TacProgram, TacRule, Uop};
 use crate::vm::{rule_commit, rule_failure, rule_prologue, FailInfo, State, VmError};
@@ -275,6 +288,9 @@ enum BodyKind {
 struct BodyEmitter<'a> {
     cfg: LevelCfg,
     kind: BodyKind,
+    /// Record each dynamic-index log-write site's index in its `_x{i}`
+    /// local, for the exact-footprint commit (see [`LogWrite`]).
+    track_sites: bool,
     rule_idx: usize,
     tac: &'a TacRule,
     trap_ords: &'a HashMap<(usize, usize), usize>,
@@ -416,6 +432,18 @@ impl BodyEmitter<'_> {
         );
     }
 
+    /// `let _i = base + (idx & amask);` for array micro-op `i`, plus the
+    /// `_x{i} = _i;` site record when `i` is a tracked log-write site.
+    fn emit_arr_index(&mut self, i: usize, idx: u16, base: u32, amask: u32) {
+        let _ = write!(
+            self.out,
+            "let _i = {base}usize + ((s{idx} & 0x{amask:x}u64) as usize); "
+        );
+        if self.track_sites && matches!(log_write(&self.tac.uops[i]), LogWrite::Dynamic { .. }) {
+            let _ = write!(self.out, "_x{i} = _i; ");
+        }
+    }
+
     fn emit_uop(&mut self, i: usize) {
         let pc = self.tac.pcs[i];
         let _ = write!(self.out, "{{ ");
@@ -482,46 +510,28 @@ impl BodyEmitter<'_> {
                 let _ = write!(self.out, "log_d0[{reg}usize] = s{src};");
             }
             Uop::Rd0Arr { dst, idx, base, amask, clean } => {
-                let _ = write!(
-                    self.out,
-                    "let _i = {base}usize + ((s{idx} & 0x{amask:x}u64) as usize); "
-                );
+                self.emit_arr_index(i, idx, base, amask);
                 self.emit_rd0("_i", clean, pc, &format!("s{dst} ="));
             }
             Uop::Rd1Arr { dst, idx, base, amask, clean } => {
-                let _ = write!(
-                    self.out,
-                    "let _i = {base}usize + ((s{idx} & 0x{amask:x}u64) as usize); "
-                );
+                self.emit_arr_index(i, idx, base, amask);
                 self.emit_rd1("_i", clean, pc, &format!("s{dst} ="));
             }
             Uop::Wr0Arr { src, idx, base, amask, clean } => {
-                let _ = write!(
-                    self.out,
-                    "let _i = {base}usize + ((s{idx} & 0x{amask:x}u64) as usize); "
-                );
+                self.emit_arr_index(i, idx, base, amask);
                 self.emit_wr0("_i", &format!("s{src}"), clean, pc);
             }
             Uop::Wr1Arr { src, idx, base, amask, clean } => {
-                let _ = write!(
-                    self.out,
-                    "let _i = {base}usize + ((s{idx} & 0x{amask:x}u64) as usize); "
-                );
+                self.emit_arr_index(i, idx, base, amask);
                 self.emit_wr1("_i", &format!("s{src}"), clean, pc);
             }
             Uop::RdArrFast { dst, idx, base, amask } => {
-                let _ = write!(
-                    self.out,
-                    "let _i = {base}usize + ((s{idx} & 0x{amask:x}u64) as usize); \
-                     s{dst} = log_d0[_i];"
-                );
+                self.emit_arr_index(i, idx, base, amask);
+                let _ = write!(self.out, "s{dst} = log_d0[_i];");
             }
             Uop::WrArrFast { src, idx, base, amask } => {
-                let _ = write!(
-                    self.out,
-                    "let _i = {base}usize + ((s{idx} & 0x{amask:x}u64) as usize); \
-                     log_d0[_i] = s{src};"
-                );
+                self.emit_arr_index(i, idx, base, amask);
+                let _ = write!(self.out, "log_d0[_i] = s{src};");
             }
             Uop::Jmp(t) => {
                 let _ = write!(self.out, "break 'l{t};");
@@ -1299,6 +1309,7 @@ fn emit_source(
             let mut be = BodyEmitter {
                 cfg,
                 kind: BodyKind::Rule { prof },
+                track_sites: false,
                 rule_idx: k,
                 tac: tr,
                 trap_ords: &trap_ords,
@@ -1416,8 +1427,21 @@ fn emit_source(
 
 /// Emits the whole-design `koika_cycle` function: begin-cycle reset, every
 /// scheduled rule inline (outcome via label-break-value), baked
-/// commit/rollback per the rule's [`CopyPlan`], and the end-of-cycle
-/// beginning-of-cycle-state merge. Returns `1` if any rule failed.
+/// commit/rollback, and the end-of-cycle beginning-of-cycle-state merge.
+/// Returns `1` if any rule failed.
+///
+/// Below the design-specific level commits and rollbacks follow each
+/// rule's [`CopyPlan`], exactly as the host helpers do. At the
+/// design-specific level they copy the rule's [`ExactFootprint`] instead:
+/// every statically named register the rule can change, plus the one entry
+/// each dynamic-index site touched, whose index the site records in a
+/// `_x{i}` local declared (at the array base) before the rule's `'r`
+/// block. This is exact because at that level (reset on failure) the rule
+/// log equals the cycle log at every rule entry, so copying an entry the
+/// rule never changed is a no-op — and an unexecuted site's local still
+/// names such an entry, since forward-only jumps run each site at most
+/// once. Likewise the begin-cycle clear only zeroes the registers in
+/// [`rw_flag_set`]: no engine can leave a read-write flag anywhere else.
 fn emit_cycle_fn(
     out: &mut String,
     prog: &Program,
@@ -1427,6 +1451,7 @@ fn emit_cycle_fn(
     emit_slices: impl Fn(&mut String),
 ) {
     let cfg = prog.cfg;
+    let exact = cfg.design_specific;
     let _ = writeln!(
         out,
         "#[no_mangle]\npub extern \"C\" fn koika_cycle(ctx: *mut Ctx) -> u64 {{ unsafe {{"
@@ -1440,13 +1465,20 @@ fn emit_cycle_fn(
          let mut _any_fail: u64 = 0u64;\n",
     );
     // begin_cycle
-    out.push_str("for _b in cyc_rw.iter_mut() { *_b = 0; }\n");
-    if cfg.reset_on_fail {
-        out.push_str("for _b in log_rw.iter_mut() { *_b = 0; }\n");
+    if exact {
+        for (a, b) in runs(&rw_flag_set(prog)) {
+            let _ = writeln!(out, "cyc_rw[{a}..{b}].fill(0); log_rw[{a}..{b}].fill(0);");
+        }
+    } else {
+        out.push_str("for _b in cyc_rw.iter_mut() { *_b = 0; }\n");
+        if cfg.reset_on_fail {
+            out.push_str("for _b in log_rw.iter_mut() { *_b = 0; }\n");
+        }
     }
     for &k in &prog.schedule {
         let tr = &tac.rules[k];
         let rule = &prog.rules[k];
+        let fp = exact.then(|| ExactFootprint::of(tr));
         let _ = writeln!(out, "// rule {k}: {}", rule.name);
         // rule_prologue, baked.
         if !cfg.acc_logs {
@@ -1457,10 +1489,16 @@ fn emit_cycle_fn(
                 out.push_str("log_d1.copy_from_slice(cyc_d1);\n");
             }
         }
+        if let Some(fp) = &fp {
+            for &(i, base, ..) in &fp.sites {
+                let _ = writeln!(out, "let mut _x{i}: usize = {base}usize;");
+            }
+        }
         out.push_str("let _res: u64 = 'r: {\n");
         let mut be = BodyEmitter {
             cfg,
             kind: BodyKind::Cycle,
+            track_sites: exact,
             rule_idx: k,
             tac: tr,
             trap_ords,
@@ -1470,13 +1508,19 @@ fn emit_cycle_fn(
         be.emit_body();
         out.push_str("1u64\n};\n");
         out.push_str("if _res == 0 {\n");
-        emit_commit(out, cfg, rule);
+        match &fp {
+            Some(fp) => fp.emit_copy(out, "cyc", "log"),
+            None => emit_commit(out, cfg, rule),
+        }
         let _ = writeln!(out, "*ctx.fired += 1; fired_per_rule[{k}usize] += 1;");
         out.push_str("} else {\n");
         let _ = writeln!(out, "_any_fail = 1u64; fail_per_rule[{k}usize] += 1;");
         if cfg.reset_on_fail {
             out.push_str("if _res == 1u64 || _res == 3u64 {\n");
-            emit_rollback(out, cfg, rule);
+            match &fp {
+                Some(fp) => fp.emit_copy(out, "log", "cyc"),
+                None => emit_rollback(out, cfg, rule),
+            }
             out.push_str("}\n");
         }
         out.push_str("}\n");
@@ -1492,6 +1536,116 @@ fn emit_cycle_fn(
         );
     }
     out.push_str("_any_fail\n} }\n");
+}
+
+/// What one micro-op can change in the rule log at the design-specific
+/// level (where port-0 reads record nothing): the read-write byte, the
+/// data field, or both, of a statically named register or of the element
+/// a dynamic index selects.
+enum LogWrite {
+    None,
+    Static { reg: u32, rw: bool, data: bool },
+    Dynamic { base: u32, rw: bool, data: bool },
+}
+
+fn log_write(u: &Uop) -> LogWrite {
+    match *u {
+        Uop::Rd1 { reg, .. } => LogWrite::Static { reg, rw: true, data: false },
+        Uop::Wr0 { reg, .. } | Uop::Wr1 { reg, .. } | Uop::BinWr { reg, .. } => {
+            LogWrite::Static { reg, rw: true, data: true }
+        }
+        Uop::RdBinWr { wreg, .. } => LogWrite::Static { reg: wreg, rw: true, data: true },
+        Uop::WrFast { reg, .. } | Uop::BinWrFast { reg, .. } => {
+            LogWrite::Static { reg, rw: false, data: true }
+        }
+        Uop::RdBinWrFast { wreg, .. } => LogWrite::Static { reg: wreg, rw: false, data: true },
+        Uop::Rd1Arr { base, .. } => LogWrite::Dynamic { base, rw: true, data: false },
+        Uop::Wr0Arr { base, .. } | Uop::Wr1Arr { base, .. } => {
+            LogWrite::Dynamic { base, rw: true, data: true }
+        }
+        Uop::WrArrFast { base, .. } => LogWrite::Dynamic { base, rw: false, data: true },
+        _ => LogWrite::None,
+    }
+}
+
+/// Every log entry one rule can change at the design-specific level, as
+/// the whole-cycle function's commit and rollback copy it.
+struct ExactFootprint {
+    /// Statically named registers: `reg -> (rw byte, data field)`.
+    regs: std::collections::BTreeMap<u32, (bool, bool)>,
+    /// Dynamic-index sites: `(uop index, array base, rw byte, data field)`.
+    sites: Vec<(usize, u32, bool, bool)>,
+}
+
+impl ExactFootprint {
+    fn of(tr: &TacRule) -> ExactFootprint {
+        let mut fp = ExactFootprint { regs: Default::default(), sites: Vec::new() };
+        for (i, u) in tr.uops.iter().enumerate() {
+            match log_write(u) {
+                LogWrite::None => {}
+                LogWrite::Static { reg, rw, data } => {
+                    let e = fp.regs.entry(reg).or_default();
+                    e.0 |= rw;
+                    e.1 |= data;
+                }
+                LogWrite::Dynamic { base, rw, data } => fp.sites.push((i, base, rw, data)),
+            }
+        }
+        fp
+    }
+
+    /// Copies the footprint from the `{src}_*` log arrays into `{dst}_*`
+    /// (`"cyc", "log"` commits, `"log", "cyc"` rolls back). Data fields
+    /// are merged at the design-specific level, so `d0` is the only one.
+    fn emit_copy(&self, out: &mut String, dst: &str, src: &str) {
+        let statics = self.regs.iter().map(|(r, &(rw, data))| (format!("{r}usize"), rw, data));
+        let dynamics = self.sites.iter().map(|&(i, _, rw, data)| (format!("_x{i}"), rw, data));
+        for (at, rw, data) in statics.chain(dynamics) {
+            let planes = [("rw", rw), ("d0", data)];
+            let copies: Vec<String> = planes
+                .iter()
+                .filter(|&&(_, on)| on)
+                .map(|(p, _)| format!("{dst}_{p}[{at}] = {src}_{p}[{at}];"))
+                .collect();
+            let _ = writeln!(out, "{}", copies.join(" "));
+        }
+    }
+}
+
+/// The registers whose read-write byte some checked access of some rule
+/// can flag at the design-specific level (where port-0 reads flag
+/// nothing), sorted. Derived from the bytecode every engine runs (the
+/// micro-op and native programs are lowered from it), so no engine — the
+/// host stepping rules one by one included — can leave a flag outside
+/// this set; a checked array access contributes its whole array.
+fn rw_flag_set(prog: &Program) -> Vec<u32> {
+    let n = prog.init.len() as u32;
+    let mut set = Vec::new();
+    for insn in prog.rules.iter().flat_map(|r| &r.code) {
+        match *insn {
+            Insn::Rd1 { reg, .. } | Insn::Wr0 { reg, .. } | Insn::Wr1 { reg, .. } => set.push(reg),
+            Insn::Rd1Arr { base, mask, .. }
+            | Insn::Wr0Arr { base, mask, .. }
+            | Insn::Wr1Arr { base, mask, .. } => set.extend(base..=base + mask),
+            _ => {}
+        }
+    }
+    set.retain(|&r| r < n);
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// Sorted, deduplicated indices as half-open runs of consecutive values.
+fn runs(xs: &[u32]) -> Vec<(u32, u32)> {
+    let mut out: Vec<(u32, u32)> = Vec::new();
+    for &x in xs {
+        match out.last_mut() {
+            Some((_, end)) if *end == x => *end = x + 1,
+            _ => out.push((x, x + 1)),
+        }
+    }
+    out
 }
 
 fn usize_list(xs: &[u32]) -> String {
@@ -1839,9 +1993,14 @@ fn build_engine_inner(
 }
 
 /// Ensures the cdylib for `source` exists in the on-disk cache, invoking
-/// `rustc` only on a miss. Concurrent builders race benignly: each writes
-/// to a pid-suffixed temporary and renames into place.
+/// `rustc` only on a miss. Concurrent builders of one design — threads of
+/// one process as well as separate processes — may each run `rustc`, but
+/// never share a file: each writes its source and cdylib (and so rustc's
+/// intermediates, named after the output) under a name unique to the
+/// build (pid plus a per-process counter), then renames both into place.
+/// Renames are atomic, so a reader sees either no cdylib or a complete one.
 fn ensure_built(prog: &Program, source: &str, key: u64) -> Result<PathBuf, NativeError> {
+    static BUILDS: AtomicU64 = AtomicU64::new(0);
     let dir = cache_dir();
     let stem = artifact_stem(prog, key);
     let so_path = dir.join(format!("{stem}.so"));
@@ -1857,15 +2016,23 @@ fn ensure_built(prog: &Program, source: &str, key: u64) -> Result<PathBuf, Nativ
     std::fs::create_dir_all(&dir)
         .map_err(|e| NativeError::Build(format!("cannot create cache dir {dir:?}: {e}")))?;
     let rs_path = dir.join(format!("{stem}.rs"));
-    std::fs::write(&rs_path, source)
-        .map_err(|e| NativeError::Build(format!("cannot write {rs_path:?}: {e}")))?;
-    let tmp = dir.join(format!("{stem}.{}.tmp.so", std::process::id()));
+    let tmp = format!(
+        "{stem}.{}-{}.tmp",
+        std::process::id(),
+        BUILDS.fetch_add(1, Ordering::Relaxed)
+    );
+    let tmp_rs = dir.join(format!("{tmp}.rs"));
+    let tmp_so = dir.join(format!("{tmp}.so"));
+    std::fs::write(&tmp_rs, source)
+        .map_err(|e| NativeError::Build(format!("cannot write {tmp_rs:?}: {e}")))?;
     let output = std::process::Command::new(rustc_cmd())
         .args([
             "--edition",
             "2021",
             "--crate-type",
             "cdylib",
+            "--crate-name",
+            "koika_native",
             "-C",
             "opt-level=3",
             "-C",
@@ -1876,18 +2043,21 @@ fn ensure_built(prog: &Program, source: &str, key: u64) -> Result<PathBuf, Nativ
             "debuginfo=0",
             "-o",
         ])
-        .arg(&tmp)
-        .arg(&rs_path)
-        .output()
-        .map_err(|e| NativeError::Build(format!("cannot run {}: {e}", rustc_cmd())))?;
+        .arg(&tmp_so)
+        .arg(&tmp_rs)
+        .output();
+    // Publish the source either way: it is what a failed build reports.
+    let _ = std::fs::rename(&tmp_rs, &rs_path);
+    let output =
+        output.map_err(|e| NativeError::Build(format!("cannot run {}: {e}", rustc_cmd())))?;
     if !output.status.success() {
-        let _ = std::fs::remove_file(&tmp);
+        let _ = std::fs::remove_file(&tmp_so);
         return Err(NativeError::Build(format!(
             "rustc failed on {rs_path:?}:\n{}",
             String::from_utf8_lossy(&output.stderr)
         )));
     }
-    std::fs::rename(&tmp, &so_path)
+    std::fs::rename(&tmp_so, &so_path)
         .map_err(|e| NativeError::Build(format!("cannot publish {so_path:?}: {e}")))?;
     Ok(so_path)
 }
@@ -2116,7 +2286,7 @@ mod tests {
     use koika::ast::*;
     use koika::check::check;
     use koika::design::DesignBuilder;
-    use koika::device::SimBackend;
+    use koika::device::{RegAccess, SimBackend};
 
     /// Every native test must skip loudly (not silently, not by failing)
     /// on machines without a toolchain.
@@ -2262,6 +2432,123 @@ mod tests {
         }
     }
 
+    /// A register-indexed array written at every dynamic-index log-write
+    /// kind. `scatter` writes `arr[r]`, then on odd `r` conflicts on `c`:
+    /// a dirty rollback of a dynamic write. `mover` flags `arr[r]` with a
+    /// port-1 read and commits dynamic `wr0a`/`wr1a` writes (it conflicts
+    /// when `q == r`). `late` writes `arr[r]` at port 1 and aborts when
+    /// bit 1 of `c` is set, so its rollback restores `arr[r]`'s flags from
+    /// the cycle log, which `probe`'s write then checks. `tick` writes the
+    /// safe array `hist` through an unchecked index. `arr` is over half
+    /// the registers, so on the host the rules writing it copy whole logs.
+    fn scatter() -> koika::tir::TDesign {
+        let mut b = DesignBuilder::new("native-scatter");
+        b.reg("r", 3, 0u64);
+        b.reg("q", 3, 0u64);
+        b.reg("c", 8, 0u64);
+        b.array("arr", 8, 8, 0u64);
+        b.array("hist", 8, 4, 0u64);
+        b.rule("bump", vec![wr0("c", rd0("c").add(k(8, 1)))]);
+        b.rule(
+            "scatter",
+            vec![
+                wr0a("arr", rd0("r"), rd1("c")),
+                when(rd0("r").and(k(3, 1)).eq(k(3, 1)), vec![wr0("c", k(8, 0))]),
+            ],
+        );
+        b.rule(
+            "mover",
+            vec![
+                let_("v", rd1a("arr", rd0("r"))),
+                wr0a("arr", rd0("q"), var("v").add(k(8, 3))),
+                wr1a("arr", rd0("q").add(k(3, 4)), var("v").xor(rd0("q").zext(8))),
+            ],
+        );
+        b.rule(
+            "late",
+            vec![
+                wr1a("arr", rd0("r"), k(8, 0x55)),
+                guard(rd1("c").and(k(8, 2)).eq(k(8, 0))),
+            ],
+        );
+        b.rule("probe", vec![wr0a("arr", rd0("r"), k(8, 0xaa))]);
+        b.rule(
+            "tick",
+            vec![
+                wr0a("hist", rd0("q").slice(0, 2), rd1("c")),
+                wr0("r", rd0("r").add(k(3, 1))),
+                wr0("q", rd0("q").add(k(3, 3))),
+            ],
+        );
+        check(&b.build()).unwrap()
+    }
+
+    #[test]
+    fn exact_footprint_cycles_match_reference_on_dynamic_indices() {
+        if !available("exact_footprint_cycles_match_reference_on_dynamic_indices") {
+            return;
+        }
+        let td = scatter();
+        for level in OptLevel::ALL {
+            let opts = CompileOptions { level, ..CompileOptions::default() };
+            let prog = compile(&td, &opts).unwrap();
+            assert!(prog.warnings.is_empty(), "{level}: {:?}", prog.warnings);
+            assert!(build_engine(&prog).unwrap().has_cycle_fn(), "{level}");
+            if level == OptLevel::DesignSpecific {
+                // The design must reach every dynamic log-write kind.
+                let tac = TacProgram::lower(&prog);
+                let has = |f: fn(&Uop) -> bool| tac.rules.iter().any(|r| r.uops.iter().any(f));
+                assert!(has(|u| matches!(u, Uop::Rd1Arr { .. })));
+                assert!(has(|u| matches!(u, Uop::Wr0Arr { .. })));
+                assert!(has(|u| matches!(u, Uop::Wr1Arr { .. })));
+                assert!(has(|u| matches!(u, Uop::WrArrFast { .. })));
+                assert_eq!(prog.rules[3].rollback, CopyPlan::Full);
+            }
+            let mut interp = koika::interp::Interp::new(&td);
+            let mut reference = Sim::compile_with(&td, &opts).unwrap();
+            // `fast` runs whole native cycles; `stepped` steps the same
+            // state rule by rule on the host (profiling on); the two hand
+            // the state back and forth.
+            let mut fast = Sim::compile_with(&td, &opts).unwrap();
+            fast.set_dispatch(Dispatch::Native);
+            let mut stepped = Sim::compile_with(&td, &opts).unwrap();
+            stepped.set_dispatch(Dispatch::Native);
+            stepped.enable_profiling();
+            let n = prog.init.len();
+            // Failures per rule inside native whole cycles.
+            let mut native_fails = vec![0u64; prog.rules.len()];
+            for cyc in 0..200 {
+                // Host-step every third cycle, so that native cycles see
+                // both parities of `r` and `q`.
+                if cyc % 3 == 0 {
+                    stepped.restore_state(&fast.save_state());
+                    stepped.begin_cycle();
+                    for &r in &prog.schedule {
+                        stepped.step_rule(r);
+                    }
+                    stepped.end_cycle();
+                    fast.restore_state(&stepped.save_state());
+                } else {
+                    let before = fast.fails_per_rule().to_vec();
+                    fast.cycle();
+                    for (k, f) in native_fails.iter_mut().enumerate() {
+                        *f += fast.fails_per_rule()[k] - before[k];
+                    }
+                }
+                interp.cycle();
+                reference.cycle();
+                let want: Vec<u64> = (0..n).map(|i| interp.get64(RegId(i as u32))).collect();
+                assert_eq!(reference.reg_values(), want, "{level} cycle {cyc}: reference");
+                assert_eq!(fast.reg_values(), want, "{level} cycle {cyc}");
+                assert_eq!(fast.last_fail(), reference.last_fail(), "{level} cycle {cyc}");
+            }
+            assert_eq!(fast.fired_per_rule(), reference.fired_per_rule(), "{level}");
+            assert_eq!(fast.fails_per_rule(), reference.fails_per_rule(), "{level}");
+            // scatter, mover, late and probe all fail in native cycles.
+            assert!(native_fails[1..5].iter().all(|&f| f > 0), "{level}: {native_fails:?}");
+        }
+    }
+
     #[test]
     fn stack_discipline_violation_traps_in_native() {
         if !available("stack_discipline_violation_traps_in_native") {
@@ -2340,6 +2627,42 @@ mod tests {
         assert!(Arc::ptr_eq(&e1, &e2), "identical compilations must share one engine");
         assert!(e1.so_path().exists());
         assert!(e1.has_cycle_fn());
+    }
+
+    #[test]
+    fn concurrent_builds_of_a_fresh_design_all_succeed() {
+        if !available("concurrent_builds_of_a_fresh_design_all_succeed") {
+            return;
+        }
+        // A design name no cache holds yet, so every thread misses both the
+        // process cache and the on-disk cache and runs rustc at once.
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let mut b = DesignBuilder::new(format!("native-race-{}-{nanos}", std::process::id()));
+        b.reg("n", 8, 0u64);
+        b.rule("inc", vec![wr0("n", rd0("n").add(k(8, 1)))]);
+        let prog = compile(&check(&b.build()).unwrap(), &CompileOptions::default()).unwrap();
+        let so_path = cache_path_for(&prog).unwrap();
+        assert!(!so_path.exists(), "the design must be fresh");
+        let start = std::sync::Barrier::new(8);
+        let built: Vec<Result<bool, NativeError>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        build_engine(&prog).map(|e| e.has_cycle_fn())
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for r in &built {
+            assert_eq!(r, &Ok(true), "every concurrent build must succeed");
+        }
+        let _ = std::fs::remove_file(&so_path);
+        let _ = std::fs::remove_file(so_path.with_extension("rs"));
     }
 
     #[test]

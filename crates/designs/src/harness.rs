@@ -3,7 +3,7 @@
 //! golden-model comparison.
 
 use crate::memdev::MagicMemory;
-use koika::device::{Device, SimBackend};
+use koika::device::SimBackend;
 use koika::tir::TDesign;
 use koika_riscv::golden::{Exit, Golden};
 
@@ -24,8 +24,12 @@ pub const MEM_WORDS: usize = 4096;
 /// Runs `sim` (with `mem` as its memory device) until the core with name
 /// prefix `prefix` has retired `target_retired` instructions, up to
 /// `max_cycles`.
-pub fn run_until_retired(
-    sim: &mut dyn SimBackend,
+///
+/// Generic over the backend so that, for a concrete simulator, the loop's
+/// register reads and the device's port accesses inline; `&mut dyn
+/// SimBackend` works too.
+pub fn run_until_retired<S: SimBackend + ?Sized>(
+    sim: &mut S,
     mem: &mut MagicMemory,
     td: &TDesign,
     prefix: &str,
@@ -35,20 +39,20 @@ pub fn run_until_retired(
     let retired = td.reg_id(&format!("{prefix}retired"));
     let mut cycles = 0;
     while cycles < max_cycles {
-        if sim.as_reg_access().get64(retired) >= target_retired {
+        if sim.get64(retired) >= target_retired {
             return CoreRun {
                 cycles,
-                retired: sim.as_reg_access().get64(retired),
+                retired: sim.get64(retired),
                 completed: true,
             };
         }
-        mem.tick(cycles, sim.as_reg_access());
+        mem.serve(sim);
         sim.cycle();
         cycles += 1;
     }
     CoreRun {
         cycles,
-        retired: sim.as_reg_access().get64(retired),
+        retired: sim.get64(retired),
         completed: false,
     }
 }

@@ -122,6 +122,39 @@ impl MagicMemory {
     pub fn words(&self) -> &[u32] {
         &self.mem
     }
+
+    /// Services every port once: the body of [`Device::tick`], generic so
+    /// a caller holding a concrete simulator gets inlined register access.
+    pub fn serve<R: RegAccess + ?Sized>(&mut self, regs: &mut R) {
+        for p in &self.ports {
+            if regs.get64(p.req_valid) == 0 {
+                continue;
+            }
+            let addr = regs.get64(p.req_addr) as u32;
+            let idx = (addr >> 2) as usize % self.mem.len();
+            if regs.get64(p.req_wen) != 0 {
+                // Stores complete immediately and silently.
+                let strb = regs.get64(p.req_wstrb) as u32;
+                let wdata = regs.get64(p.req_wdata) as u32;
+                let mut word = self.mem[idx];
+                for byte in 0..4 {
+                    if strb & (1 << byte) != 0 {
+                        let mask = 0xffu32 << (byte * 8);
+                        word = (word & !mask) | (wdata & mask);
+                    }
+                }
+                self.mem[idx] = word;
+                regs.set64(p.req_valid, 0);
+            } else {
+                // Loads respond only when the response slot is free.
+                if regs.get64(p.resp_valid) == 0 {
+                    regs.set64(p.resp_data, self.mem[idx] as u64);
+                    regs.set64(p.resp_valid, 1);
+                    regs.set64(p.req_valid, 0);
+                }
+            }
+        }
+    }
 }
 
 impl Device for MagicMemory {
@@ -151,33 +184,6 @@ impl Device for MagicMemory {
     }
 
     fn tick(&mut self, _cycle: u64, regs: &mut dyn RegAccess) {
-        for p in &self.ports {
-            if regs.get64(p.req_valid) == 0 {
-                continue;
-            }
-            let addr = regs.get64(p.req_addr) as u32;
-            let idx = (addr >> 2) as usize % self.mem.len();
-            if regs.get64(p.req_wen) != 0 {
-                // Stores complete immediately and silently.
-                let strb = regs.get64(p.req_wstrb) as u32;
-                let wdata = regs.get64(p.req_wdata) as u32;
-                let mut word = self.mem[idx];
-                for byte in 0..4 {
-                    if strb & (1 << byte) != 0 {
-                        let mask = 0xffu32 << (byte * 8);
-                        word = (word & !mask) | (wdata & mask);
-                    }
-                }
-                self.mem[idx] = word;
-                regs.set64(p.req_valid, 0);
-            } else {
-                // Loads respond only when the response slot is free.
-                if regs.get64(p.resp_valid) == 0 {
-                    regs.set64(p.resp_data, self.mem[idx] as u64);
-                    regs.set64(p.resp_valid, 1);
-                    regs.set64(p.req_valid, 0);
-                }
-            }
-        }
+        self.serve(regs);
     }
 }
