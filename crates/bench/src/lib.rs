@@ -5,9 +5,9 @@
 //! `rv32e-primes`, `rv32i-primes`, `rv32i-bp-primes`, and `rv32i-mc-primes`.
 //! Each can be run on any backend ([`BackendKind`]): the reference
 //! interpreter (the naive O0 model), the Cuttlesim VM at any optimization
-//! level and with either dispatch strategy, or the RTL netlist simulator
+//! level and with any dispatch strategy, or the RTL netlist simulator
 //! under either compilation scheme. The binaries in `src/bin/` print one
-//! table/figure each; `benches/` holds the Criterion versions.
+//! table/figure each.
 //!
 //! See EXPERIMENTS.md at the workspace root for the paper-vs-measured
 //! record.
@@ -46,9 +46,6 @@ impl BackendKind {
             BackendKind::Interp => "interp-O0".to_string(),
             BackendKind::Vm(level, Dispatch::Match) => {
                 format!("cuttlesim-{}", level.short_name())
-            }
-            BackendKind::Vm(level, Dispatch::Closure) => {
-                format!("cuttlesim-{}-closure", level.short_name())
             }
             BackendKind::Vm(level, Dispatch::Tac) => {
                 format!("cuttlesim-{}-tac", level.short_name())
@@ -357,7 +354,7 @@ mod tests {
             for kind in [
                 BackendKind::Interp,
                 BackendKind::Vm(OptLevel::SplitRwSets, Dispatch::Match),
-                BackendKind::Vm(OptLevel::max(), Dispatch::Closure),
+                BackendKind::Vm(OptLevel::max(), Dispatch::Tac),
                 BackendKind::Rtl(Scheme::Dynamic),
             ] {
                 counts.push(run_bench(&bench, kind, 300).rules_fired);

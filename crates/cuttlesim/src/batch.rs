@@ -69,6 +69,7 @@ use crate::vm::{step_rule_impl, Dispatch, FailInfo, State, VmError};
 use koika::bits::word;
 use koika::device::{BatchBackend, RegAccess};
 use koika::tir::{RegId, TDesign};
+use std::sync::Arc;
 
 const R0: u8 = 0b0001;
 const R1: u8 = 0b0010;
@@ -205,9 +206,8 @@ pub struct BatchSim {
     // Lock-step effectiveness counters.
     lockstep_rules: u64,
     fallback_rules: u64,
-    /// The lock-step engine: [`Dispatch::Tac`] (the micro-op interpreter)
-    /// or [`Dispatch::Native`].
-    dispatch: Dispatch,
+    /// The lock-step engine.
+    engine: BatchEngine,
     /// Every rule lowered to micro-ops, once, at construction.
     tac: Vec<TacRule>,
     /// Per-rule SoA slot files, slot-major (`slot * lanes + lane`), with
@@ -216,9 +216,15 @@ pub struct BatchSim {
     /// same (deterministic) lowering and index `slot * lanes + lane`
     /// exactly like the interpreter.
     slots: Vec<Vec<u64>>,
-    /// Loaded native engine for `Dispatch::Native` (built by
-    /// `set_dispatch`; shared with scalar sims via the process-wide cache).
-    native: Option<std::sync::Arc<crate::native::NativeEngine>>,
+}
+
+/// The lock-step engine a [`BatchSim`] runs, with what it runs on.
+enum BatchEngine {
+    /// The micro-op interpreter ([`Dispatch::Tac`]).
+    Tac,
+    /// The compiled lane loops ([`Dispatch::Native`]); the loaded engine is
+    /// shared with scalar sims through the process-wide cache.
+    Native(Arc<crate::native::NativeEngine>),
 }
 
 /// Builds one SoA slot file per rule (`slot * lanes + lane`), constant
@@ -321,18 +327,17 @@ impl BatchSim {
             snap_cov: vec![0; ncov * lanes],
             lockstep_rules: 0,
             fallback_rules: 0,
-            dispatch: Dispatch::Tac,
+            engine: BatchEngine::Tac,
             tac,
             slots,
-            native: None,
             prog,
         }
     }
 
     /// Selects the lock-step engine.
     ///
-    /// Every interpreted dispatch ([`Dispatch::Match`], [`Dispatch::Closure`]
-    /// and [`Dispatch::Tac`]) selects the micro-op interpreter, which
+    /// Both interpreted dispatches ([`Dispatch::Match`] and
+    /// [`Dispatch::Tac`]) select the micro-op interpreter, which
     /// decodes each micro-op once per cycle for all lanes; the batch then
     /// reports [`Dispatch::Tac`] from [`BatchSim::dispatch`].
     /// [`Dispatch::Native`] runs each rule through its compiled batched
@@ -360,31 +365,31 @@ impl BatchSim {
     /// [`crate::NativeError`] when the native engine cannot be emitted,
     /// built, or loaded. The previous dispatch stays selected.
     pub fn try_set_dispatch(&mut self, dispatch: Dispatch) -> Result<(), crate::NativeError> {
-        let dispatch = if dispatch == Dispatch::Native {
-            Dispatch::Native
-        } else {
-            Dispatch::Tac
+        let engine = match (dispatch, &self.engine) {
+            (Dispatch::Native, BatchEngine::Tac) => BatchEngine::Native(
+                crate::native::build_engine_batched(&self.prog, self.lanes)?,
+            ),
+            (Dispatch::Match | Dispatch::Tac, BatchEngine::Native(_)) => BatchEngine::Tac,
+            _ => return Ok(()),
         };
-        if dispatch == Dispatch::Native && self.native.is_none() {
-            self.native = Some(crate::native::build_engine_batched(&self.prog, self.lanes)?);
+        // The interpreter records per-lane failure info directly, so a
+        // pending lock-step uniform from the native arm must be
+        // materialized before it could be shadowed by stale per-lane
+        // entries.
+        if let Some(fi) = self.last_fail_uniform.take() {
+            self.last_fail.fill(Some(fi));
         }
-        if dispatch != self.dispatch {
-            // The interpreter records per-lane failure info directly, so a
-            // pending lock-step uniform from the native arm must be
-            // materialized before it could be shadowed by stale per-lane
-            // entries.
-            if let Some(fi) = self.last_fail_uniform.take() {
-                self.last_fail.fill(Some(fi));
-            }
-        }
-        self.dispatch = dispatch;
+        self.engine = engine;
         Ok(())
     }
 
     /// The selected lock-step engine: [`Dispatch::Tac`] or
     /// [`Dispatch::Native`].
     pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
+        match self.engine {
+            BatchEngine::Tac => Dispatch::Tac,
+            BatchEngine::Native(_) => Dispatch::Native,
+        }
     }
 
     /// Number of lanes in the batch.
@@ -558,7 +563,7 @@ impl BatchSim {
         // The ABI v4 batched entry points are self-merging: on a unanimous
         // outcome the compiled shell already performed the commit (or
         // rollback) plane merge, so the lock-step arms below skip theirs.
-        let kernel_merged = self.dispatch == Dispatch::Native;
+        let kernel_merged = matches!(self.engine, BatchEngine::Native(_));
 
         // Rule prologue, vectorized — this is the SoA payoff: the ladder's
         // per-rule log maintenance is a fixed number of whole-array copies
@@ -611,18 +616,14 @@ impl BatchSim {
 
         // Lock-step execution: compiled-native or micro-op form, per
         // dispatch.
-        let outcome = if self.dispatch == Dispatch::Native {
+        let outcome = if let BatchEngine::Native(engine) = &self.engine {
             // The compiled batched entry point: straight-line lane loops,
             // no interpreter dispatch. It returns the scalar outcome
             // protocol extended with 6 = divergence; unanimous outcomes
             // feed the shared commit/failure arms below, divergence the
             // shared per-lane fallback. Only the bare function pointer is
             // copied out — the hot path never touches the `Arc` refcount.
-            let f = self
-                .native
-                .as_ref()
-                .expect("set_dispatch built the native engine")
-                .batch_fn(rule_idx);
+            let f = engine.batch_fn(rule_idx);
             let mut ctx = crate::native::NativeBatchCtx {
                 boc: self.boc.as_mut_ptr(),
                 cyc_rw: self.cyc_rw.as_mut_ptr(),
@@ -669,7 +670,6 @@ impl BatchSim {
                 }
                 6 => None,
                 5 => {
-                    let engine = self.native.as_ref().expect("checked above");
                     let (pc, what) = engine.trap(payload);
                     return Err(VmError::CompilerBug { rule: rule_idx, pc: pc as usize, what });
                 }
@@ -871,13 +871,11 @@ impl BatchSim {
                     self.cov[s..s + lanes].copy_from_slice(&self.snap_cov[s..s + lanes]);
                 }
                 let mut executed = 0u64;
-                if self.dispatch == Dispatch::Native {
+                if let BatchEngine::Native(engine) = &self.engine {
                     // Native stays native: diverged lanes re-run through
                     // the compiled scalar rule functions (the scalar
                     // re-prologue inside is idempotent at every level).
-                    let engine = std::sync::Arc::clone(
-                        self.native.as_ref().expect("set_dispatch built the native engine"),
-                    );
+                    let engine = Arc::clone(engine);
                     for l in 0..lanes {
                         self.gather_lane(l);
                         let committed = crate::native::step_rule_native(
@@ -897,7 +895,6 @@ impl BatchSim {
                             &self.prog,
                             &mut self.scratch,
                             rule_idx,
-                            None,
                             &mut executed,
                             false,
                         )?;
@@ -1764,9 +1761,22 @@ mod tests {
     }
 
     #[test]
+    fn failed_native_selection_keeps_the_micro_op_engine() {
+        let prog = crate::vm::tests::native_rejected_counter_prog();
+        let mut batch = BatchSim::new(prog, 2);
+        assert!(matches!(
+            batch.try_set_dispatch(Dispatch::Native),
+            Err(crate::NativeError::Unsupported(_))
+        ));
+        assert_eq!(batch.dispatch(), Dispatch::Tac);
+        batch.cycle().unwrap();
+        assert_eq!(batch.lane_get64(1, RegId(0)), 1);
+    }
+
+    #[test]
     fn interpreted_dispatches_all_select_the_micro_op_engine() {
         let mut batch = BatchSim::compile(&collatz(), 2).unwrap();
-        for d in [Dispatch::Match, Dispatch::Closure, Dispatch::Tac] {
+        for d in [Dispatch::Match, Dispatch::Tac] {
             batch.set_dispatch(d);
             assert_eq!(batch.dispatch(), Dispatch::Tac, "{}", d.short_name());
         }

@@ -9,8 +9,8 @@
 //!
 //! The counts are **dispatch-invariant**: the `tac` engine executes fused
 //! micro-ops, but each micro-op carries the weight of the bytecode span it
-//! replaced, so a profile reads identically under `match`, `closure`, and
-//! `tac` dispatch (asserted by `tac::tests`).
+//! replaced, so a profile reads identically under `match` and `tac`
+//! dispatch (asserted by `tac::tests`).
 
 use crate::vm::Sim;
 use koika::obs::Metrics;

@@ -24,7 +24,9 @@ use koika::device::{RegAccess, SimBackend};
 use koika::obs::{FailureReason, Metrics, Observer};
 use koika::snapshot::{Snapshot, SnapshotError};
 use koika::tir::{RegId, TDesign};
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 const R1: u8 = 0b0010;
 const W0: u8 = 0b0100;
@@ -44,10 +46,6 @@ pub(crate) enum Flow {
     /// runners) can triage instead of aborting.
     Trap(&'static str),
 }
-
-/// A pre-bound instruction thunk, one per instruction, for the
-/// closure-dispatch backend ([`Dispatch::Closure`]).
-pub(crate) type RuleClosure = Box<dyn Fn(&mut State, LevelCfg) -> Flow + Send>;
 
 /// A fatal error raised by the VM itself (as opposed to a rule failure,
 /// which is normal Kôika semantics).
@@ -153,17 +151,14 @@ pub struct SimSnapshot {
     state: State,
 }
 
-/// How the VM dispatches instructions — the stand-in for the paper's Fig. 3
-/// "GCC vs Clang" compiler-sensitivity axis (see DESIGN.md §5).
+/// How the VM executes the compiled bytecode: three different ways to
+/// generate code from the same program, which is what the paper's Fig. 3
+/// "GCC vs Clang" compiler-sensitivity axis varies (see DESIGN.md §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
-    /// A tight `match`-based interpreter loop over the stack bytecode
-    /// (think: the faster compiler).
+    /// A tight `match`-based interpreter loop over the stack bytecode.
     #[default]
     Match,
-    /// Pre-built closures called through fat pointers (think: the other
-    /// compiler's codegen).
-    Closure,
     /// Register-form (three-address) micro-ops: the stack bytecode is
     /// lowered once, at selection time, into a flat pre-decoded array of
     /// micro-ops over a per-rule slot file, with constants folded and
@@ -183,18 +178,12 @@ pub enum Dispatch {
 impl Dispatch {
     /// Every dispatch backend, in a stable order (used by differential
     /// test matrices).
-    pub const ALL: [Dispatch; 4] = [
-        Dispatch::Match,
-        Dispatch::Closure,
-        Dispatch::Tac,
-        Dispatch::Native,
-    ];
+    pub const ALL: [Dispatch; 3] = [Dispatch::Match, Dispatch::Tac, Dispatch::Native];
 
-    /// The CLI spelling (`--dispatch match|closure|tac|native`).
+    /// The CLI spelling (`--dispatch match|tac|native`).
     pub fn short_name(self) -> &'static str {
         match self {
             Dispatch::Match => "match",
-            Dispatch::Closure => "closure",
             Dispatch::Tac => "tac",
             Dispatch::Native => "native",
         }
@@ -204,7 +193,6 @@ impl Dispatch {
     pub fn from_name(s: &str) -> Option<Dispatch> {
         match s {
             "match" => Some(Dispatch::Match),
-            "closure" => Some(Dispatch::Closure),
             "tac" => Some(Dispatch::Tac),
             "native" => Some(Dispatch::Native),
             _ => None,
@@ -236,14 +224,7 @@ impl Dispatch {
 pub struct Sim {
     prog: Program,
     st: State,
-    dispatch: Dispatch,
-    closures: Vec<Vec<RuleClosure>>,
-    /// The lowered micro-op program for [`Dispatch::Tac`], built on first
-    /// selection.
-    tac: Option<crate::tac::TacProgram>,
-    /// The loaded native engine for [`Dispatch::Native`], built (or pulled
-    /// from the process-wide cache) on first selection.
-    native: Option<std::sync::Arc<crate::native::NativeEngine>>,
+    engine: Engine,
     history: Option<History>,
     mid_cycle: bool,
     /// Per-rule executed-instruction counters (gprof-style profiling),
@@ -256,10 +237,21 @@ pub struct Sim {
     trap: Option<VmError>,
 }
 
+/// The selected dispatch backend together with everything it runs on, so
+/// the selected backend is always the one that runs.
+enum Engine {
+    /// The bytecode interpreter, which runs the program as compiled.
+    Match,
+    /// The lowered micro-op program.
+    Tac(crate::tac::TacProgram),
+    /// The loaded native engine (shared through the process-wide cache).
+    Native(Arc<crate::native::NativeEngine>),
+}
+
 #[derive(Debug, Clone)]
 struct History {
     capacity: usize,
-    snapshots: Vec<State>,
+    snapshots: VecDeque<State>,
 }
 
 impl Sim {
@@ -289,10 +281,7 @@ impl Sim {
         Sim {
             prog,
             st,
-            dispatch: Dispatch::Match,
-            closures: Vec::new(),
-            tac: None,
-            native: None,
+            engine: Engine::Match,
             history: None,
             mid_cycle: false,
             profile: None,
@@ -317,10 +306,9 @@ impl Sim {
 
     /// Selects the instruction-dispatch backend (default: [`Dispatch::Match`]).
     ///
-    /// Selection eagerly prepares whatever the backend needs (the closure
-    /// table, the lowered micro-op program); if that preparation is ever
-    /// missing at execution time it is rebuilt there — the selected backend
-    /// is always the one that runs, never a silent fallback.
+    /// Selection prepares whatever the backend needs (the lowered micro-op
+    /// program, the loaded native engine) and replaces the previous
+    /// backend's; selecting the current backend again keeps it as is.
     ///
     /// # Panics
     ///
@@ -342,52 +330,23 @@ impl Sim {
     /// [`NativeError`] when the native engine cannot be emitted, built, or
     /// loaded. The previously selected dispatch stays in effect.
     pub fn try_set_dispatch(&mut self, dispatch: Dispatch) -> Result<(), crate::NativeError> {
-        match dispatch {
-            Dispatch::Match => {}
-            Dispatch::Closure => self.build_closures(),
-            Dispatch::Tac => self.build_tac(),
-            Dispatch::Native => self.build_native()?,
+        if dispatch != self.dispatch() {
+            self.engine = match dispatch {
+                Dispatch::Match => Engine::Match,
+                Dispatch::Tac => Engine::Tac(crate::tac::TacProgram::lower(&self.prog)),
+                Dispatch::Native => Engine::Native(crate::native::build_engine(&self.prog)?),
+            };
         }
-        self.dispatch = dispatch;
         Ok(())
     }
 
     /// The currently selected dispatch backend.
     pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
-    fn build_closures(&mut self) {
-        if !self.closures.is_empty() {
-            return;
+        match self.engine {
+            Engine::Match => Dispatch::Match,
+            Engine::Tac(_) => Dispatch::Tac,
+            Engine::Native(_) => Dispatch::Native,
         }
-        self.closures = self
-            .prog
-            .rules
-            .iter()
-            .map(|r| {
-                r.code
-                    .iter()
-                    .map(|&insn| {
-                        let f: RuleClosure = Box::new(move |st, cfg| exec_insn(st, cfg, insn));
-                        f
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-    }
-
-    fn build_tac(&mut self) {
-        if self.tac.is_none() {
-            self.tac = Some(crate::tac::TacProgram::lower(&self.prog));
-        }
-    }
-
-    fn build_native(&mut self) -> Result<(), crate::NativeError> {
-        if self.native.is_none() {
-            self.native = Some(crate::native::build_engine(&self.prog)?);
-        }
-        Ok(())
     }
 
     /// The compiled program backing this simulator.
@@ -427,11 +386,12 @@ impl Sim {
     }
 
     /// Keeps the last `capacity` end-of-cycle snapshots for
-    /// [`Sim::step_back`]-style reverse debugging.
+    /// [`Sim::step_back`]-style reverse debugging. A capacity of 0 records
+    /// nothing.
     pub fn enable_history(&mut self, capacity: usize) {
         self.history = Some(History {
             capacity,
-            snapshots: Vec::new(),
+            snapshots: VecDeque::new(),
         });
     }
 
@@ -457,10 +417,8 @@ impl Sim {
         if ncycles == 0 || h.snapshots.len() < ncycles {
             return false;
         }
-        for _ in 0..ncycles - 1 {
-            h.snapshots.pop();
-        }
-        let Some(snap) = h.snapshots.pop() else {
+        h.snapshots.truncate(h.snapshots.len() - (ncycles - 1));
+        let Some(snap) = h.snapshots.pop_back() else {
             return false;
         };
         self.st = snap;
@@ -505,67 +463,27 @@ impl Sim {
     pub fn step_rule(&mut self, rule_idx: usize) -> bool {
         let mut executed = 0u64;
         let counting = self.profile.is_some();
-        // Explicit backend selection: the dispatch the user picked is the
-        // dispatch that runs. If its prepared form is missing (it never is
-        // through the public API) it is rebuilt here rather than silently
-        // falling back to Match.
-        let outcome = match self.dispatch {
-            Dispatch::Match => step_rule_impl(
+        let outcome = match &mut self.engine {
+            Engine::Match => {
+                step_rule_impl(&self.prog, &mut self.st, rule_idx, &mut executed, counting)
+            }
+            Engine::Tac(tac) => crate::tac::step_rule_tac(
                 &self.prog,
+                &tac.rules[rule_idx],
+                &mut tac.slots[rule_idx],
                 &mut self.st,
                 rule_idx,
-                None,
                 &mut executed,
                 counting,
             ),
-            Dispatch::Closure => {
-                if self.closures.is_empty() {
-                    self.build_closures();
-                }
-                step_rule_impl(
-                    &self.prog,
-                    &mut self.st,
-                    rule_idx,
-                    Some(self.closures[rule_idx].as_slice()),
-                    &mut executed,
-                    counting,
-                )
-            }
-            Dispatch::Tac => {
-                if self.tac.is_none() {
-                    self.build_tac();
-                }
-                let tac = self.tac.as_mut().expect("just built");
-                crate::tac::step_rule_tac(
-                    &self.prog,
-                    &tac.rules[rule_idx],
-                    &mut tac.slots[rule_idx],
-                    &mut self.st,
-                    rule_idx,
-                    &mut executed,
-                    counting,
-                )
-            }
-            Dispatch::Native => {
-                if self.native.is_none() {
-                    // Rebuild-never-fallback: the public API only reaches
-                    // here with the engine prepared (set_dispatch built
-                    // it), so a failure now is a real environment change.
-                    self.native = Some(
-                        crate::native::build_engine(&self.prog)
-                            .expect("native dispatch selected but engine unbuildable"),
-                    );
-                }
-                let engine = self.native.as_ref().expect("just built");
-                crate::native::step_rule_native(
-                    &self.prog,
-                    engine,
-                    &mut self.st,
-                    rule_idx,
-                    &mut executed,
-                    counting,
-                )
-            }
+            Engine::Native(engine) => crate::native::step_rule_native(
+                &self.prog,
+                engine,
+                &mut self.st,
+                rule_idx,
+                &mut executed,
+                counting,
+            ),
         };
         if let Some(profile) = &mut self.profile {
             profile[rule_idx] += executed;
@@ -631,11 +549,12 @@ impl Sim {
         st.cycles += 1;
         self.mid_cycle = false;
         if let Some(h) = &mut self.history {
-            let snap = st.clone();
-            if h.snapshots.len() == h.capacity {
-                h.snapshots.remove(0);
+            if h.capacity > 0 {
+                if h.snapshots.len() == h.capacity {
+                    h.snapshots.pop_front();
+                }
+                h.snapshots.push_back(st.clone());
             }
-            h.snapshots.push(snap);
         }
     }
 
@@ -676,7 +595,6 @@ pub(crate) fn step_rule_impl(
     prog: &Program,
     st: &mut State,
     rule_idx: usize,
-    closures: Option<&[RuleClosure]>,
     executed: &mut u64,
     counting: bool,
 ) -> Result<bool, VmError> {
@@ -689,42 +607,21 @@ pub(crate) fn step_rule_impl(
 
     let code = &rule.code;
     let mut pc = 0usize;
-    let outcome = if let Some(closures) = closures {
-        loop {
-            if counting {
-                *executed += 1;
-            }
-            match closures[pc](st, cfg) {
-                Flow::Next => pc += 1,
-                Flow::Jump(t) => pc = t as usize,
-                Flow::Fail { clean } => break Err(clean),
-                Flow::Done => break Ok(()),
-                Flow::Trap(what) => {
-                    return Err(VmError::CompilerBug {
-                        rule: rule_idx,
-                        pc,
-                        what,
-                    })
-                }
-            }
+    let outcome = loop {
+        if counting {
+            *executed += 1;
         }
-    } else {
-        loop {
-            if counting {
-                *executed += 1;
-            }
-            match exec_insn(st, cfg, code[pc]) {
-                Flow::Next => pc += 1,
-                Flow::Jump(t) => pc = t as usize,
-                Flow::Fail { clean } => break Err(clean),
-                Flow::Done => break Ok(()),
-                Flow::Trap(what) => {
-                    return Err(VmError::CompilerBug {
-                        rule: rule_idx,
-                        pc,
-                        what,
-                    })
-                }
+        match exec_insn(st, cfg, code[pc]) {
+            Flow::Next => pc += 1,
+            Flow::Jump(t) => pc = t as usize,
+            Flow::Fail { clean } => break Err(clean),
+            Flow::Done => break Ok(()),
+            Flow::Trap(what) => {
+                return Err(VmError::CompilerBug {
+                    rule: rule_idx,
+                    pc,
+                    what,
+                })
             }
         }
     };
@@ -1252,12 +1149,10 @@ impl SimBackend for Sim {
         // in one native call. Only when nothing needs per-rule hooks:
         // history wants a snapshot per cycle boundary (end_cycle pushes
         // it) and profiling wants per-rule counters.
-        if self.dispatch == Dispatch::Native && self.history.is_none() && self.profile.is_none() {
-            if let Some(engine) = &self.native {
-                if engine.has_cycle_fn() {
-                    crate::native::run_cycle_native(engine, &mut self.st);
-                    return;
-                }
+        if let Engine::Native(engine) = &self.engine {
+            if self.history.is_none() && self.profile.is_none() && engine.has_cycle_fn() {
+                crate::native::run_cycle_native(engine, &mut self.st);
+                return;
             }
         }
         self.begin_cycle();
@@ -1364,7 +1259,7 @@ impl std::fmt::Debug for Sim {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use koika::ast::*;
     use koika::check::check;
@@ -1484,22 +1379,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_dispatch_is_never_silently_bypassed() {
-        // Regression: with `Dispatch::Closure` selected but the closure
-        // table empty, `step_rule` silently fell back to Match dispatch.
-        // Selection must rebuild the table and run through it.
-        let mut sim = Sim::new(counter_prog());
-        sim.set_dispatch(Dispatch::Closure);
-        sim.closures.clear();
-        sim.cycle();
-        assert!(
-            !sim.closures.is_empty(),
-            "closure dispatch must rebuild its table, not fall back to Match"
-        );
-        assert_eq!(sim.get64(RegId(0)), 1);
-    }
-
-    #[test]
     fn dispatch_survives_snapshot_restore() {
         for dispatch in Dispatch::ALL {
             let mut sim = Sim::new(counter_prog());
@@ -1517,6 +1396,30 @@ mod tests {
         }
     }
 
+    /// The counter behind an unreachable backward jump: the interpreters
+    /// jump over it, but the native emitter rejects the program before any
+    /// rustc is needed.
+    pub(crate) fn native_rejected_counter_prog() -> Program {
+        let mut prog = counter_prog();
+        let code = &mut prog.rules[0].code;
+        code.insert(0, Insn::Jmp(0));
+        code.insert(0, Insn::Jmp(2));
+        prog
+    }
+
+    #[test]
+    fn failed_native_selection_keeps_the_previous_engine() {
+        let mut sim = Sim::new(native_rejected_counter_prog());
+        sim.set_dispatch(Dispatch::Tac);
+        assert!(matches!(
+            sim.try_set_dispatch(Dispatch::Native),
+            Err(crate::NativeError::Unsupported(_))
+        ));
+        assert_eq!(sim.dispatch(), Dispatch::Tac);
+        sim.cycle();
+        assert_eq!(sim.get64(RegId(0)), 1);
+    }
+
     #[test]
     fn step_back_without_history_is_refused() {
         let mut sim = Sim::new(counter_prog());
@@ -1529,5 +1432,10 @@ mod tests {
         assert!(sim.step_back(2), "history reaches back to end of cycle 1");
         assert_eq!(sim.get64(RegId(0)), 1);
         assert!(!sim.step_back(1), "the restore consumed the history");
+
+        let mut sim = Sim::new(counter_prog());
+        sim.enable_history(0);
+        sim.cycle();
+        assert!(!sim.step_back(1), "a zero-capacity history records nothing");
     }
 }

@@ -17,7 +17,7 @@
 //! Options:
 //!   --backend <interp|cuttlesim|rtl|rtl-static>   (default cuttlesim)
 //!   --level <1..6>      Cuttlesim optimization level  (default 6)
-//!   --dispatch <match|closure|tac|native>  Cuttlesim dispatch engine
+//!   --dispatch <match|tac|native>  Cuttlesim dispatch engine
 //!                       (default match; native compiles to a cdylib via rustc)
 //!   --native-cache <DIR>  cache directory for native-dispatch artifacts
 //!   --cycles <N>        cycles to run        (default 10000; 96 under --fuzz)
@@ -144,6 +144,20 @@ impl Args {
         self.debug || self.debug_script.is_some()
     }
 
+    /// The `--dispatch` request, if one was given.
+    fn requested_dispatch(&self) -> Result<Option<Dispatch>, CliError> {
+        self.dispatch
+            .as_deref()
+            .map(|name| {
+                Dispatch::from_name(name).ok_or_else(|| {
+                    CliError::usage(format!(
+                        "bad --dispatch {name:?}: expected match, tac, or native"
+                    ))
+                })
+            })
+            .transpose()
+    }
+
     /// Worker-pool shape shared by `--campaign` and `--fuzz`.
     fn runner_config(&self) -> RunnerConfig {
         RunnerConfig {
@@ -168,11 +182,11 @@ Designs:
 Options:
   --backend <interp|cuttlesim|rtl|rtl-static>   (default cuttlesim)
   --level <1..6>      Cuttlesim optimization level  (default 6)
-  --dispatch <match|closure|tac|native>  Cuttlesim instruction dispatch:
-                      direct bytecode match, pre-bound closures, the
-                      register-form micro-op engine, or ahead-of-time
-                      compiled Rust loaded as a shared library (requires a
-                      rustc toolchain; see --native-cache)  (default match)
+  --dispatch <match|tac|native>  Cuttlesim instruction dispatch:
+                      direct bytecode match, the register-form micro-op
+                      engine, or ahead-of-time compiled Rust loaded as a
+                      shared library (requires a rustc toolchain; see
+                      --native-cache)  (default match)
   --native-cache <DIR>  cache directory for native-dispatch generated
                       sources and shared libraries (default
                       $KOIKA_NATIVE_CACHE or <tmp>/koika-native-cache);
@@ -477,19 +491,12 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
     }
     let level = OptLevel::from_number(args.level)
         .ok_or_else(|| CliError::usage(format!("bad --level {}: expected 1..6", args.level)))?;
-    let dispatch = match args.dispatch.as_deref() {
-        None => Dispatch::Match,
-        Some(name) => Dispatch::from_name(name).ok_or_else(|| {
-            CliError::usage(format!(
-                "bad --dispatch {name:?}: expected match, closure, tac, or native"
-            ))
-        })?,
-    };
+    let dispatch = args.requested_dispatch()?.unwrap_or_default();
     if dispatch == Dispatch::Native && !cuttlesim::toolchain_available() {
         return Err(CliError::usage(
             "--dispatch native requires a rustc toolchain, and none was found \
-             (install rustc or point KOIKA_RUSTC at one); the match, closure, \
-             and tac dispatchers work without a toolchain",
+             (install rustc or point KOIKA_RUSTC at one); the match and tac \
+             dispatchers work without a toolchain",
         ));
     }
     if dispatch != Dispatch::Match && args.backend != "cuttlesim" {
@@ -1202,16 +1209,9 @@ fn debug_first_fuzz_divergence(args: &Args, report: &fuzz::FuzzReport) -> Result
 
 fn run_fuzz_mode(args: &Args) -> Result<ExitCode, CliError> {
     let cases = args.fuzz.unwrap_or(0);
-    // No --dispatch under --fuzz means the full matrix (all four
+    // No --dispatch under --fuzz means the full matrix (all three
     // dispatchers per VM level), not the scalar default of Match.
-    let dispatch = match args.dispatch.as_deref() {
-        None => None,
-        Some(name) => Some(Dispatch::from_name(name).ok_or_else(|| {
-            CliError::usage(format!(
-                "bad --dispatch {name:?}: expected match, closure, tac, or native"
-            ))
-        })?),
-    };
+    let dispatch = args.requested_dispatch()?;
     if !cuttlesim::toolchain_available() {
         // An explicit `--dispatch native` request with no toolchain is a
         // loud no-op (exit 0, nothing silently substituted) so CI can run
@@ -1227,7 +1227,7 @@ fn run_fuzz_mode(args: &Args) -> Result<ExitCode, CliError> {
         if dispatch.is_none() {
             eprintln!(
                 "note: no rustc toolchain found; the native dispatcher is excluded \
-                 from the fuzz comparison matrix (18 backends instead of 24)"
+                 from the fuzz comparison matrix (12 backends instead of 18)"
             );
         }
     }

@@ -72,8 +72,8 @@ pub struct FuzzConfig {
     pub batch: usize,
     /// Which VM dispatch engines to include in the matrix: `None` (the
     /// default) compares every level under *all* dispatchers — direct
-    /// bytecode match, pre-bound closures, the register-form micro-op
-    /// engine, and the compiled-native backend — while `Some(d)` restricts
+    /// bytecode match, the register-form micro-op engine, and the
+    /// compiled-native backend — while `Some(d)` restricts
     /// the VM axis to dispatcher `d` (labels stay distinct, so buckets
     /// never alias across dispatchers). The native dispatcher needs a
     /// `rustc` at run time; when none is available it is excluded from the
@@ -282,7 +282,7 @@ enum BackendId {
 
 impl BackendId {
     /// The comparison matrix: every VM level under the requested
-    /// dispatchers (`None` = all four), then both RTL schemes. Match
+    /// dispatchers (`None` = all three), then both RTL schemes. Match
     /// comes first per level so bucket labels of pre-existing corpus
     /// entries (`O1`..`O6`) are produced before the suffixed variants.
     /// The native dispatcher is included only when a `rustc` toolchain is
@@ -375,7 +375,7 @@ pub fn run_case(seed: u64, cycles: u64) -> CaseResult {
 }
 
 /// [`run_case`] with the VM axis restricted to one dispatcher
-/// (`None` = all four; see [`FuzzConfig::dispatch`]).
+/// (`None` = all three; see [`FuzzConfig::dispatch`]).
 pub fn run_case_dispatch(seed: u64, cycles: u64, dispatch: Option<Dispatch>) -> CaseResult {
     let mut findings = Vec::new();
 
@@ -687,7 +687,7 @@ pub struct Divergence {
 
 /// Builds the backend a fuzz bucket label names, for re-running a
 /// reproducer under the debugger. Accepts `interp`, `O1`..`O6` with an
-/// optional `-closure`/`-tac`/`-native` suffix, `rtl`, and `rtl-static`.
+/// optional `-tac`/`-native` suffix, `rtl`, and `rtl-static`.
 ///
 /// # Errors
 ///

@@ -52,9 +52,9 @@ fn compare_all_backends(design: &Design, cycles: u64) {
     let mut interp_dev = stimulus_for(&td);
     let mut vm = Sim::compile(&td).expect("compiles");
     let mut vm_dev = stimulus_for(&td);
-    let mut vm_closure = Sim::compile(&td).expect("compiles");
-    vm_closure.set_dispatch(Dispatch::Closure);
-    let mut vmc_dev = stimulus_for(&td);
+    let mut vm_tac = Sim::compile(&td).expect("compiles");
+    vm_tac.set_dispatch(Dispatch::Tac);
+    let mut vmt_dev = stimulus_for(&td);
     let mut rtl = RtlSim::new(rtl_compile(&td, Scheme::Dynamic).expect("compiles"));
     let mut rtl_dev = stimulus_for(&td);
 
@@ -67,10 +67,10 @@ fn compare_all_backends(design: &Design, cycles: u64) {
             d.tick(cycle, vm.as_reg_access());
         }
         vm.cycle();
-        if let Some(d) = &mut vmc_dev {
-            d.tick(cycle, vm_closure.as_reg_access());
+        if let Some(d) = &mut vmt_dev {
+            d.tick(cycle, vm_tac.as_reg_access());
         }
-        vm_closure.cycle();
+        vm_tac.cycle();
         if let Some(d) = &mut rtl_dev {
             d.tick(cycle, rtl.as_reg_access());
         }
@@ -80,9 +80,9 @@ fn compare_all_backends(design: &Design, cycles: u64) {
             let expect = interp.get64(reg);
             assert_eq!(vm.get64(reg), expect, "{}: cycle {cycle} reg {} (vm)", td.name, td.regs[r].name);
             assert_eq!(
-                vm_closure.get64(reg),
+                vm_tac.get64(reg),
                 expect,
-                "{}: cycle {cycle} reg {} (vm closure)",
+                "{}: cycle {cycle} reg {} (vm tac)",
                 td.name,
                 td.regs[r].name
             );
@@ -167,7 +167,7 @@ fn coverage_counts_are_dispatch_independent() {
     };
     let mut a = Sim::compile_with(&td, &opts).unwrap();
     let mut b = Sim::compile_with(&td, &opts).unwrap();
-    b.set_dispatch(Dispatch::Closure);
+    b.set_dispatch(Dispatch::Tac);
     for _ in 0..500 {
         a.cycle();
         b.cycle();

@@ -65,7 +65,6 @@ fn backend_matrix(with_batch: bool) -> Vec<Vec<&'static str>> {
     let mut m = vec![
         vec!["--backend", "interp"],
         vec!["--backend", "cuttlesim", "--dispatch", "match"],
-        vec!["--backend", "cuttlesim", "--dispatch", "closure"],
         vec!["--backend", "cuttlesim", "--dispatch", "tac"],
     ];
     if cuttlesim::toolchain_available() {
@@ -208,11 +207,7 @@ fn vcd_is_byte_identical_across_dispatchers_and_batch_lane() {
     // `--batch` (recording the selected lane) produces byte-identical
     // waveforms for identical instances.
     let dir = scratch("vcd");
-    let mut matrix: Vec<Vec<&str>> = vec![
-        vec!["--dispatch", "match"],
-        vec!["--dispatch", "closure"],
-        vec!["--dispatch", "tac"],
-    ];
+    let mut matrix: Vec<Vec<&str>> = vec![vec!["--dispatch", "match"], vec!["--dispatch", "tac"]];
     if cuttlesim::toolchain_available() {
         matrix.push(vec!["--dispatch", "native"]);
     } else {

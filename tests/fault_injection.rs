@@ -466,6 +466,10 @@ fn cli_rejects_bad_flag_combinations_up_front_without_panicking() {
         &["collatz", "--seed"],
         &["rv32i", "--program", "garbage"],
         &["nosuchdesign"],
+        // `--dispatch` takes match, tac or native, for a design run and
+        // under --fuzz alike.
+        &["collatz", "--dispatch", "closure"],
+        &["--fuzz", "4", "--dispatch", "closure"],
         // --serve is a design-free long-running mode: it composes with
         // pool/watchdog tuning only, and rejects every one-shot flag.
         &["--serve", "127.0.0.1:0", "--campaign", "5"],
