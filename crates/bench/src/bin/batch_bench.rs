@@ -1,20 +1,23 @@
-//! Measures the batched lock-step SoA engine against the scalar Cuttlesim
-//! VM and writes a machine-readable baseline to `BENCH_PR10.json`.
+//! Measures the batched lock-step SoA engine against the strongest scalar
+//! Cuttlesim engine and writes a machine-readable record.
 //!
-//! For each of `collatz`, `fir`, and `rv32i-primes`, the scalar VM at the
-//! top optimization level is timed first, then the batched engine at lane
-//! widths 16 and 32 with identical per-lane stimulus (identical lanes never
-//! diverge, so this is the engine's pure lock-step throughput). Batched
-//! rows are measured on the Tac micro-op interpreter and — when a `rustc`
-//! toolchain is available — the compiled native batch kernels, and report
-//! *instance*-cycles per second — `cycles * lanes / wall` — which is the
-//! number comparable to the scalar cycles/sec.
+//! For each of `collatz`, `fir`, and `rv32i-primes`, one scalar VM at the
+//! top optimization level is timed under every dispatch (`match`, `tac`,
+//! and `native` when a `rustc` toolchain is available — without one the
+//! native rows are skipped with a note on stderr). The batched engine, the
+//! micro-op lock-step interpreter, is then timed at lane widths 16 and 32
+//! with identical per-lane stimulus (identical lanes never diverge, so
+//! this is its pure lock-step throughput, the best case for batching).
+//! Batched rows report *instance*-cycles per second — `cycles * lanes /
+//! wall` — which is the number comparable to a scalar cycles/sec, and
+//! every row carries its speedup over the fastest scalar row of its
+//! design, so a batched row above 1.0x beats every scalar engine.
 //!
 //! ```text
 //! Usage: batch_bench [--quick] [--out FILE] [--only NAMES]
 //!   --quick      tiny cycle budgets (CI smoke: validates the JSON shape,
 //!                asserts nothing about performance)
-//!   --out FILE   where to write the JSON baseline (default BENCH_PR10.json)
+//!   --out FILE   where to write the JSON record (default batch_bench.json)
 //!   --only NAMES comma-separated design filter (e.g. `--only collatz`)
 //! ```
 //!
@@ -36,8 +39,10 @@ struct Row {
     lanes: usize,
     dispatch: Dispatch,
     stats: RunStats,
-    /// Instance-cycles per second (== `stats.cps()` for the scalar row).
+    /// Instance-cycles per second (== `stats.cps()` for scalar rows).
     ips: f64,
+    /// `ips` over the fastest scalar row's of the same design.
+    speedup: f64,
 }
 
 fn git_rev() -> String {
@@ -53,7 +58,7 @@ fn git_rev() -> String {
 
 fn main() -> ExitCode {
     let mut quick = false;
-    let mut out = "BENCH_PR10.json".to_string();
+    let mut out = "batch_bench.json".to_string();
     let mut only: Option<Vec<String>> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -83,16 +88,16 @@ fn main() -> ExitCode {
     }
 
     let level = OptLevel::max();
-    let mut dispatches = vec![Dispatch::Tac];
+    let mut scalar_dispatches = vec![Dispatch::Match, Dispatch::Tac];
     if toolchain_available() {
-        dispatches.push(Dispatch::Native);
+        scalar_dispatches.push(Dispatch::Native);
     } else {
-        eprintln!("note: no rustc toolchain found; skipping native batch rows");
+        eprintln!("note: no rustc toolchain found; skipping the scalar native rows");
     }
     let mut rows: Vec<Row> = Vec::new();
     println!(
         "{:<14} {:>8} {:>6} {:>12} {:>10} {:>16} {:>8}",
-        "design", "dispatch", "lanes", "cycles", "wall ms", "inst-cycles/s", "speedup"
+        "design", "dispatch", "lanes", "cycles", "wall ms", "inst-cycles/s", "vs best"
     );
     for bench in all_benches() {
         if !DESIGNS.contains(&bench.name) {
@@ -108,29 +113,36 @@ fn main() -> ExitCode {
         } else {
             scaled(bench.default_cycles)
         };
-        let scalar = run_bench(&bench, BackendKind::Vm(level, Dispatch::Match), cycles);
-        let scalar_cps = scalar.cps();
-        print_row(bench.name, Dispatch::Match, 1, &scalar, scalar_cps, 1.0);
-        rows.push(Row {
-            design: bench.name,
-            lanes: 1,
-            dispatch: Dispatch::Match,
-            stats: scalar,
-            ips: scalar_cps,
-        });
-        for &dispatch in &dispatches {
-            for lanes in WIDTHS {
-                let stats = run_bench_batched(&bench, level, dispatch, cycles, lanes);
-                let ips = stats.cps() * lanes as f64;
-                print_row(bench.name, dispatch, lanes, &stats, ips, ips / scalar_cps);
-                rows.push(Row {
-                    design: bench.name,
-                    lanes,
-                    dispatch,
-                    stats,
-                    ips,
-                });
-            }
+        let first = rows.len();
+        for &dispatch in &scalar_dispatches {
+            let stats = run_bench(&bench, BackendKind::Vm(level, dispatch), cycles);
+            rows.push(Row {
+                design: bench.name,
+                lanes: 1,
+                dispatch,
+                stats,
+                ips: stats.cps(),
+                speedup: 0.0,
+            });
+        }
+        for lanes in WIDTHS {
+            let stats = run_bench_batched(&bench, level, cycles, lanes);
+            rows.push(Row {
+                design: bench.name,
+                lanes,
+                dispatch: Dispatch::Tac,
+                stats,
+                ips: stats.cps() * lanes as f64,
+                speedup: 0.0,
+            });
+        }
+        let best = rows[first..first + scalar_dispatches.len()]
+            .iter()
+            .map(|r| r.ips)
+            .fold(0.0, f64::max);
+        for r in &mut rows[first..] {
+            r.speedup = r.ips / best;
+            print_row(r);
         }
     }
 
@@ -143,23 +155,16 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn print_row(
-    design: &str,
-    dispatch: Dispatch,
-    lanes: usize,
-    stats: &RunStats,
-    ips: f64,
-    speedup: f64,
-) {
+fn print_row(r: &Row) {
     println!(
         "{:<14} {:>8} {:>6} {:>12} {:>10.1} {:>16.0} {:>7.2}x",
-        design,
-        dispatch.short_name(),
-        lanes,
-        stats.cycles,
-        stats.secs * 1e3,
-        ips,
-        speedup,
+        r.design,
+        r.dispatch.short_name(),
+        r.lanes,
+        r.stats.cycles,
+        r.stats.secs * 1e3,
+        r.ips,
+        r.speedup,
     );
 }
 
@@ -176,7 +181,8 @@ fn render_json(rows: &[Row], quick: bool) -> String {
             s,
             "    {{\"design\": \"{}\", \"backend\": \"{}\", \"dispatch\": \"{}\", \
              \"batch\": {}, \"cycles\": {}, \
-             \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}}}{}",
+             \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}, \
+             \"speedup_vs_best_scalar\": {:.3}}}{}",
             r.design,
             if r.lanes == 1 {
                 "cuttlesim-scalar"
@@ -188,6 +194,7 @@ fn render_json(rows: &[Row], quick: bool) -> String {
             r.stats.cycles,
             r.stats.secs * 1e3,
             r.ips,
+            r.speedup,
             if i + 1 == rows.len() { "" } else { "," },
         );
     }

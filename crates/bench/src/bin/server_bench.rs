@@ -712,7 +712,7 @@ fn main() -> ExitCode {
          \"ops\": {ops_total},\n  \"cycles\": {cycles},\n  \"wall_ms\": {wall_ms:.3},\n  \
          \"ops_per_sec\": {ops_per_sec:.1},\n  \"steps\": {},\n  \"evictions\": {},\n  \
          \"rehydrations\": {},\n  \"injections\": {},\n  \"busy_rejections\": {},\n  \
-         \"packed_steps\": {},\n  \"panics_contained\": {},\n  \"sessions_spilled\": {},\n  \
+         \"panics_contained\": {},\n  \"sessions_spilled\": {},\n  \
          \"protocol_errors\": {}\n}}\n",
         git_rev(),
         sum("steps"),
@@ -720,7 +720,6 @@ fn main() -> ExitCode {
         sum("rehydrations"),
         sum("injections"),
         sum("busy_rejections"),
-        sum("packed_steps"),
         stats.panics_contained,
         stats.sessions_spilled,
         stats.protocol_errors,

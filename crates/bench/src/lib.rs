@@ -241,7 +241,8 @@ pub fn run_bench(bench: &Bench, kind: BackendKind, cycles: u64) -> RunStats {
 }
 
 /// Runs a benchmark as `lanes` identical instances of the batched
-/// lock-step SoA engine, each lane with its own copy of the standard
+/// lock-step SoA engine (the micro-op interpreter, the only batched
+/// engine), each lane with its own copy of the standard
 /// stimulus devices. Identical lanes never diverge, so this measures the
 /// engine's pure lock-step throughput; `rules_fired` sums over all lanes,
 /// and the interesting figure is *instance*-cycles per second:
@@ -249,16 +250,9 @@ pub fn run_bench(bench: &Bench, kind: BackendKind, cycles: u64) -> RunStats {
 ///
 /// # Panics
 ///
-/// Panics if the design cannot be compiled, the requested dispatch cannot
-/// be selected, or a cycle reports an engine error (no Table-1 design
-/// does on any dispatch).
-pub fn run_bench_batched(
-    bench: &Bench,
-    level: OptLevel,
-    dispatch: Dispatch,
-    cycles: u64,
-    lanes: usize,
-) -> RunStats {
+/// Panics if the design cannot be compiled or a cycle reports an engine
+/// error (no Table-1 design does).
+pub fn run_bench_batched(bench: &Bench, level: OptLevel, cycles: u64, lanes: usize) -> RunStats {
     let td = check(&(bench.design)()).expect("benchmark designs typecheck");
     let mut lane_devices: Vec<Vec<Box<dyn Device>>> =
         (0..lanes).map(|_| (bench.devices)(&td)).collect();
@@ -271,7 +265,6 @@ pub fn run_bench_batched(
         lanes,
     )
     .expect("benchmark designs fit the fast path");
-    sim.set_dispatch(dispatch);
     // Device-free designs (collatz is self-restarting) skip the whole
     // stimulus walk: at tight per-cycle budgets the empty LaneAccess loop
     // is measurable harness overhead, not engine time.
@@ -337,7 +330,7 @@ mod tests {
     fn batched_fired_counts_match_scalar_times_lanes() {
         for bench in all_benches() {
             let scalar = run_bench(&bench, BackendKind::Vm(OptLevel::max(), Dispatch::Match), 300);
-            let batched = run_bench_batched(&bench, OptLevel::max(), Dispatch::Tac, 300, 4);
+            let batched = run_bench_batched(&bench, OptLevel::max(), 300, 4);
             assert_eq!(
                 batched.rules_fired,
                 scalar.rules_fired * 4,

@@ -12,9 +12,10 @@
 //! file (`slot * lanes + lane`). Rule scheduling, micro-op dispatch, and
 //! the optimization ladder's log-maintenance memcpys (prologue copies,
 //! commit plans, rollbacks) all become single strided or contiguous
-//! operations over the batch. [`Dispatch::Native`] swaps the interpreter
-//! for compiled lane loops emitted from the same micro-ops, over the same
-//! slot files.
+//! operations over the batch. There is no compiled batched engine: a
+//! design that wants compiled speed runs scalar [`Dispatch::Native`]
+//! [`Sim`](crate::Sim)s, which beat this lock-step interpreter on every
+//! workload where the two were timed.
 //!
 //! # Divergence fallback
 //!
@@ -29,8 +30,7 @@
 //!   batch to its state at rule entry (a snapshot taken after the rule
 //!   prologue, which is idempotent at every level) and re-runs the rule
 //!   per-lane through the *exact scalar bytecode executor*
-//!   ([`step_rule_impl`](crate::vm); the compiled scalar rule functions
-//!   under [`Dispatch::Native`]) — only this rule, only this cycle; the
+//!   ([`step_rule_impl`](crate::vm)) — only this rule, only this cycle; the
 //!   next rule starts in lock-step again.
 //!
 //! Because the fallback path *is* the scalar semantics and the lock-step
@@ -69,7 +69,6 @@ use crate::vm::{step_rule_impl, Dispatch, FailInfo, State, VmError};
 use koika::bits::word;
 use koika::device::{BatchBackend, RegAccess};
 use koika::tir::{RegId, TDesign};
-use std::sync::Arc;
 
 const R0: u8 = 0b0001;
 const R1: u8 = 0b0010;
@@ -184,10 +183,6 @@ pub struct BatchSim {
     fired_base: u64,
     fired_per_rule_base: Vec<u64>,
     fail_per_rule_base: Vec<u64>,
-    /// Most recent lock-step failure (identical for every lane). Shadows
-    /// the per-lane `last_fail` entries until a divergence (or a dispatch
-    /// switch) materializes it into them.
-    last_fail_uniform: Option<FailInfo>,
     /// This cycle's commits while every lane still agrees; the first
     /// divergence of the cycle copies it into the per-lane vectors and
     /// flips `commits_split`.
@@ -206,25 +201,11 @@ pub struct BatchSim {
     // Lock-step effectiveness counters.
     lockstep_rules: u64,
     fallback_rules: u64,
-    /// The lock-step engine.
-    engine: BatchEngine,
     /// Every rule lowered to micro-ops, once, at construction.
     tac: Vec<TacRule>,
     /// Per-rule SoA slot files, slot-major (`slot * lanes + lane`), with
-    /// constant slots pre-broadcast across all lanes. Both lock-step
-    /// engines run over them: the native lane loops are emitted from the
-    /// same (deterministic) lowering and index `slot * lanes + lane`
-    /// exactly like the interpreter.
+    /// constant slots pre-broadcast across all lanes.
     slots: Vec<Vec<u64>>,
-}
-
-/// The lock-step engine a [`BatchSim`] runs, with what it runs on.
-enum BatchEngine {
-    /// The micro-op interpreter ([`Dispatch::Tac`]).
-    Tac,
-    /// The compiled lane loops ([`Dispatch::Native`]); the loaded engine is
-    /// shared with scalar sims through the process-wide cache.
-    Native(Arc<crate::native::NativeEngine>),
 }
 
 /// Builds one SoA slot file per rule (`slot * lanes + lane`), constant
@@ -318,7 +299,6 @@ impl BatchSim {
             fired_base: 0,
             fired_per_rule_base: vec![0; nrules],
             fail_per_rule_base: vec![0; nrules],
-            last_fail_uniform: None,
             commits_uniform: Vec::new(),
             commits_split: false,
             rule_meta,
@@ -327,69 +307,47 @@ impl BatchSim {
             snap_cov: vec![0; ncov * lanes],
             lockstep_rules: 0,
             fallback_rules: 0,
-            engine: BatchEngine::Tac,
             tac,
             slots,
             prog,
         }
     }
 
-    /// Selects the lock-step engine.
-    ///
-    /// Both interpreted dispatches ([`Dispatch::Match`] and
-    /// [`Dispatch::Tac`]) select the micro-op interpreter, which
-    /// decodes each micro-op once per cycle for all lanes; the batch then
-    /// reports [`Dispatch::Tac`] from [`BatchSim::dispatch`].
-    /// [`Dispatch::Native`] runs each rule through its compiled batched
-    /// entry point: straight-line lane loops with no interpreter dispatch
-    /// at all. On divergence the native dispatch re-runs lanes through the
-    /// compiled *scalar* rule functions (never a silent interpreter
-    /// fallback); the interpreter re-runs them through the exact scalar
-    /// bytecode executor. All of these are bit-identical by construction.
+    /// Requests a dispatch for the lock-step engine. There is one engine,
+    /// the micro-op interpreter, which decodes each micro-op once per
+    /// cycle for all lanes: [`Dispatch::Match`] and [`Dispatch::Tac`]
+    /// select it (a no-op), and [`BatchSim::dispatch`] always reports
+    /// [`Dispatch::Tac`].
     ///
     /// # Panics
     ///
-    /// Panics if [`Dispatch::Native`] is requested and the engine cannot
-    /// be built; use [`BatchSim::try_set_dispatch`] to handle that.
+    /// Panics on [`Dispatch::Native`]: batched native lanes do not exist;
+    /// run scalar native [`Sim`](crate::Sim)s instead. Use
+    /// [`BatchSim::try_set_dispatch`] to handle that.
     pub fn set_dispatch(&mut self, dispatch: Dispatch) {
         if let Err(e) = self.try_set_dispatch(dispatch) {
             panic!("cannot select {} dispatch: {e}", dispatch.short_name());
         }
     }
 
-    /// Fallible form of [`BatchSim::set_dispatch`]; only
-    /// [`Dispatch::Native`] preparation can fail.
+    /// Fallible form of [`BatchSim::set_dispatch`].
     ///
     /// # Errors
     ///
-    /// [`crate::NativeError`] when the native engine cannot be emitted,
-    /// built, or loaded. The previous dispatch stays selected.
+    /// [`crate::NativeError::Unsupported`] for [`Dispatch::Native`], for
+    /// any program; the micro-op engine stays selected.
     pub fn try_set_dispatch(&mut self, dispatch: Dispatch) -> Result<(), crate::NativeError> {
-        let engine = match (dispatch, &self.engine) {
-            (Dispatch::Native, BatchEngine::Tac) => BatchEngine::Native(
-                crate::native::build_engine_batched(&self.prog, self.lanes)?,
-            ),
-            (Dispatch::Match | Dispatch::Tac, BatchEngine::Native(_)) => BatchEngine::Tac,
-            _ => return Ok(()),
-        };
-        // The interpreter records per-lane failure info directly, so a
-        // pending lock-step uniform from the native arm must be
-        // materialized before it could be shadowed by stale per-lane
-        // entries.
-        if let Some(fi) = self.last_fail_uniform.take() {
-            self.last_fail.fill(Some(fi));
+        match dispatch {
+            Dispatch::Match | Dispatch::Tac => Ok(()),
+            Dispatch::Native => Err(crate::NativeError::Unsupported(
+                "a batch has no native engine; run scalar native sims instead".to_string(),
+            )),
         }
-        self.engine = engine;
-        Ok(())
     }
 
-    /// The selected lock-step engine: [`Dispatch::Tac`] or
-    /// [`Dispatch::Native`].
+    /// The lock-step engine: always [`Dispatch::Tac`].
     pub fn dispatch(&self) -> Dispatch {
-        match self.engine {
-            BatchEngine::Tac => Dispatch::Tac,
-            BatchEngine::Native(_) => Dispatch::Native,
-        }
+        Dispatch::Tac
     }
 
     /// Number of lanes in the batch.
@@ -478,7 +436,7 @@ impl BatchSim {
     /// One lane's most recent rule failure, if any.
     pub fn lane_last_fail(&self, lane: usize) -> Option<FailInfo> {
         assert!(lane < self.lanes, "lane out of range");
-        self.last_fail_uniform.or(self.last_fail[lane])
+        self.last_fail[lane]
     }
 
     /// The rules one lane committed during the most recent cycle, as rule
@@ -560,10 +518,6 @@ impl BatchSim {
     fn step_rule_batch_inner(&mut self, rule_idx: usize, meta: &RuleMeta) -> Result<(), VmError> {
         let cfg = self.prog.cfg;
         let lanes = self.lanes;
-        // The ABI v4 batched entry points are self-merging: on a unanimous
-        // outcome the compiled shell already performed the commit (or
-        // rollback) plane merge, so the lock-step arms below skip theirs.
-        let kernel_merged = matches!(self.engine, BatchEngine::Native(_));
 
         // Rule prologue, vectorized — this is the SoA payoff: the ladder's
         // per-rule log maintenance is a fixed number of whole-array copies
@@ -602,7 +556,7 @@ impl BatchSim {
         // and temporaries are produced before they are consumed), so values
         // clobbered by an aborted lock-step run are never observed — not by
         // the scalar re-run, whose locals persist across lanes for the same
-        // reason, and not by the next lock-step run of either engine.
+        // reason, and not by the next lock-step run.
         if cfg.reset_on_fail {
             for &r in &meta.touched {
                 let s = r as usize * lanes;
@@ -614,83 +568,7 @@ impl BatchSim {
             self.snap_cov[s..s + lanes].copy_from_slice(&self.cov[s..s + lanes]);
         }
 
-        // Lock-step execution: compiled-native or micro-op form, per
-        // dispatch.
-        let outcome = if let BatchEngine::Native(engine) = &self.engine {
-            // The compiled batched entry point: straight-line lane loops,
-            // no interpreter dispatch. It returns the scalar outcome
-            // protocol extended with 6 = divergence; unanimous outcomes
-            // feed the shared commit/failure arms below, divergence the
-            // shared per-lane fallback. Only the bare function pointer is
-            // copied out — the hot path never touches the `Arc` refcount.
-            let f = engine.batch_fn(rule_idx);
-            let mut ctx = crate::native::NativeBatchCtx {
-                boc: self.boc.as_mut_ptr(),
-                cyc_rw: self.cyc_rw.as_mut_ptr(),
-                log_rw: self.log_rw.as_mut_ptr(),
-                cyc_d0: self.cyc_d0.as_mut_ptr(),
-                cyc_d1: self.cyc_d1.as_mut_ptr(),
-                log_d0: self.log_d0.as_mut_ptr(),
-                log_d1: self.log_d1.as_mut_ptr(),
-                cov: self.cov.as_mut_ptr(),
-                slots: self.slots[rule_idx].as_mut_ptr(),
-                lanes,
-                fail_reg: 0,
-                pad: 0,
-            };
-            // Every plane pointer covers the full `reg * lanes` SoA array
-            // of the program the engine was built from (planes the level
-            // leaves empty are never dereferenced — the emitter baked the
-            // level in), `slots` was sized by the same lowering, and the
-            // engine was built for exactly `self.lanes` lanes.
-            let ret = crate::native::run_rule_batch_native(f, &mut ctx);
-            let fail_reg = ctx.fail_reg;
-            let code = ret & 0xff;
-            let payload = (ret >> 8) as usize;
-            let cycle = self.cycles;
-            match code {
-                0 => Some(Ok(())),
-                1 | 2 => {
-                    self.last_fail_uniform = Some(FailInfo {
-                        rule: rule_idx,
-                        pc: payload,
-                        reg: Some(RegId(fail_reg)),
-                        cycle,
-                    });
-                    Some(Err(code == 2))
-                }
-                3 | 4 => {
-                    self.last_fail_uniform = Some(FailInfo {
-                        rule: rule_idx,
-                        pc: payload,
-                        reg: None,
-                        cycle,
-                    });
-                    Some(Err(code == 4))
-                }
-                6 => None,
-                5 => {
-                    let (pc, what) = engine.trap(payload);
-                    return Err(VmError::CompilerBug { rule: rule_idx, pc: pc as usize, what });
-                }
-                7 => {
-                    return Err(VmError::CompilerBug {
-                        rule: rule_idx,
-                        pc: 0,
-                        what: "batched entry point rejected the lane count",
-                    })
-                }
-                _ => {
-                    return Err(VmError::CompilerBug {
-                        rule: rule_idx,
-                        pc: 0,
-                        what: "native batch rule returned an invalid status code",
-                    })
-                }
-            }
-        } else {
-            self.run_uops_batch(rule_idx)?
-        };
+        let outcome = self.run_uops_batch(rule_idx)?;
 
         match outcome {
             Some(Ok(())) => {
@@ -706,9 +584,7 @@ impl BatchSim {
                     log_d1,
                     ..
                 } = self;
-                if kernel_merged {
-                    // Plane merge already done by the compiled shell.
-                } else if !cfg.acc_logs {
+                if !cfg.acc_logs {
                     // The prologue zeroed `log_rw`, so only the rule's own
                     // touched registers can carry bits — merge just those
                     // stripes, branchlessly.
@@ -783,11 +659,10 @@ impl BatchSim {
             }
             Some(Err(clean)) => {
                 // Batched failure: every lane failed the same check.
-                // `run_uops_batch` already recorded per-lane FailInfo
-                // (the native arm set the lock-step uniform instead).
+                // `run_uops_batch` already recorded per-lane FailInfo.
                 self.lockstep_rules += 1;
                 self.fail_per_rule_base[rule_idx] += 1;
-                if cfg.reset_on_fail && !clean && !kernel_merged {
+                if cfg.reset_on_fail && !clean {
                     let BatchSim {
                         prog,
                         cyc_rw,
@@ -834,9 +709,7 @@ impl BatchSim {
                 self.fallback_rules += 1;
                 // Materialize the lock-step bookkeeping the per-lane
                 // executors are about to diverge from: the shared commit
-                // list becomes per-lane vectors, and a pending uniform
-                // failure is written through so `scatter_lane` can overlay
-                // fresher per-lane failures on top of it.
+                // list becomes per-lane vectors.
                 if !self.commits_split {
                     let BatchSim {
                         commits,
@@ -848,9 +721,6 @@ impl BatchSim {
                         c.extend_from_slice(commits_uniform);
                     }
                     self.commits_split = true;
-                }
-                if let Some(fi) = self.last_fail_uniform.take() {
-                    self.last_fail.fill(Some(fi));
                 }
                 if cfg.reset_on_fail {
                     for &r in &meta.touched {
@@ -871,35 +741,16 @@ impl BatchSim {
                     self.cov[s..s + lanes].copy_from_slice(&self.snap_cov[s..s + lanes]);
                 }
                 let mut executed = 0u64;
-                if let BatchEngine::Native(engine) = &self.engine {
-                    // Native stays native: diverged lanes re-run through
-                    // the compiled scalar rule functions (the scalar
-                    // re-prologue inside is idempotent at every level).
-                    let engine = Arc::clone(engine);
-                    for l in 0..lanes {
-                        self.gather_lane(l);
-                        let committed = crate::native::step_rule_native(
-                            &self.prog,
-                            &engine,
-                            &mut self.scratch,
-                            rule_idx,
-                            &mut executed,
-                            false,
-                        )?;
-                        self.scatter_lane(l, rule_idx, committed);
-                    }
-                } else {
-                    for l in 0..lanes {
-                        self.gather_lane(l);
-                        let committed = step_rule_impl(
-                            &self.prog,
-                            &mut self.scratch,
-                            rule_idx,
-                            &mut executed,
-                            false,
-                        )?;
-                        self.scatter_lane(l, rule_idx, committed);
-                    }
+                for l in 0..lanes {
+                    self.gather_lane(l);
+                    let committed = step_rule_impl(
+                        &self.prog,
+                        &mut self.scratch,
+                        rule_idx,
+                        &mut executed,
+                        false,
+                    )?;
+                    self.scatter_lane(l, rule_idx, committed);
                 }
                 Ok(())
             }
@@ -908,6 +759,13 @@ impl BatchSim {
 
     /// Copies one lane's column of every array into the scalar scratch
     /// state.
+    ///
+    /// Kept out of line, like [`BatchSim::scatter_lane`]: each has one
+    /// call site, in the divergence fallback, and inlined there they grow
+    /// [`BatchSim::cycle`] by about 40% and slow the rv32i campaign
+    /// by about 3% (median unit rate over 16 alternating rounds on a
+    /// 2-vCPU Xeon).
+    #[inline(never)]
     fn gather_lane(&mut self, l: usize) {
         let lanes = self.lanes;
         let BatchSim {
@@ -952,6 +810,7 @@ impl BatchSim {
 
     /// Copies the scalar scratch state back into one lane's column and
     /// updates the lane's commit/failure bookkeeping.
+    #[inline(never)]
     fn scatter_lane(&mut self, l: usize, rule_idx: usize, committed: bool) {
         let lanes = self.lanes;
         {
@@ -1662,45 +1521,6 @@ mod tests {
     }
 
     #[test]
-    fn native_dispatch_matches_scalar_sims() {
-        if !crate::native::toolchain_available() {
-            eprintln!("SKIP native_dispatch_matches_scalar_sims: no rustc toolchain");
-            return;
-        }
-        let td = collatz();
-        let x = td.reg_id("x");
-        for level in OptLevel::ALL {
-            let opts = CompileOptions {
-                level,
-                ..CompileOptions::default()
-            };
-            let mut batch = BatchSim::compile_with(&td, &opts, 4).unwrap();
-            batch.set_dispatch(Dispatch::Native);
-            let mut scalars: Vec<Sim> =
-                (0..4).map(|_| Sim::compile_with(&td, &opts).unwrap()).collect();
-            // Divergent seeds: the per-lane compiled-native path must agree
-            // with the scalar bytecode interpreter bit-for-bit even when
-            // lanes take different control paths.
-            for (l, seed) in [7u64, 6, 27, 1].into_iter().enumerate() {
-                batch.lane_set64(l, x, seed);
-                scalars[l].set64(x, seed);
-            }
-            for cyc in 0..128 {
-                batch.cycle().unwrap();
-                for (l, s) in scalars.iter_mut().enumerate() {
-                    s.cycle();
-                    assert_eq!(
-                        batch.lane_reg_values(l),
-                        s.reg_values(),
-                        "{level} lane {l} cycle {cyc}"
-                    );
-                    assert_eq!(batch.lane_fired(l), s.rules_fired(), "{level} lane {l}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn concat_shift_boundary_is_guarded_in_lanes() {
         // Regression: a zero-width high half (`low_width == 64`) used to
         // overflow the batched `(a << low_width) | b` lowering; the result
@@ -1762,15 +1582,34 @@ mod tests {
 
     #[test]
     fn failed_native_selection_keeps_the_micro_op_engine() {
-        let prog = crate::vm::tests::native_rejected_counter_prog();
-        let mut batch = BatchSim::new(prog, 2);
-        assert!(matches!(
-            batch.try_set_dispatch(Dispatch::Native),
-            Err(crate::NativeError::Unsupported(_))
-        ));
-        assert_eq!(batch.dispatch(), Dispatch::Tac);
-        batch.cycle().unwrap();
-        assert_eq!(batch.lane_get64(1, RegId(0)), 1);
+        // Refused for every program: one the native emitter would compile
+        // and one it rejects before rustc runs.
+        let td = collatz();
+        let progs = [
+            (compile(&td, &CompileOptions::default()).unwrap(), td.reg_id("x")),
+            (crate::vm::tests::native_rejected_counter_prog(), RegId(0)),
+        ];
+        for (prog, seeded) in progs {
+            let mut batch = BatchSim::new(prog.clone(), 3);
+            let mut scalars: Vec<Sim> = (0..3).map(|_| Sim::new(prog.clone())).collect();
+            for (l, s) in scalars.iter_mut().enumerate() {
+                batch.lane_set64(l, seeded, 5 + l as u64);
+                s.set64(seeded, 5 + l as u64);
+            }
+            assert!(matches!(
+                batch.try_set_dispatch(Dispatch::Native),
+                Err(crate::NativeError::Unsupported(_))
+            ));
+            assert_eq!(batch.dispatch(), Dispatch::Tac);
+            for cyc in 0..32 {
+                batch.cycle().unwrap();
+                for (l, s) in scalars.iter_mut().enumerate() {
+                    s.cycle();
+                    assert_eq!(batch.lane_reg_values(l), s.reg_values(), "lane {l} cycle {cyc}");
+                    assert_eq!(batch.lane_fired(l), s.rules_fired(), "lane {l} cycle {cyc}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,26 +27,6 @@
 //! helpers every other dispatcher uses, so the transactional semantics are
 //! identical at every level by construction.
 //!
-//! When a batch width is requested ([`build_engine_batched`]), each rule
-//! is additionally emitted in a *batched lock-step* form
-//! (`koika_rule_{k}_batch`) for [`crate::BatchSim`]: the same micro-op
-//! program, but every micro-op is a lane loop over the batch's
-//! structure-of-arrays stripes (`reg * lanes + lane`), with the operation,
-//! the level's log discipline, *and the lane count itself* constant-folded
-//! into straight-line code — constant trip counts mean no remainder loops,
-//! and the loop bodies take each plane as a distinct `&mut` slice, so the
-//! optimizer vectorizes them without runtime overlap checks. Conflict
-//! gates count passing lanes; a unanimous outcome uses the scalar return
-//! protocol above, while a *mixed* gate (or a mixed `Jz`) returns code `6`
-//! = divergence, and the host re-runs the rule per lane through the scalar
-//! executor — so batched native output stays byte-identical to N scalar
-//! `Sim`s by construction. Code `7` rejects a `ctx.lanes` that differs
-//! from the baked width. Unanimous outcomes are *self-merging*: before
-//! returning code `0` the entry point performs the commit plane merge
-//! itself (and, at `reset_on_fail` levels, the rollback merge before
-//! codes `1`/`3`) as baked `BL`-wide lane loops, so the host's lock-step
-//! arms do no plane work at all — only counters.
-//!
 //! The whole-cycle `koika_cycle` commits and rolls back in line. At the
 //! design-specific level it copies each rule's *exact footprint* instead
 //! of its [`CopyPlan`]: the statically named registers its micro-ops can
@@ -72,17 +52,13 @@ use crate::tac::{TacProgram, TacRule, Uop};
 use crate::vm::{rule_commit, rule_failure, rule_prologue, FailInfo, State, VmError};
 use koika::tir::RegId;
 
-/// Bumped whenever the generated-source ABI (the `Ctx`/`BCtx` layouts, the
+/// Bumped whenever the generated-source ABI (the `Ctx` layout, the
 /// exported symbol set, or the return-code encoding) changes; part of the
 /// cache key via the source header, so stale cached cdylibs can never be
-/// loaded. v2 added the batched lock-step entry points
-/// (`koika_rule_*_batch`); v3 made them lane-count-specialized (emitted
-/// only on request, baked batch width, status code `7` for a mismatched
-/// `ctx.lanes`); v4 made them self-merging (the entry point performs the
-/// unanimous commit or rollback plane merge itself before returning, so
-/// code `0` now means *committed and merged* and codes `1`/`3` mean
-/// *failed and rolled back*).
-const ABI_VERSION: u32 = 4;
+/// loaded. v2–v4 also exported batched lock-step entry points for
+/// `BatchSim`, with a second context struct; v5 removed both, so the crate
+/// exports only the scalar per-rule and whole-cycle functions.
+const ABI_VERSION: u32 = 5;
 
 /// Why the native backend could not be selected. Unlike rule failures
 /// (normal Kôika semantics) these are environment or lowering problems:
@@ -212,31 +188,6 @@ impl NativeCtx {
             executed: 0,
         }
     }
-}
-
-/// The `#[repr(C)]` context for the batched lock-step entry points — raw
-/// pointers into [`crate::BatchSim`]'s structure-of-arrays planes
-/// (`reg * lanes + lane`) plus the rule's persistent SoA slot file. Field
-/// order must match the `BCtx` struct the emitter writes ([`ABI_VERSION`]
-/// guards drift).
-#[repr(C)]
-pub(crate) struct NativeBatchCtx {
-    pub(crate) boc: *mut u64,
-    pub(crate) cyc_rw: *mut u8,
-    pub(crate) log_rw: *mut u8,
-    pub(crate) cyc_d0: *mut u64,
-    pub(crate) cyc_d1: *mut u64,
-    pub(crate) log_d0: *mut u64,
-    pub(crate) log_d1: *mut u64,
-    pub(crate) cov: *mut u64,
-    /// The rule's slot file, slot-major (`slot * lanes + lane`), with
-    /// constant slots pre-broadcast (the generated code never re-derives
-    /// them — the same def-before-use argument the Tac batch path uses).
-    pub(crate) slots: *mut u64,
-    pub(crate) lanes: usize,
-    /// Out: failing register index for unanimous conflict returns.
-    pub(crate) fail_reg: u32,
-    pub(crate) pad: u32,
 }
 
 // ---------------------------------------------------------------------------
@@ -629,454 +580,6 @@ impl BodyEmitter<'_> {
     }
 }
 
-/// Emits the batched lock-step form of one rule body: every micro-op is a
-/// lane loop over SoA stripes (`reg * lanes + lane` planes,
-/// `slot * lanes + lane` slot file) with the operation and log discipline
-/// constant-folded — the loops carry no per-lane branches, so the
-/// optimizer autovectorizes them. Conflict gates count passing lanes and
-/// triage: all pass → fall through, none pass → the scalar failure
-/// protocol, mixed → return `6`, i.e. divergence; the host re-runs lanes
-/// through the scalar executor.
-struct BatchBodyEmitter<'a> {
-    cfg: LevelCfg,
-    tac: &'a TacRule,
-    rule_idx: usize,
-    trap_ords: &'a HashMap<(usize, usize), usize>,
-    falloff_ord: usize,
-    out: &'a mut String,
-}
-
-impl BatchBodyEmitter<'_> {
-    /// A self-contained gate over one register stripe: count lanes whose
-    /// check byte has none of `bits` set, then triage. `wr` selects the
-    /// write-gate check plane (log | cyc below `acc_logs`).
-    fn emit_gate(&mut self, reg: u32, bits: u8, wr: bool, clean: bool, pc: u32) {
-        let chk = self.chk_expr("_g + l", wr);
-        let v = ((pc as u64) << 8) | if clean { 2 } else { 1 };
-        let _ = writeln!(
-            self.out,
-            "{{ let _g = {reg}usize * lanes; let mut _np = 0usize; \
-             for l in 0..lanes {{ _np += (({chk} & 0x{bits:x}) == 0) as usize; }} \
-             if _np != lanes {{ if _np == 0 {{ *fail_reg = {reg}u32; return {v}u64; }} \
-             return 6u64; }} }}"
-        );
-    }
-
-    /// The per-lane conflict-check byte at flat index `i` (an expression).
-    fn chk_expr(&self, i: &str, wr: bool) -> String {
-        if self.cfg.acc_logs {
-            format!("log_rw[{i}]")
-        } else if wr {
-            format!("(log_rw[{i}] | cyc_rw[{i}])")
-        } else {
-            format!("cyc_rw[{i}]")
-        }
-    }
-
-    /// The flat plane index of an array access: `(base + (idx & amask)) *
-    /// lanes + l`, recomputed per lane.
-    fn arr_idx(idx: u16, base: u32, amask: u32) -> String {
-        format!(
-            "({base}usize + ((sp[{idx}usize * lanes + l] & 0x{amask:x}u64) as usize)) \
-             * lanes + l"
-        )
-    }
-
-    /// Gate for indexed (array-window) accesses. Unanimous failures also
-    /// diverge: the failing register differs per lane, so `FailInfo` must
-    /// come from the scalar fallback, which reproduces it byte-identically.
-    fn emit_arr_gate(&mut self, idx: u16, base: u32, amask: u32, bits: u8, wr: bool) {
-        let i = Self::arr_idx(idx, base, amask);
-        let chk = self.chk_expr("_i", wr);
-        let _ = writeln!(
-            self.out,
-            "{{ let mut _np = 0usize; \
-             for l in 0..lanes {{ let _i = {i}; _np += (({chk} & 0x{bits:x}) == 0) as usize; }} \
-             if _np != lanes {{ return 6u64; }} }}"
-        );
-    }
-
-    /// Port-0 read recording at flat index `i` (a statement, possibly
-    /// empty: design-specific levels skip R0 bookkeeping entirely).
-    fn rd0_record_stmt(&self, i: &str) -> String {
-        if self.cfg.design_specific {
-            String::new()
-        } else {
-            format!("log_rw[{i}] |= 0x1; ")
-        }
-    }
-
-    /// The port-0 read value at flat index `i` (an expression).
-    fn rd0_val_expr(&self, i: &str) -> String {
-        if self.cfg.no_boc {
-            format!("log_d0[{i}]")
-        } else {
-            format!("boc[{i}]")
-        }
-    }
-
-    /// The port-1 read value at flat index `i`: the forwarding chain
-    /// (own W0 → earlier rules' W0 → beginning-of-cycle), blended
-    /// branchlessly so the lane loop stays vector-shaped.
-    fn rd1_val_expr(&self, i: &str) -> String {
-        if self.cfg.no_boc {
-            format!("log_d0[{i}]")
-        } else if self.cfg.acc_logs {
-            format!(
-                "{{ let _m = lmask(log_rw[{i}] & 0x4 != 0); \
-                 (log_d0[{i}] & _m) | (boc[{i}] & !_m) }}"
-            )
-        } else {
-            format!(
-                "{{ let _m0 = lmask(log_rw[{i}] & 0x4 != 0); \
-                 let _m1 = lmask(cyc_rw[{i}] & 0x4 != 0); \
-                 (log_d0[{i}] & _m0) | \
-                 (((cyc_d0[{i}] & _m1) | (boc[{i}] & !_m1)) & !_m0) }}"
-            )
-        }
-    }
-
-    /// The log plane port-1 writes land in.
-    fn w1_plane(&self) -> &'static str {
-        if self.cfg.merged_data {
-            "log_d0"
-        } else {
-            "log_d1"
-        }
-    }
-
-    fn emit_uop(&mut self, i: usize) {
-        let pc = self.tac.pcs[i];
-        let _ = write!(self.out, "{{ ");
-        match self.tac.uops[i] {
-            Uop::Bin { op, dst, a, b, mask } => {
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _d = {dst}usize * lanes; let _a = {a}usize * lanes; \
-                     let _b = {b}usize * lanes; \
-                     for l in 0..lanes {{ let _x = sp[_a + l]; let _y = sp[_b + l]; \
-                     sp[_d + l] = {e}; }}"
-                );
-            }
-            Uop::Not { dst, src, mask } => self.emit_map1(dst, src, &format!("!_x & {}", hex(mask))),
-            Uop::Neg { dst, src, mask } => {
-                self.emit_map1(dst, src, &format!("_x.wrapping_neg() & {}", hex(mask)));
-            }
-            Uop::Mask { dst, src, mask } => self.emit_map1(dst, src, &format!("_x & {}", hex(mask))),
-            Uop::Sext { dst, src, from, mask } => {
-                self.emit_map1(dst, src, &format!("sext({from}u32, _x) & {}", hex(mask)));
-            }
-            Uop::Slice { dst, src, lo, mask } => {
-                self.emit_map1(dst, src, &format!("(_x >> {lo}u32) & {}", hex(mask)));
-            }
-            Uop::SliceSext { dst, src, lo, from, mask } => {
-                let mof = if from >= 64 { u64::MAX } else { (1u64 << from) - 1 };
-                self.emit_map1(
-                    dst,
-                    src,
-                    &format!("sext({from}u32, (_x >> {lo}u32) & {}) & {}", hex(mof), hex(mask)),
-                );
-            }
-            Uop::Select { dst, c, t, f } => {
-                let _ = write!(
-                    self.out,
-                    "let _d = {dst}usize * lanes; let _c = {c}usize * lanes; \
-                     let _t = {t}usize * lanes; let _f = {f}usize * lanes; \
-                     for l in 0..lanes {{ let _m = lmask(sp[_c + l] != 0); \
-                     sp[_d + l] = (sp[_t + l] & _m) | (sp[_f + l] & !_m); }}"
-                );
-            }
-            Uop::Const { dst, imm } => {
-                let _ = write!(
-                    self.out,
-                    "let _d = {dst}usize * lanes; \
-                     for l in 0..lanes {{ sp[_d + l] = {}; }}",
-                    hex(imm)
-                );
-            }
-            Uop::Mov { dst, src } => self.emit_map1(dst, src, "_x"),
-            Uop::Rd0 { dst, reg, clean } => {
-                self.emit_gate(reg, 0xc, false, clean, pc);
-                let rec = self.rd0_record_stmt("_r + l");
-                let val = self.rd0_val_expr("_r + l");
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _d = {dst}usize * lanes; \
-                     for l in 0..lanes {{ {rec}sp[_d + l] = {val}; }}"
-                );
-            }
-            Uop::Rd1 { dst, reg, clean } => {
-                self.emit_gate(reg, 0x8, false, clean, pc);
-                let val = self.rd1_val_expr("_r + l");
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _d = {dst}usize * lanes; \
-                     for l in 0..lanes {{ log_rw[_r + l] |= 0x2; sp[_d + l] = {val}; }}"
-                );
-            }
-            Uop::Wr0 { src, reg, clean } => {
-                self.emit_gate(reg, 0xe, true, clean, pc);
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _s = {src}usize * lanes; \
-                     for l in 0..lanes {{ log_rw[_r + l] |= 0x4; \
-                     log_d0[_r + l] = sp[_s + l]; }}"
-                );
-            }
-            Uop::Wr1 { src, reg, clean } => {
-                self.emit_gate(reg, 0x8, true, clean, pc);
-                let plane = self.w1_plane();
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _s = {src}usize * lanes; \
-                     for l in 0..lanes {{ log_rw[_r + l] |= 0x8; \
-                     {plane}[_r + l] = sp[_s + l]; }}"
-                );
-            }
-            Uop::RdFast { dst, reg } => {
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _d = {dst}usize * lanes; \
-                     for l in 0..lanes {{ sp[_d + l] = log_d0[_r + l]; }}"
-                );
-            }
-            Uop::WrFast { src, reg } => {
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _s = {src}usize * lanes; \
-                     for l in 0..lanes {{ log_d0[_r + l] = sp[_s + l]; }}"
-                );
-            }
-            Uop::Rd0Arr { dst, idx, base, amask, clean } => {
-                let _ = clean;
-                self.emit_arr_gate(idx, base, amask, 0xc, false);
-                let i = Self::arr_idx(idx, base, amask);
-                let rec = self.rd0_record_stmt("_i");
-                let val = self.rd0_val_expr("_i");
-                let _ = write!(
-                    self.out,
-                    "let _d = {dst}usize * lanes; \
-                     for l in 0..lanes {{ let _i = {i}; {rec}sp[_d + l] = {val}; }}"
-                );
-            }
-            Uop::Rd1Arr { dst, idx, base, amask, clean } => {
-                let _ = clean;
-                self.emit_arr_gate(idx, base, amask, 0x8, false);
-                let i = Self::arr_idx(idx, base, amask);
-                let val = self.rd1_val_expr("_i");
-                let _ = write!(
-                    self.out,
-                    "let _d = {dst}usize * lanes; \
-                     for l in 0..lanes {{ let _i = {i}; log_rw[_i] |= 0x2; \
-                     sp[_d + l] = {val}; }}"
-                );
-            }
-            Uop::Wr0Arr { src, idx, base, amask, clean } => {
-                let _ = clean;
-                self.emit_arr_gate(idx, base, amask, 0xe, true);
-                let i = Self::arr_idx(idx, base, amask);
-                let _ = write!(
-                    self.out,
-                    "let _s = {src}usize * lanes; \
-                     for l in 0..lanes {{ let _i = {i}; log_rw[_i] |= 0x4; \
-                     log_d0[_i] = sp[_s + l]; }}"
-                );
-            }
-            Uop::Wr1Arr { src, idx, base, amask, clean } => {
-                let _ = clean;
-                self.emit_arr_gate(idx, base, amask, 0x8, true);
-                let i = Self::arr_idx(idx, base, amask);
-                let plane = self.w1_plane();
-                let _ = write!(
-                    self.out,
-                    "let _s = {src}usize * lanes; \
-                     for l in 0..lanes {{ let _i = {i}; log_rw[_i] |= 0x8; \
-                     {plane}[_i] = sp[_s + l]; }}"
-                );
-            }
-            Uop::RdArrFast { dst, idx, base, amask } => {
-                let i = Self::arr_idx(idx, base, amask);
-                let _ = write!(
-                    self.out,
-                    "let _d = {dst}usize * lanes; \
-                     for l in 0..lanes {{ let _i = {i}; sp[_d + l] = log_d0[_i]; }}"
-                );
-            }
-            Uop::WrArrFast { src, idx, base, amask } => {
-                let i = Self::arr_idx(idx, base, amask);
-                let _ = write!(
-                    self.out,
-                    "let _s = {src}usize * lanes; \
-                     for l in 0..lanes {{ let _i = {i}; log_d0[_i] = sp[_s + l]; }}"
-                );
-            }
-            Uop::Jmp(t) => {
-                let _ = write!(self.out, "break 'l{t};");
-            }
-            Uop::Jz { cond, target } => {
-                let _ = write!(
-                    self.out,
-                    "let _c = {cond}usize * lanes; let mut _nz = 0usize; \
-                     for l in 0..lanes {{ _nz += (sp[_c + l] == 0) as usize; }} \
-                     if _nz == lanes {{ break 'l{target}; }} if _nz != 0 {{ return 6u64; }}"
-                );
-            }
-            Uop::BinJz { op, a, b, mask, target } => {
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _a = {a}usize * lanes; let _b = {b}usize * lanes; \
-                     let mut _nz = 0usize; \
-                     for l in 0..lanes {{ let _x = sp[_a + l]; let _y = sp[_b + l]; \
-                     _nz += ({e} == 0) as usize; }} \
-                     if _nz == lanes {{ break 'l{target}; }} if _nz != 0 {{ return 6u64; }}"
-                );
-            }
-            Uop::Abort { clean } => {
-                let v = ((pc as u64) << 8) | if clean { 4 } else { 3 };
-                let _ = write!(self.out, "return {v}u64;");
-            }
-            Uop::Cov(id) => {
-                let _ = write!(
-                    self.out,
-                    "let _c = {id}usize * lanes; \
-                     for l in 0..lanes {{ cov[_c + l] += 1; }}"
-                );
-            }
-            Uop::End => {
-                let _ = write!(self.out, "return 0u64;");
-            }
-            Uop::Trap(_) => {
-                let ord = self.trap_ords[&(self.rule_idx, i)];
-                let v = ((ord as u64) << 8) | 5;
-                let _ = write!(self.out, "return {v}u64;");
-            }
-            Uop::RdBin { op, dst, reg, b, mask, clean } => {
-                self.emit_gate(reg, 0xc, false, clean, pc);
-                let rec = self.rd0_record_stmt("_r + l");
-                let val = self.rd0_val_expr("_r + l");
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _d = {dst}usize * lanes; \
-                     let _b = {b}usize * lanes; \
-                     for l in 0..lanes {{ {rec}let _x = {val}; let _y = sp[_b + l]; \
-                     sp[_d + l] = {e}; }}"
-                );
-            }
-            Uop::BinWr { op, a, b, mask, reg, clean } => {
-                self.emit_gate(reg, 0xe, true, clean, pc);
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _a = {a}usize * lanes; \
-                     let _b = {b}usize * lanes; \
-                     for l in 0..lanes {{ log_rw[_r + l] |= 0x4; \
-                     let _x = sp[_a + l]; let _y = sp[_b + l]; \
-                     log_d0[_r + l] = {e}; }}"
-                );
-            }
-            Uop::RdBinWr { op, rreg, b, mask, wreg, rclean, wclean } => {
-                self.emit_gate(rreg, 0xc, false, rclean, pc);
-                // R0 is recorded before the write gate, so a unanimous
-                // write conflict leaves the same log the scalar path does.
-                let rec = self.rd0_record_stmt("_r + l");
-                if !rec.is_empty() {
-                    let _ = write!(
-                        self.out,
-                        "{{ let _r = {rreg}usize * lanes; for l in 0..lanes {{ {rec}}} }} "
-                    );
-                }
-                self.emit_gate(wreg, 0xe, true, wclean, self.tac.pcs2[i]);
-                let val = self.rd0_val_expr("_r + l");
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _r = {rreg}usize * lanes; let _w = {wreg}usize * lanes; \
-                     let _b = {b}usize * lanes; \
-                     for l in 0..lanes {{ log_rw[_w + l] |= 0x4; \
-                     let _x = {val}; let _y = sp[_b + l]; \
-                     log_d0[_w + l] = {e}; }}"
-                );
-            }
-            Uop::RdBinFast { op, dst, reg, b, mask } => {
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _d = {dst}usize * lanes; \
-                     let _b = {b}usize * lanes; \
-                     for l in 0..lanes {{ let _x = log_d0[_r + l]; \
-                     let _y = sp[_b + l]; sp[_d + l] = {e}; }}"
-                );
-            }
-            Uop::BinWrFast { op, a, b, mask, reg } => {
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _r = {reg}usize * lanes; let _a = {a}usize * lanes; \
-                     let _b = {b}usize * lanes; \
-                     for l in 0..lanes {{ let _x = sp[_a + l]; let _y = sp[_b + l]; \
-                     log_d0[_r + l] = {e}; }}"
-                );
-            }
-            Uop::RdBinWrFast { op, rreg, b, mask, wreg } => {
-                let e = bin_expr(op, "_x", "_y", mask);
-                let _ = write!(
-                    self.out,
-                    "let _r = {rreg}usize * lanes; let _w = {wreg}usize * lanes; \
-                     let _b = {b}usize * lanes; \
-                     for l in 0..lanes {{ let _x = log_d0[_r + l]; \
-                     let _y = sp[_b + l]; log_d0[_w + l] = {e}; }}"
-                );
-            }
-        }
-        let _ = writeln!(self.out, " }}");
-    }
-
-    /// A unary slot-to-slot lane loop (`_x` is the source element).
-    fn emit_map1(&mut self, dst: u16, src: u16, expr: &str) {
-        let _ = write!(
-            self.out,
-            "let _d = {dst}usize * lanes; let _s = {src}usize * lanes; \
-             for l in 0..lanes {{ let _x = sp[_s + l]; sp[_d + l] = {expr}; }}"
-        );
-    }
-
-    /// The relooped body: the same forward-jump-to-labeled-block scheme the
-    /// scalar emitter uses, with the batch falloff backstop.
-    fn emit_body(&mut self) {
-        let mut targets: Vec<usize> = self
-            .tac
-            .uops
-            .iter()
-            .filter_map(|u| match *u {
-                Uop::Jmp(t) => Some(t as usize),
-                Uop::Jz { target, .. } | Uop::BinJz { target, .. } => Some(target as usize),
-                _ => None,
-            })
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        for &t in targets.iter().rev() {
-            let _ = writeln!(self.out, "'l{t}: {{");
-        }
-        let mut close = targets.into_iter().peekable();
-        for i in 0..self.tac.uops.len() {
-            while close.peek() == Some(&i) {
-                close.next();
-                let _ = writeln!(self.out, "}}");
-            }
-            self.emit_uop(i);
-        }
-        while close.next().is_some() {
-            let _ = writeln!(self.out, "}}");
-        }
-        let v = ((self.falloff_ord as u64) << 8) | 5;
-        let _ = writeln!(self.out, "return {v}u64;");
-    }
-}
-
 /// Validates the parts of a lowered rule whose violation would be
 /// undefined behavior (raw-slice indices) or unmappable control flow
 /// (backward jumps) in generated code. Slot indices need no check: an
@@ -1143,21 +646,7 @@ fn validate_rule(prog: &Program, tac: &TacRule, rule_idx: usize) -> Result<(), N
 /// word-arithmetic helpers (exact duplicates of `koika::bits::word`), two
 /// `extern "C"` functions per rule (plain + profiling), and — when the
 /// design is eligible — a whole-design `koika_cycle` fast path.
-///
-/// With `batch_lanes = Some(n)` the crate additionally carries one batched
-/// lock-step entry point per rule, specialized to exactly `n` lanes: the
-/// lane count is baked in as a constant so every lane loop has a
-/// compile-time trip count (no remainder loops, constant stripe offsets),
-/// and the loop bodies live in an inner function taking each SoA plane as
-/// a distinct `&mut` slice, which hands LLVM the no-alias guarantees the
-/// raw `BCtx` pointers cannot express. An engine built with one lane count
-/// must only be driven at that width — the entry points reject any other
-/// `ctx.lanes` with status code `7`.
-fn emit_source(
-    prog: &Program,
-    tac: &TacProgram,
-    batch_lanes: Option<usize>,
-) -> Result<Emitted, NativeError> {
+fn emit_source(prog: &Program, tac: &TacProgram) -> Result<Emitted, NativeError> {
     let cfg = prog.cfg;
     let n = prog.init.len();
     let nrules = prog.rules.len();
@@ -1234,30 +723,11 @@ fn emit_source(
          pub executed: u64,\n\
          }\n",
     );
-    out.push_str(
-        "#[repr(C)]\npub struct BCtx {\n\
-         pub boc: *mut u64,\n\
-         pub cyc_rw: *mut u8,\n\
-         pub log_rw: *mut u8,\n\
-         pub cyc_d0: *mut u64,\n\
-         pub cyc_d1: *mut u64,\n\
-         pub log_d0: *mut u64,\n\
-         pub log_d1: *mut u64,\n\
-         pub cov: *mut u64,\n\
-         pub slots: *mut u64,\n\
-         pub lanes: usize,\n\
-         pub fail_reg: u32,\n\
-         pub pad: u32,\n\
-         }\n",
-    );
     let _ = writeln!(out, "const N: usize = {n};");
     let _ = writeln!(out, "const BOC_LEN: usize = {};", if cfg.no_boc { 0 } else { n });
     let _ = writeln!(out, "const D1_LEN: usize = {};", if cfg.merged_data { 0 } else { n });
     let _ = writeln!(out, "const NCOV: usize = {};", prog.cov.len());
     let _ = writeln!(out, "const NRULES: usize = {nrules};");
-    if let Some(bl) = batch_lanes {
-        let _ = writeln!(out, "const BL: usize = {bl};");
-    }
     // Word-arithmetic helpers: exact duplicates of `koika::bits::word` so
     // the generated code computes bit-for-bit what every interpreter does.
     out.push_str(
@@ -1272,8 +742,7 @@ fn emit_source(
          #[inline(always)]\nfn slt(w: u32, a: u64, b: u64) -> u64 {\n\
          ((sext(w, a) as i64) < (sext(w, b) as i64)) as u64\n}\n\
          #[inline(always)]\nfn concat(low: u32, a: u64, b: u64) -> u64 {\n\
-         if low >= 64 { b } else { (a << low) | b }\n}\n\
-         #[inline(always)]\nfn lmask(c: bool) -> u64 { 0u64.wrapping_sub(c as u64) }\n",
+         if low >= 64 { b } else { (a << low) | b }\n}\n",
     );
 
     let emit_slices = |out: &mut String| {
@@ -1318,103 +787,6 @@ fn emit_source(
             };
             be.emit_body();
             out.push_str("\n} }\n");
-        }
-    }
-
-    // Batched lock-step entry points, only when a lane count was requested.
-    // The `extern "C"` shell turns the `BCtx` pointers into exactly-sized
-    // `&mut` slices (empty planes become zero-length slices, so the
-    // dangling pointers of never-allocated level-elided arrays are fine)
-    // and calls an inner Rust function — distinct `&mut` arguments carry
-    // the no-alias guarantee that lets the lane loops vectorize without
-    // runtime overlap checks, and the baked `BL` trip count removes
-    // remainder loops and makes every stripe offset a constant. Unanimous
-    // outcomes are merged here too (ABI v4): the shell routes code `0`
-    // through the baked commit lane loops and codes `1`/`3` through the
-    // baked rollback, so the host never touches the planes on a lock-step
-    // outcome.
-    if batch_lanes.is_some() {
-        for (k, tr) in tac.rules.iter().enumerate() {
-            let nslots = tr.slot_init.len();
-            let _ = writeln!(
-                out,
-                "fn rule_{k}_batch_go(boc: &mut [u64], cyc_rw: &mut [u8], \
-                 log_rw: &mut [u8], cyc_d0: &mut [u64], log_d0: &mut [u64], \
-                 log_d1: &mut [u64], cov: &mut [u64], sp: &mut [u64], \
-                 fail_reg: &mut u32) -> u64 {{\nlet lanes = BL;"
-            );
-            let mut be = BatchBodyEmitter {
-                cfg,
-                tac: tr,
-                rule_idx: k,
-                trap_ords: &trap_ords,
-                falloff_ord: falloff_ords[k],
-                out: &mut out,
-            };
-            be.emit_body();
-            out.push_str("}\n");
-            let _ = writeln!(
-                out,
-                "fn rule_{k}_batch_commit(cyc_rw: &mut [u8], log_rw: &[u8], \
-                 cyc_d0: &mut [u64], log_d0: &[u64], \
-                 cyc_d1: &mut [u64], log_d1: &[u64]) {{"
-            );
-            emit_batch_commit(&mut out, cfg, &prog.rules[k]);
-            out.push_str("}\n");
-            if cfg.reset_on_fail {
-                let _ = writeln!(
-                    out,
-                    "fn rule_{k}_batch_rollback(cyc_rw: &[u8], log_rw: &mut [u8], \
-                     cyc_d0: &[u64], log_d0: &mut [u64], \
-                     cyc_d1: &[u64], log_d1: &mut [u64]) {{"
-                );
-                emit_batch_rollback(&mut out, cfg, &prog.rules[k]);
-                out.push_str("}\n");
-            }
-            let rollback_arm = if cfg.reset_on_fail {
-                format!(
-                    "else if _c == 1u64 || _c == 3u64 {{\n\
-                     rule_{k}_batch_rollback(\n\
-                     core::slice::from_raw_parts(ctx.cyc_rw, N * BL),\n\
-                     core::slice::from_raw_parts_mut(ctx.log_rw, N * BL),\n\
-                     core::slice::from_raw_parts(ctx.cyc_d0, N * BL),\n\
-                     core::slice::from_raw_parts_mut(ctx.log_d0, N * BL),\n\
-                     core::slice::from_raw_parts(ctx.cyc_d1, D1_LEN * BL),\n\
-                     core::slice::from_raw_parts_mut(ctx.log_d1, D1_LEN * BL));\n\
-                     }}\n"
-                )
-            } else {
-                String::new()
-            };
-            let _ = writeln!(
-                out,
-                "#[no_mangle]\npub extern \"C\" fn koika_rule_{k}_batch(ctx: *mut BCtx) -> u64 {{ \
-                 unsafe {{\n\
-                 let ctx = &mut *ctx;\n\
-                 if ctx.lanes != BL {{ return 7u64; }}\n\
-                 let _r = rule_{k}_batch_go(\n\
-                 core::slice::from_raw_parts_mut(ctx.boc, BOC_LEN * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.cyc_rw, N * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.log_rw, N * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.cyc_d0, N * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.log_d0, N * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.log_d1, D1_LEN * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.cov, NCOV * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.slots, {nslots}usize * BL),\n\
-                 &mut ctx.fail_reg);\n\
-                 let _c = _r & 0xffu64;\n\
-                 if _c == 0u64 {{\n\
-                 rule_{k}_batch_commit(\n\
-                 core::slice::from_raw_parts_mut(ctx.cyc_rw, N * BL),\n\
-                 core::slice::from_raw_parts(ctx.log_rw, N * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.cyc_d0, N * BL),\n\
-                 core::slice::from_raw_parts(ctx.log_d0, N * BL),\n\
-                 core::slice::from_raw_parts_mut(ctx.cyc_d1, D1_LEN * BL),\n\
-                 core::slice::from_raw_parts(ctx.log_d1, D1_LEN * BL));\n\
-                 }} {rollback_arm}\
-                 _r\n\
-                 }} }}"
-            );
         }
     }
 
@@ -1738,98 +1110,12 @@ fn emit_rollback(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
     }
 }
 
-/// Emits one batched stripe copy (`dst[r*BL+l] = src[r*BL+l]` for every
-/// lane) per register in `regs` — constant stripe offsets, constant `BL`
-/// trip count, so each compiles to straight vector moves.
-fn emit_batch_stripe_copies(out: &mut String, dst: &str, src: &str, regs: &[u32]) {
-    for &r in regs {
-        let _ = writeln!(
-            out,
-            "for _l in 0..BL {{ {dst}[{r}usize * BL + _l] = {src}[{r}usize * BL + _l]; }}"
-        );
-    }
-}
-
-/// Baked batched mirror of the host's lock-step commit arm: the same plane
-/// merge `BatchSim::step_rule_batch_inner` performs on a unanimous commit,
-/// as `BL`-wide lane loops. Below `acc_logs` the rule prologue zero-filled
-/// `log_rw`, so a whole-plane branchless blend merges exactly the rule's
-/// own writes; at `acc_logs` levels the rule's [`CopyPlan`] footprint is
-/// unrolled into constant-offset stripe copies.
-fn emit_batch_commit(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
-    if !cfg.acc_logs {
-        out.push_str("for _i in 0..N * BL { cyc_rw[_i] |= log_rw[_i]; }\n");
-        if cfg.merged_data {
-            out.push_str(
-                "for _i in 0..N * BL { let _m = lmask(log_rw[_i] & 0xcu8 != 0); \
-                 cyc_d0[_i] = (log_d0[_i] & _m) | (cyc_d0[_i] & !_m); }\n\
-                 let _ = (cyc_d1, log_d1);\n",
-            );
-        } else {
-            out.push_str(
-                "for _i in 0..N * BL { let _m = lmask(log_rw[_i] & 0x4u8 != 0); \
-                 cyc_d0[_i] = (log_d0[_i] & _m) | (cyc_d0[_i] & !_m); }\n\
-                 for _i in 0..D1_LEN * BL { let _m = lmask(log_rw[_i] & 0x8u8 != 0); \
-                 cyc_d1[_i] = (log_d1[_i] & _m) | (cyc_d1[_i] & !_m); }\n",
-            );
-        }
-        return;
-    }
-    match &rule.commit {
-        CopyPlan::Full => {
-            out.push_str("cyc_rw.copy_from_slice(log_rw);\ncyc_d0.copy_from_slice(log_d0);\n");
-            if !cfg.merged_data {
-                out.push_str("cyc_d1.copy_from_slice(log_d1);\n");
-            } else {
-                out.push_str("let _ = (cyc_d1, log_d1);\n");
-            }
-        }
-        CopyPlan::Footprint { rw, data } => {
-            emit_batch_stripe_copies(out, "cyc_rw", "log_rw", rw);
-            emit_batch_stripe_copies(out, "cyc_d0", "log_d0", data);
-            if !cfg.merged_data {
-                emit_batch_stripe_copies(out, "cyc_d1", "log_d1", data);
-            } else {
-                out.push_str("let _ = (cyc_d1, log_d1);\n");
-            }
-        }
-    }
-}
-
-/// Baked batched mirror of the rollback half of the host's lock-step
-/// failure arm (`reset_on_fail` levels only — below that the next rule's
-/// prologue rebuilds log state and nothing is emitted or called).
-fn emit_batch_rollback(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
-    match &rule.rollback {
-        CopyPlan::Full => {
-            out.push_str("log_rw.copy_from_slice(cyc_rw);\nlog_d0.copy_from_slice(cyc_d0);\n");
-            if !cfg.merged_data {
-                out.push_str("log_d1.copy_from_slice(cyc_d1);\n");
-            } else {
-                out.push_str("let _ = (cyc_d1, log_d1);\n");
-            }
-        }
-        CopyPlan::Footprint { rw, data } => {
-            emit_batch_stripe_copies(out, "log_rw", "cyc_rw", rw);
-            emit_batch_stripe_copies(out, "log_d0", "cyc_d0", data);
-            if !cfg.merged_data {
-                emit_batch_stripe_copies(out, "log_d1", "cyc_d1", data);
-            } else {
-                out.push_str("let _ = (cyc_d1, log_d1);\n");
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Build cache and loading.
 // ---------------------------------------------------------------------------
 
 /// A generated rule/cycle entry point inside the loaded cdylib.
 type RuleFn = unsafe extern "C" fn(*mut NativeCtx) -> u64;
-
-/// A generated batched lock-step rule entry point.
-pub(crate) type BatchFn = unsafe extern "C" fn(*mut NativeBatchCtx) -> u64;
 
 /// A loaded native engine for one `(design, level, coverage)` compilation:
 /// the open cdylib plus its resolved entry points and the host-retained
@@ -1839,7 +1125,6 @@ pub struct NativeEngine {
     _lib: dl::Handle,
     rule_fns: Vec<RuleFn>,
     rule_prof_fns: Vec<RuleFn>,
-    batch_fns: Vec<BatchFn>,
     cycle_fn: Option<RuleFn>,
     traps: Vec<(u32, &'static str)>,
     so_path: PathBuf,
@@ -1855,41 +1140,6 @@ impl NativeEngine {
     pub fn has_cycle_fn(&self) -> bool {
         self.cycle_fn.is_some()
     }
-
-    /// The trap table entry a code-5 return's payload names.
-    pub(crate) fn trap(&self, ord: usize) -> (u32, &'static str) {
-        self.traps[ord]
-    }
-
-    /// The batched lock-step entry point for one rule, as a bare function
-    /// pointer — the hot per-rule path copies this out instead of keeping
-    /// an engine borrow (or touching the `Arc` refcount) across the call.
-    /// Only engines from [`build_engine_batched`] have these.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was built without batched entry points.
-    pub(crate) fn batch_fn(&self, rule_idx: usize) -> BatchFn {
-        self.batch_fns[rule_idx]
-    }
-}
-
-/// Runs one rule's batched lock-step entry point. Returns the scalar
-/// outcome protocol extended with `6` = divergence and `7` = lane-count
-/// mismatch (the engine was built for a different batch width).
-///
-/// The caller guarantees `f` came from [`NativeEngine::batch_fn`] and that
-/// every pointer in `ctx` covers a full `reg * lanes`-shaped plane of the
-/// program the engine was built for, at the lane count it was built for
-/// (planes a level leaves empty are never dereferenced — the emitter baked
-/// the level in), and that `ctx.slots` holds the rule's
-/// `slot_init.len() * lanes` slot file.
-pub(crate) fn run_rule_batch_native(f: BatchFn, ctx: &mut NativeBatchCtx) -> u64 {
-    // SAFETY: per the contract above; the cache key ties the cdylib to the
-    // emitter version, so the symbol has exactly this signature, and the
-    // generated shell re-checks `ctx.lanes` against its baked width before
-    // touching any plane.
-    unsafe { f(ctx) }
 }
 
 impl fmt::Debug for NativeEngine {
@@ -1938,7 +1188,7 @@ fn artifact_stem(prog: &Program, key: u64) -> String {
 /// [`NativeError::Unsupported`] if the lowered program cannot be emitted.
 pub fn cache_path_for(prog: &Program) -> Result<PathBuf, NativeError> {
     let tac = TacProgram::lower(prog);
-    let emitted = emit_source(prog, &tac, None)?;
+    let emitted = emit_source(prog, &tac)?;
     let key = cache_key(prog, &emitted.source);
     Ok(cache_dir().join(format!("{}.so", artifact_stem(prog, key))))
 }
@@ -1949,30 +1199,10 @@ fn engine_cache() -> &'static Mutex<HashMap<u64, Arc<NativeEngine>>> {
 }
 
 /// Emits, builds (or reuses from cache), loads, and resolves the native
-/// engine for `prog` (scalar entry points only).
+/// engine for `prog`.
 pub(crate) fn build_engine(prog: &Program) -> Result<Arc<NativeEngine>, NativeError> {
-    build_engine_inner(prog, None)
-}
-
-/// Like [`build_engine`], but the generated crate additionally carries the
-/// batched lock-step entry points specialized to exactly `lanes` lanes.
-/// The lane count is part of the emitted source and therefore of the cache
-/// key, so every batch width gets (and reuses) its own cdylib; the scalar
-/// entry points inside it are identical to [`build_engine`]'s, which is
-/// what the divergence fallback runs.
-pub(crate) fn build_engine_batched(
-    prog: &Program,
-    lanes: usize,
-) -> Result<Arc<NativeEngine>, NativeError> {
-    build_engine_inner(prog, Some(lanes))
-}
-
-fn build_engine_inner(
-    prog: &Program,
-    batch_lanes: Option<usize>,
-) -> Result<Arc<NativeEngine>, NativeError> {
     let tac = TacProgram::lower(prog);
-    let emitted = emit_source(prog, &tac, batch_lanes)?;
+    let emitted = emit_source(prog, &tac)?;
     let key = cache_key(prog, &emitted.source);
     if let Some(e) = engine_cache().lock().unwrap().get(&key) {
         return Ok(Arc::clone(e));
@@ -1983,7 +1213,6 @@ fn build_engine_inner(
         prog.rules.len(),
         emitted.traps,
         emitted.has_cycle_fn,
-        batch_lanes.is_some(),
     )?);
     engine_cache()
         .lock()
@@ -2067,12 +1296,10 @@ fn load_engine(
     nrules: usize,
     traps: Vec<(u32, &'static str)>,
     has_cycle_fn: bool,
-    has_batch_fns: bool,
 ) -> Result<NativeEngine, NativeError> {
     let lib = dl::open(so_path).map_err(NativeError::Load)?;
     let mut rule_fns = Vec::with_capacity(nrules);
     let mut rule_prof_fns = Vec::with_capacity(nrules);
-    let mut batch_fns = Vec::new();
     for k in 0..nrules {
         let p = dl::sym(&lib, &format!("koika_rule_{k}")).map_err(NativeError::Load)?;
         let pp = dl::sym(&lib, &format!("koika_rule_{k}_prof")).map_err(NativeError::Load)?;
@@ -2080,11 +1307,6 @@ fn load_engine(
         // signature; the cache key ties the cdylib to the emitter version.
         rule_fns.push(unsafe { std::mem::transmute::<*mut std::os::raw::c_void, RuleFn>(p) });
         rule_prof_fns.push(unsafe { std::mem::transmute::<*mut std::os::raw::c_void, RuleFn>(pp) });
-        if has_batch_fns {
-            let pb = dl::sym(&lib, &format!("koika_rule_{k}_batch")).map_err(NativeError::Load)?;
-            // SAFETY: as above.
-            batch_fns.push(unsafe { std::mem::transmute::<*mut std::os::raw::c_void, BatchFn>(pb) });
-        }
     }
     let cycle_fn = if has_cycle_fn {
         let p = dl::sym(&lib, "koika_cycle").map_err(NativeError::Load)?;
@@ -2096,7 +1318,6 @@ fn load_engine(
         _lib: lib,
         rule_fns,
         rule_prof_fns,
-        batch_fns,
         cycle_fn,
         traps,
         so_path: so_path.to_path_buf(),

@@ -4,10 +4,9 @@
 //! (checked both as raw commit sequences and as the FNV-1a digest the
 //! fault-injection campaigns fingerprint with), the same value in every
 //! register, and the same per-rule commit/failure counters and
-//! [`FailInfo`] — at every optimization level, on both lock-step engines
-//! (the micro-op interpreter and the compiled SIMD batch kernels), even
-//! when the lanes start from divergent initial states and stop sharing
-//! control flow.
+//! [`FailInfo`] — at every optimization level, on the micro-op lock-step
+//! engine, even when the lanes start from divergent initial states and
+//! stop sharing control flow.
 //!
 //! This is the oracle that licenses the batched campaign and fuzz paths:
 //! if a lane is bit-identical to a scalar run, any report built from lane
@@ -47,9 +46,8 @@ fn commit_digest(commits: &[u32]) -> u64 {
     })
 }
 
-/// The interpreted lock-step engine, always available (every interpreted
-/// dispatch selects it). The native dispatch is appended by the callers
-/// that can afford a compile, gated on the toolchain.
+/// The lock-step engine, always available (every interpreted dispatch
+/// selects it; a batch has no native engine).
 const INTERPRETED: [Dispatch; 1] = [Dispatch::Tac];
 
 /// Runs `lanes` lanes of the batched engine against `lanes` independent
@@ -163,17 +161,6 @@ fn assert_all_levels(td: &TDesign, lanes: usize, cycles: usize, seed: u64) {
     }
 }
 
-/// Every optimization level under the compiled native dispatch (a no-op
-/// without a toolchain — CI always has one).
-fn assert_all_levels_native(td: &TDesign, lanes: usize, cycles: usize, seed: u64) {
-    if !toolchain_available() {
-        return;
-    }
-    for level in OptLevel::ALL {
-        assert_lanes_match_scalar(td, level, Dispatch::Native, lanes, cycles, seed);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Directed cases
 // ---------------------------------------------------------------------------
@@ -213,7 +200,6 @@ fn collatz_like() -> TDesign {
 fn divergent_branches_across_lanes() {
     let td = collatz_like();
     assert_all_levels(&td, 8, 64, 0xD1CE);
-    assert_all_levels_native(&td, 8, 64, 0xD1CE);
 }
 
 /// Guard-failure asymmetry: some lanes' rules abort while others commit,
@@ -231,11 +217,9 @@ fn mixed_guard_failures() {
     b.schedule(["gated", "bump"]);
     let td = check(&b.build()).expect("well-typed");
     assert_all_levels(&td, 5, 48, 0xBEEF);
-    assert_all_levels_native(&td, 5, 48, 0xBEEF);
 }
 
-/// Identical lanes must stay in pure lock-step and still match scalar,
-/// on both lock-step engines, including the compiled batch kernels.
+/// Identical lanes must stay in pure lock-step and still match scalar.
 #[test]
 fn identical_lanes_lockstep() {
     let mut b = DesignBuilder::new("lockstep");
@@ -245,12 +229,8 @@ fn identical_lanes_lockstep() {
         vec![wr0("acc", rd0("acc").mul(k(32, 1664525)).add(k(32, 1013904223)))],
     );
     let td = check(&b.build()).expect("well-typed");
-    let mut dispatches = INTERPRETED.to_vec();
-    if toolchain_available() {
-        dispatches.push(Dispatch::Native);
-    }
     for level in OptLevel::ALL {
-        for &dispatch in &dispatches {
+        for dispatch in INTERPRETED {
             let opts = CompileOptions {
                 level,
                 ..CompileOptions::default()
@@ -295,14 +275,13 @@ fn identical_lanes_lockstep() {
 fn one_lane_degenerates_to_scalar() {
     let td = check(&random_design(42)).expect("well-typed");
     assert_all_levels(&td, 1, 32, 7);
-    assert_all_levels_native(&td, 1, 32, 7);
 }
 
 /// `--batch 1` byte-identity: a single-lane batch and a scalar VM started
 /// from the same state must agree on *every* observable — the commit
 /// stream, all registers, the per-rule counters, the failure info, and
-/// the rendered VCD waveform, byte for byte — under every dispatch, each
-/// selected on both sides (the batch runs its lock-step engine for it).
+/// the rendered VCD waveform, byte for byte — against a scalar VM under
+/// every dispatch (the batch always runs its one lock-step engine).
 #[test]
 fn batch_of_one_is_byte_identical_to_scalar() {
     let td = collatz_like();
@@ -312,7 +291,6 @@ fn batch_of_one_is_byte_identical_to_scalar() {
     for dispatch in dispatches {
         let opts = CompileOptions::default();
         let mut batch = BatchSim::compile_with(&td, &opts, 1).unwrap();
-        batch.set_dispatch(dispatch);
         let mut scalar = Sim::compile_with(&td, &opts).unwrap();
         scalar.set_dispatch(dispatch);
         let mut batch_vcd = VcdRecorder::all_registers(&td);
@@ -361,16 +339,12 @@ fn batch_of_one_is_byte_identical_to_scalar() {
 
 /// The lock-step accounting invariant, pinned on its own against a design
 /// that mixes all three outcomes (commit, clean failure, divergence):
-/// every scheduled rule lands in exactly one counter on every engine,
-/// and this scenario genuinely exercises both paths.
+/// every scheduled rule lands in exactly one counter, and this scenario
+/// genuinely exercises both paths.
 #[test]
 fn lockstep_fallback_counters_account_for_every_rule() {
     let td = collatz_like();
-    let mut dispatches = INTERPRETED.to_vec();
-    if toolchain_available() {
-        dispatches.push(Dispatch::Native);
-    }
-    for dispatch in dispatches {
+    for dispatch in INTERPRETED {
         let (lockstep, fallback) =
             assert_lanes_match_scalar(&td, OptLevel::max(), dispatch, 8, 64, 0xD1CE);
         assert!(
@@ -378,94 +352,6 @@ fn lockstep_fallback_counters_account_for_every_rule() {
             "{}: the divergence scenario must exercise both counters \
              (lockstep {lockstep}, fallback {fallback})",
             dispatch.short_name(),
-        );
-    }
-}
-
-/// Switching engines mid-run (tac → native → tac) with divergent lanes
-/// keeps every lane bit-identical to its scalar run: the two engines share
-/// one slot file per rule, and a lock-step failure the native engine left
-/// pending as the shared uniform `FailInfo` must reach every lane before
-/// the interpreter records per-lane failures over it.
-#[test]
-fn dispatch_switches_mid_run_stay_bit_identical() {
-    if !toolchain_available() {
-        return;
-    }
-    // `x` is the same in every lane, so `even_x` and `odd_x` fail in
-    // lock-step on alternate cycles; `y` is seeded per lane, so `ystep`
-    // diverges. `odd_x` runs after the divergence, so a native cycle with
-    // even `x` ends with its failure pending, and the next cycle's first
-    // rule fails again on whichever engine is selected by then.
-    let mut b = DesignBuilder::new("switch");
-    b.reg("x", 8, 0u64);
-    b.reg("y", 16, 7u64);
-    b.reg("seen", 8, 0u64);
-    b.rule(
-        "even_x",
-        vec![
-            guard(rd0("x").bit(0).eq(k(1, 0))),
-            wr0("seen", rd0("seen").add(k(8, 1))),
-        ],
-    );
-    b.rule(
-        "ystep",
-        vec![
-            let_("y0", rd0("y")),
-            iff(
-                var("y0").bit(0).eq(k(1, 1)),
-                vec![wr0("y", var("y0").mul(k(16, 3)).add(k(16, 1)))],
-                vec![wr0("y", var("y0").shr(k(4, 1)))],
-            ),
-        ],
-    );
-    b.rule(
-        "odd_x",
-        vec![
-            guard(rd0("x").bit(0).eq(k(1, 1))),
-            wr1("seen", rd1("seen").xor(k(8, 0x5a))),
-        ],
-    );
-    b.rule("bump", vec![wr0("x", rd0("x").add(k(8, 1)))]);
-    b.schedule(["even_x", "ystep", "odd_x", "bump"]);
-    let td = check(&b.build()).expect("well-typed");
-    let y = td.reg_id("y");
-    for level in OptLevel::ALL {
-        let opts = CompileOptions {
-            level,
-            ..CompileOptions::default()
-        };
-        let mut batch = BatchSim::compile_with(&td, &opts, 4).unwrap();
-        let mut scalars: Vec<Sim> = (0..4)
-            .map(|_| Sim::compile_with(&td, &opts).unwrap())
-            .collect();
-        for (lane, seed) in [7u64, 6, 27, 9].into_iter().enumerate() {
-            batch.lane_set64(lane, y, seed);
-            scalars[lane].set64(y, seed);
-        }
-        // Tac for cycles [0, 41), native for [41, 83), tac after: the last
-        // native cycle (82) has even `x`.
-        for cycle in 0..128 {
-            match cycle {
-                41 => batch.set_dispatch(Dispatch::Native),
-                83 => batch.set_dispatch(Dispatch::Tac),
-                _ => {}
-            }
-            batch.cycle().unwrap();
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                let mut commits = Vec::new();
-                scalar.cycle_obs(&mut CommitRec(&mut commits));
-                let what = format!("{level}, cycle {cycle}, lane {lane}");
-                assert_eq!(batch.lane_commits(lane), commits.as_slice(), "{what}");
-                assert_eq!(batch.lane_reg_values(lane), scalar.reg_values(), "{what}");
-                assert_eq!(batch.lane_fired_per_rule(lane), scalar.fired_per_rule(), "{what}");
-                assert_eq!(batch.lane_fails_per_rule(lane), scalar.fails_per_rule(), "{what}");
-                assert_eq!(batch.lane_last_fail(lane), scalar.last_fail(), "{what}");
-            }
-        }
-        assert!(
-            batch.lockstep_rules() > 0 && batch.fallback_rules() > 0,
-            "{level}: the scenario must exercise both paths",
         );
     }
 }
@@ -478,9 +364,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// The batched matrix: random design x divergent lane inits x every
     /// optimization level on the interpreted engine, lanes bit-compared
-    /// to scalar runs each cycle. (The native dispatch replays the pinned
-    /// corpus below instead — a fresh `rustc` invocation per proptest case
-    /// would dwarf the signal.)
+    /// to scalar runs each cycle.
     #[test]
     fn random_designs_batched_vs_scalar(seed in any::<u64>(), lanes in 2usize..6) {
         let design = random_design(seed);
@@ -490,32 +374,17 @@ proptest! {
 }
 
 /// The checked-in corpus: seeds whose generated designs exercise rich
-/// divergence patterns, replayed deterministically on every run through
-/// both engines — including the compiled SIMD batch path, which the
-/// proptest matrix above skips. Across the corpus the native path must
-/// actually leave lock-step at least once, so the per-lane fallback seam
-/// (gather, compiled scalar re-run, scatter) is genuinely traversed.
+/// divergence patterns, replayed deterministically on every run at the
+/// lowest and highest optimization levels.
 #[test]
-fn corpus_replays_through_all_dispatches() {
+fn corpus_replays_through_the_lock_step_engine() {
     const CORPUS: [(u64, usize); 4] = [(42, 4), (0xC0FFEE, 5), (0xFEED_5EED, 3), (7, 2)];
-    let mut native_fallbacks = 0;
     for (seed, lanes) in CORPUS {
         let td = check(&random_design(seed)).expect("well-typed");
-        for dispatch in INTERPRETED {
-            assert_lanes_match_scalar(&td, OptLevel::max(), dispatch, lanes, 24, seed);
-        }
-        if toolchain_available() {
-            for level in [OptLevel::ALL[0], OptLevel::max()] {
-                let (_, fb) =
-                    assert_lanes_match_scalar(&td, level, Dispatch::Native, lanes, 24, seed);
-                native_fallbacks += fb;
+        for level in [OptLevel::ALL[0], OptLevel::max()] {
+            for dispatch in INTERPRETED {
+                assert_lanes_match_scalar(&td, level, dispatch, lanes, 24, seed);
             }
         }
-    }
-    if toolchain_available() {
-        assert!(
-            native_fallbacks > 0,
-            "corpus must exercise the native divergence fallback",
-        );
     }
 }

@@ -3,7 +3,7 @@
 //! extreme concatenation splits, shift counts at and past the operand
 //! width) are run cycle-by-cycle against the reference interpreter on
 //! every VM optimization level, under every dispatch engine, and through
-//! both batched lock-step engines.
+//! the batched lock-step engine.
 //!
 //! These are the widths where the PR-5 bugfix sweep found real bugs
 //! (`ConcatShift` shifting by >= 64 without a guard or result mask,
@@ -22,10 +22,9 @@ use koika::Interp;
 /// past every operand width.
 const CYCLES: usize = 96;
 
-/// The distinct batched lock-step engines: every interpreted dispatch
-/// selects the micro-op interpreter, so the batched rows run it and the
-/// compiled lane loops.
-const BATCH_ENGINES: [Dispatch; 2] = [Dispatch::Tac, Dispatch::Native];
+/// The batched lock-step engine: every interpreted dispatch selects the
+/// micro-op interpreter, and a batch has no native engine.
+const BATCH_ENGINES: [Dispatch; 1] = [Dispatch::Tac];
 
 /// Per-cycle full-register-file trace on the reference interpreter.
 fn interp_trace(td: &TDesign, cycles: usize) -> Vec<Vec<u64>> {
@@ -103,9 +102,7 @@ fn assert_all_backends_agree(design: &koika::Design) {
 
     // Batch-width sweep: the lane dimension has boundaries of its own — a
     // single lane, a width that straddles the fixed SIMD chunks, one and
-    // two full 64-lane chunks — and the compiled batch kernels specialize
-    // on the exact lane count, so each width is a distinct code path.
-    // Swept at the top optimization level on every lock-step engine (the
+    // two full 64-lane chunks. Swept at the top optimization level (the
     // level dimension is already covered at a fixed width above).
     let opts = CompileOptions {
         level: OptLevel::max(),

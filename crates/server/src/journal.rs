@@ -6,8 +6,8 @@
 //! A session's canonical state is pure data (snapshot + device blobs),
 //! and stepping it is **deterministic**: given the design, the backend,
 //! the devices, and the pending injections, replaying `step n` commits
-//! byte-identical state every time (the differential-fuzz matrix and the
-//! batch-packing proofs already rest on this). So durability does not
+//! byte-identical state every time (the differential-fuzz matrix already
+//! rests on this). So durability does not
 //! require writing megabytes of register state on every request — it is
 //! enough to record the *operations*. Recovery is then: load the newest
 //! checkpoint spool, deterministically re-execute the journal tail, and

@@ -26,10 +26,9 @@
 //!   [`koika::fault::Watchdog`] (cycle / stall / wall budgets). The wall
 //!   clock is paused whenever the session is idle or evicted, so a slow
 //!   client or a long eviction never counts against the budget.
-//! * **Batch-lane packing** — concurrent `step` requests for the same
-//!   design are packed into one [`cuttlesim::batch::BatchSim`] lock-step
-//!   engine; per-lane results are bit-identical to scalar execution, so
-//!   packing is purely a throughput optimization.
+//! * **Parallel steps** — the requests queued when the dispatcher wakes
+//!   run as one round on the [`koika::runner`] worker pool, one scalar
+//!   engine per step, each checked out of a per-design pool.
 //! * **Graceful drain** — a `shutdown` request finishes in-flight steps,
 //!   spills every remaining live session to the spool directory, closes
 //!   the listener, and returns final statistics.

@@ -34,9 +34,6 @@ pub struct TenantCounters {
     pub watchdog_trips: u64,
     /// Requests shed with a `busy` reply (full table or full queue).
     pub busy_rejections: u64,
-    /// Steps executed inside a packed batch lane rather than a scalar
-    /// engine.
-    pub packed_steps: u64,
     /// Sessions rebuilt from the state directory (journal replay) after a
     /// server restart.
     pub recovered_sessions: u64,
@@ -86,7 +83,7 @@ impl ServerMetrics {
                 "\"{}\":{{\"sessions_created\":{},\"sessions_closed\":{},\"steps\":{},\
                  \"cycles\":{},\"injections\":{},\"evictions\":{},\"rehydrations\":{},\
                  \"panics_contained\":{},\"watchdog_trips\":{},\"busy_rejections\":{},\
-                 \"packed_steps\":{},\"recovered_sessions\":{},\"journal_truncations\":{},\
+                 \"recovered_sessions\":{},\"journal_truncations\":{},\
                  \"chaos_faults\":{}}}",
                 crate::json::escape(name),
                 t.sessions_created,
@@ -99,7 +96,6 @@ impl ServerMetrics {
                 t.panics_contained,
                 t.watchdog_trips,
                 t.busy_rejections,
-                t.packed_steps,
                 t.recovered_sessions,
                 t.journal_truncations,
                 t.chaos_faults,
@@ -151,9 +147,6 @@ impl ServerMetrics {
             }),
             ("koika_server_busy_rejections_total", "Requests shed with busy replies.", |t| {
                 t.busy_rejections
-            }),
-            ("koika_server_packed_steps_total", "Steps executed in packed batch lanes.", |t| {
-                t.packed_steps
             }),
             ("koika_server_recovered_sessions_total", "Sessions rebuilt by journal replay.", |t| {
                 t.recovered_sessions

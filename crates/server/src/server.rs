@@ -1,5 +1,5 @@
 //! The TCP front end: wire protocol, admission control, the step
-//! dispatcher with batch-lane packing, and graceful drain.
+//! dispatcher, and graceful drain.
 //!
 //! # Wire protocol
 //!
@@ -58,8 +58,6 @@ use crate::session::{
     req_cached, req_store, req_store_bounded, spill, spool_bytes, unspill, BackendKind,
     DesignProvider, EnginePool, EvictedStub, ReqWindow, SessionBody, SessionSlot, SessionTable,
 };
-use koika::bits::Bits;
-use koika::device::{Device, LaneAccess, RegAccess};
 use koika::fault::{ArmedWatchdog, Injection, TripKind, Watchdog, WatchdogTrip};
 use koika::obs::Observer;
 use koika::runner::{contain, run_jobs, JobError, RunnerConfig};
@@ -100,13 +98,6 @@ pub struct ServerConfig {
     /// loop). `None` disables automatic eviction; explicit `evict`
     /// requests always work.
     pub idle_evict: Option<Duration>,
-    /// Minimum same-design step requests in one dispatch round before
-    /// they are packed into a batch engine.
-    pub batch_min: usize,
-    /// How long the dispatcher waits for more requests before executing
-    /// a round. Zero (the default) adds no latency: packing then happens
-    /// only when requests are already queued.
-    pub batch_window: Duration,
     /// Largest `n` accepted by a single `step`.
     pub max_step: u64,
     /// Cap on events returned by one `stream-trace`.
@@ -138,8 +129,6 @@ impl Default for ServerConfig {
             spool_dir: std::env::temp_dir()
                 .join(format!("koika-server-spool-{}", std::process::id())),
             idle_evict: None,
-            batch_min: 2,
-            batch_window: Duration::ZERO,
             max_step: 1_000_000,
             max_trace: 4096,
             state_dir: None,
@@ -392,7 +381,6 @@ enum StepVerdict {
     Done {
         cycles: u64,
         fired: u64,
-        packed: bool,
         events: Vec<(u64, usize)>,
         truncated: bool,
     },
@@ -405,40 +393,6 @@ enum StepVerdict {
     Fatal { msg: String },
     /// The step panicked; the session is torn down.
     Panic { msg: String },
-}
-
-/// One unit of work for the runner: a lone step, or a packed group that
-/// shares a batch engine.
-enum Job {
-    Single(usize),
-    Packed(Vec<usize>),
-}
-
-/// Splits a dispatch round into jobs. Tasks are packable when the
-/// planner gave them a pack key (same design, same `n`); groups smaller
-/// than `batch_min` degrade to singles. Order within the round is
-/// preserved for singles and first-seen for groups, so planning is
-/// deterministic given the task order.
-fn plan_jobs(keys: &[Option<(String, u64)>], batch_min: usize) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    let mut groups: Vec<((String, u64), Vec<usize>)> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        match key {
-            None => jobs.push(Job::Single(i)),
-            Some(k) => match groups.iter_mut().find(|(gk, _)| gk == k) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((k.clone(), vec![i])),
-            },
-        }
-    }
-    for (_, members) in groups {
-        if members.len() >= batch_min.max(2) {
-            jobs.push(Job::Packed(members));
-        } else {
-            jobs.extend(members.into_iter().map(Job::Single));
-        }
-    }
-    jobs
 }
 
 fn trip_kind_label(kind: TripKind) -> &'static str {
@@ -490,11 +444,10 @@ impl Observer for TraceObs {
 /// finishes (or at a deterministic trip boundary), so a panic or a
 /// retried wall trip always leaves the pre-step state intact.
 ///
-/// A wall trip returns [`JobError::Transient`] when `allow_retry`, after
-/// rewinding the wall budget to the step's starting mark — the failed
-/// attempt consumes no budget, and the runner's seeded backoff retries
-/// it.
-fn run_single(task: &mut StepTask, shared: &Shared, allow_retry: bool) -> Result<(), JobError> {
+/// A wall trip returns [`JobError::Transient`] after rewinding the wall
+/// budget to the step's starting mark — the failed attempt consumes no
+/// budget, and the runner's seeded backoff retries it.
+fn run_single(task: &mut StepTask, shared: &Shared) -> Result<(), JobError> {
     let body = &mut task.body;
     let mut engine = match lock(&shared.pool).checkout_scalar(&body.design_name, &body.td, body.backend)
     {
@@ -555,7 +508,7 @@ fn run_single(task: &mut StepTask, shared: &Shared, allow_retry: bool) -> Result
         let commits = engine.rules_fired().wrapping_sub(before);
         if let Some(wd) = body.watchdog.as_mut() {
             if let Some(trip) = wd.observe(engine.cycle_count(), commits) {
-                if trip.kind == TripKind::Wall && allow_retry {
+                if trip.kind == TripKind::Wall {
                     // Machine-dependent: forgive the wall time this
                     // attempt burned and let the runner retry it.
                     wd.wall_rewind_to(mark.unwrap_or_default());
@@ -585,202 +538,11 @@ fn run_single(task: &mut StepTask, shared: &Shared, allow_retry: bool) -> Result
         None => StepVerdict::Done {
             cycles: body.snap.cycles,
             fired: body.snap.fired,
-            packed: false,
             events: tracer.events,
             truncated: tracer.truncated,
         },
     });
     Ok(())
-}
-
-/// Runs a packed group of same-design, same-`n` steps on one
-/// [`cuttlesim::batch::BatchSim`], one session per lane. Per-lane
-/// observables are bit-identical to scalar execution, so packing is
-/// invisible to clients.
-///
-/// The whole batch attempt runs inside [`contain`]; a panicking lane (or
-/// a batch `VmError`) falls the *unfinished* members back to individually
-/// contained scalar runs, so one poisoned session still takes down only
-/// itself. Watchdog trips finalize a lane at its trip boundary (wall
-/// trips included — packed steps never retry) and the lane is simply
-/// ignored for the rest of the batch.
-fn run_packed(tasks: &mut [&mut StepTask], shared: &Shared) {
-    let n = tasks[0].n;
-    let design_name = tasks[0].body.design_name.clone();
-    let td = Arc::clone(&tasks[0].body.td);
-    let lanes = tasks.len();
-    let attempt = contain(|| run_packed_attempt(tasks, shared, &design_name, &td, lanes, n));
-    match attempt {
-        Ok(Ok(())) => {}
-        Ok(Err(_)) | Err(_) => {
-            // Batch engine failed mid-flight. Finalized lanes already
-            // committed; rerun the rest on scalar engines, each attempt
-            // contained on its own.
-            for task in tasks.iter_mut() {
-                if task.verdict.is_some() {
-                    continue;
-                }
-                if let Some(wd) = task.body.watchdog.as_mut() {
-                    wd.pause();
-                }
-                let res = contain(|| run_single(task, shared, false));
-                if let Err(msg) = res {
-                    task.verdict = Some(StepVerdict::Panic { msg });
-                }
-            }
-        }
-    }
-    for task in tasks.iter_mut() {
-        if task.verdict.is_none() {
-            task.verdict = Some(StepVerdict::Fatal {
-                msg: "packed step produced no verdict".into(),
-            });
-        }
-    }
-}
-
-/// The contained body of [`run_packed`]: everything that may touch a
-/// poisoned design.
-fn run_packed_attempt(
-    tasks: &mut [&mut StepTask],
-    shared: &Shared,
-    design_name: &str,
-    td: &Arc<TDesign>,
-    lanes: usize,
-    n: u64,
-) -> Result<(), String> {
-    let nregs = td.num_regs();
-    let nrules = td.rules.len();
-    let mut engine = lock(&shared.pool).checkout_batch(design_name, td, lanes)?;
-    // Restore every lane from its session snapshot. Packing requires
-    // `fits_u64`, so `low_u64` is exact.
-    let mut base = vec![0u64; lanes];
-    let mut fired0 = vec![0u64; lanes];
-    let mut fpr0: Vec<Vec<u64>> = Vec::with_capacity(lanes);
-    let mut devices: Vec<Vec<Box<dyn Device + Send>>> = Vec::with_capacity(lanes);
-    for (lane, task) in tasks.iter_mut().enumerate() {
-        let body = &mut task.body;
-        for r in 0..nregs {
-            engine.lane_set64(lane, koika::tir::RegId(r as u32), body.snap.regs[r].low_u64());
-        }
-        base[lane] = body.snap.cycles;
-        fired0[lane] = engine.lane_fired(lane);
-        fpr0.push(engine.lane_fired_per_rule(lane));
-        let mut devs = shared.provider.devices(&body.design_name, &body.td);
-        for (d, blob) in devs.iter_mut().zip(&body.dev_blobs) {
-            if let Some(bytes) = blob {
-                d.load_state(bytes)
-                    .map_err(|e| format!("restoring device state: {e}"))?;
-            }
-        }
-        devices.push(devs);
-        if let Some(wd) = body.watchdog.as_mut() {
-            wd.resume();
-        }
-    }
-    let mut active = vec![true; lanes];
-    let mut live = lanes;
-    for k in 0..n {
-        for lane in 0..lanes {
-            if !active[lane] {
-                continue;
-            }
-            let cycle = base[lane] + k;
-            let mut la = LaneAccess::new(&mut engine, lane);
-            for d in devices[lane].iter_mut() {
-                d.tick(cycle, &mut la);
-            }
-            for inj in tasks[lane].body.pending.iter().filter(|i| i.cycle == cycle) {
-                let old = la.get64(inj.reg);
-                la.set64(inj.reg, old ^ (1u64 << inj.bit));
-            }
-        }
-        let prev: Vec<u64> = (0..lanes).map(|l| engine.lane_fired(l)).collect();
-        engine.cycle().map_err(|e| format!("batch cycle error: {e}"))?;
-        for lane in 0..lanes {
-            if !active[lane] {
-                continue;
-            }
-            let commits = engine.lane_fired(lane).wrapping_sub(prev[lane]);
-            let trip = match tasks[lane].body.watchdog.as_mut() {
-                Some(wd) => wd.observe(base[lane] + k + 1, commits),
-                None => None,
-            };
-            if let Some(trip) = trip {
-                finalize_lane(&mut *tasks[lane], &engine, lane, k + 1, &fired0, &fpr0, &devices[lane], nrules);
-                tasks[lane].verdict = Some(StepVerdict::Trip { trip });
-                active[lane] = false;
-                live -= 1;
-            }
-        }
-        if live == 0 {
-            break;
-        }
-    }
-    for lane in 0..lanes {
-        if !active[lane] {
-            continue;
-        }
-        finalize_lane(&mut *tasks[lane], &engine, lane, n, &fired0, &fpr0, &devices[lane], nrules);
-        tasks[lane].verdict = Some(StepVerdict::Done {
-            cycles: tasks[lane].body.snap.cycles,
-            fired: tasks[lane].body.snap.fired,
-            packed: true,
-            events: Vec::new(),
-            truncated: false,
-        });
-    }
-    lock(&shared.pool).checkin_batch(design_name, lanes, engine);
-    Ok(())
-}
-
-/// Commits one lane's state back into its session body: a snapshot
-/// rebuilt from the lane registers plus counter deltas accumulated on
-/// top of the pre-step snapshot.
-#[allow(clippy::too_many_arguments)]
-fn finalize_lane(
-    task: &mut StepTask,
-    engine: &cuttlesim::batch::BatchSim,
-    lane: usize,
-    cycles_run: u64,
-    fired0: &[u64],
-    fpr0: &[Vec<u64>],
-    devices: &[Box<dyn Device + Send>],
-    nrules: usize,
-) {
-    let body = &mut task.body;
-    if let Some(wd) = body.watchdog.as_mut() {
-        wd.pause();
-    }
-    let td = &body.td;
-    let regs: Vec<Bits> = (0..td.num_regs())
-        .map(|r| {
-            Bits::new(
-                td.regs[r].width,
-                engine.lane_get64(lane, koika::tir::RegId(r as u32)),
-            )
-        })
-        .collect();
-    let mut fpr = if body.snap.fired_per_rule.len() == nrules {
-        body.snap.fired_per_rule.clone()
-    } else {
-        vec![0; nrules]
-    };
-    let now_fpr = engine.lane_fired_per_rule(lane);
-    for (r, slot) in fpr.iter_mut().enumerate() {
-        *slot += now_fpr[r].wrapping_sub(fpr0[lane][r]);
-    }
-    body.snap = Snapshot {
-        design: td.name.clone(),
-        cycles: body.snap.cycles + cycles_run,
-        fired: body.snap.fired + engine.lane_fired(lane).wrapping_sub(fired0[lane]),
-        fingerprint: td.fingerprint(),
-        fired_per_rule: fpr,
-        regs,
-    };
-    body.dev_blobs = devices.iter().map(|d| d.save_state()).collect();
-    let done = body.snap.cycles;
-    body.pending.retain(|i| i.cycle >= done);
 }
 
 // ---------------------------------------------------------------------------
@@ -797,48 +559,16 @@ fn dispatcher(shared: Arc<Shared>, rx: Receiver<StepTask>) {
         while let Ok(t) = rx.try_recv() {
             tasks.push(t);
         }
-        if shared.cfg.batch_window > Duration::ZERO {
-            let deadline = Instant::now() + shared.cfg.batch_window;
-            while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-                if left.is_zero() {
-                    break;
-                }
-                match rx.recv_timeout(left) {
-                    Ok(t) => tasks.push(t),
-                    Err(_) => break,
-                }
-            }
-        }
         execute_round(&shared, tasks);
     }
 }
 
 fn execute_round(shared: &Shared, tasks: Vec<StepTask>) {
-    let keys: Vec<Option<(String, u64)>> = tasks
-        .iter()
-        .map(|t| {
-            let packable = !t.trace
-                && t.n > 0
-                && t.body.backend == BackendKind::Cuttlesim
-                && t.body.td.fits_u64();
-            packable.then(|| (t.body.design_name.clone(), t.n))
-        })
-        .collect();
-    let jobs = plan_jobs(&keys, shared.cfg.batch_min);
     let slots: Vec<Mutex<StepTask>> = tasks.into_iter().map(Mutex::new).collect();
     let (reports, _) = run_jobs(
-        jobs.len(),
+        slots.len(),
         &shared.cfg.runner,
-        |ji| match &jobs[ji] {
-            Job::Single(i) => run_single(&mut lock(&slots[*i]), shared, true),
-            Job::Packed(is) => {
-                let mut guards: Vec<_> = is.iter().map(|&i| lock(&slots[i])).collect();
-                let mut refs: Vec<&mut StepTask> =
-                    guards.iter_mut().map(|g| &mut **g).collect();
-                run_packed(&mut refs, shared);
-                Ok(())
-            }
-        },
+        |i| run_single(&mut lock(&slots[i]), shared),
         None,
     );
     let mut tasks: Vec<Option<StepTask>> = slots
@@ -846,19 +576,8 @@ fn execute_round(shared: &Shared, tasks: Vec<StepTask>) {
         .map(|m| Some(m.into_inner().unwrap_or_else(PoisonError::into_inner)))
         .collect();
     for report in reports {
-        let job_err = report.result.err();
-        match &jobs[report.index] {
-            Job::Single(i) => {
-                let task = tasks[*i].take().expect("each task finishes once");
-                finish_task(shared, task, job_err);
-            }
-            Job::Packed(is) => {
-                for &i in is {
-                    let task = tasks[i].take().expect("each task finishes once");
-                    finish_task(shared, task, None);
-                }
-            }
-        }
+        let task = tasks[report.index].take().expect("each task finishes once");
+        finish_task(shared, task, report.result.err());
     }
 }
 
@@ -884,7 +603,6 @@ fn finish_task(shared: &Shared, mut task: StepTask, job_err: Option<JobError>) {
         StepVerdict::Done {
             cycles,
             fired,
-            packed,
             events,
             truncated,
         } => {
@@ -893,9 +611,6 @@ fn finish_task(shared: &Shared, mut task: StepTask, job_err: Option<JobError>) {
                 let t = m.tenant(&tenant);
                 t.steps += 1;
                 t.cycles += cycles_run;
-                if *packed {
-                    t.packed_steps += 1;
-                }
             }
             let mut reply =
                 format!("{{\"ok\":true,\"session\":{id},\"cycles\":{cycles},\"fired\":{fired}");
@@ -2348,43 +2063,6 @@ fn replay_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn key(d: &str, n: u64) -> Option<(String, u64)> {
-        Some((d.to_string(), n))
-    }
-
-    #[test]
-    fn planner_packs_same_design_same_n_groups() {
-        let keys = vec![
-            key("a", 10),
-            None,
-            key("a", 10),
-            key("b", 10),
-            key("a", 5),
-            key("a", 10),
-        ];
-        let jobs = plan_jobs(&keys, 2);
-        let mut singles = Vec::new();
-        let mut packed = Vec::new();
-        for j in &jobs {
-            match j {
-                Job::Single(i) => singles.push(*i),
-                Job::Packed(is) => packed.push(is.clone()),
-            }
-        }
-        // The three (a, 10) tasks pack; everything else is single.
-        assert_eq!(packed, vec![vec![0, 2, 5]]);
-        singles.sort_unstable();
-        assert_eq!(singles, vec![1, 3, 4]);
-    }
-
-    #[test]
-    fn planner_degrades_small_groups_to_singles() {
-        let keys = vec![key("a", 1), key("b", 1)];
-        let jobs = plan_jobs(&keys, 2);
-        assert_eq!(jobs.len(), 2);
-        assert!(jobs.iter().all(|j| matches!(j, Job::Single(_))));
-    }
 
     #[test]
     fn watchdog_parse_reads_all_budgets() {

@@ -13,9 +13,9 @@
 //! * **panic containment** never leaves a half-mutated session behind —
 //!   the commit happens only after a step fully succeeds, so a contained
 //!   panic (or a retried wall trip) observes the pre-step state intact;
-//! * **batch packing** is free to run a session's step on a completely
-//!   different engine (a [`BatchSim`] lane), because all engines restore
-//!   from and produce the same portable snapshots.
+//! * **engine choice** is free per step: any pooled engine of the
+//!   session's backend can run it, because all engines restore from and
+//!   produce the same portable snapshots.
 //!
 //! The armed watchdog stays in memory even while a session is evicted —
 //! it is a few dozen bytes, and keeping it live (paused) is what makes
@@ -23,7 +23,6 @@
 //! [`std::time::Instant`]s.
 
 use crate::journal::Journal;
-use cuttlesim::batch::BatchSim;
 use cuttlesim::{CompileOptions, Sim};
 use koika::device::{Device, SimBackend};
 use koika::fault::{ArmedWatchdog, Injection};
@@ -54,7 +53,7 @@ pub trait DesignProvider: Send + Sync {
     fn devices(&self, name: &str, td: &TDesign) -> Vec<Box<dyn Device + Send>>;
 }
 
-/// Which scalar engine a session steps on when it is not batch-packed.
+/// Which engine a session steps on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The reference interpreter — always available, any register width.
@@ -346,7 +345,6 @@ pub fn unspill(path: &Path, keep: bool) -> Result<(Snapshot, DeviceBlobs), Strin
 #[derive(Default)]
 pub struct EnginePool {
     scalar: HashMap<(String, BackendKind), Vec<Box<dyn SimBackend + Send>>>,
-    batch: HashMap<(String, usize), Vec<BatchSim>>,
 }
 
 impl EnginePool {
@@ -385,32 +383,6 @@ impl EnginePool {
             .entry((name.to_string(), kind))
             .or_default()
             .push(engine);
-    }
-
-    /// Checks out (or compiles) a batch engine with the given lane count.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors (see [`EnginePool::checkout_scalar`]).
-    pub fn checkout_batch(
-        &mut self,
-        name: &str,
-        td: &TDesign,
-        lanes: usize,
-    ) -> Result<BatchSim, String> {
-        if let Some(engine) = self
-            .batch
-            .get_mut(&(name.to_string(), lanes))
-            .and_then(Vec::pop)
-        {
-            return Ok(engine);
-        }
-        BatchSim::compile(td, lanes).map_err(|e| format!("batch compile error: {e}"))
-    }
-
-    /// Returns a batch engine to the pool.
-    pub fn checkin_batch(&mut self, name: &str, lanes: usize, engine: BatchSim) {
-        self.batch.entry((name.to_string(), lanes)).or_default().push(engine);
     }
 }
 

@@ -32,8 +32,9 @@
 //!   --inject <spec|seed>  flip bits: cycle:reg:bit spec, or a PRNG seed
 //!   --campaign <N>      run an N-member fault-injection campaign
 //!   --fuzz <N>          run N differential-fuzz cases over all backends
-//!   --batch <N>         run N instances in one lock-step SoA batch
-//!                       (cuttlesim backend; composes with --campaign/--fuzz)
+//!   --batch <N>         run N instances in one lock-step SoA batch on the
+//!                       micro-op engine (cuttlesim backend; composes with
+//!                       --campaign/--fuzz; not with --dispatch native)
 //!   --jobs <J>          worker threads for --campaign/--fuzz (default 1)
 //!   --retries <K>       retries for wall-budget trips (default 2)
 //!   --corpus-dir <DIR>  persist shrunk fuzz reproducers to DIR
@@ -186,7 +187,9 @@ Options:
                       direct bytecode match, the register-form micro-op
                       engine, or ahead-of-time compiled Rust loaded as a
                       shared library (requires a rustc toolchain; see
-                      --native-cache)  (default match)
+                      --native-cache)  (default match). --batch runs
+                      the micro-op lock-step engine only, so native
+                      with --batch is a usage error
   --native-cache <DIR>  cache directory for native-dispatch generated
                       sources and shared libraries (default
                       $KOIKA_NATIVE_CACHE or <tmp>/koika-native-cache);
@@ -244,8 +247,10 @@ Parallel execution & differential fuzzing:
                       --campaign: members run as lanes, one batch per
                       worker job; with --fuzz: the six VM levels run
                       batched, lane 0 on declared inits and lanes 1..N on
-                      perturbed inits. Reports stay byte-identical to the
-                      scalar path at any N
+                      perturbed inits (native rows stay scalar). Reports
+                      stay byte-identical to the scalar path at any N.
+                      The batch always runs the micro-op lock-step engine;
+                      --dispatch native is rejected (run scalar native)
   --jobs <J>          worker threads for --campaign/--fuzz (default 1);
                       the report is byte-identical at any J
   --retries <K>       retries granted to wall-budget trips before they are
@@ -477,6 +482,20 @@ struct Plan {
     stall_cycles: u64,
 }
 
+/// `--batch` runs the micro-op lock-step engine only; there is no batched
+/// native engine to select. Checked before the toolchain probe, so the
+/// combination is a usage error on every host.
+fn reject_batched_native(args: &Args, dispatch: Option<Dispatch>) -> Result<(), CliError> {
+    if args.batch.is_some() && dispatch == Some(Dispatch::Native) {
+        return Err(CliError::usage(
+            "--batch cannot be combined with --dispatch native: a batch runs the \
+             micro-op lock-step engine only; for compiled speed drop --batch and \
+             run scalar native (--dispatch native, with --jobs for campaigns and fuzz)",
+        ));
+    }
+    Ok(())
+}
+
 /// Validates flag *combinations* and cross-references against the design —
 /// the single place a bad invocation is rejected, before any simulator is
 /// built.
@@ -492,6 +511,7 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
     let level = OptLevel::from_number(args.level)
         .ok_or_else(|| CliError::usage(format!("bad --level {}: expected 1..6", args.level)))?;
     let dispatch = args.requested_dispatch()?.unwrap_or_default();
+    reject_batched_native(args, Some(dispatch))?;
     if dispatch == Dispatch::Native && !cuttlesim::toolchain_available() {
         return Err(CliError::usage(
             "--dispatch native requires a rustc toolchain, and none was found \
@@ -1016,7 +1036,6 @@ fn run_campaign_mode(args: &Args, plan: &Plan, members: usize) -> Result<ExitCod
         // to the scalar path (validate() pinned the cuttlesim backend).
         Some(width) => {
             let level = plan.level;
-            let dispatch = plan.dispatch;
             let td4 = td.clone();
             let make_batch = move |lanes: usize| {
                 BatchSim::compile_with(
@@ -1027,10 +1046,7 @@ fn run_campaign_mode(args: &Args, plan: &Plan, members: usize) -> Result<ExitCod
                     },
                     lanes,
                 )
-                .map(|mut s| {
-                    s.set_dispatch(dispatch);
-                    Box::new(s) as Box<dyn BatchBackend>
-                })
+                .map(|s| Box::new(s) as Box<dyn BatchBackend>)
                 .map_err(|e| e.to_string())
             };
             run_campaign_batched(&env, &make_batch, width, &cfg, &opts, Some(&mut progress))
@@ -1100,7 +1116,7 @@ fn run_debug_mode(args: &Args, plan: &Plan) -> Result<ExitCode, CliError> {
     let mut out = std::io::stdout().lock();
     match args.batch {
         Some(width) => {
-            let mut batch = BatchSim::compile_with(
+            let batch = BatchSim::compile_with(
                 td,
                 &CompileOptions {
                     level: plan.level,
@@ -1109,7 +1125,6 @@ fn run_debug_mode(args: &Args, plan: &Plan) -> Result<ExitCode, CliError> {
                 width,
             )
             .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-            batch.set_dispatch(plan.dispatch);
             let lane_devices: Vec<Vec<Box<dyn Device>>> =
                 (0..width).map(|_| build_devices(td, &plan.program)).collect();
             let mut target = BatchTarget::new(td, Box::new(batch), lane_devices)
@@ -1212,6 +1227,7 @@ fn run_fuzz_mode(args: &Args) -> Result<ExitCode, CliError> {
     // No --dispatch under --fuzz means the full matrix (all three
     // dispatchers per VM level), not the scalar default of Match.
     let dispatch = args.requested_dispatch()?;
+    reject_batched_native(args, dispatch)?;
     if !cuttlesim::toolchain_available() {
         // An explicit `--dispatch native` request with no toolchain is a
         // loud no-op (exit 0, nothing silently substituted) so CI can run
@@ -1414,7 +1430,6 @@ fn run_batched_normal_mode(args: &Args, plan: &Plan, width: usize) -> Result<Exi
         width,
     )
     .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-    batch.set_dispatch(plan.dispatch);
     let mut lane_devices: Vec<Vec<Box<dyn Device>>> =
         (0..width).map(|_| build_devices(td, &plan.program)).collect();
     // VCD records one lane (--vcd-lane, default 0) with the same

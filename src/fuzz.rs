@@ -62,13 +62,17 @@ pub struct FuzzConfig {
     /// classification machine-independent; when set, a case that exceeds
     /// it is retried and, if it keeps tripping, triaged as a hang.
     pub wall_budget: Option<Duration>,
-    /// Batched-engine lanes for the six VM levels: `0` runs them as
-    /// scalar [`Sim`]s (the historical path), `n >= 1` runs each level as
-    /// one [`BatchSim`] whose lane 0 uses the declared initial values
+    /// Batched-engine lanes for the interpreted VM rows: `0` runs them as
+    /// scalar [`Sim`]s (the historical path), `n >= 1` runs each
+    /// match and tac row as one [`BatchSim`] (the micro-op lock-step
+    /// engine, whichever dispatch the row names) whose lane 0 uses the
+    /// declared initial values
     /// (so its findings are labeled identically to the scalar path) and
     /// whose lanes `1..n` use seed-derived perturbed initial register
     /// values, each compared against its own reference-interpreter run —
     /// deliberately forcing control-flow divergence inside the batch.
+    /// Native rows have no batched engine and run as scalar compiled
+    /// [`Sim`]s at any `n`, exactly like the RTL rows.
     pub batch: usize,
     /// Which VM dispatch engines to include in the matrix: `None` (the
     /// default) compares every level under *all* dispatchers — direct
@@ -500,7 +504,6 @@ fn lane_label(backend: BackendId, lane: usize) -> String {
 fn batched_traces(
     td: &TDesign,
     level: OptLevel,
-    dispatch: Dispatch,
     seed: u64,
     cycles: u64,
     lanes: usize,
@@ -514,7 +517,6 @@ fn batched_traces(
         lanes,
     )
     .map_err(|e| (true, e.to_string()))?;
-    sim.set_dispatch(dispatch);
     for l in 1..lanes {
         perturb_regs(td, seed, l, &mut |r, v| sim.lane_set64(l, r, v));
     }
@@ -532,12 +534,13 @@ fn batched_traces(
     Ok(traces)
 }
 
-/// Runs one case with the six VM levels executed as *batched* lock-step
-/// engines over `lanes` instances (see [`FuzzConfig::batch`]): lane 0
-/// replays the scalar comparison against the declared reset state, lanes
-/// `1..` start from perturbed register values, and every lane is compared
-/// cycle-by-cycle against its own reference-interpreter run. The RTL
-/// backends have no batched engine and run exactly as in [`run_case`].
+/// Runs one case with the interpreted VM rows executed as *batched*
+/// lock-step engines over `lanes` instances (see [`FuzzConfig::batch`]):
+/// lane 0 replays the scalar comparison against the declared reset state,
+/// lanes `1..` start from perturbed register values, and every lane is
+/// compared cycle-by-cycle against its own reference-interpreter run. The
+/// native and RTL backends have no batched engine and run exactly as in
+/// [`run_case`].
 pub fn run_case_batched(
     seed: u64,
     cycles: u64,
@@ -579,9 +582,9 @@ pub fn run_case_batched(
     };
 
     for backend in BackendId::all(dispatch) {
-        let (level, vm_dispatch) = match backend {
-            BackendId::Vm(level, d) => (level, d),
-            BackendId::Rtl(_) => {
+        let level = match backend {
+            BackendId::Vm(level, d) if d != Dispatch::Native => level,
+            _ => {
                 // Scalar path, identical to `run_case`.
                 let run = contain(|| {
                     backend
@@ -615,7 +618,7 @@ pub fn run_case_batched(
                 continue;
             }
         };
-        match contain(|| batched_traces(&td, level, vm_dispatch, seed, cycles, lanes)) {
+        match contain(|| batched_traces(&td, level, seed, cycles, lanes)) {
             Ok(Ok(traces)) => {
                 for (l, trace) in traces.iter().enumerate() {
                     if let Some(cycle) = refs[l].iter().zip(trace).position(|(a, b)| a != b) {

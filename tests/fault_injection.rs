@@ -470,6 +470,11 @@ fn cli_rejects_bad_flag_combinations_up_front_without_panicking() {
         // under --fuzz alike.
         &["collatz", "--dispatch", "closure"],
         &["--fuzz", "4", "--dispatch", "closure"],
+        // A batch runs the micro-op lock-step engine only, so native with
+        // --batch is refused on every host, toolchain or not.
+        &["collatz", "--batch", "2", "--dispatch", "native"],
+        &["rv32i", "--campaign", "4", "--batch", "4", "--dispatch", "native"],
+        &["--fuzz", "2", "--batch", "2", "--dispatch", "native"],
         // --serve is a design-free long-running mode: it composes with
         // pool/watchdog tuning only, and rejects every one-shot flag.
         &["--serve", "127.0.0.1:0", "--campaign", "5"],
