@@ -24,8 +24,7 @@
 //! jump — the batch tests all lanes:
 //!
 //! * **all lanes agree** → one batched step (the fast path);
-//! * **all lanes fail** a check → one batched rule failure, with per-lane
-//!   [`FailInfo`] recorded exactly as the scalar VM would;
+//! * **all lanes fail** a check → one batched rule failure;
 //! * **lanes disagree** → the rule *diverges*: the engine restores the
 //!   batch to its state at rule entry (a snapshot taken after the rule
 //!   prologue, which is idempotent at every level) and re-runs the rule
@@ -35,7 +34,7 @@
 //!
 //! Because the fallback path *is* the scalar semantics and the lock-step
 //! path executes the same checks and side effects lane-wise, per-lane
-//! architectural state and commit/failure bookkeeping are bit-identical to
+//! architectural state and commit lists are bit-identical to
 //! `lanes` independent scalar [`Sim`](crate::Sim)s at every
 //! [`OptLevel`](crate::OptLevel). The differential suite
 //! (`tests/batched.rs`) enforces this with per-cycle commit digests.
@@ -65,9 +64,9 @@ use crate::insn::Insn;
 use crate::simd;
 use crate::simd::lane_mask;
 use crate::tac::{TacRule, Uop};
-use crate::vm::{step_rule_impl, Dispatch, FailInfo, State, VmError};
+use crate::vm::{step_rule_impl, Dispatch, State, VmError};
 use koika::bits::word;
-use koika::device::{BatchBackend, RegAccess};
+use koika::device::BatchBackend;
 use koika::tir::{RegId, TDesign};
 
 const R0: u8 = 0b0001;
@@ -77,7 +76,7 @@ const W1: u8 = 0b1000;
 
 /// Per-rule facts precomputed at construction: which flat register indices
 /// the rule can write (bounding the data snapshot needed for divergence
-/// restore) and the rule's coverage-counter range.
+/// restore) and which it can touch.
 #[derive(Debug, Default)]
 struct RuleMeta {
     /// Sorted, deduplicated flat register indices of every write-class
@@ -87,10 +86,6 @@ struct RuleMeta {
     /// the only registers whose read-write-set bytes the lock-step engine
     /// can mutate, bounding the rw-plane snapshot and the O1 commit merge.
     touched: Vec<u32>,
-    /// First coverage counter id owned by this rule.
-    cov_start: u32,
-    /// Number of coverage counters owned by this rule.
-    cov_len: u32,
 }
 
 fn rule_metas(prog: &Program) -> Vec<RuleMeta> {
@@ -99,8 +94,6 @@ fn rule_metas(prog: &Program) -> Vec<RuleMeta> {
         .map(|rule| {
             let mut writes: Vec<u32> = Vec::new();
             let mut reads: Vec<u32> = Vec::new();
-            let mut cov_min = u32::MAX;
-            let mut cov_max = 0u32;
             for insn in &rule.code {
                 match *insn {
                     Insn::Wr0 { reg, .. }
@@ -116,10 +109,6 @@ fn rule_metas(prog: &Program) -> Vec<RuleMeta> {
                     Insn::Rd0Arr { base, mask, .. } | Insn::Rd1Arr { base, mask, .. } => {
                         reads.extend(base..=base + mask);
                     }
-                    Insn::Cov(id) => {
-                        cov_min = cov_min.min(id);
-                        cov_max = cov_max.max(id);
-                    }
                     _ => {}
                 }
             }
@@ -129,17 +118,7 @@ fn rule_metas(prog: &Program) -> Vec<RuleMeta> {
             touched.extend(reads);
             touched.sort_unstable();
             touched.dedup();
-            let (cov_start, cov_len) = if cov_min == u32::MAX {
-                (0, 0)
-            } else {
-                (cov_min, cov_max - cov_min + 1)
-            };
-            RuleMeta {
-                writes,
-                touched,
-                cov_start,
-                cov_len,
-            }
+            RuleMeta { writes, touched }
         })
         .collect()
 }
@@ -164,25 +143,18 @@ pub struct BatchSim {
     log_d1: Vec<u64>,
     /// One scratch stripe (`lanes` wide) for fused micro-op intermediates.
     tmp: Vec<u64>,
-    /// Coverage counters, id-major.
-    cov: Vec<u64>,
     cycles: u64,
     // Per-lane bookkeeping (bit-identical to the scalar VM's).
     fired: Vec<u64>,
-    fired_per_rule: Vec<u64>,
-    fail_per_rule: Vec<u64>,
-    last_fail: Vec<Option<FailInfo>>,
     /// Rules committed this cycle, per lane, in schedule order — the raw
     /// material for commit digests (the batched/scalar equivalence oracle).
     commits: Vec<Vec<u32>>,
-    // Lock-step bookkeeping bases. A lock-step outcome is identical across
-    // lanes by construction, so the hot arms bump one base counter instead
-    // of `lanes` overlay slots; a lane's observable count is always
-    // `base + overlay`, and the divergence fallback keeps bumping the
-    // per-lane overlays above.
+    // Lock-step bookkeeping base. A lock-step outcome is identical across
+    // lanes by construction, so a lock-step commit bumps one base counter
+    // instead of `lanes` overlay slots; a lane's observable count is
+    // always `base + overlay`, and the divergence fallback keeps bumping
+    // the per-lane overlays above.
     fired_base: u64,
-    fired_per_rule_base: Vec<u64>,
-    fail_per_rule_base: Vec<u64>,
     /// This cycle's commits while every lane still agrees; the first
     /// divergence of the cycle copies it into the per-lane vectors and
     /// flips `commits_split`.
@@ -193,11 +165,10 @@ pub struct BatchSim {
     /// Scalar scratch state for running diverged lanes through the exact
     /// scalar rule executor.
     scratch: State,
-    // Rule-entry snapshot buffers (post-prologue). Only the rw byte plane
-    // and coverage counters are ever saved — data stripes and slot files
-    // are recoverable without a snapshot (see `step_rule_batch_inner`).
+    // Rule-entry snapshot buffer (post-prologue). Only the rw byte plane
+    // is ever saved — data stripes and slot files are recoverable without
+    // a snapshot (see `step_rule_batch_inner`).
     snap_rw: Vec<u8>,
-    snap_cov: Vec<u64>,
     // Lock-step effectiveness counters.
     lockstep_rules: u64,
     fallback_rules: u64,
@@ -261,14 +232,12 @@ impl BatchSim {
         assert!(lanes >= 1, "a batch needs at least one lane");
         let n = prog.init.len();
         let cfg = prog.cfg;
-        let nrules = prog.rules.len();
         let mut init_soa = vec![0u64; n * lanes];
         for r in 0..n {
             init_soa[r * lanes..(r + 1) * lanes].fill(prog.init[r]);
         }
         let scratch = State::for_program(&prog);
         let rule_meta = rule_metas(&prog);
-        let ncov = prog.cov.len();
         let tac: Vec<TacRule> = prog.rules.iter().map(TacRule::lower).collect();
         let slots = soa_slot_files(&tac, lanes);
         BatchSim {
@@ -289,22 +258,15 @@ impl BatchSim {
             log_d0: init_soa.clone(),
             log_d1: if cfg.merged_data { Vec::new() } else { init_soa },
             tmp: vec![0; lanes],
-            cov: vec![0; ncov * lanes],
             cycles: 0,
             fired: vec![0; lanes],
-            fired_per_rule: vec![0; nrules * lanes],
-            fail_per_rule: vec![0; nrules * lanes],
-            last_fail: vec![None; lanes],
             commits: vec![Vec::new(); lanes],
             fired_base: 0,
-            fired_per_rule_base: vec![0; nrules],
-            fail_per_rule_base: vec![0; nrules],
             commits_uniform: Vec::new(),
             commits_split: false,
             rule_meta,
             scratch,
             snap_rw: vec![0; n * lanes],
-            snap_cov: vec![0; ncov * lanes],
             lockstep_rules: 0,
             fallback_rules: 0,
             tac,
@@ -417,28 +379,6 @@ impl BatchSim {
         self.fired_base + self.fired[lane]
     }
 
-    /// One lane's per-rule commit counts (rule-declaration order).
-    pub fn lane_fired_per_rule(&self, lane: usize) -> Vec<u64> {
-        assert!(lane < self.lanes, "lane out of range");
-        (0..self.prog.rules.len())
-            .map(|r| self.fired_per_rule_base[r] + self.fired_per_rule[r * self.lanes + lane])
-            .collect()
-    }
-
-    /// One lane's per-rule failure counts.
-    pub fn lane_fails_per_rule(&self, lane: usize) -> Vec<u64> {
-        assert!(lane < self.lanes, "lane out of range");
-        (0..self.prog.rules.len())
-            .map(|r| self.fail_per_rule_base[r] + self.fail_per_rule[r * self.lanes + lane])
-            .collect()
-    }
-
-    /// One lane's most recent rule failure, if any.
-    pub fn lane_last_fail(&self, lane: usize) -> Option<FailInfo> {
-        assert!(lane < self.lanes, "lane out of range");
-        self.last_fail[lane]
-    }
-
     /// The rules one lane committed during the most recent cycle, as rule
     /// indices in schedule order — feed these to a commit-fingerprint to
     /// compare against a scalar run.
@@ -449,13 +389,6 @@ impl BatchSim {
         } else {
             &self.commits_uniform
         }
-    }
-
-    /// A [`RegAccess`] view of one lane, for devices that tick against a
-    /// single instance.
-    pub fn lane(&mut self, lane: usize) -> BatchLane<'_> {
-        assert!(lane < self.lanes, "lane out of range");
-        BatchLane { sim: self, lane }
     }
 
     /// Runs one full cycle across every lane.
@@ -533,17 +466,14 @@ impl BatchSim {
         }
 
         // Rule-entry snapshot. Almost everything the rule can clobber is
-        // recoverable without one, so only two narrow saves remain:
-        //
-        // * `log_rw`, `reset_on_fail` levels only: stale R bits from earlier
-        //   cleanly-failed rules legitimately linger in the accumulated log
-        //   (they are not in `cyc_rw`), so the touched stripes must be saved
-        //   — a u8 plane, 1/8th the width of a data save. At lower levels
-        //   the scalar fallback's own prologue rebuilds rule-entry log state
-        //   (zero-fill below `acc_logs`, a `cyc → log` copy above it), so
-        //   nothing needs saving at all.
-        // * `cov`: coverage counters bumped by an aborted lock-step run
-        //   would double-count after the scalar re-run.
+        // recoverable without one, so only one narrow save remains, at
+        // `reset_on_fail` levels only: stale R bits from earlier
+        // cleanly-failed rules legitimately linger in the accumulated log
+        // (they are not in `cyc_rw`), so the touched stripes of `log_rw`
+        // must be saved — a u8 plane, 1/8th the width of a data save. At
+        // lower levels the scalar fallback's own prologue rebuilds
+        // rule-entry log state (zero-fill below `acc_logs`, a `cyc → log`
+        // copy above it), so nothing needs saving at all.
         //
         // Data stripes need no snapshot: at `reset_on_fail` levels
         // `log_d0/log_d1 == cyc_d0/cyc_d1` at every rule boundary (commits
@@ -562,10 +492,6 @@ impl BatchSim {
                 let s = r as usize * lanes;
                 self.snap_rw[s..s + lanes].copy_from_slice(&self.log_rw[s..s + lanes]);
             }
-        }
-        for c in 0..meta.cov_len as usize {
-            let s = (meta.cov_start as usize + c) * lanes;
-            self.snap_cov[s..s + lanes].copy_from_slice(&self.cov[s..s + lanes]);
         }
 
         let outcome = self.run_uops_batch(rule_idx)?;
@@ -647,7 +573,6 @@ impl BatchSim {
                     }
                 }
                 self.fired_base += 1;
-                self.fired_per_rule_base[rule_idx] += 1;
                 if self.commits_split {
                     for c in &mut self.commits {
                         c.push(rule_idx as u32);
@@ -659,9 +584,7 @@ impl BatchSim {
             }
             Some(Err(clean)) => {
                 // Batched failure: every lane failed the same check.
-                // `run_uops_batch` already recorded per-lane FailInfo.
                 self.lockstep_rules += 1;
-                self.fail_per_rule_base[rule_idx] += 1;
                 if cfg.reset_on_fail && !clean {
                     let BatchSim {
                         prog,
@@ -736,10 +659,6 @@ impl BatchSim {
                         }
                     }
                 }
-                for c in 0..meta.cov_len as usize {
-                    let s = (meta.cov_start as usize + c) * lanes;
-                    self.cov[s..s + lanes].copy_from_slice(&self.snap_cov[s..s + lanes]);
-                }
                 let mut executed = 0u64;
                 for l in 0..lanes {
                     self.gather_lane(l);
@@ -776,9 +695,7 @@ impl BatchSim {
             cyc_d1,
             log_d0,
             log_d1,
-            cov,
             scratch,
-            last_fail,
             cycles,
             ..
         } = self;
@@ -802,10 +719,8 @@ impl BatchSim {
         gather!(scratch.cyc_d1, cyc_d1);
         gather!(scratch.log_d0, log_d0);
         gather!(scratch.log_d1, log_d1);
-        gather!(scratch.cov, cov);
         scratch.stack.clear();
         scratch.cycles = *cycles;
-        scratch.last_fail = last_fail[l];
     }
 
     /// Copies the scalar scratch state back into one lane's column and
@@ -821,9 +736,7 @@ impl BatchSim {
                 cyc_d1,
                 log_d0,
                 log_d1,
-                cov,
                 scratch,
-                last_fail,
                 ..
             } = self;
             // `boc` is read-only during a rule: no need to scatter it back.
@@ -843,15 +756,10 @@ impl BatchSim {
             scatter!(scratch.cyc_d1, cyc_d1);
             scatter!(scratch.log_d0, log_d0);
             scatter!(scratch.log_d1, log_d1);
-            scatter!(scratch.cov, cov);
-            last_fail[l] = scratch.last_fail;
         }
         if committed {
             self.fired[l] += 1;
-            self.fired_per_rule[rule_idx * lanes + l] += 1;
             self.commits[l].push(rule_idx as u32);
-        } else {
-            self.fail_per_rule[rule_idx * lanes + l] += 1;
         }
     }
 
@@ -867,7 +775,6 @@ impl BatchSim {
     #[allow(clippy::too_many_lines)]
     fn run_uops_batch(&mut self, rule_idx: usize) -> Result<Option<Result<(), bool>>, VmError> {
         let cfg = self.prog.cfg;
-        let cycle = self.cycles;
         let BatchSim {
             lanes,
             tmp,
@@ -879,8 +786,6 @@ impl BatchSim {
             cyc_d0,
             log_d0,
             log_d1,
-            cov,
-            last_fail,
             ..
         } = self;
         let lanes = *lanes;
@@ -894,28 +799,16 @@ impl BatchSim {
                 slots[$s as usize * lanes + $l]
             };
         }
-        // All-lanes conflict failure on one register.
-        macro_rules! fail_all {
-            ($reg:expr, $clean:expr, $src_pc:expr) => {{
-                last_fail.fill(Some(FailInfo {
-                    rule: rule_idx,
-                    pc: $src_pc as usize,
-                    reg: $reg,
-                    cycle,
-                }));
-                return Ok(Some(Err($clean)));
-            }};
-        }
         // Checked-access gates: count the lanes whose rw-set byte has none
         // of `$bits` set with the bit-sliced SWAR kernels (eight lanes per
         // word), then fail-all / diverge / proceed. Reads check one log
         // (the accumulated one at `acc_logs` levels, else the cycle's);
         // writes check the rule log and, below `acc_logs`, the cycle log.
         macro_rules! gate {
-            ($r:expr, $clean:expr, $src_pc:expr, $npass:expr) => {{
+            ($clean:expr, $npass:expr) => {{
                 let npass = $npass;
                 if npass == 0 {
-                    fail_all!(Some(RegId($r as u32)), $clean, $src_pc);
+                    return Ok(Some(Err($clean)));
                 }
                 if npass < lanes {
                     return Ok(None);
@@ -930,24 +823,23 @@ impl BatchSim {
                 } else {
                     &cyc_rw[s..s + lanes]
                 };
-                gate!($r, $clean, tac.pcs[pc], simd::count_clear(chk, $bits));
+                gate!($clean, simd::count_clear(chk, $bits));
             }};
         }
         macro_rules! wr_gate {
-            ($r:expr, $clean:expr, $src_pc:expr, $bits:expr) => {{
+            ($r:expr, $clean:expr, $bits:expr) => {{
                 let s = $r * lanes;
                 let npass = if cfg.acc_logs {
                     simd::count_clear(&log_rw[s..s + lanes], $bits)
                 } else {
                     simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], $bits)
                 };
-                gate!($r, $clean, $src_pc, npass);
+                gate!($clean, npass);
             }};
         }
         // Indexed accesses: lane `l` targets register
         // `base + (slots[idx][l] & amask)`, so the gate counts per lane
-        // (`$pass` tests flat index `$i`) and a unanimous failure records
-        // each lane's own register.
+        // (`$pass` tests flat index `$i`).
         macro_rules! arr_reg {
             ($idx:expr, $base:expr, $amask:expr, $l:expr) => {
                 $base as usize + (sl!($idx, $l) & $amask as u64) as usize
@@ -960,20 +852,7 @@ impl BatchSim {
                     let $i = arr_reg!($idx, $base, $amask, l) * lanes + l;
                     npass += ($pass) as usize;
                 }
-                if npass == 0 {
-                    for (l, lf) in last_fail.iter_mut().enumerate() {
-                        *lf = Some(FailInfo {
-                            rule: rule_idx,
-                            pc: tac.pcs[pc] as usize,
-                            reg: Some(RegId(arr_reg!($idx, $base, $amask, l) as u32)),
-                            cycle,
-                        });
-                    }
-                    return Ok(Some(Err($clean)));
-                }
-                if npass < lanes {
-                    return Ok(None);
-                }
+                gate!($clean, npass);
             }};
         }
         // Whole-stripe read application: record the read in the rw plane,
@@ -1143,14 +1022,14 @@ impl BatchSim {
                 }
                 Uop::Wr0 { src, reg, clean } => {
                     let r = reg as usize;
-                    wr_gate!(r, clean, tac.pcs[pc], R1 | W0 | W1);
+                    wr_gate!(r, clean, R1 | W0 | W1);
                     let (s, d) = (src as usize * lanes, r * lanes);
                     simd::or_bytes(&mut log_rw[d..d + lanes], W0);
                     log_d0[d..d + lanes].copy_from_slice(&slots[s..s + lanes]);
                 }
                 Uop::Wr1 { src, reg, clean } => {
                     let r = reg as usize;
-                    wr_gate!(r, clean, tac.pcs[pc], W1);
+                    wr_gate!(r, clean, W1);
                     let (s, d) = (src as usize * lanes, r * lanes);
                     simd::or_bytes(&mut log_rw[d..d + lanes], W1);
                     let dst = if cfg.merged_data {
@@ -1233,15 +1112,10 @@ impl BatchSim {
                         return Ok(None);
                     }
                 }
-                Uop::Abort { clean } => {
-                    fail_all!(None, clean, tac.pcs[pc]);
-                }
-                Uop::Cov(id) => {
-                    let base = id as usize * lanes;
-                    for c in &mut cov[base..base + lanes] {
-                        *c += 1;
-                    }
-                }
+                Uop::Abort { clean } => return Ok(Some(Err(clean))),
+                // Nothing reads a batch's coverage, so the counter is not
+                // kept; the micro-op stays in the stream as a fusion barrier.
+                Uop::Cov(_) => {}
                 Uop::End => return Ok(Some(Ok(()))),
                 Uop::Trap(what) => {
                     return Err(VmError::CompilerBug {
@@ -1274,7 +1148,7 @@ impl BatchSim {
                 }
                 Uop::BinWr { op, a, b, mask, reg, clean } => {
                     let r = reg as usize;
-                    wr_gate!(r, clean, tac.pcs[pc], R1 | W0 | W1);
+                    wr_gate!(r, clean, R1 | W0 | W1);
                     let d = r * lanes;
                     simd::or_bytes(&mut log_rw[d..d + lanes], W0);
                     simd::fused_zip2_to(
@@ -1309,7 +1183,7 @@ impl BatchSim {
                         );
                     }
                     let w = wreg as usize;
-                    wr_gate!(w, wclean, tac.pcs2[pc], R1 | W0 | W1);
+                    wr_gate!(w, wclean, R1 | W0 | W1);
                     let d = w * lanes;
                     simd::or_bytes(&mut log_rw[d..d + lanes], W0);
                     log_d0[d..d + lanes].copy_from_slice(tmp);
@@ -1409,24 +1283,6 @@ impl std::fmt::Debug for BatchSim {
     }
 }
 
-/// A [`RegAccess`] view of one lane of a [`BatchSim`], so devices and
-/// injectors written against the scalar interface can drive a single
-/// batched instance.
-pub struct BatchLane<'a> {
-    sim: &'a mut BatchSim,
-    lane: usize,
-}
-
-impl RegAccess for BatchLane<'_> {
-    fn get64(&self, reg: RegId) -> u64 {
-        self.sim.lane_get64(self.lane, reg)
-    }
-
-    fn set64(&mut self, reg: RegId, value: u64) {
-        self.sim.lane_set64(self.lane, reg, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1435,7 +1291,7 @@ mod tests {
     use koika::ast::*;
     use koika::check::check;
     use koika::design::DesignBuilder;
-    use koika::device::SimBackend;
+    use koika::device::{LaneAccess, RegAccess, SimBackend};
 
     fn collatz() -> koika::tir::TDesign {
         let mut b = DesignBuilder::new("collatz");
@@ -1635,7 +1491,7 @@ mod tests {
     #[test]
     fn lane_accessors_reject_out_of_range_lanes() {
         type Access = fn(&mut BatchSim, usize);
-        let cases: [(&str, Access); 9] = [
+        let cases: [(&str, Access); 6] = [
             ("lane_get64", |b, l| {
                 let _ = b.lane_get64(l, RegId(0));
             }),
@@ -1646,20 +1502,11 @@ mod tests {
             ("lane_fired", |b, l| {
                 let _ = b.lane_fired(l);
             }),
-            ("lane_fired_per_rule", |b, l| {
-                let _ = b.lane_fired_per_rule(l);
-            }),
-            ("lane_fails_per_rule", |b, l| {
-                let _ = b.lane_fails_per_rule(l);
-            }),
-            ("lane_last_fail", |b, l| {
-                let _ = b.lane_last_fail(l);
-            }),
             ("lane_commits", |b, l| {
                 let _ = b.lane_commits(l);
             }),
-            ("lane", |b, l| {
-                let _ = b.lane(l).get64(RegId(0));
+            ("LaneAccess::new", |b, l| {
+                let _ = LaneAccess::new(b, l).get64(RegId(0));
             }),
         ];
         let td = two_counters();

@@ -55,7 +55,7 @@ pub mod tac;
 pub mod trace;
 pub mod vm;
 
-pub use batch::{BatchLane, BatchSim};
+pub use batch::BatchSim;
 pub use compile::{compile, CompileError, CompileOptions, Program};
 pub use coverage::CoverageReport;
 pub use native::{cache_dir as native_cache_dir, toolchain_available, NativeError};

@@ -6,15 +6,14 @@
 //! to the cycle where state went wrong. This module reproduces that
 //! workflow *above* the execution engines, so one debugger drives every
 //! backend in the workspace — the reference interpreter, the Cuttlesim VM
-//! at every optimization level and dispatch strategy (including the
-//! batched SoA engine, one focused lane at a time), and the levelized RTL
-//! simulator — and a scripted session produces byte-identical transcripts
-//! on all of them.
+//! at every optimization level and dispatch strategy, and the levelized
+//! RTL simulator — and a scripted session produces byte-identical
+//! transcripts on all of them.
 //!
 //! # Architecture
 //!
 //! * **Observer pause seam.** The debugger never reaches into an engine.
-//!   It owns the cycle loop and drives a [`DebugTarget`] one cycle at a
+//!   It owns the cycle loop and drives a [`ScalarTarget`] one cycle at a
 //!   time through [`crate::device::SimBackend::cycle_obs`], capturing rule
 //!   events and boundary register writes with a [`CycleCapture`] observer.
 //!   When no debugger is attached nothing changes: the unobserved `cycle`
@@ -45,7 +44,7 @@
 //!   misclassified as a hang; only user-driven forward execution is
 //!   observed.
 
-use crate::device::{BatchBackend, Device, LaneAccess, SimBackend};
+use crate::device::{Device, SimBackend};
 use crate::fault::ArmedWatchdog;
 use crate::obs::{FailureReason, Observer};
 use crate::snapshot::Snapshot;
@@ -95,88 +94,28 @@ impl Observer for CycleCapture {
     }
 }
 
-/// Complete restorable state of a [`DebugTarget`]: one [`Snapshot`] per
-/// lane plus every device's serialized state (`devices[lane][device]`).
+/// Complete restorable state of a [`ScalarTarget`]: a register
+/// [`Snapshot`] plus every device's serialized state.
 #[derive(Debug, Clone)]
-pub struct TargetState {
-    lanes: Vec<Snapshot>,
-    devices: Vec<Vec<Vec<u8>>>,
+struct TargetState {
+    snap: Snapshot,
+    devices: Vec<Vec<u8>>,
 }
 
 impl TargetState {
-    /// Approximate per-lane state size in bytes (register words plus
-    /// device blobs); drives the adaptive checkpoint interval. Depends
-    /// only on the design and devices, never on the backend, so every
-    /// backend picks the same interval.
-    fn lane_bytes(&self) -> usize {
-        let regs: usize = self.lanes[0].regs.iter().map(|r| r.words().len() * 8).sum();
-        let devs: usize = self
-            .devices
-            .first()
-            .map(|ds| ds.iter().map(Vec::len).sum())
-            .unwrap_or(0);
+    /// Approximate state size in bytes (register words plus device
+    /// blobs); drives the adaptive checkpoint interval. Depends only on
+    /// the design and devices, never on the backend, so every backend
+    /// picks the same interval.
+    fn state_bytes(&self) -> usize {
+        let regs: usize = self.snap.regs.iter().map(|r| r.words().len() * 8).sum();
+        let devs: usize = self.devices.iter().map(Vec::len).sum();
         regs + devs
     }
 }
 
-/// One debuggable simulation: an engine plus its devices, steppable one
-/// cycle at a time with full state capture/restore.
-///
-/// The two provided implementations — [`ScalarTarget`] for any
-/// [`SimBackend`] and [`BatchTarget`] for a [`BatchBackend`] — cover
-/// every engine in the workspace.
-pub trait DebugTarget {
-    /// Executes one cycle at logical cycle number `cycle`: ticks devices,
-    /// then runs the engine, reporting events into `cap`.
-    fn step(&mut self, cycle: u64, cap: &mut CycleCapture) -> Result<(), String>;
-
-    /// Like [`DebugTarget::step`], but samples `vcd` after the device
-    /// ticks and before the engine runs (the CLI's `--vcd` ordering)
-    /// instead of capturing events.
-    fn step_vcd(&mut self, cycle: u64, vcd: &mut VcdRecorder) -> Result<(), String>;
-
-    /// Reads a register (low 64 bits) of the focused lane.
-    fn reg_get(&self, reg: RegId) -> u64;
-
-    /// Captures complete restorable state, labeling it with the given
-    /// logical cycle number.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a device does not support state save ([`Device::save_state`]
-    /// returned `None`) — time travel is then unavailable.
-    fn checkpoint(&self, cycle: u64) -> Result<TargetState, String>;
-
-    /// Restores state captured by [`DebugTarget::checkpoint`].
-    fn restore(&mut self, st: &TargetState) -> Result<(), String>;
-
-    /// Number of lanes (1 for scalar backends).
-    fn lanes(&self) -> usize {
-        1
-    }
-
-    /// The focused lane.
-    fn focus(&self) -> usize {
-        0
-    }
-
-    /// Switches the focused lane.
-    fn set_focus(&mut self, _lane: usize) -> Result<(), String> {
-        Err("not a batched backend".into())
-    }
-
-    /// A portable [`Snapshot`] of the focused lane at the given logical
-    /// cycle, for `snapshot <file>`.
-    fn snapshot(&self, cycle: u64) -> Result<Snapshot, String>;
-
-    /// The cycle boundary the target sits at when the session attaches
-    /// (non-zero after `--restore`).
-    fn start_cycle(&self) -> u64 {
-        0
-    }
-}
-
-/// [`DebugTarget`] over any scalar [`SimBackend`] plus its devices.
+/// One debuggable simulation: any [`SimBackend`] plus its devices,
+/// steppable one cycle at a time with full state capture/restore.
 pub struct ScalarTarget<'a> {
     sim: Box<dyn SimBackend + 'a>,
     devices: Vec<Box<dyn Device + 'a>>,
@@ -187,248 +126,59 @@ impl<'a> ScalarTarget<'a> {
     pub fn new(sim: Box<dyn SimBackend + 'a>, devices: Vec<Box<dyn Device + 'a>>) -> Self {
         ScalarTarget { sim, devices }
     }
-}
 
-impl DebugTarget for ScalarTarget<'_> {
-    fn step(&mut self, cycle: u64, cap: &mut CycleCapture) -> Result<(), String> {
+    /// Executes one cycle at logical cycle number `cycle`: ticks devices,
+    /// then runs the engine, reporting events into `cap`.
+    fn step(&mut self, cycle: u64, cap: &mut CycleCapture) {
         for d in self.devices.iter_mut() {
             d.tick(cycle, self.sim.as_reg_access());
         }
         self.sim.cycle_obs(cap);
-        Ok(())
     }
 
-    fn step_vcd(&mut self, cycle: u64, vcd: &mut VcdRecorder) -> Result<(), String> {
+    /// Like [`ScalarTarget::step`], but samples `vcd` after the device
+    /// ticks and before the engine runs (the CLI's `--vcd` ordering)
+    /// instead of capturing events.
+    fn step_vcd(&mut self, cycle: u64, vcd: &mut VcdRecorder) {
         for d in self.devices.iter_mut() {
             d.tick(cycle, self.sim.as_reg_access());
         }
         vcd.sample(cycle, self.sim.as_reg_access());
         self.sim.cycle();
-        Ok(())
     }
 
-    fn reg_get(&self, reg: RegId) -> u64 {
-        self.sim.get64(reg)
-    }
-
+    /// Captures complete restorable state, labeling it with the given
+    /// logical cycle number. Fails when a device does not support state
+    /// save ([`Device::save_state`] returned `None`) — time travel is
+    /// then unavailable.
     fn checkpoint(&self, cycle: u64) -> Result<TargetState, String> {
-        let mut snap = self.sim.snapshot();
-        snap.cycles = cycle;
-        let mut blobs = Vec::with_capacity(self.devices.len());
+        let mut devices = Vec::with_capacity(self.devices.len());
         for (i, d) in self.devices.iter().enumerate() {
-            blobs.push(d.save_state().ok_or_else(|| {
+            devices.push(d.save_state().ok_or_else(|| {
                 format!("device {i} does not support state save/restore")
             })?);
         }
         Ok(TargetState {
-            lanes: vec![snap],
-            devices: vec![blobs],
+            snap: self.snapshot(cycle),
+            devices,
         })
     }
 
+    /// Restores state captured by [`ScalarTarget::checkpoint`].
     fn restore(&mut self, st: &TargetState) -> Result<(), String> {
-        self.sim.restore(&st.lanes[0]).map_err(|e| e.to_string())?;
-        for (d, blob) in self.devices.iter_mut().zip(&st.devices[0]) {
+        self.sim.restore(&st.snap).map_err(|e| e.to_string())?;
+        for (d, blob) in self.devices.iter_mut().zip(&st.devices) {
             d.load_state(blob)?;
         }
         Ok(())
     }
 
-    fn snapshot(&self, cycle: u64) -> Result<Snapshot, String> {
+    /// A portable [`Snapshot`] labeled with the given logical cycle, for
+    /// `snapshot <file>`.
+    fn snapshot(&self, cycle: u64) -> Snapshot {
         let mut snap = self.sim.snapshot();
         snap.cycles = cycle;
-        Ok(snap)
-    }
-
-    fn start_cycle(&self) -> u64 {
-        self.sim.cycle_count()
-    }
-}
-
-/// [`DebugTarget`] over a [`BatchBackend`]: all lanes advance in
-/// lock-step, and the debugger observes one focused lane at a time
-/// (switchable with `focus-lane`).
-pub struct BatchTarget<'a> {
-    td: &'a TDesign,
-    batch: Box<dyn BatchBackend + 'a>,
-    lane_devices: Vec<Vec<Box<dyn Device + 'a>>>,
-    focus: usize,
-    fired: Vec<u64>,
-}
-
-impl<'a> BatchTarget<'a> {
-    /// Wraps a batched engine; `lane_devices[lane]` are that lane's
-    /// devices (may be empty).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the design has registers wider than 64 bits (batched
-    /// engines require `fits_u64`) or the device list does not match the
-    /// lane count.
-    pub fn new(
-        td: &'a TDesign,
-        batch: Box<dyn BatchBackend + 'a>,
-        lane_devices: Vec<Vec<Box<dyn Device + 'a>>>,
-    ) -> Result<Self, String> {
-        if !td.fits_u64() {
-            return Err("batched debugging requires all registers ≤ 64 bits".into());
-        }
-        if lane_devices.len() != batch.lanes() {
-            return Err(format!(
-                "{} device lists for {} lanes",
-                lane_devices.len(),
-                batch.lanes()
-            ));
-        }
-        let lanes = batch.lanes();
-        Ok(BatchTarget {
-            td,
-            batch,
-            lane_devices,
-            focus: 0,
-            fired: vec![0; lanes],
-        })
-    }
-
-    fn lane_snapshot(&self, lane: usize, cycle: u64) -> Snapshot {
-        let regs = (0..self.td.num_regs())
-            .map(|i| {
-                let w = self.td.regs[i].width;
-                crate::bits::Bits::new(w, self.batch.lane_get64(lane, RegId(i as u32)))
-            })
-            .collect();
-        Snapshot {
-            design: self.td.name.clone(),
-            cycles: cycle,
-            fired: self.fired[lane],
-            fingerprint: self.td.fingerprint(),
-            fired_per_rule: Vec::new(),
-            regs,
-        }
-    }
-
-    fn tick_devices(&mut self, cycle: u64) {
-        for (lane, devs) in self.lane_devices.iter_mut().enumerate() {
-            let mut la = LaneAccess::new(self.batch.as_mut(), lane);
-            for d in devs.iter_mut() {
-                d.tick(cycle, &mut la);
-            }
-        }
-    }
-
-    fn count_fired(&mut self) {
-        for lane in 0..self.batch.lanes() {
-            self.fired[lane] += self.batch.lane_commits(lane).len() as u64;
-        }
-    }
-}
-
-impl DebugTarget for BatchTarget<'_> {
-    fn step(&mut self, cycle: u64, cap: &mut CycleCapture) -> Result<(), String> {
-        self.tick_devices(cycle);
-        let prev: Vec<u64> = (0..self.td.num_regs())
-            .map(|i| self.batch.lane_get64(self.focus, RegId(i as u32)))
-            .collect();
-        self.batch.cycle()?;
-        self.count_fired();
-        // Synthesize the focused lane's event stream from its commit
-        // list (declaration-order indices in schedule order). The batch
-        // engine cannot classify failures, so they surface as
-        // Unspecified — exactly like the RTL backend.
-        let commits = self.batch.lane_commits(self.focus);
-        let mut ci = 0;
-        for &ri in &self.td.schedule {
-            if ci < commits.len() && commits[ci] as usize == ri {
-                cap.events.push((ri, EventKind::Commit));
-                ci += 1;
-            } else {
-                cap.events.push((ri, EventKind::Fail(FailureReason::Unspecified)));
-            }
-        }
-        for (i, &p) in prev.iter().enumerate() {
-            let now = self.batch.lane_get64(self.focus, RegId(i as u32));
-            if now != p {
-                cap.writes.push((RegId(i as u32), p, now));
-            }
-        }
-        Ok(())
-    }
-
-    fn step_vcd(&mut self, cycle: u64, vcd: &mut VcdRecorder) -> Result<(), String> {
-        self.tick_devices(cycle);
-        {
-            let la = LaneAccess::new(self.batch.as_mut(), self.focus);
-            vcd.sample(cycle, &la);
-        }
-        self.batch.cycle()?;
-        self.count_fired();
-        Ok(())
-    }
-
-    fn reg_get(&self, reg: RegId) -> u64 {
-        self.batch.lane_get64(self.focus, reg)
-    }
-
-    fn checkpoint(&self, cycle: u64) -> Result<TargetState, String> {
-        let lanes: Vec<Snapshot> = (0..self.batch.lanes())
-            .map(|l| self.lane_snapshot(l, cycle))
-            .collect();
-        let mut devices = Vec::with_capacity(self.lane_devices.len());
-        for devs in &self.lane_devices {
-            let mut blobs = Vec::with_capacity(devs.len());
-            for (i, d) in devs.iter().enumerate() {
-                blobs.push(d.save_state().ok_or_else(|| {
-                    format!("device {i} does not support state save/restore")
-                })?);
-            }
-            devices.push(blobs);
-        }
-        Ok(TargetState { lanes, devices })
-    }
-
-    fn restore(&mut self, st: &TargetState) -> Result<(), String> {
-        if st.lanes.len() != self.batch.lanes() {
-            return Err(format!(
-                "checkpoint has {} lanes, batch has {}",
-                st.lanes.len(),
-                self.batch.lanes()
-            ));
-        }
-        for (lane, snap) in st.lanes.iter().enumerate() {
-            for (i, bits) in snap.regs.iter().enumerate() {
-                self.batch.lane_set64(lane, RegId(i as u32), bits.low_u64());
-            }
-            self.fired[lane] = snap.fired;
-        }
-        for (devs, blobs) in self.lane_devices.iter_mut().zip(&st.devices) {
-            for (d, blob) in devs.iter_mut().zip(blobs) {
-                d.load_state(blob)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn lanes(&self) -> usize {
-        self.batch.lanes()
-    }
-
-    fn focus(&self) -> usize {
-        self.focus
-    }
-
-    fn set_focus(&mut self, lane: usize) -> Result<(), String> {
-        if lane >= self.batch.lanes() {
-            return Err(format!(
-                "lane {lane} out of range (batch has {} lanes)",
-                self.batch.lanes()
-            ));
-        }
-        self.focus = lane;
-        Ok(())
-    }
-
-    fn snapshot(&self, cycle: u64) -> Result<Snapshot, String> {
-        Ok(self.lane_snapshot(self.focus, cycle))
+        snap
     }
 }
 
@@ -491,9 +241,9 @@ struct DebugCheckpoint {
     last_writes: Vec<(RegId, u64, u64)>,
 }
 
-struct Session<'a, 'w> {
+struct Session<'a, 'w, 't> {
     td: &'a TDesign,
-    target: &'a mut dyn DebugTarget,
+    target: &'a mut ScalarTarget<'t>,
     out: &'a mut dyn Write,
     watchdog: Option<&'w mut ArmedWatchdog>,
     limit: u64,
@@ -520,7 +270,7 @@ struct Session<'a, 'w> {
 
 type CmdResult = std::io::Result<()>;
 
-impl Session<'_, '_> {
+impl Session<'_, '_, '_> {
     fn reg_name(&self, reg: RegId) -> &str {
         &self.td.regs[reg.0 as usize].name
     }
@@ -548,12 +298,9 @@ impl Session<'_, '_> {
     /// Executes one cycle at `pos`, updating the ring, counters, diff,
     /// and checkpoint ring. `observe_wd` is true only for user-driven
     /// forward execution — replays never feed the watchdog.
-    fn exec_one(
-        &mut self,
-        observe_wd: bool,
-    ) -> Result<(CycleCapture, Option<crate::fault::WatchdogTrip>), String> {
+    fn exec_one(&mut self, observe_wd: bool) -> (CycleCapture, Option<crate::fault::WatchdogTrip>) {
         let mut cap = CycleCapture::default();
-        self.target.step(self.pos, &mut cap)?;
+        self.target.step(self.pos, &mut cap);
         let cycle = self.pos;
         self.pos += 1;
         let mut commits = 0u64;
@@ -604,7 +351,7 @@ impl Session<'_, '_> {
         } else {
             None
         };
-        Ok((cap, trip))
+        (cap, trip)
     }
 
     fn make_checkpoint(&self) -> Result<DebugCheckpoint, String> {
@@ -643,7 +390,7 @@ impl Session<'_, '_> {
         self.counters = ck.counters;
         self.last_writes = ck.last_writes;
         while self.pos < c {
-            self.exec_one(false)?;
+            self.exec_one(false);
         }
         Ok(())
     }
@@ -778,18 +525,11 @@ impl Session<'_, '_> {
             if self.pos >= self.limit {
                 break;
             }
-            match self.exec_one(true) {
-                Ok((_, Some(trip))) => {
-                    self.wd_pause();
-                    self.print_trip(&trip)?;
-                    tripped = true;
-                    break;
-                }
-                Ok((_, None)) => {}
-                Err(e) => {
-                    self.wd_pause();
-                    return writeln!(self.out, "error: {e}");
-                }
+            if let (_, Some(trip)) = self.exec_one(true) {
+                self.wd_pause();
+                self.print_trip(&trip)?;
+                tripped = true;
+                break;
             }
         }
         self.wd_pause();
@@ -809,26 +549,21 @@ impl Session<'_, '_> {
                 return writeln!(self.out, "already at end of program (cycle {})", self.pos);
             }
             self.wd_resume();
-            let r = self.exec_one(true);
+            let (cap, trip) = self.exec_one(true);
             self.wd_pause();
-            match r {
-                Ok((cap, trip)) => {
-                    self.pending_cycle = self.pos - 1;
-                    self.pending_commits = cap
-                        .events
-                        .iter()
-                        .filter(|(_, k)| matches!(k, EventKind::Commit))
-                        .count();
-                    self.pending = cap
-                        .events
-                        .iter()
-                        .map(|&(r, k)| (r, matches!(k, EventKind::Commit)))
-                        .collect();
-                    if let Some(trip) = trip {
-                        self.print_trip(&trip)?;
-                    }
-                }
-                Err(e) => return writeln!(self.out, "error: {e}"),
+            self.pending_cycle = self.pos - 1;
+            self.pending_commits = cap
+                .events
+                .iter()
+                .filter(|(_, k)| matches!(k, EventKind::Commit))
+                .count();
+            self.pending = cap
+                .events
+                .iter()
+                .map(|&(r, k)| (r, matches!(k, EventKind::Commit)))
+                .collect();
+            if let Some(trip) = trip {
+                self.print_trip(&trip)?;
             }
         }
         match self.pending.pop_front() {
@@ -883,22 +618,15 @@ impl Session<'_, '_> {
                 }
                 return self.finished_line();
             }
-            match self.exec_one(true) {
-                Ok((cap, trip)) => {
-                    if let Some(trip) = trip {
-                        self.wd_pause();
-                        return self.print_trip(&trip);
-                    }
-                    let hits = self.eval_breaks(&cap);
-                    if !hits.is_empty() {
-                        self.wd_pause();
-                        return self.print_hit_context(&hits);
-                    }
-                }
-                Err(e) => {
-                    self.wd_pause();
-                    return writeln!(self.out, "error: {e}");
-                }
+            let (cap, trip) = self.exec_one(true);
+            if let Some(trip) = trip {
+                self.wd_pause();
+                return self.print_trip(&trip);
+            }
+            let hits = self.eval_breaks(&cap);
+            if !hits.is_empty() {
+                self.wd_pause();
+                return self.print_hit_context(&hits);
             }
         }
     }
@@ -939,14 +667,10 @@ impl Session<'_, '_> {
         }
         let mut last_hit: Option<(u64, Vec<String>)> = None;
         while self.pos < cur {
-            match self.exec_one(false) {
-                Ok((cap, _)) => {
-                    let hits = self.eval_breaks(&cap);
-                    if !hits.is_empty() && self.pos < cur {
-                        last_hit = Some((self.pos, hits));
-                    }
-                }
-                Err(e) => return writeln!(self.out, "error: {e}"),
+            let (cap, _) = self.exec_one(false);
+            let hits = self.eval_breaks(&cap);
+            if !hits.is_empty() && self.pos < cur {
+                last_hit = Some((self.pos, hits));
             }
         }
         match last_hit {
@@ -963,33 +687,6 @@ impl Session<'_, '_> {
         }
     }
 
-    fn cmd_focus_lane(&mut self, lane: usize) -> CmdResult {
-        match self.target.set_focus(lane) {
-            Ok(()) => {
-                // Event history, counters, and checkpointed presentation
-                // state all described the old lane; start fresh.
-                self.ring.clear();
-                self.counters = vec![RuleCounter::default(); self.td.rules.len()];
-                self.last_writes.clear();
-                for ck in self
-                    .checkpoints
-                    .iter_mut()
-                    .chain(self.genesis.iter_mut())
-                {
-                    ck.ring.clear();
-                    ck.counters = vec![RuleCounter::default(); self.td.rules.len()];
-                    ck.last_writes.clear();
-                }
-                writeln!(
-                    self.out,
-                    "focused on lane {lane} of {} (event history cleared)",
-                    self.target.lanes()
-                )
-            }
-            Err(e) => writeln!(self.out, "focus-lane: {e}"),
-        }
-    }
-
     fn cmd_print(&mut self, name: &str) -> CmdResult {
         match self.find_reg(name) {
             Some(reg) => {
@@ -999,7 +696,7 @@ impl Session<'_, '_> {
                         "{name} is wider than 64 bits (use 'snapshot' for full values)"
                     );
                 }
-                let v = self.target.reg_get(reg);
+                let v = self.target.sim.get64(reg);
                 writeln!(self.out, "{name} = 0x{v:x}")
             }
             None => writeln!(self.out, "no register named '{name}'"),
@@ -1076,7 +773,7 @@ impl Session<'_, '_> {
                     if width > 64 {
                         writeln!(self.out, "  {name} = ({width} bits, not shown)")?;
                     } else {
-                        let v = self.target.reg_get(RegId(i as u32));
+                        let v = self.target.sim.get64(RegId(i as u32));
                         writeln!(
                             self.out,
                             "  {name} = 0x{v:x} ({width} bit{})",
@@ -1124,9 +821,7 @@ impl Session<'_, '_> {
         }
         self.pos = genesis.cycle;
         while self.pos < cur {
-            if let Err(e) = self.target.step_vcd(self.pos, &mut vcd) {
-                return writeln!(self.out, "error: {e}");
-            }
+            self.target.step_vcd(self.pos, &mut vcd);
             self.pos += 1;
         }
         // The replay left the engine exactly where the session was
@@ -1144,16 +839,9 @@ impl Session<'_, '_> {
     }
 
     fn cmd_snapshot(&mut self, path: &str) -> CmdResult {
-        match self.target.snapshot(self.pos) {
-            Ok(snap) => match std::fs::write(path, snap.to_bytes()) {
-                Ok(()) => writeln!(
-                    self.out,
-                    "snapshot written to {path} (cycle {})",
-                    self.pos
-                ),
-                Err(e) => writeln!(self.out, "error: cannot write '{path}': {e}"),
-            },
-            Err(e) => writeln!(self.out, "error: {e}"),
+        match std::fs::write(path, self.target.snapshot(self.pos).to_bytes()) {
+            Ok(()) => writeln!(self.out, "snapshot written to {path} (cycle {})", self.pos),
+            Err(e) => writeln!(self.out, "error: cannot write '{path}': {e}"),
         }
     }
 
@@ -1297,10 +985,6 @@ impl Session<'_, '_> {
                 self.cmd_reverse_step(n)?;
             }
             "reverse-continue" => self.cmd_reverse_continue()?,
-            "focus-lane" => match words.get(1).and_then(|w| parse_u64(w)) {
-                Some(l) => self.cmd_focus_lane(l as usize)?,
-                None => writeln!(self.out, "usage: focus-lane <n>")?,
-            },
             "last" => {
                 let n = words
                     .get(1)
@@ -1339,7 +1023,6 @@ commands:
   run-to <cycle>                    run until the given cycle boundary
   reverse-step [n]                  go back n cycles (default 1)
   reverse-continue                  go back to the previous hit
-  focus-lane <n>                    switch the observed batch lane
   last [n]                          print the recent rule-event ring
   diff                              register changes of the last cycle
   dump-vcd <file>                   write a VCD trace of the run so far
@@ -1357,8 +1040,8 @@ fn parse_u64(s: &str) -> Option<u64> {
 
 /// Picks the checkpoint interval: denser for small designs (cheap
 /// checkpoints, snappy reverse-step), sparser for big ones.
-fn checkpoint_interval(lane_bytes: usize) -> u64 {
-    ((lane_bytes / 256) as u64).clamp(8, 1024)
+fn checkpoint_interval(state_bytes: usize) -> u64 {
+    ((state_bytes / 256) as u64).clamp(8, 1024)
 }
 
 /// Runs a debug session over `target`, reading commands from `input` and
@@ -1379,13 +1062,14 @@ fn checkpoint_interval(lane_bytes: usize) -> u64 {
 /// errors are reported in the transcript.
 pub fn run_session(
     td: &TDesign,
-    target: &mut dyn DebugTarget,
+    target: &mut ScalarTarget<'_>,
     input: &mut dyn BufRead,
     out: &mut dyn Write,
     watchdog: Option<&mut ArmedWatchdog>,
     opts: &DebugOptions,
 ) -> std::io::Result<()> {
-    let pos = target.start_cycle();
+    // The cycle boundary the target sits at (non-zero after `--restore`).
+    let pos = target.sim.cycle_count();
     let mut sess = Session {
         td,
         target,
@@ -1419,7 +1103,7 @@ pub fn run_session(
     )?;
     match sess.make_checkpoint() {
         Ok(g) => {
-            sess.interval = checkpoint_interval(g.state.lane_bytes());
+            sess.interval = checkpoint_interval(g.state.state_bytes());
             writeln!(
                 sess.out,
                 "kdb: checkpoint interval {} cycles ({} slots)",

@@ -239,9 +239,6 @@ pub struct Metrics {
     jobs_completed: u64,
     job_retries: u64,
     panics_contained: u64,
-    batch_lanes: u64,
-    batch_lockstep_rules: u64,
-    batch_fallback_rules: u64,
     started: Option<Instant>,
     elapsed_secs: f64,
 }
@@ -271,9 +268,6 @@ impl Metrics {
             jobs_completed: 0,
             job_retries: 0,
             panics_contained: 0,
-            batch_lanes: 0,
-            batch_lockstep_rules: 0,
-            batch_fallback_rules: 0,
             started: None,
             elapsed_secs: 0.0,
         }
@@ -391,32 +385,6 @@ impl Metrics {
         self.panics_contained
     }
 
-    /// Records batched-engine counters: lane count plus how many
-    /// (rule, cycle) steps ran lock-step across the whole batch versus
-    /// falling back to per-lane scalar execution on control-flow
-    /// divergence. Setting a nonzero lane count turns on the `batch`
-    /// sections of [`Metrics::to_json`] and [`Metrics::to_prometheus`].
-    pub fn set_batch(&mut self, lanes: u64, lockstep_rules: u64, fallback_rules: u64) {
-        self.batch_lanes = lanes;
-        self.batch_lockstep_rules = lockstep_rules;
-        self.batch_fallback_rules = fallback_rules;
-    }
-
-    /// Lanes of the batched engine observed (0 when scalar).
-    pub fn batch_lanes(&self) -> u64 {
-        self.batch_lanes
-    }
-
-    /// (rule, cycle) steps the batched engine executed in lock-step.
-    pub fn batch_lockstep_rules(&self) -> u64 {
-        self.batch_lockstep_rules
-    }
-
-    /// (rule, cycle) steps that diverged and re-ran per lane.
-    pub fn batch_fallback_rules(&self) -> u64 {
-        self.batch_fallback_rules
-    }
-
     /// Observed simulation throughput in cycles per wall-clock second
     /// (0.0 before the first cycle completes).
     pub fn cycles_per_sec(&self) -> f64 {
@@ -523,13 +491,6 @@ impl Metrics {
                 s,
                 ",\n  \"runner\": {{\"jobs_completed\": {}, \"retries\": {}, \"panics_contained\": {}}}",
                 self.jobs_completed, self.job_retries, self.panics_contained,
-            );
-        }
-        if self.batch_lanes > 0 {
-            let _ = write!(
-                s,
-                ",\n  \"batch\": {{\"lanes\": {}, \"lockstep_rules\": {}, \"fallback_rules\": {}}}",
-                self.batch_lanes, self.batch_lockstep_rules, self.batch_fallback_rules,
             );
         }
         if include_throughput {
@@ -664,25 +625,6 @@ impl Metrics {
                 s,
                 "koika_runner_retries_total{{design=\"{d}\"}} {}",
                 self.job_retries
-            );
-        }
-        if self.batch_lanes > 0 {
-            s.push_str(
-                "# HELP koika_batch_lanes Lanes of the batched lock-step engine.\n# TYPE koika_batch_lanes gauge\n",
-            );
-            let _ = writeln!(s, "koika_batch_lanes{{design=\"{d}\"}} {}", self.batch_lanes);
-            s.push_str(
-                "# HELP koika_batch_rule_steps_total Batched (rule, cycle) steps by execution mode.\n# TYPE koika_batch_rule_steps_total counter\n",
-            );
-            let _ = writeln!(
-                s,
-                "koika_batch_rule_steps_total{{design=\"{d}\",mode=\"lockstep\"}} {}",
-                self.batch_lockstep_rules
-            );
-            let _ = writeln!(
-                s,
-                "koika_batch_rule_steps_total{{design=\"{d}\",mode=\"fallback\"}} {}",
-                self.batch_fallback_rules
             );
         }
         s.push_str(
@@ -1052,24 +994,6 @@ mod tests {
         assert!(m.to_json(true).contains("cycles_per_sec"));
         let prom = m.to_prometheus();
         assert!(prom.contains("koika_rule_commits_total{design=\"stm\",rule=\"rlA\"} 2"));
-    }
-
-    #[test]
-    fn batch_counters_appear_only_when_set() {
-        let td = two_rule_design();
-        let mut m = Metrics::for_design(&td);
-        assert!(!m.to_json(false).contains("\"batch\""));
-        assert!(!m.to_prometheus().contains("koika_batch_lanes"));
-        m.set_batch(8, 120, 3);
-        assert_eq!(m.batch_lanes(), 8);
-        let json = m.to_json(false);
-        assert!(json.contains(
-            "\"batch\": {\"lanes\": 8, \"lockstep_rules\": 120, \"fallback_rules\": 3}"
-        ));
-        let prom = m.to_prometheus();
-        assert!(prom.contains("koika_batch_lanes{design=\"stm\"} 8"));
-        assert!(prom.contains("koika_batch_rule_steps_total{design=\"stm\",mode=\"lockstep\"} 120"));
-        assert!(prom.contains("koika_batch_rule_steps_total{design=\"stm\",mode=\"fallback\"} 3"));
     }
 
     #[test]

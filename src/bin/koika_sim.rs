@@ -32,9 +32,9 @@
 //!   --inject <spec|seed>  flip bits: cycle:reg:bit spec, or a PRNG seed
 //!   --campaign <N>      run an N-member fault-injection campaign
 //!   --fuzz <N>          run N differential-fuzz cases over all backends
-//!   --batch <N>         run N instances in one lock-step SoA batch on the
-//!                       micro-op engine (cuttlesim backend; composes with
-//!                       --campaign/--fuzz; not with --dispatch native)
+//!   --batch <N>         with --campaign/--fuzz: run N members or inits as
+//!                       lanes of one lock-step SoA batch on the micro-op
+//!                       engine (cuttlesim backend; --dispatch tac only)
 //!   --jobs <J>          worker threads for --campaign/--fuzz (default 1)
 //!   --retries <K>       retries for wall-budget trips (default 2)
 //!   --corpus-dir <DIR>  persist shrunk fuzz reproducers to DIR
@@ -53,7 +53,6 @@
 //!   --debug-script <FILE>  run a kdb command script, print the transcript
 //!   --debug-on-divergence  with --fuzz/--replay-corpus: attach kdb at the
 //!                       first divergent cycle of the first diverging case
-//!   --vcd-lane <N>      with --batch + --vcd: lane to record (default 0)
 //!   --serve <ADDR>      run the multi-tenant simulation session server
 //!   --max-sessions <N>  with --serve: admission-control bound (default 16384)
 //!   --help              print this help and exit
@@ -66,9 +65,9 @@
 use cuttlesim::{codegen_cpp, BatchSim, CompileOptions, Dispatch, OptLevel, ProfileReport, RuleTrace, Sim};
 use cuttlesim_repro::fuzz;
 use koika::check::check;
-use koika::debug::{BatchTarget, DebugOptions, ScalarTarget};
+use koika::debug::{DebugOptions, ScalarTarget};
 use koika::design::Design;
-use koika::device::{BatchBackend, Device, LaneAccess, SimBackend};
+use koika::device::{BatchBackend, Device, SimBackend};
 use koika::fault::{
     classify, draw_schedule, replay_campaign, run_campaign_batched, run_campaign_parallel,
     CampaignConfig, CommitFingerprint, FaultEngine, Injection, ParallelFactories, ParallelOptions,
@@ -126,7 +125,6 @@ struct Args {
     debug: bool,
     debug_script: Option<String>,
     debug_on_divergence: bool,
-    vcd_lane: Option<usize>,
     serve: Option<String>,
     max_sessions: Option<usize>,
     state_dir: Option<String>,
@@ -188,8 +186,8 @@ Options:
                       engine, or ahead-of-time compiled Rust loaded as a
                       shared library (requires a rustc toolchain; see
                       --native-cache)  (default match). --batch runs
-                      the micro-op lock-step engine only, so native
-                      with --batch is a usage error
+                      the micro-op lock-step engine only, so any other
+                      --dispatch with --batch is a usage error
   --native-cache <DIR>  cache directory for native-dispatch generated
                       sources and shared libraries (default
                       $KOIKA_NATIVE_CACHE or <tmp>/koika-native-cache);
@@ -213,8 +211,7 @@ Time-travel debugging:
                       register change or value, step / continue / run-to,
                       reverse-step / reverse-continue (checkpoints plus
                       deterministic re-execution), dump-vcd and snapshot at
-                      the paused cycle; identical on every backend,
-                      including --batch (see focus-lane)
+                      the paused cycle; identical on every backend
   --debug-script <FILE>  run a kdb command script non-interactively and
                       print the echoed transcript (byte-identical across
                       backends for the same design and script)
@@ -223,7 +220,6 @@ Time-travel debugging:
                       side, and attach kdb to the diverging backend at the
                       first cycle whose post-state differs from the
                       reference interpreter
-  --vcd-lane <N>      with --batch + --vcd: record lane N (default 0)
 
 Fault injection, snapshots & replay:
   --inject <spec|seed>  single-run injection: a cycle:reg:bit spec (e.g.
@@ -241,16 +237,16 @@ Parallel execution & differential fuzzing:
                       six VM levels, and both RTL schemes; mismatches,
                       panics, and hangs are triaged into deduplicated
                       buckets with shrunk reproducers (exit 1 on findings)
-  --batch <N>         run N design instances in one lock-step SoA batch
-                      (cuttlesim backend only). Alone: N identical lanes,
-                      throughput reported in instance-cycles/s. With
-                      --campaign: members run as lanes, one batch per
-                      worker job; with --fuzz: the six VM levels run
-                      batched, lane 0 on declared inits and lanes 1..N on
-                      perturbed inits (native rows stay scalar). Reports
-                      stay byte-identical to the scalar path at any N.
-                      The batch always runs the micro-op lock-step engine;
-                      --dispatch native is rejected (run scalar native)
+  --batch <N>         with --campaign or --fuzz only: run N design
+                      instances as lanes of one lock-step SoA batch
+                      (cuttlesim backend only). With --campaign: members
+                      run as lanes, one batch per worker job; with --fuzz:
+                      each VM level's tac row runs batched, lane 0 on
+                      declared inits and lanes 1..N on perturbed inits
+                      (match and native rows stay scalar). Reports stay
+                      byte-identical to the scalar path at any N. The
+                      batch always runs the micro-op lock-step engine;
+                      --dispatch match or native is rejected
   --jobs <J>          worker threads for --campaign/--fuzz (default 1);
                       the report is byte-identical at any J
   --retries <K>       retries granted to wall-budget trips before they are
@@ -362,7 +358,6 @@ fn parse_args() -> Result<Args, Result<ExitCode, CliError>> {
         debug: false,
         debug_script: None,
         debug_on_divergence: false,
-        vcd_lane: None,
         serve: None,
         max_sessions: None,
         state_dir: None,
@@ -426,7 +421,6 @@ fn parse_args() -> Result<Args, Result<ExitCode, CliError>> {
             "--debug" => args.debug = true,
             "--debug-script" => args.debug_script = Some(value("--debug-script")?),
             "--debug-on-divergence" => args.debug_on_divergence = true,
-            "--vcd-lane" => args.vcd_lane = Some(parsed("--vcd-lane", value("--vcd-lane")?)?),
             "--serve" => args.serve = Some(value("--serve")?),
             "--max-sessions" => {
                 args.max_sessions = Some(parsed("--max-sessions", value("--max-sessions")?)?);
@@ -482,18 +476,21 @@ struct Plan {
     stall_cycles: u64,
 }
 
-/// `--batch` runs the micro-op lock-step engine only; there is no batched
-/// native engine to select. Checked before the toolchain probe, so the
-/// combination is a usage error on every host.
-fn reject_batched_native(args: &Args, dispatch: Option<Dispatch>) -> Result<(), CliError> {
-    if args.batch.is_some() && dispatch == Some(Dispatch::Native) {
-        return Err(CliError::usage(
-            "--batch cannot be combined with --dispatch native: a batch runs the \
-             micro-op lock-step engine only; for compiled speed drop --batch and \
-             run scalar native (--dispatch native, with --jobs for campaigns and fuzz)",
-        ));
+/// `--batch` runs the micro-op lock-step engine only, so an explicit
+/// `--dispatch` other than `tac` would be silently ignored. Checked before
+/// the toolchain probe, so the combination is a usage error on every host.
+fn reject_batched_dispatch(args: &Args) -> Result<(), CliError> {
+    match args.requested_dispatch()? {
+        Some(d) if args.batch.is_some() && d != Dispatch::Tac => {
+            let name = d.short_name();
+            Err(CliError::usage(format!(
+                "--batch cannot be combined with --dispatch {name}: a batch runs the \
+                 micro-op lock-step engine (--dispatch tac) only; drop --batch to run \
+                 scalar {name} (with --jobs for campaigns and fuzz)"
+            )))
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Validates flag *combinations* and cross-references against the design —
@@ -510,8 +507,8 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
     }
     let level = OptLevel::from_number(args.level)
         .ok_or_else(|| CliError::usage(format!("bad --level {}: expected 1..6", args.level)))?;
+    reject_batched_dispatch(args)?;
     let dispatch = args.requested_dispatch()?.unwrap_or_default();
-    reject_batched_native(args, Some(dispatch))?;
     if dispatch == Dispatch::Native && !cuttlesim::toolchain_available() {
         return Err(CliError::usage(
             "--dispatch native requires a rustc toolchain, and none was found \
@@ -557,52 +554,16 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
         return Err(CliError::usage("--jobs must be at least 1"));
     }
     if args.batch.is_some() {
+        // Identical lanes would each repeat the scalar run, so a batch is
+        // only ever built from lanes that differ: campaign members or
+        // perturbed fuzz inits.
+        if args.campaign.is_none() {
+            return Err(CliError::usage("--batch requires --campaign or --fuzz"));
+        }
         if args.backend != "cuttlesim" {
             return Err(CliError::usage(format!(
                 "--batch requires the cuttlesim backend (got {:?})",
                 args.backend
-            )));
-        }
-        if args.replay.is_some() {
-            return Err(CliError::usage("--batch cannot be combined with --replay"));
-        }
-        // The batched engine has no per-lane trace/profile/snapshot
-        // machinery; in a normal (non-campaign) run those flags would
-        // silently observe nothing, so they are rejected outright.
-        // (`--vcd` *is* supported: it records the `--vcd-lane` lane.)
-        if args.campaign.is_none() {
-            let incompatible: Vec<&str> = [
-                args.emit.as_ref().map(|_| "--emit"),
-                args.trace.map(|_| "--trace"),
-                args.profile.then_some("--profile"),
-                args.inject.as_ref().map(|_| "--inject"),
-                args.restore.as_ref().map(|_| "--restore"),
-                args.snapshot_every.map(|_| "--snapshot-every"),
-                (!args.watch.is_empty()).then_some("--watch"),
-                args.perfetto.as_ref().map(|_| "--perfetto"),
-            ]
-            .into_iter()
-            .flatten()
-            .collect();
-            if !incompatible.is_empty() {
-                return Err(CliError::usage(format!(
-                    "--batch cannot be combined with {}",
-                    incompatible.join(", ")
-                )));
-            }
-        }
-    }
-    if let Some(lane) = args.vcd_lane {
-        let width = match args.batch {
-            None => return Err(CliError::usage("--vcd-lane requires --batch")),
-            Some(w) => w,
-        };
-        if args.vcd.is_none() {
-            return Err(CliError::usage("--vcd-lane requires --vcd"));
-        }
-        if lane >= width {
-            return Err(CliError::usage(format!(
-                "--vcd-lane {lane} is out of range for --batch {width}"
             )));
         }
     }
@@ -879,7 +840,6 @@ fn run_serve_mode(args: &Args, addr: &str) -> Result<ExitCode, CliError> {
         args.trace.map(|_| "--trace"),
         args.profile.then_some("--profile"),
         args.vcd.as_ref().map(|_| "--vcd"),
-        args.vcd_lane.map(|_| "--vcd-lane"),
         args.record.as_ref().map(|_| "--record"),
         args.snapshot_every.map(|_| "--snapshot-every"),
         args.snapshot_prefix.as_ref().map(|_| "--snapshot-prefix"),
@@ -1093,8 +1053,8 @@ fn open_debug_input(args: &Args, preamble: Option<String>) -> Result<Box<dyn Buf
     })
 }
 
-/// `--debug` / `--debug-script`: build the requested engine (scalar or
-/// batched), attach the time-travel debugger, and hand it the run loop.
+/// `--debug` / `--debug-script`: build the requested engine, attach the
+/// time-travel debugger, and hand it the run loop.
 /// Watchdog trips are reported in-band at the paused prompt instead of
 /// exiting 3 — a run paused under a debugger is not a hang.
 fn run_debug_mode(args: &Args, plan: &Plan) -> Result<ExitCode, CliError> {
@@ -1114,53 +1074,26 @@ fn run_debug_mode(args: &Args, plan: &Plan) -> Result<ExitCode, CliError> {
     let mut armed = watchdog.arm();
     let mut input = open_debug_input(args, None)?;
     let mut out = std::io::stdout().lock();
-    match args.batch {
-        Some(width) => {
-            let batch = BatchSim::compile_with(
-                td,
-                &CompileOptions {
-                    level: plan.level,
-                    ..CompileOptions::default()
-                },
-                width,
-            )
-            .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-            let lane_devices: Vec<Vec<Box<dyn Device>>> =
-                (0..width).map(|_| build_devices(td, &plan.program)).collect();
-            let mut target = BatchTarget::new(td, Box::new(batch), lane_devices)
-                .map_err(CliError::runtime)?;
-            koika::debug::run_session(
-                td,
-                &mut target,
-                &mut *input,
-                &mut out,
-                wd_wanted.then_some(&mut armed),
-                &opts,
-            )
-        }
-        None => {
-            let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch, false)?;
-            if let Some(path) = &args.restore {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
-                let snap = Snapshot::from_bytes(&bytes)
-                    .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
-                sim.restore(&snap)
-                    .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
-                println!("restored {} at cycle {} from {path}", snap.design, snap.cycles);
-            }
-            let devices = build_devices(td, &plan.program);
-            let mut target = ScalarTarget::new(sim, devices);
-            koika::debug::run_session(
-                td,
-                &mut target,
-                &mut *input,
-                &mut out,
-                wd_wanted.then_some(&mut armed),
-                &opts,
-            )
-        }
+    let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch, false)?;
+    if let Some(path) = &args.restore {
+        let bytes = std::fs::read(path)
+            .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
+        let snap = Snapshot::from_bytes(&bytes)
+            .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
+        sim.restore(&snap)
+            .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
+        println!("restored {} at cycle {} from {path}", snap.design, snap.cycles);
     }
+    let devices = build_devices(td, &plan.program);
+    let mut target = ScalarTarget::new(sim, devices);
+    koika::debug::run_session(
+        td,
+        &mut target,
+        &mut *input,
+        &mut out,
+        wd_wanted.then_some(&mut armed),
+        &opts,
+    )
     .map_err(|e| CliError::runtime(format!("debugger I/O error: {e}")))?;
     Ok(ExitCode::SUCCESS)
 }
@@ -1224,10 +1157,10 @@ fn debug_first_fuzz_divergence(args: &Args, report: &fuzz::FuzzReport) -> Result
 
 fn run_fuzz_mode(args: &Args) -> Result<ExitCode, CliError> {
     let cases = args.fuzz.unwrap_or(0);
+    reject_batched_dispatch(args)?;
     // No --dispatch under --fuzz means the full matrix (all three
     // dispatchers per VM level), not the scalar default of Match.
     let dispatch = args.requested_dispatch()?;
-    reject_batched_native(args, dispatch)?;
     if !cuttlesim::toolchain_available() {
         // An explicit `--dispatch native` request with no toolchain is a
         // loud no-op (exit 0, nothing silently substituted) so CI can run
@@ -1416,122 +1349,6 @@ fn run_replay_mode(args: &Args, plan: &Plan, path: &str) -> Result<ExitCode, Cli
     Ok(ExitCode::SUCCESS)
 }
 
-/// A plain (non-campaign) run of `width` identical instances through the
-/// batched lock-step engine: same design, same devices, same workload per
-/// lane, with throughput reported in instance-cycles per second.
-fn run_batched_normal_mode(args: &Args, plan: &Plan, width: usize) -> Result<ExitCode, CliError> {
-    let td = &plan.td;
-    let mut batch = BatchSim::compile_with(
-        td,
-        &CompileOptions {
-            level: plan.level,
-            ..CompileOptions::default()
-        },
-        width,
-    )
-    .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-    let mut lane_devices: Vec<Vec<Box<dyn Device>>> =
-        (0..width).map(|_| build_devices(td, &plan.program)).collect();
-    // VCD records one lane (--vcd-lane, default 0) with the same
-    // device-tick/sample/cycle ordering as the scalar run loop.
-    let vcd_lane = args.vcd_lane.unwrap_or(0);
-    let mut vcd = args.vcd.as_ref().map(|_| VcdRecorder::all_registers(td));
-
-    let watchdog = Watchdog {
-        max_cycles: args.max_cycles,
-        stall_cycles: args.stall_cycles,
-        wall_budget: args.max_wall_ms.map(Duration::from_millis),
-    };
-    let mut armed = watchdog.arm();
-    let mut trip: Option<WatchdogTrip> = None;
-    let start = std::time::Instant::now();
-    for _ in 0..args.run_cycles() {
-        let cycle = batch.cycle_count();
-        for (l, devices) in lane_devices.iter_mut().enumerate() {
-            let mut access = LaneAccess::new(&mut batch, l);
-            for d in devices.iter_mut() {
-                d.tick(cycle, &mut access);
-            }
-        }
-        if let Some(v) = &mut vcd {
-            let mut access = LaneAccess::new(&mut batch, vcd_lane);
-            v.tick(cycle, &mut access);
-        }
-        batch
-            .cycle()
-            .map_err(|e| CliError::runtime(format!("batched engine error: {e}")))?;
-        let commits: u64 = (0..width).map(|l| batch.lane_commits(l).len() as u64).sum();
-        if let Some(t) = armed.observe(batch.cycle_count(), commits) {
-            trip = Some(t);
-            break;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let cycles_run = batch.cycle_count();
-    let fired: u64 = (0..width).map(|l| batch.lane_fired(l)).sum();
-
-    println!(
-        "{}: {} cycles x {} lanes on {} in {:.3}s ({:.0} instance-cycles/s), {} rule commits",
-        td.name,
-        cycles_run,
-        width,
-        args.backend,
-        elapsed,
-        (cycles_run * width as u64) as f64 / elapsed.max(1e-9),
-        fired,
-    );
-    println!(
-        "  batch: {} lock-step rule steps, {} divergence fallbacks",
-        batch.lockstep_rules(),
-        batch.fallback_rules(),
-    );
-    if args.design.starts_with("rv32") {
-        let retired = batch.lane_get64(0, td.reg_id("retired"));
-        println!(
-            "  lane 0 retired {} instructions (IPC {:.3}), pc = {:#x}",
-            retired,
-            retired as f64 / cycles_run.max(1) as f64,
-            batch.lane_get64(0, td.reg_id("pc"))
-        );
-    }
-
-    if let Some(path) = &args.metrics_json {
-        // Aggregate the always-on per-lane counters, then attach the
-        // batch section.
-        let mut fired_per_rule = vec![0u64; td.rules.len()];
-        let mut fails_per_rule = vec![0u64; td.rules.len()];
-        for l in 0..width {
-            for (i, v) in batch.lane_fired_per_rule(l).into_iter().enumerate() {
-                fired_per_rule[i] += v;
-            }
-            for (i, v) in batch.lane_fails_per_rule(l).into_iter().enumerate() {
-                fails_per_rule[i] += v;
-            }
-        }
-        let mut m = Metrics::for_design(td);
-        m.set_counts(&fired_per_rule, &fails_per_rule, cycles_run);
-        m.set_batch(
-            width as u64,
-            batch.lockstep_rules(),
-            batch.fallback_rules(),
-        );
-        write_file(path, m.to_json(false).as_bytes())?;
-        println!("wrote metrics snapshot to {path}");
-    }
-
-    if let (Some(path), Some(v)) = (&args.vcd, &vcd) {
-        let dump = v.finish(cycles_run);
-        write_file(path, dump.as_bytes())?;
-        println!("wrote {} bytes of VCD to {path}", dump.len());
-    }
-
-    if let Some(t) = trip {
-        eprintln!("{t}");
-        return Ok(ExitCode::from(3));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn run(args: &Args) -> Result<ExitCode, CliError> {
     // The native-dispatch artifact cache is configured through the
     // environment so every layer (scalar sims, batch engines, fuzz
@@ -1647,9 +1464,6 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
     }
     if args.debug_requested() {
         return run_debug_mode(args, &plan);
-    }
-    if let Some(width) = args.batch {
-        return run_batched_normal_mode(args, &plan, width);
     }
 
     // Normal run (possibly with injections, snapshots, and a watchdog).

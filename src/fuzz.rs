@@ -62,17 +62,17 @@ pub struct FuzzConfig {
     /// classification machine-independent; when set, a case that exceeds
     /// it is retried and, if it keeps tripping, triaged as a hang.
     pub wall_budget: Option<Duration>,
-    /// Batched-engine lanes for the interpreted VM rows: `0` runs them as
-    /// scalar [`Sim`]s (the historical path), `n >= 1` runs each
-    /// match and tac row as one [`BatchSim`] (the micro-op lock-step
-    /// engine, whichever dispatch the row names) whose lane 0 uses the
-    /// declared initial values
-    /// (so its findings are labeled identically to the scalar path) and
-    /// whose lanes `1..n` use seed-derived perturbed initial register
-    /// values, each compared against its own reference-interpreter run —
-    /// deliberately forcing control-flow divergence inside the batch.
-    /// Native rows have no batched engine and run as scalar compiled
-    /// [`Sim`]s at any `n`, exactly like the RTL rows.
+    /// Batched-engine lanes for the tac VM rows: `0` runs them as scalar
+    /// [`Sim`]s (the historical path), `n >= 1` runs each tac row as one
+    /// [`BatchSim`] (the micro-op lock-step engine) whose lane 0 uses the
+    /// declared initial values (so its findings are labeled identically to
+    /// the scalar path) and whose lanes `1..n` use seed-derived perturbed
+    /// initial register values, each compared against its own
+    /// reference-interpreter run — deliberately forcing control-flow
+    /// divergence inside the batch. Match and native rows have no batched
+    /// engine of their own and run as scalar [`Sim`]s at any `n`, exactly
+    /// like the RTL rows, so a batched run still exercises every
+    /// dispatcher.
     pub batch: usize,
     /// Which VM dispatch engines to include in the matrix: `None` (the
     /// default) compares every level under *all* dispatchers — direct
@@ -534,13 +534,12 @@ fn batched_traces(
     Ok(traces)
 }
 
-/// Runs one case with the interpreted VM rows executed as *batched*
-/// lock-step engines over `lanes` instances (see [`FuzzConfig::batch`]):
-/// lane 0 replays the scalar comparison against the declared reset state,
-/// lanes `1..` start from perturbed register values, and every lane is
-/// compared cycle-by-cycle against its own reference-interpreter run. The
-/// native and RTL backends have no batched engine and run exactly as in
-/// [`run_case`].
+/// Runs one case with the tac VM rows executed as *batched* lock-step
+/// engines over `lanes` instances (see [`FuzzConfig::batch`]): lane 0
+/// replays the scalar comparison against the declared reset state, lanes
+/// `1..` start from perturbed register values, and every lane is compared
+/// cycle-by-cycle against its own reference-interpreter run. The match,
+/// native and RTL backends run exactly as in [`run_case`].
 pub fn run_case_batched(
     seed: u64,
     cycles: u64,
@@ -583,7 +582,7 @@ pub fn run_case_batched(
 
     for backend in BackendId::all(dispatch) {
         let level = match backend {
-            BackendId::Vm(level, d) if d != Dispatch::Native => level,
+            BackendId::Vm(level, Dispatch::Tac) => level,
             _ => {
                 // Scalar path, identical to `run_case`.
                 let run = contain(|| {

@@ -4,8 +4,8 @@
 //! scripted session — breakpoints, watchpoints, reverse execution across
 //! checkpoint boundaries, waveform dumps — must produce a byte-identical
 //! transcript on the reference interpreter, the cuttlesim VM under every
-//! dispatch engine, the levelized RTL simulator, and the batched SoA
-//! engine's focused lane. These tests pin that down with `diff`-grade
+//! dispatch engine, and the levelized RTL simulator. These tests pin that
+//! down with `diff`-grade
 //! comparisons, plus the `--debug-on-divergence` flow against the
 //! checked-in fuzz corpus.
 
@@ -57,11 +57,10 @@ fn run_session(dir: &Path, design: &str, backend_flags: &[&str], cycles: &str, s
     (transcript, vcd)
 }
 
-/// The backend matrix every session is compared across. The batched
-/// engine is appended only when the design fits its ≤64-bit lane model.
-/// The native dispatcher joins the matrix only when a rustc toolchain is
-/// present — the skip is announced on stderr, never silent.
-fn backend_matrix(with_batch: bool) -> Vec<Vec<&'static str>> {
+/// The backend matrix every session is compared across. The native
+/// dispatcher joins the matrix only when a rustc toolchain is present —
+/// the skip is announced on stderr, never silent.
+fn backend_matrix() -> Vec<Vec<&'static str>> {
     let mut m = vec![
         vec!["--backend", "interp"],
         vec!["--backend", "cuttlesim", "--dispatch", "match"],
@@ -73,16 +72,13 @@ fn backend_matrix(with_batch: bool) -> Vec<Vec<&'static str>> {
         eprintln!("SKIP: no rustc toolchain; native dispatch row excluded from the debugger matrix");
     }
     m.push(vec!["--backend", "rtl"]);
-    if with_batch {
-        m.push(vec!["--batch", "3"]);
-    }
     m
 }
 
-fn assert_transcripts_identical(design: &str, script: &str, cycles: &str, with_batch: bool) -> String {
+fn assert_transcripts_identical(design: &str, script: &str, cycles: &str) -> String {
     let dir = scratch(design);
     let mut reference: Option<(String, Option<Vec<u8>>)> = None;
-    for flags in backend_matrix(with_batch) {
+    for flags in backend_matrix() {
         let (transcript, vcd) = run_session(&dir, design, &flags, cycles, script);
         match &reference {
             None => reference = Some((transcript, vcd)),
@@ -130,7 +126,7 @@ dump-vcd out.vcd
 snapshot out.ksnap
 quit
 ";
-    let transcript = assert_transcripts_identical("collatz", script, "40", true);
+    let transcript = assert_transcripts_identical("collatz", script, "40");
     // Spot-check the session actually exercised what it claims to.
     assert!(transcript.contains("breakpoint 1: rule 'rlB' commit"), "{transcript}");
     assert!(transcript.contains("watchpoint 2: reg 'x'"), "{transcript}");
@@ -164,48 +160,16 @@ last 5
 dump-vcd out.vcd
 quit
 ";
-    let transcript = assert_transcripts_identical("rv32i", script, "200", true);
+    let transcript = assert_transcripts_identical("rv32i", script, "200");
     assert!(transcript.contains("breakpoint 1: rule 'writeback' commit"), "{transcript}");
     assert!(transcript.contains("watchpoint 2: reg 'retired'"), "{transcript}");
     assert!(transcript.contains("stopped at cycle 60"), "{transcript}");
 }
 
 #[test]
-fn batch_focus_lane_switches_and_stays_consistent() {
-    // Lanes of a plain batch are identical instances, so a session that
-    // refocuses mid-run must agree with the scalar run after the switch.
-    let dir = scratch("focus");
-    let script = "\
-run-to 12
-focus-lane 2
-print x
-step 4
-print x
-quit
-";
-    let (batch, _) = run_session(&dir, "collatz", &["--batch", "3"], "40", script);
-    assert!(batch.contains("focused on lane 2 of 3"), "{batch}");
-    // The same cycles on the interpreter produce the same register values.
-    let script_scalar = "\
-run-to 12
-print x
-step 4
-print x
-quit
-";
-    let (scalar, _) = run_session(&dir, "collatz", &["--backend", "interp"], "40", script_scalar);
-    let vals = |t: &str| -> Vec<String> {
-        t.lines().filter(|l| l.starts_with("x = ")).map(str::to_string).collect()
-    };
-    assert_eq!(vals(&batch), vals(&scalar), "batch: {batch}\nscalar: {scalar}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn vcd_is_byte_identical_across_dispatchers_and_batch_lane() {
-    // Satellite pin: `--vcd` under every dispatch engine and under
-    // `--batch` (recording the selected lane) produces byte-identical
-    // waveforms for identical instances.
+fn vcd_is_byte_identical_across_dispatchers() {
+    // `--vcd` under every dispatch engine produces byte-identical
+    // waveforms.
     let dir = scratch("vcd");
     let mut matrix: Vec<Vec<&str>> = vec![vec!["--dispatch", "match"], vec!["--dispatch", "tac"]];
     if cuttlesim::toolchain_available() {
@@ -213,8 +177,6 @@ fn vcd_is_byte_identical_across_dispatchers_and_batch_lane() {
     } else {
         eprintln!("SKIP: no rustc toolchain; native dispatch row excluded from the VCD matrix");
     }
-    matrix.push(vec!["--batch", "3"]);
-    matrix.push(vec!["--batch", "3", "--vcd-lane", "1"]);
     let mut reference: Option<Vec<u8>> = None;
     for (i, flags) in matrix.iter().enumerate() {
         let vcd_path = dir.join(format!("wave-{i}.vcd"));

@@ -352,8 +352,9 @@ fn cli_batch_composes_with_campaign_fuzz_and_jobs() {
 
 #[test]
 fn cli_rejects_bad_batch_invocations() {
-    // Zero lanes, non-cuttlesim backends, and per-instance observability
-    // flags are all usage errors (exit 2), never panics.
+    // Zero lanes, non-cuttlesim backends, a batch of identical lanes (no
+    // --campaign or --fuzz), and a dispatch other than tac are all usage
+    // errors (exit 2), never panics.
     let cases: &[&[&str]] = &[
         &["collatz", "--batch", "0"],
         &["collatz", "--batch", "4", "--backend", "interp"],
@@ -364,6 +365,10 @@ fn cli_rejects_bad_batch_invocations() {
         &["collatz", "--batch", "4", "--profile"],
         &["collatz", "--batch", "4", "--inject", "1:x:0"],
         &["collatz", "--batch", "4", "--replay", "x.log"],
+        &["collatz", "--batch", "4"],
+        &["collatz", "--batch", "3", "--debug-script", "s.kdb"],
+        &["rv32i", "--campaign", "4", "--batch", "4", "--dispatch", "match"],
+        &["--fuzz", "2", "--batch", "2", "--dispatch", "match"],
     ];
     for case in cases {
         let out = koika_sim().args(*case).output().unwrap();
