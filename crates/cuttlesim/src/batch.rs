@@ -15,22 +15,32 @@
 //! operations over the batch. There is no compiled batched engine: a
 //! design that wants compiled speed runs scalar [`Dispatch::Native`]
 //! [`Sim`](crate::Sim)s, which beat this lock-step interpreter on every
-//! workload where the two were timed.
+//! `batch_bench` design. On the 32-member rv32i SEU campaign the batch
+//! wins instead (EXPERIMENTS.md).
 //!
 //! # Divergence fallback
 //!
 //! Lanes stay in lock-step only while control flow agrees. At every
 //! control-flow-relevant point — a checked register access, a conditional
-//! jump — the batch tests all lanes:
+//! jump — the batch tests its *active* lanes (every lane, at rule entry):
 //!
-//! * **all lanes agree** → one batched step (the fast path);
-//! * **all lanes fail** a check → one batched rule failure;
-//! * **lanes disagree** → the rule *diverges*: the engine restores the
-//!   batch to its state at rule entry (a snapshot taken after the rule
-//!   prologue, which is idempotent at every level) and re-runs the rule
-//!   per-lane through the *exact scalar bytecode executor*
-//!   ([`step_rule_impl`](crate::vm)) — only this rule, only this cycle; the
-//!   next rule starts in lock-step again.
+//! * **all active lanes agree** → one batched step (the fast path);
+//! * **all active lanes fail** a check → one batched rule failure;
+//! * **active lanes disagree** → the rule *diverges*: the larger side
+//!   stays in lock-step (on a tie, the side holding the lowest active
+//!   lane) and the other side is *dropped*. Gates and jumps count only the
+//!   active lanes, with the same masked kernels whether or not a lane has
+//!   dropped, and after a split the rule-end commit, rollback or merge
+//!   blends only them.
+//!
+//! At rule end each dropped lane is restored to its state at rule entry (a
+//! snapshot taken after the rule prologue, which is idempotent at every
+//! level) and re-run alone through the *exact scalar bytecode executor*
+//! ([`step_rule_impl`](crate::vm)) — only this rule, only this cycle, only
+//! the dropped lanes; the next rule starts with every lane in lock-step
+//! again. A re-run copies the lane in and out of the scalar scratch state
+//! for just the registers the rule can touch (its *lane set*), or whole
+//! when a commit or rollback copies whole logs.
 //!
 //! Because the fallback path *is* the scalar semantics and the lock-step
 //! path executes the same checks and side effects lane-wise, per-lane
@@ -76,7 +86,7 @@ const W1: u8 = 0b1000;
 
 /// Per-rule facts precomputed at construction: which flat register indices
 /// the rule can write (bounding the data snapshot needed for divergence
-/// restore) and which it can touch.
+/// restore), which it can touch, and which a scalar re-run can reach.
 #[derive(Debug, Default)]
 struct RuleMeta {
     /// Sorted, deduplicated flat register indices of every write-class
@@ -86,6 +96,19 @@ struct RuleMeta {
     /// the only registers whose read-write-set bytes the lock-step engine
     /// can mutate, bounding the rw-plane snapshot and the O1 commit merge.
     touched: Vec<u32>,
+    /// The registers whose columns a scalar re-run of one lane must copy
+    /// in and out: `touched`, the unchecked reads (which `touched` omits),
+    /// and the commit and rollback footprints. `None` — copy the whole
+    /// lane — when `acc_logs` holds and either plan is
+    /// [`CopyPlan::Full`]: that commit also copies lingering log bits of
+    /// registers the rule never touches.
+    lane_set: Option<Vec<u32>>,
+}
+
+fn sorted(mut v: Vec<u32>) -> Vec<u32> {
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
 fn rule_metas(prog: &Program) -> Vec<RuleMeta> {
@@ -94,6 +117,7 @@ fn rule_metas(prog: &Program) -> Vec<RuleMeta> {
         .map(|rule| {
             let mut writes: Vec<u32> = Vec::new();
             let mut reads: Vec<u32> = Vec::new();
+            let mut fast_reads: Vec<u32> = Vec::new();
             for insn in &rule.code {
                 match *insn {
                     Insn::Wr0 { reg, .. }
@@ -109,18 +133,100 @@ fn rule_metas(prog: &Program) -> Vec<RuleMeta> {
                     Insn::Rd0Arr { base, mask, .. } | Insn::Rd1Arr { base, mask, .. } => {
                         reads.extend(base..=base + mask);
                     }
+                    Insn::Rd0Fast { reg } | Insn::Rd1Fast { reg } | Insn::LdFast { reg, .. } => {
+                        fast_reads.push(reg);
+                    }
+                    Insn::Rd0ArrFast { base, mask } | Insn::Rd1ArrFast { base, mask } => {
+                        fast_reads.extend(base..=base + mask);
+                    }
                     _ => {}
                 }
             }
-            writes.sort_unstable();
-            writes.dedup();
-            let mut touched = writes.clone();
-            touched.extend(reads);
-            touched.sort_unstable();
-            touched.dedup();
-            RuleMeta { writes, touched }
+            let writes = sorted(writes);
+            let touched = sorted([&writes[..], &reads].concat());
+            let lane_set = match (&rule.commit, &rule.rollback) {
+                (CopyPlan::Full, _) | (_, CopyPlan::Full) if prog.cfg.acc_logs => None,
+                (commit, rollback) => {
+                    let mut set = [&touched[..], &fast_reads].concat();
+                    for plan in [commit, rollback] {
+                        if let CopyPlan::Footprint { rw, data } = plan {
+                            set.extend(rw.iter().chain(data));
+                        }
+                    }
+                    Some(sorted(set))
+                }
+            };
+            RuleMeta {
+                writes,
+                touched,
+                lane_set,
+            }
         })
         .collect()
+}
+
+/// Splits the active lanes at a gate or jump they disagree on: the larger
+/// side stays in lock-step (on a tie, the side holding the lowest active
+/// lane) and the other side is dropped. `npass` counts the active lanes
+/// for which `pass` holds. Returns whether the passing side was kept.
+fn split_lanes(
+    active: &mut [u8],
+    nactive: &mut usize,
+    npass: usize,
+    pass: impl Fn(usize) -> bool,
+) -> bool {
+    let first = active
+        .iter()
+        .position(|&a| a != 0)
+        .expect("a rule run keeps at least one active lane");
+    let keep = 2 * npass > *nactive || (2 * npass == *nactive && pass(first));
+    for (l, a) in active.iter_mut().enumerate() {
+        if *a != 0 && pass(l) != keep {
+            *a = 0;
+        }
+    }
+    *nactive = if keep { npass } else { *nactive - npass };
+    keep
+}
+
+/// A lane word the rule-end blends can select per lane.
+trait LaneWord: Copy {
+    /// `new` on an active lane (`active == 0xFF`), else `old`, branchlessly.
+    fn blend(new: Self, old: Self, active: u8) -> Self;
+}
+
+impl LaneWord for u8 {
+    #[inline(always)]
+    fn blend(new: u8, old: u8, active: u8) -> u8 {
+        (new & active) | (old & !active)
+    }
+}
+
+impl LaneWord for u64 {
+    #[inline(always)]
+    fn blend(new: u64, old: u64, active: u8) -> u64 {
+        let m = lane_mask(active != 0);
+        (new & m) | (old & !m)
+    }
+}
+
+/// `dst = src` over whole `lanes`-wide stripes: a plain copy when `active`
+/// is `None` (every lane in lock-step), else a blend that writes only the
+/// lanes `active` selects. The blend costs a third load per word; on
+/// lock-step-bound runs it is measurably slower than the copy (see
+/// EXPERIMENTS.md), so the rule-end copies take it only after a split.
+#[inline(always)]
+fn copy_lanes<T: LaneWord>(dst: &mut [T], src: &[T], active: Option<&[u8]>) {
+    match active {
+        None => dst.copy_from_slice(src),
+        Some(act) => {
+            for (d, s) in dst.chunks_exact_mut(act.len()).zip(src.chunks_exact(act.len())) {
+                for ((d, &s), &a) in d.iter_mut().zip(s).zip(act) {
+                    *d = T::blend(s, *d, a);
+                }
+            }
+        }
+    }
 }
 
 /// A batched simulator: `lanes` instances of one compiled design executing
@@ -169,9 +275,16 @@ pub struct BatchSim {
     // is ever saved — data stripes and slot files are recoverable without
     // a snapshot (see `step_rule_batch_inner`).
     snap_rw: Vec<u8>,
+    /// Per-lane lock-step membership during one rule run: `0xFF` while
+    /// the lane follows the batch, `0` once a split dropped it. Every lane
+    /// is active again at the next rule.
+    active: Vec<u8>,
+    /// Number of active lanes; `lanes` until a rule run drops one.
+    nactive: usize,
     // Lock-step effectiveness counters.
     lockstep_rules: u64,
     fallback_rules: u64,
+    fallback_lanes: u64,
     /// Every rule lowered to micro-ops, once, at construction.
     tac: Vec<TacRule>,
     /// Per-rule SoA slot files, slot-major (`slot * lanes + lane`), with
@@ -267,8 +380,11 @@ impl BatchSim {
             rule_meta,
             scratch,
             snap_rw: vec![0; n * lanes],
+            active: vec![0xFF; lanes],
+            nactive: lanes,
             lockstep_rules: 0,
             fallback_rules: 0,
+            fallback_lanes: 0,
             tac,
             slots,
             prog,
@@ -332,9 +448,18 @@ impl BatchSim {
         self.lockstep_rules
     }
 
-    /// Rules that diverged and were re-run per-lane by the scalar executor.
+    /// Rule runs that diverged: at least one lane left lock-step and was
+    /// re-run by the scalar executor. Every rule run counts once in either
+    /// this or [`BatchSim::lockstep_rules`].
     pub fn fallback_rules(&self) -> u64 {
         self.fallback_rules
+    }
+
+    /// Lane re-runs through the scalar executor: each diverging rule run
+    /// adds the number of lanes it dropped, so `fallback_rules <=
+    /// fallback_lanes <= fallback_rules * lanes`.
+    pub fn fallback_lanes(&self) -> u64 {
+        self.fallback_lanes
     }
 
     /// One lane's current value of `reg` (the same observable as the scalar
@@ -445,6 +570,11 @@ impl BatchSim {
         let meta = std::mem::take(&mut self.rule_meta[rule_idx]);
         let res = self.step_rule_batch_inner(rule_idx, &meta);
         self.rule_meta[rule_idx] = meta;
+        // Every lane starts the next rule in lock-step.
+        if self.nactive < self.lanes {
+            self.active.fill(0xFF);
+            self.nactive = self.lanes;
+        }
         res
     }
 
@@ -495,83 +625,10 @@ impl BatchSim {
         }
 
         let outcome = self.run_uops_batch(rule_idx)?;
-
-        match outcome {
-            Some(Ok(())) => {
-                // Batched commit.
-                self.lockstep_rules += 1;
-                let BatchSim {
-                    prog,
-                    cyc_rw,
-                    log_rw,
-                    cyc_d0,
-                    log_d0,
-                    cyc_d1,
-                    log_d1,
-                    ..
-                } = self;
-                if !cfg.acc_logs {
-                    // The prologue zeroed `log_rw`, so only the rule's own
-                    // touched registers can carry bits — merge just those
-                    // stripes, branchlessly.
-                    for &r in &meta.touched {
-                        let s = r as usize * lanes;
-                        let lrw = &log_rw[s..s + lanes];
-                        for (c, &rl) in cyc_rw[s..s + lanes].iter_mut().zip(lrw) {
-                            *c |= rl;
-                        }
-                        if cfg.merged_data {
-                            for ((c, &d), &rl) in cyc_d0[s..s + lanes]
-                                .iter_mut()
-                                .zip(&log_d0[s..s + lanes])
-                                .zip(lrw)
-                            {
-                                let m = lane_mask(rl & (W0 | W1) != 0);
-                                *c = (d & m) | (*c & !m);
-                            }
-                        } else {
-                            for ((c, &d), &rl) in cyc_d0[s..s + lanes]
-                                .iter_mut()
-                                .zip(&log_d0[s..s + lanes])
-                                .zip(lrw)
-                            {
-                                let m = lane_mask(rl & W0 != 0);
-                                *c = (d & m) | (*c & !m);
-                            }
-                            for ((c, &d), &rl) in cyc_d1[s..s + lanes]
-                                .iter_mut()
-                                .zip(&log_d1[s..s + lanes])
-                                .zip(lrw)
-                            {
-                                let m = lane_mask(rl & W1 != 0);
-                                *c = (d & m) | (*c & !m);
-                            }
-                        }
-                    }
-                } else {
-                    match &prog.rules[rule_idx].commit {
-                        CopyPlan::Full => {
-                            cyc_rw.copy_from_slice(log_rw);
-                            cyc_d0.copy_from_slice(log_d0);
-                            if !cfg.merged_data {
-                                cyc_d1.copy_from_slice(log_d1);
-                            }
-                        }
-                        CopyPlan::Footprint { rw, data } => {
-                            for &r in rw {
-                                let s = r as usize * lanes;
-                                cyc_rw[s..s + lanes].copy_from_slice(&log_rw[s..s + lanes]);
-                            }
-                            for &r in data {
-                                let s = r as usize * lanes;
-                                cyc_d0[s..s + lanes].copy_from_slice(&log_d0[s..s + lanes]);
-                                if !cfg.merged_data {
-                                    cyc_d1[s..s + lanes].copy_from_slice(&log_d1[s..s + lanes]);
-                                }
-                            }
-                        }
-                    }
-                }
+        self.settle_active(rule_idx, meta, outcome);
+        if self.nactive == lanes {
+            self.lockstep_rules += 1;
+            if outcome.is_ok() {
                 self.fired_base += 1;
                 if self.commits_split {
                     for c in &mut self.commits {
@@ -580,104 +637,188 @@ impl BatchSim {
                 } else {
                     self.commits_uniform.push(rule_idx as u32);
                 }
-                Ok(())
             }
-            Some(Err(clean)) => {
-                // Batched failure: every lane failed the same check.
-                self.lockstep_rules += 1;
-                if cfg.reset_on_fail && !clean {
-                    let BatchSim {
-                        prog,
-                        cyc_rw,
-                        log_rw,
-                        cyc_d0,
-                        log_d0,
-                        cyc_d1,
-                        log_d1,
-                        ..
-                    } = self;
-                    match &prog.rules[rule_idx].rollback {
-                        CopyPlan::Full => {
-                            log_rw.copy_from_slice(cyc_rw);
-                            log_d0.copy_from_slice(cyc_d0);
-                            if !cfg.merged_data {
-                                log_d1.copy_from_slice(cyc_d1);
-                            }
-                        }
-                        CopyPlan::Footprint { rw, data } => {
-                            for &r in rw {
-                                let s = r as usize * lanes;
-                                log_rw[s..s + lanes].copy_from_slice(&cyc_rw[s..s + lanes]);
-                            }
-                            for &r in data {
-                                let s = r as usize * lanes;
-                                log_d0[s..s + lanes].copy_from_slice(&cyc_d0[s..s + lanes]);
-                                if !cfg.merged_data {
-                                    log_d1[s..s + lanes].copy_from_slice(&cyc_d1[s..s + lanes]);
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(())
+            return Ok(());
+        }
+
+        // Divergence: the lanes still active have settled above; re-run
+        // each dropped lane, restored to rule entry, through the exact
+        // scalar executor. Below `reset_on_fail` the scalar prologue
+        // rebuilds rule-entry log state itself, so only the
+        // `reset_on_fail` levels restore anything (see `restore_lane`).
+        self.fallback_rules += 1;
+        // The lanes' commit outcomes differ from here on: the shared
+        // commit list becomes per-lane vectors.
+        if !self.commits_split {
+            let BatchSim {
+                commits,
+                commits_uniform,
+                ..
+            } = self;
+            for c in commits.iter_mut() {
+                c.clear();
+                c.extend_from_slice(commits_uniform);
             }
-            None => {
-                // Divergence: restore to rule entry and re-run every lane
-                // through the exact scalar executor. Below `reset_on_fail`
-                // the scalar prologue rebuilds rule-entry log state itself,
-                // so only the `reset_on_fail` levels restore anything: the
-                // saved rw stripes, and data stripes straight from `cyc_*`
-                // (equal to the log at rule entry — see the snapshot
-                // comment above).
-                self.fallback_rules += 1;
-                // Materialize the lock-step bookkeeping the per-lane
-                // executors are about to diverge from: the shared commit
-                // list becomes per-lane vectors.
-                if !self.commits_split {
-                    let BatchSim {
-                        commits,
-                        commits_uniform,
-                        ..
-                    } = self;
-                    for c in commits.iter_mut() {
-                        c.clear();
-                        c.extend_from_slice(commits_uniform);
-                    }
-                    self.commits_split = true;
-                }
+            self.commits_split = true;
+        }
+        let mut executed = 0u64;
+        for l in 0..lanes {
+            let committed = if self.active[l] != 0 {
+                outcome.is_ok()
+            } else {
+                self.fallback_lanes += 1;
                 if cfg.reset_on_fail {
-                    for &r in &meta.touched {
-                        let s = r as usize * lanes;
-                        self.log_rw[s..s + lanes].copy_from_slice(&self.snap_rw[s..s + lanes]);
-                    }
-                    for &r in &meta.writes {
-                        let s = r as usize * lanes;
-                        self.log_d0[s..s + lanes].copy_from_slice(&self.cyc_d0[s..s + lanes]);
+                    self.restore_lane(l, meta);
+                }
+                self.gather_lane(l, meta.lane_set.as_deref());
+                let committed = step_rule_impl(
+                    &self.prog,
+                    &mut self.scratch,
+                    rule_idx,
+                    &mut executed,
+                    false,
+                )?;
+                self.scatter_lane(l, meta.lane_set.as_deref());
+                committed
+            };
+            if committed {
+                self.fired[l] += 1;
+                self.commits[l].push(rule_idx as u32);
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies the active lanes' rule outcome: the commit merge, or the
+    /// rollback of an unclean failure at `reset_on_fail` levels. After a
+    /// split the commit and rollback copies become blends over the `active`
+    /// plane (see [`copy_lanes`]) and the O0/O1 merge ANDs with it, so
+    /// lanes dropped from lock-step are left to the scalar re-run.
+    fn settle_active(&mut self, rule_idx: usize, meta: &RuleMeta, outcome: Result<(), bool>) {
+        let cfg = self.prog.cfg;
+        let lanes = self.lanes;
+        let BatchSim {
+            prog,
+            cyc_rw,
+            log_rw,
+            cyc_d0,
+            log_d0,
+            cyc_d1,
+            log_d1,
+            active,
+            nactive,
+            ..
+        } = self;
+        let act = (*nactive < lanes).then_some(&active[..]);
+        // One copy plan, `dst = src` on the plan's registers: a commit
+        // copies log → cycle, a rollback cycle → log.
+        macro_rules! apply_plan {
+            (
+                $plan:expr,
+                [$drw:ident, $dd0:ident, $dd1:ident] <- [$srw:ident, $sd0:ident, $sd1:ident]
+            ) => {
+                match $plan {
+                    CopyPlan::Full => {
+                        copy_lanes($drw, $srw, act);
+                        copy_lanes($dd0, $sd0, act);
                         if !cfg.merged_data {
-                            self.log_d1[s..s + lanes]
-                                .copy_from_slice(&self.cyc_d1[s..s + lanes]);
+                            copy_lanes($dd1, $sd1, act);
+                        }
+                    }
+                    CopyPlan::Footprint { rw, data } => {
+                        for &r in rw {
+                            let s = r as usize * lanes;
+                            copy_lanes(&mut $drw[s..s + lanes], &$srw[s..s + lanes], act);
+                        }
+                        for &r in data {
+                            let s = r as usize * lanes;
+                            copy_lanes(&mut $dd0[s..s + lanes], &$sd0[s..s + lanes], act);
+                            if !cfg.merged_data {
+                                copy_lanes(&mut $dd1[s..s + lanes], &$sd1[s..s + lanes], act);
+                            }
                         }
                     }
                 }
-                let mut executed = 0u64;
-                for l in 0..lanes {
-                    self.gather_lane(l);
-                    let committed = step_rule_impl(
-                        &self.prog,
-                        &mut self.scratch,
-                        rule_idx,
-                        &mut executed,
-                        false,
-                    )?;
-                    self.scatter_lane(l, rule_idx, committed);
+            };
+        }
+        match outcome {
+            Ok(()) if !cfg.acc_logs => {
+                // The prologue zeroed `log_rw`, so only the rule's own
+                // touched registers can carry bits — merge just those
+                // stripes, branchlessly. ANDing with the `active` plane
+                // (all-ones until a split) leaves dropped lanes alone.
+                for &r in &meta.touched {
+                    let s = r as usize * lanes;
+                    let lrw = &log_rw[s..s + lanes];
+                    for ((c, &rl), &a) in cyc_rw[s..s + lanes].iter_mut().zip(lrw).zip(&*active) {
+                        *c |= rl & a;
+                    }
+                    if cfg.merged_data {
+                        for (((c, &d), &rl), &a) in cyc_d0[s..s + lanes]
+                            .iter_mut()
+                            .zip(&log_d0[s..s + lanes])
+                            .zip(lrw)
+                            .zip(&*active)
+                        {
+                            let m = lane_mask(rl & a & (W0 | W1) != 0);
+                            *c = (d & m) | (*c & !m);
+                        }
+                    } else {
+                        for (((c, &d), &rl), &a) in cyc_d0[s..s + lanes]
+                            .iter_mut()
+                            .zip(&log_d0[s..s + lanes])
+                            .zip(lrw)
+                            .zip(&*active)
+                        {
+                            let m = lane_mask(rl & a & W0 != 0);
+                            *c = (d & m) | (*c & !m);
+                        }
+                        for (((c, &d), &rl), &a) in cyc_d1[s..s + lanes]
+                            .iter_mut()
+                            .zip(&log_d1[s..s + lanes])
+                            .zip(lrw)
+                            .zip(&*active)
+                        {
+                            let m = lane_mask(rl & a & W1 != 0);
+                            *c = (d & m) | (*c & !m);
+                        }
+                    }
                 }
-                Ok(())
+            }
+            Ok(()) => {
+                let plan = &prog.rules[rule_idx].commit;
+                apply_plan!(plan, [cyc_rw, cyc_d0, cyc_d1] <- [log_rw, log_d0, log_d1]);
+            }
+            Err(clean) if cfg.reset_on_fail && !clean => {
+                let plan = &prog.rules[rule_idx].rollback;
+                apply_plan!(plan, [log_rw, log_d0, log_d1] <- [cyc_rw, cyc_d0, cyc_d1]);
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Restores one dropped lane's rule-entry log columns at
+    /// `reset_on_fail` levels: the saved rw bytes on the touched registers
+    /// and, on the written ones, the data from `cyc_*` (equal to the log at
+    /// rule entry — see the snapshot comment in `step_rule_batch_inner`).
+    fn restore_lane(&mut self, l: usize, meta: &RuleMeta) {
+        let lanes = self.lanes;
+        for &r in &meta.touched {
+            let i = r as usize * lanes + l;
+            self.log_rw[i] = self.snap_rw[i];
+        }
+        for &r in &meta.writes {
+            let i = r as usize * lanes + l;
+            self.log_d0[i] = self.cyc_d0[i];
+            if !self.prog.cfg.merged_data {
+                self.log_d1[i] = self.cyc_d1[i];
             }
         }
     }
 
     /// Copies one lane's column of every array into the scalar scratch
-    /// state.
+    /// state: on the registers of `set` only, or whole when `set` is
+    /// `None`.
     ///
     /// Kept out of line, like [`BatchSim::scatter_lane`]: each has one
     /// call site, in the divergence fallback, and inlined there they grow
@@ -685,7 +826,7 @@ impl BatchSim {
     /// by about 3% (median unit rate over 16 alternating rounds on a
     /// 2-vCPU Xeon).
     #[inline(never)]
-    fn gather_lane(&mut self, l: usize) {
+    fn gather_lane(&mut self, l: usize, set: Option<&[u32]>) {
         let lanes = self.lanes;
         let BatchSim {
             boc,
@@ -699,16 +840,27 @@ impl BatchSim {
             cycles,
             ..
         } = self;
-        // Strided column reads via `step_by` zips: no bounds checks, no
-        // per-element index arithmetic. `get(l..)` keeps the arrays that a
-        // level leaves empty (`boc`, `cyc_d1`) safe to slice at any lane.
+        // Whole columns are strided reads via `step_by` zips: no bounds
+        // checks, no per-element index arithmetic. `get(l..)` and the
+        // emptiness test keep the arrays that a level leaves empty (`boc`,
+        // `cyc_d1`) safe at any lane.
         macro_rules! gather {
             ($dst:expr, $src:expr) => {
-                for (dst, &src) in $dst
-                    .iter_mut()
-                    .zip($src.get(l..).unwrap_or(&[]).iter().step_by(lanes))
-                {
-                    *dst = src;
+                match set {
+                    None => {
+                        for (dst, &src) in $dst
+                            .iter_mut()
+                            .zip($src.get(l..).unwrap_or(&[]).iter().step_by(lanes))
+                        {
+                            *dst = src;
+                        }
+                    }
+                    Some(set) if !$src.is_empty() => {
+                        for &r in set {
+                            $dst[r as usize] = $src[r as usize * lanes + l];
+                        }
+                    }
+                    Some(_) => {}
                 }
             };
         }
@@ -723,57 +875,62 @@ impl BatchSim {
         scratch.cycles = *cycles;
     }
 
-    /// Copies the scalar scratch state back into one lane's column and
-    /// updates the lane's commit/failure bookkeeping.
+    /// Copies the scalar scratch state back into one lane's column: on the
+    /// registers of `set`, or whole when `set` is `None`.
     #[inline(never)]
-    fn scatter_lane(&mut self, l: usize, rule_idx: usize, committed: bool) {
+    fn scatter_lane(&mut self, l: usize, set: Option<&[u32]>) {
         let lanes = self.lanes;
-        {
-            let BatchSim {
-                cyc_rw,
-                log_rw,
-                cyc_d0,
-                cyc_d1,
-                log_d0,
-                log_d1,
-                scratch,
-                ..
-            } = self;
-            // `boc` is read-only during a rule: no need to scatter it back.
-            macro_rules! scatter {
-                ($src:expr, $dst:expr) => {
-                    for (&src, dst) in $src
-                        .iter()
-                        .zip($dst.get_mut(l..).unwrap_or(&mut []).iter_mut().step_by(lanes))
-                    {
-                        *dst = src;
+        let BatchSim {
+            cyc_rw,
+            log_rw,
+            cyc_d0,
+            cyc_d1,
+            log_d0,
+            log_d1,
+            scratch,
+            ..
+        } = self;
+        // `boc` is read-only during a rule: no need to scatter it back.
+        macro_rules! scatter {
+            ($src:expr, $dst:expr) => {
+                match set {
+                    None => {
+                        for (&src, dst) in $src.iter().zip(
+                            $dst.get_mut(l..).unwrap_or(&mut []).iter_mut().step_by(lanes),
+                        ) {
+                            *dst = src;
+                        }
                     }
-                };
-            }
-            scatter!(scratch.cyc_rw, cyc_rw);
-            scatter!(scratch.log_rw, log_rw);
-            scatter!(scratch.cyc_d0, cyc_d0);
-            scatter!(scratch.cyc_d1, cyc_d1);
-            scatter!(scratch.log_d0, log_d0);
-            scatter!(scratch.log_d1, log_d1);
+                    Some(set) if !$dst.is_empty() => {
+                        for &r in set {
+                            $dst[r as usize * lanes + l] = $src[r as usize];
+                        }
+                    }
+                    Some(_) => {}
+                }
+            };
         }
-        if committed {
-            self.fired[l] += 1;
-            self.commits[l].push(rule_idx as u32);
-        }
+        scatter!(scratch.cyc_rw, cyc_rw);
+        scatter!(scratch.log_rw, log_rw);
+        scatter!(scratch.cyc_d0, cyc_d0);
+        scatter!(scratch.cyc_d1, cyc_d1);
+        scatter!(scratch.log_d0, log_d0);
+        scatter!(scratch.log_d1, log_d1);
     }
 
     /// Lock-step executor for one rule's micro-op program: each micro-op
     /// is decoded once and applied across every lane. At every checked
-    /// register access and conditional jump the lanes either all pass, all
-    /// fail, or diverge.
+    /// register access and conditional jump the active lanes either all
+    /// pass, all fail, or split: the larger side stays active, the other
+    /// is dropped (`active[l] = 0`) and runs on as garbage that the caller
+    /// restores.
     ///
-    /// Returns `Ok(Some(Ok(())))` on a batched commit, `Ok(Some(Err(clean)))`
-    /// on a batched failure, and `Ok(None)` on divergence (the caller
-    /// restores the rule-entry snapshot and falls back to the scalar
-    /// bytecode executor, which is bit-identical to the micro-op form).
+    /// Returns the active lanes' outcome: `Ok(Ok(()))` on a commit and
+    /// `Ok(Err(clean))` on a failure. The caller settles them and re-runs
+    /// each dropped lane through the scalar bytecode executor, which is
+    /// bit-identical to the micro-op form.
     #[allow(clippy::too_many_lines)]
-    fn run_uops_batch(&mut self, rule_idx: usize) -> Result<Option<Result<(), bool>>, VmError> {
+    fn run_uops_batch(&mut self, rule_idx: usize) -> Result<Result<(), bool>, VmError> {
         let cfg = self.prog.cfg;
         let BatchSim {
             lanes,
@@ -786,6 +943,8 @@ impl BatchSim {
             cyc_d0,
             log_d0,
             log_d1,
+            active,
+            nactive,
             ..
         } = self;
         let lanes = *lanes;
@@ -799,19 +958,21 @@ impl BatchSim {
                 slots[$s as usize * lanes + $l]
             };
         }
-        // Checked-access gates: count the lanes whose rw-set byte has none
-        // of `$bits` set with the bit-sliced SWAR kernels (eight lanes per
-        // word), then fail-all / diverge / proceed. Reads check one log
-        // (the accumulated one at `acc_logs` levels, else the cycle's);
-        // writes check the rule log and, below `acc_logs`, the cycle log.
+        // Checked-access gates: count the active lanes that pass with the
+        // bit-sliced SWAR kernels (eight lanes per word), then fail / split
+        // / proceed. A lane passes when its rw-set byte has none of `$bits`
+        // set. Reads check one log (the accumulated one at `acc_logs`
+        // levels, else the cycle's); writes check the rule log and, below
+        // `acc_logs`, the cycle log. The counts skip lanes the `active`
+        // plane has dropped (none at rule entry). `|$l| $pass` is the
+        // per-lane test a split needs.
         macro_rules! gate {
-            ($clean:expr, $npass:expr) => {{
+            ($clean:expr, $npass:expr, |$l:ident| $pass:expr) => {{
                 let npass = $npass;
-                if npass == 0 {
-                    return Ok(Some(Err($clean)));
-                }
-                if npass < lanes {
-                    return Ok(None);
+                if npass == 0
+                    || (npass < *nactive && !split_lanes(active, nactive, npass, |$l| $pass))
+                {
+                    return Ok(Err($clean));
                 }
             }};
         }
@@ -823,18 +984,17 @@ impl BatchSim {
                 } else {
                     &cyc_rw[s..s + lanes]
                 };
-                gate!($clean, simd::count_clear(chk, $bits));
+                let npass = simd::count_clear_active(chk, $bits, active);
+                gate!($clean, npass, |l| chk[l] & $bits == 0);
             }};
         }
         macro_rules! wr_gate {
             ($r:expr, $clean:expr, $bits:expr) => {{
                 let s = $r * lanes;
-                let npass = if cfg.acc_logs {
-                    simd::count_clear(&log_rw[s..s + lanes], $bits)
-                } else {
-                    simd::count_clear2(&log_rw[s..s + lanes], &cyc_rw[s..s + lanes], $bits)
-                };
-                gate!($clean, npass);
+                let lrw = &log_rw[s..s + lanes];
+                let crw = if cfg.acc_logs { lrw } else { &cyc_rw[s..s + lanes] };
+                let npass = simd::count_clear2_active(lrw, crw, $bits, active);
+                gate!($clean, npass, |l| (lrw[l] | crw[l]) & $bits == 0);
             }};
         }
         // Indexed accesses: lane `l` targets register
@@ -847,12 +1007,21 @@ impl BatchSim {
         }
         macro_rules! arr_gate {
             ($idx:expr, $base:expr, $amask:expr, $clean:expr, |$i:ident| $pass:expr) => {{
-                let mut npass = 0usize;
-                for l in 0..lanes {
+                let pass = |l: usize| {
                     let $i = arr_reg!($idx, $base, $amask, l) * lanes + l;
-                    npass += ($pass) as usize;
-                }
-                gate!($clean, npass);
+                    $pass
+                };
+                let npass = (0..lanes).filter(|&l| active[l] != 0 && pass(l)).count();
+                gate!($clean, npass, |l| pass(l));
+            }};
+        }
+        // Conditional jumps: the active lanes whose condition is zero take
+        // the jump; a disagreement splits the lanes as at a gate.
+        macro_rules! jz_taken {
+            ($cond:expr) => {{
+                let cond: &[u64] = $cond;
+                let nz = simd::count_zero_active(cond, active);
+                nz == *nactive || (nz != 0 && split_lanes(active, nactive, nz, |l| cond[l] == 0))
             }};
         }
         // Whole-stripe read application: record the read in the rw plane,
@@ -1103,20 +1272,16 @@ impl BatchSim {
                 }
                 Uop::Jz { cond, target } => {
                     let c = cond as usize * lanes;
-                    let nz = simd::count_zero(&slots[c..c + lanes]);
-                    if nz == lanes {
+                    if jz_taken!(&slots[c..c + lanes]) {
                         pc = target as usize;
                         continue;
                     }
-                    if nz != 0 {
-                        return Ok(None);
-                    }
                 }
-                Uop::Abort { clean } => return Ok(Some(Err(clean))),
+                Uop::Abort { clean } => return Ok(Err(clean)),
                 // Nothing reads a batch's coverage, so the counter is not
                 // kept; the micro-op stays in the stream as a fusion barrier.
                 Uop::Cov(_) => {}
-                Uop::End => return Ok(Some(Ok(()))),
+                Uop::End => return Ok(Ok(())),
                 Uop::Trap(what) => {
                     return Err(VmError::CompilerBug {
                         rule: rule_idx,
@@ -1189,20 +1354,18 @@ impl BatchSim {
                     log_d0[d..d + lanes].copy_from_slice(tmp);
                 }
                 Uop::BinJz { op, a, b, mask, target } => {
-                    let nz = simd::fused_count_zero_at(
-                        op,
-                        mask,
-                        slots,
-                        a as usize * lanes,
-                        b as usize * lanes,
-                        lanes,
-                    );
-                    if nz == lanes {
+                    let (a, b) = (a as usize * lanes, b as usize * lanes);
+                    let nz = simd::fused_count_zero_at(op, mask, slots, a, b, active);
+                    // Only a split needs the condition stripe itself.
+                    let taken = nz == *nactive
+                        || (nz != 0 && {
+                            let (sa, sb) = (&slots[a..][..lanes], &slots[b..][..lanes]);
+                            simd::fused_zip2_to(op, mask, tmp, sa, sb);
+                            split_lanes(active, nactive, nz, |l| tmp[l] == 0)
+                        });
+                    if taken {
                         pc = target as usize;
                         continue;
-                    }
-                    if nz != 0 {
-                        return Ok(None);
                     }
                 }
                 Uop::RdBinFast { op, dst, reg, b, mask } => {
@@ -1279,6 +1442,7 @@ impl std::fmt::Debug for BatchSim {
             .field("cycles", &self.cycles)
             .field("lockstep_rules", &self.lockstep_rules)
             .field("fallback_rules", &self.fallback_rules)
+            .field("fallback_lanes", &self.fallback_lanes)
             .finish()
     }
 }

@@ -145,66 +145,77 @@ pub fn select(c: &mut [u64], t: &[u64], f: &[u64]) {
     }
 }
 
-/// Number of zero lanes in a stripe (branchless, chunked).
+/// Number of zero lanes in a stripe among the lanes whose `active` byte is
+/// set (`0xFF`; lanes dropped from lock-step are `0`), branchless and
+/// chunked.
 #[inline(always)]
-pub fn count_zero(v: &[u64]) -> usize {
+pub fn count_zero_active(v: &[u64], active: &[u8]) -> usize {
+    assert_eq!(v.len(), active.len());
     let mut n = 0usize;
-    let mut chunks = v.chunks_exact(CHUNK);
-    for c in &mut chunks {
-        for &x in c {
-            n += (x == 0) as usize;
+    let mut vc = v.chunks_exact(CHUNK);
+    let mut ac = active.chunks_exact(CHUNK);
+    for (c, m) in (&mut vc).zip(&mut ac) {
+        for i in 0..CHUNK {
+            n += (c[i] == 0) as usize & (m[i] & 1) as usize;
         }
     }
-    for &x in chunks.remainder() {
-        n += (x == 0) as usize;
+    for (&x, &m) in vc.remainder().iter().zip(ac.remainder()) {
+        n += (x == 0) as usize & (m & 1) as usize;
     }
     n
 }
 
-/// Number of lanes whose read-write-set byte has none of `bits` set —
-/// the all-lanes conflict gate, bit-sliced eight lanes per word.
+/// Number of active lanes whose read-write-set byte has none of `bits`
+/// set — the conflict gate, bit-sliced eight lanes per word.
 ///
 /// Read-write-set bytes only use the low four bits (`R0..W1`), so the
-/// per-byte "any of `bits` set?" answer folds into bit 0 with three
-/// shifts, and a multiply-accumulate sums the eight indicator bytes.
+/// per-byte "any of `bits` set?" answer folds into bit 0 with three shifts;
+/// the `active` plane masks those indicators and a multiply-accumulate sums
+/// the eight indicator bytes.
 #[inline(always)]
-pub fn count_clear(rw: &[u8], bits: u8) -> usize {
+pub fn count_clear_active(rw: &[u8], bits: u8, active: &[u8]) -> usize {
     debug_assert!(bits & 0xF0 == 0, "rw sets use only the low nibble");
+    assert_eq!(rw.len(), active.len());
     let sel = LO_BYTES * u64::from(bits);
-    let mut busy = 0usize;
-    let mut words = rw.chunks_exact(BYTE_LANES);
-    for w in &mut words {
-        let x = u64::from_ne_bytes(w.try_into().expect("chunk is 8 bytes")) & sel;
-        let ones = (x | (x >> 1) | (x >> 2) | (x >> 3)) & LO_BYTES;
-        busy += (ones.wrapping_mul(LO_BYTES) >> 56) as usize;
+    let word = |w: &[u8]| u64::from_ne_bytes(w.try_into().expect("chunk is 8 bytes"));
+    let mut clear = 0usize;
+    let mut rwc = rw.chunks_exact(BYTE_LANES);
+    let mut mw = active.chunks_exact(BYTE_LANES);
+    for (rv, mv) in (&mut rwc).zip(&mut mw) {
+        let x = word(rv) & sel;
+        let busy = (x | (x >> 1) | (x >> 2) | (x >> 3)) & LO_BYTES;
+        let ones = !busy & word(mv) & LO_BYTES;
+        clear += (ones.wrapping_mul(LO_BYTES) >> 56) as usize;
     }
-    for &b in words.remainder() {
-        busy += (b & bits != 0) as usize;
+    for (&x, &m) in rwc.remainder().iter().zip(mw.remainder()) {
+        clear += (x & bits == 0 && m != 0) as usize;
     }
-    rw.len() - busy
+    clear
 }
 
-/// [`count_clear`] over the union of two read-write sets (`(a | b) & bits`),
-/// for write gates at levels that consult both the rule and cycle logs.
+/// [`count_clear_active`] over the union of two read-write sets
+/// (`(a | b) & bits`), for write gates at levels that consult both the rule
+/// and cycle logs.
 #[inline(always)]
-pub fn count_clear2(a: &[u8], b: &[u8], bits: u8) -> usize {
+pub fn count_clear2_active(a: &[u8], b: &[u8], bits: u8, active: &[u8]) -> usize {
     debug_assert!(bits & 0xF0 == 0, "rw sets use only the low nibble");
-    assert_eq!(a.len(), b.len());
+    assert!(a.len() == b.len() && a.len() == active.len());
     let sel = LO_BYTES * u64::from(bits);
-    let mut busy = 0usize;
+    let word = |w: &[u8]| u64::from_ne_bytes(w.try_into().expect("chunk is 8 bytes"));
+    let mut clear = 0usize;
     let mut aw = a.chunks_exact(BYTE_LANES);
     let mut bw = b.chunks_exact(BYTE_LANES);
-    for (av, bv) in (&mut aw).zip(&mut bw) {
-        let x = (u64::from_ne_bytes(av.try_into().expect("chunk is 8 bytes"))
-            | u64::from_ne_bytes(bv.try_into().expect("chunk is 8 bytes")))
-            & sel;
-        let ones = (x | (x >> 1) | (x >> 2) | (x >> 3)) & LO_BYTES;
-        busy += (ones.wrapping_mul(LO_BYTES) >> 56) as usize;
+    let mut mw = active.chunks_exact(BYTE_LANES);
+    for ((av, bv), mv) in (&mut aw).zip(&mut bw).zip(&mut mw) {
+        let x = (word(av) | word(bv)) & sel;
+        let busy = (x | (x >> 1) | (x >> 2) | (x >> 3)) & LO_BYTES;
+        let ones = !busy & word(mv) & LO_BYTES;
+        clear += (ones.wrapping_mul(LO_BYTES) >> 56) as usize;
     }
-    for (&x, &y) in aw.remainder().iter().zip(bw.remainder()) {
-        busy += ((x | y) & bits != 0) as usize;
+    for ((&x, &y), &m) in aw.remainder().iter().zip(bw.remainder()).zip(mw.remainder()) {
+        clear += ((x | y) & bits == 0 && m != 0) as usize;
     }
-    a.len() - busy
+    clear
 }
 
 /// ORs `bit` into every lane's read-write-set byte.
@@ -497,15 +508,24 @@ pub fn fused_buf_ext_at(op: FusedBin, mask: u64, buf: &mut [u64], d: usize, a: u
     });
 }
 
-/// Number of lanes for which `fused(op, buf[a+l], buf[b+l], mask) == 0`,
-/// without materializing the result stripe (the `BinJz` gate).
+/// Number of active lanes (see [`count_zero_active`]) for which
+/// `fused(op, buf[a+l], buf[b+l], mask) == 0`, without materializing the
+/// result stripe (the `BinJz` gate).
 #[inline(always)]
-pub fn fused_count_zero_at(op: FusedBin, mask: u64, buf: &[u64], a: usize, b: usize, n: usize) -> usize {
+pub fn fused_count_zero_at(
+    op: FusedBin,
+    mask: u64,
+    buf: &[u64],
+    a: usize,
+    b: usize,
+    active: &[u8],
+) -> usize {
+    let n = active.len();
     assert!(a + n <= buf.len() && b + n <= buf.len());
     with_fused!(op, mask, |f| {
         let mut nz = 0usize;
-        for l in 0..n {
-            nz += (f(buf[a + l], buf[b + l]) == 0) as usize;
+        for (l, &m) in active.iter().enumerate() {
+            nz += (f(buf[a + l], buf[b + l]) == 0) as usize & (m & 1) as usize;
         }
         nz
     })
@@ -585,6 +605,16 @@ mod tests {
         }
     }
 
+    /// Active planes the masked counts are checked under: every lane, every
+    /// third lane dropped, and no lane.
+    fn active_planes(len: usize) -> [Vec<u8>; 3] {
+        [
+            vec![0xFF; len],
+            (0..len).map(|i| if i % 3 == 1 { 0 } else { 0xFF }).collect(),
+            vec![0; len],
+        ]
+    }
+
     #[test]
     fn gates_count_exactly_at_every_length() {
         // Sweep lengths through and past the 8-lane word boundary so both
@@ -593,15 +623,24 @@ mod tests {
         for len in 0..=67usize {
             let rw: Vec<u8> = (0..len).map(|i| (i % 16) as u8).collect();
             let rw2: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 16) as u8).collect();
-            for bits in [0x01u8, 0x02, 0x04, 0x08, 0x0C, 0x0E, 0x0F] {
-                let want = rw.iter().filter(|&&b| b & bits == 0).count();
-                assert_eq!(count_clear(&rw, bits), want, "len={len} bits={bits:#x}");
-                let want2 = rw
-                    .iter()
-                    .zip(&rw2)
-                    .filter(|&(&a, &b)| (a | b) & bits == 0)
-                    .count();
-                assert_eq!(count_clear2(&rw, &rw2, bits), want2, "len={len} bits={bits:#x}");
+            for active in active_planes(len) {
+                let on = |i: usize| active[i] != 0;
+                for bits in [0x01u8, 0x02, 0x04, 0x08, 0x0C, 0x0E, 0x0F] {
+                    let want = (0..len).filter(|&i| on(i) && rw[i] & bits == 0).count();
+                    assert_eq!(
+                        count_clear_active(&rw, bits, &active),
+                        want,
+                        "len={len} bits={bits:#x}"
+                    );
+                    let want2 = (0..len)
+                        .filter(|&i| on(i) && (rw[i] | rw2[i]) & bits == 0)
+                        .count();
+                    assert_eq!(
+                        count_clear2_active(&rw, &rw2, bits, &active),
+                        want2,
+                        "len={len} bits={bits:#x}"
+                    );
+                }
             }
         }
     }
@@ -675,11 +714,13 @@ mod tests {
                 assert_eq!(&buf[2 * n..], &want[..], "ext_buf_at {op:?} w={width}");
                 fused_buf_ext_at(op, mask, &mut buf, 2 * n, 0, &b, n);
                 assert_eq!(&buf[2 * n..], &want[..], "buf_ext_at {op:?} w={width}");
-                assert_eq!(
-                    fused_count_zero_at(op, mask, &buf, 0, n, n),
-                    want.iter().filter(|&&w| w == 0).count(),
-                    "count_zero_at {op:?} w={width}"
-                );
+                for active in active_planes(n) {
+                    assert_eq!(
+                        fused_count_zero_at(op, mask, &buf, 0, n, &active),
+                        (0..n).filter(|&l| active[l] != 0 && want[l] == 0).count(),
+                        "count_zero_at {op:?} w={width}"
+                    );
+                }
 
                 // Constant-rhs forms, one rhs at a time.
                 for (i, &rhs) in b.iter().enumerate() {
@@ -702,7 +743,10 @@ mod tests {
     fn count_zero_counts_every_tail_shape() {
         for len in 0..=9usize {
             let v: Vec<u64> = (0..len).map(|i| (i % 2) as u64).collect();
-            assert_eq!(count_zero(&v), v.iter().filter(|&&x| x == 0).count());
+            for active in active_planes(len) {
+                let want = (0..len).filter(|&i| active[i] != 0 && v[i] == 0).count();
+                assert_eq!(count_zero_active(&v, &active), want, "len={len}");
+            }
         }
     }
 }

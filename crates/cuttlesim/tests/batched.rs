@@ -14,7 +14,9 @@
 //!
 //! Every run also pins the lock-step accounting invariant: each scheduled
 //! rule of each cycle increments exactly one of `lockstep_rules` or
-//! `fallback_rules`, so their sum always equals `cycles x schedule`.
+//! `fallback_rules`, so their sum always equals `cycles x schedule`; and a
+//! diverging rule run re-runs between one and `lanes` lanes, so
+//! `fallback_rules <= fallback_lanes <= fallback_rules x lanes`.
 
 use cuttlesim::{toolchain_available, BatchSim, CompileOptions, Dispatch, OptLevel, Sim};
 use koika::ast::*;
@@ -50,13 +52,21 @@ fn commit_digest(commits: &[u32]) -> u64 {
 /// selects it; a batch has no native engine).
 const INTERPRETED: [Dispatch; 1] = [Dispatch::Tac];
 
+/// A batch's lock-step accounting after a differential run.
+#[derive(Debug)]
+struct Counters {
+    lockstep: u64,
+    fallback: u64,
+    fallback_lanes: u64,
+}
+
 /// Runs `lanes` lanes of the batched engine against `lanes` independent
 /// scalar VMs at the given level and dispatch. Lane 0 keeps the declared
 /// initial values; lanes 1.. are perturbed (identically on both sides) so
 /// the lanes diverge and the per-rule fallback path is exercised.
 ///
-/// Returns `(lockstep_rules, fallback_rules)` so callers can additionally
-/// assert that a scenario really exercised the path it targets.
+/// Returns the lock-step counters so callers can additionally assert that
+/// a scenario really exercised the path it targets.
 fn assert_lanes_match_scalar(
     td: &TDesign,
     level: OptLevel,
@@ -64,7 +74,32 @@ fn assert_lanes_match_scalar(
     lanes: usize,
     cycles: usize,
     seed: u64,
-) -> (u64, u64) {
+) -> Counters {
+    let inits: Vec<Vec<(RegId, u64)>> = (0..lanes)
+        .map(|lane| {
+            if lane == 0 {
+                return Vec::new();
+            }
+            let mut rng = SplitMix64::new(seed ^ (lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            (0..td.num_regs())
+                .map(|r| (RegId(r as u32), rng.next_u64()))
+                .collect()
+        })
+        .collect();
+    assert_seeded_lanes_match_scalar(td, level, dispatch, &inits, cycles)
+}
+
+/// [`assert_lanes_match_scalar`] with explicit per-lane register seeds:
+/// lane `l` starts from the declared initial values overwritten by
+/// `inits[l]`, on both sides.
+fn assert_seeded_lanes_match_scalar(
+    td: &TDesign,
+    level: OptLevel,
+    dispatch: Dispatch,
+    inits: &[Vec<(RegId, u64)>],
+    cycles: usize,
+) -> Counters {
+    let lanes = inits.len();
     let opts = CompileOptions {
         level,
         ..CompileOptions::default()
@@ -79,11 +114,8 @@ fn assert_lanes_match_scalar(
             s
         })
         .collect();
-    for (lane, scalar) in scalars.iter_mut().enumerate().skip(1) {
-        let mut rng = SplitMix64::new(seed ^ (lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        for r in 0..td.num_regs() {
-            let reg = RegId(r as u32);
-            let v = rng.next_u64();
+    for (lane, (scalar, init)) in scalars.iter_mut().zip(inits).enumerate() {
+        for &(reg, v) in init {
             batch.lane_set64(lane, reg, v);
             scalar.set64(reg, v);
         }
@@ -129,15 +161,26 @@ fn assert_lanes_match_scalar(
 
     // The lock-step accounting invariant: every scheduled rule of every
     // cycle is accounted to exactly one of the two counters, under every
-    // dispatch, diverged or not.
-    let (lockstep, fallback) = (batch.lockstep_rules(), batch.fallback_rules());
+    // dispatch, diverged or not; and each diverging rule run re-ran
+    // between one and every lane.
+    let counters = Counters {
+        lockstep: batch.lockstep_rules(),
+        fallback: batch.fallback_rules(),
+        fallback_lanes: batch.fallback_lanes(),
+    };
     assert_eq!(
-        lockstep + fallback,
+        counters.lockstep + counters.fallback,
         cycles as u64 * batch.program().schedule.len() as u64,
         "design {:?}, {what}: lockstep + fallback must count every rule executed",
         td.name,
     );
-    (lockstep, fallback)
+    assert!(
+        counters.fallback <= counters.fallback_lanes
+            && counters.fallback_lanes <= counters.fallback * lanes as u64,
+        "design {:?}, {what}: fallback lanes out of bounds: {counters:?}",
+        td.name,
+    );
+    counters
 }
 
 /// Every optimization level on the interpreted lock-step engine.
@@ -190,10 +233,9 @@ fn divergent_branches_across_lanes() {
     assert_all_levels(&td, 8, 64, 0xD1CE);
 }
 
-/// Guard-failure asymmetry: some lanes' rules abort while others commit,
-/// the mixed outcome that forces the per-lane fallback path.
-#[test]
-fn mixed_guard_failures() {
+/// `gated` commits when `x` is even and aborts when it is odd; `bump`
+/// increments `x` every cycle, so each lane's outcome flips every cycle.
+fn mixed_guards() -> TDesign {
     let mut b = DesignBuilder::new("mixed_guards");
     b.reg("x", 8, 0u64);
     b.reg("y", 8, 0u64);
@@ -203,8 +245,81 @@ fn mixed_guard_failures() {
     );
     b.rule("bump", vec![wr0("x", rd0("x").add(k(8, 1)))]);
     b.schedule(["gated", "bump"]);
-    let td = check(&b.build()).expect("well-typed");
-    assert_all_levels(&td, 5, 48, 0xBEEF);
+    check(&b.build()).expect("well-typed")
+}
+
+/// Guard-failure asymmetry: some lanes' rules abort while others commit,
+/// the mixed outcome that forces the per-lane fallback path.
+#[test]
+fn mixed_guard_failures() {
+    assert_all_levels(&mixed_guards(), 5, 48, 0xBEEF);
+}
+
+/// Lanes `0..lanes` of [`mixed_guards`], lane `l` starting with `x` odd
+/// when `odd(l)`: `gated` splits the lanes by parity on every cycle.
+fn parity_seeds(lanes: usize, odd: impl Fn(usize) -> bool) -> Vec<Vec<(RegId, u64)>> {
+    (0..lanes)
+        .map(|l| vec![(RegId(0), 2 * l as u64 + u64::from(odd(l)))])
+        .collect()
+}
+
+/// One lane out of 17 dissents: the sixteen others stay in lock-step, so
+/// every diverging rule run re-runs exactly the one dissenting lane.
+#[test]
+fn one_dissenting_lane_reruns_alone() {
+    let td = collatz_like();
+    let n = td.reg_id("n");
+    let mut inits = vec![Vec::new(); 17];
+    inits[5] = vec![(n, 27)];
+    for level in OptLevel::ALL {
+        let c = assert_seeded_lanes_match_scalar(&td, level, Dispatch::Tac, &inits, 64);
+        assert!(c.fallback > 0, "{level}: the dissenter must diverge: {c:?}");
+        assert_eq!(
+            c.fallback_lanes, c.fallback,
+            "{level}: only the dissenter re-runs"
+        );
+    }
+}
+
+/// Twelve lanes fail `gated` while five commit, then the reverse: on the
+/// cycles where the kept majority fails, the dropped minority commits
+/// through the scalar re-run. Either way the five re-run.
+#[test]
+fn failing_majority_keeps_lock_step_while_minority_commits() {
+    let td = mixed_guards();
+    let inits = parity_seeds(17, |l| l % 4 != 0);
+    for level in OptLevel::ALL {
+        let c = assert_seeded_lanes_match_scalar(&td, level, Dispatch::Tac, &inits, 32);
+        assert_eq!(
+            c.fallback, 32,
+            "{level}: `gated` diverges every cycle: {c:?}"
+        );
+        assert_eq!(
+            c.fallback_lanes,
+            5 * c.fallback,
+            "{level}: the minority re-runs"
+        );
+    }
+}
+
+/// An exact tie, four lanes a side, with the lowest lane on the failing
+/// side: one side keeps lock-step and the other four lanes re-run.
+#[test]
+fn tied_split_reruns_one_side() {
+    let td = mixed_guards();
+    let inits = parity_seeds(8, |l| l % 2 == 0);
+    for level in OptLevel::ALL {
+        let c = assert_seeded_lanes_match_scalar(&td, level, Dispatch::Tac, &inits, 32);
+        assert_eq!(
+            c.fallback, 32,
+            "{level}: `gated` diverges every cycle: {c:?}"
+        );
+        assert_eq!(
+            c.fallback_lanes,
+            4 * c.fallback,
+            "{level}: one side re-runs"
+        );
+    }
 }
 
 /// Identical lanes must stay in pure lock-step and still match scalar.
@@ -314,13 +429,51 @@ fn batch_of_one_is_byte_identical_to_scalar() {
 fn lockstep_fallback_counters_account_for_every_rule() {
     let td = collatz_like();
     for dispatch in INTERPRETED {
-        let (lockstep, fallback) =
-            assert_lanes_match_scalar(&td, OptLevel::max(), dispatch, 8, 64, 0xD1CE);
+        let c = assert_lanes_match_scalar(&td, OptLevel::max(), dispatch, 8, 64, 0xD1CE);
         assert!(
-            lockstep > 0 && fallback > 0,
-            "{}: the divergence scenario must exercise both counters \
-             (lockstep {lockstep}, fallback {fallback})",
+            c.lockstep > 0 && c.fallback > 0,
+            "{}: the divergence scenario must exercise both counters ({c:?})",
             dispatch.short_name(),
+        );
+    }
+}
+
+/// Nested branches on bits 0 and 1 of `x`, with 16 lanes holding every
+/// residue mod 4 four times: the outer branch ties 8/8 and keeps lane 0's
+/// side. When lane 0's `x` is even (even cycles) the inner branch then
+/// ties 4/4 among the eight active lanes — a second split that must count
+/// only the active lanes — and 8 + 4 lanes re-run; on odd cycles 8 do.
+#[test]
+fn nested_splits_count_only_active_lanes() {
+    let mut b = DesignBuilder::new("nested_splits");
+    b.reg("x", 8, 0u64);
+    b.reg("y", 8, 0u64);
+    b.rule(
+        "pick",
+        vec![iff(
+            rd0("x").bit(0).eq(k(1, 0)),
+            vec![iff(
+                rd0("x").bit(1).eq(k(1, 0)),
+                vec![wr0("y", rd0("x"))],
+                vec![wr0("y", rd0("x").add(k(8, 1)))],
+            )],
+            vec![wr0("y", rd0("x").add(k(8, 2)))],
+        )],
+    );
+    b.rule("bump", vec![wr0("x", rd0("x").add(k(8, 1)))]);
+    b.schedule(["pick", "bump"]);
+    let td = check(&b.build()).expect("well-typed");
+    let inits: Vec<Vec<(RegId, u64)>> = (0..16).map(|l| vec![(RegId(0), l)]).collect();
+    for level in OptLevel::ALL {
+        let c = assert_seeded_lanes_match_scalar(&td, level, Dispatch::Tac, &inits, 32);
+        assert_eq!(
+            c.fallback, 32,
+            "{level}: `pick` diverges every cycle: {c:?}"
+        );
+        assert_eq!(
+            c.fallback_lanes,
+            16 * (8 + 4) + 16 * 8,
+            "{level}: tie-breaks: {c:?}"
         );
     }
 }
@@ -335,7 +488,7 @@ proptest! {
     /// optimization level on the interpreted engine, lanes bit-compared
     /// to scalar runs each cycle.
     #[test]
-    fn random_designs_batched_vs_scalar(seed in any::<u64>(), lanes in 2usize..6) {
+    fn random_designs_batched_vs_scalar(seed in any::<u64>(), lanes in 2usize..20) {
         let design = random_design(seed);
         let td = check(&design).expect("generator produces well-typed designs");
         assert_all_levels(&td, lanes, 16, seed);
