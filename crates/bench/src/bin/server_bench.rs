@@ -34,6 +34,7 @@
 //! so the *request* stream is reproducible; the JSON record carries both
 //! wall-clock throughput and the server's own (deterministic) counters.
 
+use cuttlesim_bench::record_fingerprint;
 use koika_server::json::Json;
 use koika_server::{spawn, DesignProvider, IoChaos, ServerConfig, ServerHandle};
 use koika::check::check;
@@ -182,17 +183,6 @@ fn err_of(reply: &str) -> Option<String> {
 
 fn u_of(reply: &str, key: &str) -> Option<u64> {
     Json::parse(reply).ok()?.get(key)?.as_u64()
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn server_config(jobs: usize) -> ServerConfig {
@@ -549,12 +539,12 @@ fn run_chaos(seed: u64, quick: bool, out: &str) -> ExitCode {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"bench\": \"server_chaos\",\n  \"git_rev\": \"{}\",\n  \"seed\": \"{seed:#x}\",\n  \
+        "{{\n  \"bench\": \"server_chaos\",\n  {},\n  \"seed\": \"{seed:#x}\",\n  \
          \"quick\": {quick},\n  \"sessions\": {n_sessions},\n  \"ops\": {ops},\n  \
          \"fault_kinds\": {{ {kinds_json} }},\n  \"panics_contained\": {},\n  \
          \"recovered\": {recovered},\n  \"lost\": {lost},\n  \"verified_identical\": {verified},\n  \
          \"violations\": {}\n}}\n",
-        git_rev(),
+        record_fingerprint(),
         stats.panics_contained,
         violations.len(),
     );
@@ -707,14 +697,14 @@ fn main() -> ExitCode {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"bench\": \"server_bench\",\n  \"git_rev\": \"{}\",\n  \"quick\": {quick},\n  \
+        "{{\n  \"bench\": \"server_bench\",\n  {},\n  \"quick\": {quick},\n  \
          \"sessions\": {sessions},\n  \"connections\": {conns},\n  \"jobs\": {jobs},\n  \
          \"ops\": {ops_total},\n  \"cycles\": {cycles},\n  \"wall_ms\": {wall_ms:.3},\n  \
          \"ops_per_sec\": {ops_per_sec:.1},\n  \"steps\": {},\n  \"evictions\": {},\n  \
          \"rehydrations\": {},\n  \"injections\": {},\n  \"busy_rejections\": {},\n  \
          \"panics_contained\": {},\n  \"sessions_spilled\": {},\n  \
          \"protocol_errors\": {}\n}}\n",
-        git_rev(),
+        record_fingerprint(),
         sum("steps"),
         sum("evictions"),
         sum("rehydrations"),

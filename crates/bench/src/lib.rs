@@ -6,8 +6,12 @@
 //! Each can be run on any backend ([`BackendKind`]): the reference
 //! interpreter (the naive O0 model), the Cuttlesim VM at any optimization
 //! level and with any dispatch strategy, or the RTL netlist simulator
-//! under either compilation scheme. The binaries in `src/bin/` print one
-//! table/figure each.
+//! under either compilation scheme.
+//!
+//! Two binaries use it. `figures [SECTION…] [--quick] [--out FILE]` prints
+//! Table 1, Figs 1–3, the ablation, CS4 and the batch section (see
+//! [`figures`]: every table is a view over one timing matrix, measured
+//! once per repeat). `server_bench` drives the session server.
 //!
 //! See EXPERIMENTS.md at the workspace root for the paper-vs-measured
 //! record.
@@ -28,6 +32,8 @@ use koika_riscv::programs;
 use koika_rtl::{compile as rtl_compile, RtlSim, Scheme};
 use std::time::Instant;
 
+pub mod figures;
+
 /// Which simulation backend to run a workload on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
@@ -40,18 +46,17 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Short label used in printed tables.
+    /// The name used in printed tables and records: the dispatch at O6
+    /// (`match`, `tac`, `native`), suffixed with the level below it
+    /// (`match-O1`), `interp`, `rtl-koika` or `rtl-bluespec-style`.
     pub fn label(self) -> String {
         match self {
-            BackendKind::Interp => "interp-O0".to_string(),
-            BackendKind::Vm(level, Dispatch::Match) => {
-                format!("cuttlesim-{}", level.short_name())
+            BackendKind::Interp => "interp".to_string(),
+            BackendKind::Vm(level, dispatch) if level == OptLevel::max() => {
+                dispatch.short_name().to_string()
             }
-            BackendKind::Vm(level, Dispatch::Tac) => {
-                format!("cuttlesim-{}-tac", level.short_name())
-            }
-            BackendKind::Vm(level, Dispatch::Native) => {
-                format!("cuttlesim-{}-native", level.short_name())
+            BackendKind::Vm(level, dispatch) => {
+                format!("{}-{}", dispatch.short_name(), level.short_name())
             }
             BackendKind::Rtl(Scheme::Dynamic) => "rtl-koika".to_string(),
             BackendKind::Rtl(Scheme::Static) => "rtl-bluespec-style".to_string(),
@@ -300,6 +305,33 @@ pub fn scale() -> f64 {
 /// Applies [`scale`] to a cycle budget (keeping at least 1000 cycles).
 pub fn scaled(cycles: u64) -> u64 {
     ((cycles as f64 * scale()) as u64).max(1000)
+}
+
+/// The commit the bench runs from: `git rev-parse HEAD` in the working
+/// directory, suffixed `-dirty` when tracked files differ from it, or
+/// `unknown` outside a checkout.
+pub fn git_rev() -> String {
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    let rev = git(&["rev-parse", "HEAD"])
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok());
+    let dirty = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.code() == Some(1));
+    match rev {
+        Some(rev) if dirty => format!("{}-dirty", rev.trim()),
+        Some(rev) => rev.trim().to_string(),
+        None => "unknown".to_string(),
+    }
+}
+
+/// The provenance members every bench record starts with, as one line of
+/// JSON object members: [`git_rev`], `host_cpus` (logical CPUs) and
+/// `rustc`, the `--version` of the toolchain native dispatch builds with
+/// (`KOIKA_RUSTC` or `rustc`; `null` without one).
+pub fn record_fingerprint() -> String {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rustc = cuttlesim::native::rustc_version().map_or("null".to_string(), |v| format!("{v:?}"));
+    let rev = git_rev();
+    format!("\"git_rev\": \"{rev}\", \"host_cpus\": {cpus}, \"rustc\": {rustc}")
 }
 
 #[cfg(test)]

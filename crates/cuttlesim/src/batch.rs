@@ -15,8 +15,8 @@
 //! operations over the batch. There is no compiled batched engine: a
 //! design that wants compiled speed runs scalar [`Dispatch::Native`]
 //! [`Sim`](crate::Sim)s, which beat this lock-step interpreter on every
-//! `batch_bench` design. On the 32-member rv32i SEU campaign the batch
-//! wins instead (EXPERIMENTS.md).
+//! design of the figures program's batch section. On the 32-member rv32i
+//! SEU campaign the batch wins instead (EXPERIMENTS.md).
 //!
 //! # Divergence fallback
 //!

@@ -98,7 +98,10 @@ fn rustc_cmd() -> String {
     std::env::var("KOIKA_RUSTC").unwrap_or_else(|_| "rustc".to_string())
 }
 
-fn rustc_version() -> Option<&'static str> {
+/// The `--version` line of the rustc native dispatch builds with (the
+/// `KOIKA_RUSTC` override or `rustc`), or `None` without a working one.
+/// Probed once per process.
+pub fn rustc_version() -> Option<&'static str> {
     static V: OnceLock<Option<String>> = OnceLock::new();
     V.get_or_init(|| {
         std::process::Command::new(rustc_cmd())
