@@ -13,9 +13,10 @@
 //! # Architecture
 //!
 //! * **Observer pause seam.** The debugger never reaches into an engine.
-//!   It owns the cycle loop and drives a [`ScalarTarget`] one cycle at a
-//!   time through [`crate::device::SimBackend::cycle_obs`], capturing rule
-//!   events and boundary register writes with a [`CycleCapture`] observer.
+//!   It drives a [`ScalarTarget`] one cycle at a time through
+//!   [`run_watchdogged`], the scalar cycle loop every run shares, capturing
+//!   rule events and boundary register writes with a [`CycleCapture`]
+//!   observer.
 //!   When no debugger is attached nothing changes: the unobserved `cycle`
 //!   hot paths are untouched.
 //!
@@ -45,7 +46,7 @@
 //!   observed.
 
 use crate::device::{Device, SimBackend};
-use crate::fault::ArmedWatchdog;
+use crate::fault::{run_watchdogged, ArmedWatchdog, Watchdog, WatchdogTrip};
 use crate::obs::{FailureReason, Observer};
 use crate::snapshot::Snapshot;
 use crate::tir::{RegId, TDesign};
@@ -127,18 +128,8 @@ impl<'a> ScalarTarget<'a> {
         ScalarTarget { sim, devices }
     }
 
-    /// Executes one cycle at logical cycle number `cycle`: ticks devices,
-    /// then runs the engine, reporting events into `cap`.
-    fn step(&mut self, cycle: u64, cap: &mut CycleCapture) {
-        for d in self.devices.iter_mut() {
-            d.tick(cycle, self.sim.as_reg_access());
-        }
-        self.sim.cycle_obs(cap);
-    }
-
-    /// Like [`ScalarTarget::step`], but samples `vcd` after the device
-    /// ticks and before the engine runs (the CLI's `--vcd` ordering)
-    /// instead of capturing events.
+    /// Executes one cycle at `cycle`, sampling `vcd` after the device
+    /// ticks and before the engine runs (the CLI's `--vcd` ordering).
     fn step_vcd(&mut self, cycle: u64, vcd: &mut VcdRecorder) {
         for d in self.devices.iter_mut() {
             d.tick(cycle, self.sim.as_reg_access());
@@ -298,17 +289,19 @@ impl Session<'_, '_, '_> {
     /// Executes one cycle at `pos`, updating the ring, counters, diff,
     /// and checkpoint ring. `observe_wd` is true only for user-driven
     /// forward execution — replays never feed the watchdog.
-    fn exec_one(&mut self, observe_wd: bool) -> (CycleCapture, Option<crate::fault::WatchdogTrip>) {
+    fn exec_one(&mut self, observe_wd: bool) -> (CycleCapture, Option<WatchdogTrip>) {
         let mut cap = CycleCapture::default();
-        self.target.step(self.pos, &mut cap);
+        let mut unobserved = Watchdog::default().arm();
+        let wd = match self.watchdog.as_deref_mut() {
+            Some(wd) if observe_wd => wd,
+            _ => &mut unobserved,
+        };
+        let (sim, devices) = (&mut *self.target.sim, &mut self.target.devices);
+        let trip = run_watchdogged(sim, devices, 1, &[], wd, Some(&mut cap)).err();
         let cycle = self.pos;
         self.pos += 1;
-        let mut commits = 0u64;
         for &(rule, kind) in &cap.events {
             let commit = matches!(kind, EventKind::Commit);
-            if commit {
-                commits += 1;
-            }
             if self.ring.len() == EVENT_RING {
                 self.ring.pop_front();
             }
@@ -344,13 +337,6 @@ impl Session<'_, '_, '_> {
                 }
             }
         }
-        let trip = if observe_wd {
-            self.watchdog
-                .as_deref_mut()
-                .and_then(|wd| wd.observe(self.pos, commits))
-        } else {
-            None
-        };
         (cap, trip)
     }
 
@@ -499,7 +485,7 @@ impl Session<'_, '_, '_> {
         self.print_stopped()
     }
 
-    fn print_trip(&mut self, trip: &crate::fault::WatchdogTrip) -> CmdResult {
+    fn print_trip(&mut self, trip: &WatchdogTrip) -> CmdResult {
         writeln!(self.out, "watchdog: {} at cycle {}", trip.reason, trip.cycle)?;
         self.print_stopped()
     }

@@ -39,6 +39,7 @@ use crate::testgen::SplitMix64;
 use crate::tir::{RegId, TDesign};
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::DerefMut;
 use std::time::{Duration, Instant};
 
 /// One SEU: flip bit `bit` of register `reg` just before cycle `cycle`
@@ -394,7 +395,7 @@ impl ArmedWatchdog {
 pub struct CommitFingerprint {
     /// One fingerprint per completed cycle.
     pub per_cycle: Vec<u64>,
-    cur: u64,
+    cur: Vec<usize>,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -404,6 +405,12 @@ impl CommitFingerprint {
     /// A digest of the whole commit stream (order-sensitive).
     pub fn digest(&self) -> u64 {
         digest_fps(&self.per_cycle)
+    }
+
+    /// The fingerprint of one cycle that committed `rules`, in schedule
+    /// order. Scalar runs and batched lanes both fold through here.
+    fn fold(rules: impl IntoIterator<Item = usize>) -> u64 {
+        rules.into_iter().fold(FNV_OFFSET, |h, r| (h ^ (r as u64 + 1)).wrapping_mul(FNV_PRIME))
     }
 }
 
@@ -417,20 +424,22 @@ fn digest_fps(fps: &[u64]) -> u64 {
 
 impl Observer for CommitFingerprint {
     fn cycle_start(&mut self, _cycle: u64) {
-        self.cur = FNV_OFFSET;
+        self.cur.clear();
     }
 
     fn rule_commit(&mut self, rule: usize) {
-        self.cur = (self.cur ^ (rule as u64 + 1)).wrapping_mul(FNV_PRIME);
+        self.cur.push(rule);
     }
 
     fn cycle_end(&mut self, _cycle: u64) {
-        self.per_cycle.push(self.cur);
+        self.per_cycle.push(Self::fold(self.cur.iter().copied()));
     }
 }
 
-/// Runs `ncycles` cycles with device ticks, scheduled injections, and a
-/// watchdog; events go to `obs` when one is attached.
+/// The one scalar cycle loop: runs `ncycles` cycles, each one ticking the
+/// devices, flipping the injections due, executing the cycle and letting
+/// the armed watchdog observe it (so a budget can span calls); events go
+/// to `obs` when one is attached.
 ///
 /// Injections fire after the cycle's device ticks (so the flipped value is
 /// what the cycle sees) and are matched by **absolute** cycle number, which
@@ -440,15 +449,14 @@ impl Observer for CommitFingerprint {
 ///
 /// Returns the [`WatchdogTrip`] if a budget was exhausted; the simulator is
 /// left at the cycle boundary where the trip fired.
-pub fn run_watchdogged(
+pub fn run_watchdogged<D: DerefMut<Target: Device>>(
     sim: &mut dyn SimBackend,
-    devices: &mut [Box<dyn Device>],
+    devices: &mut [D],
     ncycles: u64,
     injections: &[Injection],
-    watchdog: &Watchdog,
+    armed: &mut ArmedWatchdog,
     mut obs: Option<&mut dyn Observer>,
 ) -> Result<(), WatchdogTrip> {
-    let mut armed = watchdog.arm();
     for _ in 0..ncycles {
         let cycle = sim.cycle_count();
         for d in devices.iter_mut() {
@@ -682,38 +690,15 @@ pub fn validate_injections(td: &TDesign, injections: &[Injection]) -> Result<(),
 }
 
 impl FaultEngine<'_> {
-    fn check_design(&self) -> Result<(), FaultError> {
-        check_design_regs(self.td)
-    }
-
-    fn final_regs(&self, sim: &mut dyn SimBackend) -> Vec<u64> {
-        read_final_regs(self.td, sim)
-    }
-
     /// Executes the fault-free golden run.
     ///
     /// # Errors
     ///
     /// [`FaultError::GoldenHang`] if even the unperturbed design stalls.
     pub fn golden(&mut self, cycles: u64, stall_cycles: u64) -> Result<GoldenRun, FaultError> {
-        self.check_design()?;
-        let mut sim = (self.make_sim)();
-        let mut devices = (self.make_devices)();
-        let mut fp = CommitFingerprint::default();
-        run_watchdogged(
-            &mut *sim,
-            &mut devices,
-            cycles,
-            &[],
-            &Watchdog::stall_only(stall_cycles),
-            Some(&mut fp),
-        )
-        .map_err(FaultError::GoldenHang)?;
-        let final_regs = self.final_regs(&mut *sim);
-        Ok(GoldenRun {
-            fps: fp.per_cycle,
-            final_regs,
-        })
+        check_design_regs(self.td)?;
+        let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
+        golden_run(self.td, Ok(sim), devices, cycles, stall_cycles)
     }
 
     /// Runs one injection schedule and classifies it against `golden`.
@@ -724,27 +709,10 @@ impl FaultEngine<'_> {
         stall_cycles: u64,
         golden: &GoldenRun,
     ) -> Outcome {
-        let mut sim = (self.make_sim)();
-        let mut devices = (self.make_devices)();
-        let mut fp = CommitFingerprint::default();
-        let hang = run_watchdogged(
-            &mut *sim,
-            &mut devices,
-            cycles,
-            injections,
-            &Watchdog::stall_only(stall_cycles),
-            Some(&mut fp),
-        )
-        .err()
-        .map(|trip| trip.cycle);
-        let final_regs = self.final_regs(&mut *sim);
-        classify(golden, &fp.per_cycle, &final_regs, hang)
-    }
-
-    /// Draws member `index`'s injection schedule from the campaign seed —
-    /// see [`draw_schedule`].
-    pub fn draw_member(&self, cfg: &CampaignConfig, index: usize) -> Vec<Injection> {
-        draw_schedule(self.td, cfg, index)
+        let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
+        let watchdog = Watchdog::stall_only(stall_cycles);
+        member_run(self.td, golden, sim, devices, cycles, injections, &watchdog)
+            .unwrap_or_else(|trip| unreachable!("stall-only watchdog tripped on wall time: {trip}"))
     }
 
     /// Runs a full campaign: golden run, then every member, classified.
@@ -757,7 +725,7 @@ impl FaultEngine<'_> {
         let golden = self.golden(cfg.cycles, cfg.stall_cycles)?;
         let mut members = Vec::with_capacity(cfg.members);
         for index in 0..cfg.members {
-            let injections = self.draw_member(cfg, index);
+            let injections = draw_schedule(self.td, cfg, index);
             let outcome =
                 self.classify_injections(&injections, cfg.cycles, cfg.stall_cycles, &golden);
             members.push(MemberReport {
@@ -853,28 +821,49 @@ pub struct ParallelOptions {
     pub wall_budget: Option<Duration>,
 }
 
-fn golden_run_par(
-    env: &ParallelFactories<'_>,
+/// Executes the fault-free golden run on a freshly built simulator (or
+/// reports why it could not be built) and fresh devices.
+fn golden_run(
+    td: &TDesign,
+    sim: Result<Box<dyn SimBackend>, String>,
+    mut devices: Vec<Box<dyn Device>>,
     cycles: u64,
     stall_cycles: u64,
 ) -> Result<GoldenRun, FaultError> {
-    let mut sim = (env.make_sim)().map_err(FaultError::Setup)?;
-    let mut devices = (env.make_devices)();
+    let mut sim = sim.map_err(FaultError::Setup)?;
     let mut fp = CommitFingerprint::default();
-    run_watchdogged(
-        &mut *sim,
-        &mut devices,
-        cycles,
-        &[],
-        &Watchdog::stall_only(stall_cycles),
-        Some(&mut fp),
-    )
-    .map_err(FaultError::GoldenHang)?;
-    let final_regs = read_final_regs(env.td, &mut *sim);
+    let mut armed = Watchdog::stall_only(stall_cycles).arm();
+    run_watchdogged(&mut *sim, &mut devices, cycles, &[], &mut armed, Some(&mut fp))
+        .map_err(FaultError::GoldenHang)?;
     Ok(GoldenRun {
         fps: fp.per_cycle,
-        final_regs,
+        final_regs: read_final_regs(td, &mut *sim),
     })
+}
+
+/// Runs one campaign member on a fresh simulator and devices and
+/// classifies it against `golden`. A wall-clock trip depends on the
+/// machine, not the design, so it is returned for the caller to retry
+/// instead of being classified.
+fn member_run(
+    td: &TDesign,
+    golden: &GoldenRun,
+    mut sim: Box<dyn SimBackend>,
+    mut devices: Vec<Box<dyn Device>>,
+    cycles: u64,
+    injections: &[Injection],
+    watchdog: &Watchdog,
+) -> Result<Outcome, WatchdogTrip> {
+    let mut fp = CommitFingerprint::default();
+    let mut armed = watchdog.arm();
+    let run = run_watchdogged(&mut *sim, &mut devices, cycles, injections, &mut armed, Some(&mut fp));
+    let hang = match run {
+        Ok(()) => None,
+        Err(trip) if trip.kind == TripKind::Wall => return Err(trip),
+        Err(trip) => Some(trip.cycle),
+    };
+    let final_regs = read_final_regs(td, &mut *sim);
+    Ok(classify(golden, &fp.per_cycle, &final_regs, hang))
 }
 
 /// Runs a campaign with members fanned out over a crash-isolated worker
@@ -906,35 +895,21 @@ pub fn run_campaign_parallel(
     progress: Option<&mut dyn FnMut(JobUpdate)>,
 ) -> Result<(CampaignReport, RunnerStats), FaultError> {
     check_design_regs(env.td)?;
-    let golden = contain(|| golden_run_par(env, cfg.cycles, cfg.stall_cycles))
-        .map_err(FaultError::GoldenPanic)??;
+    let golden = contain(|| {
+        golden_run(env.td, (env.make_sim)(), (env.make_devices)(), cfg.cycles, cfg.stall_cycles)
+    })
+    .map_err(FaultError::GoldenPanic)??;
 
+    let watchdog = Watchdog {
+        max_cycles: None,
+        stall_cycles: Some(cfg.stall_cycles),
+        wall_budget: opts.wall_budget,
+    };
     let job = |index: usize| -> Result<Outcome, JobError> {
+        let (sim, devices) = ((env.make_sim)().map_err(JobError::Fatal)?, (env.make_devices)());
         let injections = draw_schedule(env.td, cfg, index);
-        let mut sim = (env.make_sim)().map_err(JobError::Fatal)?;
-        let mut devices = (env.make_devices)();
-        let mut fp = CommitFingerprint::default();
-        let watchdog = Watchdog {
-            max_cycles: None,
-            stall_cycles: Some(cfg.stall_cycles),
-            wall_budget: opts.wall_budget,
-        };
-        let hang = match run_watchdogged(
-            &mut *sim,
-            &mut devices,
-            cfg.cycles,
-            &injections,
-            &watchdog,
-            Some(&mut fp),
-        ) {
-            Ok(()) => None,
-            Err(trip) if trip.kind == TripKind::Wall => {
-                return Err(JobError::Transient(trip.to_string()))
-            }
-            Err(trip) => Some(trip.cycle),
-        };
-        let final_regs = read_final_regs(env.td, &mut *sim);
-        Ok(classify(&golden, &fp.per_cycle, &final_regs, hang))
+        member_run(env.td, &golden, sim, devices, cfg.cycles, &injections, &watchdog)
+            .map_err(|trip| JobError::Transient(trip.to_string()))
     };
 
     let (reports, stats) = runner::run_jobs(cfg.members, &opts.runner, job, progress);
@@ -1026,12 +1001,8 @@ fn run_batched_chunk(
                 continue;
             }
             let commits = batch.lane_commits(l);
-            let mut cur = FNV_OFFSET;
-            for &r in commits {
-                cur = (cur ^ (r as u64 + 1)).wrapping_mul(FNV_PRIME);
-            }
             let commit_count = commits.len();
-            fps[l].push(cur);
+            fps[l].push(CommitFingerprint::fold(commits.iter().map(|&r| r as usize)));
             if commit_count == 0 {
                 stalled[l] += 1;
             } else {
@@ -1084,8 +1055,10 @@ pub fn run_campaign_batched(
 ) -> Result<(CampaignReport, RunnerStats), FaultError> {
     let width = width.max(1);
     check_design_regs(env.td)?;
-    let golden = contain(|| golden_run_par(env, cfg.cycles, cfg.stall_cycles))
-        .map_err(FaultError::GoldenPanic)??;
+    let golden = contain(|| {
+        golden_run(env.td, (env.make_sim)(), (env.make_devices)(), cfg.cycles, cfg.stall_cycles)
+    })
+    .map_err(FaultError::GoldenPanic)??;
 
     let nchunks = cfg.members.div_ceil(width);
     let job = |chunk: usize| -> Result<Vec<Outcome>, JobError> {
@@ -1539,7 +1512,7 @@ mod tests {
             &mut devices,
             1000,
             &[],
-            &Watchdog::stall_only(8),
+            &mut Watchdog::stall_only(8).arm(),
             None,
         )
         .unwrap_err();

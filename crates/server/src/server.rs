@@ -58,7 +58,7 @@ use crate::session::{
     req_cached, req_store, req_store_bounded, spill, spool_bytes, unspill, BackendKind,
     DesignProvider, EnginePool, EvictedStub, ReqWindow, SessionBody, SessionSlot, SessionTable,
 };
-use koika::fault::{ArmedWatchdog, Injection, TripKind, Watchdog, WatchdogTrip};
+use koika::fault::{run_watchdogged, ArmedWatchdog, Injection, TripKind, Watchdog, WatchdogTrip};
 use koika::obs::Observer;
 use koika::runner::{contain, run_jobs, JobError, RunnerConfig};
 use koika::snapshot::Snapshot;
@@ -435,10 +435,10 @@ impl Observer for TraceObs {
     }
 }
 
-/// Runs one task on a scalar engine, mirroring the canonical
-/// [`koika::fault::run_watchdogged`] loop: devices tick at the absolute
-/// cycle, then due injections flip bits, then the cycle executes, then
-/// the watchdog observes.
+/// Runs one task on a scalar engine through [`run_watchdogged`], the one
+/// scalar cycle loop, so a server step is the same run a library caller
+/// or the CLI would make.
+/// A session without a watchdog steps under an unlimited one.
 ///
 /// Commit discipline: the session body is only mutated after the run
 /// finishes (or at a deterministic trip boundary), so a panic or a
@@ -478,54 +478,32 @@ fn run_single(task: &mut StepTask, shared: &Shared) -> Result<(), JobError> {
             }
         }
     }
-    let mark = body.watchdog.as_mut().map(|wd| {
-        wd.resume();
-        wd.wall_elapsed()
-    });
+    let mut unlimited = Watchdog::default().arm();
+    let wd = body.watchdog.as_mut().unwrap_or(&mut unlimited);
+    wd.resume();
+    let mark = wd.wall_elapsed();
     let mut tracer = TraceObs {
         cur: body.snap.cycles,
         cap: shared.cfg.max_trace,
         events: Vec::new(),
         truncated: false,
     };
-    let mut tripped = None;
-    for _ in 0..task.n {
-        let cycle = engine.cycle_count();
-        for d in devices.iter_mut() {
-            d.tick(cycle, engine.as_reg_access());
+    let obs = task.trace.then_some(&mut tracer as &mut dyn Observer);
+    let tripped = match run_watchdogged(&mut *engine, &mut devices, task.n, &body.pending, wd, obs) {
+        Ok(()) => None,
+        Err(trip) if trip.kind == TripKind::Wall => {
+            // Machine-dependent: forgive the wall time this attempt
+            // burned and let the runner retry it.
+            wd.wall_rewind_to(mark);
+            wd.pause();
+            let msg = trip.to_string();
+            task.last_trip = Some(trip);
+            lock(&shared.pool).checkin_scalar(&body.design_name, body.backend, engine);
+            return Err(JobError::Transient(msg));
         }
-        for inj in body.pending.iter().filter(|i| i.cycle == cycle) {
-            let regs = engine.as_reg_access();
-            let old = regs.get64(inj.reg);
-            regs.set64(inj.reg, old ^ (1u64 << inj.bit));
-        }
-        let before = engine.rules_fired();
-        if task.trace {
-            engine.cycle_obs(&mut tracer);
-        } else {
-            engine.cycle();
-        }
-        let commits = engine.rules_fired().wrapping_sub(before);
-        if let Some(wd) = body.watchdog.as_mut() {
-            if let Some(trip) = wd.observe(engine.cycle_count(), commits) {
-                if trip.kind == TripKind::Wall {
-                    // Machine-dependent: forgive the wall time this
-                    // attempt burned and let the runner retry it.
-                    wd.wall_rewind_to(mark.unwrap_or_default());
-                    wd.pause();
-                    let msg = trip.to_string();
-                    task.last_trip = Some(trip);
-                    lock(&shared.pool).checkin_scalar(&body.design_name, body.backend, engine);
-                    return Err(JobError::Transient(msg));
-                }
-                tripped = Some(trip);
-                break;
-            }
-        }
-    }
-    if let Some(wd) = body.watchdog.as_mut() {
-        wd.pause();
-    }
+        Err(trip) => Some(trip),
+    };
+    wd.pause();
     // Commit: deterministic trips keep the progress made up to the trip
     // boundary; full runs keep everything.
     body.snap = engine.snapshot();
@@ -1981,8 +1959,7 @@ fn recover_one(shared: &Shared, dir: &Path, id: u64, path: &Path) -> Result<bool
 
 /// Deterministically re-executes one journaled `step n` during recovery.
 ///
-/// This mirrors [`run_single`] op for op — device tick order, injection
-/// XOR at the same cycle, watchdog observation after every cycle — so a
+/// Like [`run_single`] it steps through [`run_watchdogged`], so a
 /// replayed step commits byte-identical state. Tracing is irrelevant to
 /// state, so replay always uses the untraced cycle path.
 #[allow(clippy::too_many_arguments)]
@@ -2014,33 +1991,13 @@ fn replay_step(
                 }
             }
         }
-        if let Some(w) = wd.as_mut() {
-            w.resume();
-        }
-        for _ in 0..n {
-            let cycle = engine.cycle_count();
-            for d in devices.iter_mut() {
-                d.tick(cycle, engine.as_reg_access());
-            }
-            for inj in pending.iter().filter(|i| i.cycle == cycle) {
-                let regs = engine.as_reg_access();
-                let old = regs.get64(inj.reg);
-                regs.set64(inj.reg, old ^ (1u64 << inj.bit));
-            }
-            let before = engine.rules_fired();
-            engine.cycle();
-            let commits = engine.rules_fired().wrapping_sub(before);
-            if let Some(w) = wd.as_mut() {
-                if w.observe(engine.cycle_count(), commits).is_some() {
-                    // Deterministic trip: commit progress up to the trip
-                    // boundary, exactly as the live run did.
-                    break;
-                }
-            }
-        }
-        if let Some(w) = wd.as_mut() {
-            w.pause();
-        }
+        let mut unlimited = Watchdog::default().arm();
+        let w = wd.as_mut().unwrap_or(&mut unlimited);
+        w.resume();
+        // A deterministic trip commits progress up to the trip boundary,
+        // exactly as the live run did.
+        let _ = run_watchdogged(&mut *engine, &mut devices, n, pending, w, None);
+        w.pause();
         *snap = engine.snapshot();
         *dev_blobs = devices.iter().map(|d| d.save_state()).collect();
         let done = snap.cycles;

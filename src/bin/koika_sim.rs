@@ -70,13 +70,13 @@ use koika::design::Design;
 use koika::device::{BatchBackend, Device, SimBackend};
 use koika::fault::{
     classify, draw_schedule, replay_campaign, run_campaign_batched, run_campaign_parallel,
-    CampaignConfig, CommitFingerprint, FaultEngine, Injection, ParallelFactories, ParallelOptions,
-    ReplayLog, Watchdog, WatchdogTrip,
+    run_watchdogged, CampaignConfig, CommitFingerprint, FaultEngine, Injection, ParallelFactories,
+    ParallelOptions, ReplayLog, Watchdog, WatchdogTrip,
 };
 use koika::obs::{Fanout, Metrics, Observer, PerfettoTrace, RegWatch};
 use koika::runner::{JobUpdate, RunnerConfig, RunnerStats};
 use koika::snapshot::Snapshot;
-use koika::tir::TDesign;
+use koika::tir::{RegId, TDesign};
 use koika::vcd::VcdRecorder;
 use koika_designs::harness::MEM_WORDS;
 use koika_designs::memdev::MagicMemory;
@@ -699,7 +699,6 @@ fn build_sim(
     backend: &str,
     level: OptLevel,
     dispatch: Dispatch,
-    profile: bool,
 ) -> Result<Box<dyn SimBackend>, CliError> {
     Ok(match backend {
         "interp" => Box::new(koika::Interp::new(td)),
@@ -719,9 +718,6 @@ fn build_sim(
                     dispatch.short_name()
                 ))
             })?;
-            if profile {
-                sim.enable_profiling();
-            }
             Box::new(sim)
         }
         "rtl" => Box::new(RtlSim::new(
@@ -734,6 +730,18 @@ fn build_sim(
         )),
         other => return Err(CliError::usage(format!("unknown backend {other:?}"))),
     })
+}
+
+/// Prints each injected SEU as it fires, just before its cycle runs.
+struct SeuPrinter<'a> {
+    td: &'a TDesign,
+}
+
+impl Observer for SeuPrinter<'_> {
+    fn fault_injected(&mut self, cycle: u64, reg: RegId, bit: u32, old: u64, new: u64) {
+        let spec = Injection { cycle, reg, bit }.display_with(self.td);
+        println!("injected SEU {spec} (value {old:#x} -> {new:#x})");
+    }
 }
 
 fn build_devices(td: &TDesign, program: &Option<Vec<u32>>) -> Vec<Box<dyn Device>> {
@@ -970,7 +978,7 @@ fn run_campaign_mode(args: &Args, plan: &Plan, members: usize) -> Result<ExitCod
     let level = plan.level;
     let dispatch = plan.dispatch;
     let make_sim = move |td: &TDesign| {
-        build_sim(td, &backend, level, dispatch, false).map_err(|e| match e {
+        build_sim(td, &backend, level, dispatch).map_err(|e| match e {
             CliError::Usage(m) | CliError::Runtime(m) => m,
         })
     };
@@ -1074,7 +1082,7 @@ fn run_debug_mode(args: &Args, plan: &Plan) -> Result<ExitCode, CliError> {
     let mut armed = watchdog.arm();
     let mut input = open_debug_input(args, None)?;
     let mut out = std::io::stdout().lock();
-    let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch, false)?;
+    let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch)?;
     if let Some(path) = &args.restore {
         let bytes = std::fs::read(path)
             .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
@@ -1304,7 +1312,7 @@ fn run_replay_mode(args: &Args, plan: &Plan, path: &str) -> Result<ExitCode, Cli
     let dispatch = plan.dispatch;
     let td2 = td.clone();
     let mut make_sim = move || {
-        build_sim(&td2, &backend, level, dispatch, false).unwrap_or_else(|e| {
+        build_sim(&td2, &backend, level, dispatch).unwrap_or_else(|e| {
             match e {
                 CliError::Usage(m) | CliError::Runtime(m) => eprintln!("{m}"),
             }
@@ -1469,7 +1477,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
     // Normal run (possibly with injections, snapshots, and a watchdog).
     let mut devices = build_devices(td, &plan.program);
     let mut vcd = args.vcd.as_ref().map(|_| VcdRecorder::all_registers(td));
-    let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch, args.profile)?;
+    let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch)?;
 
     if let Some(path) = &args.restore {
         let bytes = std::fs::read(path)
@@ -1493,6 +1501,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
     // Injected runs also record commit fingerprints so the run can be
     // classified against a golden run afterwards.
     let mut fingerprint = (!plan.injections.is_empty()).then(CommitFingerprint::default);
+    let mut seu_printer = (!plan.injections.is_empty()).then_some(SeuPrinter { td });
 
     let watchdog = Watchdog {
         max_cycles: args.max_cycles,
@@ -1518,52 +1527,38 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         if let Some(f) = &mut fingerprint {
             sinks.push(f);
         }
+        if let Some(p) = &mut seu_printer {
+            sinks.push(p);
+        }
         let mut fan = if sinks.is_empty() {
             None
         } else {
             Some(Fanout::new(sinks))
         };
+        // The VCD recorder samples last, after the devices have ticked.
+        let mut devs: Vec<&mut dyn Device> = devices.iter_mut().map(|d| &mut **d as _).collect();
+        if let Some(v) = &mut vcd {
+            devs.push(v);
+        }
         let mut armed = watchdog.arm();
-        for _ in 0..main_cycles {
-            let cycle = sim.cycle_count();
-            for d in devices.iter_mut() {
-                d.tick(cycle, sim.as_reg_access());
-            }
-            if let Some(v) = &mut vcd {
-                v.tick(cycle, sim.as_reg_access());
-            }
-            for inj in plan.injections.iter().filter(|i| i.cycle == cycle) {
-                let regs = sim.as_reg_access();
-                let old = regs.get64(inj.reg);
-                let new = old ^ (1u64 << inj.bit);
-                regs.set64(inj.reg, new);
-                println!(
-                    "injected SEU {} (value {old:#x} -> {new:#x})",
-                    inj.display_with(td)
-                );
-                if let Some(f) = &mut fan {
-                    f.fault_injected(cycle, inj.reg, inj.bit, old, new);
-                }
-            }
-            let before = sim.rules_fired();
-            match &mut fan {
-                Some(f) => sim.cycle_obs(f),
-                None => sim.cycle(),
-            }
-            let commits = sim.rules_fired().wrapping_sub(before);
+        let mut left = main_cycles;
+        // Runs in chunks that end on `--snapshot-every` boundaries; a
+        // snapshot due on the tripping cycle is written before the trip
+        // is reported.
+        while left > 0 {
+            let chunk = args.snapshot_every.map_or(left, |k| left.min(k - sim.cycle_count() % k));
+            let obs = fan.as_mut().map(|f| f as &mut dyn Observer);
+            let run = run_watchdogged(&mut *sim, &mut devs, chunk, &plan.injections, &mut armed, obs);
+            left -= chunk;
             if let Some(k) = args.snapshot_every {
                 let now = sim.cycle_count();
                 if now % k == 0 {
-                    let snap = sim.snapshot();
                     let path = format!("{}{now:08}.ksnap", plan.snapshot_prefix);
-                    write_file(&path, &snap.to_bytes())?;
+                    write_file(&path, &sim.snapshot().to_bytes())?;
                     println!("wrote snapshot {path}");
                 }
             }
-            if let Some(t) = armed.observe(sim.cycle_count(), commits) {
-                if let Some(f) = &mut fan {
-                    f.watchdog_trip(t.cycle, &t.reason);
-                }
+            if let Err(t) = run {
                 trip = Some(t);
                 break;
             }
@@ -1600,7 +1595,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         let dispatch = plan.dispatch;
         let td2 = td.clone();
         let mut make_sim = move || {
-            build_sim(&td2, &backend, level, dispatch, false).unwrap_or_else(|e| {
+            build_sim(&td2, &backend, level, dispatch).unwrap_or_else(|e| {
                 match e {
                     CliError::Usage(m) | CliError::Runtime(m) => eprintln!("{m}"),
                 }
@@ -1643,25 +1638,15 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
         traced.set_dispatch(plan.dispatch);
         let mut devices2 = build_devices(td, &plan.program);
-        for cycle in 0..main_cycles {
-            for d in devices2.iter_mut() {
-                d.tick(cycle, traced.as_reg_access());
-            }
-            traced.cycle();
-        }
-        let trace = {
-            let mut dev_refs: Vec<&mut dyn Device> = devices2
-                .iter_mut()
-                .map(|d| &mut **d as &mut dyn Device)
-                .collect();
-            RuleTrace::record(&mut traced, &mut dev_refs, n)
-        };
+        let mut dev_refs: Vec<&mut dyn Device> = devices2.iter_mut().map(|d| &mut **d as _).collect();
+        traced.run(main_cycles, &mut dev_refs);
+        let trace = RuleTrace::record(&mut traced, &mut dev_refs, n);
         println!("\nRule activity (last {n} cycles):\n{trace}");
     }
 
     if args.profile && args.backend == "cuttlesim" {
-        // The profile lives in the Sim; re-run quickly to fetch it when the
-        // box has been consumed by tracing above.
+        // Profiling turns off native whole-cycle dispatch, so the main run
+        // stays unprofiled and a fresh profiled Sim re-runs its cycles.
         let mut profiled = Sim::compile_with(
             td,
             &CompileOptions {
@@ -1673,12 +1658,8 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         profiled.set_dispatch(plan.dispatch);
         profiled.enable_profiling();
         let mut devices3 = build_devices(td, &plan.program);
-        for cycle in 0..main_cycles {
-            for d in devices3.iter_mut() {
-                d.tick(cycle, profiled.as_reg_access());
-            }
-            profiled.cycle();
-        }
+        let mut dev_refs: Vec<&mut dyn Device> = devices3.iter_mut().map(|d| &mut **d as _).collect();
+        profiled.run(main_cycles, &mut dev_refs);
         println!("\n{}", ProfileReport::collect(&profiled));
     }
 

@@ -240,7 +240,7 @@ fn watchdog_aborts_non_terminating_design_on_every_backend() {
             &mut devices,
             1_000_000,
             &[],
-            &Watchdog::stall_only(16),
+            &mut Watchdog::stall_only(16).arm(),
             None,
         )
         .expect_err("stuck design must trip the watchdog");
@@ -443,6 +443,56 @@ fn cli_single_injection_is_classified_against_golden() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("injected SEU 10:x:3"));
     assert!(text.contains("injection outcome: sdc"), "stdout: {text}");
+}
+
+#[test]
+fn cli_run_transcript_and_snapshots_are_identical_on_every_backend() {
+    // One injected, watched, watchdogged run that writes snapshots every
+    // 32 cycles, the last on the cycle where the budget trips. Its stdout
+    // (wall-time line dropped, snapshot prefix normalised) is checked in,
+    // and every backend must write the same snapshot bytes.
+    let mut matrix = vec![
+        vec!["--backend", "interp"],
+        vec!["--backend", "rtl"],
+        vec!["--backend", "rtl-static"],
+        vec!["--dispatch", "match"],
+        vec!["--dispatch", "tac"],
+    ];
+    if cuttlesim::toolchain_available() {
+        matrix.push(vec!["--dispatch", "native"]);
+    } else {
+        eprintln!("SKIP: no rustc toolchain; native dispatch row excluded from the run transcript matrix");
+    }
+    let dir = std::env::temp_dir().join(format!("koika-run-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut reference: Option<Vec<Vec<u8>>> = None;
+    for (i, flags) in matrix.iter().enumerate() {
+        let prefix = dir.join(format!("{i}-s-")).to_str().unwrap().to_string();
+        let out = koika_sim()
+            .arg("collatz")
+            .args(flags)
+            .args(["--cycles", "120", "--inject", "10:x:3", "--watch", "x"])
+            .args(["--max-cycles", "96", "--snapshot-every", "32"])
+            .args(["--snapshot-prefix", &prefix])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(3), "{flags:?}: the cycle budget must trip");
+        let transcript: String = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.contains("cycles/s"))
+            .map(|l| l.replace(&prefix, "<prefix>") + "\n")
+            .collect();
+        golden_check("collatz_run.txt", &transcript);
+        let snaps: Vec<Vec<u8>> = [32, 64, 96]
+            .iter()
+            .map(|c| std::fs::read(format!("{prefix}{c:08}.ksnap")).unwrap())
+            .collect();
+        match &reference {
+            None => reference = Some(snaps),
+            Some(want) => assert!(*want == snaps, "{flags:?}: snapshots differ from {:?}", matrix[0]),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,15 +4,17 @@
 //! disk faults, and the `req_id` idempotency window — all over a real TCP
 //! socket against a real state directory.
 
+use cuttlesim::Sim;
 use koika::check::check;
-use koika::device::{Device, RegAccess};
+use koika::device::{Device, RegAccess, SimBackend};
+use koika::fault::{run_watchdogged, Injection, Watchdog};
 use koika::tir::TDesign;
 use koika_designs::small;
 use koika_server::journal::{
     encode_frame, parse_journal_bytes, JournalOp, JournalRecord, WatchdogSpec, JOURNAL_MAGIC,
     JOURNAL_VERSION,
 };
-use koika_server::json::Json;
+use koika_server::json::{hex_encode, Json};
 use koika_server::{spawn, DesignProvider, IoChaos, ServerConfig, ServerHandle};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -211,6 +213,57 @@ fn abort_and_restart_recovers_sessions_byte_identical() {
     // ones.
     let fresh = u(&c.send(r#"{"op":"create","design":"collatz"}"#), "session");
     assert!(fresh > tailed, "fresh id {fresh} must not reuse recovered ids");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn server_steps_match_the_library_cycle_loop_and_survive_recovery() {
+    // Two pending injections and a cycle budget that trips in the middle
+    // of the second step.
+    let dir = state_dir("canonical");
+    let handle = durable_server(durable_config(&dir));
+    let mut c = Client::connect(&handle);
+    let id = u(
+        &c.send(r#"{"op":"create","design":"collatz","watchdog":{"max_cycles":30}}"#),
+        "session",
+    );
+    for (cycle, reg, bit) in [(4, "x", 2), (12, "steps", 0)] {
+        let r = c.send(&format!(
+            r#"{{"op":"inject","session":{id},"cycle":{cycle},"reg":"{reg}","bit":{bit}}}"#
+        ));
+        assert!(ok(&r), "{r:?}");
+    }
+    assert!(ok(&c.send(&format!(r#"{{"op":"step","session":{id},"n":8}}"#))));
+    let r = c.send(&format!(r#"{{"op":"step","session":{id},"n":40}}"#));
+    assert_eq!(err_kind(&r), "watchdog");
+    assert_eq!(u(&r, "cycle"), 30);
+    let served = snapshot_hex(&mut c, id);
+
+    // The same run, in one call of the library loop on a fresh engine.
+    let td = check(&small::collatz()).unwrap();
+    let injections = [
+        Injection { cycle: 4, reg: td.reg_id("x"), bit: 2 },
+        Injection { cycle: 12, reg: td.reg_id("steps"), bit: 0 },
+    ];
+    let budget = Watchdog {
+        max_cycles: Some(30),
+        ..Watchdog::default()
+    };
+    let mut sim = Sim::compile(&td).unwrap();
+    let provider = TestProvider::new();
+    let mut devices = provider.devices("collatz", &td);
+    let trip = run_watchdogged(&mut sim, &mut devices, 48, &injections, &mut budget.arm(), None)
+        .expect_err("the cycle budget must trip");
+    assert_eq!(trip.cycle, 30);
+    assert_eq!(served, hex_encode(&sim.snapshot().to_bytes()));
+
+    // Recovery replays the journaled steps through the same loop.
+    handle.abort();
+    let handle = durable_server(durable_config(&dir));
+    assert_eq!(handle.recovered_sessions(), 1);
+    let mut c = Client::connect(&handle);
+    assert_eq!(snapshot_hex(&mut c, id), served);
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
