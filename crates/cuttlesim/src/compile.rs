@@ -29,7 +29,7 @@ use std::error::Error;
 use std::fmt;
 
 /// How much of the logs a rule's commit (and rollback) must copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CopyPlan {
     /// Copy whole log arrays (a pair of `memcpy`s).
     Full,
@@ -43,7 +43,7 @@ pub enum CopyPlan {
 }
 
 /// A compiled rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct RuleCode {
     /// Rule name (diagnostics, coverage).
     pub name: String,
@@ -58,7 +58,7 @@ pub struct RuleCode {
 }
 
 /// One coverage counter's identity: which rule and which statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CovPoint {
     /// Rule name.
     pub rule: String,
@@ -165,10 +165,10 @@ pub struct Program {
 
 /// Fraction of the register file above which footprint copies degrade to
 /// whole-log `memcpy`s (the paper: "if a rule touches most of the registers
-/// in a design, Cuttlesim reverts to copying whole logs"). The native
-/// whole-cycle function at the design-specific level no longer consults
-/// the resulting [`CopyPlan`]s: it copies each rule's exact footprint,
-/// dynamic array indices included (see `native::emit_cycle_fn`).
+/// in a design, Cuttlesim reverts to copying whole logs"). Native rule
+/// bodies at the design-specific level no longer consult the resulting
+/// [`CopyPlan`]s: they copy each rule's exact footprint, dynamic array
+/// indices included (see `native::emit_rule_fn`).
 const FOOTPRINT_MEMCPY_THRESHOLD: f64 = 0.5;
 
 struct RuleCompiler<'a> {

@@ -12,7 +12,7 @@
 
 /// Operator kinds usable in the fused operand-load instructions
 /// ([`Insn::BinRC`] and friends), produced by the peephole pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusedBin {
     /// Wrapping addition (masked).
     Add,
@@ -56,7 +56,7 @@ pub enum FusedBin {
 
 /// A single VM instruction. Kept `Copy` and small — the interpreter loop
 /// reads these from a flat array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Insn {
     /// Push a constant.
     Const(u64),

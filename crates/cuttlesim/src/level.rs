@@ -96,7 +96,7 @@ impl fmt::Display for OptLevel {
 }
 
 /// The level expanded into independent feature flags, as consulted by the VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LevelCfg {
     /// The rule log is accumulated (`cycle ++ rule`).
     pub acc_logs: bool,

@@ -477,7 +477,6 @@ impl Sim {
                 counting,
             ),
             Engine::Native(engine) => crate::native::step_rule_native(
-                &self.prog,
                 engine,
                 &mut self.st,
                 rule_idx,
@@ -1148,10 +1147,13 @@ impl SimBackend for Sim {
         // schedule (prologue, bodies, commit/rollback, end-of-cycle merge)
         // in one native call. Only when nothing needs per-rule hooks:
         // history wants a snapshot per cycle boundary (end_cycle pushes
-        // it) and profiling wants per-rule counters.
+        // it) and profiling wants per-rule counters. A trap is recorded as
+        // `step_rule` records it.
         if let Engine::Native(engine) = &self.engine {
-            if self.history.is_none() && self.profile.is_none() && engine.has_cycle_fn() {
-                crate::native::run_cycle_native(engine, &mut self.st);
+            if self.history.is_none() && self.profile.is_none() {
+                if let Err(e) = crate::native::run_cycle_native(engine, &mut self.st) {
+                    self.trap.get_or_insert(e);
+                }
                 return;
             }
         }

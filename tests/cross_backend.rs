@@ -175,6 +175,80 @@ fn coverage_counts_are_dispatch_independent() {
     assert_eq!(a.coverage_counts(), b.coverage_counts());
 }
 
+/// Native dispatch compiles each rule to one body, which both native paths
+/// run: `koika_cycle` calls it on a plain `cycle`, and the host calls its
+/// exported wrapper rule by rule when an observer is attached or profiling
+/// is on. A native `Sim` switches paths every three cycles (and profiles
+/// from cycle 200 on); after every cycle it must agree with match dispatch
+/// on registers, per-rule commit and failure counts, `last_fail` and
+/// coverage counts, and with tac dispatch on profile weights. Native
+/// charges each micro-op the bytecode weight tac does, and both charge a
+/// fused micro-op's whole weight when its first access fails, where match
+/// counts only the instructions it ran (collatz's `rlB` at O1 and up).
+#[test]
+fn native_cycle_and_per_rule_paths_share_one_body() {
+    use cuttlesim::OptLevel;
+    use koika::ast::*;
+    use koika::design::DesignBuilder;
+    use koika::obs::Observer;
+    if !cuttlesim::toolchain_available() {
+        eprintln!("SKIP native_cycle_and_per_rule_paths_share_one_body: no rustc toolchain");
+        return;
+    }
+    struct Quiet;
+    impl Observer for Quiet {}
+    // Two rules racing for one register: `b` conflicts every cycle.
+    let mut clash = DesignBuilder::new("clash");
+    clash.reg("n", 8, 0u64);
+    clash.rule("a", vec![wr0("n", rd0("n").add(k(8, 1)))]);
+    clash.rule("b", vec![wr0("n", rd0("n").add(k(8, 2)))]);
+    let program = programs::primes(20);
+    for design in [small::collatz(), clash.build(), rv32::rv32i()] {
+        let td = check(&design).unwrap();
+        let memory = || {
+            let words = koika_designs::harness::MEM_WORDS;
+            (td.name == "rv32i").then(|| MagicMemory::new(&td, &["imem", "dmem"], &program, words))
+        };
+        for level in OptLevel::ALL {
+            for coverage in [false, true] {
+                let opts = CompileOptions { level, coverage, ..CompileOptions::default() };
+                let mut want = Sim::compile_with(&td, &opts).unwrap();
+                let mut tac = Sim::compile_with(&td, &opts).unwrap();
+                tac.set_dispatch(Dispatch::Tac);
+                let mut got = Sim::compile_with(&td, &opts).unwrap();
+                got.set_dispatch(Dispatch::Native);
+                let mut mems = [memory(), memory(), memory()];
+                for cycle in 0..300u64 {
+                    if cycle == 200 {
+                        tac.enable_profiling();
+                        got.enable_profiling();
+                    }
+                    for (mem, sim) in mems.iter_mut().zip([&mut want, &mut tac, &mut got]) {
+                        if let Some(mem) = mem {
+                            mem.tick(cycle, sim.as_reg_access());
+                        }
+                    }
+                    want.cycle();
+                    tac.cycle();
+                    if cycle % 6 < 3 {
+                        got.cycle();
+                    } else {
+                        got.cycle_obs(&mut Quiet);
+                    }
+                    let at = format!("{} {level} coverage={coverage} cycle {cycle}", td.name);
+                    assert_eq!(got.reg_values(), want.reg_values(), "{at}");
+                    assert_eq!(got.fired_per_rule(), want.fired_per_rule(), "{at}");
+                    assert_eq!(got.fails_per_rule(), want.fails_per_rule(), "{at}");
+                    assert_eq!(got.last_fail(), want.last_fail(), "{at}");
+                    assert_eq!(got.coverage_counts(), want.coverage_counts(), "{at}");
+                    assert_eq!(got.profile_insns(), tac.profile_insns(), "{at}");
+                }
+                assert!(want.fails_per_rule().iter().any(|&f| f > 0), "{} {level}", td.name);
+            }
+        }
+    }
+}
+
 #[test]
 fn snapshots_restore_full_determinism() {
     let td = check(&rv32::rv32i()).unwrap();
