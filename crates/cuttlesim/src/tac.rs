@@ -31,6 +31,16 @@
 //! [`crate::ProfileReport`] expects). Coverage micro-ops bump the same
 //! counters as their bytecode counterparts, keeping
 //! [`crate::CoverageReport`] exact.
+//!
+//! Profile counts are not always identical to match dispatch, though. A
+//! micro-op's whole weight is charged before it runs (native charges the
+//! same weights), so when a fused micro-op fails at its first access the
+//! profile counts bytecode instructions that match never executed: on
+//! `small::collatz` at O1–O6, one profiled cycle after 200 reads rule
+//! weights `[32, 1]` on match and `[32, 2]` on tac and native. Tac and
+//! native agree with each other, and
+//! `tests/cross_backend.rs::native_cycle_and_per_rule_paths_share_one_body`
+//! compares native against tac for that reason.
 
 use crate::compile::{fusable, Program, RuleCode};
 use crate::insn::{FusedBin, Insn};

@@ -146,8 +146,9 @@ pub enum JournalOp {
         stalled: u64,
         pending: Vec<(u64, u32, u32)>,
     },
-    /// The op journaled as `of_seq` committed nothing (wall trip after
-    /// exhausted retries, or a deterministic failure); replay skips it.
+    /// The op journaled as `of_seq` committed nothing (a wall trip after
+    /// exhausted retries, a deterministic failure, or a step shed from a
+    /// full queue); replay skips it, and its reply is not cached.
     Rollback { of_seq: u64 },
     /// The session was closed; recovery deletes its files instead of
     /// resurrecting it.

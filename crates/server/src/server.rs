@@ -40,12 +40,27 @@
 //! the session's write-ahead journal ([`crate::journal`]) **before** it
 //! executes. A restart with the same directory — graceful or `kill -9` —
 //! rebuilds the session table by loading each session's newest checkpoint
-//! spool and deterministically re-executing its journal tail; recovered
-//! registers and commit fingerprints are byte-identical to an
-//! uninterrupted run. The mutating ops additionally accept an optional
-//! client-chosen `req_id` (u64): re-submitting a request with a `req_id`
-//! seen before returns the cached reply instead of applying the op twice
+//! spool and re-executing its journal tail; recovered registers and
+//! commit fingerprints are byte-identical to an uninterrupted run.
+//! Replay is trustworthy because it runs the live code: each journaled
+//! op has one `apply` function (`apply_step`, `apply_inject`,
+//! `apply_restore`) that changes the session and builds the reply, and
+//! the live op calls it after its journal append just as recovery calls
+//! it per record. A fresh session and its `create` reply are likewise
+//! built in one place.
+//!
+//! The mutating ops additionally accept an optional client-chosen
+//! `req_id` (u64): re-submitting a request with a `req_id` seen before
+//! returns the cached reply instead of applying the op twice
 //! (at-most-once across reconnects and crashes, within a bounded window).
+//! A reply is cached if and only if the journal keeps a record with that
+//! `req_id` that was not rolled back: committed ops and deterministic
+//! watchdog trips are cached, while a wall trip or an internal failure
+//! commits nothing, is rolled back, and is safe to retry. One difference
+//! survives a crash: the journal does not record tracing, so a
+//! `stream-trace` re-submitted after recovery gets the plain `step` reply,
+//! without `events` and `truncated`.
+//!
 //! When the state directory becomes unwritable the server degrades to a
 //! typed `read-only` error for mutating ops — reads still work — and
 //! heals automatically once a probe write succeeds.
@@ -56,7 +71,8 @@ use crate::json::{self, Json};
 use crate::metrics::ServerMetrics;
 use crate::session::{
     req_cached, req_store, req_store_bounded, spill, spool_bytes, unspill, BackendKind,
-    DesignProvider, EnginePool, EvictedStub, ReqWindow, SessionBody, SessionSlot, SessionTable,
+    DesignProvider, DeviceBlobs, EnginePool, EvictedStub, ReqWindow, SessionBody, SessionSlot,
+    SessionTable,
 };
 use koika::fault::{run_watchdogged, ArmedWatchdog, Injection, TripKind, Watchdog, WatchdogTrip};
 use koika::obs::Observer;
@@ -351,7 +367,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Step tasks and verdicts
+// Step tasks and reply formats
 // ---------------------------------------------------------------------------
 
 /// A checked-out `step` / `stream-trace` request travelling through the
@@ -364,7 +380,7 @@ struct StepTask {
     body: Box<SessionBody>,
     start_cycles: u64,
     reply: Sender<String>,
-    verdict: Option<StepVerdict>,
+    verdict: Option<Applied>,
     last_trip: Option<WatchdogTrip>,
     /// `(seq, pre-append durable length)` of the journaled `step` record
     /// (durable sessions only); rolled back — or, if even the rollback
@@ -373,26 +389,6 @@ struct StepTask {
     journal_seq: Option<(u64, u64)>,
     /// Client idempotency token, cached with the reply on commit.
     req_id: Option<u64>,
-}
-
-/// What a step did, decided by the worker, committed by the dispatcher.
-enum StepVerdict {
-    /// The step ran to completion and the session state was committed.
-    Done {
-        cycles: u64,
-        fired: u64,
-        events: Vec<(u64, usize)>,
-        truncated: bool,
-    },
-    /// A watchdog budget tripped; progress up to the trip boundary was
-    /// committed (deterministic trips) or rolled back (wall trips after
-    /// exhausted retries). The session stays usable.
-    Trip { trip: WatchdogTrip },
-    /// A deterministic failure (compile error, corrupt device blob). The
-    /// session is kept with its pre-step state.
-    Fatal { msg: String },
-    /// The step panicked; the session is torn down.
-    Panic { msg: String },
 }
 
 fn trip_kind_label(kind: TripKind) -> &'static str {
@@ -410,9 +406,119 @@ fn err_reply(kind: &str, detail: &str) -> String {
     )
 }
 
+/// The reply to a step that a watchdog budget stopped.
+fn trip_reply(trip: &WatchdogTrip) -> String {
+    format!(
+        "{{\"ok\":false,\"error\":\"watchdog\",\"kind\":\"{}\",\"cycle\":{},\"detail\":\"{}\"}}",
+        trip_kind_label(trip.kind),
+        trip.cycle,
+        json::escape(&trip.reason)
+    )
+}
+
+/// The reply to a `create`, live or rebuilt by recovery.
+fn created_reply(id: u64, design: &str, backend: BackendKind) -> String {
+    format!(
+        "{{\"ok\":true,\"session\":{id},\"design\":\"{}\",\"backend\":\"{}\",\"cycles\":0}}",
+        json::escape(design),
+        backend.name()
+    )
+}
+
 // ---------------------------------------------------------------------------
-// Step execution
+// Applying journaled ops
 // ---------------------------------------------------------------------------
+
+/// What applying one journaled op did to a session.
+enum Applied {
+    /// The op committed in full; carries its success reply.
+    Done(String),
+    /// A deterministic watchdog budget tripped; progress up to the trip
+    /// boundary committed. The session stays usable.
+    Trip(WatchdogTrip),
+    /// The wall budget tripped (live steps only: replay runs no wall
+    /// budget). Nothing committed.
+    Wall(WatchdogTrip),
+    /// A deterministic failure (engine compile, state or device restore,
+    /// a snapshot that no longer fits the design). Nothing committed.
+    Failed(String),
+}
+
+impl Applied {
+    /// Whether the op changed the session. Exactly then does the journal
+    /// keep its record; every other outcome is rolled back.
+    fn committed(&self) -> bool {
+        matches!(self, Applied::Done(_) | Applied::Trip(_))
+    }
+
+    /// The reply line. The one caching rule lives here: a reply is cached
+    /// under its `req_id` if and only if the op committed, so a
+    /// re-submission is answered from the window exactly when the journal
+    /// keeps a record of it, and retried otherwise.
+    fn answer(self, recent: &mut ReqWindow, req_id: Option<u64>) -> String {
+        let committed = self.committed();
+        let reply = match self {
+            Applied::Done(reply) => reply,
+            Applied::Trip(trip) | Applied::Wall(trip) => trip_reply(&trip),
+            Applied::Failed(msg) => err_reply("internal", &msg),
+        };
+        if let (true, Some(rid)) = (committed, req_id) {
+            req_store(recent, rid, reply.clone());
+        }
+        reply
+    }
+}
+
+/// Applies one journal record to a session during replay; `None` for
+/// records that change no session state (create, checkpoint, rollback,
+/// close).
+fn apply(shared: &Shared, id: u64, body: &mut SessionBody, op: &JournalOp) -> Option<Applied> {
+    match op {
+        JournalOp::Step { n } => Some(apply_step(shared, id, body, *n, false)),
+        JournalOp::Inject { cycle, reg, bit } => {
+            let inj = Injection {
+                cycle: *cycle,
+                reg: RegId(*reg),
+                bit: *bit,
+            };
+            Some(apply_inject(id, &mut body.pending, inj))
+        }
+        JournalOp::Restore { ksnap } => Some(apply_restore(id, body, ksnap)),
+        JournalOp::Create { .. }
+        | JournalOp::Checkpoint { .. }
+        | JournalOp::Rollback { .. }
+        | JournalOp::Close => None,
+    }
+}
+
+/// Queues an injection. It takes only the pending queue, which an
+/// evicted stub keeps in memory too, so `inject` never rehydrates.
+fn apply_inject(id: u64, pending: &mut Vec<Injection>, inj: Injection) -> Applied {
+    pending.push(inj);
+    let count = pending.len();
+    Applied::Done(format!("{{\"ok\":true,\"session\":{id},\"pending\":{count}}}"))
+}
+
+/// Restores a session to a `.ksnap`. The live op validates the bytes
+/// before journaling them; replay checks them again here because the
+/// design may have changed across the restart.
+fn apply_restore(id: u64, body: &mut SessionBody, ksnap: &[u8]) -> Applied {
+    let parsed = Snapshot::from_bytes(ksnap).map_err(|e| e.to_string());
+    match parsed.and_then(|s| fits(&body.td, &s).map(|()| s)) {
+        Ok(s) => body.snap = s,
+        Err(msg) => return Applied::Failed(msg),
+    }
+    let done = body.snap.cycles;
+    body.pending.retain(|i| i.cycle >= done);
+    Applied::Done(format!("{{\"ok\":true,\"session\":{id},\"cycles\":{done}}}"))
+}
+
+/// Checks that a snapshot was taken of this design.
+fn fits(td: &TDesign, snap: &Snapshot) -> Result<(), String> {
+    let widths: Vec<u32> = td.regs.iter().map(|r| r.width).collect();
+    snap.check_shape(&td.name, &widths, td.fingerprint())
+        .map_err(|e| e.to_string())
+}
 
 /// Collects committed rules per cycle for `stream-trace`.
 struct TraceObs {
@@ -435,92 +541,124 @@ impl Observer for TraceObs {
     }
 }
 
-/// Runs one task on a scalar engine through [`run_watchdogged`], the one
-/// scalar cycle loop, so a server step is the same run a library caller
-/// or the CLI would make.
-/// A session without a watchdog steps under an unlimited one.
-///
-/// Commit discipline: the session body is only mutated after the run
-/// finishes (or at a deterministic trip boundary), so a panic or a
-/// retried wall trip always leaves the pre-step state intact.
-///
-/// A wall trip returns [`JobError::Transient`] after rewinding the wall
-/// budget to the step's starting mark — the failed attempt consumes no
-/// budget, and the runner's seeded backoff retries it.
-fn run_single(task: &mut StepTask, shared: &Shared) -> Result<(), JobError> {
-    let body = &mut task.body;
-    let mut engine = match lock(&shared.pool).checkout_scalar(&body.design_name, &body.td, body.backend)
-    {
-        Ok(e) => e,
-        Err(msg) => {
-            task.verdict = Some(StepVerdict::Fatal { msg });
-            return Ok(());
-        }
-    };
-    if let Err(e) = engine.restore(&body.snap) {
-        task.verdict = Some(StepVerdict::Fatal {
-            msg: format!("restoring session state: {e}"),
-        });
-        return Ok(());
-    }
-    // Devices are rebuilt from their blobs each step; a provider or
-    // device that panics here is contained by the runner and tears down
-    // only this session (the checked-out engine unwinds with us and is
-    // simply recompiled next time).
-    let mut devices = shared.provider.devices(&body.design_name, &body.td);
-    for (d, blob) in devices.iter_mut().zip(&body.dev_blobs) {
-        if let Some(bytes) = blob {
-            if let Err(e) = d.load_state(bytes) {
-                task.verdict = Some(StepVerdict::Fatal {
-                    msg: format!("restoring device state: {e}"),
-                });
-                return Ok(());
-            }
-        }
-    }
-    let mut unlimited = Watchdog::default().arm();
-    let wd = body.watchdog.as_mut().unwrap_or(&mut unlimited);
-    wd.resume();
-    let mark = wd.wall_elapsed();
-    let mut tracer = TraceObs {
+/// Steps a session `n` cycles, tracing committed rules when `trace` is
+/// set (`stream-trace`; replay never traces).
+fn apply_step(shared: &Shared, id: u64, body: &mut SessionBody, n: u64, trace: bool) -> Applied {
+    let mut tracer = trace.then(|| TraceObs {
         cur: body.snap.cycles,
         cap: shared.cfg.max_trace,
         events: Vec::new(),
         truncated: false,
-    };
-    let obs = task.trace.then_some(&mut tracer as &mut dyn Observer);
-    let tripped = match run_watchdogged(&mut *engine, &mut devices, task.n, &body.pending, wd, obs) {
-        Ok(()) => None,
-        Err(trip) if trip.kind == TripKind::Wall => {
+    });
+    let obs = tracer.as_mut().map(|t| t as &mut dyn Observer);
+    match run_step(shared, body, n, obs) {
+        Ok(None) => Applied::Done(step_reply(id, body, tracer)),
+        Ok(Some(trip)) if trip.kind == TripKind::Wall => Applied::Wall(trip),
+        Ok(Some(trip)) => Applied::Trip(trip),
+        Err(msg) => Applied::Failed(msg),
+    }
+}
+
+/// The reply to a step that ran to completion; `stream-trace` adds the
+/// rules committed in each cycle.
+fn step_reply(id: u64, body: &SessionBody, tracer: Option<TraceObs>) -> String {
+    let mut reply = format!(
+        "{{\"ok\":true,\"session\":{id},\"cycles\":{},\"fired\":{}",
+        body.snap.cycles, body.snap.fired
+    );
+    if let Some(t) = tracer {
+        reply.push_str(",\"events\":[");
+        for (i, (cycle, rule)) in t.events.iter().enumerate() {
+            if i > 0 {
+                reply.push(',');
+            }
+            let name = body.td.rules.get(*rule).map(|r| r.name.as_str()).unwrap_or("?");
+            reply.push_str(&format!(
+                "{{\"cycle\":{cycle},\"rule\":\"{}\"}}",
+                json::escape(name)
+            ));
+        }
+        reply.push_str(&format!("],\"truncated\":{}", t.truncated));
+    }
+    reply.push('}');
+    reply
+}
+
+/// Runs `n` cycles of a session on a pooled scalar engine through
+/// [`run_watchdogged`], the one scalar cycle loop, so a server step is
+/// the same run a library caller or the CLI would make: check an engine
+/// out, load the session's registers and devices into it, run, commit,
+/// check the engine back in. A session without a watchdog steps under an
+/// unlimited one.
+///
+/// Commit discipline: the session body is only mutated after the run
+/// finishes (or at a deterministic trip boundary), so a panic, a wall
+/// trip or an `Err` always leaves the pre-step state intact. Returns the
+/// trip that stopped the run, if any.
+fn run_step(
+    shared: &Shared,
+    body: &mut SessionBody,
+    n: u64,
+    obs: Option<&mut dyn Observer>,
+) -> Result<Option<WatchdogTrip>, String> {
+    let mut engine = lock(&shared.pool).checkout_scalar(&body.design_name, &body.td, body.backend)?;
+    let ran = (|| {
+        engine
+            .restore(&body.snap)
+            .map_err(|e| format!("restoring session state: {e}"))?;
+        // Devices are rebuilt from their blobs each step; a provider or
+        // device that panics here is contained by the caller and tears
+        // down only this session (the checked-out engine unwinds with us
+        // and is simply recompiled next time).
+        let mut devices = shared.provider.devices(&body.design_name, &body.td);
+        for (d, blob) in devices.iter_mut().zip(&body.dev_blobs) {
+            if let Some(bytes) = blob {
+                d.load_state(bytes)
+                    .map_err(|e| format!("restoring device state: {e}"))?;
+            }
+        }
+        let mut unlimited = Watchdog::default().arm();
+        let wd = body.watchdog.as_mut().unwrap_or(&mut unlimited);
+        wd.resume();
+        let tripped = run_watchdogged(&mut *engine, &mut devices, n, &body.pending, wd, obs).err();
+        wd.pause();
+        if tripped.as_ref().is_some_and(|t| t.kind == TripKind::Wall) {
+            return Ok(tripped);
+        }
+        // Commit: deterministic trips keep the progress made up to the
+        // trip boundary; full runs keep everything.
+        body.snap = engine.snapshot();
+        body.dev_blobs = devices.iter().map(|d| d.save_state()).collect();
+        let done = body.snap.cycles;
+        body.pending.retain(|i| i.cycle >= done);
+        Ok(tripped)
+    })();
+    lock(&shared.pool).checkin_scalar(&body.design_name, body.backend, engine);
+    ran
+}
+
+/// Runs one live step task on a worker. A wall trip returns
+/// [`JobError::Transient`] after rewinding the wall budget to the step's
+/// starting mark — the failed attempt consumes no budget, and the
+/// runner's seeded backoff retries it.
+fn run_single(task: &mut StepTask, shared: &Shared) -> Result<(), JobError> {
+    let mark = task.body.watchdog.as_ref().map(ArmedWatchdog::wall_elapsed);
+    match apply_step(shared, task.id, &mut task.body, task.n, task.trace) {
+        Applied::Wall(trip) => {
             // Machine-dependent: forgive the wall time this attempt
             // burned and let the runner retry it.
-            wd.wall_rewind_to(mark);
-            wd.pause();
+            if let (Some(wd), Some(mark)) = (task.body.watchdog.as_mut(), mark) {
+                wd.wall_rewind_to(mark);
+            }
             let msg = trip.to_string();
             task.last_trip = Some(trip);
-            lock(&shared.pool).checkin_scalar(&body.design_name, body.backend, engine);
-            return Err(JobError::Transient(msg));
+            Err(JobError::Transient(msg))
         }
-        Err(trip) => Some(trip),
-    };
-    wd.pause();
-    // Commit: deterministic trips keep the progress made up to the trip
-    // boundary; full runs keep everything.
-    body.snap = engine.snapshot();
-    body.dev_blobs = devices.iter().map(|d| d.save_state()).collect();
-    let done = body.snap.cycles;
-    body.pending.retain(|i| i.cycle >= done);
-    lock(&shared.pool).checkin_scalar(&body.design_name, body.backend, engine);
-    task.verdict = Some(match tripped {
-        Some(trip) => StepVerdict::Trip { trip },
-        None => StepVerdict::Done {
-            cycles: body.snap.cycles,
-            fired: body.snap.fired,
-            events: tracer.events,
-            truncated: tracer.truncated,
-        },
-    });
-    Ok(())
+        applied => {
+            task.verdict = Some(applied);
+            Ok(())
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -562,79 +700,10 @@ fn execute_round(shared: &Shared, tasks: Vec<StepTask>) {
 /// Checks a finished step back into the table (or tears the session
 /// down), updates metrics, and sends the reply line.
 fn finish_task(shared: &Shared, mut task: StepTask, job_err: Option<JobError>) {
-    let verdict = match job_err {
-        Some(JobError::Panic(msg)) => StepVerdict::Panic { msg },
-        Some(JobError::Transient(msg)) => match task.last_trip.take() {
-            Some(trip) => StepVerdict::Trip { trip },
-            None => StepVerdict::Fatal { msg },
-        },
-        Some(JobError::Fatal(msg)) => StepVerdict::Fatal { msg },
-        None => task.verdict.take().unwrap_or(StepVerdict::Fatal {
-            msg: "step produced no verdict".into(),
-        }),
-    };
     let id = task.id;
     let tenant = task.body.tenant.clone();
-    let cycles_run = task.body.snap.cycles.saturating_sub(task.start_cycles);
-    let teardown = matches!(verdict, StepVerdict::Panic { .. });
-    let reply = match &verdict {
-        StepVerdict::Done {
-            cycles,
-            fired,
-            events,
-            truncated,
-        } => {
-            {
-                let mut m = lock(&shared.metrics);
-                let t = m.tenant(&tenant);
-                t.steps += 1;
-                t.cycles += cycles_run;
-            }
-            let mut reply =
-                format!("{{\"ok\":true,\"session\":{id},\"cycles\":{cycles},\"fired\":{fired}");
-            if task.trace {
-                reply.push_str(",\"events\":[");
-                for (i, (cycle, rule)) in events.iter().enumerate() {
-                    if i > 0 {
-                        reply.push(',');
-                    }
-                    let name = task
-                        .body
-                        .td
-                        .rules
-                        .get(*rule)
-                        .map(|r| r.name.as_str())
-                        .unwrap_or("?");
-                    reply.push_str(&format!(
-                        "{{\"cycle\":{cycle},\"rule\":\"{}\"}}",
-                        json::escape(name)
-                    ));
-                }
-                reply.push_str(&format!("],\"truncated\":{truncated}"));
-            }
-            reply.push('}');
-            reply
-        }
-        StepVerdict::Trip { trip } => {
-            {
-                let mut m = lock(&shared.metrics);
-                let t = m.tenant(&tenant);
-                t.steps += 1;
-                t.cycles += cycles_run;
-                t.watchdog_trips += 1;
-            }
-            format!(
-                "{{\"ok\":false,\"error\":\"watchdog\",\"kind\":\"{}\",\"cycle\":{},\"detail\":\"{}\"}}",
-                trip_kind_label(trip.kind),
-                trip.cycle,
-                json::escape(&trip.reason)
-            )
-        }
-        StepVerdict::Fatal { msg } => {
-            lock(&shared.metrics).tenant(&tenant).steps += 1;
-            err_reply("internal", msg)
-        }
-        StepVerdict::Panic { msg } => {
+    let applied = match job_err {
+        Some(JobError::Panic(msg)) => {
             {
                 let mut m = lock(&shared.metrics);
                 let t = m.tenant(&tenant);
@@ -642,21 +711,39 @@ fn finish_task(shared: &Shared, mut task: StepTask, job_err: Option<JobError>) {
                 t.panics_contained += 1;
                 t.sessions_closed += 1;
             }
-            err_reply("panic", &format!("session torn down: {msg}"))
+            // Torn down: the session's files go with it.
+            if let Some(j) = task.body.journal.take() {
+                j.delete(id, shared.chaos());
+            }
+            lock(&shared.table).remove(id);
+            let _ = task
+                .reply
+                .send(err_reply("panic", &format!("session torn down: {msg}")));
+            return;
         }
+        Some(JobError::Transient(msg)) => match task.last_trip.take() {
+            Some(trip) => Applied::Wall(trip),
+            None => Applied::Failed(msg),
+        },
+        Some(JobError::Fatal(msg)) => Applied::Failed(msg),
+        None => task
+            .verdict
+            .take()
+            .unwrap_or_else(|| Applied::Failed("step produced no verdict".into())),
     };
+    {
+        let mut m = lock(&shared.metrics);
+        let t = m.tenant(&tenant);
+        t.steps += 1;
+        t.cycles += task.body.snap.cycles.saturating_sub(task.start_cycles);
+        if matches!(applied, Applied::Trip(_) | Applied::Wall(_)) {
+            t.watchdog_trips += 1;
+        }
+    }
     // Durable bookkeeping. The journal already holds a `step n` record;
     // reconcile it with what actually committed.
-    if teardown {
-        // Torn down: the session's files go with it.
-        if let Some(j) = task.body.journal.take() {
-            j.delete(id, shared.chaos());
-        }
-    } else if let Some((of_seq, pre_len)) = task.journal_seq {
-        let committed = task.body.snap.cycles.saturating_sub(task.start_cycles);
-        let full_commit = matches!(verdict, StepVerdict::Done { .. })
-            || matches!(&verdict, StepVerdict::Trip { trip } if trip.kind.is_deterministic());
-        if full_commit {
+    if let Some((of_seq, pre_len)) = task.journal_seq {
+        if applied.committed() {
             // Deterministic replay of `step n` reproduces this state
             // exactly (deterministic trips included). Auto-checkpoint
             // once the journal has grown past the bound.
@@ -672,51 +759,28 @@ fn finish_task(shared: &Shared, mut task: StepTask, job_err: Option<JobError>) {
             }
         } else {
             // Wall trip or deterministic failure: the journaled `step n`
-            // did not commit as written. Roll it back, and when a wall
-            // trip committed partial progress (machine-dependent cycle
-            // count), journal the count that actually committed — replay
-            // of `step committed` is deterministic again.
-            let chaos = shared.cfg.chaos.as_deref();
-            if let Some(j) = task.body.journal.as_mut() {
-                // The substitute record inherits the req_id so a
-                // re-submission after a crash still hits the window
-                // instead of stepping twice.
-                let res = j.append(JournalOp::Rollback { of_seq }, None, chaos).and_then(|_| {
-                    if committed > 0 {
-                        j.append(JournalOp::Step { n: committed }, task.req_id, chaos).map(|_| ())
-                    } else {
-                        Ok(())
-                    }
-                });
-                if let Err(e) = res {
-                    // Even the rollback could not be written. Truncating
-                    // back to the pre-step durable prefix needs no disk
-                    // space, so the journal never retains a `step` that
-                    // did not execute as written.
-                    j.truncate_to(pre_len);
-                    shared.note_write_failure(&tenant, &e.to_string());
-                }
-            }
+            // committed nothing, so replay must skip it.
+            roll_back(shared, &mut task.body, of_seq, pre_len);
         }
     }
-    // Cache the reply for idempotent re-submission — but only for
-    // outcomes the journal represents durably (committed steps and
-    // trips); a Fatal reply is safe for the client to retry.
-    if !teardown && !matches!(verdict, StepVerdict::Fatal { .. }) {
-        if let Some(rid) = task.req_id {
-            req_store(&mut task.body.recent, rid, reply.clone());
-        }
-    }
-    {
-        let mut table = lock(&shared.table);
-        if teardown {
-            table.remove(id);
-        } else {
-            task.body.last_touch = Instant::now();
-            table.put(id, SessionSlot::Live(task.body));
-        }
-    }
+    let reply = applied.answer(&mut task.body.recent, task.req_id);
+    task.body.last_touch = Instant::now();
+    lock(&shared.table).put(id, SessionSlot::Live(task.body));
     let _ = task.reply.send(reply);
+}
+
+/// Journals that the record `of_seq` committed nothing. If even that
+/// append fails, truncating back to the pre-append durable length needs
+/// no disk space, so the journal never keeps a `step` that did not
+/// execute as written.
+fn roll_back(shared: &Shared, body: &mut SessionBody, of_seq: u64, pre_len: u64) {
+    let Some(j) = body.journal.as_mut() else {
+        return;
+    };
+    if let Err(e) = j.append(JournalOp::Rollback { of_seq }, None, shared.chaos()) {
+        j.truncate_to(pre_len);
+        shared.note_write_failure(&body.tenant, &e.to_string());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -973,27 +1037,13 @@ fn op_create(shared: &Shared, v: &Json) -> String {
         );
     }
     let wd_cfg = parse_watchdog(v).unwrap_or_else(|| shared.cfg.default_watchdog.clone());
-    // Building devices runs embedder code; contain it so a provider that
-    // panics at construction poisons nothing.
-    let built = contain(|| {
-        let devices = shared.provider.devices(design, &td);
-        devices.iter().map(|d| d.save_state()).collect::<Vec<_>>()
-    });
-    let dev_blobs = match built {
-        Ok(blobs) => blobs,
+    let (snap, dev_blobs) = match fresh_state(shared, design, &td) {
+        Ok(state) => state,
         Err(msg) => {
             let mut m = lock(&shared.metrics);
             m.tenant(&tenant).panics_contained += 1;
-            return err_reply("panic", &format!("device construction panicked: {msg}"));
+            return err_reply("panic", &msg);
         }
-    };
-    let snap = Snapshot {
-        design: td.name.clone(),
-        cycles: 0,
-        fired: 0,
-        fingerprint: td.fingerprint(),
-        fired_per_rule: vec![0; td.rules.len()],
-        regs: td.initial_values(),
     };
     let mut body = Box::new(SessionBody {
         design_name: design.to_string(),
@@ -1047,15 +1097,36 @@ fn op_create(shared: &Shared, v: &Json) -> String {
         id
     };
     lock(&shared.metrics).tenant(&tenant).sessions_created += 1;
-    let reply = format!(
-        "{{\"ok\":true,\"session\":{id},\"design\":\"{}\",\"backend\":\"{}\",\"cycles\":0}}",
-        json::escape(design),
-        backend.name()
-    );
+    let reply = created_reply(id, design, backend);
     if let Some(rid) = req_id {
         req_store_bounded(&mut lock(&shared.create_reqs), rid, reply.clone(), CREATE_WINDOW);
     }
     reply
+}
+
+/// A fresh session's state: registers at their initial values and the
+/// devices as the provider builds them. Building devices runs embedder
+/// code; it is contained so a provider that panics at construction
+/// poisons nothing.
+fn fresh_state(
+    shared: &Shared,
+    design: &str,
+    td: &TDesign,
+) -> Result<(Snapshot, DeviceBlobs), String> {
+    let dev_blobs = contain(|| {
+        let devices = shared.provider.devices(design, td);
+        devices.iter().map(|d| d.save_state()).collect::<Vec<_>>()
+    })
+    .map_err(|msg| format!("device construction panicked: {msg}"))?;
+    let snap = Snapshot {
+        design: td.name.clone(),
+        cycles: 0,
+        fired: 0,
+        fingerprint: td.fingerprint(),
+        fired_per_rule: vec![0; td.rules.len()],
+        regs: td.initial_values(),
+    };
+    Ok((snap, dev_blobs))
 }
 
 fn session_id(v: &Json) -> Result<u64, String> {
@@ -1206,15 +1277,8 @@ fn op_step(shared: &Shared, tx: &SyncSender<StepTask>, v: &Json, trace: bool) ->
             // The journaled step never ran — roll it back so recovery
             // does not replay it.
             let mut task = task;
-            if let (Some((of_seq, pre_len)), Some(j)) =
-                (task.journal_seq, task.body.journal.as_mut())
-            {
-                if let Err(e) =
-                    j.append(JournalOp::Rollback { of_seq }, None, shared.cfg.chaos.as_deref())
-                {
-                    j.truncate_to(pre_len);
-                    shared.note_write_failure(&tenant, &e.to_string());
-                }
+            if let Some((of_seq, pre_len)) = task.journal_seq {
+                roll_back(shared, &mut task.body, of_seq, pre_len);
             }
             let mut table = lock(&shared.table);
             table.put(id, SessionSlot::Live(task.body));
@@ -1296,7 +1360,7 @@ fn op_inject(shared: &Shared, v: &Json) -> String {
             reg: inj.reg.0,
             bit: inj.bit,
         };
-        if let Err(e) = j.append(op, req_id, shared.cfg.chaos.as_deref()) {
+        if let Err(e) = j.append(op, req_id, shared.chaos()) {
             // Locking metrics under the table lock follows the
             // established table -> metrics order.
             shared.note_write_failure(&tenant, &e.to_string());
@@ -1306,12 +1370,7 @@ fn op_inject(shared: &Shared, v: &Json) -> String {
             );
         }
     }
-    pending.push(inj);
-    let count = pending.len();
-    let reply = format!("{{\"ok\":true,\"session\":{id},\"pending\":{count}}}");
-    if let Some(rid) = req_id {
-        req_store(recent, rid, reply.clone());
-    }
+    let reply = apply_inject(id, pending, inj).answer(recent, req_id);
     drop(table);
     lock(&shared.metrics).tenant(&tenant).injections += 1;
     reply
@@ -1392,9 +1451,8 @@ fn op_restore(shared: &Shared, v: &Json) -> String {
             return reply;
         }
     }
-    let widths: Vec<u32> = body.td.regs.iter().map(|r| r.width).collect();
-    if let Err(e) = snap.check_shape(&body.td.name, &widths, body.td.fingerprint()) {
-        return err_reply("bad-snapshot", &e.to_string());
+    if let Err(e) = fits(&body.td, &snap) {
+        return err_reply("bad-snapshot", &e);
     }
     // Write-ahead: replay applies the same bytes, so the restored state
     // survives a crash without waiting for a checkpoint.
@@ -1403,7 +1461,7 @@ fn op_restore(shared: &Shared, v: &Json) -> String {
         let op = JournalOp::Restore {
             ksnap: bytes.clone(),
         };
-        if let Err(e) = j.append(op, req_id, shared.cfg.chaos.as_deref()) {
+        if let Err(e) = j.append(op, req_id, shared.chaos()) {
             shared.note_write_failure(&tenant, &e.to_string());
             return err_reply(
                 "read-only",
@@ -1411,15 +1469,8 @@ fn op_restore(shared: &Shared, v: &Json) -> String {
             );
         }
     }
-    body.snap = snap;
-    let done = body.snap.cycles;
-    body.pending.retain(|i| i.cycle >= done);
     body.last_touch = Instant::now();
-    let reply = format!("{{\"ok\":true,\"session\":{id},\"cycles\":{done}}}");
-    if let Some(rid) = req_id {
-        req_store(&mut body.recent, rid, reply.clone());
-    }
-    reply
+    apply_restore(id, body, &bytes).answer(&mut body.recent, req_id)
 }
 
 fn op_query_regs(shared: &Shared, v: &Json) -> String {
@@ -1695,19 +1746,10 @@ fn recover_state(shared: &Shared) -> (u64, u64) {
     (recovered, lost)
 }
 
-/// What one journaled `step n` did when re-executed during recovery.
-enum Replay {
-    /// Committed; carries post-step `(cycles, fired)` for reply synthesis.
-    Done(u64, u64),
-    /// Deterministic failure (engine compile, state restore) — the
-    /// session state is unchanged, mirroring a live `Fatal` verdict.
-    Skipped,
-    /// The step panicked; the session must be torn down, mirroring a live
-    /// `Panic` verdict.
-    Panic(String),
-}
-
-/// Recovers one session from its journal (and checkpoint spool, if any).
+/// Recovers one session from its journal (and checkpoint spool, if any):
+/// builds its body from the newest checkpoint, or fresh, then hands every
+/// record that was not rolled back to [`apply`], the code the live ops
+/// run, and caches each reply under its record's `req_id`.
 ///
 /// `Ok(true)` means the session was resurrected into the table;
 /// `Ok(false)` means the journal described a session that no longer
@@ -1781,7 +1823,7 @@ fn recover_one(shared: &Shared, dir: &Path, id: u64, path: &Path) -> Result<bool
         }
     }
     let ck_seq = ck.as_ref().map(|(seq, ..)| *seq);
-    let (mut snap, mut dev_blobs, mut pending, stalled0) = match ck {
+    let (snap, dev_blobs, pending, stalled0) = match ck {
         Some((seq, cycles, stalled, pend)) => {
             let spool = journal::spool_path(dir, id, seq);
             let (snap, blobs) = unspill(&spool, true)
@@ -1795,19 +1837,7 @@ fn recover_one(shared: &Shared, dir: &Path, id: u64, path: &Path) -> Result<bool
             (snap, blobs, pend, stalled)
         }
         None => {
-            let blobs = contain(|| {
-                let devices = shared.provider.devices(design, &td);
-                devices.iter().map(|d| d.save_state()).collect::<Vec<_>>()
-            })
-            .map_err(|m| format!("device construction panicked: {m}"))?;
-            let snap = Snapshot {
-                design: td.name.clone(),
-                cycles: 0,
-                fired: 0,
-                fingerprint: td.fingerprint(),
-                fired_per_rule: vec![0; td.rules.len()],
-                regs: td.initial_values(),
-            };
+            let (snap, blobs) = fresh_state(shared, design, &td)?;
             (snap, blobs, Vec::new(), 0)
         }
     };
@@ -1819,6 +1849,19 @@ fn recover_one(shared: &Shared, dir: &Path, id: u64, path: &Path) -> Result<bool
     if let Some(w) = replay_wd.as_mut() {
         w.set_stall_count(stalled0);
     }
+    let mut body = Box::new(SessionBody {
+        design_name: design.clone(),
+        td,
+        backend,
+        snap,
+        dev_blobs,
+        watchdog: replay_wd,
+        pending,
+        tenant: tenant.clone(),
+        last_touch: Instant::now(),
+        journal: None,
+        recent: ReqWindow::new(),
+    });
     let rolled: HashSet<u64> = parsed
         .records
         .iter()
@@ -1827,194 +1870,51 @@ fn recover_one(shared: &Shared, dir: &Path, id: u64, path: &Path) -> Result<bool
             _ => None,
         })
         .collect();
-    let mut recent = ReqWindow::new();
     for rec in &parsed.records[base_idx + 1..] {
-        match &rec.op {
-            JournalOp::Step { n } => {
-                if rolled.contains(&rec.seq) {
-                    continue;
-                }
-                match replay_step(
-                    shared,
-                    design,
-                    &td,
-                    backend,
-                    &mut snap,
-                    &mut dev_blobs,
-                    &mut pending,
-                    &mut replay_wd,
-                    *n,
-                ) {
-                    Replay::Done(cycles, fired) => {
-                        if let Some(rid) = rec.req_id {
-                            // Synthesized from the replayed state — a
-                            // re-submitted req_id after the crash gets a
-                            // plain step-ok (trace events are not
-                            // reconstructed).
-                            req_store(
-                                &mut recent,
-                                rid,
-                                format!(
-                                    "{{\"ok\":true,\"session\":{id},\"cycles\":{cycles},\"fired\":{fired}}}"
-                                ),
-                            );
-                        }
-                    }
-                    Replay::Skipped => {}
-                    Replay::Panic(msg) => {
-                        // Same blast radius as a live panic: exactly this
-                        // session dies; its files go with it.
-                        let _ = std::fs::remove_file(path);
-                        journal::remove_spools_except(dir, id, None);
-                        let mut m = lock(&shared.metrics);
-                        let t = m.tenant(tenant);
-                        t.panics_contained += 1;
-                        t.sessions_closed += 1;
-                        eprintln!(
-                            "koika-server: session {id} torn down during replay: {msg}"
-                        );
-                        return Ok(false);
-                    }
-                }
+        if rolled.contains(&rec.seq) {
+            continue;
+        }
+        match contain(|| apply(shared, id, &mut body, &rec.op)) {
+            Ok(Some(applied)) => {
+                applied.answer(&mut body.recent, rec.req_id);
             }
-            JournalOp::Inject { cycle, reg, bit } => {
-                pending.push(Injection {
-                    cycle: *cycle,
-                    reg: RegId(*reg),
-                    bit: *bit,
-                });
-                if let Some(rid) = rec.req_id {
-                    let count = pending.len();
-                    req_store(
-                        &mut recent,
-                        rid,
-                        format!("{{\"ok\":true,\"session\":{id},\"pending\":{count}}}"),
-                    );
-                }
+            Ok(None) => {}
+            Err(msg) => {
+                // Same blast radius as a live panic: exactly this
+                // session dies; its files go with it.
+                let _ = std::fs::remove_file(path);
+                journal::remove_spools_except(dir, id, None);
+                let mut m = lock(&shared.metrics);
+                let t = m.tenant(tenant);
+                t.panics_contained += 1;
+                t.sessions_closed += 1;
+                eprintln!("koika-server: session {id} torn down during replay: {msg}");
+                return Ok(false);
             }
-            JournalOp::Restore { ksnap } => {
-                // Validated before it was journaled; a failure here means
-                // the design itself changed across the restart.
-                let widths: Vec<u32> = td.regs.iter().map(|r| r.width).collect();
-                let ok = Snapshot::from_bytes(ksnap).ok().and_then(|s| {
-                    s.check_shape(&td.name, &widths, td.fingerprint()).ok().map(|()| s)
-                });
-                if let Some(s) = ok {
-                    snap = s;
-                    let done = snap.cycles;
-                    pending.retain(|i| i.cycle >= done);
-                    if let Some(rid) = rec.req_id {
-                        req_store(
-                            &mut recent,
-                            rid,
-                            format!("{{\"ok\":true,\"session\":{id},\"cycles\":{done}}}"),
-                        );
-                    }
-                }
-            }
-            JournalOp::Create { .. }
-            | JournalOp::Checkpoint { .. }
-            | JournalOp::Rollback { .. }
-            | JournalOp::Close => {}
         }
     }
     // The live watchdog re-arms with the full budgets (wall included —
     // elapsed wall time does not survive a crash) but inherits the stall
     // counter accumulated across checkpoint and replay.
-    let carried = replay_wd
+    let carried = body
+        .watchdog
         .as_ref()
         .map(ArmedWatchdog::stall_count)
         .unwrap_or(stalled0);
-    let mut watchdog = arm_paused(&spec.to_watchdog());
-    if let Some(w) = watchdog.as_mut() {
+    body.watchdog = arm_paused(&spec.to_watchdog());
+    if let Some(w) = body.watchdog.as_mut() {
         w.set_stall_count(carried);
     }
-    let body = Box::new(SessionBody {
-        design_name: design.clone(),
-        td,
-        backend,
-        snap,
-        dev_blobs,
-        watchdog,
-        pending,
-        tenant: tenant.clone(),
-        last_touch: Instant::now(),
-        journal: Some(Journal::reattach(dir, &parsed)),
-        recent,
-    });
+    body.journal = Some(Journal::reattach(dir, &parsed));
     lock(&shared.table).insert(id, body);
     lock(&shared.metrics).tenant(tenant).recovered_sessions += 1;
     if let Some(rid) = create_req {
         // The create itself is idempotent across the crash too.
-        let reply = format!(
-            "{{\"ok\":true,\"session\":{id},\"design\":\"{}\",\"backend\":\"{}\",\"cycles\":0}}",
-            json::escape(design),
-            backend.name()
-        );
+        let reply = created_reply(id, design, backend);
         req_store_bounded(&mut lock(&shared.create_reqs), rid, reply, CREATE_WINDOW);
     }
     journal::remove_spools_except(dir, id, ck_seq);
     Ok(true)
-}
-
-/// Deterministically re-executes one journaled `step n` during recovery.
-///
-/// Like [`run_single`] it steps through [`run_watchdogged`], so a
-/// replayed step commits byte-identical state. Tracing is irrelevant to
-/// state, so replay always uses the untraced cycle path.
-#[allow(clippy::too_many_arguments)]
-fn replay_step(
-    shared: &Shared,
-    design_name: &str,
-    td: &Arc<TDesign>,
-    backend: BackendKind,
-    snap: &mut Snapshot,
-    dev_blobs: &mut Vec<Option<Vec<u8>>>,
-    pending: &mut Vec<Injection>,
-    wd: &mut Option<ArmedWatchdog>,
-    n: u64,
-) -> Replay {
-    let mut engine = match lock(&shared.pool).checkout_scalar(design_name, td, backend) {
-        Ok(e) => e,
-        Err(_) => return Replay::Skipped,
-    };
-    if engine.restore(snap).is_err() {
-        lock(&shared.pool).checkin_scalar(design_name, backend, engine);
-        return Replay::Skipped;
-    }
-    let run = contain(move || {
-        let mut devices = shared.provider.devices(design_name, td);
-        for (d, blob) in devices.iter_mut().zip(dev_blobs.iter()) {
-            if let Some(bytes) = blob {
-                if d.load_state(bytes).is_err() {
-                    return (engine, None);
-                }
-            }
-        }
-        let mut unlimited = Watchdog::default().arm();
-        let w = wd.as_mut().unwrap_or(&mut unlimited);
-        w.resume();
-        // A deterministic trip commits progress up to the trip boundary,
-        // exactly as the live run did.
-        let _ = run_watchdogged(&mut *engine, &mut devices, n, pending, w, None);
-        w.pause();
-        *snap = engine.snapshot();
-        *dev_blobs = devices.iter().map(|d| d.save_state()).collect();
-        let done = snap.cycles;
-        pending.retain(|i| i.cycle >= done);
-        let out = Some((snap.cycles, snap.fired));
-        (engine, out)
-    });
-    match run {
-        Ok((engine, outcome)) => {
-            lock(&shared.pool).checkin_scalar(design_name, backend, engine);
-            match outcome {
-                Some((cycles, fired)) => Replay::Done(cycles, fired),
-                None => Replay::Skipped,
-            }
-        }
-        Err(msg) => Replay::Panic(msg),
-    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,15 @@ next is sent) and every acknowledged op is journaled before it executes,
 the recovered run must end in exactly the golden state: the final
 `query-regs` of all 200 sessions is diffed field by field.
 
+Every mutating op carries a `req_id`. One session in five is created
+with a `max_cycles` budget that trips in its second step, then restores
+the snapshot taken after its first step. Right after the restart the
+client re-submits every `req_id` issued to a pre-kill session since its
+last `evict` (the window reaches back to the last checkpoint) and diffs
+each reply byte for byte against the golden run's reply to the same
+request: recovery must rebuild the idempotency window with the replies
+the live ops gave, watchdog trips included.
+
 Usage: kill9_soak.py [path-to-koika_sim]
 """
 
@@ -61,28 +70,62 @@ class Client:
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.f = self.sock.makefile("rw")
 
-    def rpc(self, obj):
+    def raw(self, obj):
         self.f.write(json.dumps(obj) + "\n")
         self.f.flush()
-        return json.loads(self.f.readline())
+        return self.f.readline().rstrip("\n")
+
+    def rpc(self, obj):
+        return json.loads(self.raw(obj))
 
 
 def drive_one(c, i):
-    """Session i's deterministic op group; returns its session id."""
-    r = c.rpc({"op": "create", "design": DESIGNS[i % 3], "tenant": f"t{i % 4}"})
+    """Session i's deterministic op group.
+
+    Returns its session id and the `(request, raw reply)` pairs of the
+    `req_id`-tagged ops issued since its last `evict`.
+    """
+    budgeted = i % 5 == 2
+    first = 10 + i % 5
+    rid = iter(range(i * 10, i * 10 + 10))
+    sent = []
+
+    def tagged(req):
+        req["req_id"] = next(rid)
+        reply = c.raw(req)
+        sent.append((req, reply))
+        return json.loads(reply)
+
+    create = {"op": "create", "design": DESIGNS[i % 3], "tenant": f"t{i % 4}"}
+    if budgeted:
+        # Trips in the second step, five cycles past the first one.
+        create["watchdog"] = {"max_cycles": first + 5}
+    r = tagged(create)
     assert r["ok"], r
     sid = r["session"]
-    assert c.rpc({"op": "step", "session": sid, "n": 10 + i % 5})["ok"]
+    assert tagged({"op": "step", "session": sid, "n": first})["ok"]
+    if budgeted:
+        r = c.rpc({"op": "snapshot", "session": sid})
+        assert r["ok"], r
+        ksnap = r["ksnap"]
     if i % 3 == 1:
         # Register by flat index — valid for any design in the mix.
-        r = c.rpc(
+        r = tagged(
             {"op": "inject", "session": sid, "cycle": 20 + i % 7, "reg": "0", "bit": i % 2}
         )
         assert r["ok"], r
-        assert c.rpc({"op": "step", "session": sid, "n": 15})["ok"]
+    r = tagged({"op": "step", "session": sid, "n": 15}) if i % 3 == 1 or budgeted else None
+    if budgeted:
+        assert r["error"] == "watchdog" and r["kind"] == "cycle-budget", r
+        assert r["cycle"] == first + 5, r
+        r = tagged({"op": "restore", "session": sid, "ksnap": ksnap})
+        assert r["ok"] and r["cycles"] == first, r
+    elif r is not None:
+        assert r["ok"], r
     if i % 4 == 0:
         assert c.rpc({"op": "evict", "session": sid})["ok"]
-    return sid
+        sent = []
+    return sid, sent
 
 
 def collect(c, sids):
@@ -101,7 +144,8 @@ def main():
         gold_dir = os.path.join(root, "gold")
         proc, addr, _ = start(gold_dir)
         c = Client(addr)
-        sids = [drive_one(c, i) for i in range(SESSIONS)]
+        groups = [drive_one(c, i) for i in range(SESSIONS)]
+        sids = [sid for sid, _ in groups]
         gold = collect(c, sids)
         c.rpc({"op": "shutdown"})
         proc.wait(timeout=60)
@@ -110,19 +154,36 @@ def main():
         kill_dir = os.path.join(root, "kill")
         proc, addr, _ = start(kill_dir)
         c = Client(addr)
-        ksids = [drive_one(c, i) for i in range(KILL_AT)]
+        kgroups = [drive_one(c, i) for i in range(KILL_AT)]
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60)
 
         proc, addr, recovered = start(kill_dir)
         assert recovered == KILL_AT, f"recovered {recovered}, expected {KILL_AT}"
         c = Client(addr)
-        ksids += [drive_one(c, i) for i in range(KILL_AT, SESSIONS)]
+        # Re-submit every req_id still inside a recovered window: each must
+        # answer the golden run's reply, not re-execute.
+        resubmitted = 0
+        mismatched = []
+        for (_, sent), (_, gold_sent) in zip(kgroups, groups):
+            assert [req for req, _ in sent] == [req for req, _ in gold_sent]
+            for (req, _), (_, want) in zip(sent, gold_sent):
+                got = c.raw(req)
+                resubmitted += 1
+                if got != want:
+                    mismatched.append((req, want, got))
+        kgroups += [drive_one(c, i) for i in range(KILL_AT, SESSIONS)]
+        ksids = [sid for sid, _ in kgroups]
         rec = collect(c, ksids)
         c.rpc({"op": "shutdown"})
         proc.wait(timeout=60)
 
         assert ksids == sids, "session id sequence diverged across the kill"
+        if mismatched:
+            for req, want, got in mismatched[:5]:
+                print(f"re-submitted {json.dumps(req)}:\n  gold {want}\n  rec  {got}")
+            print(f"FAIL: {len(mismatched)} of {resubmitted} re-submitted replies differ")
+            return 1
         diverged = [s for s in gold if gold[s] != rec.get(s)]
         if diverged:
             for s in diverged[:5]:
@@ -131,7 +192,8 @@ def main():
             return 1
         print(
             f"ok: {SESSIONS} sessions ({recovered} recovered after kill -9) "
-            f"byte-identical to the uninterrupted run"
+            f"byte-identical to the uninterrupted run; {resubmitted} re-submitted "
+            f"req_ids answered with the golden replies"
         )
         return 0
     finally:

@@ -352,13 +352,39 @@ fn req_id_resubmission_is_at_most_once_even_across_a_crash() {
     let handle = durable_server(durable_config(&dir));
     let mut c = Client::connect(&handle);
     let id = u(&c.send(r#"{"op":"create","design":"collatz","req_id":100}"#), "session");
+    let budgeted = u(
+        &c.send(r#"{"op":"create","design":"collatz","watchdog":{"max_cycles":10}}"#),
+        "session",
+    );
 
-    let first = c.send_raw(&format!(r#"{{"op":"step","session":{id},"n":6,"req_id":7}}"#));
-    // Same req_id, even with a different n: cached reply, no re-execution.
-    let again = c.send_raw(&format!(r#"{{"op":"step","session":{id},"n":6,"req_id":7}}"#));
-    assert_eq!(first, again, "re-submission must return the cached reply verbatim");
+    // Every journaled op carries a req_id: a plain step, a step that
+    // trips the cycle budget, an injection, and a restore.
+    let ops = [
+        format!(r#"{{"op":"step","session":{id},"n":6,"req_id":7}}"#),
+        format!(r#"{{"op":"step","session":{budgeted},"n":6,"req_id":8}}"#),
+        format!(r#"{{"op":"step","session":{budgeted},"n":6,"req_id":9}}"#),
+        format!(r#"{{"op":"inject","session":{id},"cycle":20,"reg":"x","bit":1,"req_id":10}}"#),
+    ];
+    let mut firsts: Vec<String> = ops.iter().map(|op| c.send_raw(op)).collect();
+    let tripped = Json::parse(&firsts[2]).unwrap();
+    assert_eq!(err_kind(&tripped), "watchdog");
+    assert_eq!(tripped.get("kind").and_then(Json::as_str), Some("cycle-budget"));
+    assert_eq!(u(&tripped, "cycle"), 10);
+    // Restore the first session to its cycle-6 state after moving on.
+    let ksnap = snapshot_hex(&mut c, id);
+    assert!(ok(&c.send(&format!(r#"{{"op":"step","session":{id},"n":4}}"#))));
+    let restore = format!(r#"{{"op":"restore","session":{id},"ksnap":"{ksnap}","req_id":11}}"#);
+    firsts.push(c.send_raw(&restore));
+    let ops: Vec<String> = ops.into_iter().chain([restore]).collect();
+    assert!(firsts.iter().all(|r| !r.contains("\"error\":\"internal\"")), "{firsts:?}");
+
+    // Same req_id: cached reply verbatim, no re-execution.
+    for (op, first) in ops.iter().zip(&firsts) {
+        assert_eq!(&c.send_raw(op), first, "re-submission must return the cached reply: {op}");
+    }
     let r = c.send(&format!(r#"{{"op":"query-regs","session":{id}}}"#));
     assert_eq!(u(&r, "cycles"), 6, "the duplicate step must not run twice");
+    let want = [snapshot_hex(&mut c, id), snapshot_hex(&mut c, budgeted)];
 
     // The create is idempotent too — same req_id, same session.
     let r = c.send(r#"{"op":"create","design":"collatz","req_id":100}"#);
@@ -367,14 +393,31 @@ fn req_id_resubmission_is_at_most_once_even_across_a_crash() {
     handle.abort();
     let handle = durable_server(durable_config(&dir));
     let mut c = Client::connect(&handle);
-    // The window is rebuilt from the journal: the same re-submissions
-    // still answer from cache instead of mutating.
-    let recovered = c.send_raw(&format!(r#"{{"op":"step","session":{id},"n":6,"req_id":7}}"#));
-    assert_eq!(first, recovered, "the recovered window must return the same reply");
-    let r = c.send(&format!(r#"{{"op":"query-regs","session":{id}}}"#));
-    assert_eq!(u(&r, "cycles"), 6);
+    // The window is rebuilt from the journal by replaying each op through
+    // the code the live op ran: every re-submission still answers with
+    // the same bytes instead of mutating.
+    for (op, first) in ops.iter().zip(&firsts) {
+        assert_eq!(&c.send_raw(op), first, "the recovered window must return the same reply: {op}");
+    }
+    assert_eq!([snapshot_hex(&mut c, id), snapshot_hex(&mut c, budgeted)], want);
     let r = c.send(r#"{"op":"create","design":"collatz","req_id":100}"#);
     assert_eq!(u(&r, "session"), id, "create req_id must survive the crash");
+
+    // A wall trip commits nothing and its journal record is rolled back,
+    // so its reply is not cached: the same req_id runs again.
+    let wall = u(
+        &c.send(r#"{"op":"create","design":"collatz","tenant":"wall","watchdog":{"wall_ms":0}}"#),
+        "session",
+    );
+    let step = format!(r#"{{"op":"step","session":{wall},"n":5,"req_id":12}}"#);
+    for submission in 1..=2 {
+        let r = c.send(&step);
+        assert_eq!(err_kind(&r), "watchdog");
+        assert_eq!(r.get("kind").and_then(Json::as_str), Some("wall"));
+        assert_eq!(tenant_counter(&mut c, "wall", "steps"), submission, "a wall trip is retry-safe");
+    }
+    let r = c.send(&format!(r#"{{"op":"query-regs","session":{wall}}}"#));
+    assert_eq!(u(&r, "cycles"), 0, "a wall trip commits nothing");
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
