@@ -49,6 +49,20 @@
 //! [`OptLevel`](crate::OptLevel). The differential suite
 //! (`tests/batched.rs`) enforces this with per-cycle commit digests.
 //!
+//! # Retired lanes
+//!
+//! A lane that keeps diverging costs a scalar re-run at every rule it
+//! splits on. A caller that no longer needs a lane retires it
+//! ([`BatchSim::retire_lane`]): a `live` plane seeds every rule's `active`
+//! plane, so a retired lane is never counted at a gate or jump and never
+//! re-run, and its columns become don't-care. The rule-end copies
+//! therefore blend only when a *live* lane was dropped. Once no lane is
+//! live, a cycle skips the schedule and counts each of its rules as
+//! lock-step, so `lockstep_rules + fallback_rules == cycles x schedule`
+//! still holds. Fault campaigns retire a member's lane once its commit
+//! stream leaves the golden run's and finish the member on a scalar
+//! simulator (`koika::fault::run_campaign_batched`).
+//!
 //! # Quick start
 //!
 //! ```
@@ -275,11 +289,16 @@ pub struct BatchSim {
     // is ever saved — data stripes and slot files are recoverable without
     // a snapshot (see `step_rule_batch_inner`).
     snap_rw: Vec<u8>,
+    /// Per-lane batch membership: `0xFF` until [`BatchSim::retire_lane`]
+    /// takes the lane out for good, then `0`.
+    live: Vec<u8>,
+    /// Number of live lanes.
+    nlive: usize,
     /// Per-lane lock-step membership during one rule run: `0xFF` while
-    /// the lane follows the batch, `0` once a split dropped it. Every lane
-    /// is active again at the next rule.
+    /// the lane follows the batch, `0` once a split dropped it (or it was
+    /// retired). Every live lane is active again at the next rule.
     active: Vec<u8>,
-    /// Number of active lanes; `lanes` until a rule run drops one.
+    /// Number of active lanes; `nlive` until a rule run drops one.
     nactive: usize,
     // Lock-step effectiveness counters.
     lockstep_rules: u64,
@@ -380,6 +399,8 @@ impl BatchSim {
             rule_meta,
             scratch,
             snap_rw: vec![0; n * lanes],
+            live: vec![0xFF; lanes],
+            nlive: lanes,
             active: vec![0xFF; lanes],
             nactive: lanes,
             lockstep_rules: 0,
@@ -462,6 +483,28 @@ impl BatchSim {
         self.fallback_lanes
     }
 
+    /// Takes `lane` out of the batch for good (see
+    /// [`BatchBackend::retire_lane`]): from the next rule on it is never
+    /// counted at a gate or jump and never re-run, its columns, commits and
+    /// counters stop being meaningful, and the rule-end copies stop
+    /// blending around it. Once no lane is live a cycle skips the schedule
+    /// and only advances the cycle count. Retiring a lane twice is a
+    /// no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn retire_lane(&mut self, lane: usize) {
+        assert!(lane < self.lanes, "lane out of range");
+        if self.live[lane] != 0 {
+            self.live[lane] = 0;
+            self.nlive -= 1;
+            // Between rules `active == live`.
+            self.active[lane] = 0;
+            self.nactive = self.nlive;
+        }
+    }
+
     /// One lane's current value of `reg` (the same observable as the scalar
     /// VM's `get64`).
     pub fn lane_get64(&self, lane: usize, reg: RegId) -> u64 {
@@ -536,6 +579,13 @@ impl BatchSim {
         // re-materializes them.
         self.commits_uniform.clear();
         self.commits_split = false;
+        if self.nlive == 0 {
+            // Nothing left to simulate: every rule run counts as lock-step
+            // over zero lanes, so the counters still sum to cycles x schedule.
+            self.lockstep_rules += self.prog.schedule.len() as u64;
+            self.cycles += 1;
+            return Ok(());
+        }
         for i in 0..self.prog.schedule.len() {
             let rule = self.prog.schedule[i];
             self.step_rule_batch(rule)?;
@@ -570,10 +620,10 @@ impl BatchSim {
         let meta = std::mem::take(&mut self.rule_meta[rule_idx]);
         let res = self.step_rule_batch_inner(rule_idx, &meta);
         self.rule_meta[rule_idx] = meta;
-        // Every lane starts the next rule in lock-step.
-        if self.nactive < self.lanes {
-            self.active.fill(0xFF);
-            self.nactive = self.lanes;
+        // Every live lane starts the next rule in lock-step.
+        if self.nactive < self.nlive {
+            self.active.copy_from_slice(&self.live);
+            self.nactive = self.nlive;
         }
         res
     }
@@ -626,7 +676,7 @@ impl BatchSim {
 
         let outcome = self.run_uops_batch(rule_idx)?;
         self.settle_active(rule_idx, meta, outcome);
-        if self.nactive == lanes {
+        if self.nactive == self.nlive {
             self.lockstep_rules += 1;
             if outcome.is_ok() {
                 self.fired_base += 1;
@@ -665,6 +715,8 @@ impl BatchSim {
         for l in 0..lanes {
             let committed = if self.active[l] != 0 {
                 outcome.is_ok()
+            } else if self.live[l] == 0 {
+                continue;
             } else {
                 self.fallback_lanes += 1;
                 if cfg.reset_on_fail {
@@ -707,9 +759,12 @@ impl BatchSim {
             log_d1,
             active,
             nactive,
+            nlive,
             ..
         } = self;
-        let act = (*nactive < lanes).then_some(&active[..]);
+        // A retired lane's columns are don't-care, so the copies blend
+        // only when a live lane was dropped.
+        let act = (*nactive < *nlive).then_some(&active[..]);
         // One copy plan, `dst = src` on the plan's registers: a commit
         // copies log → cycle, a rollback cycle → log.
         macro_rules! apply_plan {
@@ -1430,6 +1485,10 @@ impl BatchBackend for BatchSim {
 
     fn lane_set64(&mut self, lane: usize, reg: RegId, value: u64) {
         BatchSim::lane_set64(self, lane, reg, value);
+    }
+
+    fn retire_lane(&mut self, lane: usize) {
+        BatchSim::retire_lane(self, lane);
     }
 }
 

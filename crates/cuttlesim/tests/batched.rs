@@ -22,7 +22,7 @@ use cuttlesim::{toolchain_available, BatchSim, CompileOptions, Dispatch, OptLeve
 use koika::ast::*;
 use koika::check::check;
 use koika::design::DesignBuilder;
-use koika::device::{LaneAccess, RegAccess, SimBackend};
+use koika::device::{BatchBackend, LaneAccess, RegAccess, SimBackend};
 use koika::obs::Observer;
 use koika::testgen::{random_design, SplitMix64};
 use koika::tir::{RegId, TDesign};
@@ -418,6 +418,107 @@ fn batch_of_one_is_byte_identical_to_scalar() {
             "{}: VCD waveforms must be byte-identical",
             dispatch.short_name(),
         );
+    }
+}
+
+/// Retiring lanes mid-run: two dissenting lanes are retired after 16
+/// cycles while a third dissenter stays live. From then on the live lanes
+/// still match scalar VMs, every diverging rule run re-runs only the live
+/// dissenter (nothing is charged to the retired lanes), and the counters
+/// still sum to `cycles x schedule`, also once every lane is retired and
+/// the cycles skip the schedule.
+#[test]
+fn retired_lanes_leave_the_batch() {
+    let td = collatz_like();
+    let n = td.reg_id("n");
+    let (lanes, retired, dissenter) = (17usize, [3usize, 9], 12usize);
+    let mut inits = vec![Vec::new(); lanes];
+    inits[retired[0]] = vec![(n, 27)];
+    inits[retired[1]] = vec![(n, 7)];
+    inits[dissenter] = vec![(n, 6)];
+    for level in OptLevel::ALL {
+        let opts = CompileOptions {
+            level,
+            ..CompileOptions::default()
+        };
+        let mut batch = BatchSim::compile_with(&td, &opts, lanes).unwrap();
+        let mut scalars: Vec<Sim> =
+            (0..lanes).map(|_| Sim::compile_with(&td, &opts).unwrap()).collect();
+        for (lane, init) in inits.iter().enumerate() {
+            for &(reg, v) in init {
+                batch.lane_set64(lane, reg, v);
+                scalars[lane].set64(reg, v);
+            }
+        }
+        let mut live = vec![true; lanes];
+        let mut run = |batch: &mut BatchSim, live: &[bool], cycles: usize| {
+            for cycle in 0..cycles {
+                batch.cycle().unwrap();
+                for (lane, scalar) in scalars.iter_mut().enumerate() {
+                    if !live[lane] {
+                        continue;
+                    }
+                    let mut commits = Vec::new();
+                    scalar.cycle_obs(&mut CommitRec(&mut commits));
+                    assert_eq!(
+                        commit_digest(batch.lane_commits(lane)),
+                        commit_digest(&commits),
+                        "{level}, cycle {cycle}, lane {lane}: commit digest diverged",
+                    );
+                    assert_eq!(
+                        batch.lane_reg_values(lane),
+                        scalar.reg_values(),
+                        "{level}, cycle {cycle}, lane {lane}: registers diverged",
+                    );
+                }
+            }
+        };
+        let schedule = batch.program().schedule.len() as u64;
+        let invariant = |batch: &BatchSim| {
+            assert_eq!(
+                batch.lockstep_rules() + batch.fallback_rules(),
+                batch.cycle_count() * schedule,
+                "{level}: lockstep + fallback must count every rule executed",
+            );
+        };
+
+        run(&mut batch, &live, 16);
+        assert!(
+            batch.fallback_lanes() > batch.fallback_rules(),
+            "{level}: before retirement several dissenters re-run",
+        );
+        BatchBackend::retire_lane(&mut batch, retired[0]);
+        batch.retire_lane(retired[1]);
+        batch.retire_lane(retired[1]);
+        for lane in retired {
+            live[lane] = false;
+        }
+        let (rules, reruns) = (batch.fallback_rules(), batch.fallback_lanes());
+        run(&mut batch, &live, 48);
+        invariant(&batch);
+        assert!(batch.fallback_rules() > rules, "{level}: the live dissenter must diverge");
+        assert_eq!(
+            batch.fallback_lanes() - reruns,
+            batch.fallback_rules() - rules,
+            "{level}: only the live dissenter re-runs",
+        );
+
+        for lane in 0..lanes {
+            batch.retire_lane(lane);
+        }
+        let (rules, reruns) = (batch.fallback_rules(), batch.fallback_lanes());
+        for _ in 0..8 {
+            batch.cycle().unwrap();
+        }
+        assert_eq!(batch.cycle_count(), 72, "{level}: an empty batch still counts cycles");
+        invariant(&batch);
+        assert_eq!((batch.fallback_rules(), batch.fallback_lanes()), (rules, reruns));
+
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            batch.retire_lane(lanes);
+        }))
+        .expect_err("retiring a lane past the end must panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"lane out of range"));
     }
 }
 

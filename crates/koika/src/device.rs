@@ -172,6 +172,14 @@ pub trait BatchBackend {
 
     /// Overwrites a register in one lane (truncated to its width).
     fn lane_set64(&mut self, lane: usize, reg: RegId, value: u64);
+
+    /// Takes one lane out of the batch for good: from the next cycle on,
+    /// the caller ignores the lane, so the backend need not keep its
+    /// columns, commits or counters meaningful, and may skip the work.
+    ///
+    /// The default is a no-op: the backend may keep simulating the lane;
+    /// the caller ignores it from now on.
+    fn retire_lane(&mut self, _lane: usize) {}
 }
 
 /// [`RegAccess`] over a single lane of a [`BatchBackend`], so devices and

@@ -32,6 +32,7 @@
 //! surface as [`Observer`] events, so they appear in metrics and Perfetto
 //! timelines alongside ordinary rule activity.
 
+use crate::bits::Bits;
 use crate::device::{BatchBackend, Device, LaneAccess, RegAccess, SimBackend};
 use crate::obs::Observer;
 use crate::runner::{self, contain, JobError, JobUpdate, RunnerConfig, RunnerStats};
@@ -654,9 +655,10 @@ fn check_design_regs(td: &TDesign) -> Result<(), FaultError> {
     }
 }
 
-/// Reads the full flattened register file (low 64 bits each).
-fn read_final_regs(td: &TDesign, sim: &mut dyn SimBackend) -> Vec<u64> {
-    (0..td.regs.len())
+/// Reads the first `nregs` registers of the flattened register file (low
+/// 64 bits each).
+fn read_final_regs(nregs: usize, sim: &mut dyn SimBackend) -> Vec<u64> {
+    (0..nregs)
         .map(|i| sim.as_reg_access().get64(RegId(i as u32)))
         .collect()
 }
@@ -710,8 +712,8 @@ impl FaultEngine<'_> {
         golden: &GoldenRun,
     ) -> Outcome {
         let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
-        let watchdog = Watchdog::stall_only(stall_cycles);
-        member_run(self.td, golden, sim, devices, cycles, injections, &watchdog)
+        let armed = Watchdog::stall_only(stall_cycles).arm();
+        member_run(golden, sim, devices, cycles, injections, armed, Vec::new())
             .unwrap_or_else(|trip| unreachable!("stall-only watchdog tripped on wall time: {trip}"))
     }
 
@@ -821,6 +823,16 @@ pub struct ParallelOptions {
     pub wall_budget: Option<Duration>,
 }
 
+/// The watchdog every member of a worker-pool campaign runs under: the
+/// campaign's stall budget and the per-member wall deadline.
+fn member_watchdog(cfg: &CampaignConfig, opts: &ParallelOptions) -> Watchdog {
+    Watchdog {
+        max_cycles: None,
+        stall_cycles: Some(cfg.stall_cycles),
+        wall_budget: opts.wall_budget,
+    }
+}
+
 /// Executes the fault-free golden run on a freshly built simulator (or
 /// reports why it could not be built) and fresh devices.
 fn golden_run(
@@ -837,32 +849,42 @@ fn golden_run(
         .map_err(FaultError::GoldenHang)?;
     Ok(GoldenRun {
         fps: fp.per_cycle,
-        final_regs: read_final_regs(td, &mut *sim),
+        final_regs: read_final_regs(td.regs.len(), &mut *sim),
     })
 }
 
-/// Runs one campaign member on a fresh simulator and devices and
-/// classifies it against `golden`. A wall-clock trip depends on the
-/// machine, not the design, so it is returned for the caller to retry
-/// instead of being classified.
+/// The one scalar member loop: runs a campaign member on `sim` from the
+/// cycle it is at to `cycles` and classifies it against `golden`.
+///
+/// A member starts here at cycle 0 on a fresh simulator, devices and
+/// watchdog with an empty fingerprint prefix, or mid-run when a batch
+/// hands one of its lanes over: then `sim` holds the lane's restored
+/// state, `devices` the lane's devices, `armed` the lane's stall count
+/// and the chunk's wall clock, and `prefix` the lane's per-cycle
+/// fingerprints so far. A wall-clock trip depends on the machine, not the
+/// design, so it is returned for the caller to retry instead of being
+/// classified.
 fn member_run(
-    td: &TDesign,
     golden: &GoldenRun,
     mut sim: Box<dyn SimBackend>,
     mut devices: Vec<Box<dyn Device>>,
     cycles: u64,
     injections: &[Injection],
-    watchdog: &Watchdog,
+    mut armed: ArmedWatchdog,
+    prefix: Vec<u64>,
 ) -> Result<Outcome, WatchdogTrip> {
-    let mut fp = CommitFingerprint::default();
-    let mut armed = watchdog.arm();
-    let run = run_watchdogged(&mut *sim, &mut devices, cycles, injections, &mut armed, Some(&mut fp));
+    let mut fp = CommitFingerprint {
+        per_cycle: prefix,
+        cur: Vec::new(),
+    };
+    let remaining = cycles - sim.cycle_count();
+    let run = run_watchdogged(&mut *sim, &mut devices, remaining, injections, &mut armed, Some(&mut fp));
     let hang = match run {
         Ok(()) => None,
         Err(trip) if trip.kind == TripKind::Wall => return Err(trip),
         Err(trip) => Some(trip.cycle),
     };
-    let final_regs = read_final_regs(td, &mut *sim);
+    let final_regs = read_final_regs(golden.final_regs.len(), &mut *sim);
     Ok(classify(golden, &fp.per_cycle, &final_regs, hang))
 }
 
@@ -900,15 +922,11 @@ pub fn run_campaign_parallel(
     })
     .map_err(FaultError::GoldenPanic)??;
 
-    let watchdog = Watchdog {
-        max_cycles: None,
-        stall_cycles: Some(cfg.stall_cycles),
-        wall_budget: opts.wall_budget,
-    };
+    let watchdog = member_watchdog(cfg, opts);
     let job = |index: usize| -> Result<Outcome, JobError> {
         let (sim, devices) = ((env.make_sim)().map_err(JobError::Fatal)?, (env.make_devices)());
         let injections = draw_schedule(env.td, cfg, index);
-        member_run(env.td, &golden, sim, devices, cfg.cycles, &injections, &watchdog)
+        member_run(&golden, sim, devices, cfg.cycles, &injections, watchdog.arm(), Vec::new())
             .map_err(|trip| JobError::Transient(trip.to_string()))
     };
 
@@ -946,15 +964,48 @@ pub fn run_campaign_parallel(
 /// return a fresh batch at reset state.
 pub type BatchFactory<'a> = &'a (dyn Fn(usize) -> Result<Box<dyn BatchBackend>, String> + Sync);
 
+/// A scalar simulator from `env.make_sim`, restored to one batch lane's
+/// registers and the batch's cycle count.
+fn lane_sim(
+    env: &ParallelFactories<'_>,
+    batch: &dyn BatchBackend,
+    lane: usize,
+) -> Result<Box<dyn SimBackend>, JobError> {
+    let mut sim = (env.make_sim)().map_err(JobError::Fatal)?;
+    let mut snap = sim.snapshot();
+    snap.cycles = batch.cycle_count();
+    for (i, r) in snap.regs.iter_mut().enumerate() {
+        *r = Bits::new(r.width(), batch.lane_get64(lane, RegId(i as u32)));
+    }
+    sim.restore(&snap).map_err(|e| JobError::Fatal(e.to_string()))?;
+    Ok(sim)
+}
+
 /// Runs one chunk of consecutive campaign members as lanes of a single
 /// batched backend, replicating [`run_watchdogged`]'s per-cycle ordering
 /// per lane (device ticks, then injections, then the cycle) so each lane's
 /// observables match a scalar member run exactly.
+///
+/// A lane stays in the batch only while it commits what the golden run
+/// committed, cycle for cycle: those lanes share control flow, so
+/// lock-step runs them cheaply. A lane leaves the batch, and is retired
+/// from it ([`BatchBackend::retire_lane`]), when
+///
+/// * its stall watchdog trips: it classifies `hang` at once, from its
+///   registers at the trip boundary;
+/// * its commit fingerprint first differs from the golden run's: a scalar
+///   simulator from `env.make_sim`, restored to the lane's registers and
+///   cycle count, finishes the run through [`member_run`] with the lane's
+///   devices, fingerprint prefix and stall count, on the chunk's wall
+///   clock, so a wall trip there still fails the whole chunk.
+///
+/// The chunk ends when every lane has left or the cycles run out; the
+/// lanes still in the batch then classify from their final registers.
 fn run_batched_chunk(
     env: &ParallelFactories<'_>,
     make_batch: BatchFactory<'_>,
     cfg: &CampaignConfig,
-    opts: &ParallelOptions,
+    watchdog: &Watchdog,
     golden: &GoldenRun,
     first: usize,
     lanes: usize,
@@ -965,26 +1016,20 @@ fn run_batched_chunk(
     let schedules: Vec<Vec<Injection>> =
         (0..lanes).map(|l| draw_schedule(env.td, cfg, first + l)).collect();
     let mut fps: Vec<Vec<u64>> = vec![Vec::new(); lanes];
-    let mut stalled = vec![0u64; lanes];
-    // A lane whose stall watchdog tripped: its classification inputs
-    // (final registers, trip cycle) are captured at the trip boundary and
-    // the lane goes inert — no more device ticks or injections — exactly
-    // as if its scalar run had stopped there.
-    let mut tripped: Vec<Option<(Vec<u64>, u64)>> = vec![None; lanes];
+    let mut stalls: Vec<ArmedWatchdog> =
+        (0..lanes).map(|_| Watchdog::stall_only(cfg.stall_cycles).arm()).collect();
+    let mut outcomes: Vec<Option<Outcome>> = vec![None; lanes];
     let nregs = env.td.regs.len();
     let lane_regs = |batch: &dyn BatchBackend, l: usize| -> Vec<u64> {
         (0..nregs).map(|i| batch.lane_get64(l, RegId(i as u32))).collect()
     };
-    let start = Instant::now();
+    let clock = watchdog.arm();
     for _ in 0..cfg.cycles {
-        if tripped.iter().all(Option::is_some) {
+        if outcomes.iter().all(Option::is_some) {
             break;
         }
         let cycle = batch.cycle_count();
-        for l in 0..lanes {
-            if tripped[l].is_some() {
-                continue;
-            }
+        for l in (0..lanes).filter(|&l| outcomes[l].is_none()) {
             let mut access = LaneAccess::new(&mut *batch, l);
             for d in devices[l].iter_mut() {
                 d.tick(cycle, &mut access);
@@ -997,23 +1042,31 @@ fn run_batched_chunk(
         batch.cycle().map_err(JobError::Fatal)?;
         let done = batch.cycle_count();
         for l in 0..lanes {
-            if tripped[l].is_some() {
+            if outcomes[l].is_some() {
                 continue;
             }
             let commits = batch.lane_commits(l);
-            let commit_count = commits.len();
-            fps[l].push(CommitFingerprint::fold(commits.iter().map(|&r| r as usize)));
-            if commit_count == 0 {
-                stalled[l] += 1;
+            let fp = CommitFingerprint::fold(commits.iter().map(|&r| r as usize));
+            fps[l].push(fp);
+            let outcome = if let Some(trip) = stalls[l].observe(done, commits.len() as u64) {
+                classify(golden, &fps[l], &lane_regs(&*batch, l), Some(trip.cycle))
+            } else if fp != golden.fps[cycle as usize] {
+                let sim = lane_sim(env, &*batch, l)?;
+                let mut armed = watchdog.arm();
+                armed.start = clock.start;
+                armed.set_stall_count(stalls[l].stall_count());
+                let lane_devices = std::mem::take(&mut devices[l]);
+                let prefix = std::mem::take(&mut fps[l]);
+                member_run(golden, sim, lane_devices, cfg.cycles, &schedules[l], armed, prefix)
+                    .map_err(|trip| JobError::Transient(trip.to_string()))?
             } else {
-                stalled[l] = 0;
-            }
-            if stalled[l] >= cfg.stall_cycles {
-                tripped[l] = Some((lane_regs(&*batch, l), done));
-            }
+                continue;
+            };
+            outcomes[l] = Some(outcome);
+            batch.retire_lane(l);
         }
-        if let Some(budget) = opts.wall_budget {
-            if start.elapsed() > budget {
+        if let Some(budget) = watchdog.wall_budget {
+            if clock.wall_elapsed() > budget {
                 return Err(JobError::Transient(format!(
                     "watchdog trip at cycle {done}: wall-clock budget of {budget:?} exhausted"
                 )));
@@ -1021,8 +1074,8 @@ fn run_batched_chunk(
         }
     }
     Ok((0..lanes)
-        .map(|l| match &tripped[l] {
-            Some((final_regs, cycle)) => classify(golden, &fps[l], final_regs, Some(*cycle)),
+        .map(|l| match outcomes[l] {
+            Some(outcome) => outcome,
             None => classify(golden, &fps[l], &lane_regs(&*batch, l), None),
         })
         .collect())
@@ -1034,13 +1087,23 @@ fn run_batched_chunk(
 /// lanes of one batched backend with per-lane devices, injections, commit
 /// fingerprints, and stall watchdogs.
 ///
+/// A member stays a lane only while the batch can run it cheaply, that is
+/// while its commit stream follows the golden run's. A member whose stall
+/// watchdog trips is retired at once; a member whose commit fingerprint
+/// first differs from the golden run's is retired and finished on a scalar
+/// simulator from `env.make_sim`, restored from its lane (see
+/// `run_batched_chunk`). So lock-step carries the masked and SDC members
+/// and each member's golden-following prefix, and the diverging rest runs
+/// scalar.
+///
 /// The report is **byte-identical** to [`run_campaign_parallel`]'s (and the
 /// sequential [`FaultEngine::run_campaign`]'s) for the same configuration:
 /// batching is an execution strategy, not an observable. The only caveats
 /// are the machine-dependent classes: a wall-budget trip or a contained
 /// panic applies to the whole chunk (all of its members retry together or
 /// report [`Outcome::Panic`] together), because the chunk shares one
-/// backend.
+/// backend and one wall clock, also for the members it hands to a scalar
+/// simulator.
 ///
 /// # Errors
 ///
@@ -1060,11 +1123,12 @@ pub fn run_campaign_batched(
     })
     .map_err(FaultError::GoldenPanic)??;
 
+    let watchdog = member_watchdog(cfg, opts);
     let nchunks = cfg.members.div_ceil(width);
     let job = |chunk: usize| -> Result<Vec<Outcome>, JobError> {
         let first = chunk * width;
         let lanes = width.min(cfg.members - first);
-        run_batched_chunk(env, make_batch, cfg, opts, &golden, first, lanes)
+        run_batched_chunk(env, make_batch, cfg, &watchdog, &golden, first, lanes)
     };
     let (reports, stats) = runner::run_jobs(nchunks, &opts.runner, job, progress);
 

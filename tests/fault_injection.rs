@@ -6,15 +6,16 @@
 //! Golden snapshots live in `tests/golden/`; regenerate with
 //! `BLESS=1 cargo test --test fault_injection`.
 
-use cuttlesim::Sim;
+use cuttlesim::{BatchSim, Dispatch, Sim};
 use koika::ast::{guard, k, rd0, wr0};
 use koika::check::check;
 use koika::design::DesignBuilder;
-use koika::device::{Device, SimBackend};
+use koika::device::{BatchBackend, Device, SimBackend};
 use koika::fault::{
-    replay_campaign, run_watchdogged, CampaignConfig, FaultEngine, Injection, Outcome, ReplayLog,
-    Watchdog,
+    replay_campaign, run_campaign_batched, run_watchdogged, CampaignConfig, FaultEngine,
+    Injection, Outcome, ParallelFactories, ParallelOptions, ReplayLog, Watchdog,
 };
+use koika::runner::RunnerConfig;
 use koika::snapshot::{Snapshot, SnapshotError};
 use koika::tir::TDesign;
 use koika_designs::harness::MEM_WORDS;
@@ -655,4 +656,68 @@ fn rv32_campaign_reproduces_at_library_level() {
     let b = engine.run_campaign(&cfg).unwrap();
     assert_eq!(a.summary(), b.summary());
     assert_eq!(a.counts().iter().sum::<usize>(), 8);
+}
+
+#[test]
+fn batched_rv32_campaign_with_handed_over_members_matches_sequential() {
+    // Lanes leave the lock-step batch once their commit stream departs
+    // from the golden run's and finish on a scalar simulator restored from
+    // the lane; stall-tripped lanes leave at once. This shape yields both
+    // hangs and divergences, and some hand-overs happen mid-stall, so the
+    // hand-over of registers, cycle count, fingerprint prefix and stall
+    // count is compared against the sequential engine member for member,
+    // at widths that run one lane each, leave a ragged tail, and fit the
+    // campaign in one batch.
+    let td = check(&rv32::rv32i()).unwrap();
+    let program = programs::primes(100);
+    let cfg = CampaignConfig {
+        seed: 4,
+        members: 16,
+        cycles: 400,
+        max_injections: 3,
+        stall_cycles: 32,
+    };
+    let tac_sim = || {
+        let mut sim = Sim::compile(&td).unwrap();
+        sim.set_dispatch(Dispatch::Tac);
+        Box::new(sim) as Box<dyn SimBackend>
+    };
+    let devices = || {
+        vec![Box::new(MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS))
+            as Box<dyn Device>]
+    };
+    let (mut seq_sim, mut seq_devices) = (tac_sim, devices);
+    let sequential = FaultEngine {
+        td: &td,
+        make_sim: &mut seq_sim,
+        make_devices: &mut seq_devices,
+    }
+    .run_campaign(&cfg)
+    .unwrap();
+    let counts = sequential.counts();
+    assert!(counts[2] > 0 && counts[3] > 0, "need divergences and hangs: {counts:?}");
+
+    let make_sim = || Ok(tac_sim());
+    let env = ParallelFactories {
+        td: &td,
+        make_sim: &make_sim,
+        make_devices: &devices,
+    };
+    let make_batch = |lanes: usize| {
+        let mut batch = BatchSim::compile(&td, lanes).map_err(|e| e.to_string())?;
+        batch.set_dispatch(Dispatch::Tac);
+        Ok(Box::new(batch) as Box<dyn BatchBackend>)
+    };
+    for width in [1usize, 7, 32] {
+        for jobs in [1usize, 2] {
+            let opts = ParallelOptions {
+                runner: RunnerConfig::with_jobs(jobs),
+                wall_budget: None,
+            };
+            let (report, _) =
+                run_campaign_batched(&env, &make_batch, width, &cfg, &opts, None).unwrap();
+            assert_eq!(report.members, sequential.members, "width {width}, jobs {jobs}");
+            assert_eq!(report.summary(), sequential.summary(), "width {width}, jobs {jobs}");
+        }
+    }
 }

@@ -10,9 +10,11 @@ use std::time::Duration;
 use koika::check::check;
 use koika::device::{Device, RegAccess, SimBackend};
 use koika::obs::Observer;
+use cuttlesim::BatchSim;
+use koika::device::BatchBackend;
 use koika::fault::{
-    run_campaign_parallel, CampaignConfig, FaultEngine, Outcome, ParallelFactories,
-    ParallelOptions,
+    run_campaign_batched, run_campaign_parallel, CampaignConfig, FaultEngine, Outcome,
+    ParallelFactories, ParallelOptions,
 };
 use koika::runner::RunnerConfig;
 use koika::snapshot::{Snapshot, SnapshotError};
@@ -234,6 +236,29 @@ fn wall_only_trips_classify_flaky_after_retries() {
     }
     // Each member got its one retry before being declared flaky.
     assert_eq!(stats.retries, 3);
+
+    // The batched runner shares one budget per chunk: a lane handed over
+    // to a scalar simulator finishes on the chunk's clock, so it trips
+    // with its chunk and nothing escapes as a classified member.
+    let make_sim = || -> Result<Box<dyn SimBackend>, String> { Ok(Box::new(Interp::new(&td))) };
+    let make_devices = || -> Vec<Box<dyn Device>> { Vec::new() };
+    let env = ParallelFactories {
+        td: &td,
+        make_sim: &make_sim,
+        make_devices: &make_devices,
+    };
+    let make_batch = |lanes: usize| -> Result<Box<dyn BatchBackend>, String> {
+        Ok(Box::new(BatchSim::compile(&td, lanes).map_err(|e| e.to_string())?))
+    };
+    for width in [1usize, 2, 3] {
+        let (report, stats) =
+            run_campaign_batched(&env, &make_batch, width, &cfg, &opts, None).unwrap();
+        for m in &report.members {
+            assert_eq!(m.outcome, Outcome::Flaky, "width {width}, member {}", m.index);
+        }
+        let chunks = cfg.members.div_ceil(width) as u64;
+        assert_eq!(stats.retries, chunks, "width {width}: one retry a chunk");
+    }
 }
 
 // ---------------------------------------------------------------------------
