@@ -228,7 +228,7 @@ pub(crate) struct TacRule {
 
 /// A whole program lowered to micro-ops, plus the mutable per-rule slot
 /// files the scalar executor runs on.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct TacProgram {
     /// Lowered rules, in rule order.
     pub(crate) rules: Vec<TacRule>,

@@ -202,6 +202,10 @@ impl Dispatch {
 
 /// A Cuttlesim simulator instance.
 ///
+/// A clone copies the program and the whole simulation state, and shares
+/// a loaded native engine, so cloning a simulator at reset is a cheap way
+/// to get another one without compiling again.
+///
 /// # Examples
 ///
 /// ```
@@ -221,6 +225,7 @@ impl Dispatch {
 /// assert_eq!(sim.get64(design.reg_id("count")), 5);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+#[derive(Clone)]
 pub struct Sim {
     prog: Program,
     st: State,
@@ -239,6 +244,7 @@ pub struct Sim {
 
 /// The selected dispatch backend together with everything it runs on, so
 /// the selected backend is always the one that runs.
+#[derive(Clone)]
 enum Engine {
     /// The bytecode interpreter, which runs the program as compiled.
     Match,

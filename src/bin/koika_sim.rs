@@ -1,62 +1,11 @@
-//! `koika-sim`: command-line driver for the bundled designs — simulate on
-//! any backend, dump waveforms, profile, trace, emit C++/Verilog, run
-//! fault-injection campaigns (optionally in parallel), differentially fuzz
-//! all backends against each other, snapshot/restore simulator state, or
-//! debug interactively with time travel (`--debug`).
+//! `koika-sim`: command-line driver for the bundled designs. `koika-sim
+//! --help` prints every flag (the `HELP` text below is its only copy).
 //!
-//! ```text
-//! Usage: koika-sim <design> [options]
-//!        koika-sim --fuzz <N> [--seed S] [--jobs J] [--corpus-dir DIR]
-//!        koika-sim --replay-corpus <DIR>
-//!        koika-sim --serve <ADDR> [--jobs J] [--max-sessions N]
-//!
-//! Designs:
-//!   collatz | fir | fft | rv32i | rv32e | rv32i-bp | rv32i-bypass |
-//!   rv32i-x0bug | msi | msi-buggy
-//!
-//! Options:
-//!   --backend <interp|cuttlesim|rtl|rtl-static>   (default cuttlesim)
-//!   --level <1..6>      Cuttlesim optimization level  (default 6)
-//!   --dispatch <match|tac|native>  Cuttlesim dispatch engine
-//!                       (default match; native compiles to a cdylib via rustc)
-//!   --native-cache <DIR>  cache directory for native-dispatch artifacts
-//!   --cycles <N>        cycles to run        (default 10000; 96 under --fuzz)
-//!   --program <primes:N|nops:N|branchy:N>  core workload (default primes:100)
-//!   --vcd <FILE>        record all registers to a VCD file
-//!   --profile           print a per-rule work profile (cuttlesim backend)
-//!   --trace <N>         print the last N cycles of rule activity
-//!   --emit <cpp|cpp-header|verilog>  print generated code and exit
-//!   --metrics-json <FILE>  write a JSON metrics snapshot (per-rule counts)
-//!   --perfetto <FILE>   write a Chrome-trace/Perfetto rule timeline
-//!   --watch <REG>       print a line when REG changes (repeatable)
-//!   --inject <spec|seed>  flip bits: cycle:reg:bit spec, or a PRNG seed
-//!   --campaign <N>      run an N-member fault-injection campaign
-//!   --fuzz <N>          run N differential-fuzz cases over all backends
-//!   --batch <N>         with --campaign/--fuzz: run N members or inits as
-//!                       lanes of one lock-step SoA batch on the micro-op
-//!                       engine (cuttlesim backend; --dispatch tac only)
-//!   --jobs <J>          worker threads for --campaign/--fuzz (default 1)
-//!   --retries <K>       retries for wall-budget trips (default 2)
-//!   --corpus-dir <DIR>  persist shrunk fuzz reproducers to DIR
-//!   --replay-corpus <DIR>  re-run every *.fuzz reproducer in DIR
-//!   --seed <N>          campaign / fuzz / seeded-injection PRNG seed
-//!   --max-injections <N>  upsets per campaign member (default 3)
-//!   --record <FILE>     write failing campaign members to a replay log
-//!   --replay <FILE>     re-run a replay log's members; shrink reproducers
-//!   --snapshot-every <K>  write a state snapshot every K cycles
-//!   --snapshot-prefix <P> snapshot file prefix (default "<design>-")
-//!   --restore <FILE>    restore simulator state from a snapshot first
-//!   --max-cycles <N>    watchdog: abort after N total cycles (exit 3)
-//!   --stall-cycles <N>  watchdog: abort after N commit-free cycles (exit 3)
-//!   --max-wall-ms <N>   watchdog: abort after N ms of wall-clock (exit 3)
-//!   --debug             attach the interactive time-travel debugger (kdb)
-//!   --debug-script <FILE>  run a kdb command script, print the transcript
-//!   --debug-on-divergence  with --fuzz/--replay-corpus: attach kdb at the
-//!                       first divergent cycle of the first diverging case
-//!   --serve <ADDR>      run the multi-tenant simulation session server
-//!   --max-sessions <N>  with --serve: admission-control bound (default 16384)
-//!   --help              print this help and exit
-//! ```
+//! An invocation is resolved once, before anything runs: [`validate`]
+//! picks the run mode and admits every given flag through the [`FLAGS`]
+//! table, [`Target::resolve`] checks the flags that name parts of the
+//! design, and a [`SimFactory`] compiles the design once for every
+//! simulator the mode then runs.
 //!
 //! Campaign and fuzz progress goes to **stderr**; stdout carries only the
 //! machine-parseable report, which is byte-identical for a given seed
@@ -89,8 +38,134 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// What an invocation does. [`validate`] picks the first mode whose flag
+/// was given, in declaration order; the [`FLAGS`] table then refuses every
+/// other mode's flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Serve,
+    Fuzz,
+    ReplayCorpus,
+    Emit,
+    Campaign,
+    Replay,
+    Debug,
+    Run,
+}
+
+impl Mode {
+    const ALL: [Mode; 8] = [
+        Mode::Serve,
+        Mode::Fuzz,
+        Mode::ReplayCorpus,
+        Mode::Emit,
+        Mode::Campaign,
+        Mode::Replay,
+        Mode::Debug,
+        Mode::Run,
+    ];
+
+    /// This mode's bit in the [`FLAGS`] admission masks.
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    /// How error messages name the mode.
+    fn flag(self) -> &'static str {
+        match self {
+            Mode::Serve => "--serve",
+            Mode::Fuzz => "--fuzz",
+            Mode::ReplayCorpus => "--replay-corpus",
+            Mode::Emit => "--emit",
+            Mode::Campaign => "--campaign",
+            Mode::Replay => "--replay",
+            Mode::Debug => "--debug or --debug-script",
+            Mode::Run => "a plain run",
+        }
+    }
+
+    /// Why the mode refuses flags other modes take, for error messages.
+    fn refusal_hint(self) -> &'static str {
+        match self {
+            Mode::Serve => " (sessions pick their own designs, programs, and budgets in `create`)",
+            Mode::Debug => " (use the debugger's own commands instead)",
+            Mode::Replay => " (the replay log records its own run)",
+            _ => "",
+        }
+    }
+
+    /// Whether the mode runs the `<design>` named on the command line.
+    fn takes_design(self) -> bool {
+        !matches!(self, Mode::Serve | Mode::Fuzz | Mode::ReplayCorpus)
+    }
+}
+
+const SERVE: u8 = Mode::Serve.bit();
+const FUZZ: u8 = Mode::Fuzz.bit();
+const CORPUS: u8 = Mode::ReplayCorpus.bit();
+const EMIT: u8 = Mode::Emit.bit();
+const CAMPAIGN: u8 = Mode::Campaign.bit();
+const REPLAY: u8 = Mode::Replay.bit();
+const DEBUG: u8 = Mode::Debug.bit();
+const RUN: u8 = Mode::Run.bit();
+/// The modes whose engine comes from the command line. `--emit` builds
+/// no simulator but takes the engine flags, so it composes with any run
+/// line.
+const ENGINE: u8 = EMIT | CAMPAIGN | DEBUG | RUN;
+/// The modes that may build a native engine.
+const NATIVE: u8 = ENGINE | REPLAY | FUZZ | CORPUS;
+/// The modes that arm a watchdog from the budget flags.
+const WATCHED: u8 = SERVE | DEBUG | RUN;
+
+/// Every flag [`parse_args`] accepts, with the modes that accept it. A
+/// flag given in any other mode is a usage error, so no mode silently
+/// ignores one.
+static FLAGS: [(&str, u8); 38] = [
+    ("--backend", ENGINE),
+    ("--level", ENGINE),
+    ("--dispatch", ENGINE | REPLAY | FUZZ),
+    ("--native-cache", NATIVE),
+    ("--cycles", FUZZ | CAMPAIGN | DEBUG | RUN),
+    ("--program", CAMPAIGN | DEBUG | RUN),
+    ("--vcd", RUN),
+    ("--profile", RUN),
+    ("--trace", RUN),
+    ("--emit", EMIT),
+    ("--metrics-json", FUZZ | CAMPAIGN | RUN),
+    ("--perfetto", RUN),
+    ("--watch", RUN),
+    ("--inject", RUN),
+    ("--campaign", CAMPAIGN),
+    ("--fuzz", FUZZ),
+    ("--batch", FUZZ | CAMPAIGN),
+    ("--jobs", SERVE | FUZZ | CAMPAIGN),
+    ("--retries", SERVE | FUZZ | CAMPAIGN),
+    ("--corpus-dir", FUZZ),
+    ("--replay-corpus", CORPUS),
+    ("--seed", SERVE | FUZZ | CAMPAIGN),
+    ("--max-injections", CAMPAIGN | RUN),
+    ("--record", CAMPAIGN),
+    ("--replay", REPLAY),
+    ("--snapshot-every", RUN),
+    ("--snapshot-prefix", RUN),
+    ("--restore", DEBUG | RUN),
+    ("--max-cycles", WATCHED),
+    ("--stall-cycles", WATCHED | CAMPAIGN),
+    ("--max-wall-ms", WATCHED | CAMPAIGN | FUZZ),
+    ("--debug", DEBUG),
+    ("--debug-script", DEBUG | FUZZ | CORPUS),
+    ("--debug-on-divergence", FUZZ | CORPUS),
+    ("--serve", SERVE),
+    ("--max-sessions", SERVE),
+    ("--state-dir", SERVE),
+    ("--help", u8::MAX),
+];
+
+#[derive(Default)]
 struct Args {
     design: String,
+    /// The flags given, in order, as their [`FLAGS`] entries.
+    given: Vec<&'static (&'static str, u8)>,
     backend: String,
     level: u32,
     dispatch: Option<String>,
@@ -131,39 +206,37 @@ struct Args {
 }
 
 impl Args {
-    /// The effective cycle budget for design runs (fuzz has its own,
-    /// smaller default — see `run_fuzz_mode`).
+    /// The cycle budget of a design run (fuzz has its own default, see
+    /// `run_fuzz_mode`).
     fn run_cycles(&self) -> u64 {
         self.cycles.unwrap_or(10_000)
     }
 
-    /// Whether either debugger entry point (`--debug` / `--debug-script`)
-    /// was requested.
-    fn debug_requested(&self) -> bool {
-        self.debug || self.debug_script.is_some()
+    /// The budget flags as one watchdog.
+    fn watchdog(&self) -> Watchdog {
+        Watchdog {
+            max_cycles: self.max_cycles,
+            stall_cycles: self.stall_cycles,
+            wall_budget: self.max_wall_ms.map(Duration::from_millis),
+        }
     }
 
-    /// The `--dispatch` request, if one was given.
-    fn requested_dispatch(&self) -> Result<Option<Dispatch>, CliError> {
-        self.dispatch
-            .as_deref()
-            .map(|name| {
-                Dispatch::from_name(name).ok_or_else(|| {
-                    CliError::usage(format!(
-                        "bad --dispatch {name:?}: expected match, tac, or native"
-                    ))
-                })
-            })
-            .transpose()
-    }
-
-    /// Worker-pool shape shared by `--campaign` and `--fuzz`.
+    /// Worker-pool shape shared by `--campaign`, `--fuzz` and `--serve`.
     fn runner_config(&self) -> RunnerConfig {
         RunnerConfig {
             jobs: self.jobs,
             max_retries: self.retries,
             seed: self.seed,
             ..RunnerConfig::default()
+        }
+    }
+
+    /// Debugger options: a script echoes its commands, stdin gets a prompt.
+    fn debug_options(&self, limit: u64) -> DebugOptions {
+        DebugOptions {
+            limit,
+            echo: self.debug_script.is_some(),
+            prompt: self.debug_script.is_none(),
         }
     }
 }
@@ -177,6 +250,10 @@ Usage: koika-sim <design> [options]
 Designs:
   collatz | fir | fft | rv32i | rv32e | rv32i-bp | rv32i-bypass |
   rv32i-x0bug | msi | msi-buggy
+
+Each flag below belongs to the modes that read it (a plain run, --emit,
+--campaign, --replay, --debug, --fuzz, --replay-corpus, or --serve); a
+flag given in any other mode is a usage error (exit 2).
 
 Options:
   --backend <interp|cuttlesim|rtl|rtl-static>   (default cuttlesim)
@@ -228,7 +305,7 @@ Fault injection, snapshots & replay:
                         against a fault-free golden run
   --campaign <N>      run an N-member seeded SEU campaign and print the
                       masked/sdc/divergence/hang/panic/flaky classification
-  --seed <N>          campaign / fuzz / seeded-injection PRNG seed
+  --seed <N>          campaign / fuzz / server worker-pool PRNG seed
                       (default 0xC0FFEE)
 
 Parallel execution & differential fuzzing:
@@ -314,8 +391,10 @@ fn usage_hint() -> &'static str {
     "try: koika-sim --help"
 }
 
-fn parse_args() -> Result<Args, Result<ExitCode, CliError>> {
-    let mut argv = std::env::args().skip(1).peekable();
+/// Parses the command line (without the program name); `None` means
+/// `--help` was asked for. Only the [`FLAGS`] table's flags parse.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, CliError> {
+    let mut argv = argv.into_iter().peekable();
     // The design positional is optional: `--fuzz` and `--replay-corpus`
     // generate or load their own designs.
     let design = match argv.peek() {
@@ -326,114 +405,79 @@ fn parse_args() -> Result<Args, Result<ExitCode, CliError>> {
         design,
         backend: "cuttlesim".into(),
         level: 6,
-        dispatch: None,
-        native_cache: None,
-        cycles: None,
         program: "primes:100".into(),
-        vcd: None,
-        profile: false,
-        trace: None,
-        emit: None,
-        metrics_json: None,
-        perfetto: None,
-        watch: Vec::new(),
-        inject: None,
-        campaign: None,
-        fuzz: None,
-        batch: None,
         jobs: 1,
         retries: 2,
-        corpus_dir: None,
-        replay_corpus: None,
         seed: 0xC0FFEE,
         max_injections: 3,
-        record: None,
-        replay: None,
-        snapshot_every: None,
-        snapshot_prefix: None,
-        restore: None,
-        max_cycles: None,
-        stall_cycles: None,
-        max_wall_ms: None,
-        debug: false,
-        debug_script: None,
-        debug_on_divergence: false,
-        serve: None,
-        max_sessions: None,
-        state_dir: None,
+        ..Args::default()
     };
-    fn parsed<T: std::str::FromStr>(name: &str, v: String) -> Result<T, Result<ExitCode, CliError>> {
+    fn parsed<T: std::str::FromStr>(name: &str, v: String) -> Result<T, CliError> {
         v.parse()
-            .map_err(|_| Err(CliError::usage(format!("bad value {v:?} for {name}"))))
+            .map_err(|_| CliError::usage(format!("bad value {v:?} for {name}")))
     }
-    while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
+    while let Some(arg) = argv.next() {
+        let wanted = if arg == "-h" { "--help" } else { arg.as_str() };
+        let flag = FLAGS
+            .iter()
+            .find(|(name, _)| *name == wanted)
+            .ok_or_else(|| CliError::usage(format!("unknown option {arg}")))?;
+        args.given.push(flag);
+        let name = flag.0;
+        let mut value = || {
             argv.next()
-                .ok_or_else(|| Err(CliError::usage(format!("missing value for {name}"))))
+                .ok_or_else(|| CliError::usage(format!("missing value for {name}")))
         };
-        match flag.as_str() {
-            "--backend" => args.backend = value("--backend")?,
-            "--level" => args.level = parsed("--level", value("--level")?)?,
-            "--dispatch" => args.dispatch = Some(value("--dispatch")?),
-            "--native-cache" => args.native_cache = Some(value("--native-cache")?),
-            "--cycles" => args.cycles = Some(parsed("--cycles", value("--cycles")?)?),
-            "--program" => args.program = value("--program")?,
-            "--vcd" => args.vcd = Some(value("--vcd")?),
+        match name {
+            "--backend" => args.backend = value()?,
+            "--level" => args.level = parsed(name, value()?)?,
+            "--dispatch" => args.dispatch = Some(value()?),
+            "--native-cache" => args.native_cache = Some(value()?),
+            "--cycles" => args.cycles = Some(parsed(name, value()?)?),
+            "--program" => args.program = value()?,
+            "--vcd" => args.vcd = Some(value()?),
             "--profile" => args.profile = true,
-            "--trace" => args.trace = Some(parsed("--trace", value("--trace")?)?),
-            "--emit" => args.emit = Some(value("--emit")?),
-            "--metrics-json" => args.metrics_json = Some(value("--metrics-json")?),
-            "--perfetto" => args.perfetto = Some(value("--perfetto")?),
-            "--watch" => args.watch.push(value("--watch")?),
-            "--inject" => args.inject = Some(value("--inject")?),
-            "--campaign" => args.campaign = Some(parsed("--campaign", value("--campaign")?)?),
-            "--fuzz" => args.fuzz = Some(parsed("--fuzz", value("--fuzz")?)?),
-            "--batch" => args.batch = Some(parsed("--batch", value("--batch")?)?),
-            "--jobs" => args.jobs = parsed("--jobs", value("--jobs")?)?,
-            "--retries" => args.retries = parsed("--retries", value("--retries")?)?,
-            "--corpus-dir" => args.corpus_dir = Some(value("--corpus-dir")?),
-            "--replay-corpus" => args.replay_corpus = Some(value("--replay-corpus")?),
+            "--trace" => args.trace = Some(parsed(name, value()?)?),
+            "--emit" => args.emit = Some(value()?),
+            "--metrics-json" => args.metrics_json = Some(value()?),
+            "--perfetto" => args.perfetto = Some(value()?),
+            "--watch" => args.watch.push(value()?),
+            "--inject" => args.inject = Some(value()?),
+            "--campaign" => args.campaign = Some(parsed(name, value()?)?),
+            "--fuzz" => args.fuzz = Some(parsed(name, value()?)?),
+            "--batch" => args.batch = Some(parsed(name, value()?)?),
+            "--jobs" => args.jobs = parsed(name, value()?)?,
+            "--retries" => args.retries = parsed(name, value()?)?,
+            "--corpus-dir" => args.corpus_dir = Some(value()?),
+            "--replay-corpus" => args.replay_corpus = Some(value()?),
             "--seed" => {
-                let v = value("--seed")?;
+                let v = value()?;
                 args.seed = match v.strip_prefix("0x") {
                     Some(hex) => u64::from_str_radix(hex, 16)
-                        .map_err(|_| Err(CliError::usage(format!("bad value {v:?} for --seed"))))?,
-                    None => parsed("--seed", v)?,
+                        .map_err(|_| CliError::usage(format!("bad value {v:?} for --seed")))?,
+                    None => parsed(name, v)?,
                 };
             }
-            "--max-injections" => {
-                args.max_injections = parsed("--max-injections", value("--max-injections")?)?;
-            }
-            "--record" => args.record = Some(value("--record")?),
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--snapshot-every" => {
-                args.snapshot_every = Some(parsed("--snapshot-every", value("--snapshot-every")?)?);
-            }
-            "--snapshot-prefix" => args.snapshot_prefix = Some(value("--snapshot-prefix")?),
-            "--restore" => args.restore = Some(value("--restore")?),
-            "--max-cycles" => args.max_cycles = Some(parsed("--max-cycles", value("--max-cycles")?)?),
-            "--stall-cycles" => {
-                args.stall_cycles = Some(parsed("--stall-cycles", value("--stall-cycles")?)?);
-            }
-            "--max-wall-ms" => {
-                args.max_wall_ms = Some(parsed("--max-wall-ms", value("--max-wall-ms")?)?);
-            }
+            "--max-injections" => args.max_injections = parsed(name, value()?)?,
+            "--record" => args.record = Some(value()?),
+            "--replay" => args.replay = Some(value()?),
+            "--snapshot-every" => args.snapshot_every = Some(parsed(name, value()?)?),
+            "--snapshot-prefix" => args.snapshot_prefix = Some(value()?),
+            "--restore" => args.restore = Some(value()?),
+            "--max-cycles" => args.max_cycles = Some(parsed(name, value()?)?),
+            "--stall-cycles" => args.stall_cycles = Some(parsed(name, value()?)?),
+            "--max-wall-ms" => args.max_wall_ms = Some(parsed(name, value()?)?),
             "--debug" => args.debug = true,
-            "--debug-script" => args.debug_script = Some(value("--debug-script")?),
+            "--debug-script" => args.debug_script = Some(value()?),
             "--debug-on-divergence" => args.debug_on_divergence = true,
-            "--serve" => args.serve = Some(value("--serve")?),
-            "--max-sessions" => {
-                args.max_sessions = Some(parsed("--max-sessions", value("--max-sessions")?)?);
-            }
-            "--state-dir" => args.state_dir = Some(value("--state-dir")?),
-            "--help" | "-h" => {
-                print!("{HELP}");
-                return Err(Ok(ExitCode::SUCCESS));
-            }
-            other => return Err(Err(CliError::usage(format!("unknown option {other}")))),
+            "--serve" => args.serve = Some(value()?),
+            "--max-sessions" => args.max_sessions = Some(parsed(name, value()?)?),
+            "--state-dir" => args.state_dir = Some(value()?),
+            "--help" => return Ok(None),
+            _ => return Err(CliError::usage(format!("option {name} has no parser"))),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn design_by_name(name: &str) -> Option<Design> {
@@ -463,43 +507,91 @@ fn workload(spec: &str) -> Option<Vec<u32>> {
     })
 }
 
-/// Everything `validate` resolves up front so the run phases can't hit a
-/// bad-input error (or a panic) halfway through.
+/// What [`validate`] settles for every invocation.
 struct Plan {
-    td: TDesign,
+    mode: Mode,
     level: OptLevel,
-    dispatch: Dispatch,
-    program: Option<Vec<u32>>,
-    injections: Vec<Injection>,
-    watch: Vec<(koika::RegId, String)>,
-    snapshot_prefix: String,
-    stall_cycles: u64,
+    /// `--dispatch`, if given: design modes default to match, and `--fuzz`
+    /// then compares every dispatcher.
+    dispatch: Option<Dispatch>,
 }
 
-/// `--batch` runs the micro-op lock-step engine only, so an explicit
-/// `--dispatch` other than `tac` would be silently ignored. Checked before
-/// the toolchain probe, so the combination is a usage error on every host.
-fn reject_batched_dispatch(args: &Args) -> Result<(), CliError> {
-    match args.requested_dispatch()? {
-        Some(d) if args.batch.is_some() && d != Dispatch::Tac => {
-            let name = d.short_name();
-            Err(CliError::usage(format!(
-                "--batch cannot be combined with --dispatch {name}: a batch runs the \
-                 micro-op lock-step engine (--dispatch tac) only; drop --batch to run \
-                 scalar {name} (with --jobs for campaigns and fuzz)"
+/// Decides the run mode and rejects every bad flag and flag combination
+/// that needs no design — the one place an invocation is admitted.
+fn validate(args: &Args) -> Result<Plan, CliError> {
+    let mode = [
+        (args.serve.is_some(), Mode::Serve),
+        (args.fuzz.is_some(), Mode::Fuzz),
+        (args.replay_corpus.is_some(), Mode::ReplayCorpus),
+        (args.emit.is_some(), Mode::Emit),
+        (args.campaign.is_some(), Mode::Campaign),
+        (args.replay.is_some(), Mode::Replay),
+        (args.debug || args.debug_script.is_some(), Mode::Debug),
+    ]
+    .into_iter()
+    .find_map(|(given, mode)| given.then_some(mode))
+    .unwrap_or(Mode::Run);
+
+    match (mode.takes_design(), args.design.is_empty()) {
+        (true, true) => {
+            return Err(CliError::usage(
+                "missing <design> argument (or use --fuzz, --replay-corpus, or --serve)",
+            ))
+        }
+        (false, false) => {
+            return Err(CliError::usage(format!(
+                "{} does not take a <design> argument (got {:?})",
+                mode.flag(),
+                args.design
             )))
         }
-        _ => Ok(()),
+        _ => {}
     }
-}
+    if let Some(&&(flag, modes)) = args.given.iter().find(|(_, modes)| modes & mode.bit() == 0) {
+        return Err(CliError::usage(if mode == Mode::Run {
+            let wanted: Vec<&str> = Mode::ALL
+                .iter()
+                .filter(|m| modes & m.bit() != 0)
+                .map(|m| m.flag())
+                .collect();
+            format!("{flag} requires {}", wanted.join(" or "))
+        } else {
+            format!(
+                "{flag} cannot be combined with {}{}",
+                mode.flag(),
+                mode.refusal_hint()
+            )
+        }));
+    }
+    let counts = [
+        ("--jobs", Some(args.jobs as u64)),
+        ("--batch", args.batch.map(|n| n as u64)),
+        ("--max-sessions", args.max_sessions.map(|n| n as u64)),
+        ("--max-injections", Some(u64::from(args.max_injections))),
+        ("--snapshot-every", args.snapshot_every),
+        ("--stall-cycles", args.stall_cycles),
+    ];
+    if let Some((flag, _)) = counts.iter().find(|(_, n)| *n == Some(0)) {
+        return Err(CliError::usage(format!("{flag} must be at least 1")));
+    }
 
-/// Validates flag *combinations* and cross-references against the design —
-/// the single place a bad invocation is rejected, before any simulator is
-/// built.
-fn validate(args: &Args) -> Result<Plan, CliError> {
-    let design = design_by_name(&args.design)
-        .ok_or_else(|| CliError::usage(format!("unknown design {:?}", args.design)))?;
-    let td = check(&design).map_err(|e| CliError::runtime(format!("design error: {e}")))?;
+    if args.debug && args.debug_script.is_some() {
+        return Err(CliError::usage("--debug and --debug-script cannot be combined"));
+    }
+    if args.debug_script.is_some() && !mode.takes_design() && !args.debug_on_divergence {
+        return Err(CliError::usage(format!(
+            "--debug-script with {} requires --debug-on-divergence",
+            mode.flag()
+        )));
+    }
+    // Trace and profile replay the run without injections or restored
+    // state, so combining them would silently show a different execution.
+    if (args.trace.is_some() || args.profile) && (args.inject.is_some() || args.restore.is_some()) {
+        return Err(CliError::usage(
+            "--trace and --profile replay the run from reset and cannot be combined \
+             with --inject or --restore",
+        ));
+    }
 
     match args.backend.as_str() {
         "interp" | "cuttlesim" | "rtl" | "rtl-static" => {}
@@ -507,19 +599,37 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
     }
     let level = OptLevel::from_number(args.level)
         .ok_or_else(|| CliError::usage(format!("bad --level {}: expected 1..6", args.level)))?;
-    reject_batched_dispatch(args)?;
-    let dispatch = args.requested_dispatch()?.unwrap_or_default();
-    if dispatch == Dispatch::Native && !cuttlesim::toolchain_available() {
-        return Err(CliError::usage(
-            "--dispatch native requires a rustc toolchain, and none was found \
-             (install rustc or point KOIKA_RUSTC at one); the match and tac \
-             dispatchers work without a toolchain",
-        ));
+    let dispatch = args
+        .dispatch
+        .as_deref()
+        .map(|name| {
+            Dispatch::from_name(name).ok_or_else(|| {
+                CliError::usage(format!("bad --dispatch {name:?}: expected match, tac, or native"))
+            })
+        })
+        .transpose()?;
+    if args.batch.is_some() {
+        // A batch runs the micro-op lock-step engine only, so any other
+        // dispatch would be silently ignored: refused on every host.
+        if let Some(d) = dispatch.filter(|&d| d != Dispatch::Tac) {
+            let name = d.short_name();
+            return Err(CliError::usage(format!(
+                "--batch cannot be combined with --dispatch {name}: a batch runs the \
+                 micro-op lock-step engine (--dispatch tac) only; drop --batch to run \
+                 scalar {name} (with --jobs for campaigns and fuzz)"
+            )));
+        }
+        if args.backend != "cuttlesim" {
+            return Err(CliError::usage(format!(
+                "--batch requires the cuttlesim backend (got {:?})",
+                args.backend
+            )));
+        }
     }
-    if dispatch != Dispatch::Match && args.backend != "cuttlesim" {
+    if let Some(d) = dispatch.filter(|&d| d != Dispatch::Match && args.backend != "cuttlesim") {
         return Err(CliError::usage(format!(
             "--dispatch {} requires the cuttlesim backend (got {:?})",
-            dispatch.short_name(),
+            d.short_name(),
             args.backend
         )));
     }
@@ -530,208 +640,162 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
             )));
         }
     }
-
-    // Mutually exclusive run modes, rejected together so the user sees the
-    // conflict rather than one mode silently winning.
-    let modes: Vec<&str> = [
-        args.emit.as_ref().map(|_| "--emit"),
-        args.campaign.map(|_| "--campaign"),
-        args.replay.as_ref().map(|_| "--replay"),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
-    if modes.len() > 1 {
-        return Err(CliError::usage(format!(
-            "conflicting modes: {} cannot be combined",
-            modes.join(" and ")
-        )));
-    }
-    if args.record.is_some() && args.campaign.is_none() {
-        return Err(CliError::usage("--record requires --campaign"));
-    }
-    if args.jobs == 0 {
-        return Err(CliError::usage("--jobs must be at least 1"));
-    }
-    if args.batch.is_some() {
-        // Identical lanes would each repeat the scalar run, so a batch is
-        // only ever built from lanes that differ: campaign members or
-        // perturbed fuzz inits.
-        if args.campaign.is_none() {
-            return Err(CliError::usage("--batch requires --campaign or --fuzz"));
-        }
-        if args.backend != "cuttlesim" {
-            return Err(CliError::usage(format!(
-                "--batch requires the cuttlesim backend (got {:?})",
-                args.backend
-            )));
-        }
-    }
-    if args.debug_requested() {
-        if args.debug && args.debug_script.is_some() {
-            return Err(CliError::usage(
-                "--debug and --debug-script cannot be combined",
-            ));
-        }
-        // The debugger owns the run loop: observability sinks, injections,
-        // and the snapshot/waveform writers of a normal run would either
-        // see nothing or fight the time-travel replays. The debugger's own
-        // `dump-vcd` / `snapshot` / `info rules` commands replace them.
-        let conflicts: Vec<&str> = [
-            args.emit.as_ref().map(|_| "--emit"),
-            args.campaign.map(|_| "--campaign"),
-            args.replay.as_ref().map(|_| "--replay"),
-            args.inject.as_ref().map(|_| "--inject"),
-            args.trace.map(|_| "--trace"),
-            args.profile.then_some("--profile"),
-            args.vcd.as_ref().map(|_| "--vcd"),
-            args.snapshot_every.map(|_| "--snapshot-every"),
-            args.metrics_json.as_ref().map(|_| "--metrics-json"),
-            args.perfetto.as_ref().map(|_| "--perfetto"),
-            (!args.watch.is_empty()).then_some("--watch"),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        if !conflicts.is_empty() {
-            return Err(CliError::usage(format!(
-                "--debug cannot be combined with {} (use the debugger's own \
-                 commands instead)",
-                conflicts.join(", ")
-            )));
-        }
-    }
-    if args.inject.is_some() && (args.campaign.is_some() || args.replay.is_some()) {
-        return Err(CliError::usage(
-            "--inject cannot be combined with --campaign or --replay (they draw \
-             their own schedules)",
-        ));
-    }
-    // Trace and profile replay the run without injections or restored
-    // state, so combining them would silently show a different execution.
-    for (on, flag) in [(args.trace.is_some(), "--trace"), (args.profile, "--profile")] {
-        if !on {
-            continue;
-        }
-        if args.inject.is_some() || args.restore.is_some() {
-            return Err(CliError::usage(format!(
-                "{flag} replays the run from reset and cannot be combined with \
-                 --inject or --restore"
-            )));
-        }
-    }
-    if args.max_injections == 0 {
-        return Err(CliError::usage("--max-injections must be at least 1"));
-    }
-    if args.snapshot_every == Some(0) {
-        return Err(CliError::usage("--snapshot-every must be at least 1"));
-    }
-    if args.stall_cycles == Some(0) {
-        return Err(CliError::usage("--stall-cycles must be at least 1"));
-    }
-
-    // Fault classification compares 64-bit register values.
-    if args.inject.is_some() || args.campaign.is_some() || args.replay.is_some() {
-        if let Some(r) = td.regs.iter().find(|r| r.width > 64) {
-            return Err(CliError::usage(format!(
-                "fault injection requires <=64-bit registers; design {} has {} ({} bits)",
-                td.name, r.name, r.width
-            )));
-        }
-    }
-
-    // Core workloads parse up front (only rv32 designs take one).
-    let program = if args.design.starts_with("rv32") {
-        Some(
-            workload(&args.program)
-                .ok_or_else(|| CliError::usage(format!("bad --program spec {:?}", args.program)))?,
-        )
-    } else {
-        None
-    };
-
-    // --inject: either one-or-more explicit specs, or a bare seed.
-    let mut injections = Vec::new();
-    if let Some(spec) = &args.inject {
-        if let Ok(seed) = spec.parse::<u64>() {
-            let cfg = CampaignConfig {
-                seed,
-                cycles: args.run_cycles(),
-                max_injections: args.max_injections,
-                ..CampaignConfig::default()
-            };
-            injections = draw_schedule(&td, &cfg, 0);
-        } else {
-            injections.push(Injection::parse(spec, &td).map_err(CliError::Usage)?);
-        }
-    }
-
-    let mut watch = Vec::new();
-    for name in &args.watch {
-        let i = td
-            .regs
-            .iter()
-            .position(|r| &r.name == name)
-            .ok_or_else(|| CliError::usage(format!("unknown register {name:?} in --watch")))?;
-        watch.push((koika::RegId(i as u32), name.clone()));
-    }
-
-    let snapshot_prefix = args
-        .snapshot_prefix
-        .clone()
-        .unwrap_or_else(|| format!("{}-", args.design));
-    let stall_cycles = args.stall_cycles.unwrap_or(256);
-
-    Ok(Plan {
-        td,
-        level,
-        dispatch,
-        program,
-        injections,
-        watch,
-        snapshot_prefix,
-        stall_cycles,
-    })
+    Ok(Plan { mode, level, dispatch })
 }
 
-fn build_sim(
-    td: &TDesign,
-    backend: &str,
-    level: OptLevel,
-    dispatch: Dispatch,
-) -> Result<Box<dyn SimBackend>, CliError> {
-    Ok(match backend {
-        "interp" => Box::new(koika::Interp::new(td)),
-        "cuttlesim" => {
-            let mut sim = Sim::compile_with(
-                td,
-                &CompileOptions {
+/// What a design mode resolves against its design, before any simulator
+/// is built.
+struct Target {
+    td: TDesign,
+    program: Option<Vec<u32>>,
+    injections: Vec<Injection>,
+    watch: Vec<(RegId, String)>,
+    snapshot_prefix: String,
+    stall_cycles: u64,
+}
+
+impl Target {
+    fn resolve(args: &Args, mode: Mode) -> Result<Target, CliError> {
+        let design = design_by_name(&args.design)
+            .ok_or_else(|| CliError::usage(format!("unknown design {:?}", args.design)))?;
+        let td = check(&design).map_err(|e| CliError::runtime(format!("design error: {e}")))?;
+
+        // Fault classification compares 64-bit register values.
+        if args.inject.is_some() || matches!(mode, Mode::Campaign | Mode::Replay) {
+            if let Some(r) = td.regs.iter().find(|r| r.width > 64) {
+                return Err(CliError::usage(format!(
+                    "fault injection requires <=64-bit registers; design {} has {} ({} bits)",
+                    td.name, r.name, r.width
+                )));
+            }
+        }
+
+        // Core workloads parse up front (only rv32 designs take one).
+        let program = if args.design.starts_with("rv32") {
+            Some(
+                workload(&args.program)
+                    .ok_or_else(|| CliError::usage(format!("bad --program spec {:?}", args.program)))?,
+            )
+        } else {
+            None
+        };
+
+        // --inject: either an explicit cycle:reg:bit spec, or a bare seed.
+        let mut injections = Vec::new();
+        if let Some(spec) = &args.inject {
+            if let Ok(seed) = spec.parse::<u64>() {
+                let cfg = CampaignConfig {
+                    seed,
+                    cycles: args.run_cycles(),
+                    max_injections: args.max_injections,
+                    ..CampaignConfig::default()
+                };
+                injections = draw_schedule(&td, &cfg, 0);
+            } else {
+                injections.push(Injection::parse(spec, &td).map_err(CliError::Usage)?);
+            }
+        }
+
+        let mut watch = Vec::new();
+        for name in &args.watch {
+            let i = td
+                .regs
+                .iter()
+                .position(|r| &r.name == name)
+                .ok_or_else(|| CliError::usage(format!("unknown register {name:?} in --watch")))?;
+            watch.push((RegId(i as u32), name.clone()));
+        }
+
+        Ok(Target {
+            snapshot_prefix: args
+                .snapshot_prefix
+                .clone()
+                .unwrap_or_else(|| format!("{}-", args.design)),
+            stall_cycles: args.stall_cycles.unwrap_or(256),
+            td,
+            program,
+            injections,
+            watch,
+        })
+    }
+}
+
+/// The one compiled simulator of an invocation. The design is compiled,
+/// and its dispatch selected, once, so a missing toolchain is reported
+/// here (exit 2) and no simulator can fail to build later. Every simulator
+/// the mode runs is a copy of this reset-state prototype.
+enum SimFactory {
+    Interp(TDesign),
+    Vm(Box<Sim>),
+    Rtl(RtlSim),
+}
+
+impl SimFactory {
+    fn new(td: &TDesign, backend: &str, level: OptLevel, dispatch: Dispatch) -> Result<SimFactory, CliError> {
+        let rtl = |scheme| {
+            rtl_compile(td, scheme)
+                .map(|model| SimFactory::Rtl(RtlSim::new(model)))
+                .map_err(|e| CliError::runtime(format!("rtl error: {e}")))
+        };
+        match backend {
+            "interp" => Ok(SimFactory::Interp(td.clone())),
+            "rtl" => rtl(Scheme::Dynamic),
+            "rtl-static" => rtl(Scheme::Static),
+            "cuttlesim" => {
+                let opts = CompileOptions {
                     level,
                     ..CompileOptions::default()
-                },
-            )
-            .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-            sim.try_set_dispatch(dispatch).map_err(|e| {
-                CliError::usage(format!(
-                    "cannot select {} dispatch: {e} (install rustc or point \
-                     KOIKA_RUSTC at one)",
-                    dispatch.short_name()
-                ))
-            })?;
-            Box::new(sim)
+                };
+                let mut sim = Sim::compile_with(td, &opts)
+                    .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
+                sim.try_set_dispatch(dispatch).map_err(|e| {
+                    CliError::usage(format!("cannot select {} dispatch: {e}", dispatch.short_name()))
+                })?;
+                Ok(SimFactory::Vm(Box::new(sim)))
+            }
+            other => Err(CliError::usage(format!("unknown backend {other:?}"))),
         }
-        "rtl" => Box::new(RtlSim::new(
-            rtl_compile(td, Scheme::Dynamic)
-                .map_err(|e| CliError::runtime(format!("rtl error: {e}")))?,
-        )),
-        "rtl-static" => Box::new(RtlSim::new(
-            rtl_compile(td, Scheme::Static)
-                .map_err(|e| CliError::runtime(format!("rtl error: {e}")))?,
-        )),
-        other => return Err(CliError::usage(format!("unknown backend {other:?}"))),
-    })
-}
+    }
 
+    /// A fresh simulator at reset state.
+    fn make(&self) -> Box<dyn SimBackend> {
+        match self {
+            SimFactory::Interp(td) => Box::new(koika::Interp::new(td)),
+            SimFactory::Vm(sim) => sim.clone(),
+            SimFactory::Rtl(sim) => Box::new(sim.clone()),
+        }
+    }
+
+    /// A fresh simulator, restored from `--restore` if one was given.
+    fn make_restored(&self, args: &Args) -> Result<Box<dyn SimBackend>, CliError> {
+        let mut sim = self.make();
+        if let Some(path) = &args.restore {
+            let bytes = std::fs::read(path)
+                .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
+            let snap = Snapshot::from_bytes(&bytes)
+                .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
+            sim.restore(&snap)
+                .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
+            println!("restored {} at cycle {} from {path}", snap.design, snap.cycles);
+        }
+        Ok(sim)
+    }
+
+    /// The prototype VM, for the stepping and profiling APIs only the
+    /// cuttlesim backend has.
+    fn vm(&self) -> Option<&Sim> {
+        match self {
+            SimFactory::Vm(sim) => Some(sim.as_ref()),
+            _ => None,
+        }
+    }
+
+    /// A `lanes`-wide lock-step batch of the prototype's program.
+    fn batch(&self, lanes: usize) -> Result<Box<dyn BatchBackend>, String> {
+        let sim = self.vm().ok_or("a batch needs the cuttlesim backend")?;
+        Ok(Box::new(BatchSim::new(sim.program().clone(), lanes)))
+    }
+}
 /// Prints each injected SEU as it fires, just before its cycle runs.
 struct SeuPrinter<'a> {
     td: &'a TDesign,
@@ -828,100 +892,6 @@ impl DesignProvider for BundledDesigns {
     }
 }
 
-/// `--serve`: run the session server until a client sends `shutdown`.
-fn run_serve_mode(args: &Args, addr: &str) -> Result<ExitCode, CliError> {
-    // The server multiplexes many sessions that each pick their own
-    // design, program, backend, and budgets in `create`, so every
-    // one-shot run or sink flag is rejected rather than silently
-    // observing nothing. Only the pool/watchdog tuning flags compose.
-    let conflicts: Vec<&str> = [
-        args.campaign.map(|_| "--campaign"),
-        args.fuzz.map(|_| "--fuzz"),
-        args.replay_corpus.as_ref().map(|_| "--replay-corpus"),
-        args.replay.as_ref().map(|_| "--replay"),
-        args.emit.as_ref().map(|_| "--emit"),
-        args.batch.map(|_| "--batch"),
-        args.debug.then_some("--debug"),
-        args.debug_script.as_ref().map(|_| "--debug-script"),
-        args.debug_on_divergence.then_some("--debug-on-divergence"),
-        args.inject.as_ref().map(|_| "--inject"),
-        args.trace.map(|_| "--trace"),
-        args.profile.then_some("--profile"),
-        args.vcd.as_ref().map(|_| "--vcd"),
-        args.record.as_ref().map(|_| "--record"),
-        args.snapshot_every.map(|_| "--snapshot-every"),
-        args.snapshot_prefix.as_ref().map(|_| "--snapshot-prefix"),
-        args.restore.as_ref().map(|_| "--restore"),
-        args.corpus_dir.as_ref().map(|_| "--corpus-dir"),
-        (!args.watch.is_empty()).then_some("--watch"),
-        args.metrics_json.as_ref().map(|_| "--metrics-json"),
-        args.perfetto.as_ref().map(|_| "--perfetto"),
-        args.cycles.map(|_| "--cycles"),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
-    if !conflicts.is_empty() {
-        return Err(CliError::usage(format!(
-            "--serve cannot be combined with {} (sessions pick their own \
-             designs, programs, and budgets in `create`)",
-            conflicts.join(", ")
-        )));
-    }
-    if !args.design.is_empty() {
-        return Err(CliError::usage(format!(
-            "--serve does not take a <design> argument (got {:?}; clients \
-             name designs in `create`)",
-            args.design
-        )));
-    }
-    if args.jobs == 0 {
-        return Err(CliError::usage("--jobs must be at least 1"));
-    }
-    if args.max_sessions == Some(0) {
-        return Err(CliError::usage("--max-sessions must be at least 1"));
-    }
-    if args.stall_cycles == Some(0) {
-        return Err(CliError::usage("--stall-cycles must be at least 1"));
-    }
-
-    let mut cfg = ServerConfig {
-        runner: args.runner_config(),
-        default_watchdog: Watchdog {
-            max_cycles: args.max_cycles,
-            stall_cycles: args.stall_cycles,
-            wall_budget: args.max_wall_ms.map(Duration::from_millis),
-        },
-        ..ServerConfig::default()
-    };
-    if let Some(n) = args.max_sessions {
-        cfg.max_sessions = n;
-    }
-    if let Some(dir) = &args.state_dir {
-        cfg.state_dir = Some(std::path::PathBuf::from(dir));
-    }
-    let handle = koika_server::spawn(cfg, Arc::new(BundledDesigns::default()), addr)
-        .map_err(|e| CliError::runtime(format!("cannot serve on {addr}: {e}")))?;
-    if args.state_dir.is_some() {
-        // Scripts (and the CI kill -9 soak) parse this line.
-        println!(
-            "recovered {} sessions ({} lost)",
-            handle.recovered_sessions(),
-            handle.lost_sessions()
-        );
-    }
-    // Scripts parse this line to learn the bound port (`--serve 127.0.0.1:0`).
-    println!("serving on {}", handle.addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let stats = handle.wait();
-    eprintln!(
-        "drained: {} requests, {} protocol errors, {} sessions spilled, {} panics contained",
-        stats.requests, stats.protocol_errors, stats.sessions_spilled, stats.panics_contained
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
     std::fs::write(path, bytes).map_err(|e| CliError::runtime(format!("failed to write {path}: {e}")))
 }
@@ -965,85 +935,6 @@ fn print_runner_stats(what: &str, stats: &RunnerStats) {
     );
 }
 
-fn run_campaign_mode(args: &Args, plan: &Plan, members: usize) -> Result<ExitCode, CliError> {
-    let td = &plan.td;
-    let cfg = CampaignConfig {
-        seed: args.seed,
-        members,
-        cycles: args.run_cycles(),
-        max_injections: args.max_injections,
-        stall_cycles: plan.stall_cycles,
-    };
-    let backend = args.backend.clone();
-    let level = plan.level;
-    let dispatch = plan.dispatch;
-    let make_sim = move |td: &TDesign| {
-        build_sim(td, &backend, level, dispatch).map_err(|e| match e {
-            CliError::Usage(m) | CliError::Runtime(m) => m,
-        })
-    };
-    let td2 = td.clone();
-    let make_sim = move || make_sim(&td2);
-    let program = plan.program.clone();
-    let td3 = td.clone();
-    let make_devices = move || build_devices(&td3, &program);
-    let env = ParallelFactories {
-        td,
-        make_sim: &make_sim,
-        make_devices: &make_devices,
-    };
-    let opts = ParallelOptions {
-        runner: args.runner_config(),
-        wall_budget: args.max_wall_ms.map(Duration::from_millis),
-    };
-    let mut metrics = args.metrics_json.as_ref().map(|_| Metrics::for_design(td));
-    let mut progress = report_progress("campaign", metrics.as_mut());
-    let (report, stats) = match args.batch {
-        // Batched mode: each worker job drives one SoA batch whose lanes
-        // are consecutive campaign members. The report is byte-identical
-        // to the scalar path (validate() pinned the cuttlesim backend).
-        Some(width) => {
-            let level = plan.level;
-            let td4 = td.clone();
-            let make_batch = move |lanes: usize| {
-                BatchSim::compile_with(
-                    &td4,
-                    &CompileOptions {
-                        level,
-                        ..CompileOptions::default()
-                    },
-                    lanes,
-                )
-                .map(|s| Box::new(s) as Box<dyn BatchBackend>)
-                .map_err(|e| e.to_string())
-            };
-            run_campaign_batched(&env, &make_batch, width, &cfg, &opts, Some(&mut progress))
-                .map_err(|e| CliError::runtime(e.to_string()))?
-        }
-        None => run_campaign_parallel(&env, &cfg, &opts, Some(&mut progress))
-            .map_err(|e| CliError::runtime(e.to_string()))?,
-    };
-    drop(progress);
-    print_runner_stats("campaign", &stats);
-    print!("{}", report.summary());
-    if let Some(path) = &args.record {
-        // Only designs that take a workload record one (others replay with
-        // no devices).
-        let program = if plan.program.is_some() { args.program.as_str() } else { "" };
-        let log = report.to_replay_log(&args.backend, args.level, program);
-        write_file(path, log.to_text().as_bytes())?;
-        eprintln!(
-            "wrote replay log ({} failing members) to {path}",
-            log.members.len()
-        );
-    }
-    if let (Some(path), Some(m)) = (&args.metrics_json, &metrics) {
-        write_file(path, m.to_json(true).as_bytes())?;
-        eprintln!("wrote metrics snapshot to {path}");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 /// The debugger's command stream: an optional synthetic preamble, then
 /// the `--debug-script` file (script mode) or stdin (interactive).
 fn open_debug_input(args: &Args, preamble: Option<String>) -> Result<Box<dyn BufRead>, CliError> {
@@ -1059,51 +950,6 @@ fn open_debug_input(args: &Args, preamble: Option<String>) -> Result<Box<dyn Buf
         Some(text) => Box::new(std::io::Cursor::new(text.into_bytes()).chain(inner)),
         None => inner,
     })
-}
-
-/// `--debug` / `--debug-script`: build the requested engine, attach the
-/// time-travel debugger, and hand it the run loop.
-/// Watchdog trips are reported in-band at the paused prompt instead of
-/// exiting 3 — a run paused under a debugger is not a hang.
-fn run_debug_mode(args: &Args, plan: &Plan) -> Result<ExitCode, CliError> {
-    let td = &plan.td;
-    let opts = DebugOptions {
-        limit: args.run_cycles(),
-        echo: args.debug_script.is_some(),
-        prompt: args.debug_script.is_none(),
-    };
-    let watchdog = Watchdog {
-        max_cycles: args.max_cycles,
-        stall_cycles: args.stall_cycles,
-        wall_budget: args.max_wall_ms.map(Duration::from_millis),
-    };
-    let wd_wanted =
-        args.max_cycles.is_some() || args.stall_cycles.is_some() || args.max_wall_ms.is_some();
-    let mut armed = watchdog.arm();
-    let mut input = open_debug_input(args, None)?;
-    let mut out = std::io::stdout().lock();
-    let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch)?;
-    if let Some(path) = &args.restore {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
-        let snap = Snapshot::from_bytes(&bytes)
-            .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
-        sim.restore(&snap)
-            .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
-        println!("restored {} at cycle {} from {path}", snap.design, snap.cycles);
-    }
-    let devices = build_devices(td, &plan.program);
-    let mut target = ScalarTarget::new(sim, devices);
-    koika::debug::run_session(
-        td,
-        &mut target,
-        &mut *input,
-        &mut out,
-        wd_wanted.then_some(&mut armed),
-        &opts,
-    )
-    .map_err(|e| CliError::runtime(format!("debugger I/O error: {e}")))?;
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `--debug-on-divergence`, shared tail: print both register files side by
@@ -1131,11 +977,7 @@ fn debug_divergence(args: &Args, div: &fuzz::Divergence, cycles: u64) -> Result<
     let mut target = ScalarTarget::new(sim, Vec::new());
     let mut input = open_debug_input(args, Some(format!("run-to {}\n", div.cycle + 1)))?;
     let mut out = std::io::stdout().lock();
-    let opts = DebugOptions {
-        limit: cycles,
-        echo: args.debug_script.is_some(),
-        prompt: args.debug_script.is_none(),
-    };
+    let opts = args.debug_options(cycles);
     koika::debug::run_session(td, &mut target, &mut *input, &mut out, None, &opts)
         .map_err(|e| CliError::runtime(format!("debugger I/O error: {e}")))
 }
@@ -1144,7 +986,11 @@ fn debug_divergence(args: &Args, div: &fuzz::Divergence, cycles: u64) -> Result<
 /// reproducers first, then fall back to the raw per-case seeds — the
 /// fallback catches `rtl-static` divergences, which the fuzz matrix
 /// deliberately never trace-compares.
-fn debug_first_fuzz_divergence(args: &Args, report: &fuzz::FuzzReport) -> Result<(), CliError> {
+fn debug_first_fuzz_divergence(
+    args: &Args,
+    report: &fuzz::FuzzReport,
+    cfg: &fuzz::FuzzConfig,
+) -> Result<(), CliError> {
     for b in report.buckets.iter().filter(|b| b.class == "mismatch") {
         if let Some(div) =
             fuzz::scan_divergence(b.repro_seed, b.repro_cycles).map_err(CliError::runtime)?
@@ -1152,83 +998,14 @@ fn debug_first_fuzz_divergence(args: &Args, report: &fuzz::FuzzReport) -> Result
             return debug_divergence(args, &div, b.repro_cycles);
         }
     }
-    let cycles = args.cycles.unwrap_or(96);
-    for i in 0..args.fuzz.unwrap_or(0) {
-        let seed = fuzz::case_seed(args.seed, i);
-        if let Some(div) = fuzz::scan_divergence(seed, cycles).map_err(CliError::runtime)? {
-            return debug_divergence(args, &div, cycles);
+    for i in 0..cfg.cases {
+        let seed = fuzz::case_seed(cfg.seed, i);
+        if let Some(div) = fuzz::scan_divergence(seed, cfg.cycles).map_err(CliError::runtime)? {
+            return debug_divergence(args, &div, cfg.cycles);
         }
     }
     eprintln!("debug-on-divergence: no register-state divergence found");
     Ok(())
-}
-
-fn run_fuzz_mode(args: &Args) -> Result<ExitCode, CliError> {
-    let cases = args.fuzz.unwrap_or(0);
-    reject_batched_dispatch(args)?;
-    // No --dispatch under --fuzz means the full matrix (all three
-    // dispatchers per VM level), not the scalar default of Match.
-    let dispatch = args.requested_dispatch()?;
-    if !cuttlesim::toolchain_available() {
-        // An explicit `--dispatch native` request with no toolchain is a
-        // loud no-op (exit 0, nothing silently substituted) so CI can run
-        // the native smoke unconditionally; a default-matrix run proceeds
-        // with native excluded, but says so.
-        if dispatch == Some(Dispatch::Native) {
-            eprintln!(
-                "SKIP: --fuzz --dispatch native requires a rustc toolchain, and none \
-                 was found (install rustc or point KOIKA_RUSTC at one); no cases run"
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        if dispatch.is_none() {
-            eprintln!(
-                "note: no rustc toolchain found; the native dispatcher is excluded \
-                 from the fuzz comparison matrix (12 backends instead of 18)"
-            );
-        }
-    }
-    let cfg = cuttlesim_repro::fuzz::FuzzConfig {
-        seed: args.seed,
-        cases,
-        cycles: args.cycles.unwrap_or(96),
-        runner: args.runner_config(),
-        wall_budget: args.max_wall_ms.map(Duration::from_millis),
-        batch: args.batch.unwrap_or(0),
-        dispatch,
-    };
-    let mut metrics = args
-        .metrics_json
-        .as_ref()
-        .map(|_| Metrics::new("fuzz", Vec::new(), Vec::new()));
-    let mut progress = report_progress("fuzz", metrics.as_mut());
-    let (report, stats) = cuttlesim_repro::fuzz::run_fuzz(&cfg, Some(&mut progress));
-    drop(progress);
-    print_runner_stats("fuzz", &stats);
-    print!("{}", report.summary());
-    if let Some(dir) = &args.corpus_dir {
-        if report.buckets.is_empty() {
-            eprintln!("no buckets; corpus dir {dir} left untouched");
-        } else {
-            let paths = cuttlesim_repro::fuzz::write_corpus(std::path::Path::new(dir), &report)
-                .map_err(|e| CliError::runtime(format!("failed to write corpus: {e}")))?;
-            for p in &paths {
-                eprintln!("wrote reproducer {}", p.display());
-            }
-        }
-    }
-    if let (Some(path), Some(m)) = (&args.metrics_json, &metrics) {
-        write_file(path, m.to_json(true).as_bytes())?;
-        eprintln!("wrote metrics snapshot to {path}");
-    }
-    if args.debug_on_divergence {
-        debug_first_fuzz_divergence(args, &report)?;
-    }
-    if report.buckets.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
-    }
 }
 
 fn run_replay_corpus_mode(args: &Args, dir: &str) -> Result<ExitCode, CliError> {
@@ -1286,7 +1063,195 @@ fn run_replay_corpus_mode(args: &Args, dir: &str) -> Result<ExitCode, CliError> 
     }
 }
 
-fn run_replay_mode(args: &Args, plan: &Plan, path: &str) -> Result<ExitCode, CliError> {
+/// `--serve`: run the session server until a client sends `shutdown`.
+fn run_serve_mode(args: &Args, addr: &str) -> Result<ExitCode, CliError> {
+    let mut cfg = ServerConfig {
+        runner: args.runner_config(),
+        default_watchdog: args.watchdog(),
+        ..ServerConfig::default()
+    };
+    if let Some(n) = args.max_sessions {
+        cfg.max_sessions = n;
+    }
+    if let Some(dir) = &args.state_dir {
+        cfg.state_dir = Some(std::path::PathBuf::from(dir));
+    }
+    let handle = koika_server::spawn(cfg, Arc::new(BundledDesigns::default()), addr)
+        .map_err(|e| CliError::runtime(format!("cannot serve on {addr}: {e}")))?;
+    if args.state_dir.is_some() {
+        // Scripts (and the CI kill -9 soak) parse this line.
+        println!(
+            "recovered {} sessions ({} lost)",
+            handle.recovered_sessions(),
+            handle.lost_sessions()
+        );
+    }
+    // Scripts parse this line to learn the bound port (`--serve 127.0.0.1:0`).
+    println!("serving on {}", handle.addr());
+    use std::io::Write as _;
+    let _ = std::io::stdout().flush();
+    let stats = handle.wait();
+    eprintln!(
+        "drained: {} requests, {} protocol errors, {} sessions spilled, {} panics contained",
+        stats.requests, stats.protocol_errors, stats.sessions_spilled, stats.panics_contained
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_campaign_mode(
+    args: &Args,
+    target: &Target,
+    sims: &SimFactory,
+    members: usize,
+) -> Result<ExitCode, CliError> {
+    let td = &target.td;
+    let cfg = CampaignConfig {
+        seed: args.seed,
+        members,
+        cycles: args.run_cycles(),
+        max_injections: args.max_injections,
+        stall_cycles: target.stall_cycles,
+    };
+    let make_sim = || Ok(sims.make());
+    let make_devices = || build_devices(td, &target.program);
+    let env = ParallelFactories {
+        td,
+        make_sim: &make_sim,
+        make_devices: &make_devices,
+    };
+    let opts = ParallelOptions {
+        runner: args.runner_config(),
+        wall_budget: args.max_wall_ms.map(Duration::from_millis),
+    };
+    let mut metrics = args.metrics_json.as_ref().map(|_| Metrics::for_design(td));
+    let mut progress = report_progress("campaign", metrics.as_mut());
+    let (report, stats) = match args.batch {
+        // Batched mode: each worker job drives one SoA batch whose lanes
+        // are consecutive campaign members. The report is byte-identical
+        // to the scalar path.
+        Some(width) => run_campaign_batched(
+            &env,
+            &|lanes| sims.batch(lanes),
+            width,
+            &cfg,
+            &opts,
+            Some(&mut progress),
+        ),
+        None => run_campaign_parallel(&env, &cfg, &opts, Some(&mut progress)),
+    }
+    .map_err(|e| CliError::runtime(e.to_string()))?;
+    drop(progress);
+    print_runner_stats("campaign", &stats);
+    print!("{}", report.summary());
+    if let Some(path) = &args.record {
+        // Only designs that take a workload record one (others replay with
+        // no devices).
+        let program = if target.program.is_some() { args.program.as_str() } else { "" };
+        let log = report.to_replay_log(&args.backend, args.level, program);
+        write_file(path, log.to_text().as_bytes())?;
+        eprintln!(
+            "wrote replay log ({} failing members) to {path}",
+            log.members.len()
+        );
+    }
+    if let (Some(path), Some(m)) = (&args.metrics_json, &metrics) {
+        write_file(path, m.to_json(true).as_bytes())?;
+        eprintln!("wrote metrics snapshot to {path}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `--debug` / `--debug-script`: attach the time-travel debugger to a
+/// fresh simulator and hand it the run loop.
+/// Watchdog trips are reported in-band at the paused prompt instead of
+/// exiting 3 — a run paused under a debugger is not a hang.
+fn run_debug_mode(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode, CliError> {
+    let td = &target.td;
+    let wd_wanted =
+        args.max_cycles.is_some() || args.stall_cycles.is_some() || args.max_wall_ms.is_some();
+    let mut armed = args.watchdog().arm();
+    let mut input = open_debug_input(args, None)?;
+    let mut out = std::io::stdout().lock();
+    let sim = sims.make_restored(args)?;
+    let mut target = ScalarTarget::new(sim, build_devices(td, &target.program));
+    koika::debug::run_session(
+        td,
+        &mut target,
+        &mut *input,
+        &mut out,
+        wd_wanted.then_some(&mut armed),
+        &args.debug_options(args.run_cycles()),
+    )
+    .map_err(|e| CliError::runtime(format!("debugger I/O error: {e}")))?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn run_fuzz_mode(args: &Args, dispatch: Option<Dispatch>) -> Result<ExitCode, CliError> {
+    // No --dispatch under --fuzz means the full matrix (all three
+    // dispatchers per VM level), not the scalar default of Match.
+    if !cuttlesim::toolchain_available() {
+        // An explicit `--dispatch native` request with no toolchain is a
+        // loud no-op (exit 0, nothing silently substituted) so CI can run
+        // the native smoke unconditionally; a default-matrix run proceeds
+        // with native excluded, but says so.
+        if dispatch == Some(Dispatch::Native) {
+            eprintln!(
+                "SKIP: --fuzz --dispatch native requires a rustc toolchain, and none \
+                 was found (install rustc or point KOIKA_RUSTC at one); no cases run"
+            );
+            return Ok(ExitCode::SUCCESS);
+        }
+        if dispatch.is_none() {
+            eprintln!(
+                "note: no rustc toolchain found; the native dispatcher is excluded \
+                 from the fuzz comparison matrix (12 backends instead of 18)"
+            );
+        }
+    }
+    let cfg = fuzz::FuzzConfig {
+        seed: args.seed,
+        cases: args.fuzz.unwrap_or(0),
+        cycles: args.cycles.unwrap_or(96),
+        runner: args.runner_config(),
+        wall_budget: args.max_wall_ms.map(Duration::from_millis),
+        batch: args.batch.unwrap_or(0),
+        dispatch,
+    };
+    let mut metrics = args
+        .metrics_json
+        .as_ref()
+        .map(|_| Metrics::new("fuzz", Vec::new(), Vec::new()));
+    let mut progress = report_progress("fuzz", metrics.as_mut());
+    let (report, stats) = fuzz::run_fuzz(&cfg, Some(&mut progress));
+    drop(progress);
+    print_runner_stats("fuzz", &stats);
+    print!("{}", report.summary());
+    if let Some(dir) = &args.corpus_dir {
+        if report.buckets.is_empty() {
+            eprintln!("no buckets; corpus dir {dir} left untouched");
+        } else {
+            let paths = fuzz::write_corpus(std::path::Path::new(dir), &report)
+                .map_err(|e| CliError::runtime(format!("failed to write corpus: {e}")))?;
+            for p in &paths {
+                eprintln!("wrote reproducer {}", p.display());
+            }
+        }
+    }
+    if let (Some(path), Some(m)) = (&args.metrics_json, &metrics) {
+        write_file(path, m.to_json(true).as_bytes())?;
+        eprintln!("wrote metrics snapshot to {path}");
+    }
+    if args.debug_on_divergence {
+        debug_first_fuzz_divergence(args, &report, &cfg)?;
+    }
+    if report.buckets.is_empty() {
+        Ok(ExitCode::SUCCESS)
+    } else {
+        Ok(ExitCode::FAILURE)
+    }
+}
+
+fn run_replay_mode(args: &Args, plan: &Plan, target: &Target, path: &str) -> Result<ExitCode, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
     let log = ReplayLog::from_text(&text).map_err(CliError::Runtime)?;
@@ -1296,8 +1261,8 @@ fn run_replay_mode(args: &Args, plan: &Plan, path: &str) -> Result<ExitCode, Cli
             log.design, args.design
         )));
     }
-    // The log's recorded environment wins over CLI defaults: backend,
-    // level, workload, and cycle count all come from the recording.
+    // The log's recorded environment decides the run: backend, level,
+    // workload, and cycle count all come from the recording.
     let level = OptLevel::from_number(log.level).unwrap_or_else(OptLevel::max);
     let program = if log.program.is_empty() || !args.design.starts_with("rv32") {
         None
@@ -1307,24 +1272,12 @@ fn run_replay_mode(args: &Args, plan: &Plan, path: &str) -> Result<ExitCode, Cli
                 .ok_or_else(|| CliError::runtime(format!("bad program {:?} in replay log", log.program)))?,
         )
     };
-    let td = &plan.td;
-    let backend = log.backend.clone();
-    let dispatch = plan.dispatch;
-    let td2 = td.clone();
-    let mut make_sim = move || {
-        build_sim(&td2, &backend, level, dispatch).unwrap_or_else(|e| {
-            match e {
-                CliError::Usage(m) | CliError::Runtime(m) => eprintln!("{m}"),
-            }
-            std::process::exit(1);
-        })
-    };
-    let td3 = td.clone();
-    let mut make_devices = move || build_devices(&td3, &program);
+    let td = &target.td;
+    let sims = SimFactory::new(td, &log.backend, level, plan.dispatch.unwrap_or_default())?;
     let mut engine = FaultEngine {
         td,
-        make_sim: &mut make_sim,
-        make_devices: &mut make_devices,
+        make_sim: &mut || sims.make(),
+        make_devices: &mut || build_devices(td, &program),
     };
     println!(
         "replaying {} members from {path} (design {}, backend {}, {} cycles)",
@@ -1357,157 +1310,27 @@ fn run_replay_mode(args: &Args, plan: &Plan, path: &str) -> Result<ExitCode, Cli
     Ok(ExitCode::SUCCESS)
 }
 
-fn run(args: &Args) -> Result<ExitCode, CliError> {
-    // The native-dispatch artifact cache is configured through the
-    // environment so every layer (scalar sims, batch engines, fuzz
-    // workers) sees the same directory without threading a path through.
-    if let Some(dir) = &args.native_cache {
-        std::env::set_var("KOIKA_NATIVE_CACHE", dir);
-    }
-    // --batch 0 is rejected up front: it applies to every mode, including
-    // the design-free ones dispatched below.
-    if args.batch == Some(0) {
-        return Err(CliError::usage("--batch must be at least 1"));
-    }
-    if args.batch.is_some() && args.replay_corpus.is_some() {
-        return Err(CliError::usage(
-            "--batch cannot be combined with --replay-corpus (corpus replay is scalar)",
-        ));
-    }
-    if args.debug_on_divergence && args.fuzz.is_none() && args.replay_corpus.is_none() {
-        return Err(CliError::usage(
-            "--debug-on-divergence requires --fuzz or --replay-corpus",
-        ));
-    }
-    // The server is its own design-free mode: sessions name designs over
-    // the wire, so it dispatches before design validation like --fuzz.
-    if let Some(addr) = &args.serve {
-        return run_serve_mode(args, addr);
-    }
-    if args.state_dir.is_some() {
-        return Err(CliError::usage("--state-dir requires --serve"));
-    }
-    if args.max_sessions.is_some() {
-        return Err(CliError::usage("--max-sessions requires --serve"));
-    }
-    // Design-free modes dispatch before design validation. Their flag
-    // conflicts are checked here; everything design-bound stays in
-    // `validate`.
-    if args.fuzz.is_some() || args.replay_corpus.is_some() {
-        let conflicts: Vec<&str> = [
-            args.fuzz.map(|_| "--fuzz"),
-            args.replay_corpus.as_ref().map(|_| "--replay-corpus"),
-            args.emit.as_ref().map(|_| "--emit"),
-            args.campaign.map(|_| "--campaign"),
-            args.replay.as_ref().map(|_| "--replay"),
-            args.inject.as_ref().map(|_| "--inject"),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        if conflicts.len() > 1 {
-            return Err(CliError::usage(format!(
-                "conflicting modes: {} cannot be combined",
-                conflicts.join(" and ")
-            )));
-        }
-        if !args.design.is_empty() {
-            return Err(CliError::usage(format!(
-                "{} does not take a <design> argument (got {:?})",
-                conflicts[0], args.design
-            )));
-        }
-        if args.jobs == 0 {
-            return Err(CliError::usage("--jobs must be at least 1"));
-        }
-        if args.debug {
-            return Err(CliError::usage(
-                "--debug requires a <design>; with --fuzz/--replay-corpus use \
-                 --debug-on-divergence",
-            ));
-        }
-        if args.debug_script.is_some() && !args.debug_on_divergence {
-            return Err(CliError::usage(
-                "--debug-script with --fuzz/--replay-corpus requires \
-                 --debug-on-divergence",
-            ));
-        }
-        if args.fuzz.is_some() {
-            return run_fuzz_mode(args);
-        }
-        if let Some(dir) = &args.replay_corpus {
-            return run_replay_corpus_mode(args, dir);
-        }
-    }
-    if args.design.is_empty() {
-        return Err(CliError::usage(
-            "missing <design> argument (or use --fuzz / --replay-corpus)",
-        ));
-    }
-    if args.corpus_dir.is_some() && args.fuzz.is_none() {
-        return Err(CliError::usage("--corpus-dir requires --fuzz"));
-    }
-
-    let plan = validate(args)?;
-    let td = &plan.td;
-
-    if let Some(what) = &args.emit {
-        match what.as_str() {
-            "cpp" => print!("{}", codegen_cpp::emit(td)),
-            "cpp-header" => print!("{}", codegen_cpp::emit_runtime_header()),
-            "verilog" => {
-                let model = rtl_compile(td, Scheme::Dynamic)
-                    .map_err(|e| CliError::runtime(format!("rtl error: {e}")))?;
-                print!("{}", verilog::emit(&model));
-            }
-            _ => unreachable!("validated"),
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-    if let Some(n) = args.campaign {
-        return run_campaign_mode(args, &plan, n);
-    }
-    if let Some(path) = &args.replay {
-        return run_replay_mode(args, &plan, path);
-    }
-    if args.debug_requested() {
-        return run_debug_mode(args, &plan);
-    }
-
-    // Normal run (possibly with injections, snapshots, and a watchdog).
-    let mut devices = build_devices(td, &plan.program);
+/// A plain run, possibly with injections, snapshots, observers, and a
+/// watchdog.
+fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode, CliError> {
+    let td = &target.td;
+    let mut devices = build_devices(td, &target.program);
     let mut vcd = args.vcd.as_ref().map(|_| VcdRecorder::all_registers(td));
-    let mut sim = build_sim(td, &args.backend, plan.level, plan.dispatch)?;
-
-    if let Some(path) = &args.restore {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
-        let snap = Snapshot::from_bytes(&bytes)
-            .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
-        sim.restore(&snap)
-            .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
-        println!("restored {} at cycle {} from {path}", snap.design, snap.cycles);
-    }
+    let mut sim = sims.make_restored(args)?;
 
     // Observability sinks, attached only when asked for — unobserved runs
     // take the plain `cycle()` path below.
     let mut metrics = args.metrics_json.as_ref().map(|_| Metrics::for_design(td));
     let mut perfetto = args.perfetto.as_ref().map(|_| PerfettoTrace::for_design(td));
-    let mut watch = if plan.watch.is_empty() {
+    let mut watch = if target.watch.is_empty() {
         None
     } else {
-        Some(RegWatch::printing(plan.watch.clone()))
+        Some(RegWatch::printing(target.watch.clone()))
     };
     // Injected runs also record commit fingerprints so the run can be
     // classified against a golden run afterwards.
-    let mut fingerprint = (!plan.injections.is_empty()).then(CommitFingerprint::default);
-    let mut seu_printer = (!plan.injections.is_empty()).then_some(SeuPrinter { td });
-
-    let watchdog = Watchdog {
-        max_cycles: args.max_cycles,
-        stall_cycles: args.stall_cycles,
-        wall_budget: args.max_wall_ms.map(Duration::from_millis),
-    };
+    let mut fingerprint = (!target.injections.is_empty()).then(CommitFingerprint::default);
+    let mut seu_printer = (!target.injections.is_empty()).then_some(SeuPrinter { td });
 
     let start = std::time::Instant::now();
     let start_cycle = sim.cycle_count();
@@ -1540,7 +1363,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         if let Some(v) = &mut vcd {
             devs.push(v);
         }
-        let mut armed = watchdog.arm();
+        let mut armed = args.watchdog().arm();
         let mut left = main_cycles;
         // Runs in chunks that end on `--snapshot-every` boundaries; a
         // snapshot due on the tripping cycle is written before the trip
@@ -1548,12 +1371,12 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         while left > 0 {
             let chunk = args.snapshot_every.map_or(left, |k| left.min(k - sim.cycle_count() % k));
             let obs = fan.as_mut().map(|f| f as &mut dyn Observer);
-            let run = run_watchdogged(&mut *sim, &mut devs, chunk, &plan.injections, &mut armed, obs);
+            let run = run_watchdogged(&mut *sim, &mut devs, chunk, &target.injections, &mut armed, obs);
             left -= chunk;
             if let Some(k) = args.snapshot_every {
                 let now = sim.cycle_count();
                 if now % k == 0 {
-                    let path = format!("{}{now:08}.ksnap", plan.snapshot_prefix);
+                    let path = format!("{}{now:08}.ksnap", target.snapshot_prefix);
                     write_file(&path, &sim.snapshot().to_bytes())?;
                     println!("wrote snapshot {path}");
                 }
@@ -1590,31 +1413,16 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
 
     // Classify an injected run against a fresh golden run.
     if let Some(fp) = &fingerprint {
-        let backend = args.backend.clone();
-        let level = plan.level;
-        let dispatch = plan.dispatch;
-        let td2 = td.clone();
-        let mut make_sim = move || {
-            build_sim(&td2, &backend, level, dispatch).unwrap_or_else(|e| {
-                match e {
-                    CliError::Usage(m) | CliError::Runtime(m) => eprintln!("{m}"),
-                }
-                std::process::exit(1);
-            })
-        };
-        let program = plan.program.clone();
-        let td3 = td.clone();
-        let mut make_devices = move || build_devices(&td3, &program);
         let mut engine = FaultEngine {
             td,
-            make_sim: &mut make_sim,
-            make_devices: &mut make_devices,
+            make_sim: &mut || sims.make(),
+            make_devices: &mut || build_devices(td, &target.program),
         };
         let golden = engine
-            .golden(main_cycles, plan.stall_cycles)
+            .golden(main_cycles, target.stall_cycles)
             .map_err(|e| CliError::runtime(e.to_string()))?;
         let final_regs: Vec<u64> = (0..td.regs.len())
-            .map(|i| sim.as_reg_access().get64(koika::RegId(i as u32)))
+            .map(|i| sim.as_reg_access().get64(RegId(i as u32)))
             .collect();
         let outcome = classify(
             &golden,
@@ -1625,41 +1433,25 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         println!("injection outcome: {outcome}");
     }
 
-    if let (Some(n), "cuttlesim") = (args.trace, args.backend.as_str()) {
-        // Tracing uses the VM's stepping API: rebuild a fresh Sim with the
-        // same (deterministic) devices, fast-forward, then record the tail.
-        let mut traced = Sim::compile_with(
-            td,
-            &CompileOptions {
-                level: plan.level,
-                ..CompileOptions::default()
-            },
-        )
-        .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-        traced.set_dispatch(plan.dispatch);
-        let mut devices2 = build_devices(td, &plan.program);
-        let mut dev_refs: Vec<&mut dyn Device> = devices2.iter_mut().map(|d| &mut **d as _).collect();
-        traced.run(main_cycles, &mut dev_refs);
-        let trace = RuleTrace::record(&mut traced, &mut dev_refs, n);
+    if let (Some(n), Some(vm)) = (args.trace, sims.vm()) {
+        // Tracing uses the VM's stepping API: a fresh Sim with the same
+        // (deterministic) devices fast-forwards, then records the tail.
+        let mut traced = vm.clone();
+        let mut devices = build_devices(td, &target.program);
+        let mut devs: Vec<&mut dyn Device> = devices.iter_mut().map(|d| &mut **d as _).collect();
+        traced.run(main_cycles, &mut devs);
+        let trace = RuleTrace::record(&mut traced, &mut devs, n);
         println!("\nRule activity (last {n} cycles):\n{trace}");
     }
 
-    if args.profile && args.backend == "cuttlesim" {
+    if let (true, Some(vm)) = (args.profile, sims.vm()) {
         // Profiling turns off native whole-cycle dispatch, so the main run
         // stays unprofiled and a fresh profiled Sim re-runs its cycles.
-        let mut profiled = Sim::compile_with(
-            td,
-            &CompileOptions {
-                level: plan.level,
-                ..CompileOptions::default()
-            },
-        )
-        .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-        profiled.set_dispatch(plan.dispatch);
+        let mut profiled = vm.clone();
         profiled.enable_profiling();
-        let mut devices3 = build_devices(td, &plan.program);
-        let mut dev_refs: Vec<&mut dyn Device> = devices3.iter_mut().map(|d| &mut **d as _).collect();
-        profiled.run(main_cycles, &mut dev_refs);
+        let mut devices = build_devices(td, &target.program);
+        let mut devs: Vec<&mut dyn Device> = devices.iter_mut().map(|d| &mut **d as _).collect();
+        profiled.run(main_cycles, &mut devs);
         println!("\n{}", ProfileReport::collect(&profiled));
     }
 
@@ -1692,24 +1484,55 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(Ok(code)) => return code,
-        Err(Err(e)) => {
-            return match e {
-                CliError::Usage(msg) => {
-                    eprintln!("{msg}\n{}", usage_hint());
-                    ExitCode::from(2)
-                }
-                CliError::Runtime(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    let plan = validate(args)?;
+    // The native-dispatch artifact cache is configured through the
+    // environment so every layer (scalar sims, batch engines, fuzz
+    // workers) sees the same directory without threading a path through.
+    if let Some(dir) = &args.native_cache {
+        std::env::set_var("KOIKA_NATIVE_CACHE", dir);
+    }
+    match (plan.mode, &args.serve, &args.replay_corpus) {
+        (Mode::Serve, Some(addr), _) => return run_serve_mode(args, addr),
+        (Mode::Fuzz, ..) => return run_fuzz_mode(args, plan.dispatch),
+        (Mode::ReplayCorpus, _, Some(dir)) => return run_replay_corpus_mode(args, dir),
+        _ => {}
+    }
+    let target = Target::resolve(args, plan.mode)?;
+    let td = &target.td;
+    match (&args.emit, &args.replay) {
+        (Some(what), _) => {
+            match what.as_str() {
+                "cpp" => print!("{}", codegen_cpp::emit(td)),
+                "cpp-header" => print!("{}", codegen_cpp::emit_runtime_header()),
+                _ => {
+                    let model = rtl_compile(td, Scheme::Dynamic)
+                        .map_err(|e| CliError::runtime(format!("rtl error: {e}")))?;
+                    print!("{}", verilog::emit(&model));
                 }
             }
+            return Ok(ExitCode::SUCCESS);
         }
-    };
-    match run(&args) {
+        (None, Some(path)) => return run_replay_mode(args, &plan, &target, path),
+        (None, None) => {}
+    }
+    let sims = SimFactory::new(td, &args.backend, plan.level, plan.dispatch.unwrap_or_default())?;
+    match (plan.mode, args.campaign) {
+        (Mode::Campaign, Some(n)) => run_campaign_mode(args, &target, &sims, n),
+        (Mode::Debug, _) => run_debug_mode(args, &target, &sims),
+        _ => run_plain(args, &target, &sims),
+    }
+}
+
+fn main() -> ExitCode {
+    let result = parse_args(std::env::args().skip(1)).and_then(|args| match args {
+        Some(args) => run(&args),
+        None => {
+            print!("{HELP}");
+            Ok(ExitCode::SUCCESS)
+        }
+    });
+    match result {
         Ok(code) => code,
         Err(CliError::Usage(msg)) => {
             eprintln!("{msg}\n{}", usage_hint());
@@ -1718,6 +1541,36 @@ fn main() -> ExitCode {
         Err(CliError::Runtime(msg)) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_args, CliError, FLAGS, HELP};
+
+    fn parses(argv: &[&str]) -> Result<(), String> {
+        match parse_args(argv.iter().map(|a| a.to_string())) {
+            Ok(_) => Ok(()),
+            Err(CliError::Usage(msg) | CliError::Runtime(msg)) => Err(msg),
+        }
+    }
+
+    #[test]
+    fn help_and_parser_name_the_same_flags() {
+        for (flag, _) in &FLAGS {
+            assert!(HELP.contains(&format!("  {flag} ")), "--help does not document {flag}");
+            // Flags that take a value get one every parser accepts.
+            if let Err(msg) = parses(&[flag]).or_else(|_| parses(&[flag, "1"])) {
+                panic!("{flag} is in the admission table but does not parse: {msg}");
+            }
+        }
+        let named = HELP.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+        for word in named.filter(|w| w.starts_with("--") && w.len() > 2) {
+            assert!(
+                FLAGS.iter().any(|(flag, _)| *flag == word),
+                "--help names {word}, which the parser does not accept"
+            );
         }
     }
 }

@@ -551,6 +551,58 @@ fn cli_rejects_bad_flag_combinations_up_front_without_panicking() {
         // Server-only flags are meaningless in one-shot mode.
         &["collatz", "--state-dir", "d"],
         &["collatz", "--max-sessions", "4"],
+        // Zero counts are refused in every mode that takes them.
+        &["collatz", "--batch", "0"],
+        &["collatz", "--jobs", "0"],
+        &["--fuzz", "2", "--jobs", "0"],
+        // Mode-bound flags outside their mode.
+        &["--replay-corpus", "corpus", "--batch", "2"],
+        &["collatz", "--corpus-dir", "d"],
+        &["collatz", "--fuzz", "2"],
+        &["--fuzz", "2", "--debug-script", "s.kdb"],
+        &["collatz", "--debug", "--debug-script", "s.kdb"],
+        &["collatz", "--emit", "cpp", "--campaign", "2"],
+        // Flags the chosen mode never reads.
+        &["collatz", "--cycles", "8", "--jobs", "2"],
+        &["collatz", "--cycles", "8", "--retries", "1"],
+        &["collatz", "--cycles", "8", "--seed", "5"],
+        &["collatz", "--emit", "cpp", "--cycles", "8"],
+        &["collatz", "--emit", "cpp", "--watch", "x"],
+        &["collatz", "--emit", "cpp", "--max-cycles", "8"],
+        &["rv32i", "--emit", "cpp", "--program", "nops:4"],
+        &["collatz", "--campaign", "2", "--max-cycles", "8"],
+        &["collatz", "--campaign", "2", "--watch", "x"],
+        &["collatz", "--campaign", "2", "--snapshot-every", "4"],
+        &["collatz", "--campaign", "2", "--restore", "x.ksnap"],
+        &["collatz", "--campaign", "2", "--vcd", "x.vcd"],
+        &["collatz", "--campaign", "2", "--perfetto", "x.json"],
+        &["collatz", "--replay", "x.log", "--backend", "rtl"],
+        &["collatz", "--replay", "x.log", "--level", "2"],
+        &["collatz", "--replay", "x.log", "--cycles", "8"],
+        &["collatz", "--replay", "x.log", "--seed", "5"],
+        &["collatz", "--replay", "x.log", "--stall-cycles", "8"],
+        &["collatz", "--replay", "x.log", "--metrics-json", "m.json"],
+        &["collatz", "--debug-script", "s.kdb", "--seed", "5"],
+        &["collatz", "--debug-script", "s.kdb", "--jobs", "2"],
+        &["collatz", "--debug-script", "s.kdb", "--snapshot-prefix", "y-"],
+        &["--fuzz", "1", "--backend", "rtl"],
+        &["--fuzz", "1", "--level", "2"],
+        &["--fuzz", "1", "--record", "f.log"],
+        &["--fuzz", "1", "--max-cycles", "8"],
+        &["--fuzz", "1", "--stall-cycles", "8"],
+        &["--fuzz", "1", "--vcd", "f.vcd"],
+        &["--replay-corpus", "corpus", "--jobs", "2"],
+        &["--replay-corpus", "corpus", "--seed", "5"],
+        &["--replay-corpus", "corpus", "--cycles", "8"],
+        &["--replay-corpus", "corpus", "--dispatch", "tac"],
+        &["--replay-corpus", "corpus", "--corpus-dir", "d"],
+        &["--replay-corpus", "corpus", "--metrics-json", "m.json"],
+        &["--serve", "127.0.0.1:0", "--backend", "interp"],
+        &["--serve", "127.0.0.1:0", "--level", "2"],
+        &["--serve", "127.0.0.1:0", "--dispatch", "tac"],
+        &["--serve", "127.0.0.1:0", "--native-cache", "d"],
+        &["--serve", "127.0.0.1:0", "--program", "nops:4"],
+        &["--serve", "127.0.0.1:0", "--max-injections", "2"],
     ];
     for case in cases {
         let out = koika_sim().args(*case).output().unwrap();
@@ -564,6 +616,124 @@ fn cli_rejects_bad_flag_combinations_up_front_without_panicking() {
         assert!(!err.is_empty(), "{case:?} must print a message");
         assert!(!err.contains("panicked"), "{case:?} panicked: {err}");
     }
+}
+
+#[test]
+fn cli_accepts_every_mode_with_the_flags_it_uses() {
+    // One short invocation per mode, between them passing every flag each
+    // mode uses: each must exit 0, so admission never refuses a flag that
+    // its mode reads.
+    let dir = std::env::temp_dir().join(format!("koika-accept-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(path("quit.kdb"), "step 2\nquit\n").unwrap();
+    let cases: Vec<Vec<String>> = [
+        vec!["fir", "--emit", "verilog", "--level", "3"],
+        vec!["collatz", "--emit", "cpp", "--backend", "cuttlesim", "--dispatch", "tac"],
+        vec!["collatz", "--emit", "cpp-header"],
+        vec!["collatz", "--cycles", "16", "--backend", "rtl", "--vcd", &path("c.vcd")],
+        vec!["collatz", "--cycles", "16", "--trace", "4", "--profile"],
+        vec![
+            "collatz", "--cycles", "16", "--dispatch", "tac", "--level", "2",
+            "--metrics-json", &path("m.json"), "--perfetto", &path("p.json"), "--watch", "x",
+            "--snapshot-every", "8", "--snapshot-prefix", &path("s-"), "--max-cycles", "100",
+            "--stall-cycles", "50", "--max-wall-ms", "60000",
+        ],
+        vec!["collatz", "--cycles", "8", "--restore", &path("s-00000016.ksnap")],
+        vec!["collatz", "--cycles", "16", "--inject", "7", "--max-injections", "2"],
+        vec!["rv32i", "--cycles", "16", "--program", "nops:4", "--backend", "rtl-static"],
+        vec![
+            "rv32i", "--cycles", "64", "--campaign", "3", "--record", &path("r.log"),
+            "--jobs", "2", "--retries", "0", "--max-wall-ms", "60000", "--max-injections", "2",
+        ],
+        vec!["rv32i", "--cycles", "64", "--campaign", "3", "--batch", "2", "--dispatch", "tac"],
+        vec![
+            "collatz", "--cycles", "32", "--campaign", "4", "--seed", "5", "--stall-cycles", "8",
+            "--backend", "interp", "--metrics-json", &path("cm.json"),
+        ],
+        vec!["rv32i", "--replay", &path("r.log"), "--dispatch", "tac"],
+        vec!["--fuzz", "2", "--cycles", "8", "--corpus-dir", &path("corpus")],
+        vec![
+            "--fuzz", "2", "--cycles", "8", "--seed", "3", "--jobs", "2", "--retries", "1",
+            "--max-wall-ms", "60000", "--batch", "2", "--dispatch", "tac",
+            "--metrics-json", &path("fm.json"),
+        ],
+        vec!["collatz", "--cycles", "8", "--debug-script", &path("quit.kdb"), "--max-cycles", "8"],
+        vec![
+            "rv32i", "--cycles", "8", "--debug-script", &path("quit.kdb"), "--dispatch", "tac",
+            "--program", "primes:5", "--restore", &path("rv-00000008.ksnap"),
+        ],
+    ]
+    .into_iter()
+    .map(|c| c.into_iter().map(String::from).collect())
+    .collect();
+    // The rv32i debug case restores a snapshot this run writes.
+    let out = koika_sim()
+        .args(["rv32i", "--cycles", "8", "--program", "primes:5", "--snapshot-every", "8"])
+        .args(["--snapshot-prefix", &path("rv-")])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for case in &cases {
+        let out = koika_sim().args(case).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{case:?} must exit 0, stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_reports_a_missing_toolchain_once_before_running() {
+    // A fresh artifact cache and an unrunnable rustc, set on the child
+    // only: every mode that builds a native simulator exits 2 with a
+    // message before it runs anything (a warm cache would load without
+    // rustc). `--fuzz` skips loudly, and `--emit` builds no simulator.
+    let dir = std::env::temp_dir().join(format!("koika-no-rustc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(path("quit.kdb"), "quit\n").unwrap();
+    let out = koika_sim()
+        .args(["collatz", "--cycles", "32", "--campaign", "4", "--record", &path("c.log")])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let no_rustc = |case: &[&str]| {
+        koika_sim()
+            .args(case)
+            .args(["--dispatch", "native", "--native-cache", &path("cache")])
+            .env("KOIKA_RUSTC", "/nonexistent/rustc")
+            .output()
+            .unwrap()
+    };
+    let cases: &[&[&str]] = &[
+        &["collatz", "--cycles", "8"],
+        &["collatz", "--cycles", "8", "--campaign", "2"],
+        &["collatz", "--cycles", "8", "--debug-script", &path("quit.kdb")],
+        &["collatz", "--replay", &path("c.log")],
+    ];
+    for case in cases {
+        let out = no_rustc(case);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case:?} must exit 2, stderr: {err}");
+        assert!(err.contains("cannot select native dispatch"), "{case:?}: {err}");
+        assert!(!err.contains("panicked"), "{case:?} panicked: {err}");
+        assert!(out.stdout.is_empty(), "{case:?} ran before failing");
+    }
+    let out = no_rustc(&["--fuzz", "2"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(err.contains("SKIP:"), "the fuzz skip must be loud: {err}");
+    // Before the factory, `--emit` refused native here too (exit 2).
+    let out = no_rustc(&["collatz", "--emit", "cpp"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("collatz"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
