@@ -63,6 +63,31 @@
 //! stream leaves the golden run's and finish the member on a scalar
 //! simulator (`koika::fault::run_campaign_batched`).
 //!
+//! # Dormant lanes and the live span
+//!
+//! A retired lane can come back: [`BatchSim::admit_lane`] makes it live
+//! again at a cycle boundary, running on from the registers the caller
+//! wrote through [`BatchSim::lane_set64`] (whatever else its column was
+//! left with is never read). Fault campaigns use this to start a member
+//! at its first injection: its lane sits retired (*dormant*) from cycle 0,
+//! and at that cycle it is filled from a golden checkpoint and admitted.
+//!
+//! The per-lane work of a cycle runs over the *live span*, lanes
+//! `[0, span)` where `span` is one past the highest live lane: the
+//! micro-op kernels and gates, the rule-entry snapshot, the rule-end
+//! settle on footprint stripes, and the divergence re-runs. The stride
+//! stays `lanes`, so no column moves when the span changes. Retiring the
+//! top live lane shrinks the span to the next live lane below it;
+//! admitting a lane above it grows the span. Retired lanes inside the
+//! span are still computed (as garbage nothing reads) but never counted
+//! or re-run. Plane-wide passes (the begin-cycle clears, the prologue
+//! copies, whole-plane commits and the end-cycle `boc` merge) still cover
+//! every lane: one contiguous `memset` or `memcpy` per plane costs less
+//! than one per register stripe, which measured slower than the full pass
+//! at a span of 24 of 32 lanes on rv32i. A caller that admits lanes in
+//! slot order, earliest first, keeps the span short while most lanes are
+//! still dormant.
+//!
 //! # Quick start
 //!
 //! ```
@@ -224,9 +249,9 @@ impl LaneWord for u64 {
     }
 }
 
-/// `dst = src` over whole `lanes`-wide stripes: a plain copy when `active`
-/// is `None` (every lane in lock-step), else a blend that writes only the
-/// lanes `active` selects. The blend costs a third load per word; on
+/// `dst = src` over whole stripes, `active.len()` lanes each: a plain
+/// copy when `active` is `None` (every lane in lock-step), else a blend
+/// that writes only the lanes `active` selects. The blend costs a third load per word; on
 /// lock-step-bound runs it is measurably slower than the copy (see
 /// EXPERIMENTS.md), so the rule-end copies take it only after a split.
 #[inline(always)]
@@ -289,11 +314,14 @@ pub struct BatchSim {
     // is ever saved — data stripes and slot files are recoverable without
     // a snapshot (see `step_rule_batch_inner`).
     snap_rw: Vec<u8>,
-    /// Per-lane batch membership: `0xFF` until [`BatchSim::retire_lane`]
-    /// takes the lane out for good, then `0`.
+    /// Per-lane batch membership: `0xFF` while the lane is in the batch,
+    /// `0` from [`BatchSim::retire_lane`] until [`BatchSim::admit_lane`].
     live: Vec<u8>,
     /// Number of live lanes.
     nlive: usize,
+    /// One past the highest live lane: the per-lane work of a cycle runs
+    /// over lanes `[0, span)`.
+    span: usize,
     /// Per-lane lock-step membership during one rule run: `0xFF` while
     /// the lane follows the batch, `0` once a split dropped it (or it was
     /// retired). Every live lane is active again at the next rule.
@@ -401,6 +429,7 @@ impl BatchSim {
             snap_rw: vec![0; n * lanes],
             live: vec![0xFF; lanes],
             nlive: lanes,
+            span: lanes,
             active: vec![0xFF; lanes],
             nactive: lanes,
             lockstep_rules: 0,
@@ -487,9 +516,10 @@ impl BatchSim {
     /// [`BatchBackend::retire_lane`]): from the next rule on it is never
     /// counted at a gate or jump and never re-run, its columns, commits and
     /// counters stop being meaningful, and the rule-end copies stop
-    /// blending around it. Once no lane is live a cycle skips the schedule
-    /// and only advances the cycle count. Retiring a lane twice is a
-    /// no-op.
+    /// blending around it. Retiring the highest live lane shrinks the live
+    /// span to the next live lane below it. Once no lane is live a cycle
+    /// skips the schedule and only advances the cycle count. Retiring a
+    /// lane twice is a no-op.
     ///
     /// # Panics
     ///
@@ -502,7 +532,46 @@ impl BatchSim {
             // Between rules `active == live`.
             self.active[lane] = 0;
             self.nactive = self.nlive;
+            while self.span > 0 && self.live[self.span - 1] == 0 {
+                self.span -= 1;
+            }
         }
+    }
+
+    /// Brings a retired lane back into the batch at this cycle boundary
+    /// (see [`BatchBackend::admit_lane`]): it runs on from the registers
+    /// [`BatchSim::lane_set64`] wrote since it was retired, its
+    /// [`BatchSim::lane_fired`] restarts at zero, and
+    /// [`BatchSim::lane_commits`] is meaningful again after the next
+    /// cycle. Admitting a lane above the live span grows the span to it.
+    /// Admitting a live lane is a no-op.
+    ///
+    /// Nothing else of the column needs resetting: the begin-cycle clears
+    /// cover every lane, so no stale read-write bit survives into the next
+    /// cycle, and the data planes are read only under those bits or, at
+    /// `no_boc` levels, are the registers `lane_set64` wrote.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn admit_lane(&mut self, lane: usize) {
+        assert!(lane < self.lanes, "lane out of range");
+        if self.live[lane] != 0 {
+            return;
+        }
+        self.fired[lane] = self.fired_base.wrapping_neg();
+        self.live[lane] = 0xFF;
+        self.nlive += 1;
+        self.active[lane] = 0xFF;
+        self.nactive = self.nlive;
+        self.span = self.span.max(lane + 1);
+    }
+
+    /// One past the highest live lane: the per-lane work of a cycle runs
+    /// over lanes `[0, live_span)` (see the module docs, "Dormant lanes
+    /// and the live span").
+    pub fn live_span(&self) -> usize {
+        self.span
     }
 
     /// One lane's current value of `reg` (the same observable as the scalar
@@ -541,10 +610,11 @@ impl BatchSim {
     }
 
     /// Total rules committed by one lane (lock-step base plus the lane's
-    /// divergence-fallback overlay).
+    /// divergence-fallback overlay), since construction or since the lane
+    /// was last admitted.
     pub fn lane_fired(&self, lane: usize) -> u64 {
         assert!(lane < self.lanes, "lane out of range");
-        self.fired_base + self.fired[lane]
+        self.fired_base.wrapping_add(self.fired[lane])
     }
 
     /// The rules one lane committed during the most recent cycle, as rule
@@ -568,7 +638,10 @@ impl BatchSim {
     /// [`compile`](crate::compile::compile)); the cycle is abandoned
     /// mid-way and the batch state is unspecified (but memory-safe).
     pub fn cycle(&mut self) -> Result<(), VmError> {
-        // begin_cycle, vectorized.
+        // begin_cycle, vectorized. Plane-wide clears and copies (here, in
+        // the rule prologue and in the `boc` merge) cover every lane: one
+        // contiguous pass costs less than one per live-span stripe, and a
+        // clear over every lane is what lets `admit_lane` reset nothing.
         self.cyc_rw.fill(0);
         if self.prog.cfg.reset_on_fail {
             self.log_rw.fill(0);
@@ -630,7 +703,7 @@ impl BatchSim {
 
     fn step_rule_batch_inner(&mut self, rule_idx: usize, meta: &RuleMeta) -> Result<(), VmError> {
         let cfg = self.prog.cfg;
-        let lanes = self.lanes;
+        let (lanes, span) = (self.lanes, self.span);
 
         // Rule prologue, vectorized — this is the SoA payoff: the ladder's
         // per-rule log maintenance is a fixed number of whole-array copies
@@ -670,7 +743,7 @@ impl BatchSim {
         if cfg.reset_on_fail {
             for &r in &meta.touched {
                 let s = r as usize * lanes;
-                self.snap_rw[s..s + lanes].copy_from_slice(&self.log_rw[s..s + lanes]);
+                self.snap_rw[s..s + span].copy_from_slice(&self.log_rw[s..s + span]);
             }
         }
 
@@ -681,7 +754,7 @@ impl BatchSim {
             if outcome.is_ok() {
                 self.fired_base += 1;
                 if self.commits_split {
-                    for c in &mut self.commits {
+                    for c in &mut self.commits[..span] {
                         c.push(rule_idx as u32);
                     }
                 } else {
@@ -705,14 +778,14 @@ impl BatchSim {
                 commits_uniform,
                 ..
             } = self;
-            for c in commits.iter_mut() {
+            for c in &mut commits[..span] {
                 c.clear();
                 c.extend_from_slice(commits_uniform);
             }
             self.commits_split = true;
         }
         let mut executed = 0u64;
-        for l in 0..lanes {
+        for l in 0..span {
             let committed = if self.active[l] != 0 {
                 outcome.is_ok()
             } else if self.live[l] == 0 {
@@ -734,7 +807,7 @@ impl BatchSim {
                 committed
             };
             if committed {
-                self.fired[l] += 1;
+                self.fired[l] = self.fired[l].wrapping_add(1);
                 self.commits[l].push(rule_idx as u32);
             }
         }
@@ -748,7 +821,7 @@ impl BatchSim {
     /// lanes dropped from lock-step are left to the scalar re-run.
     fn settle_active(&mut self, rule_idx: usize, meta: &RuleMeta, outcome: Result<(), bool>) {
         let cfg = self.prog.cfg;
-        let lanes = self.lanes;
+        let (lanes, span) = (self.lanes, self.span);
         let BatchSim {
             prog,
             cyc_rw,
@@ -763,8 +836,12 @@ impl BatchSim {
             ..
         } = self;
         // A retired lane's columns are don't-care, so the copies blend
-        // only when a live lane was dropped.
-        let act = (*nactive < *nlive).then_some(&active[..]);
+        // only when a live lane was dropped: over whole planes with the
+        // whole `active` plane, over live-span stripes with its span.
+        let split = *nactive < *nlive;
+        let act_all = split.then_some(&active[..]);
+        let active = &active[..span];
+        let act = split.then_some(active);
         // One copy plan, `dst = src` on the plan's registers: a commit
         // copies log → cycle, a rollback cycle → log.
         macro_rules! apply_plan {
@@ -774,22 +851,22 @@ impl BatchSim {
             ) => {
                 match $plan {
                     CopyPlan::Full => {
-                        copy_lanes($drw, $srw, act);
-                        copy_lanes($dd0, $sd0, act);
+                        copy_lanes($drw, $srw, act_all);
+                        copy_lanes($dd0, $sd0, act_all);
                         if !cfg.merged_data {
-                            copy_lanes($dd1, $sd1, act);
+                            copy_lanes($dd1, $sd1, act_all);
                         }
                     }
                     CopyPlan::Footprint { rw, data } => {
                         for &r in rw {
                             let s = r as usize * lanes;
-                            copy_lanes(&mut $drw[s..s + lanes], &$srw[s..s + lanes], act);
+                            copy_lanes(&mut $drw[s..s + span], &$srw[s..s + span], act);
                         }
                         for &r in data {
                             let s = r as usize * lanes;
-                            copy_lanes(&mut $dd0[s..s + lanes], &$sd0[s..s + lanes], act);
+                            copy_lanes(&mut $dd0[s..s + span], &$sd0[s..s + span], act);
                             if !cfg.merged_data {
-                                copy_lanes(&mut $dd1[s..s + lanes], &$sd1[s..s + lanes], act);
+                                copy_lanes(&mut $dd1[s..s + span], &$sd1[s..s + span], act);
                             }
                         }
                     }
@@ -804,35 +881,35 @@ impl BatchSim {
                 // (all-ones until a split) leaves dropped lanes alone.
                 for &r in &meta.touched {
                     let s = r as usize * lanes;
-                    let lrw = &log_rw[s..s + lanes];
-                    for ((c, &rl), &a) in cyc_rw[s..s + lanes].iter_mut().zip(lrw).zip(&*active) {
+                    let lrw = &log_rw[s..s + span];
+                    for ((c, &rl), &a) in cyc_rw[s..s + span].iter_mut().zip(lrw).zip(active) {
                         *c |= rl & a;
                     }
                     if cfg.merged_data {
-                        for (((c, &d), &rl), &a) in cyc_d0[s..s + lanes]
+                        for (((c, &d), &rl), &a) in cyc_d0[s..s + span]
                             .iter_mut()
-                            .zip(&log_d0[s..s + lanes])
+                            .zip(&log_d0[s..s + span])
                             .zip(lrw)
-                            .zip(&*active)
+                            .zip(active)
                         {
                             let m = lane_mask(rl & a & (W0 | W1) != 0);
                             *c = (d & m) | (*c & !m);
                         }
                     } else {
-                        for (((c, &d), &rl), &a) in cyc_d0[s..s + lanes]
+                        for (((c, &d), &rl), &a) in cyc_d0[s..s + span]
                             .iter_mut()
-                            .zip(&log_d0[s..s + lanes])
+                            .zip(&log_d0[s..s + span])
                             .zip(lrw)
-                            .zip(&*active)
+                            .zip(active)
                         {
                             let m = lane_mask(rl & a & W0 != 0);
                             *c = (d & m) | (*c & !m);
                         }
-                        for (((c, &d), &rl), &a) in cyc_d1[s..s + lanes]
+                        for (((c, &d), &rl), &a) in cyc_d1[s..s + span]
                             .iter_mut()
-                            .zip(&log_d1[s..s + lanes])
+                            .zip(&log_d1[s..s + span])
                             .zip(lrw)
-                            .zip(&*active)
+                            .zip(active)
                         {
                             let m = lane_mask(rl & a & W1 != 0);
                             *c = (d & m) | (*c & !m);
@@ -989,6 +1066,7 @@ impl BatchSim {
         let cfg = self.prog.cfg;
         let BatchSim {
             lanes,
+            span,
             tmp,
             tac,
             slots,
@@ -1003,6 +1081,10 @@ impl BatchSim {
             ..
         } = self;
         let lanes = *lanes;
+        // Stripes are `lanes` apart and `n` long: only the live span runs.
+        let n = *span;
+        let active = &mut active[..n];
+        let tmp = &mut tmp[..n];
         let tac = &tac[rule_idx];
         let slots = &mut slots[rule_idx][..];
         let uops = &tac.uops;
@@ -1035,9 +1117,9 @@ impl BatchSim {
             ($r:expr, $clean:expr, $bits:expr) => {{
                 let s = $r * lanes;
                 let chk = if cfg.acc_logs {
-                    &log_rw[s..s + lanes]
+                    &log_rw[s..s + n]
                 } else {
-                    &cyc_rw[s..s + lanes]
+                    &cyc_rw[s..s + n]
                 };
                 let npass = simd::count_clear_active(chk, $bits, active);
                 gate!($clean, npass, |l| chk[l] & $bits == 0);
@@ -1046,8 +1128,8 @@ impl BatchSim {
         macro_rules! wr_gate {
             ($r:expr, $clean:expr, $bits:expr) => {{
                 let s = $r * lanes;
-                let lrw = &log_rw[s..s + lanes];
-                let crw = if cfg.acc_logs { lrw } else { &cyc_rw[s..s + lanes] };
+                let lrw = &log_rw[s..s + n];
+                let crw = if cfg.acc_logs { lrw } else { &cyc_rw[s..s + n] };
                 let npass = simd::count_clear2_active(lrw, crw, $bits, active);
                 gate!($clean, npass, |l| (lrw[l] | crw[l]) & $bits == 0);
             }};
@@ -1066,7 +1148,7 @@ impl BatchSim {
                     let $i = arr_reg!($idx, $base, $amask, l) * lanes + l;
                     $pass
                 };
-                let npass = (0..lanes).filter(|&l| active[l] != 0 && pass(l)).count();
+                let npass = (0..n).filter(|&l| active[l] != 0 && pass(l)).count();
                 gate!($clean, npass, |l| pass(l));
             }};
         }
@@ -1086,12 +1168,12 @@ impl BatchSim {
             ($r:expr, $out:expr) => {{
                 let s = $r * lanes;
                 if !cfg.design_specific {
-                    simd::or_bytes(&mut log_rw[s..s + lanes], R0);
+                    simd::or_bytes(&mut log_rw[s..s + n], R0);
                 }
                 let src = if cfg.no_boc {
-                    &log_d0[s..s + lanes]
+                    &log_d0[s..s + n]
                 } else {
-                    &boc[s..s + lanes]
+                    &boc[s..s + n]
                 };
                 $out.copy_from_slice(src);
             }};
@@ -1099,22 +1181,22 @@ impl BatchSim {
         macro_rules! rd1_stripe {
             ($r:expr, $out:expr) => {{
                 let s = $r * lanes;
-                simd::or_bytes(&mut log_rw[s..s + lanes], R1);
+                simd::or_bytes(&mut log_rw[s..s + n], R1);
                 let out = $out;
-                let ld0 = &log_d0[s..s + lanes];
+                let ld0 = &log_d0[s..s + n];
                 if cfg.no_boc {
                     out.copy_from_slice(ld0);
                 } else {
-                    let lrw = &log_rw[s..s + lanes];
-                    let bo = &boc[s..s + lanes];
+                    let lrw = &log_rw[s..s + n];
+                    let bo = &boc[s..s + n];
                     if cfg.acc_logs {
                         for (((o, &w), &d), &b) in out.iter_mut().zip(lrw).zip(ld0).zip(bo) {
                             let m = lane_mask(w & W0 != 0);
                             *o = (d & m) | (b & !m);
                         }
                     } else {
-                        let crw = &cyc_rw[s..s + lanes];
-                        let cd0 = &cyc_d0[s..s + lanes];
+                        let crw = &cyc_rw[s..s + n];
+                        let cd0 = &cyc_d0[s..s + n];
                         for (((((o, &w), &d), &b), &cw), &cd) in
                             out.iter_mut().zip(lrw).zip(ld0).zip(bo).zip(crw).zip(cd0)
                         {
@@ -1165,50 +1247,50 @@ impl BatchSim {
                         dst as usize * lanes,
                         a as usize * lanes,
                         b as usize * lanes,
-                        lanes,
+                        n,
                     );
                 }
                 Uop::Not { dst, src, mask } => {
-                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, lanes, |a| {
+                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, n, |a| {
                         !a & mask
                     });
                 }
                 Uop::Neg { dst, src, mask } => {
-                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, lanes, |a| {
+                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, n, |a| {
                         a.wrapping_neg() & mask
                     });
                 }
                 Uop::Mask { dst, src, mask } => {
-                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, lanes, |a| {
+                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, n, |a| {
                         a & mask
                     });
                 }
                 Uop::Sext { dst, src, from, mask } => {
                     let (d, s) = (dst as usize * lanes, src as usize * lanes);
                     if from == 0 {
-                        slots[d..d + lanes].fill(0);
+                        slots[d..d + n].fill(0);
                     } else if from >= 64 {
-                        simd::map1_at(slots, d, s, lanes, move |a| a & mask);
+                        simd::map1_at(slots, d, s, n, move |a| a & mask);
                     } else {
                         let sh = 64 - from;
-                        simd::map1_at(slots, d, s, lanes, move |a| {
+                        simd::map1_at(slots, d, s, n, move |a| {
                             ((((a << sh) as i64) >> sh) as u64) & mask
                         });
                     }
                 }
                 Uop::Slice { dst, src, lo, mask } => {
-                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, lanes, |a| {
+                    simd::map1_at(slots, dst as usize * lanes, src as usize * lanes, n, |a| {
                         (a >> lo) & mask
                     });
                 }
                 Uop::SliceSext { dst, src, lo, from, mask } => {
                     let (d, s) = (dst as usize * lanes, src as usize * lanes);
                     if from == 0 {
-                        slots[d..d + lanes].fill(0);
+                        slots[d..d + n].fill(0);
                     } else {
                         let from_mask = u64::MAX >> (64 - from.min(64));
                         let sh = 64 - from.min(64);
-                        simd::map1_at(slots, d, s, lanes, move |a| {
+                        simd::map1_at(slots, d, s, n, move |a| {
                             let v = (a >> lo) & from_mask;
                             ((((v << sh) as i64) >> sh) as u64) & mask
                         });
@@ -1221,67 +1303,67 @@ impl BatchSim {
                         c as usize * lanes,
                         t as usize * lanes,
                         f as usize * lanes,
-                        lanes,
+                        n,
                     );
                 }
                 Uop::Const { dst, imm } => {
                     let d = dst as usize * lanes;
-                    slots[d..d + lanes].fill(imm);
+                    slots[d..d + n].fill(imm);
                 }
                 Uop::Mov { dst, src } => {
                     let (d, s) = (dst as usize * lanes, src as usize * lanes);
-                    slots.copy_within(s..s + lanes, d);
+                    slots.copy_within(s..s + n, d);
                 }
                 Uop::Rd0 { dst, reg, clean } => {
                     let r = reg as usize;
                     rd_gate!(r, clean, W0 | W1);
                     let d = dst as usize * lanes;
-                    rd0_stripe!(r, &mut slots[d..d + lanes]);
+                    rd0_stripe!(r, &mut slots[d..d + n]);
                 }
                 Uop::Rd1 { dst, reg, clean } => {
                     let r = reg as usize;
                     rd_gate!(r, clean, W1);
                     let d = dst as usize * lanes;
-                    rd1_stripe!(r, &mut slots[d..d + lanes]);
+                    rd1_stripe!(r, &mut slots[d..d + n]);
                 }
                 Uop::Wr0 { src, reg, clean } => {
                     let r = reg as usize;
                     wr_gate!(r, clean, R1 | W0 | W1);
                     let (s, d) = (src as usize * lanes, r * lanes);
-                    simd::or_bytes(&mut log_rw[d..d + lanes], W0);
-                    log_d0[d..d + lanes].copy_from_slice(&slots[s..s + lanes]);
+                    simd::or_bytes(&mut log_rw[d..d + n], W0);
+                    log_d0[d..d + n].copy_from_slice(&slots[s..s + n]);
                 }
                 Uop::Wr1 { src, reg, clean } => {
                     let r = reg as usize;
                     wr_gate!(r, clean, W1);
                     let (s, d) = (src as usize * lanes, r * lanes);
-                    simd::or_bytes(&mut log_rw[d..d + lanes], W1);
+                    simd::or_bytes(&mut log_rw[d..d + n], W1);
                     let dst = if cfg.merged_data {
-                        &mut log_d0[d..d + lanes]
+                        &mut log_d0[d..d + n]
                     } else {
-                        &mut log_d1[d..d + lanes]
+                        &mut log_d1[d..d + n]
                     };
-                    dst.copy_from_slice(&slots[s..s + lanes]);
+                    dst.copy_from_slice(&slots[s..s + n]);
                 }
                 Uop::RdFast { dst, reg } => {
                     let (s, d) = (reg as usize * lanes, dst as usize * lanes);
-                    slots[d..d + lanes].copy_from_slice(&log_d0[s..s + lanes]);
+                    slots[d..d + n].copy_from_slice(&log_d0[s..s + n]);
                 }
                 Uop::WrFast { src, reg } => {
                     let (s, d) = (src as usize * lanes, reg as usize * lanes);
-                    log_d0[d..d + lanes].copy_from_slice(&slots[s..s + lanes]);
+                    log_d0[d..d + n].copy_from_slice(&slots[s..s + n]);
                 }
                 Uop::Rd0Arr { dst, idx, base, amask, clean } => {
                     let chk = if cfg.acc_logs { &*log_rw } else { &*cyc_rw };
                     arr_gate!(idx, base, amask, clean, |i| chk[i] & (W0 | W1) == 0);
-                    for l in 0..lanes {
+                    for l in 0..n {
                         sl!(dst, l) = rd0_val!(arr_reg!(idx, base, amask, l) * lanes + l);
                     }
                 }
                 Uop::Rd1Arr { dst, idx, base, amask, clean } => {
                     let chk = if cfg.acc_logs { &*log_rw } else { &*cyc_rw };
                     arr_gate!(idx, base, amask, clean, |i| chk[i] & W1 == 0);
-                    for l in 0..lanes {
+                    for l in 0..n {
                         sl!(dst, l) = rd1_val!(arr_reg!(idx, base, amask, l) * lanes + l);
                     }
                 }
@@ -1290,7 +1372,7 @@ impl BatchSim {
                     arr_gate!(idx, base, amask, clean, |i| {
                         (log_rw[i] | (cyc_rw[i] & cyc_mask)) & (R1 | W0 | W1) == 0
                     });
-                    for l in 0..lanes {
+                    for l in 0..n {
                         let i = arr_reg!(idx, base, amask, l) * lanes + l;
                         log_rw[i] |= W0;
                         log_d0[i] = sl!(src, l);
@@ -1301,7 +1383,7 @@ impl BatchSim {
                     arr_gate!(idx, base, amask, clean, |i| {
                         (log_rw[i] | (cyc_rw[i] & cyc_mask)) & W1 == 0
                     });
-                    for l in 0..lanes {
+                    for l in 0..n {
                         let i = arr_reg!(idx, base, amask, l) * lanes + l;
                         log_rw[i] |= W1;
                         if cfg.merged_data {
@@ -1312,12 +1394,12 @@ impl BatchSim {
                     }
                 }
                 Uop::RdArrFast { dst, idx, base, amask } => {
-                    for l in 0..lanes {
+                    for l in 0..n {
                         sl!(dst, l) = log_d0[arr_reg!(idx, base, amask, l) * lanes + l];
                     }
                 }
                 Uop::WrArrFast { src, idx, base, amask } => {
-                    for l in 0..lanes {
+                    for l in 0..n {
                         log_d0[arr_reg!(idx, base, amask, l) * lanes + l] = sl!(src, l);
                     }
                 }
@@ -1327,7 +1409,7 @@ impl BatchSim {
                 }
                 Uop::Jz { cond, target } => {
                     let c = cond as usize * lanes;
-                    if jz_taken!(&slots[c..c + lanes]) {
+                    if jz_taken!(&slots[c..c + n]) {
                         pc = target as usize;
                         continue;
                     }
@@ -1349,12 +1431,12 @@ impl BatchSim {
                     rd_gate!(r, clean, W0 | W1);
                     let s = r * lanes;
                     if !cfg.design_specific {
-                        simd::or_bytes(&mut log_rw[s..s + lanes], R0);
+                        simd::or_bytes(&mut log_rw[s..s + n], R0);
                     }
                     let vals = if cfg.no_boc {
-                        &log_d0[s..s + lanes]
+                        &log_d0[s..s + n]
                     } else {
-                        &boc[s..s + lanes]
+                        &boc[s..s + n]
                     };
                     simd::fused_ext_buf_at(
                         op,
@@ -1363,20 +1445,20 @@ impl BatchSim {
                         dst as usize * lanes,
                         vals,
                         b as usize * lanes,
-                        lanes,
+                        n,
                     );
                 }
                 Uop::BinWr { op, a, b, mask, reg, clean } => {
                     let r = reg as usize;
                     wr_gate!(r, clean, R1 | W0 | W1);
                     let d = r * lanes;
-                    simd::or_bytes(&mut log_rw[d..d + lanes], W0);
+                    simd::or_bytes(&mut log_rw[d..d + n], W0);
                     simd::fused_zip2_to(
                         op,
                         mask,
-                        &mut log_d0[d..d + lanes],
-                        &slots[a as usize * lanes..][..lanes],
-                        &slots[b as usize * lanes..][..lanes],
+                        &mut log_d0[d..d + n],
+                        &slots[a as usize * lanes..][..n],
+                        &slots[b as usize * lanes..][..n],
                     );
                 }
                 Uop::RdBinWr { op, rreg, b, mask, wreg, rclean, wclean } => {
@@ -1386,27 +1468,27 @@ impl BatchSim {
                     // before the write gate, exactly like the unfused pair.
                     let s = r * lanes;
                     if !cfg.design_specific {
-                        simd::or_bytes(&mut log_rw[s..s + lanes], R0);
+                        simd::or_bytes(&mut log_rw[s..s + n], R0);
                     }
                     {
                         let vals = if cfg.no_boc {
-                            &log_d0[s..s + lanes]
+                            &log_d0[s..s + n]
                         } else {
-                            &boc[s..s + lanes]
+                            &boc[s..s + n]
                         };
                         simd::fused_zip2_to(
                             op,
                             mask,
                             tmp,
                             vals,
-                            &slots[b as usize * lanes..][..lanes],
+                            &slots[b as usize * lanes..][..n],
                         );
                     }
                     let w = wreg as usize;
                     wr_gate!(w, wclean, R1 | W0 | W1);
                     let d = w * lanes;
-                    simd::or_bytes(&mut log_rw[d..d + lanes], W0);
-                    log_d0[d..d + lanes].copy_from_slice(tmp);
+                    simd::or_bytes(&mut log_rw[d..d + n], W0);
+                    log_d0[d..d + n].copy_from_slice(tmp);
                 }
                 Uop::BinJz { op, a, b, mask, target } => {
                     let (a, b) = (a as usize * lanes, b as usize * lanes);
@@ -1414,7 +1496,7 @@ impl BatchSim {
                     // Only a split needs the condition stripe itself.
                     let taken = nz == *nactive
                         || (nz != 0 && {
-                            let (sa, sb) = (&slots[a..][..lanes], &slots[b..][..lanes]);
+                            let (sa, sb) = (&slots[a..][..n], &slots[b..][..n]);
                             simd::fused_zip2_to(op, mask, tmp, sa, sb);
                             split_lanes(active, nactive, nz, |l| tmp[l] == 0)
                         });
@@ -1430,9 +1512,9 @@ impl BatchSim {
                         mask,
                         slots,
                         dst as usize * lanes,
-                        &log_d0[r..r + lanes],
+                        &log_d0[r..r + n],
                         b as usize * lanes,
-                        lanes,
+                        n,
                     );
                 }
                 Uop::BinWrFast { op, a, b, mask, reg } => {
@@ -1440,9 +1522,9 @@ impl BatchSim {
                     simd::fused_zip2_to(
                         op,
                         mask,
-                        &mut log_d0[r..r + lanes],
-                        &slots[a as usize * lanes..][..lanes],
-                        &slots[b as usize * lanes..][..lanes],
+                        &mut log_d0[r..r + n],
+                        &slots[a as usize * lanes..][..n],
+                        &slots[b as usize * lanes..][..n],
                     );
                 }
                 Uop::RdBinWrFast { op, rreg, b, mask, wreg } => {
@@ -1452,8 +1534,8 @@ impl BatchSim {
                         log_d0,
                         wreg as usize * lanes,
                         rreg as usize * lanes,
-                        &slots[b as usize * lanes..][..lanes],
-                        lanes,
+                        &slots[b as usize * lanes..][..n],
+                        n,
                     );
                 }
             }
@@ -1489,6 +1571,10 @@ impl BatchBackend for BatchSim {
 
     fn retire_lane(&mut self, lane: usize) {
         BatchSim::retire_lane(self, lane);
+    }
+
+    fn admit_lane(&mut self, lane: usize) {
+        BatchSim::admit_lane(self, lane);
     }
 }
 
@@ -1714,7 +1800,8 @@ mod tests {
     #[test]
     fn lane_accessors_reject_out_of_range_lanes() {
         type Access = fn(&mut BatchSim, usize);
-        let cases: [(&str, Access); 6] = [
+        let cases: [(&str, Access); 7] = [
+            ("admit_lane", |b, l| b.admit_lane(l)),
             ("lane_get64", |b, l| {
                 let _ = b.lane_get64(l, RegId(0));
             }),

@@ -522,6 +522,119 @@ fn retired_lanes_leave_the_batch() {
     }
 }
 
+/// Dormant lanes: every lane is retired before cycle 0 and admitted out of
+/// slot order at different cycles, its registers copied from a scalar VM
+/// that ran from cycle 0 with the lane's own seed. From its admission on a
+/// lane matches its VM (registers, commit digest, and commits counted
+/// since admission); retiring the top live lane shrinks the live span,
+/// admitting a lane above it grows it, and a lane retired mid-span comes
+/// back clean from the garbage its column was left with. The counters sum
+/// to `cycles x schedule` after every cycle.
+#[test]
+fn dormant_lanes_admitted_out_of_order_match_scalar_sims() {
+    let td = collatz_like();
+    let n = td.reg_id("n");
+    let lanes = 9usize;
+    // (cycle, action, lane): admissions out of slot order, then a
+    // retirement of the top live lane, a mid-span retirement and
+    // re-admissions.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Act {
+        Admit,
+        Retire,
+    }
+    let plan: [(u64, Act, usize); 14] = [
+        (2, Act::Admit, 5),
+        (2, Act::Admit, 2),
+        (5, Act::Admit, 7),
+        (9, Act::Admit, 0),
+        (9, Act::Admit, 3),
+        (13, Act::Admit, 8),
+        (13, Act::Admit, 1),
+        (17, Act::Admit, 6),
+        (17, Act::Admit, 4),
+        (24, Act::Retire, 8),
+        (24, Act::Retire, 4),
+        (30, Act::Retire, 7),
+        (36, Act::Admit, 4),
+        (40, Act::Admit, 8),
+    ];
+    for level in OptLevel::ALL {
+        let opts = CompileOptions {
+            level,
+            ..CompileOptions::default()
+        };
+        let mut batch = BatchSim::compile_with(&td, &opts, lanes).unwrap();
+        let mut scalars: Vec<Sim> =
+            (0..lanes).map(|_| Sim::compile_with(&td, &opts).unwrap()).collect();
+        for (lane, s) in scalars.iter_mut().enumerate() {
+            s.set64(n, [27, 7, 6, 9, 1, 12, 27, 3, 5][lane]);
+        }
+        let schedule = batch.program().schedule.len() as u64;
+        for lane in 0..lanes {
+            BatchBackend::retire_lane(&mut batch, lane);
+        }
+        assert_eq!(batch.live_span(), 0, "{level}");
+        let mut live = vec![false; lanes];
+        let mut fired_at = vec![0u64; lanes];
+        for cycle in 0..48u64 {
+            for &(_, act, lane) in plan.iter().filter(|p| p.0 == cycle) {
+                let span = batch.live_span();
+                match act {
+                    Act::Admit => {
+                        for (r, v) in scalars[lane].reg_values().into_iter().enumerate() {
+                            batch.lane_set64(lane, RegId(r as u32), v);
+                        }
+                        BatchBackend::admit_lane(&mut batch, lane);
+                        fired_at[lane] = scalars[lane].rules_fired();
+                        live[lane] = true;
+                        assert_eq!(batch.live_span(), span.max(lane + 1), "{level}: admit {lane}");
+                    }
+                    Act::Retire => {
+                        batch.retire_lane(lane);
+                        live[lane] = false;
+                        let top = live.iter().rposition(|&l| l).map_or(0, |l| l + 1);
+                        assert_eq!(batch.live_span(), top, "{level}: retire {lane}");
+                        if lane + 1 == span {
+                            assert!(top < span, "{level}: retiring the top lane shrinks the span");
+                        }
+                    }
+                }
+            }
+            batch.cycle().unwrap();
+            assert_eq!(
+                batch.lockstep_rules() + batch.fallback_rules(),
+                batch.cycle_count() * schedule,
+                "{level}, cycle {cycle}: lockstep + fallback must count every rule",
+            );
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                let mut commits = Vec::new();
+                scalar.cycle_obs(&mut CommitRec(&mut commits));
+                if !live[lane] {
+                    continue;
+                }
+                assert_eq!(
+                    commit_digest(batch.lane_commits(lane)),
+                    commit_digest(&commits),
+                    "{level}, cycle {cycle}, lane {lane}: commit digest diverged",
+                );
+                assert_eq!(
+                    batch.lane_reg_values(lane),
+                    scalar.reg_values(),
+                    "{level}, cycle {cycle}, lane {lane}: registers diverged",
+                );
+                assert_eq!(
+                    batch.lane_fired(lane),
+                    scalar.rules_fired() - fired_at[lane],
+                    "{level}, cycle {cycle}, lane {lane}: commits since admission",
+                );
+            }
+        }
+        assert_eq!(batch.live_span(), lanes, "{level}: lane 8 came back");
+        assert!(batch.fallback_rules() > 0, "{level}: the seeds must diverge");
+    }
+}
+
 /// The lock-step accounting invariant, pinned on its own against a design
 /// that mixes all three outcomes (commit, clean failure, divergence):
 /// every scheduled rule lands in exactly one counter, and this scenario

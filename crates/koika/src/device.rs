@@ -173,13 +173,25 @@ pub trait BatchBackend {
     /// Overwrites a register in one lane (truncated to its width).
     fn lane_set64(&mut self, lane: usize, reg: RegId, value: u64);
 
-    /// Takes one lane out of the batch for good: from the next cycle on,
-    /// the caller ignores the lane, so the backend need not keep its
+    /// Takes one lane out of the batch: from the next cycle on, the caller
+    /// ignores the lane until it admits it again
+    /// ([`BatchBackend::admit_lane`]), so the backend need not keep its
     /// columns, commits or counters meaningful, and may skip the work.
     ///
     /// The default is a no-op: the backend may keep simulating the lane;
     /// the caller ignores it from now on.
     fn retire_lane(&mut self, _lane: usize) {}
+
+    /// Brings a retired lane back at this cycle boundary. The caller has
+    /// written every register of the lane through
+    /// [`BatchBackend::lane_set64`] since retiring it, so the lane's state
+    /// is exactly those registers; from the next cycle on its observables
+    /// match a scalar run started from them.
+    ///
+    /// The default is a no-op, the partner of [`BatchBackend::retire_lane`]'s:
+    /// a backend that kept simulating the lane already holds a live
+    /// column, and the register writes made it the caller's state.
+    fn admit_lane(&mut self, _lane: usize) {}
 }
 
 /// [`RegAccess`] over a single lane of a [`BatchBackend`], so devices and

@@ -26,6 +26,13 @@
 //! multi-injection failure shrinks to a minimal single-injection reproducer
 //! ([`FaultEngine::shrink`]).
 //!
+//! Up to its first injection a member repeats the golden run exactly, so
+//! no runner simulates that prefix again: the golden run keeps a
+//! checkpoint (simulator snapshot, device states, stall count) at each
+//! member's first injection and the member starts there, with the golden
+//! fingerprints up to it as its own. The report is the one a from-reset
+//! run gives.
+//!
 //! The engine is backend-agnostic: it drives any [`SimBackend`] through
 //! factory closures, so campaigns run on the reference interpreter, the
 //! Cuttlesim VM, or the RTL simulator — and injections and watchdog trips
@@ -36,6 +43,7 @@ use crate::bits::Bits;
 use crate::device::{BatchBackend, Device, LaneAccess, RegAccess, SimBackend};
 use crate::obs::Observer;
 use crate::runner::{self, contain, JobError, JobUpdate, RunnerConfig, RunnerStats};
+use crate::snapshot::Snapshot;
 use crate::testgen::SplitMix64;
 use crate::tir::{RegId, TDesign};
 use std::fmt;
@@ -488,13 +496,46 @@ pub fn run_watchdogged<D: DerefMut<Target: Device>>(
     Ok(())
 }
 
+/// The golden run's complete state at one cycle boundary, where a member
+/// whose first injection falls on that cycle can start instead of
+/// repeating the golden prefix from reset.
+#[derive(Debug, Clone)]
+struct Checkpoint {
+    /// The simulator state ([`SimBackend::snapshot`]); its `cycles` is the
+    /// checkpoint's cycle.
+    snapshot: Snapshot,
+    /// Every device's [`Device::save_state`], in device order.
+    devices: Vec<Vec<u8>>,
+    /// The golden stall watchdog's consecutive commit-free cycles.
+    stall_count: u64,
+}
+
+impl Checkpoint {
+    /// The cycle boundary the checkpoint was taken at.
+    fn cycle(&self) -> u64 {
+        self.snapshot.cycles
+    }
+}
+
 /// The recorded golden (fault-free) run a campaign classifies against.
+///
+/// Up to its first injection a member repeats the golden run exactly, so
+/// a campaign's golden run also keeps checkpoints (simulator snapshot,
+/// device states, stall count) at the cycles its members first inject
+/// at, and every runner starts a member at the latest one at or before
+/// its first injection, with the golden fingerprints up to there as its
+/// prefix. With no checkpoint there (or none at all, as when a device
+/// cannot save its state, or for [`FaultEngine::golden`]) the member
+/// starts at reset: reset is the cycle-0 checkpoint.
 #[derive(Debug, Clone)]
 pub struct GoldenRun {
     /// Per-cycle commit fingerprints.
     pub fps: Vec<u64>,
     /// Final register values (low 64 bits, flattened-register-space order).
     pub final_regs: Vec<u64>,
+    /// Checkpoints in cycle order; empty when none was asked for or a
+    /// device's [`Device::save_state`] returned `None`.
+    checkpoints: Vec<Checkpoint>,
 }
 
 impl GoldenRun {
@@ -503,6 +544,12 @@ impl GoldenRun {
     /// design/backend/workload configuration.
     pub fn digest(&self) -> u64 {
         digest_fps(&self.fps)
+    }
+
+    /// The latest checkpoint at or before `cycle`; `None` means reset.
+    fn checkpoint_before(&self, cycle: u64) -> Option<&Checkpoint> {
+        let after = self.checkpoints.partition_point(|c| c.cycle() <= cycle);
+        after.checked_sub(1).map(|i| &self.checkpoints[i])
     }
 }
 
@@ -692,18 +739,38 @@ pub fn validate_injections(td: &TDesign, injections: &[Injection]) -> Result<(),
 }
 
 impl FaultEngine<'_> {
-    /// Executes the fault-free golden run.
+    /// Executes the fault-free golden run, with no checkpoints: members
+    /// classified against it start at reset.
     ///
     /// # Errors
     ///
     /// [`FaultError::GoldenHang`] if even the unperturbed design stalls.
     pub fn golden(&mut self, cycles: u64, stall_cycles: u64) -> Result<GoldenRun, FaultError> {
-        check_design_regs(self.td)?;
-        let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
-        golden_run(self.td, Ok(sim), devices, cycles, stall_cycles)
+        self.golden_with_checkpoints(cycles, stall_cycles, &[])
     }
 
-    /// Runs one injection schedule and classifies it against `golden`.
+    /// Executes the fault-free golden run and keeps a checkpoint at each
+    /// cycle of `at` below `cycles` (the members' first injections),
+    /// unless a device cannot save its state.
+    fn golden_with_checkpoints(
+        &mut self,
+        cycles: u64,
+        stall_cycles: u64,
+        at: &[u64],
+    ) -> Result<GoldenRun, FaultError> {
+        check_design_regs(self.td)?;
+        let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
+        golden_run(self.td, Ok(sim), devices, cycles, stall_cycles, at)
+    }
+
+    /// Runs one injection schedule and classifies it against `golden`,
+    /// starting at `golden`'s latest checkpoint at or before the first
+    /// injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a checkpoint does not restore onto a fresh simulator and
+    /// devices from the engine's factories (a factory or device bug).
     pub fn classify_injections(
         &mut self,
         injections: &[Injection],
@@ -711,9 +778,12 @@ impl FaultEngine<'_> {
         stall_cycles: u64,
         golden: &GoldenRun,
     ) -> Outcome {
-        let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
-        let armed = Watchdog::stall_only(stall_cycles).arm();
-        member_run(golden, sim, devices, cycles, injections, armed, Vec::new())
+        let (mut sim, mut devices) = ((self.make_sim)(), (self.make_devices)());
+        let mut armed = Watchdog::stall_only(stall_cycles).arm();
+        let start = golden.checkpoint_before(first_injection(injections, cycles));
+        let prefix = start_member(golden, start, &mut *sim, &mut devices, &mut armed)
+            .unwrap_or_else(|e| panic!("cannot start a member at its golden checkpoint: {e}"));
+        member_run(golden, sim, devices, cycles, injections, armed, prefix)
             .unwrap_or_else(|trip| unreachable!("stall-only watchdog tripped on wall time: {trip}"))
     }
 
@@ -724,7 +794,8 @@ impl FaultEngine<'_> {
     /// Only from setup ([`FaultError`]); members always classify (hangs are
     /// caught by the watchdog, never escape).
     pub fn run_campaign(&mut self, cfg: &CampaignConfig) -> Result<CampaignReport, FaultError> {
-        let golden = self.golden(cfg.cycles, cfg.stall_cycles)?;
+        let at = first_injections(self.td, cfg);
+        let golden = self.golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &at)?;
         let mut members = Vec::with_capacity(cfg.members);
         for index in 0..cfg.members {
             let injections = draw_schedule(self.td, cfg, index);
@@ -769,6 +840,20 @@ impl FaultEngine<'_> {
                 == member.outcome.label()
         })
     }
+}
+
+/// The cycle of the earliest injection, or `cycles` for none: a member
+/// repeats the golden run up to there.
+fn first_injection(injections: &[Injection], cycles: u64) -> u64 {
+    injections.iter().map(|i| i.cycle).min().unwrap_or(cycles)
+}
+
+/// Every campaign member's first-injection cycle, in member order: where
+/// the golden run keeps its checkpoints.
+fn first_injections(td: &TDesign, cfg: &CampaignConfig) -> Vec<u64> {
+    (0..cfg.members)
+        .map(|index| first_injection(&draw_schedule(td, cfg, index), cfg.cycles))
+        .collect()
 }
 
 /// Draws member `index`'s injection schedule from the campaign seed — a
@@ -834,36 +919,101 @@ fn member_watchdog(cfg: &CampaignConfig, opts: &ParallelOptions) -> Watchdog {
 }
 
 /// Executes the fault-free golden run on a freshly built simulator (or
-/// reports why it could not be built) and fresh devices.
+/// reports why it could not be built) and fresh devices, keeping a
+/// checkpoint at each distinct cycle of `at` below `cycles`. The first
+/// device whose [`Device::save_state`] returns `None` drops every
+/// checkpoint: members then start at reset.
 fn golden_run(
     td: &TDesign,
     sim: Result<Box<dyn SimBackend>, String>,
     mut devices: Vec<Box<dyn Device>>,
     cycles: u64,
     stall_cycles: u64,
+    at: &[u64],
 ) -> Result<GoldenRun, FaultError> {
     let mut sim = sim.map_err(FaultError::Setup)?;
+    let mut at: Vec<u64> = at.iter().copied().filter(|&c| c < cycles).collect();
+    at.sort_unstable();
+    at.dedup();
     let mut fp = CommitFingerprint::default();
     let mut armed = Watchdog::stall_only(stall_cycles).arm();
-    run_watchdogged(&mut *sim, &mut devices, cycles, &[], &mut armed, Some(&mut fp))
+    let mut checkpoints = Vec::with_capacity(at.len());
+    for c in at {
+        let ncycles = c - sim.cycle_count();
+        run_watchdogged(&mut *sim, &mut devices, ncycles, &[], &mut armed, Some(&mut fp))
+            .map_err(FaultError::GoldenHang)?;
+        let Some(states) = devices.iter().map(|d| d.save_state()).collect() else {
+            checkpoints.clear();
+            break;
+        };
+        checkpoints.push(Checkpoint {
+            snapshot: sim.snapshot(),
+            devices: states,
+            stall_count: armed.stall_count(),
+        });
+    }
+    let remaining = cycles - sim.cycle_count();
+    run_watchdogged(&mut *sim, &mut devices, remaining, &[], &mut armed, Some(&mut fp))
         .map_err(FaultError::GoldenHang)?;
     Ok(GoldenRun {
         fps: fp.per_cycle,
         final_regs: read_final_regs(td.regs.len(), &mut *sim),
+        checkpoints,
     })
+}
+
+/// Puts a fresh member's simulator, devices and stall watchdog at `start`
+/// and returns the golden fingerprints up to there: the fingerprint
+/// prefix [`member_run`] continues. `None` is reset, where nothing needs
+/// restoring and the prefix is empty.
+///
+/// # Errors
+///
+/// A message when the snapshot or a device state does not load.
+fn start_member(
+    golden: &GoldenRun,
+    start: Option<&Checkpoint>,
+    sim: &mut dyn SimBackend,
+    devices: &mut [Box<dyn Device>],
+    armed: &mut ArmedWatchdog,
+) -> Result<Vec<u64>, String> {
+    let Some(cp) = start else {
+        return Ok(Vec::new());
+    };
+    sim.restore(&cp.snapshot).map_err(|e| e.to_string())?;
+    load_devices(cp, devices)?;
+    armed.set_stall_count(cp.stall_count);
+    Ok(golden.fps[..cp.cycle() as usize].to_vec())
+}
+
+/// Loads a checkpoint's device states into fresh devices.
+fn load_devices(cp: &Checkpoint, devices: &mut [Box<dyn Device>]) -> Result<(), String> {
+    if devices.len() != cp.devices.len() {
+        return Err(format!(
+            "{} devices, but the checkpoint saved {}",
+            devices.len(),
+            cp.devices.len()
+        ));
+    }
+    for (d, state) in devices.iter_mut().zip(&cp.devices) {
+        d.load_state(state)?;
+    }
+    Ok(())
 }
 
 /// The one scalar member loop: runs a campaign member on `sim` from the
 /// cycle it is at to `cycles` and classifies it against `golden`.
 ///
-/// A member starts here at cycle 0 on a fresh simulator, devices and
-/// watchdog with an empty fingerprint prefix, or mid-run when a batch
-/// hands one of its lanes over: then `sim` holds the lane's restored
-/// state, `devices` the lane's devices, `armed` the lane's stall count
-/// and the chunk's wall clock, and `prefix` the lane's per-cycle
-/// fingerprints so far. A wall-clock trip depends on the machine, not the
-/// design, so it is returned for the caller to retry instead of being
-/// classified.
+/// A member starts here at its golden checkpoint ([`start_member`]): a
+/// fresh simulator, devices and watchdog restored to it, with the golden
+/// fingerprints up to it as `prefix` (at reset: nothing restored, an
+/// empty prefix). It also starts here mid-run when a batch hands one of
+/// its lanes over: then `sim` holds the lane's restored state, `devices`
+/// the lane's devices, `armed` the lane's stall count and the chunk's
+/// wall clock, and `prefix` the lane's per-cycle fingerprints so far. A
+/// member's wall budget runs from its start, that is from its first
+/// injection. A wall-clock trip depends on the machine, not the design,
+/// so it is returned for the caller to retry instead of being classified.
 fn member_run(
     golden: &GoldenRun,
     mut sim: Box<dyn SimBackend>,
@@ -877,8 +1027,19 @@ fn member_run(
         per_cycle: prefix,
         cur: Vec::new(),
     };
-    let remaining = cycles - sim.cycle_count();
-    let run = run_watchdogged(&mut *sim, &mut devices, remaining, injections, &mut armed, Some(&mut fp));
+    // `classify` reads the fingerprints only up to the first one that
+    // differs from the golden run's, so from there on the member runs
+    // unobserved, which is cheaper on every dispatch.
+    let diverged =
+        |fps: &[u64]| fps.last().is_some_and(|&f| golden.fps.get(fps.len() - 1) != Some(&f));
+    let mut run = Ok(());
+    while run.is_ok() && sim.cycle_count() < cycles && !diverged(&fp.per_cycle) {
+        run = run_watchdogged(&mut *sim, &mut devices, 1, injections, &mut armed, Some(&mut fp));
+    }
+    if run.is_ok() {
+        let remaining = cycles - sim.cycle_count();
+        run = run_watchdogged(&mut *sim, &mut devices, remaining, injections, &mut armed, None);
+    }
     let hang = match run {
         Ok(()) => None,
         Err(trip) if trip.kind == TripKind::Wall => return Err(trip),
@@ -886,6 +1047,17 @@ fn member_run(
     };
     let final_regs = read_final_regs(golden.final_regs.len(), &mut *sim);
     Ok(classify(golden, &fp.per_cycle, &final_regs, hang))
+}
+
+/// The worker-pool campaigns' golden run, contained, with a checkpoint
+/// at every member's first injection.
+fn campaign_golden(env: &ParallelFactories<'_>, cfg: &CampaignConfig) -> Result<GoldenRun, FaultError> {
+    check_design_regs(env.td)?;
+    let at = first_injections(env.td, cfg);
+    contain(|| {
+        golden_run(env.td, (env.make_sim)(), (env.make_devices)(), cfg.cycles, cfg.stall_cycles, &at)
+    })
+    .map_err(FaultError::GoldenPanic)?
 }
 
 /// Runs a campaign with members fanned out over a crash-isolated worker
@@ -905,6 +1077,9 @@ fn member_run(
 ///   across worker counts: outcomes are pure functions of `(seed, index)`
 ///   and ordering is restored after the fan-out.
 ///
+/// Each member starts at the golden run's checkpoint at its first
+/// injection (see [`GoldenRun`]), so its wall deadline runs from there.
+///
 /// # Errors
 ///
 /// Only from setup: the golden run hanging ([`FaultError::GoldenHang`]),
@@ -916,17 +1091,17 @@ pub fn run_campaign_parallel(
     opts: &ParallelOptions,
     progress: Option<&mut dyn FnMut(JobUpdate)>,
 ) -> Result<(CampaignReport, RunnerStats), FaultError> {
-    check_design_regs(env.td)?;
-    let golden = contain(|| {
-        golden_run(env.td, (env.make_sim)(), (env.make_devices)(), cfg.cycles, cfg.stall_cycles)
-    })
-    .map_err(FaultError::GoldenPanic)??;
-
+    let golden = campaign_golden(env, cfg)?;
     let watchdog = member_watchdog(cfg, opts);
     let job = |index: usize| -> Result<Outcome, JobError> {
-        let (sim, devices) = ((env.make_sim)().map_err(JobError::Fatal)?, (env.make_devices)());
+        let mut sim = (env.make_sim)().map_err(JobError::Fatal)?;
+        let mut devices = (env.make_devices)();
         let injections = draw_schedule(env.td, cfg, index);
-        member_run(&golden, sim, devices, cfg.cycles, &injections, watchdog.arm(), Vec::new())
+        let mut armed = watchdog.arm();
+        let start = golden.checkpoint_before(first_injection(&injections, cfg.cycles));
+        let prefix = start_member(&golden, start, &mut *sim, &mut devices, &mut armed)
+            .map_err(JobError::Fatal)?;
+        member_run(&golden, sim, devices, cfg.cycles, &injections, armed, prefix)
             .map_err(|trip| JobError::Transient(trip.to_string()))
     };
 
@@ -984,20 +1159,32 @@ fn lane_sim(
 /// Runs one chunk of consecutive campaign members as lanes of a single
 /// batched backend, replicating [`run_watchdogged`]'s per-cycle ordering
 /// per lane (device ticks, then injections, then the cycle) so each lane's
-/// observables match a scalar member run exactly.
+/// observables match a scalar member run exactly. Returns the outcomes in
+/// member order.
+///
+/// Lanes go to the members in order of their start, the golden
+/// checkpoint at or before their first injection (reset without one),
+/// so the lanes
+/// in the batch stay packed at its low end. A lane starts *dormant*:
+/// retired ([`BatchBackend::retire_lane`]) before cycle 0, with no devices
+/// ticked and nothing recorded. At its start cycle, before that cycle's
+/// device ticks, it is filled: its registers from the checkpoint through
+/// [`BatchBackend::lane_set64`], its devices built and loaded with the
+/// checkpoint's states, its stall count from the checkpoint. It then
+/// rejoins the batch ([`BatchBackend::admit_lane`]).
 ///
 /// A lane stays in the batch only while it commits what the golden run
 /// committed, cycle for cycle: those lanes share control flow, so
-/// lock-step runs them cheaply. A lane leaves the batch, and is retired
-/// from it ([`BatchBackend::retire_lane`]), when
+/// lock-step runs them cheaply, and a lane's fingerprint prefix is the
+/// golden one. A lane leaves the batch, and is retired from it, when
 ///
-/// * its stall watchdog trips: it classifies `hang` at once, from its
-///   registers at the trip boundary;
+/// * its stall watchdog trips: it classifies `hang` at once;
 /// * its commit fingerprint first differs from the golden run's: a scalar
 ///   simulator from `env.make_sim`, restored to the lane's registers and
 ///   cycle count, finishes the run through [`member_run`] with the lane's
-///   devices, fingerprint prefix and stall count, on the chunk's wall
-///   clock, so a wall trip there still fails the whole chunk.
+///   devices and stall count, the golden fingerprints up to this cycle
+///   plus this cycle's as its prefix, on the chunk's wall clock, so a
+///   wall trip there still fails the whole chunk.
 ///
 /// The chunk ends when every lane has left or the cycles run out; the
 /// lanes still in the batch then classify from their final registers.
@@ -1011,53 +1198,70 @@ fn run_batched_chunk(
     lanes: usize,
 ) -> Result<Vec<Outcome>, JobError> {
     let mut batch = make_batch(lanes).map_err(JobError::Fatal)?;
-    let mut devices: Vec<Vec<Box<dyn Device>>> =
-        (0..lanes).map(|_| (env.make_devices)()).collect();
     let schedules: Vec<Vec<Injection>> =
-        (0..lanes).map(|l| draw_schedule(env.td, cfg, first + l)).collect();
-    let mut fps: Vec<Vec<u64>> = vec![Vec::new(); lanes];
+        (0..lanes).map(|m| draw_schedule(env.td, cfg, first + m)).collect();
+    // Lane `l` runs member `first + order[l].0`, starting at `order[l].1`.
+    let mut order: Vec<(usize, Option<&Checkpoint>)> = (0..lanes)
+        .map(|m| (m, golden.checkpoint_before(first_injection(&schedules[m], cfg.cycles))))
+        .collect();
+    order.sort_by_key(|&(_, start)| start.map_or(0, Checkpoint::cycle));
+    let mut devices: Vec<Vec<Box<dyn Device>>> = (0..lanes).map(|_| Vec::new()).collect();
     let mut stalls: Vec<ArmedWatchdog> =
         (0..lanes).map(|_| Watchdog::stall_only(cfg.stall_cycles).arm()).collect();
     let mut outcomes: Vec<Option<Outcome>> = vec![None; lanes];
-    let nregs = env.td.regs.len();
-    let lane_regs = |batch: &dyn BatchBackend, l: usize| -> Vec<u64> {
-        (0..nregs).map(|i| batch.lane_get64(l, RegId(i as u32))).collect()
-    };
+    // Lanes `[0, admitted)` have started; those without an outcome are live.
+    let mut admitted = 0;
+    for l in 0..lanes {
+        batch.retire_lane(l);
+    }
     let clock = watchdog.arm();
     for _ in 0..cfg.cycles {
         if outcomes.iter().all(Option::is_some) {
             break;
         }
         let cycle = batch.cycle_count();
-        for l in (0..lanes).filter(|&l| outcomes[l].is_none()) {
+        while admitted < lanes && order[admitted].1.map_or(0, Checkpoint::cycle) == cycle {
+            let l = admitted;
+            devices[l] = (env.make_devices)();
+            if let Some(cp) = order[l].1 {
+                for (i, r) in cp.snapshot.regs.iter().enumerate() {
+                    batch.lane_set64(l, RegId(i as u32), r.low_u64());
+                }
+                load_devices(cp, &mut devices[l]).map_err(JobError::Fatal)?;
+                stalls[l].set_stall_count(cp.stall_count);
+            }
+            batch.admit_lane(l);
+            admitted += 1;
+        }
+        for l in (0..admitted).filter(|&l| outcomes[l].is_none()) {
             let mut access = LaneAccess::new(&mut *batch, l);
             for d in devices[l].iter_mut() {
                 d.tick(cycle, &mut access);
             }
-            for inj in schedules[l].iter().filter(|i| i.cycle == cycle) {
+            for inj in schedules[order[l].0].iter().filter(|i| i.cycle == cycle) {
                 let old = access.get64(inj.reg);
                 access.set64(inj.reg, old ^ (1u64 << inj.bit));
             }
         }
         batch.cycle().map_err(JobError::Fatal)?;
         let done = batch.cycle_count();
-        for l in 0..lanes {
+        for l in 0..admitted {
             if outcomes[l].is_some() {
                 continue;
             }
             let commits = batch.lane_commits(l);
             let fp = CommitFingerprint::fold(commits.iter().map(|&r| r as usize));
-            fps[l].push(fp);
             let outcome = if let Some(trip) = stalls[l].observe(done, commits.len() as u64) {
-                classify(golden, &fps[l], &lane_regs(&*batch, l), Some(trip.cycle))
+                Outcome::Hang { cycle: trip.cycle }
             } else if fp != golden.fps[cycle as usize] {
                 let sim = lane_sim(env, &*batch, l)?;
                 let mut armed = watchdog.arm();
                 armed.start = clock.start;
                 armed.set_stall_count(stalls[l].stall_count());
                 let lane_devices = std::mem::take(&mut devices[l]);
-                let prefix = std::mem::take(&mut fps[l]);
-                member_run(golden, sim, lane_devices, cfg.cycles, &schedules[l], armed, prefix)
+                let mut prefix = golden.fps[..cycle as usize].to_vec();
+                prefix.push(fp);
+                member_run(golden, sim, lane_devices, cfg.cycles, &schedules[order[l].0], armed, prefix)
                     .map_err(|trip| JobError::Transient(trip.to_string()))?
             } else {
                 continue;
@@ -1073,28 +1277,37 @@ fn run_batched_chunk(
             }
         }
     }
-    Ok((0..lanes)
-        .map(|l| match outcomes[l] {
+    let mut by_member = vec![Outcome::Masked; lanes];
+    for (l, &(m, _)) in order.iter().enumerate() {
+        by_member[m] = match outcomes[l] {
             Some(outcome) => outcome,
-            None => classify(golden, &fps[l], &lane_regs(&*batch, l), None),
-        })
-        .collect())
+            None => {
+                let regs: Vec<u64> =
+                    (0..env.td.regs.len()).map(|i| batch.lane_get64(l, RegId(i as u32))).collect();
+                classify(golden, &golden.fps, &regs, None)
+            }
+        };
+    }
+    Ok(by_member)
 }
 
 /// Runs a campaign with members packed into lock-step batches, one batch
 /// per worker job. The golden run stays scalar (it is one run; batching
-/// buys nothing), and each chunk of `width` consecutive members becomes the
-/// lanes of one batched backend with per-lane devices, injections, commit
-/// fingerprints, and stall watchdogs.
+/// buys nothing) and keeps a checkpoint at every member's first
+/// injection (see [`GoldenRun`]). Each chunk of `width` consecutive
+/// members becomes the lanes of one batched backend with per-lane
+/// devices, injections and stall watchdogs.
 ///
-/// A member stays a lane only while the batch can run it cheaply, that is
-/// while its commit stream follows the golden run's. A member whose stall
-/// watchdog trips is retired at once; a member whose commit fingerprint
-/// first differs from the golden run's is retired and finished on a scalar
-/// simulator from `env.make_sim`, restored from its lane (see
-/// `run_batched_chunk`). So lock-step carries the masked and SDC members
-/// and each member's golden-following prefix, and the diverging rest runs
-/// scalar.
+/// A member joins the batch at its first injection, filled from its
+/// checkpoint (its lane is dormant until then), and stays a lane only
+/// while the batch can run it cheaply, that is while its commit stream
+/// follows the golden run's. A member whose stall watchdog trips is
+/// retired at once; a member whose commit fingerprint first differs from
+/// the golden run's is retired and finished on a scalar simulator from
+/// `env.make_sim`, restored from its lane (see `run_batched_chunk`). So
+/// lock-step carries the masked and SDC members from their first
+/// injection on, nobody runs the golden prefix again, and the diverging
+/// rest runs scalar.
 ///
 /// The report is **byte-identical** to [`run_campaign_parallel`]'s (and the
 /// sequential [`FaultEngine::run_campaign`]'s) for the same configuration:
@@ -1117,12 +1330,7 @@ pub fn run_campaign_batched(
     progress: Option<&mut dyn FnMut(JobUpdate)>,
 ) -> Result<(CampaignReport, RunnerStats), FaultError> {
     let width = width.max(1);
-    check_design_regs(env.td)?;
-    let golden = contain(|| {
-        golden_run(env.td, (env.make_sim)(), (env.make_devices)(), cfg.cycles, cfg.stall_cycles)
-    })
-    .map_err(FaultError::GoldenPanic)??;
-
+    let golden = campaign_golden(env, cfg)?;
     let watchdog = member_watchdog(cfg, opts);
     let nchunks = cfg.members.div_ceil(width);
     let job = |chunk: usize| -> Result<Vec<Outcome>, JobError> {
@@ -1457,7 +1665,9 @@ pub fn replay_campaign(
     for member in &log.members {
         validate_injections(engine.td, &member.injections)?;
     }
-    let golden = engine.golden(log.cycles, log.stall_cycles)?;
+    let at: Vec<u64> =
+        log.members.iter().map(|m| first_injection(&m.injections, log.cycles)).collect();
+    let golden = engine.golden_with_checkpoints(log.cycles, log.stall_cycles, &at)?;
     if golden.digest() != log.golden_digest {
         return Err(FaultError::DigestMismatch {
             recorded: log.golden_digest,
@@ -1669,47 +1879,62 @@ mod tests {
         assert_eq!(a.counts()[3], 0, "nothing can hang this design");
     }
 
+    /// A deliberately naive BatchBackend — N independent interpreters
+    /// stepped one after another, with the default no-op
+    /// `retire_lane`/`admit_lane` — so the tests below pin the *chunking
+    /// and per-lane harness logic* of `run_campaign_batched` in isolation
+    /// from any real lock-step engine.
+    struct InterpBatch {
+        sims: Vec<Interp>,
+        commits: Vec<Vec<u32>>,
+    }
+
+    struct CommitRec<'a>(&'a mut Vec<u32>);
+
+    impl Observer for CommitRec<'_> {
+        fn rule_commit(&mut self, rule: usize) {
+            self.0.push(rule as u32);
+        }
+    }
+
+    impl InterpBatch {
+        fn factory(td: &TDesign) -> impl Fn(usize) -> Result<Box<dyn BatchBackend>, String> + Sync + '_ {
+            move |lanes: usize| {
+                Ok(Box::new(InterpBatch {
+                    sims: (0..lanes).map(|_| Interp::new(td)).collect(),
+                    commits: vec![Vec::new(); lanes],
+                }) as Box<dyn BatchBackend>)
+            }
+        }
+    }
+
+    impl BatchBackend for InterpBatch {
+        fn lanes(&self) -> usize {
+            self.sims.len()
+        }
+        fn cycle_count(&self) -> u64 {
+            self.sims[0].cycle_count()
+        }
+        fn cycle(&mut self) -> Result<(), String> {
+            for (sim, commits) in self.sims.iter_mut().zip(&mut self.commits) {
+                commits.clear();
+                sim.cycle_obs(&mut CommitRec(commits));
+            }
+            Ok(())
+        }
+        fn lane_commits(&self, lane: usize) -> &[u32] {
+            &self.commits[lane]
+        }
+        fn lane_get64(&self, lane: usize, reg: RegId) -> u64 {
+            self.sims[lane].get64(reg)
+        }
+        fn lane_set64(&mut self, lane: usize, reg: RegId, value: u64) {
+            self.sims[lane].set64(reg, value);
+        }
+    }
+
     #[test]
     fn batched_campaign_report_matches_sequential() {
-        // A deliberately naive BatchBackend — N independent interpreters
-        // stepped one after another — so this pins the *chunking and
-        // per-lane harness logic* of `run_campaign_batched` in isolation
-        // from any real lock-step engine.
-        struct InterpBatch {
-            sims: Vec<Interp>,
-            commits: Vec<Vec<u32>>,
-        }
-        struct CommitRec<'a>(&'a mut Vec<u32>);
-        impl Observer for CommitRec<'_> {
-            fn rule_commit(&mut self, rule: usize) {
-                self.0.push(rule as u32);
-            }
-        }
-        impl BatchBackend for InterpBatch {
-            fn lanes(&self) -> usize {
-                self.sims.len()
-            }
-            fn cycle_count(&self) -> u64 {
-                self.sims[0].cycle_count()
-            }
-            fn cycle(&mut self) -> Result<(), String> {
-                for (sim, commits) in self.sims.iter_mut().zip(&mut self.commits) {
-                    commits.clear();
-                    sim.cycle_obs(&mut CommitRec(commits));
-                }
-                Ok(())
-            }
-            fn lane_commits(&self, lane: usize) -> &[u32] {
-                &self.commits[lane]
-            }
-            fn lane_get64(&self, lane: usize, reg: RegId) -> u64 {
-                self.sims[lane].get64(reg)
-            }
-            fn lane_set64(&mut self, lane: usize, reg: RegId, value: u64) {
-                self.sims[lane].set64(reg, value);
-            }
-        }
-
         let td = counter_design();
         let cfg = CampaignConfig {
             seed: 7,
@@ -1727,12 +1952,7 @@ mod tests {
             make_sim: &make_sim,
             make_devices: &make_devices,
         };
-        let make_batch = |lanes: usize| {
-            Ok(Box::new(InterpBatch {
-                sims: (0..lanes).map(|_| Interp::new(&td)).collect(),
-                commits: vec![Vec::new(); lanes],
-            }) as Box<dyn BatchBackend>)
-        };
+        let make_batch = InterpBatch::factory(&td);
         let opts = ParallelOptions {
             runner: crate::runner::RunnerConfig::default(),
             wall_budget: None,
@@ -1816,6 +2036,240 @@ mod tests {
             log.golden_digest ^= 1;
             assert!(replay_campaign(e, &log).is_err());
         });
+    }
+
+    /// `go` pulses high one cycle in eight (driven by [`Pulse`]) and `work`
+    /// commits only then, so the golden run is up to seven cycles into a
+    /// stall at most checkpoints, and flipping `go` low on a pulse cycle
+    /// trips an eight-cycle stall budget one cycle later: only if the
+    /// member carries the golden stall count.
+    fn pulse_design() -> TDesign {
+        let mut b = DesignBuilder::new("pulse");
+        b.reg("go", 1, 0u64);
+        b.reg("n", 8, 0u64);
+        b.reg("acc", 16, 0u64);
+        b.rule(
+            "work",
+            vec![
+                guard(rd0("go").eq(k(1, 1))),
+                wr0("acc", rd0("acc").add(rd0("n").zext(16))),
+                wr0("n", rd0("n").add(k(8, 1))),
+            ],
+        );
+        check(&b.build()).unwrap()
+    }
+
+    /// Drives `go` high on every eighth tick of its own counter, so a
+    /// member started without the device's state pulses out of phase.
+    /// With `saves` off it has no [`Device::save_state`], like
+    /// `StreamSource`.
+    struct Pulse {
+        go: RegId,
+        ticks: u64,
+        saves: bool,
+    }
+
+    impl Device for Pulse {
+        fn tick(&mut self, _cycle: u64, regs: &mut dyn RegAccess) {
+            regs.set64(self.go, u64::from(self.ticks.is_multiple_of(8)));
+            self.ticks += 1;
+        }
+        fn save_state(&self) -> Option<Vec<u8>> {
+            self.saves.then(|| self.ticks.to_le_bytes().to_vec())
+        }
+        fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
+            let bytes = state.try_into().map_err(|_| "pulse state is 8 bytes".to_string())?;
+            self.ticks = u64::from_le_bytes(bytes);
+            Ok(())
+        }
+    }
+
+    fn pulse_devices(td: &TDesign, saves: bool) -> Vec<Box<dyn Device>> {
+        vec![Box::new(Pulse {
+            go: td.reg_id("go"),
+            ticks: 0,
+            saves,
+        })]
+    }
+
+    /// The from-reset reference every runner must match: the golden run
+    /// and each member run from cycle 0 through the public
+    /// `run_watchdogged`, classified by the public `classify`.
+    fn from_reset(td: &TDesign, saves: bool, cfg: &CampaignConfig) -> Vec<Outcome> {
+        let run = |injections: &[Injection]| {
+            let mut sim = Interp::new(td);
+            let mut devices = pulse_devices(td, saves);
+            let mut fp = CommitFingerprint::default();
+            let mut armed = Watchdog::stall_only(cfg.stall_cycles).arm();
+            let trip =
+                run_watchdogged(&mut sim, &mut devices, cfg.cycles, injections, &mut armed, Some(&mut fp))
+                    .err();
+            let regs = (0..td.regs.len()).map(|i| sim.get64(RegId(i as u32))).collect();
+            (fp.per_cycle, regs, trip.map(|t| t.cycle))
+        };
+        let (fps, final_regs, trip) = run(&[]);
+        assert_eq!(trip, None, "the golden run must not hang");
+        let golden = GoldenRun {
+            fps,
+            final_regs,
+            checkpoints: Vec::new(),
+        };
+        (0..cfg.members)
+            .map(|index| {
+                let (fps, regs, hang) = run(&draw_schedule(td, cfg, index));
+                classify(&golden, &fps, &regs, hang)
+            })
+            .collect()
+    }
+
+    /// The first seed whose campaign holds every checkpoint edge case:
+    /// first injections at cycle 0 and at the last cycle, two members that
+    /// share a first-injection cycle, a member with three injections, and
+    /// a member that hangs before a freshly armed watchdog could trip, so
+    /// the carried golden stall count decides it.
+    fn edge_case_campaign(td: &TDesign) -> (CampaignConfig, Vec<Outcome>) {
+        (0u64..)
+            .map(|seed| CampaignConfig {
+                seed,
+                members: 24,
+                cycles: 40,
+                max_injections: 3,
+                stall_cycles: 8,
+            })
+            .find_map(|cfg| {
+                let schedules: Vec<Vec<Injection>> =
+                    (0..cfg.members).map(|i| draw_schedule(td, &cfg, i)).collect();
+                let mut firsts: Vec<u64> = schedules.iter().map(|s| s[0].cycle).collect();
+                let three = schedules.iter().any(|s| s.len() == 3);
+                firsts.sort_unstable();
+                let shared = firsts.windows(2).any(|w| w[0] == w[1]);
+                if firsts[0] != 0 || firsts[firsts.len() - 1] != cfg.cycles - 1 || !shared || !three {
+                    return None;
+                }
+                let outcomes = from_reset(td, true, &cfg);
+                let early_hang = outcomes.iter().zip(&schedules).any(|(o, s)| {
+                    matches!(o, Outcome::Hang { cycle } if *cycle < s[0].cycle + cfg.stall_cycles)
+                });
+                early_hang.then_some((cfg, outcomes))
+            })
+            .expect("some seed hits every edge case")
+    }
+
+    /// Every runner, each against the from-reset reference: sequential
+    /// (with replay), parallel at one and two jobs, and batched at widths
+    /// that run one lane each, leave a ragged tail, and hold the whole
+    /// campaign.
+    fn assert_runners_match_reference(td: &TDesign, saves: bool, cfg: &CampaignConfig, want: &[Outcome]) {
+        let outcomes = |r: &CampaignReport| r.members.iter().map(|m| m.outcome).collect::<Vec<_>>();
+        let mut make_sim = || Box::new(Interp::new(td)) as Box<dyn SimBackend>;
+        let mut make_devices = || pulse_devices(td, saves);
+        let mut engine = FaultEngine {
+            td,
+            make_sim: &mut make_sim,
+            make_devices: &mut make_devices,
+        };
+        let report = engine.run_campaign(cfg).unwrap();
+        assert_eq!(outcomes(&report), want, "sequential");
+        for r in replay_campaign(&mut engine, &report.to_replay_log("interp", 6, "")).unwrap() {
+            assert!(r.reproduced, "replayed member {}", r.member.index);
+        }
+
+        let make_sim = || Ok(Box::new(Interp::new(td)) as Box<dyn SimBackend>);
+        let make_devices = || pulse_devices(td, saves);
+        let env = ParallelFactories {
+            td,
+            make_sim: &make_sim,
+            make_devices: &make_devices,
+        };
+        for jobs in [1, 2] {
+            let opts = ParallelOptions {
+                runner: RunnerConfig::with_jobs(jobs),
+                wall_budget: None,
+            };
+            let (report, _) = run_campaign_parallel(&env, cfg, &opts, None).unwrap();
+            assert_eq!(outcomes(&report), want, "parallel, jobs {jobs}");
+        }
+        let make_batch = InterpBatch::factory(td);
+        for width in [1, 5, 32] {
+            let (report, _) =
+                run_campaign_batched(&env, &make_batch, width, cfg, &ParallelOptions::default(), None)
+                    .unwrap();
+            assert_eq!(outcomes(&report), want, "batched, width {width}");
+        }
+    }
+
+    #[test]
+    fn members_start_at_golden_checkpoints_and_match_from_reset_runs() {
+        let td = pulse_design();
+        let (cfg, want) = edge_case_campaign(&td);
+        let mut make_sim = || Box::new(Interp::new(&td)) as Box<dyn SimBackend>;
+        let mut make_devices = || pulse_devices(&td, true);
+        let mut engine = FaultEngine {
+            td: &td,
+            make_sim: &mut make_sim,
+            make_devices: &mut make_devices,
+        };
+        let at = first_injections(&td, &cfg);
+        let golden = engine.golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &at).unwrap();
+        let mut distinct = at.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let cycles: Vec<u64> = golden.checkpoints.iter().map(Checkpoint::cycle).collect();
+        assert_eq!(cycles, distinct, "one checkpoint per distinct first injection");
+        assert!(
+            golden.checkpoints.iter().any(|c| c.stall_count > 0),
+            "some checkpoint must sit mid-stall"
+        );
+        // A hand-picked member at each edge, each starting at a checkpoint
+        // on its own first injection, against the same member from reset.
+        let go = td.reg_id("go");
+        let single = |cycle, reg, bit| vec![Injection { cycle, reg, bit }];
+        let picked = [
+            single(0, go, 0),
+            single(cfg.cycles - 1, td.reg_id("acc"), 3),
+            single(16, go, 0),
+            vec![
+                Injection { cycle: 3, reg: td.reg_id("n"), bit: 1 },
+                Injection { cycle: 8, reg: go, bit: 0 },
+                Injection { cycle: 30, reg: td.reg_id("acc"), bit: 15 },
+            ],
+        ];
+        let firsts: Vec<u64> = picked.iter().map(|p| p[0].cycle).collect();
+        let starts = engine.golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &firsts).unwrap();
+        let reset = engine.golden(cfg.cycles, cfg.stall_cycles).unwrap();
+        assert!(reset.checkpoints.is_empty());
+        assert_eq!(starts.checkpoint_before(16).map(|c| (c.cycle(), c.stall_count)), Some((16, 7)));
+        for injections in &picked {
+            assert_eq!(
+                engine.classify_injections(injections, cfg.cycles, cfg.stall_cycles, &starts),
+                engine.classify_injections(injections, cfg.cycles, cfg.stall_cycles, &reset),
+                "{injections:?}"
+            );
+        }
+        assert_eq!(
+            engine.classify_injections(&picked[2], cfg.cycles, cfg.stall_cycles, &starts),
+            Outcome::Hang { cycle: 17 },
+            "the carried stall count trips the next cycle"
+        );
+        assert_runners_match_reference(&td, true, &cfg, &want);
+    }
+
+    #[test]
+    fn a_device_without_saved_state_starts_every_member_at_reset() {
+        let td = pulse_design();
+        let (cfg, _) = edge_case_campaign(&td);
+        let mut make_sim = || Box::new(Interp::new(&td)) as Box<dyn SimBackend>;
+        let mut make_devices = || pulse_devices(&td, false);
+        let golden = FaultEngine {
+            td: &td,
+            make_sim: &mut make_sim,
+            make_devices: &mut make_devices,
+        }
+        .golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &first_injections(&td, &cfg))
+        .unwrap();
+        assert!(golden.checkpoints.is_empty());
+        assert_eq!(golden.checkpoint_before(cfg.cycles).map(Checkpoint::cycle), None);
+        assert_runners_match_reference(&td, false, &cfg, &from_reset(&td, false, &cfg));
     }
 
     #[test]

@@ -795,6 +795,77 @@ fn cli_batched_campaign_is_byte_identical_to_sequential_on_rv32() {
     assert_eq!(sequential.stdout, parallel.stdout);
 }
 
+#[test]
+fn cli_campaign_reports_match_pinned_from_reset_reports() {
+    // Members start at golden checkpoints (scalar runners) or as dormant
+    // lanes (batched), so the sequential and batched runs could share a
+    // checkpoint bug and still agree with each other. The pinned
+    // `tests/golden/rv32i_campaign*.txt`, the stdout of these two
+    // campaigns from a build that ran every member from reset, catch
+    // that. The runs go two at a time: the interpreter rows take a few
+    // seconds each in a debug build.
+    let campaigns: [(&str, &[&str]); 2] = [
+        (
+            "rv32i_campaign32_seed7.txt",
+            &["rv32i", "--cycles", "2000", "--campaign", "32", "--seed", "7"],
+        ),
+        (
+            "rv32i_campaign100_seed3_stall32.txt",
+            &[
+                "rv32i", "--cycles", "3000", "--campaign", "100", "--seed", "3",
+                "--stall-cycles", "32",
+            ],
+        ),
+    ];
+    let mut variants: Vec<&[&str]> = vec![
+        &[],
+        &["--jobs", "2"],
+        &["--batch", "32"],
+        &["--batch", "7", "--jobs", "2"],
+        &["--backend", "interp"],
+    ];
+    if cuttlesim::toolchain_available() {
+        variants.push(&["--dispatch", "native"]);
+    } else {
+        eprintln!(
+            "SKIP: no rustc toolchain; the native campaign reports were not compared \
+             with the pinned ones"
+        );
+    }
+    for (file, base) in campaigns {
+        let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+        let pinned = std::fs::read(&path).unwrap_or_else(|e| panic!("missing {path}: {e}"));
+        for pair in variants.chunks(2) {
+            let children: Vec<_> = pair
+                .iter()
+                .map(|flags| {
+                    let child = koika_sim()
+                        .args(base)
+                        .args(*flags)
+                        .stdout(std::process::Stdio::piped())
+                        .stderr(std::process::Stdio::piped())
+                        .spawn()
+                        .unwrap();
+                    (flags, child)
+                })
+                .collect();
+            for (flags, child) in children {
+                let out = child.wait_with_output().unwrap();
+                assert!(
+                    out.status.success(),
+                    "{file} {flags:?}: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                assert!(
+                    out.stdout == pinned,
+                    "{file} {flags:?}: the report differs from the pinned from-reset report:\n{}",
+                    String::from_utf8_lossy(&out.stdout)
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // rv32: injected workloads behave, memory devices stay deterministic.
 
