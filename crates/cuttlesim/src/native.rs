@@ -8,33 +8,36 @@
 //! built with `rustc` into a `#![no_std]` cdylib cached by design
 //! fingerprint and loaded through a minimal hand-rolled `dlopen` shim.
 //!
-//! Each rule body is the whole transaction: the rule prologue, the rule's
-//! micro-ops, then commit and the fired counters, or the failure record,
-//! the failed counter and rollback. Two entry points share it: the
-//! exported `koika_rule_{k}`, which the host calls to step one rule (with
-//! an observer attached, with profiling or history on, or mid-cycle), and
-//! the whole-cycle `koika_cycle`, which clears the cycle log, runs every
-//! scheduled body in turn and merges the cycle log into the
-//! beginning-of-cycle state. So both paths run the same code, and the host
-//! only maps the recorded failure to [`FailInfo`]. The body is inlined
-//! into both, and only the per-rule copy keeps the weight counter.
+//! The crate exports one function, `koika_cycle`: it clears the cycle
+//! log, runs every scheduled rule body in turn and merges the cycle log
+//! into the beginning-of-cycle state. Each rule body is the whole
+//! transaction: the rule prologue, the rule's micro-ops, then commit and
+//! the fired counters, or the failed counter and rollback. Each body is
+//! inlined into `koika_cycle` and compiled once.
+//!
+//! Every whole cycle fills the per-cycle record in `State`: one word per
+//! scheduled rule, saying whether it committed, conflicted (on which
+//! register), aborted or trapped, and at which bytecode pc it failed
+//! (`vm::REC_COMMIT` documents the encoding). The host maps the last
+//! failure to [`crate::FailInfo`], and `Sim::cycle_obs` replays the record
+//! to an observer, so an observed cycle runs at native speed too. Per-rule
+//! work — profiling, stepping mid-cycle, `Sim::try_cycle` — runs the
+//! micro-op bodies of the same program over the same `State` (see
+//! [`crate::tac`]), so profile weights are tac's by construction.
 //!
 //! Observability is preserved the same way `tac` preserves it: every
-//! emitted failure site carries its *bytecode* pc as an immediate, every
-//! micro-op adds its bytecode weight to a counter flushed to
-//! `ctx.executed`, and coverage counters are bumped through a side table
-//! pointer, so [`crate::FailInfo`] and [`crate::CoverageReport`] stay
-//! byte-identical to the interpreter, and [`crate::ProfileReport`] to the
-//! tac engine's (whose weights these are).
+//! emitted failure site carries its *bytecode* pc as an immediate, and
+//! coverage counters are bumped through a side table pointer, so
+//! [`crate::FailInfo`] and [`crate::CoverageReport`] stay byte-identical
+//! to the interpreter.
 //!
 //! The generated code communicates with the host through a `#[repr(C)]`
 //! context of raw pointers into [`State`]'s flat arrays (the slot-file
-//! ABI) plus the failure record (`last_rule`, `last_pc`, `last_reg`,
-//! `last_kind`) and `executed`. A rule entry point returns `0` (committed),
-//! `1` (failed; see the record) or `2 + t` (VM trap with ordinal `t` into
-//! the host-retained trap table); `koika_cycle` returns `(t + 1) << 1 | f`,
-//! with `f = 1` if any rule failed and `t` the ordinal of the cycle's first
-//! trap (that field `0` if none trapped).
+//! ABI), the per-rule counters and the record. `koika_cycle` returns
+//! `j << 1 | t`: `j` is one past the schedule position of the cycle's last
+//! failing rule (`0` if none failed) and `t` is `1` if a rule trapped. A
+//! trapping rule's record word holds its ordinal into the host-retained
+//! trap table.
 //!
 //! Below the design-specific level commits and rollbacks follow each
 //! rule's [`CopyPlan`], exactly as the host helpers
@@ -60,8 +63,7 @@ use crate::compile::{CopyPlan, Program, RuleCode};
 use crate::insn::{FusedBin, Insn};
 use crate::level::LevelCfg;
 use crate::tac::{TacProgram, TacRule, Uop};
-use crate::vm::{FailInfo, State, VmError};
-use koika::tir::RegId;
+use crate::vm::{rec_fail_info, State, VmError, REC_ABORT, REC_CONFLICT, REC_TRAP};
 
 /// Bumped whenever the generated-source ABI (the `Ctx` layout, the
 /// exported symbol set, or the return-code encoding) changes; part of the
@@ -72,7 +74,10 @@ use koika::tir::RegId;
 /// each rule body once: the `_prof` twins are gone, rule entry points
 /// commit and roll back themselves and report failures through the
 /// `last_*` record (`fail_reg` is gone), and the crate is `#![no_std]`.
-const ABI_VERSION: u32 = 6;
+/// v7 exports only `koika_cycle`, which fills the per-cycle record
+/// (`rec`); the per-rule entry points, their weight counters and the
+/// `last_*` and `executed` fields are gone.
+const ABI_VERSION: u32 = 7;
 
 /// Why the native backend could not be selected. Unlike rule failures
 /// (normal Kôika semantics) these are environment or lowering problems:
@@ -150,10 +155,10 @@ pub fn cache_dir() -> PathBuf {
 // The slot-file ABI: the host side of the generated crate's `Ctx`.
 // ---------------------------------------------------------------------------
 
-/// The `#[repr(C)]` context handed to generated functions — raw pointers
-/// into [`State`]'s flat arrays plus out-params for failure reporting and
-/// profiling. Field order must match the `Ctx` struct the emitter writes
-/// into every generated crate ([`ABI_VERSION`] guards drift).
+/// The `#[repr(C)]` context handed to `koika_cycle` — raw pointers into
+/// [`State`]'s flat arrays, counters and per-cycle record. Field order
+/// must match the `Ctx` struct the emitter writes into every generated
+/// crate ([`ABI_VERSION`] guards drift).
 #[repr(C)]
 pub(crate) struct NativeCtx {
     boc: *mut u64,
@@ -167,16 +172,8 @@ pub(crate) struct NativeCtx {
     fired: *mut u64,
     fired_per_rule: *mut u64,
     fail_per_rule: *mut u64,
-    /// Out: rule index of the most recent failure.
-    last_rule: u32,
-    /// Out: bytecode pc of the most recent failure.
-    last_pc: u32,
-    /// Out: failing register of the most recent conflict.
-    last_reg: u32,
-    /// Out: 0 = no failure, 1 = conflict, 2 = abort.
-    last_kind: u32,
-    /// Out: bytecode-weighted instruction count of the last rule run.
-    executed: u64,
+    /// The per-cycle record, one word per scheduled rule.
+    rec: *mut u64,
 }
 
 impl NativeCtx {
@@ -193,21 +190,7 @@ impl NativeCtx {
             fired: &mut st.fired,
             fired_per_rule: st.fired_per_rule.as_mut_ptr(),
             fail_per_rule: st.fail_per_rule.as_mut_ptr(),
-            last_rule: 0,
-            last_pc: 0,
-            last_reg: 0,
-            last_kind: 0,
-            executed: 0,
-        }
-    }
-
-    /// The most recent failure the generated code recorded.
-    fn fail_info(&self, cycle: u64) -> FailInfo {
-        FailInfo {
-            rule: self.last_rule as usize,
-            pc: self.last_pc as usize,
-            reg: (self.last_kind == 1).then_some(RegId(self.last_reg)),
-            cycle,
+            rec: st.rec.as_mut_ptr(),
         }
     }
 }
@@ -256,8 +239,7 @@ fn bin_expr(op: FusedBin, a: &str, b: &str, mask: u64) -> String {
 /// is the rule's outcome: `0` = done, `1`/`2` = conflict (dirty/clean),
 /// `3`/`4` = abort (dirty/clean), `5 + t` = VM trap with ordinal `t` into
 /// the host-retained trap table. A failure site first records its bytecode
-/// pc in `ctx.last_pc` and, for a conflict, the register in `ctx.last_reg`.
-/// Every micro-op adds its bytecode weight to the local `w`.
+/// pc in the local `_pc` and, for a conflict, the register in `_reg`.
 struct BodyEmitter<'a> {
     cfg: LevelCfg,
     rule_idx: usize,
@@ -270,12 +252,12 @@ struct BodyEmitter<'a> {
 impl BodyEmitter<'_> {
     fn fail_conflict_stmt(&self, idx: &str, pc: u32, clean: bool) -> String {
         let c = if clean { 2 } else { 1 };
-        format!("{{ ctx.last_pc = {pc}u32; ctx.last_reg = ({idx}) as u32; break 'r {c}u64; }}")
+        format!("{{ _pc = {pc}u32; _reg = ({idx}) as u32; break 'r {c}u64; }}")
     }
 
     fn emit_abort(&mut self, pc: u32, clean: bool) {
         let c = if clean { 4 } else { 3 };
-        let _ = write!(self.out, "ctx.last_pc = {pc}u32; break 'r {c}u64;");
+        let _ = write!(self.out, "_pc = {pc}u32; break 'r {c}u64;");
     }
 
     fn emit_trap(&mut self, ord: usize) {
@@ -362,7 +344,7 @@ impl BodyEmitter<'_> {
 
     fn emit_uop(&mut self, i: usize) {
         let pc = self.tac.pcs[i];
-        let _ = write!(self.out, "{{ w += {}u64; ", self.tac.weights[i]);
+        self.out.push_str("{ ");
         match self.tac.uops[i] {
             Uop::Bin { op, dst, a, b, mask } => {
                 let e = bin_expr(op, &format!("s{a}"), &format!("s{b}"), mask);
@@ -603,9 +585,8 @@ fn validate_rule(prog: &Program, tac: &TacRule, rule_idx: usize) -> Result<(), N
 
 /// Emits the complete generated crate for `prog`: a `#![no_std]` cdylib
 /// holding the `Ctx` mirror, the word-arithmetic helpers (exact duplicates
-/// of `koika::bits::word`), one body per rule ([`emit_rule_fn`]) with a
-/// thin exported `koika_rule_{k}` wrapper, and the whole-design
-/// `koika_cycle` that inlines the same bodies.
+/// of `koika::bits::word`), one body per rule ([`emit_rule_fn`]), and the
+/// exported whole-design `koika_cycle` that inlines them.
 fn emit_source(prog: &Program, tac: &TacProgram) -> Result<Emitted, NativeError> {
     let cfg = prog.cfg;
     let n = prog.init.len();
@@ -647,7 +628,7 @@ fn emit_source(prog: &Program, tac: &TacProgram) -> Result<Emitted, NativeError>
     out.push_str(
         "#![no_std]\n\
          #![allow(unused_variables, unused_mut, unused_assignments, unreachable_code, \
-         unused_labels, unused_parens, dead_code, unused_unsafe)]\n",
+         unused_labels, unused_parens, unused_braces, dead_code, unused_unsafe)]\n",
     );
     // Without std there is no unwinding runtime to link: an out-of-bounds
     // index aborts the process, as `-C panic=abort` made std do.
@@ -668,17 +649,14 @@ fn emit_source(prog: &Program, tac: &TacProgram) -> Result<Emitted, NativeError>
          pub fired: *mut u64,\n\
          pub fired_per_rule: *mut u64,\n\
          pub fail_per_rule: *mut u64,\n\
-         pub last_rule: u32,\n\
-         pub last_pc: u32,\n\
-         pub last_reg: u32,\n\
-         pub last_kind: u32,\n\
-         pub executed: u64,\n\
+         pub rec: *mut u64,\n\
          }\n",
     );
     let _ = writeln!(out, "const N: usize = {n};");
     let _ = writeln!(out, "const BOC_LEN: usize = {};", if cfg.no_boc { 0 } else { n });
     let _ = writeln!(out, "const D1_LEN: usize = {};", if cfg.merged_data { 0 } else { n });
     let _ = writeln!(out, "const NCOV: usize = {};", prog.cov.len());
+    let _ = writeln!(out, "const NSCHED: usize = {};", prog.schedule.len());
     // Word-arithmetic helpers: exact duplicates of `koika::bits::word` so
     // the generated code computes bit-for-bit what every interpreter does.
     out.push_str(
@@ -734,14 +712,12 @@ fn emit_slices(out: &mut String, names: &[&str]) {
     }
 }
 
-/// Emits rule `k`'s one compiled body, `fn rule_{k}(ctx, count) -> u64`,
-/// and its exported `koika_rule_{k}` wrapper. The body is the whole
-/// per-rule transaction: the baked [`crate::vm::rule_prologue`], the rule's
-/// micro-ops (adding up their bytecode weight, flushed to `ctx.executed`
-/// when `count` is set), then commit and the fired counters, or the
-/// failure record (`ctx.last_*`), the failed counter and rollback. It
-/// returns `0` (committed), `1` (failed) or `2 + t` (trap ordinal `t`,
-/// nothing committed or rolled back).
+/// Emits rule `k`'s one compiled body, `fn rule_{k}(ctx) -> u64`: the
+/// whole per-rule transaction, that is the baked
+/// [`crate::vm::rule_prologue`], the rule's micro-ops, then commit and the
+/// fired counters, or the failed counter and rollback. It returns the
+/// rule's per-cycle record word ([`crate::vm::REC_COMMIT`]); a trap
+/// commits and rolls back nothing.
 ///
 /// Below the design-specific level commits and rollbacks follow the rule's
 /// [`CopyPlan`], exactly as the host helpers do. At the design-specific
@@ -754,9 +730,7 @@ fn emit_slices(out: &mut String, names: &[&str]) {
 /// changed is a no-op — and an unexecuted site's local still names such an
 /// entry, since forward-only jumps run each site at most once.
 ///
-/// The body is `#[inline(always)]`, so the crate holds two copies of it:
-/// the wrapper's, which passes `count = true`, and `koika_cycle`'s, which
-/// passes `false`, so LLVM drops the weight counter from the whole cycle.
+/// The body is `#[inline(always)]` into `koika_cycle`, its one caller.
 fn emit_rule_fn(mut be: BodyEmitter<'_>, rule: &RuleCode) {
     let cfg = be.cfg;
     let k = be.rule_idx;
@@ -764,12 +738,11 @@ fn emit_rule_fn(mut be: BodyEmitter<'_>, rule: &RuleCode) {
     let out = &mut *be.out;
     let _ = writeln!(
         out,
-        "// rule {k}: {}\n#[inline(always)]\n\
-         unsafe fn rule_{k}(ctx: &mut Ctx, count: bool) -> u64 {{",
+        "// rule {k}: {}\n#[inline(always)]\nunsafe fn rule_{k}(ctx: &mut Ctx) -> u64 {{",
         rule.name
     );
     emit_slices(out, &LOG_SLICES.map(|s| s.0));
-    out.push_str("let mut w: u64 = 0u64;\n");
+    out.push_str("let mut _pc: u32 = 0u32;\nlet mut _reg: u32 = 0u32;\n");
     // rule_prologue, baked.
     if !cfg.acc_logs {
         out.push_str("log_rw.fill(0);\n");
@@ -787,7 +760,7 @@ fn emit_rule_fn(mut be: BodyEmitter<'_>, rule: &RuleCode) {
     out.push_str("let _res: u64 = 'r: {\n");
     be.emit_body();
     let out = &mut *be.out;
-    out.push_str("};\nif count { ctx.executed = w; }\nif _res == 0 {\n");
+    out.push_str("};\nif _res == 0 {\n");
     match &fp {
         Some(fp) => fp.emit_copy(out, "cyc", "log"),
         None => emit_commit(out, cfg, rule),
@@ -795,8 +768,7 @@ fn emit_rule_fn(mut be: BodyEmitter<'_>, rule: &RuleCode) {
     let _ = writeln!(
         out,
         "*ctx.fired += 1; *ctx.fired_per_rule.add({k}) += 1;\nreturn 0u64;\n}}\n\
-         if _res >= 5 {{ return _res - 3; }}\n\
-         ctx.last_rule = {k}u32; ctx.last_kind = if _res <= 2 {{ 1u32 }} else {{ 2u32 }};\n\
+         if _res >= 5 {{ return (_res - 5) << 2 | {REC_TRAP}u64; }}\n\
          *ctx.fail_per_rule.add({k}) += 1;"
     );
     if cfg.reset_on_fail {
@@ -809,17 +781,17 @@ fn emit_rule_fn(mut be: BodyEmitter<'_>, rule: &RuleCode) {
     }
     let _ = writeln!(
         out,
-        "1u64\n}}\n#[no_mangle]\npub extern \"C\" fn koika_rule_{k}(ctx: *mut Ctx) -> u64 {{ \
-         unsafe {{ rule_{k}(&mut *ctx, true) }} }}"
+        "(_pc as u64) << 32 | if _res <= 2 {{ (_reg as u64) << 2 | {REC_CONFLICT}u64 }} \
+         else {{ {REC_ABORT}u64 }}\n}}"
     );
 }
 
-/// Emits the whole-design `koika_cycle` function: the begin-cycle clear,
-/// the scheduled rule bodies in turn, and the end-of-cycle
-/// beginning-of-cycle-state merge. A trapping rule does not stop the
-/// cycle, just as on the per-rule path. Returns `(t + 1) << 1 | f`, where
-/// `f` is `1` if any rule failed and `t` is the ordinal of the cycle's
-/// first trap (`0` in that field when none trapped).
+/// Emits the exported whole-design `koika_cycle` function: the
+/// begin-cycle clear, the scheduled rule bodies in turn, each storing its
+/// record word, and the end-of-cycle beginning-of-cycle-state merge. A
+/// trapping rule does not stop the cycle. Returns `j << 1 | t`, where `j`
+/// is one past the schedule position of the last failing rule (`0` if
+/// none failed) and `t` is `1` if any rule trapped.
 ///
 /// At the design-specific level the begin-cycle clear only zeroes the
 /// registers in [`rw_flag_set`]: no engine can leave a read-write flag
@@ -841,12 +813,16 @@ fn emit_cycle_fn(out: &mut String, prog: &Program) {
             out.push_str("log_rw.fill(0);\n");
         }
     }
-    out.push_str("}\nlet mut _fail: u64 = 0u64;\nlet mut _trap: u64 = 0u64;\n");
-    for &k in &prog.schedule {
+    out.push_str(
+        "}\nlet rec: &mut [u64] = core::slice::from_raw_parts_mut(ctx.rec, NSCHED);\n\
+         let mut _last: u64 = 0u64;\nlet mut _trap: u64 = 0u64;\n",
+    );
+    for (j, &k) in prog.schedule.iter().enumerate() {
         let _ = writeln!(
             out,
-            "let _r = rule_{k}(ctx, false); _fail |= (_r == 1) as u64; \
-             if _r >= 2 && _trap == 0 {{ _trap = _r - 1; }}"
+            "let _r = rule_{k}(ctx); rec[{j}] = _r; if _r != 0 {{ \
+             if _r & 3 == {REC_TRAP}u64 {{ _trap = 1u64; }} else {{ _last = {}u64; }} }}",
+            j + 1
         );
     }
     // end_cycle: merge the cycle log into the beginning-of-cycle state.
@@ -861,7 +837,7 @@ fn emit_cycle_fn(out: &mut String, prog: &Program) {
              else if _rw & 0x4 != 0 {{ boc[_i] = cyc_d0[_i]; }} }}\n}}"
         );
     }
-    out.push_str("_trap << 1 | _fail\n} }\n");
+    out.push_str("_last << 1 | _trap\n} }\n");
 }
 
 /// What one micro-op can change in the rule log at the design-specific
@@ -1068,18 +1044,21 @@ fn emit_rollback(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
 // Build cache and loading.
 // ---------------------------------------------------------------------------
 
-/// A generated rule/cycle entry point inside the loaded cdylib.
-type RuleFn = unsafe extern "C" fn(*mut NativeCtx) -> u64;
+/// The generated `koika_cycle` inside the loaded cdylib.
+type CycleFn = unsafe extern "C" fn(*mut NativeCtx) -> u64;
 
 /// A loaded native engine for one `(design, level, coverage)` compilation:
-/// the open cdylib plus its resolved entry points and the host-retained
-/// trap table. Shared via `Arc` through a process-wide cache, so a fuzz
-/// matrix instantiating hundreds of `Sim`s compiles each design once.
+/// the open cdylib and its `koika_cycle`, the host-retained trap table,
+/// the schedule the cycle runs, and the micro-op program the crate was
+/// emitted from (which runs per-rule work). Shared via `Arc` through a
+/// process-wide cache, so a fuzz matrix instantiating hundreds of `Sim`s
+/// compiles each design once.
 pub struct NativeEngine {
     _lib: dl::Handle,
-    rule_fns: Vec<RuleFn>,
-    cycle_fn: RuleFn,
+    cycle_fn: CycleFn,
     traps: Vec<Trap>,
+    schedule: Vec<usize>,
+    tac: TacProgram,
     so_path: PathBuf,
 }
 
@@ -1089,12 +1068,17 @@ impl NativeEngine {
         &self.so_path
     }
 
-    /// The [`VmError`] for status `2 + t` of a generated entry point.
-    fn trap(&self, status: u64) -> VmError {
-        let (rule, pc, what) = usize::try_from(status - 2)
+    /// The micro-op program the engine was emitted from.
+    pub(crate) fn tac(&self) -> &TacProgram {
+        &self.tac
+    }
+
+    /// The [`VmError`] for trap ordinal `t` of the generated code.
+    fn trap(&self, t: u64) -> VmError {
+        let (rule, pc, what) = usize::try_from(t)
             .ok()
             .and_then(|t| self.traps.get(t).copied())
-            .unwrap_or((0, 0, "native code returned an invalid status code"));
+            .unwrap_or((0, 0, "native code returned an invalid trap ordinal"));
         VmError::CompilerBug { rule, pc: pc as usize, what }
     }
 }
@@ -1103,7 +1087,7 @@ impl fmt::Debug for NativeEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NativeEngine")
             .field("so_path", &self.so_path)
-            .field("rules", &self.rule_fns.len())
+            .field("rules", &self.tac.rules.len())
             .finish()
     }
 }
@@ -1187,7 +1171,18 @@ pub(crate) fn build_engine(prog: &Program) -> Result<Arc<NativeEngine>, NativeEr
     let tac = TacProgram::lower(prog);
     let emitted = emit_source(prog, &tac)?;
     let so_path = ensure_built(prog, &emitted.source, cache_key(prog, &emitted.source))?;
-    let engine = Arc::new(load_engine(&so_path, prog.rules.len(), emitted.traps)?);
+    let lib = dl::open(&so_path).map_err(NativeError::Load)?;
+    let cycle = dl::sym(&lib, "koika_cycle").map_err(NativeError::Load)?;
+    let engine = Arc::new(NativeEngine {
+        _lib: lib,
+        // SAFETY: the symbol was emitted by us with exactly this
+        // signature; the cache key ties the cdylib to the emitter version.
+        cycle_fn: unsafe { std::mem::transmute::<*mut std::os::raw::c_void, CycleFn>(cycle) },
+        traps: emitted.traps,
+        schedule: prog.schedule.clone(),
+        tac,
+        so_path,
+    });
     engine_cache().insert(pkey, Arc::clone(&engine));
     Ok(engine)
 }
@@ -1264,31 +1259,6 @@ fn ensure_built(prog: &Program, source: &str, key: u64) -> Result<PathBuf, Nativ
     std::fs::rename(&tmp_so, &so_path)
         .map_err(|e| NativeError::Build(format!("cannot publish {so_path:?}: {e}")))?;
     Ok(so_path)
-}
-
-fn load_engine(
-    so_path: &Path,
-    nrules: usize,
-    traps: Vec<Trap>,
-) -> Result<NativeEngine, NativeError> {
-    let lib = dl::open(so_path).map_err(NativeError::Load)?;
-    let entry = |name: &str| {
-        let p = dl::sym(&lib, name).map_err(NativeError::Load)?;
-        // SAFETY: the symbols were emitted by us with exactly this
-        // signature; the cache key ties the cdylib to the emitter version.
-        Ok(unsafe { std::mem::transmute::<*mut std::os::raw::c_void, RuleFn>(p) })
-    };
-    let rule_fns = (0..nrules)
-        .map(|k| entry(&format!("koika_rule_{k}")))
-        .collect::<Result<Vec<_>, NativeError>>()?;
-    let cycle_fn = entry("koika_cycle")?;
-    Ok(NativeEngine {
-        _lib: lib,
-        rule_fns,
-        cycle_fn,
-        traps,
-        so_path: so_path.to_path_buf(),
-    })
 }
 
 /// Minimal hand-rolled dynamic-loading shim. Unix `dlopen`/`dlsym` only —
@@ -1373,54 +1343,29 @@ mod dl {
 // Host-side executors.
 // ---------------------------------------------------------------------------
 
-/// Executes one rule through its compiled-native form: the exact
-/// counterpart of [`crate::tac::step_rule_tac`]. The generated body runs
-/// the whole transaction (prologue, commit or rollback, counters); the host
-/// only maps its failure record to [`FailInfo`] and accounts the executed
-/// weight.
-pub(crate) fn step_rule_native(
-    engine: &NativeEngine,
-    st: &mut State,
-    rule_idx: usize,
-    executed: &mut u64,
-    counting: bool,
-) -> Result<bool, VmError> {
-    let mut ctx = NativeCtx::for_state(st);
-    // SAFETY: the context pointers cover exactly the lengths the generated
-    // code was emitted with (validated against this program's register and
-    // coverage counts), and `st` is not touched while the call runs.
-    let ret = unsafe { engine.rule_fns[rule_idx](&mut ctx) };
-    if counting {
-        *executed += ctx.executed;
-    }
-    match ret {
-        0 => Ok(true),
-        1 => {
-            st.last_fail = Some(ctx.fail_info(st.cycles));
-            Ok(false)
-        }
-        _ => Err(engine.trap(ret)),
-    }
-}
-
-/// Runs one full cycle through the generated `koika_cycle` fast path.
-/// Only valid when neither history nor profiling is active (those need
-/// per-rule stepping). Like the per-rule path, a trapping rule does not
-/// stop the cycle; the cycle's first trap is returned. Inlined into
-/// `Sim::cycle`: an out-of-line call costs small designs about 10%.
+/// Runs one full cycle through the generated `koika_cycle`, which fills
+/// `st.rec`, and maps the cycle's last failure to `st.last_fail`. Like
+/// per-rule stepping, a trapping rule does not stop the cycle; the cycle's
+/// first trap is returned. Inlined into `Sim::cycle`: an out-of-line call
+/// costs small designs about 10%.
 #[inline]
 pub(crate) fn run_cycle_native(engine: &NativeEngine, st: &mut State) -> Result<(), VmError> {
+    st.rec.resize(engine.schedule.len(), 0);
     let mut ctx = NativeCtx::for_state(st);
-    // SAFETY: as in `step_rule_native`.
+    // SAFETY: the context pointers cover exactly the lengths the generated
+    // code was emitted with (validated against this program's register,
+    // coverage and schedule counts), and `st` is not touched while the
+    // call runs.
     let ret = unsafe { (engine.cycle_fn)(&mut ctx) };
-    if ret & 1 != 0 {
-        st.last_fail = Some(ctx.fail_info(st.cycles));
+    if let Some(j) = ((ret >> 1) as usize).checked_sub(1) {
+        st.last_fail = Some(rec_fail_info(st.rec[j], engine.schedule[j], st.cycles));
     }
     st.cycles += 1;
-    match ret >> 1 {
-        0 => Ok(()),
-        t => Err(engine.trap(t + 1)),
+    if ret & 1 == 0 {
+        return Ok(());
     }
+    let first = st.rec.iter().find(|&&w| w & 3 == REC_TRAP).copied().unwrap_or(u64::MAX);
+    Err(engine.trap(first >> 2))
 }
 
 #[cfg(test)]
@@ -1434,6 +1379,7 @@ mod tests {
     use koika::check::check;
     use koika::design::DesignBuilder;
     use koika::device::{RegAccess, SimBackend};
+    use koika::tir::RegId;
 
     /// Every native test must skip loudly (not silently, not by failing)
     /// on machines without a toolchain.
@@ -1532,50 +1478,65 @@ mod tests {
     }
 
     #[test]
-    fn native_profile_counts_match_interpreter() {
-        if !available("native_profile_counts_match_interpreter") {
+    fn native_profile_weights_are_tac_weights() {
+        if !available("native_profile_weights_are_tac_weights") {
             return;
         }
-        for level in OptLevel::ALL {
-            let opts = CompileOptions { level, ..CompileOptions::default() };
-            let mut a = Sim::compile_with(&collatz(), &opts).unwrap();
-            let mut b = Sim::compile_with(&collatz(), &opts).unwrap();
-            a.enable_profiling();
-            b.set_dispatch(Dispatch::Native);
-            b.enable_profiling();
-            for _ in 0..50 {
-                a.cycle();
-                b.cycle();
+        for td in [collatz(), clash()] {
+            for level in OptLevel::ALL {
+                let opts = CompileOptions { level, ..CompileOptions::default() };
+                let mut tac = Sim::compile_with(&td, &opts).unwrap();
+                let mut native = Sim::compile_with(&td, &opts).unwrap();
+                tac.set_dispatch(Dispatch::Tac);
+                tac.enable_profiling();
+                native.set_dispatch(Dispatch::Native);
+                native.enable_profiling();
+                for cyc in 0..50 {
+                    tac.cycle();
+                    native.cycle();
+                    let at = format!("{} {level} cycle {cyc}", td.name);
+                    assert_eq!(native.reg_values(), tac.reg_values(), "{at}");
+                    assert_eq!(native.last_fail(), tac.last_fail(), "{at}");
+                }
+                assert_eq!(native.fails_per_rule(), tac.fails_per_rule(), "{} {level}", td.name);
+                assert_eq!(
+                    native.profile_insns().unwrap(),
+                    tac.profile_insns().unwrap(),
+                    "{} {level}: a profiled native run counts tac weights",
+                    td.name
+                );
             }
-            assert_eq!(
-                a.profile_insns().unwrap(),
-                b.profile_insns().unwrap(),
-                "{level}: native profiling must stay on the bytecode scale"
-            );
         }
     }
 
+    /// History no longer forces per-rule stepping: a native `Sim` with
+    /// history on runs whole cycles, keeps one snapshot per cycle and
+    /// steps back to the state a `match` run had at that cycle.
     #[test]
-    fn whole_cycle_fast_path_matches_per_rule_stepping() {
-        if !available("whole_cycle_fast_path_matches_per_rule_stepping") {
+    fn history_keeps_whole_native_cycles_and_steps_back() {
+        if !available("history_keeps_whole_native_cycles_and_steps_back") {
             return;
         }
         for td in [collatz(), clash()] {
             let opts = CompileOptions::default();
-            // `a` runs the koika_cycle fast path (no history/profiling);
-            // `b` is forced onto per-rule stepping by enabling profiling.
-            let mut a = Sim::compile_with(&td, &opts).unwrap();
-            let mut b = Sim::compile_with(&td, &opts).unwrap();
-            a.set_dispatch(Dispatch::Native);
-            b.set_dispatch(Dispatch::Native);
-            b.enable_profiling();
-            for cyc in 0..200 {
-                a.cycle();
-                b.cycle();
-                assert_eq!(a.reg_values(), b.reg_values(), "{} cycle {cyc}", td.name);
-                assert_eq!(a.last_fail(), b.last_fail(), "{} cycle {cyc}", td.name);
+            let mut want = Sim::compile_with(&td, &opts).unwrap();
+            let mut got = Sim::compile_with(&td, &opts).unwrap();
+            got.set_dispatch(Dispatch::Native);
+            got.enable_history(8);
+            let mut states = Vec::new();
+            for cyc in 0..40 {
+                want.cycle();
+                got.cycle();
+                assert_eq!(got.reg_values(), want.reg_values(), "{} cycle {cyc}", td.name);
+                assert_eq!(got.last_fail(), want.last_fail(), "{} cycle {cyc}", td.name);
+                states.push((want.reg_values(), want.last_fail()));
             }
-            assert_eq!(a.rules_fired(), b.rules_fired(), "{}", td.name);
+            assert_eq!(got.fired_per_rule(), want.fired_per_rule(), "{}", td.name);
+            assert!(got.step_back(3), "{}", td.name);
+            assert_eq!((got.reg_values(), got.last_fail()), states[37], "{}", td.name);
+            assert_eq!(got.cycle_count(), 38, "{}", td.name);
+            got.cycle();
+            assert_eq!(got.reg_values(), states[38].0, "{}: runs on after step-back", td.name);
         }
     }
 
@@ -1652,16 +1613,16 @@ mod tests {
             }
             let mut interp = koika::interp::Interp::new(&td);
             let mut reference = Sim::compile_with(&td, &opts).unwrap();
-            // `fast` runs whole native cycles; `stepped` steps the same
-            // state rule by rule through the exported per-rule entry
-            // points (profiling on), which run the same exact-footprint
-            // bodies; the two hand the state back and forth, and both are
-            // checked against the interpreter and a `match` reference.
+            // `fast` runs whole native cycles with their exact-footprint
+            // commits; `stepped` steps the same state rule by rule through
+            // the engine's micro-op bodies; the two hand the state back and
+            // forth, and both are checked against the interpreter and a
+            // `match` reference. So neither path may leave a flag or a log
+            // entry that the other's next cycle would misread.
             let mut fast = Sim::compile_with(&td, &opts).unwrap();
             fast.set_dispatch(Dispatch::Native);
             let mut stepped = Sim::compile_with(&td, &opts).unwrap();
             stepped.set_dispatch(Dispatch::Native);
-            stepped.enable_profiling();
             let n = prog.init.len();
             // Failures per rule inside native whole cycles.
             let mut native_fails = vec![0u64; prog.rules.len()];
@@ -1712,21 +1673,27 @@ mod tests {
             VmError::CompilerBug { rule: 0, what: "operand stack underflow", .. }
         ));
         // A plain `cycle()` runs `koika_cycle`, which records the same trap
-        // and, like per-rule stepping (`stepped`, profiling on) and the
-        // host (`host`), finishes the cycle with the remaining rules.
+        // and, like the host (`host`) and the micro-op bodies of a profiled
+        // native run (`profiled`), finishes the cycle with the remaining
+        // rules. Observed, each reports the trapping rule as a failure of
+        // unspecified reason.
         let mut host = Sim::new(prog.clone());
         let mut fast = Sim::new(prog.clone());
         fast.set_dispatch(Dispatch::Native);
-        let mut stepped = Sim::new(prog);
-        stepped.set_dispatch(Dispatch::Native);
-        stepped.enable_profiling();
+        let mut profiled = Sim::new(prog);
+        profiled.set_dispatch(Dispatch::Native);
+        profiled.enable_profiling();
         for cyc in 0..3 {
-            host.cycle();
+            let mut want_m = koika::obs::Metrics::for_design(&clash());
+            host.cycle_obs(&mut want_m);
             let want = (host.take_trap(), host.reg_values(), host.last_fail());
             assert_eq!(want.0, Some(err), "cycle {cyc}");
-            for sim in [&mut fast, &mut stepped] {
-                sim.cycle();
+            assert_eq!(want_m.rules()[0].failed_other, 1, "cycle {cyc}");
+            for sim in [&mut fast, &mut profiled] {
+                let mut m = koika::obs::Metrics::for_design(&clash());
+                sim.cycle_obs(&mut m);
                 assert_eq!((sim.take_trap(), sim.reg_values(), sim.last_fail()), want, "{cyc}");
+                assert_eq!(m.to_json(false), want_m.to_json(false), "cycle {cyc}");
             }
         }
         assert_eq!(fast.rules_fired(), host.rules_fired());
@@ -1783,27 +1750,28 @@ mod tests {
     }
 
     #[test]
-    fn source_exports_one_entry_per_rule_and_no_std() {
+    fn source_exports_only_koika_cycle_and_no_std() {
         // Pure emission — no toolchain needed, no skip.
         for level in OptLevel::ALL {
             let prog = compile(&scatter(), &CompileOptions { level, ..CompileOptions::default() })
                 .unwrap();
             let src = emit_source(&prog, &TacProgram::lower(&prog)).unwrap().source;
             assert!(src.contains("\n#![no_std]\n"), "{level}");
-            assert!(!src.contains("_prof"), "{level}");
-            let mut exported: Vec<&str> = src
+            let exported: Vec<&str> = src
                 .split("#[no_mangle]\npub extern \"C\" fn ")
                 .skip(1)
                 .map(|f| f.split('(').next().unwrap())
                 .collect();
-            exported.sort_unstable();
-            let mut want: Vec<String> = (0..prog.rules.len())
-                .map(|k| format!("koika_rule_{k}"))
-                .chain(["koika_cycle".to_string()])
-                .collect();
-            want.sort_unstable();
-            assert_eq!(exported, want, "{level}");
-            assert_eq!(src.matches("extern \"C\" fn koika_").count(), want.len(), "{level}");
+            assert_eq!(exported, ["koika_cycle"], "{level}");
+            assert_eq!(src.matches("extern \"C\" fn ").count(), 1, "{level}");
+            // One body per rule, inlined into its one caller, with no
+            // weight counter.
+            for k in 0..prog.rules.len() {
+                assert_eq!(src.matches(&format!("fn rule_{k}(")).count(), 1, "{level}");
+                assert_eq!(src.matches(&format!("rule_{k}(ctx)")).count(), 1, "{level}");
+            }
+            assert!(!src.contains("w +="), "{level}");
+            assert!(!src.contains("executed"), "{level}");
         }
     }
 

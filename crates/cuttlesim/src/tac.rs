@@ -33,13 +33,14 @@
 //! [`crate::CoverageReport`] exact.
 //!
 //! Profile counts are not always identical to match dispatch, though. A
-//! micro-op's whole weight is charged before it runs (native charges the
-//! same weights), so when a fused micro-op fails at its first access the
-//! profile counts bytecode instructions that match never executed: on
-//! `small::collatz` at O1–O6, one profiled cycle after 200 reads rule
-//! weights `[32, 1]` on match and `[32, 2]` on tac and native. Tac and
-//! native agree with each other, and
-//! `tests/cross_backend.rs::native_cycle_and_per_rule_paths_share_one_body`
+//! micro-op's whole weight is charged before it runs, so when a fused
+//! micro-op fails at its first access the profile counts bytecode
+//! instructions that match never executed: on `small::collatz` at O1–O6,
+//! one profiled cycle after 200 reads rule
+//! weights `[32, 1]` on match and `[32, 2]` on tac and native. A profiled
+//! native `Sim` runs these micro-op bodies, so native and tac agree by
+//! construction, and
+//! `tests/cross_backend.rs::native_per_rule_work_runs_the_micro_op_bodies`
 //! compares native against tac for that reason.
 
 use crate::compile::{fusable, Program, RuleCode};
@@ -227,11 +228,11 @@ pub(crate) struct TacRule {
 }
 
 /// A whole program lowered to micro-ops, plus the mutable per-rule slot
-/// files the scalar executor runs on.
+/// files the scalar executor runs on. A clone shares the lowered rules.
 #[derive(Debug, Clone)]
 pub(crate) struct TacProgram {
     /// Lowered rules, in rule order.
-    pub(crate) rules: Vec<TacRule>,
+    pub(crate) rules: std::sync::Arc<[TacRule]>,
     /// Working slot files (clones of each rule's `slot_init`).
     pub(crate) slots: Vec<Vec<u64>>,
 }
@@ -240,7 +241,7 @@ impl TacProgram {
     /// Lowers every rule of `prog`. Infallible: rules whose bytecode defies
     /// stack discipline lower to a trap body.
     pub(crate) fn lower(prog: &Program) -> TacProgram {
-        let rules: Vec<TacRule> = prog.rules.iter().map(TacRule::lower).collect();
+        let rules: std::sync::Arc<[TacRule]> = prog.rules.iter().map(TacRule::lower).collect();
         let slots = rules.iter().map(|r| r.slot_init.clone()).collect();
         TacProgram { rules, slots }
     }

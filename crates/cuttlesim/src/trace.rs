@@ -52,6 +52,10 @@ impl Observer for TraceCollector {
     fn cycle_end(&mut self, cycle: u64) {
         self.cycles.push((cycle, std::mem::take(&mut self.cur)));
     }
+
+    fn reads_reg_writes(&self) -> bool {
+        false
+    }
 }
 
 impl RuleTrace {

@@ -112,6 +112,10 @@ pub(crate) struct State {
     pub(crate) fail_per_rule: Vec<u64>,
     pub(crate) cov: Vec<u64>,
     pub(crate) last_fail: Option<FailInfo>,
+    /// The per-cycle record: one word per rule the current cycle ran, in
+    /// run order (for a plain cycle, schedule order). See [`REC_COMMIT`]
+    /// for the encoding.
+    pub(crate) rec: Vec<u64>,
 }
 
 impl State {
@@ -137,7 +141,51 @@ impl State {
             fail_per_rule: vec![0; prog.rules.len()],
             cov: vec![0; prog.cov.len()],
             last_fail: None,
+            rec: Vec::with_capacity(prog.schedule.len()),
         }
+    }
+}
+
+/// Per-cycle record word of a rule that committed. A record word holds
+/// the outcome in bits 0–1 (this, [`REC_CONFLICT`], [`REC_ABORT`] or
+/// [`REC_TRAP`]), the conflicting register (or a native trap's ordinal)
+/// in bits 2–31 and the failing bytecode pc in bits 32–63. The host's
+/// per-rule step and the generated `koika_cycle` write the same words.
+pub(crate) const REC_COMMIT: u64 = 0;
+/// Record outcome: a read/write check failed on the recorded register.
+pub(crate) const REC_CONFLICT: u64 = 1;
+/// Record outcome: an explicit abort.
+pub(crate) const REC_ABORT: u64 = 2;
+/// Record outcome: a VM trap; the rule neither committed nor rolled back.
+pub(crate) const REC_TRAP: u64 = 3;
+
+/// The record word of the failure `f` describes.
+fn rec_failure(f: &FailInfo) -> u64 {
+    let how = match f.reg {
+        Some(r) => (r.0 as u64) << 2 | REC_CONFLICT,
+        None => REC_ABORT,
+    };
+    (f.pc as u64) << 32 | how
+}
+
+/// The [`FailInfo`] of record word `w`, a failure of `rule` in `cycle`.
+pub(crate) fn rec_fail_info(w: u64, rule: usize, cycle: u64) -> FailInfo {
+    FailInfo {
+        rule,
+        pc: (w >> 32) as usize,
+        reg: (w & 3 == REC_CONFLICT).then_some(RegId((w as u32) >> 2)),
+        cycle,
+    }
+}
+
+/// Why the rule behind record word `w` failed; `None` if it committed. A
+/// trap reads as [`FailureReason::Unspecified`].
+fn rec_reason(w: u64) -> Option<FailureReason> {
+    match w & 3 {
+        REC_COMMIT => None,
+        REC_CONFLICT => Some(FailureReason::Conflict(RegId((w as u32) >> 2))),
+        REC_ABORT => Some(FailureReason::Abort),
+        _ => Some(FailureReason::Unspecified),
     }
 }
 
@@ -170,7 +218,10 @@ pub enum Dispatch {
     /// source, built with `rustc` into a cdylib (cached by design
     /// fingerprint), and loaded through a hand-rolled `dlopen` shim — the
     /// paper's "compile, don't interpret" thesis applied to our own VM
-    /// (see [`crate::native`]). Requires a Rust toolchain at run time;
+    /// (see [`crate::native`]). Whole cycles, observed or not, run the
+    /// compiled `koika_cycle`; per-rule work (profiling, mid-cycle
+    /// stepping, [`Sim::try_cycle`]) runs the same program's micro-ops,
+    /// as [`Dispatch::Tac`] would. Requires a Rust toolchain at run time;
     /// selection fails loudly (never a silent fallback) without one.
     Native,
 }
@@ -250,8 +301,10 @@ enum Engine {
     Match,
     /// The lowered micro-op program.
     Tac(crate::tac::TacProgram),
-    /// The loaded native engine (shared through the process-wide cache).
-    Native(Arc<crate::native::NativeEngine>),
+    /// The loaded native engine (shared through the process-wide cache),
+    /// which runs whole cycles, and the micro-op program it was emitted
+    /// from, which runs every per-rule step over the same [`State`].
+    Native(Arc<crate::native::NativeEngine>, crate::tac::TacProgram),
 }
 
 #[derive(Debug, Clone)]
@@ -298,7 +351,8 @@ impl Sim {
 
     /// Starts counting executed instructions per rule (see
     /// [`crate::profile::ProfileReport`]). Adds a small per-instruction
-    /// overhead while enabled.
+    /// overhead while enabled, and a native `Sim` then runs its cycles on
+    /// the micro-op bodies, whose weights are the profile's.
     pub fn enable_profiling(&mut self) {
         if self.profile.is_none() {
             self.profile = Some(vec![0; self.prog.rules.len()]);
@@ -340,7 +394,11 @@ impl Sim {
             self.engine = match dispatch {
                 Dispatch::Match => Engine::Match,
                 Dispatch::Tac => Engine::Tac(crate::tac::TacProgram::lower(&self.prog)),
-                Dispatch::Native => Engine::Native(crate::native::build_engine(&self.prog)?),
+                Dispatch::Native => {
+                    let native = crate::native::build_engine(&self.prog)?;
+                    let tac = native.tac().clone();
+                    Engine::Native(native, tac)
+                }
             };
         }
         Ok(())
@@ -351,7 +409,7 @@ impl Sim {
         match self.engine {
             Engine::Match => Dispatch::Match,
             Engine::Tac(_) => Dispatch::Tac,
-            Engine::Native(_) => Dispatch::Native,
+            Engine::Native(..) => Dispatch::Native,
         }
     }
 
@@ -433,23 +491,29 @@ impl Sim {
 
     /// The current value of every register, as `u64`s.
     pub fn reg_values(&self) -> Vec<u64> {
-        (0..self.prog.init.len())
-            .map(|i| self.read_reg(i))
-            .collect()
+        self.regs().to_vec()
+    }
+
+    /// The registers at the cycle boundary: the beginning-of-cycle state,
+    /// or from the level that drops it, the log data.
+    #[inline]
+    fn regs(&self) -> &[u64] {
+        if self.prog.cfg.no_boc {
+            &self.st.log_d0
+        } else {
+            &self.st.boc
+        }
     }
 
     #[inline]
     fn read_reg(&self, i: usize) -> u64 {
-        if self.prog.cfg.no_boc {
-            self.st.log_d0[i]
-        } else {
-            self.st.boc[i]
-        }
+        self.regs()[i]
     }
 
     /// Begins a cycle (for mid-cycle stepping; see the paper's case study 1).
     pub fn begin_cycle(&mut self) {
         let st = &mut self.st;
+        st.rec.clear();
         for b in &mut st.cyc_rw {
             *b = 0;
         }
@@ -463,6 +527,7 @@ impl Sim {
 
     /// Executes one rule transactionally; returns `true` if it committed.
     /// Must be bracketed by [`Sim::begin_cycle`] / [`Sim::end_cycle`].
+    /// Native dispatch steps the rule's micro-ops.
     ///
     /// A VM-internal trap (miscompiled bytecode) is recorded — retrieve it
     /// with [`Sim::take_trap`] — and reported as a non-commit.
@@ -473,17 +538,10 @@ impl Sim {
             Engine::Match => {
                 step_rule_impl(&self.prog, &mut self.st, rule_idx, &mut executed, counting)
             }
-            Engine::Tac(tac) => crate::tac::step_rule_tac(
+            Engine::Tac(tac) | Engine::Native(_, tac) => crate::tac::step_rule_tac(
                 &self.prog,
                 &tac.rules[rule_idx],
                 &mut tac.slots[rule_idx],
-                &mut self.st,
-                rule_idx,
-                &mut executed,
-                counting,
-            ),
-            Engine::Native(engine) => crate::native::step_rule_native(
-                engine,
                 &mut self.st,
                 rule_idx,
                 &mut executed,
@@ -493,15 +551,17 @@ impl Sim {
         if let Some(profile) = &mut self.profile {
             profile[rule_idx] += executed;
         }
-        match outcome {
-            Ok(committed) => committed,
+        let (committed, word) = match outcome {
+            Ok(true) => (true, REC_COMMIT),
+            // A failure has just refreshed `last_fail`.
+            Ok(false) => (false, self.st.last_fail.as_ref().map_or(REC_TRAP, rec_failure)),
             Err(e) => {
-                if self.trap.is_none() {
-                    self.trap = Some(e);
-                }
-                false
+                self.trap.get_or_insert(e);
+                (false, REC_TRAP)
             }
-        }
+        };
+        self.st.rec.push(word);
+        committed
     }
 
     /// The first VM-internal error recorded since the last call, if any.
@@ -553,12 +613,19 @@ impl Sim {
         }
         st.cycles += 1;
         self.mid_cycle = false;
+        self.push_history();
+    }
+
+    /// Keeps the end-of-cycle state for [`Sim::step_back`], if history is
+    /// on.
+    #[inline]
+    fn push_history(&mut self) {
         if let Some(h) = &mut self.history {
             if h.capacity > 0 {
                 if h.snapshots.len() == h.capacity {
                     h.snapshots.pop_front();
                 }
-                h.snapshots.push_back(st.clone());
+                h.snapshots.push_back(self.st.clone());
             }
         }
     }
@@ -1130,10 +1197,12 @@ fn exec_insn(st: &mut State, cfg: LevelCfg, insn: Insn) -> Flow {
 }
 
 impl RegAccess for Sim {
+    #[inline]
     fn get64(&self, reg: RegId) -> u64 {
         self.read_reg(reg.0 as usize)
     }
 
+    #[inline]
     fn set64(&mut self, reg: RegId, value: u64) {
         let i = reg.0 as usize;
         let v = value & word::mask(self.prog.widths[i]);
@@ -1149,19 +1218,16 @@ impl RegAccess for Sim {
 impl SimBackend for Sim {
     fn cycle(&mut self) {
         debug_assert!(!self.mid_cycle, "cycle() called while stepping mid-cycle");
-        // Whole-cycle fast path: the generated `koika_cycle` runs the full
-        // schedule (prologue, bodies, commit/rollback, end-of-cycle merge)
-        // in one native call. Only when nothing needs per-rule hooks:
-        // history wants a snapshot per cycle boundary (end_cycle pushes
-        // it) and profiling wants per-rule counters. A trap is recorded as
-        // `step_rule` records it.
-        if let Engine::Native(engine) = &self.engine {
-            if self.history.is_none() && self.profile.is_none() {
-                if let Err(e) = crate::native::run_cycle_native(engine, &mut self.st) {
-                    self.trap.get_or_insert(e);
-                }
-                return;
+        // Native runs the whole schedule (prologue, bodies, commit or
+        // rollback, record, end-of-cycle merge) in one `koika_cycle` call.
+        // A profiled run counts per-rule weights on the micro-op bodies
+        // instead. A trap is recorded as `step_rule` records it.
+        if let (Engine::Native(native, _), None) = (&self.engine, &self.profile) {
+            if let Err(e) = crate::native::run_cycle_native(native, &mut self.st) {
+                self.trap.get_or_insert(e);
             }
+            self.push_history();
+            return;
         }
         self.begin_cycle();
         for i in 0..self.prog.schedule.len() {
@@ -1171,33 +1237,29 @@ impl SimBackend for Sim {
         self.end_cycle();
     }
 
+    /// Runs the ordinary [`SimBackend::cycle`], then replays its per-cycle
+    /// record to `obs` in schedule order, so an observed cycle runs the
+    /// same engine code as an unobserved one on every dispatch. Registers
+    /// are captured around the cycle only if `obs` reads `reg_write`.
     fn cycle_obs(&mut self, obs: &mut dyn Observer) {
         debug_assert!(!self.mid_cycle, "cycle_obs() called while stepping mid-cycle");
-        let nregs = self.prog.init.len();
         let mut prev = std::mem::take(&mut self.obs_prev);
         prev.clear();
-        prev.extend((0..nregs).map(|i| self.read_reg(i)));
+        if obs.reads_reg_writes() {
+            prev.extend_from_slice(self.regs());
+        }
         let cycle = self.st.cycles;
         obs.cycle_start(cycle);
-        self.begin_cycle();
-        for i in 0..self.prog.schedule.len() {
-            let rule = self.prog.schedule[i];
+        self.cycle();
+        debug_assert_eq!(self.st.rec.len(), self.prog.schedule.len(), "one word per rule");
+        for (&rule, &word) in self.prog.schedule.iter().zip(&self.st.rec) {
             obs.rule_attempt(rule);
-            if self.step_rule(rule) {
-                obs.rule_commit(rule);
-            } else {
-                // step_rule just refreshed `last_fail` for this failure.
-                let reason = match self.st.last_fail {
-                    Some(FailInfo { reg: Some(r), .. }) => FailureReason::Conflict(r),
-                    Some(FailInfo { reg: None, .. }) => FailureReason::Abort,
-                    None => FailureReason::Unspecified,
-                };
-                obs.rule_fail(rule, reason);
+            match rec_reason(word) {
+                None => obs.rule_commit(rule),
+                Some(reason) => obs.rule_fail(rule, reason),
             }
         }
-        self.end_cycle();
-        for (i, &old) in prev.iter().enumerate() {
-            let new = self.read_reg(i);
+        for (i, (&old, &new)) in prev.iter().zip(self.regs()).enumerate() {
             if new != old {
                 obs.reg_write(RegId(i as u32), old, new);
             }

@@ -79,6 +79,16 @@ pub trait SimBackend: RegAccess {
     /// `cycle` loops stay byte-for-byte what they were before observation
     /// existed.
     ///
+    /// A backend may implement it as its ordinary `cycle` followed by a
+    /// replay of what the cycle did, as the Cuttlesim VM does on every
+    /// dispatch (its per-cycle record holds each scheduled rule's
+    /// outcome), instead of stepping rule by rule. The events are the
+    /// same either way: `cycle_start`; per scheduled rule, in schedule
+    /// order, `rule_attempt` then `rule_commit` or `rule_fail`; `reg_write`
+    /// for each changed register, in index order; `cycle_end`. A backend
+    /// may skip the `reg_write` events for an observer whose
+    /// [`Observer::reads_reg_writes`] is `false`.
+    ///
     /// Rule indices reported to the observer are **declaration order**
     /// indices on every backend, and `reg_write` reports registers whose
     /// low 64 bits changed across the cycle boundary, so event streams

@@ -404,7 +404,8 @@ impl ArmedWatchdog {
 pub struct CommitFingerprint {
     /// One fingerprint per completed cycle.
     pub per_cycle: Vec<u64>,
-    cur: Vec<usize>,
+    /// The current cycle's fingerprint so far.
+    cur: u64,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -419,7 +420,12 @@ impl CommitFingerprint {
     /// The fingerprint of one cycle that committed `rules`, in schedule
     /// order. Scalar runs and batched lanes both fold through here.
     fn fold(rules: impl IntoIterator<Item = usize>) -> u64 {
-        rules.into_iter().fold(FNV_OFFSET, |h, r| (h ^ (r as u64 + 1)).wrapping_mul(FNV_PRIME))
+        rules.into_iter().fold(FNV_OFFSET, Self::step)
+    }
+
+    /// Folds one more committed rule into fingerprint `h`.
+    fn step(h: u64, rule: usize) -> u64 {
+        (h ^ (rule as u64 + 1)).wrapping_mul(FNV_PRIME)
     }
 }
 
@@ -433,15 +439,19 @@ fn digest_fps(fps: &[u64]) -> u64 {
 
 impl Observer for CommitFingerprint {
     fn cycle_start(&mut self, _cycle: u64) {
-        self.cur.clear();
+        self.cur = FNV_OFFSET;
     }
 
     fn rule_commit(&mut self, rule: usize) {
-        self.cur.push(rule);
+        self.cur = Self::step(self.cur, rule);
     }
 
     fn cycle_end(&mut self, _cycle: u64) {
-        self.per_cycle.push(Self::fold(self.cur.iter().copied()));
+        self.per_cycle.push(self.cur);
+    }
+
+    fn reads_reg_writes(&self) -> bool {
+        false
     }
 }
 
@@ -1025,7 +1035,7 @@ fn member_run(
 ) -> Result<Outcome, WatchdogTrip> {
     let mut fp = CommitFingerprint {
         per_cycle: prefix,
-        cur: Vec::new(),
+        cur: FNV_OFFSET,
     };
     // `classify` reads the fingerprints only up to the first one that
     // differs from the golden run's, so from there on the member runs

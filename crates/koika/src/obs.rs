@@ -14,6 +14,11 @@
 //! `cycle_obs(&mut dyn Observer)` entry point next to their unhooked
 //! `cycle()`, so a simulation that never attaches an observer executes the
 //! exact same code as before this module existed (zero cost when disabled).
+//! The Cuttlesim VM does not step rule by rule for an observer either: on
+//! every dispatch it runs the ordinary cycle, which leaves a per-cycle
+//! record of each scheduled rule's outcome, and replays that record as
+//! events. The boundary register diff behind `reg_write` is taken only
+//! for observers whose [`Observer::reads_reg_writes`] says they read it.
 //!
 //! Sinks provided here:
 //! - [`Metrics`] — per-rule commit/abort counters, commit/abort-per-cycle
@@ -66,6 +71,12 @@ pub trait Observer {
     fn rule_fail(&mut self, _rule: usize, _reason: FailureReason) {}
     /// A register's value changed across the cycle boundary.
     fn reg_write(&mut self, _reg: RegId, _old: u64, _new: u64) {}
+    /// Whether this observer reads [`Observer::reg_write`]. A backend may
+    /// skip capturing registers around the cycle, and so send no
+    /// `reg_write` events, for an observer that returns `false`.
+    fn reads_reg_writes(&self) -> bool {
+        true
+    }
     /// The cycle finished and registers are latched.
     fn cycle_end(&mut self, _cycle: u64) {}
     /// A fault was injected before the given cycle: bit `bit` of `reg` was
@@ -118,6 +129,9 @@ impl Observer for Fanout<'_> {
         for s in &mut self.sinks {
             s.reg_write(reg, old, new);
         }
+    }
+    fn reads_reg_writes(&self) -> bool {
+        self.sinks.iter().any(|s| s.reads_reg_writes())
     }
     fn cycle_end(&mut self, cycle: u64) {
         for s in &mut self.sinks {
@@ -795,6 +809,10 @@ impl PerfettoTrace {
 impl Observer for PerfettoTrace {
     fn cycle_start(&mut self, cycle: u64) {
         self.cycle = cycle;
+    }
+
+    fn reads_reg_writes(&self) -> bool {
+        false
     }
 
     fn rule_commit(&mut self, rule: usize) {

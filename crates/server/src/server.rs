@@ -532,6 +532,9 @@ impl Observer for TraceObs {
     fn cycle_start(&mut self, cycle: u64) {
         self.cur = cycle;
     }
+    fn reads_reg_writes(&self) -> bool {
+        false
+    }
     fn rule_commit(&mut self, rule: usize) {
         if self.events.len() < self.cap {
             self.events.push((self.cur, rule));

@@ -806,6 +806,10 @@ impl Observer for SeuPrinter<'_> {
         let spec = Injection { cycle, reg, bit }.display_with(self.td);
         println!("injected SEU {spec} (value {old:#x} -> {new:#x})");
     }
+
+    fn reads_reg_writes(&self) -> bool {
+        false
+    }
 }
 
 fn build_devices(td: &TDesign, program: &Option<Vec<u32>>) -> Vec<Box<dyn Device>> {
@@ -1445,8 +1449,9 @@ fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode
     }
 
     if let (true, Some(vm)) = (args.profile, sims.vm()) {
-        // Profiling turns off native whole-cycle dispatch, so the main run
-        // stays unprofiled and a fresh profiled Sim re-runs its cycles.
+        // A profiled native Sim runs the micro-op bodies instead of
+        // `koika_cycle`, so the main run stays unprofiled and a fresh
+        // profiled Sim re-runs its cycles.
         let mut profiled = vm.clone();
         profiled.enable_profiling();
         let mut devices = build_devices(td, &target.program);

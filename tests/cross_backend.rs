@@ -175,35 +175,39 @@ fn coverage_counts_are_dispatch_independent() {
     assert_eq!(a.coverage_counts(), b.coverage_counts());
 }
 
-/// Native dispatch compiles each rule to one body, which both native paths
-/// run: `koika_cycle` calls it on a plain `cycle`, and the host calls its
-/// exported wrapper rule by rule when an observer is attached or profiling
-/// is on. A native `Sim` switches paths every three cycles (and profiles
-/// from cycle 200 on); after every cycle it must agree with match dispatch
-/// on registers, per-rule commit and failure counts, `last_fail` and
-/// coverage counts, and with tac dispatch on profile weights. Native
-/// charges each micro-op the bytecode weight tac does, and both charge a
-/// fused micro-op's whole weight when its first access fails, where match
-/// counts only the instructions it ran (collatz's `rlB` at O1 and up).
-#[test]
-fn native_cycle_and_per_rule_paths_share_one_body() {
-    use cuttlesim::OptLevel;
+/// The two-rule design whose second rule conflicts every cycle.
+fn clash() -> Design {
     use koika::ast::*;
     use koika::design::DesignBuilder;
-    use koika::obs::Observer;
-    if !cuttlesim::toolchain_available() {
-        eprintln!("SKIP native_cycle_and_per_rule_paths_share_one_body: no rustc toolchain");
-        return;
-    }
-    struct Quiet;
-    impl Observer for Quiet {}
-    // Two rules racing for one register: `b` conflicts every cycle.
     let mut clash = DesignBuilder::new("clash");
     clash.reg("n", 8, 0u64);
     clash.rule("a", vec![wr0("n", rd0("n").add(k(8, 1)))]);
     clash.rule("b", vec![wr0("n", rd0("n").add(k(8, 2)))]);
+    clash.build()
+}
+
+/// Native dispatch runs whole cycles, observed or not, through its
+/// compiled `koika_cycle`, and every kind of per-rule work on the micro-op
+/// bodies of the same program over the same state. A native `Sim` cycles
+/// in turn plainly, observed, stepped rule by rule mid-cycle and through
+/// `try_cycle`; history is on from cycle 100 and profiling from cycle 200.
+/// After every cycle it must agree with match and tac dispatch on
+/// registers, per-rule commit and failure counts, `last_fail`, traps and
+/// coverage counts, and with tac on profile weights. Both charge a fused
+/// micro-op's whole weight when its first access fails, where match counts
+/// only the instructions it ran (collatz's `rlB` at O1 and up).
+#[test]
+fn native_per_rule_work_runs_the_micro_op_bodies() {
+    use cuttlesim::OptLevel;
+    use koika::obs::Observer;
+    if !cuttlesim::toolchain_available() {
+        eprintln!("SKIP native_per_rule_work_runs_the_micro_op_bodies: no rustc toolchain");
+        return;
+    }
+    struct Quiet;
+    impl Observer for Quiet {}
     let program = programs::primes(20);
-    for design in [small::collatz(), clash.build(), rv32::rv32i()] {
+    for design in [small::collatz(), clash(), rv32::rv32i()] {
         let td = check(&design).unwrap();
         let memory = || {
             let words = koika_designs::harness::MEM_WORDS;
@@ -217,8 +221,12 @@ fn native_cycle_and_per_rule_paths_share_one_body() {
                 tac.set_dispatch(Dispatch::Tac);
                 let mut got = Sim::compile_with(&td, &opts).unwrap();
                 got.set_dispatch(Dispatch::Native);
+                let schedule = got.program().schedule.clone();
                 let mut mems = [memory(), memory(), memory()];
                 for cycle in 0..300u64 {
+                    if cycle == 100 {
+                        got.enable_history(4);
+                    }
                     if cycle == 200 {
                         tac.enable_profiling();
                         got.enable_profiling();
@@ -230,20 +238,31 @@ fn native_cycle_and_per_rule_paths_share_one_body() {
                     }
                     want.cycle();
                     tac.cycle();
-                    if cycle % 6 < 3 {
-                        got.cycle();
-                    } else {
-                        got.cycle_obs(&mut Quiet);
+                    match cycle % 12 / 3 {
+                        0 => got.cycle(),
+                        1 => got.cycle_obs(&mut Quiet),
+                        2 => {
+                            got.begin_cycle();
+                            for &rule in &schedule {
+                                got.step_rule(rule);
+                            }
+                            got.end_cycle();
+                        }
+                        _ => got.try_cycle().unwrap(),
                     }
                     let at = format!("{} {level} coverage={coverage} cycle {cycle}", td.name);
-                    assert_eq!(got.reg_values(), want.reg_values(), "{at}");
-                    assert_eq!(got.fired_per_rule(), want.fired_per_rule(), "{at}");
-                    assert_eq!(got.fails_per_rule(), want.fails_per_rule(), "{at}");
-                    assert_eq!(got.last_fail(), want.last_fail(), "{at}");
-                    assert_eq!(got.coverage_counts(), want.coverage_counts(), "{at}");
+                    for other in [&mut want, &mut tac] {
+                        assert_eq!(got.reg_values(), other.reg_values(), "{at}");
+                        assert_eq!(got.fired_per_rule(), other.fired_per_rule(), "{at}");
+                        assert_eq!(got.fails_per_rule(), other.fails_per_rule(), "{at}");
+                        assert_eq!(got.last_fail(), other.last_fail(), "{at}");
+                        assert_eq!(got.coverage_counts(), other.coverage_counts(), "{at}");
+                        assert_eq!(got.take_trap(), other.take_trap(), "{at}");
+                    }
                     assert_eq!(got.profile_insns(), tac.profile_insns(), "{at}");
                 }
                 assert!(want.fails_per_rule().iter().any(|&f| f > 0), "{} {level}", td.name);
+                assert!(got.step_back(4), "{} {level}: history was kept", td.name);
             }
         }
     }

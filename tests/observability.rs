@@ -217,6 +217,141 @@ fn observation_does_not_change_simulation_results() {
     assert_eq!(m.commits_per_rule(), plain.fired_per_rule().to_vec());
 }
 
+/// The sinks an observed VM cycle feeds, and what they export.
+struct Sinks {
+    metrics: Metrics,
+    perfetto: PerfettoTrace,
+    fp: koika::fault::CommitFingerprint,
+}
+
+impl Sinks {
+    fn for_design(td: &koika::tir::TDesign) -> Sinks {
+        Sinks {
+            metrics: Metrics::for_design(td),
+            perfetto: PerfettoTrace::for_design(td),
+            fp: Default::default(),
+        }
+    }
+
+    fn cycle_obs(&mut self, sim: &mut dyn SimBackend) {
+        let sinks: Vec<&mut dyn koika::obs::Observer> =
+            vec![&mut self.metrics, &mut self.perfetto, &mut self.fp];
+        sim.cycle_obs(&mut koika::obs::Fanout::new(sinks));
+    }
+
+    fn export(&self) -> (String, String, u64) {
+        (self.metrics.to_json(false), self.perfetto.to_json(), self.fp.digest())
+    }
+}
+
+/// An observed VM cycle is the engine's ordinary cycle plus a replay of
+/// the per-cycle record it leaves. On match, tac and native, a design runs
+/// unobserved, observed by Metrics, Perfetto and a commit fingerprint, and
+/// observed by a fingerprint alone (which skips the register capture). All
+/// three runs end in the same state, and the exports are byte-identical
+/// across dispatches and, where the interpreter can run the design, equal
+/// to the interpreter's. Clash conflicts every cycle; `trapping` is clash
+/// with rule `b`'s bytecode broken, so it traps every cycle, which the
+/// replay reports as a failure of unspecified reason.
+#[test]
+fn observed_cycles_replay_the_record_on_every_dispatch() {
+    use cuttlesim::insn::Insn;
+    use cuttlesim::Dispatch;
+    use koika::ast::*;
+    use koika::design::DesignBuilder;
+    let native = cuttlesim::toolchain_available();
+    if !native {
+        eprintln!(
+            "SKIP native rows of observed_cycles_replay_the_record_on_every_dispatch: \
+             no rustc toolchain"
+        );
+    }
+    let mut b = DesignBuilder::new("clash");
+    b.reg("n", 8, 0u64);
+    b.rule("a", vec![wr0("n", rd0("n").add(k(8, 1)))]);
+    b.rule("b", vec![wr0("n", rd0("n").add(k(8, 2)))]);
+    let clash = check(&b.build()).unwrap();
+    let collatz = check(&small::collatz()).unwrap();
+    let rv32i = check(&rv32::rv32i()).unwrap();
+    let opts = CompileOptions::default();
+    let mut trapping = cuttlesim::compile(&clash, &opts).unwrap();
+    trapping.rules[1].code.insert(0, Insn::Add { mask: u64::MAX });
+    let program = programs::primes(20);
+    let cases = [
+        (cuttlesim::compile(&collatz, &opts).unwrap(), true, 200),
+        (cuttlesim::compile(&clash, &opts).unwrap(), true, 50),
+        (cuttlesim::compile(&rv32i, &opts).unwrap(), true, 1_500),
+        (trapping, false, 20),
+    ];
+    for (prog, interp_runs, cycles) in cases {
+        let td = prog.design.clone();
+        let name = if interp_runs { td.name.clone() } else { "trapping".to_string() };
+        let memory = || {
+            (td.name == "rv32i").then(|| MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS))
+        };
+        let mut want = None;
+        if interp_runs {
+            let mut sim = koika::Interp::new(&td);
+            let mut mem = memory();
+            let mut sinks = Sinks::for_design(&td);
+            for cycle in 0..cycles {
+                if let Some(m) = &mut mem {
+                    m.tick(cycle, &mut sim);
+                }
+                sinks.cycle_obs(&mut sim);
+            }
+            want = Some(sinks.export());
+        }
+        for dispatch in Dispatch::ALL.into_iter().filter(|&d| native || d != Dispatch::Native) {
+            let at = |cycle: u64| format!("{name} {dispatch:?} cycle {cycle}");
+            let sims: [Sim; 3] = std::array::from_fn(|_| {
+                let mut sim = Sim::new(prog.clone());
+                sim.set_dispatch(dispatch);
+                sim
+            });
+            let [mut plain, mut observed, mut fingerprinted] = sims;
+            let mut mems = [memory(), memory(), memory()];
+            let mut sinks = Sinks::for_design(&td);
+            let mut fp = koika::fault::CommitFingerprint::default();
+            for cycle in 0..cycles {
+                let sims = [&mut plain, &mut observed, &mut fingerprinted];
+                for (mem, sim) in mems.iter_mut().zip(sims) {
+                    if let Some(m) = mem {
+                        m.tick(cycle, sim);
+                    }
+                }
+                plain.cycle();
+                sinks.cycle_obs(&mut observed);
+                fingerprinted.cycle_obs(&mut fp);
+                let trap = plain.take_trap();
+                assert_eq!(trap.is_some(), !interp_runs, "{}", at(cycle));
+                for sim in [&mut observed, &mut fingerprinted] {
+                    assert_eq!(sim.reg_values(), plain.reg_values(), "{}", at(cycle));
+                    assert_eq!(sim.fired_per_rule(), plain.fired_per_rule(), "{}", at(cycle));
+                    assert_eq!(sim.fails_per_rule(), plain.fails_per_rule(), "{}", at(cycle));
+                    assert_eq!(sim.last_fail(), plain.last_fail(), "{}", at(cycle));
+                    assert_eq!(sim.take_trap(), trap, "{}", at(cycle));
+                }
+            }
+            let got = sinks.export();
+            assert_eq!(fp.digest(), got.2, "{name} {dispatch:?}: fingerprint alone");
+            let commits = sinks.metrics.commits_per_rule();
+            assert_eq!(commits, plain.fired_per_rule(), "{name} {dispatch:?}");
+            if !interp_runs {
+                assert_eq!(sinks.metrics.rules()[1].failed_other, cycles, "{name} {dispatch:?}");
+            }
+            match &want {
+                None => want = Some(got),
+                Some(want) => {
+                    assert_eq!(got.0, want.0, "{name} {dispatch:?}: metrics");
+                    assert_eq!(got.1, want.1, "{name} {dispatch:?}: perfetto");
+                    assert_eq!(got.2, want.2, "{name} {dispatch:?}: fingerprint");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Golden snapshots (deterministic output forms only).
 
