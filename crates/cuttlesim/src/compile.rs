@@ -27,6 +27,7 @@ use koika::tir::{TAction, TDesign, TExpr};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// How much of the logs a rule's commit (and rollback) must copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -177,87 +178,262 @@ struct RuleCompiler<'a> {
     cfg: LevelCfg,
     coverage: bool,
     rule_name: &'a str,
-    rule_depth: u32,
     code: Vec<Insn>,
     cov: Vec<CovPoint>,
     cov_base: u32,
     log_dirty: bool,
     error: Option<CompileError>,
-    /// Occurrence counts of read-free subexpressions (CSE candidates).
-    cse_counts: HashMap<TExpr, u32>,
-    /// Currently-valid CSE temps: expression -> local slot.
-    cse_cache: HashMap<TExpr, u16>,
+    /// The rule's CSE candidates and the temps currently holding them.
+    cse: Cse,
     /// Next free local slot (source locals first, then CSE temps).
     next_slot: u16,
     /// Slots assigned so far (for branch-join cache invalidation).
     assigned: Vec<u16>,
 }
 
-/// True if evaluating `e` performs no register reads (so its value is a
-/// pure function of locals and constants and may be cached).
-fn is_read_free(e: &TExpr) -> bool {
-    match e {
-        TExpr::Const { .. } | TExpr::Var { .. } => true,
-        TExpr::Read { .. } | TExpr::ReadArr { .. } => false,
-        TExpr::Un { a, .. } => is_read_free(a),
-        TExpr::Bin { a, b, .. } => is_read_free(a) && is_read_free(b),
-        TExpr::Select { c, t, f, .. } => {
-            is_read_free(c) && is_read_free(t) && is_read_free(f)
-        }
+/// A multiplicative hasher for the compiler's small integer keys (the
+/// default SipHash dominates the cost of hashing a `Key` or an address).
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
     }
 }
 
-/// True if `e` mentions local slot `slot`.
-fn uses_slot(e: &TExpr, slot: u16) -> bool {
-    match e {
-        TExpr::Const { .. } | TExpr::Read { .. } => false,
-        TExpr::Var { slot: s, .. } => *s == slot,
-        TExpr::ReadArr { idx, .. } => uses_slot(idx, slot),
-        TExpr::Un { a, .. } => uses_slot(a, slot),
-        TExpr::Bin { a, b, .. } => uses_slot(a, slot) || uses_slot(b, slot),
-        TExpr::Select { c, t, f, .. } => {
-            uses_slot(c, slot) || uses_slot(t, slot) || uses_slot(f, slot)
-        }
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b as u64));
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.add(x as u64);
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+    fn finish(&self) -> u64 {
+        // The product's entropy sits in its high bits; rotate it down to
+        // where the table takes its bucket index.
+        self.0.rotate_left(26)
     }
 }
 
-/// Counts occurrences of non-trivial read-free subexpressions across a rule
-/// body — those seen at least twice become CSE temps.
-fn count_subexprs(actions: &[TAction], counts: &mut HashMap<TExpr, u32>) {
-    fn expr(e: &TExpr, counts: &mut HashMap<TExpr, u32>) {
-        if is_read_free(e) && !matches!(e, TExpr::Const { .. } | TExpr::Var { .. }) {
-            *counts.entry(e.clone()).or_insert(0) += 1;
-        }
-        match e {
-            TExpr::ReadArr { idx, .. } => expr(idx, counts),
-            TExpr::Un { a, .. } => expr(a, counts),
-            TExpr::Bin { a, b, .. } => {
-                expr(a, counts);
-                expr(b, counts);
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A read-free expression node, with its children replaced by their ids:
+/// two nodes get the same id exactly when they are structurally equal.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    Const { w: u32, v: u64 },
+    Var { w: u32, slot: u16 },
+    Un { w: u32, op: UnOp, a: u32 },
+    Bin { w: u32, op: BinOp, a: u32, b: u32 },
+    Select { w: u32, c: u32, t: u32, f: u32 },
+}
+
+/// One bottom-up pass over a rule body that interns every read-free
+/// subexpression, counts the occurrences of each, and records the local
+/// slots each one reads (as a sorted range of the shared `slots` arena).
+#[derive(Default)]
+struct Interner<'e> {
+    ids: FxMap<Key, u32>,
+    /// Per id: occurrences in the rule body (constants and variables are
+    /// never counted, as they cost nothing to recompute).
+    count: Vec<u32>,
+    /// Per id: the `(start, len)` range of `slots` it reads.
+    reads: Vec<(u32, u32)>,
+    slots: Vec<u16>,
+    /// Every counted node and its id.
+    nodes: Vec<(&'e TExpr, u32)>,
+}
+
+impl<'e> Interner<'e> {
+    fn actions(&mut self, actions: &'e [TAction]) {
+        for a in actions {
+            match a {
+                TAction::Let { e, .. } | TAction::Write { e, .. } => {
+                    self.expr(e);
+                }
+                TAction::WriteArr { idx, e, .. } => {
+                    self.expr(idx);
+                    self.expr(e);
+                }
+                TAction::If { c, t, f } => {
+                    self.expr(c);
+                    self.actions(t);
+                    self.actions(f);
+                }
+                TAction::Abort => {}
+                TAction::Named { body, .. } => self.actions(body),
             }
-            TExpr::Select { c, t, f, .. } => {
-                expr(c, counts);
-                expr(t, counts);
-                expr(f, counts);
-            }
-            _ => {}
         }
     }
-    for a in actions {
-        match a {
-            TAction::Let { e, .. } => expr(e, counts),
-            TAction::Write { e, .. } => expr(e, counts),
-            TAction::WriteArr { idx, e, .. } => {
-                expr(idx, counts);
-                expr(e, counts);
+
+    /// Interns `e` and its subexpressions; `None` if `e` reads a register.
+    fn expr(&mut self, e: &'e TExpr) -> Option<u32> {
+        let key = match e {
+            // A wider constant fails compilation as soon as it is emitted,
+            // so no expression containing one is ever reused.
+            TExpr::Const { w, v } if *w <= 64 => Key::Const {
+                w: *w,
+                v: v.to_u64(),
+            },
+            TExpr::Const { .. } | TExpr::Read { .. } => return None,
+            TExpr::Var { w, slot } => Key::Var { w: *w, slot: *slot },
+            TExpr::ReadArr { idx, .. } => {
+                self.expr(idx);
+                return None;
             }
-            TAction::If { c, t, f } => {
-                expr(c, counts);
-                count_subexprs(t, counts);
-                count_subexprs(f, counts);
+            TExpr::Un { w, op, a } => Key::Un {
+                w: *w,
+                op: *op,
+                a: self.expr(a)?,
+            },
+            TExpr::Bin { w, op, a, b } => {
+                let (a, b) = (self.expr(a), self.expr(b));
+                Key::Bin {
+                    w: *w,
+                    op: *op,
+                    a: a?,
+                    b: b?,
+                }
             }
-            TAction::Abort => {}
-            TAction::Named { body, .. } => count_subexprs(body, counts),
+            TExpr::Select { w, c, t, f } => {
+                let (c, t, f) = (self.expr(c), self.expr(t), self.expr(f));
+                Key::Select {
+                    w: *w,
+                    c: c?,
+                    t: t?,
+                    f: f?,
+                }
+            }
+        };
+        let counted = !matches!(key, Key::Const { .. } | Key::Var { .. });
+        let Interner {
+            ids,
+            count,
+            reads,
+            slots,
+            nodes,
+        } = self;
+        let id = *ids.entry(key).or_insert_with_key(|key| {
+            let r = |id: u32| reads[id as usize];
+            let read = match *key {
+                Key::Const { .. } => (0, 0),
+                Key::Var { slot, .. } => {
+                    slots.push(slot);
+                    (slots.len() as u32 - 1, 1)
+                }
+                Key::Un { a, .. } => r(a),
+                Key::Bin { a, b, .. } => union(slots, r(a), r(b)),
+                Key::Select { c, t, f, .. } => {
+                    let ct = union(slots, r(c), r(t));
+                    union(slots, ct, r(f))
+                }
+            };
+            count.push(0);
+            reads.push(read);
+            count.len() as u32 - 1
+        });
+        if counted {
+            count[id as usize] += 1;
+            nodes.push((e, id));
+        }
+        Some(id)
+    }
+}
+
+/// The union of two sorted ranges of the `slots` arena, as a range.
+fn union(slots: &mut Vec<u16>, ra: (u32, u32), rb: (u32, u32)) -> (u32, u32) {
+    if rb.1 == 0 || ra == rb {
+        return ra;
+    }
+    if ra.1 == 0 {
+        return rb;
+    }
+    let start = slots.len();
+    let (mut i, mut j) = (ra.0 as usize, rb.0 as usize);
+    let (ie, je) = (i + ra.1 as usize, j + rb.1 as usize);
+    while i < ie && j < je {
+        let (x, y) = (slots[i], slots[j]);
+        slots.push(x.min(y));
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
+    }
+    slots.extend_from_within(i..ie);
+    slots.extend_from_within(j..je);
+    (start as u32, (slots.len() - start) as u32)
+}
+
+/// Common-subexpression elimination state for one rule: the read-free
+/// subexpressions that occur at least twice (the candidates, numbered
+/// densely), and which CSE temp currently holds each one's value.
+#[derive(Default)]
+struct Cse {
+    /// Candidate index of each candidate node, by address.
+    at: FxMap<*const TExpr, u32>,
+    /// Per candidate: the temp holding its value, if any.
+    temp: Vec<Option<u16>>,
+    /// Undo log of `temp` changes, `(candidate, previous temp)`: a branch's
+    /// temps are forgotten at the join by unwinding it.
+    trail: Vec<(u32, Option<u16>)>,
+    /// Candidates reading each local slot.
+    readers: Vec<Vec<u32>>,
+}
+
+impl Cse {
+    /// Finds the candidates of a rule with `nslots` local slots.
+    fn new(body: &[TAction], nslots: usize) -> Cse {
+        let mut int = Interner::default();
+        int.actions(body);
+        let mut cand = vec![None; int.count.len()];
+        let mut ncand = 0;
+        let mut readers = vec![Vec::new(); nslots];
+        for (id, &n) in int.count.iter().enumerate() {
+            if n >= 2 {
+                let (s, len) = int.reads[id];
+                for &slot in &int.slots[s as usize..(s + len) as usize] {
+                    readers[slot as usize].push(ncand);
+                }
+                cand[id] = Some(ncand);
+                ncand += 1;
+            }
+        }
+        let at = int
+            .nodes
+            .iter()
+            .filter_map(|&(e, id)| Some((e as *const TExpr, cand[id as usize]?)))
+            .collect();
+        Cse {
+            at,
+            temp: vec![None; ncand as usize],
+            trail: Vec::new(),
+            readers,
+        }
+    }
+
+    fn set_temp(&mut self, c: u32, t: u16) {
+        self.trail.push((c, self.temp[c as usize]));
+        self.temp[c as usize] = Some(t);
+    }
+
+    /// Forgets every temp whose expression reads `slot`.
+    fn invalidate(&mut self, slot: u16) {
+        for &c in self.readers.get(slot as usize).into_iter().flatten() {
+            if let Some(t) = self.temp[c as usize].take() {
+                self.trail.push((c, Some(t)));
+            }
+        }
+    }
+
+    /// Restores the temps as they were when the trail was `mark` long.
+    fn undo(&mut self, mark: usize) {
+        for (c, t) in self.trail.drain(mark..).rev() {
+            self.temp[c as usize] = t;
         }
     }
 }
@@ -293,13 +469,14 @@ impl RuleCompiler<'_> {
         self.cfg.design_specific && !self.log_dirty
     }
 
-    fn emit_cov(&mut self, depth: u32, label: String) {
+    /// Emits a coverage counter; `label` is only built under coverage.
+    fn emit_cov(&mut self, depth: u32, label: impl FnOnce() -> String) {
         if self.coverage {
             let id = self.cov_base + self.cov.len() as u32;
             self.cov.push(CovPoint {
                 rule: self.rule_name.to_string(),
                 depth,
-                label,
+                label: label(),
             });
             self.code.push(Insn::Cov(id));
         }
@@ -307,19 +484,18 @@ impl RuleCompiler<'_> {
 
     /// Emits `e`, reusing or creating a CSE temp when profitable.
     fn emit_expr(&mut self, e: &TExpr) {
-        if let Some(&t) = self.cse_cache.get(e) {
+        let cand = self.cse.at.get(&(e as *const TExpr)).copied();
+        if let Some(t) = cand.and_then(|c| self.cse.temp[c as usize]) {
             self.code.push(Insn::Local(t));
             return;
         }
         self.emit_expr_raw(e);
-        if self.error.is_none()
-            && self.cse_counts.get(e).copied().unwrap_or(0) >= 2
-        {
+        if let (Some(c), None) = (cand, &self.error) {
             let t = self.next_slot;
             self.next_slot += 1;
             self.code.push(Insn::SetLocal(t));
             self.code.push(Insn::Local(t));
-            self.cse_cache.insert(e.clone(), t);
+            self.cse.set_temp(c, t);
         }
     }
 
@@ -476,18 +652,21 @@ impl RuleCompiler<'_> {
             }
             match a {
                 TAction::Named { label, body } => {
-                    self.emit_cov(depth, label.clone());
+                    self.emit_cov(depth, || label.clone());
                     self.emit_actions(body, depth + 1);
                     continue;
                 }
-                _ => self.emit_cov(depth, pretty::stmt_head(self.design, a)),
+                _ => {
+                    let design = self.design;
+                    self.emit_cov(depth, || pretty::stmt_head(design, a));
+                }
             }
             match a {
                 TAction::Let { slot, e } => {
                     self.emit_expr(e);
                     self.code.push(Insn::SetLocal(*slot));
                     // Cached expressions mentioning this slot are now stale.
-                    self.cse_cache.retain(|k, _| !uses_slot(k, *slot));
+                    self.cse.invalidate(*slot);
                     self.assigned.push(*slot);
                 }
                 TAction::Write { port, reg, e } => {
@@ -529,11 +708,11 @@ impl RuleCompiler<'_> {
                     // that path: restore the cache at each join. Entries
                     // from enclosing scopes stay valid (their temps were
                     // computed before the branch).
-                    let saved_cache = self.cse_cache.clone();
+                    let cse_mark = self.cse.trail.len();
                     let assigned_mark = self.assigned.len();
                     let dirty_before = self.log_dirty;
                     self.emit_actions(t, depth + 1);
-                    self.cse_cache = saved_cache.clone();
+                    self.cse.undo(cse_mark);
                     let dirty_then = self.log_dirty;
                     self.log_dirty = dirty_before;
                     if f.is_empty() {
@@ -548,12 +727,11 @@ impl RuleCompiler<'_> {
                         let end_target = self.code.len() as u32;
                         self.code[jmp_at] = Insn::Jmp(end_target);
                     }
-                    self.cse_cache = saved_cache;
+                    self.cse.undo(cse_mark);
                     // Slots assigned in either branch invalidate any cached
                     // expression mentioning them.
                     for idx in assigned_mark..self.assigned.len() {
-                        let slot = self.assigned[idx];
-                        self.cse_cache.retain(|kk, _| !uses_slot(kk, slot));
+                        self.cse.invalidate(self.assigned[idx]);
                     }
                     self.log_dirty |= dirty_then;
                 }
@@ -595,31 +773,28 @@ pub fn compile(design: &TDesign, opts: &CompileOptions) -> Result<Program, Compi
     for rule in &design.rules {
         let rule_idx = rules.len();
         let summary = &analysis.rules[rule_idx];
-        let mut cse_counts = HashMap::new();
-        if opts.optimize {
-            count_subexprs(&rule.body, &mut cse_counts);
-            cse_counts.retain(|_, c| *c >= 2);
-        }
         let mut rc = RuleCompiler {
             design,
             analysis: &analysis,
             cfg,
             coverage: opts.coverage,
             rule_name: &rule.name,
-            rule_depth: 0,
             code: Vec::new(),
             cov: Vec::new(),
             cov_base: cov.len() as u32,
             log_dirty: false,
             error: None,
-            cse_counts,
-            cse_cache: HashMap::new(),
+            cse: if opts.optimize {
+                Cse::new(&rule.body, rule.slot_widths.len())
+            } else {
+                Cse::default()
+            },
             next_slot: rule.slot_widths.len() as u16,
             assigned: Vec::new(),
         };
-        rc.emit_cov(rc.rule_depth, format!("DEF_RULE({})", rule.name));
+        rc.emit_cov(0, || format!("DEF_RULE({})", rule.name));
         rc.emit_actions(&rule.body, 1);
-        rc.emit_cov(0, "COMMIT()".to_string());
+        rc.emit_cov(0, || "COMMIT()".to_string());
         rc.code.push(Insn::End);
         if let Some(e) = rc.error {
             return Err(e);
@@ -1003,18 +1178,170 @@ mod tests {
 
     #[test]
     fn rejects_wide_intermediates() {
-        let mut b = DesignBuilder::new("wide");
-        b.reg("a", 60, 0u64);
-        b.reg("bb", 8, 0u64);
-        b.rule(
-            "r",
-            vec![wr0("bb", rd0("a").concat(rd0("a")).slice(0, 8))],
+        let too_wide = |body: Vec<Action>| {
+            let mut b = DesignBuilder::new("wide");
+            b.reg("a", 60, 0u64);
+            b.reg("bb", 8, 0u64);
+            b.rule("r", body);
+            let td = check(&b.build()).unwrap();
+            matches!(
+                compile(&td, &CompileOptions::default()),
+                Err(CompileError::ExprTooWide { .. })
+            )
+        };
+        assert!(too_wide(vec![wr0("bb", rd0("a").concat(rd0("a")).slice(0, 8))]));
+        // A wide constant in a repeated read-free expression, which CSE
+        // interns.
+        let low = || kbits(koika::bits::Bits::new(100, 1u128 << 90)).slice(0, 8);
+        assert!(too_wide(vec![let_("x", low()), wr0("bb", low())]));
+    }
+
+    /// Compiles one rule over 8-bit registers `a`, `o1` and `o2` at O6 with
+    /// the expression optimizer on, and returns its bytecode.
+    fn cse_code(body: Vec<Action>) -> Vec<Insn> {
+        let mut b = DesignBuilder::new("cse");
+        b.reg("a", 8, 0u64);
+        b.reg("o1", 8, 0u64);
+        b.reg("o2", 8, 0u64);
+        b.rule("r", body);
+        compile_level(b, OptLevel::DesignSpecific).rules.remove(0).code
+    }
+
+    #[test]
+    fn cse_temp_dies_when_a_let_reassigns_a_slot_it_reads() {
+        use Insn::*;
+        let code = cse_code(vec![
+            let_("x", rd0("a")),
+            wr0("o1", var("x").add(k(8, 1))),
+            set("x", k(8, 5)),
+            wr0("o2", var("x").add(k(8, 1))),
+        ]);
+        // `x + 1` is cached in slot 1, then recomputed into a fresh temp
+        // (slot 2) once `x` changes: reusing slot 1 would write `a + 1`, not 6.
+        let add1 = BinLC { op: FusedBin::Add, a_slot: 0, rhs: 1, mask: 255 };
+        assert_eq!(
+            code,
+            vec![
+                LdFast { reg: 0, slot: 0 },
+                add1,
+                SetLocal(1),
+                StFast { reg: 1, slot: 1 },
+                SetLocalK { slot: 0, imm: 5 },
+                add1,
+                SetLocal(2),
+                StFast { reg: 2, slot: 2 },
+                End,
+            ]
         );
-        let td = check(&b.build()).unwrap();
-        assert!(matches!(
-            compile(&td, &CompileOptions::default()),
-            Err(CompileError::ExprTooWide { .. })
-        ));
+        // The same when the reassignment sits in a branch: slot 1 is
+        // stale after the join.
+        let code = cse_code(vec![
+            let_("x", rd0("a")),
+            wr0("o1", var("x").add(k(8, 1))),
+            when(var("x").eq(k(8, 0)), vec![set("x", k(8, 5))]),
+            wr0("o2", var("x").add(k(8, 1))),
+        ]);
+        assert_eq!(
+            code,
+            vec![
+                LdFast { reg: 0, slot: 0 },
+                add1,
+                SetLocal(1),
+                StFast { reg: 1, slot: 1 },
+                BinLC { op: FusedBin::Eq, a_slot: 0, rhs: 0, mask: u64::MAX },
+                Jz(7),
+                SetLocalK { slot: 0, imm: 5 },
+                add1,
+                SetLocal(2),
+                StFast { reg: 2, slot: 2 },
+                End,
+            ]
+        );
+    }
+
+    #[test]
+    fn cse_temp_made_in_a_branch_is_not_reused_after_the_join() {
+        use Insn::*;
+        let code = cse_code(vec![
+            let_("x", rd0("a")),
+            iff(
+                var("x").eq(k(8, 0)),
+                vec![wr0("o1", var("x").add(k(8, 1)))],
+                vec![wr0("o2", var("x").add(k(8, 1)))],
+            ),
+            set("x", var("x").add(k(8, 1))),
+        ]);
+        // Slot 1 is set only on the then-path and slot 2 only on the
+        // else-path, so neither is reused past its branch.
+        let add1 = BinLC { op: FusedBin::Add, a_slot: 0, rhs: 1, mask: 255 };
+        assert_eq!(
+            code,
+            vec![
+                LdFast { reg: 0, slot: 0 },
+                BinLC { op: FusedBin::Eq, a_slot: 0, rhs: 0, mask: u64::MAX },
+                Jz(7),
+                add1,
+                SetLocal(1),
+                StFast { reg: 1, slot: 1 },
+                Jmp(10),
+                add1,
+                SetLocal(2),
+                StFast { reg: 2, slot: 2 },
+                add1,
+                SetLocal(3),
+                Local(3),
+                SetLocal(0),
+                End,
+            ]
+        );
+    }
+
+    #[test]
+    fn cse_counts_a_subexpression_inside_a_repeated_parent_twice() {
+        use Insn::*;
+        let code = cse_code(vec![
+            let_("x", rd0("a")),
+            wr0("o1", var("x").add(k(8, 1)).mul(k(8, 3))),
+            wr0("o2", var("x").add(k(8, 1)).mul(k(8, 3))),
+        ]);
+        // `x + 1` occurs twice in the tree (once per copy of its parent),
+        // so it gets a temp (slot 1) even though only the parent's temp
+        // (slot 2) is ever reread.
+        assert_eq!(
+            code,
+            vec![
+                LdFast { reg: 0, slot: 0 },
+                BinLC { op: FusedBin::Add, a_slot: 0, rhs: 1, mask: 255 },
+                SetLocal(1),
+                BinLC { op: FusedBin::Mul, a_slot: 1, rhs: 3, mask: 255 },
+                SetLocal(2),
+                StFast { reg: 1, slot: 2 },
+                StFast { reg: 2, slot: 2 },
+                End,
+            ]
+        );
+    }
+
+    #[test]
+    fn cse_never_caches_an_expression_that_reads_a_register() {
+        use Insn::*;
+        let code = cse_code(vec![
+            wr0("o1", rd0("a").add(k(8, 1))),
+            wr0("o2", rd0("a").add(k(8, 1))),
+        ]);
+        let add1 = BinRC { op: FusedBin::Add, rhs: 1, mask: 255 };
+        assert_eq!(
+            code,
+            vec![
+                Rd0Fast { reg: 0 },
+                add1,
+                Wr0Fast { reg: 1 },
+                Rd0Fast { reg: 0 },
+                add1,
+                Wr0Fast { reg: 2 },
+                End,
+            ]
+        );
     }
 
     #[test]

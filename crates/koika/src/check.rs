@@ -121,16 +121,15 @@ impl fmt::Display for CheckError {
 impl Error for CheckError {}
 
 struct Ctx<'a> {
-    design: &'a Design,
-    syms: Vec<SymInfo>,
-    sym_by_name: HashMap<String, SymId>,
+    syms: &'a [SymInfo],
+    sym_by_name: &'a HashMap<String, SymId>,
     // Per-rule state:
     scopes: Vec<HashMap<String, u16>>,
     slot_widths: Vec<u32>,
 }
 
 impl<'a> Ctx<'a> {
-    fn sym(&self, name: &str) -> Result<&SymInfo, CheckError> {
+    fn sym(&self, name: &str) -> Result<&'a SymInfo, CheckError> {
         self.sym_by_name
             .get(name)
             .map(|id| &self.syms[id.0 as usize])
@@ -190,7 +189,7 @@ impl<'a> Ctx<'a> {
                 if in_select_arm {
                     return Err(CheckError::ReadInSelectArm);
                 }
-                let sym = self.sym(name)?.clone();
+                let sym = self.sym(name)?;
                 if sym.is_scalar() {
                     return Err(CheckError::WrongShape {
                         reg: name.clone(),
@@ -341,7 +340,7 @@ impl<'a> Ctx<'a> {
                 Ok(TAction::Let { slot, e: te })
             }
             Action::Write(port, name, e) => {
-                let sym = self.sym(name)?.clone();
+                let sym = self.sym(name)?;
                 if !sym.is_scalar() {
                     return Err(CheckError::WrongShape {
                         reg: name.clone(),
@@ -356,7 +355,7 @@ impl<'a> Ctx<'a> {
                 })
             }
             Action::WriteArr(port, name, idx, e) => {
-                let sym = self.sym(name)?.clone();
+                let sym = self.sym(name)?;
                 if sym.is_scalar() {
                     return Err(CheckError::WrongShape {
                         reg: name.clone(),
@@ -458,13 +457,11 @@ pub fn check(design: &Design) -> Result<TDesign, CheckError> {
             return Err(CheckError::DuplicateRule(rule.name.clone()));
         }
         let mut ctx = Ctx {
-            design,
-            syms: syms.clone(),
-            sym_by_name: sym_by_name.clone(),
+            syms: &syms,
+            sym_by_name: &sym_by_name,
             scopes: Vec::new(),
             slot_widths: Vec::new(),
         };
-        let _ = ctx.design; // silences dead-code warnings while keeping context for diagnostics
         let body = ctx.check_actions(&rule.body)?;
         rules.push(TRule {
             name: rule.name.clone(),

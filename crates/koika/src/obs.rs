@@ -254,8 +254,16 @@ pub struct Metrics {
     job_retries: u64,
     panics_contained: u64,
     started: Option<Instant>,
+    /// Cycles completed and wall time since the first cycle started, both
+    /// as of the last cycle whose end read the clock.
+    timed_cycles: u64,
     elapsed_secs: f64,
 }
+
+/// After its first `CLOCK_EVERY` cycles, [`Metrics`] reads the clock only
+/// at every `CLOCK_EVERY`th cycle end: one read costs about as much as a
+/// native cycle.
+const CLOCK_EVERY: u64 = 1024;
 
 impl Metrics {
     /// Creates an aggregator with explicit rule and register names.
@@ -283,6 +291,7 @@ impl Metrics {
             job_retries: 0,
             panics_contained: 0,
             started: None,
+            timed_cycles: 0,
             elapsed_secs: 0.0,
         }
     }
@@ -400,12 +409,13 @@ impl Metrics {
     }
 
     /// Observed simulation throughput in cycles per wall-clock second
-    /// (0.0 before the first cycle completes).
+    /// (0.0 before the first cycle completes). Past the first 1,024
+    /// cycles, the rate is taken up to the last multiple of 1,024 cycles.
     pub fn cycles_per_sec(&self) -> f64 {
         if self.elapsed_secs <= 0.0 {
             0.0
         } else {
-            self.cycles as f64 / self.elapsed_secs
+            self.timed_cycles as f64 / self.elapsed_secs
         }
     }
 
@@ -696,8 +706,11 @@ impl Observer for Metrics {
         self.cycles += 1;
         Self::bump_hist(&mut self.commit_hist, self.cur_commits);
         Self::bump_hist(&mut self.abort_hist, self.cur_aborts);
-        if let Some(t0) = self.started {
-            self.elapsed_secs = t0.elapsed().as_secs_f64();
+        if self.cycles < CLOCK_EVERY || self.cycles.is_multiple_of(CLOCK_EVERY) {
+            if let Some(t0) = self.started {
+                self.elapsed_secs = t0.elapsed().as_secs_f64();
+                self.timed_cycles = self.cycles;
+            }
         }
     }
 
@@ -993,6 +1006,24 @@ mod tests {
         assert!(prom.contains(
             "koika_rule_abort_reason_total{design=\"cfl\",rule=\"w1\",reason=\"abort\"} 0"
         ));
+    }
+
+    #[test]
+    fn throughput_is_clocked_every_cycle_then_every_1024th() {
+        let mut m = Metrics::new("t", vec![], vec![]);
+        assert_eq!(m.cycles_per_sec(), 0.0);
+        for c in 0..5 {
+            m.cycle_start(c);
+            m.cycle_end(c);
+            assert_eq!(m.timed_cycles, c + 1);
+        }
+        for c in 5..3000 {
+            m.cycle_start(c);
+            m.cycle_end(c);
+        }
+        assert_eq!(m.cycles(), 3000);
+        assert_eq!(m.timed_cycles, 2048);
+        assert!(m.cycles_per_sec() > 0.0);
     }
 
     #[test]
