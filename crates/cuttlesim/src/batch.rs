@@ -1695,7 +1695,7 @@ mod tests {
         b.rule("inc", vec![wr0("n", rd0("n").add(k(8, 1)))]);
         let td = check(&b.build()).unwrap();
         let mut prog = compile(&td, &CompileOptions::default()).unwrap();
-        prog.rules[0].code = vec![
+        std::sync::Arc::make_mut(&mut prog.rules)[0].code = vec![
             Insn::Const(0xdead),
             Insn::Const(5),
             Insn::ConcatShift {
@@ -1732,7 +1732,7 @@ mod tests {
         b.rule("inc", vec![wr0("n", rd0("n").add(k(8, 1)))]);
         let td = check(&b.build()).unwrap();
         let mut prog = compile(&td, &CompileOptions::default()).unwrap();
-        prog.rules[0].code.insert(0, Insn::Add { mask: u64::MAX });
+        std::sync::Arc::make_mut(&mut prog.rules)[0].code.insert(0, Insn::Add { mask: u64::MAX });
         let mut batch = BatchSim::new(prog, 3);
         let err = batch.cycle().unwrap_err();
         assert_eq!(

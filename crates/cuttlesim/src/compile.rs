@@ -28,6 +28,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// How much of the logs a rule's commit (and rollback) must copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -148,7 +149,7 @@ pub struct Program {
     /// The schedule assumption used by the analysis.
     pub assumption: ScheduleAssumption,
     /// Compiled rules (same order as `design.rules`).
-    pub rules: Vec<RuleCode>,
+    pub rules: Arc<Vec<RuleCode>>,
     /// Schedule as rule indices.
     pub schedule: Vec<usize>,
     /// Initial register values (u64 fast path).
@@ -161,7 +162,7 @@ pub struct Program {
     /// differs from the reference semantics at accumulated-log levels).
     pub warnings: Vec<String>,
     /// The analysis results (register classes, safe registers, ...).
-    pub analysis: Analysis,
+    pub analysis: Arc<Analysis>,
 }
 
 /// Fraction of the register file above which footprint copies degrade to
@@ -755,7 +756,7 @@ impl RuleCompiler<'_> {
 /// Returns [`CompileError`] if the design uses values wider than the VM's
 /// 64-bit fast path.
 pub fn compile(design: &TDesign, opts: &CompileOptions) -> Result<Program, CompileError> {
-    for r in &design.regs {
+    for r in design.regs.iter() {
         if r.width > 64 {
             return Err(CompileError::RegTooWide {
                 reg: r.name.clone(),
@@ -770,7 +771,7 @@ pub fn compile(design: &TDesign, opts: &CompileOptions) -> Result<Program, Compi
 
     let mut rules = Vec::with_capacity(design.rules.len());
     let mut cov = Vec::new();
-    for rule in &design.rules {
+    for rule in design.rules.iter() {
         let rule_idx = rules.len();
         let summary = &analysis.rules[rule_idx];
         let mut rc = RuleCompiler {
@@ -847,13 +848,13 @@ pub fn compile(design: &TDesign, opts: &CompileOptions) -> Result<Program, Compi
         level: opts.level,
         cfg,
         assumption: opts.assumption,
-        rules,
+        rules: Arc::new(rules),
         schedule: design.schedule.clone(),
         init: design.regs.iter().map(|r| r.init.to_u64()).collect(),
         widths: design.regs.iter().map(|r| r.width).collect(),
         cov,
         warnings: analysis.warnings.clone(),
-        analysis,
+        analysis: Arc::new(analysis),
     })
 }
 
@@ -1204,7 +1205,7 @@ mod tests {
         b.reg("o1", 8, 0u64);
         b.reg("o2", 8, 0u64);
         b.rule("r", body);
-        compile_level(b, OptLevel::DesignSpecific).rules.remove(0).code
+        compile_level(b, OptLevel::DesignSpecific).rules[0].code.clone()
     }
 
     #[test]

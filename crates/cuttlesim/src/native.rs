@@ -1485,13 +1485,16 @@ mod tests {
         for td in [collatz(), clash()] {
             for level in OptLevel::ALL {
                 let opts = CompileOptions { level, ..CompileOptions::default() };
+                let mut want = Sim::compile_with(&td, &opts).unwrap();
                 let mut tac = Sim::compile_with(&td, &opts).unwrap();
                 let mut native = Sim::compile_with(&td, &opts).unwrap();
+                want.enable_profiling();
                 tac.set_dispatch(Dispatch::Tac);
                 tac.enable_profiling();
                 native.set_dispatch(Dispatch::Native);
                 native.enable_profiling();
                 for cyc in 0..50 {
+                    want.cycle();
                     tac.cycle();
                     native.cycle();
                     let at = format!("{} {level} cycle {cyc}", td.name);
@@ -1503,6 +1506,12 @@ mod tests {
                     native.profile_insns().unwrap(),
                     tac.profile_insns().unwrap(),
                     "{} {level}: a profiled native run counts tac weights",
+                    td.name
+                );
+                assert_eq!(
+                    tac.profile_insns().unwrap(),
+                    want.profile_insns().unwrap(),
+                    "{} {level}: tac weights are match's, failures included",
                     td.name
                 );
             }
@@ -1664,7 +1673,7 @@ mod tests {
             return;
         }
         let mut prog = compile(&clash(), &CompileOptions::default()).unwrap();
-        prog.rules[0].code.insert(0, Insn::Add { mask: u64::MAX });
+        Arc::make_mut(&mut prog.rules)[0].code.insert(0, Insn::Add { mask: u64::MAX });
         let mut sim = Sim::new(prog.clone());
         sim.set_dispatch(Dispatch::Native);
         let err = sim.try_cycle().unwrap_err();

@@ -32,16 +32,16 @@
 //! counters as their bytecode counterparts, keeping
 //! [`crate::CoverageReport`] exact.
 //!
-//! Profile counts are not always identical to match dispatch, though. A
-//! micro-op's whole weight is charged before it runs, so when a fused
-//! micro-op fails at its first access the profile counts bytecode
-//! instructions that match never executed: on `small::collatz` at O1–O6,
-//! one profiled cycle after 200 reads rule
-//! weights `[32, 1]` on match and `[32, 2]` on tac and native. A profiled
-//! native `Sim` runs these micro-op bodies, so native and tac agree by
-//! construction, and
+//! Profile counts equal match dispatch's, failures included. A micro-op's
+//! whole weight is charged before it runs, so each fallible access also
+//! carries the weight match has run by the time it fails (`fail_ws` next
+//! to `pcs`, `fail_ws2` next to `pcs2`): a fused micro-op absorbs
+//! instructions after its first access, and an operand stacked before an
+//! access is charged to a later micro-op. A failure charges that weight in
+//! place of the whole one, only when profiling. A profiled native `Sim`
+//! runs these micro-op bodies, so native, tac and match agree, which
 //! `tests/cross_backend.rs::native_per_rule_work_runs_the_micro_op_bodies`
-//! compares native against tac for that reason.
+//! checks.
 
 use crate::compile::{fusable, Program, RuleCode};
 use crate::insn::{FusedBin, Insn};
@@ -222,6 +222,12 @@ pub(crate) struct TacRule {
     /// How many bytecode instructions each micro-op accounts for, keeping
     /// profiling counts on the bytecode scale.
     pub(crate) weights: Vec<u32>,
+    /// What a profile charges instead of `weights` when the access at `pcs`
+    /// fails: the bytecode instructions match dispatch has run by then (see
+    /// the module docs).
+    pub(crate) fail_ws: Vec<u32>,
+    /// The same for a failure at the access at `pcs2`.
+    pub(crate) fail_ws2: Vec<u32>,
     /// Slot-file template: `[0, nlocals)` locals, then read-only constant
     /// slots (pre-filled), then temporaries.
     pub(crate) slot_init: Vec<u64>,
@@ -281,6 +287,11 @@ struct Lowerer<'a> {
     pcs: Vec<u32>,
     pcs2: Vec<u32>,
     weights: Vec<u32>,
+    /// Per micro-op, the bytecode instructions run up to and including it
+    /// that are not charged to an earlier micro-op: its own weight when
+    /// emitted (before a later store is forwarded into it), plus the
+    /// operands still stacked for later micro-ops.
+    fail_ws: Vec<u32>,
     vstack: Vec<VOp>,
     kinds: Vec<SlotKind>,
     consts: Vec<(u64, u16)>,
@@ -295,12 +306,14 @@ type Lower<T> = Result<T, &'static str>;
 
 impl<'a> Lowerer<'a> {
     fn new(rule: &'a RuleCode) -> Lowerer<'a> {
+        let n = rule.code.len();
         Lowerer {
             rule,
-            uops: Vec::with_capacity(rule.code.len()),
-            pcs: Vec::new(),
-            pcs2: Vec::new(),
-            weights: Vec::new(),
+            uops: Vec::with_capacity(n),
+            pcs: Vec::with_capacity(n),
+            pcs2: Vec::with_capacity(n),
+            weights: Vec::with_capacity(n),
+            fail_ws: Vec::with_capacity(n),
             vstack: Vec::new(),
             kinds: vec![SlotKind::Local; rule.nlocals as usize],
             consts: Vec::new(),
@@ -343,7 +356,9 @@ impl<'a> Lowerer<'a> {
         self.uops.push(u);
         self.pcs.push(self.cur_pc);
         self.pcs2.push(pc2);
-        self.weights.push(w + self.pending_w);
+        let w = w + self.pending_w;
+        self.weights.push(w);
+        self.fail_ws.push(w + self.vstack.iter().map(|v| v.w).sum::<u32>());
         self.pending_w = 0;
     }
 
@@ -740,9 +755,15 @@ impl<'a> Lowerer<'a> {
         for &(v, s) in &self.consts {
             slot_init[s as usize] = v;
         }
-        let (uops, pcs, pcs2, weights) =
-            fuse_superinstructions(self.uops, self.pcs, self.pcs2, self.weights, &self.kinds);
-        Ok(TacRule { uops, pcs, pcs2, weights, slot_init })
+        let Fused { uops, pcs, pcs2, weights, fail_ws, fail_ws2 } = fuse_superinstructions(
+            self.uops,
+            self.pcs,
+            self.pcs2,
+            self.weights,
+            self.fail_ws,
+            &self.kinds,
+        );
+        Ok(TacRule { uops, pcs, pcs2, weights, fail_ws, fail_ws2, slot_init })
     }
 }
 
@@ -756,6 +777,8 @@ impl TacRule {
             pcs: vec![0],
             pcs2: vec![0],
             weights: vec![1],
+            fail_ws: vec![1],
+            fail_ws2: vec![1],
             slot_init: Vec::new(),
         })
     }
@@ -775,19 +798,52 @@ fn commutes(op: FusedBin) -> bool {
     )
 }
 
+/// The fused micro-op array with its parallel per-micro-op arrays (see
+/// [`TacRule`]).
+struct Fused {
+    uops: Vec<Uop>,
+    pcs: Vec<u32>,
+    pcs2: Vec<u32>,
+    weights: Vec<u32>,
+    fail_ws: Vec<u32>,
+    fail_ws2: Vec<u32>,
+}
+
+impl Fused {
+    fn with_capacity(n: usize) -> Fused {
+        Fused {
+            uops: Vec::with_capacity(n),
+            pcs: Vec::with_capacity(n),
+            pcs2: Vec::with_capacity(n),
+            weights: Vec::with_capacity(n),
+            fail_ws: Vec::with_capacity(n),
+            fail_ws2: Vec::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, u: Uop, (pc, pc2): (u32, u32), w: u32, (fw, fw2): (u32, u32)) {
+        self.uops.push(u);
+        self.pcs.push(pc);
+        self.pcs2.push(pc2);
+        self.weights.push(w);
+        self.fail_ws.push(fw);
+        self.fail_ws2.push(fw2);
+    }
+}
+
 /// The post-lowering peephole: fuses `rd0 → binop → wr0` chains (and the
 /// `binop → guard` pattern) into single micro-ops, remapping branch targets
 /// exactly like the bytecode peephole does. A pattern is only fused when no
 /// branch lands inside it and the intermediate slots are single-use
 /// temporaries.
-#[allow(clippy::type_complexity)]
 fn fuse_superinstructions(
     uops: Vec<Uop>,
     pcs: Vec<u32>,
     pcs2: Vec<u32>,
     weights: Vec<u32>,
+    fail_ws: Vec<u32>,
     kinds: &[SlotKind],
-) -> (Vec<Uop>, Vec<u32>, Vec<u32>, Vec<u32>) {
+) -> Fused {
     let n = uops.len();
     let mut is_target = vec![false; n + 1];
     for u in &uops {
@@ -800,14 +856,19 @@ fn fuse_superinstructions(
     }
     let is_temp = |s: u16| kinds[s as usize] == SlotKind::Temp;
 
-    let mut out: Vec<Uop> = Vec::with_capacity(n);
-    let mut opcs: Vec<u32> = Vec::with_capacity(n);
-    let mut opcs2: Vec<u32> = Vec::with_capacity(n);
-    let mut ow: Vec<u32> = Vec::with_capacity(n);
+    // Pushes micro-ops `i..i + len` as `u`, whose accesses at micro-ops
+    // `j` and `j2` report `pcs[j]` and `pcs2[j2]`. An access fails after
+    // the group's micro-ops before it have run in full.
+    let fuse = |out: &mut Fused, u: Uop, i: usize, len: usize, j: usize, j2: usize| {
+        let site = |j: usize| weights[i..j].iter().sum::<u32>() + fail_ws[j];
+        let w = weights[i..i + len].iter().sum();
+        out.push(u, (pcs[j], pcs2[j2]), w, (site(j), site(j2)));
+    };
+    let mut out = Fused::with_capacity(n);
     let mut remap = vec![0u32; n + 1];
     let mut i = 0;
     while i < n {
-        remap[i] = out.len() as u32;
+        remap[i] = out.uops.len() as u32;
         // Orient a Bin so its temp input `t` sits in the `a` position.
         let oriented = |u: Uop, t: u16| -> Option<Uop> {
             if let Uop::Bin { op, dst, a, b, mask } = u {
@@ -840,16 +901,14 @@ fn fuse_superinstructions(
                     if let Some(Uop::Bin { op, dst: t2, a: _, b, mask }) = oriented(uops[i + 1], t1)
                     {
                         if is_temp(t2) && t2 == src && b != t2 {
-                            remap[i + 1] = out.len() as u32;
-                            remap[i + 2] = out.len() as u32;
-                            out.push(if rfast {
+                            remap[i + 1] = out.uops.len() as u32;
+                            remap[i + 2] = out.uops.len() as u32;
+                            let u = if rfast {
                                 Uop::RdBinWrFast { op, rreg, b, mask, wreg }
                             } else {
                                 Uop::RdBinWr { op, rreg, b, mask, wreg, rclean, wclean }
-                            });
-                            opcs.push(pcs[i]);
-                            opcs2.push(pcs2[i + 2]);
-                            ow.push(weights[i] + weights[i + 1] + weights[i + 2]);
+                            };
+                            fuse(&mut out, u, i, 3, i, i + 2);
                             i += 3;
                             continue;
                         }
@@ -863,11 +922,8 @@ fn fuse_superinstructions(
                 // rd0 → binop.
                 (Uop::Rd0 { dst: t, reg, clean }, second) if is_temp(t) => {
                     if let Some(Uop::Bin { op, dst, a: _, b, mask }) = oriented(second, t) {
-                        remap[i + 1] = out.len() as u32;
-                        out.push(Uop::RdBin { op, dst, reg, b, mask, clean });
-                        opcs.push(pcs[i]);
-                        opcs2.push(pcs2[i]);
-                        ow.push(weights[i] + weights[i + 1]);
+                        remap[i + 1] = out.uops.len() as u32;
+                        fuse(&mut out, Uop::RdBin { op, dst, reg, b, mask, clean }, i, 2, i, i);
                         i += 2;
                         continue;
                     }
@@ -875,11 +931,8 @@ fn fuse_superinstructions(
                 // fast read → binop.
                 (Uop::RdFast { dst: t, reg }, second) if is_temp(t) => {
                     if let Some(Uop::Bin { op, dst, a: _, b, mask }) = oriented(second, t) {
-                        remap[i + 1] = out.len() as u32;
-                        out.push(Uop::RdBinFast { op, dst, reg, b, mask });
-                        opcs.push(pcs[i]);
-                        opcs2.push(pcs2[i]);
-                        ow.push(weights[i] + weights[i + 1]);
+                        remap[i + 1] = out.uops.len() as u32;
+                        fuse(&mut out, Uop::RdBinFast { op, dst, reg, b, mask }, i, 2, i, i);
                         i += 2;
                         continue;
                     }
@@ -888,11 +941,8 @@ fn fuse_superinstructions(
                 (Uop::Bin { op, dst: t, a, b, mask }, Uop::Wr0 { src, reg, clean })
                     if is_temp(t) && t == src =>
                 {
-                    remap[i + 1] = out.len() as u32;
-                    out.push(Uop::BinWr { op, a, b, mask, reg, clean });
-                    opcs.push(pcs[i + 1]);
-                    opcs2.push(pcs2[i + 1]);
-                    ow.push(weights[i] + weights[i + 1]);
+                    remap[i + 1] = out.uops.len() as u32;
+                    fuse(&mut out, Uop::BinWr { op, a, b, mask, reg, clean }, i, 2, i + 1, i + 1);
                     i += 2;
                     continue;
                 }
@@ -900,11 +950,8 @@ fn fuse_superinstructions(
                 (Uop::Bin { op, dst: t, a, b, mask }, Uop::WrFast { src, reg })
                     if is_temp(t) && t == src =>
                 {
-                    remap[i + 1] = out.len() as u32;
-                    out.push(Uop::BinWrFast { op, a, b, mask, reg });
-                    opcs.push(pcs[i + 1]);
-                    opcs2.push(pcs2[i + 1]);
-                    ow.push(weights[i] + weights[i + 1]);
+                    remap[i + 1] = out.uops.len() as u32;
+                    fuse(&mut out, Uop::BinWrFast { op, a, b, mask, reg }, i, 2, i + 1, i + 1);
                     i += 2;
                     continue;
                 }
@@ -912,25 +959,19 @@ fn fuse_superinstructions(
                 (Uop::Bin { op, dst: t, a, b, mask }, Uop::Jz { cond, target })
                     if is_temp(t) && t == cond =>
                 {
-                    remap[i + 1] = out.len() as u32;
-                    out.push(Uop::BinJz { op, a, b, mask, target });
-                    opcs.push(pcs[i]);
-                    opcs2.push(pcs2[i]);
-                    ow.push(weights[i] + weights[i + 1]);
+                    remap[i + 1] = out.uops.len() as u32;
+                    fuse(&mut out, Uop::BinJz { op, a, b, mask, target }, i, 2, i, i);
                     i += 2;
                     continue;
                 }
                 _ => {}
             }
         }
-        out.push(uops[i]);
-        opcs.push(pcs[i]);
-        opcs2.push(pcs2[i]);
-        ow.push(weights[i]);
+        fuse(&mut out, uops[i], i, 1, i, i);
         i += 1;
     }
-    remap[n] = out.len() as u32;
-    for u in &mut out {
+    remap[n] = out.uops.len() as u32;
+    for u in &mut out.uops {
         match u {
             Uop::Jmp(t) | Uop::Jz { target: t, .. } | Uop::BinJz { target: t, .. } => {
                 *t = remap[*t as usize];
@@ -938,7 +979,7 @@ fn fuse_superinstructions(
             _ => {}
         }
     }
-    (out, opcs, opcs2, ow)
+    out
 }
 
 /// Extracts the `clean` flag from a failure [`Flow`].
@@ -1134,6 +1175,12 @@ pub(crate) fn step_rule_tac(
             Ok(true)
         }
         Err((clean, src_pc)) => {
+            if counting {
+                // The failing micro-op was charged its whole weight before
+                // it ran; the profile counts what match dispatch ran.
+                let ran = if src_pc == tac.pcs[pc] { tac.fail_ws[pc] } else { tac.fail_ws2[pc] };
+                *executed = *executed - tac.weights[pc] as u64 + ran as u64;
+            }
             rule_failure(cfg, st, rule, rule_idx, src_pc as usize, clean);
             Ok(false)
         }
@@ -1207,21 +1254,35 @@ mod tests {
 
     #[test]
     fn tac_profile_counts_match_match_dispatch() {
-        let opts = CompileOptions::default();
-        let mut a = Sim::compile_with(&counter_design(), &opts).unwrap();
-        let mut b = Sim::compile_with(&counter_design(), &opts).unwrap();
-        a.enable_profiling();
-        b.set_dispatch(Dispatch::Tac);
-        b.enable_profiling();
-        for _ in 0..10 {
-            a.cycle();
-            b.cycle();
+        // Rules `b` and `c` fail at their read after `a` wrote `n`, at the
+        // levels that check conflicts: `b` inside a fused `rd0 → add → wr0`,
+        // `c` with its constant operand already stacked.
+        let mut clash = DesignBuilder::new("clash");
+        clash.reg("n", 8, 0u64);
+        clash.rule("a", vec![wr0("n", rd0("n").add(k(8, 1)))]);
+        clash.rule("b", vec![wr0("n", rd0("n").add(k(8, 2)))]);
+        clash.rule("c", vec![wr0("n", k(8, 3).add(rd0("n")))]);
+        let clash = check(&clash.build()).unwrap();
+        for td in [counter_design(), clash] {
+            for level in OptLevel::ALL {
+                let opts = CompileOptions { level, ..CompileOptions::default() };
+                let mut a = Sim::compile_with(&td, &opts).unwrap();
+                let mut b = Sim::compile_with(&td, &opts).unwrap();
+                a.enable_profiling();
+                b.set_dispatch(Dispatch::Tac);
+                b.enable_profiling();
+                for _ in 0..10 {
+                    a.cycle();
+                    b.cycle();
+                }
+                assert_eq!(
+                    a.profile_insns().unwrap(),
+                    b.profile_insns().unwrap(),
+                    "{} {level:?}: weights must keep Tac profiling on the bytecode scale",
+                    td.name
+                );
+            }
         }
-        assert_eq!(
-            a.profile_insns().unwrap(),
-            b.profile_insns().unwrap(),
-            "weights must keep Tac profiling on the bytecode scale"
-        );
     }
 
     #[test]
@@ -1248,7 +1309,7 @@ mod tests {
     #[test]
     fn stack_discipline_violation_traps() {
         let mut prog = compile(&counter_design(), &CompileOptions::default()).unwrap();
-        prog.rules[0].code.insert(0, Insn::Add { mask: u64::MAX });
+        std::sync::Arc::make_mut(&mut prog.rules)[0].code.insert(0, Insn::Add { mask: u64::MAX });
         let mut sim = Sim::new(prog);
         sim.set_dispatch(Dispatch::Tac);
         let err = sim.try_cycle().unwrap_err();
@@ -1263,7 +1324,7 @@ mod tests {
         // A hand-built zero-width-high-half concat: the lowering folds the
         // constants through the same guarded evaluator as the VM.
         let mut prog = compile(&counter_design(), &CompileOptions::default()).unwrap();
-        prog.rules[0].code = vec![
+        std::sync::Arc::make_mut(&mut prog.rules)[0].code = vec![
             Insn::Const(0xdead),
             Insn::Const(5),
             Insn::ConcatShift { low_width: 64, mask: u64::MAX },

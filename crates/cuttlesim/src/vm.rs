@@ -1344,10 +1344,59 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn clones_share_the_design_and_the_bytecode() {
+        let prog = counter_prog();
+        let shares = |p: &Program| {
+            Arc::ptr_eq(&p.rules, &prog.rules)
+                && Arc::ptr_eq(&p.analysis, &prog.analysis)
+                && Arc::ptr_eq(&p.design.rules, &prog.design.rules)
+                && Arc::ptr_eq(&p.design.regs, &prog.design.regs)
+                && Arc::ptr_eq(&p.design.syms, &prog.design.syms)
+        };
+        let td = prog.design.clone();
+        assert!(Arc::ptr_eq(&td.rules, &prog.design.rules));
+        assert!(Arc::ptr_eq(&td.regs, &prog.design.regs));
+        assert!(shares(&prog.clone()));
+        let mut sim = Sim::new(prog.clone());
+        assert!(shares(sim.program()));
+        for dispatch in [Dispatch::Match, Dispatch::Tac] {
+            sim.set_dispatch(dispatch);
+            sim.cycle();
+            let copy = sim.clone();
+            assert!(shares(copy.program()), "{dispatch:?}");
+            if let (Engine::Tac(a), Engine::Tac(b)) = (&sim.engine, &copy.engine) {
+                assert!(Arc::ptr_eq(&a.rules, &b.rules), "a clone shares the micro-ops");
+            }
+            assert_eq!(copy.reg_values(), sim.reg_values(), "{dispatch:?}");
+        }
+        // The `Debug` text is the plain vectors'.
+        assert!(format!("{prog:?}").contains("rules: [RuleCode { name: \"inc\""));
+    }
+
+    #[test]
+    fn tampering_copies_on_write() {
+        let prog = counter_prog();
+        let pristine = prog.rules[0].code.clone();
+        let mut honest = Sim::new(prog.clone());
+        let mut tampered = prog.clone();
+        Arc::make_mut(&mut tampered.rules)[0].code.insert(0, Insn::Add { mask: u64::MAX });
+        assert!(!Arc::ptr_eq(&tampered.rules, &prog.rules));
+        assert!(Arc::ptr_eq(&tampered.design.rules, &prog.design.rules));
+        assert_eq!(prog.rules[0].code, pristine, "the source program is untouched");
+        assert_eq!(honest.program().rules[0].code, pristine, "and so is its simulator");
+        let mut bad = Sim::new(tampered);
+        assert!(bad.try_cycle().is_err());
+        for _ in 0..3 {
+            honest.try_cycle().unwrap();
+        }
+        assert_eq!(honest.get64(RegId(0)), 3);
+    }
+
+    #[test]
     fn miscompiled_bytecode_traps_instead_of_panicking() {
         let mut prog = counter_prog();
         // Corrupt the rule: a binop with an empty operand stack.
-        prog.rules[0].code.insert(0, Insn::Add { mask: u64::MAX });
+        Arc::make_mut(&mut prog.rules)[0].code.insert(0, Insn::Add { mask: u64::MAX });
         let mut sim = Sim::new(prog);
         let err = sim.try_cycle().unwrap_err();
         assert_eq!(
@@ -1364,7 +1413,7 @@ pub(crate) mod tests {
     #[test]
     fn step_rule_records_trap_and_reports_non_commit() {
         let mut prog = counter_prog();
-        prog.rules[0].code.insert(0, Insn::Select);
+        Arc::make_mut(&mut prog.rules)[0].code.insert(0, Insn::Select);
         let mut sim = Sim::new(prog);
         sim.begin_cycle();
         assert!(!sim.step_rule(0));
@@ -1382,7 +1431,7 @@ pub(crate) mod tests {
         // evaluate `a << 64`, a debug-mode panic and a release-mode wrong
         // answer. The guarded lowering returns the low half.
         let mut prog = counter_prog();
-        prog.rules[0].code = vec![
+        Arc::make_mut(&mut prog.rules)[0].code = vec![
             Insn::Const(0xdead),
             Insn::Const(5),
             Insn::ConcatShift {
@@ -1405,7 +1454,7 @@ pub(crate) mod tests {
         // Regression: the concat result was never masked, so high-half bits
         // beyond the combined width leaked into the register.
         let mut prog = counter_prog();
-        prog.rules[0].code = vec![
+        Arc::make_mut(&mut prog.rules)[0].code = vec![
             Insn::Const(0xab),
             Insn::Const(0x5),
             Insn::ConcatShift {
@@ -1430,7 +1479,7 @@ pub(crate) mod tests {
         assert_eq!(fused(FusedBin::Concat { low: 64 }, 0xdead, 5, u64::MAX), 5);
         assert_eq!(fused(FusedBin::Concat { low: 4 }, 0xab, 0x5, 0xff), 0xb5);
         let mut prog = counter_prog();
-        prog.rules[0].code = vec![
+        Arc::make_mut(&mut prog.rules)[0].code = vec![
             Insn::Const(0xab),
             Insn::BinRC {
                 op: FusedBin::Concat { low: 4 },
@@ -1471,7 +1520,7 @@ pub(crate) mod tests {
     /// rustc is needed.
     pub(crate) fn native_rejected_counter_prog() -> Program {
         let mut prog = counter_prog();
-        let code = &mut prog.rules[0].code;
+        let code = &mut Arc::make_mut(&mut prog.rules)[0].code;
         code.insert(0, Insn::Jmp(0));
         code.insert(0, Insn::Jmp(2));
         prog

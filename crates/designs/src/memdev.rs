@@ -115,7 +115,19 @@ impl MagicMemory {
 
     /// Reads a memory word (by byte address).
     pub fn word(&self, byte_addr: u32) -> u32 {
-        self.mem[(byte_addr >> 2) as usize % self.mem.len()]
+        self.mem[self.index(byte_addr)]
+    }
+
+    /// The word index of a byte address: addresses past the end wrap
+    /// around. The division is taken only for those, so an in-range access
+    /// (every access of a program that fits) pays a compare, not a `div`.
+    fn index(&self, byte_addr: u32) -> usize {
+        let idx = (byte_addr >> 2) as usize;
+        if idx < self.mem.len() {
+            idx
+        } else {
+            idx % self.mem.len()
+        }
     }
 
     /// The whole memory contents.
@@ -131,7 +143,7 @@ impl MagicMemory {
                 continue;
             }
             let addr = regs.get64(p.req_addr) as u32;
-            let idx = (addr >> 2) as usize % self.mem.len();
+            let idx = self.index(addr);
             if regs.get64(p.req_wen) != 0 {
                 // Stores complete immediately and silently.
                 let strb = regs.get64(p.req_wstrb) as u32;
@@ -187,5 +199,51 @@ impl Device for MagicMemory {
 
     fn tick(&mut self, _cycle: u64, regs: &mut dyn RegAccess) {
         self.serve(regs);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use koika::check::check;
+    use koika::Interp;
+
+    #[test]
+    fn accesses_past_the_end_wrap_to_the_same_word() {
+        let mut b = DesignBuilder::new("mem");
+        let port = MemPort::declare(&mut b, "p");
+        let td = check(&b.build()).unwrap();
+        let reg = |field: &str| td.reg_id(&port.reg(field));
+        // Five words, so the wrap is a true modulo, not a mask.
+        let mut mem = MagicMemory::new(&td, &["p"], &[10, 11, 12, 13, 14], 5);
+        let mut regs = Interp::new(&td);
+        let wrapped = |addr: u32| ((addr >> 2) as usize % 5) as u32 * 4;
+
+        // A load at word 7 reads word 7 % 5 = 2.
+        regs.set64(reg("req_valid"), 1);
+        regs.set64(reg("req_addr"), 28);
+        mem.serve(&mut regs);
+        assert_eq!(regs.get64(reg("resp_data")), 12);
+        assert_eq!(regs.get64(reg("resp_valid")), 1);
+        assert_eq!(regs.get64(reg("req_valid")), 0);
+
+        // A store at the top of the address space lands on its wrapped word.
+        let top = 0xffff_fffc;
+        regs.set64(reg("req_valid"), 1);
+        regs.set64(reg("req_addr"), top as u64);
+        regs.set64(reg("req_wen"), 1);
+        regs.set64(reg("req_wstrb"), 0b0011);
+        regs.set64(reg("req_wdata"), 0xdead_beef);
+        mem.serve(&mut regs);
+        assert_eq!(regs.get64(reg("req_valid")), 0);
+        let stored = (wrapped(top) / 4) as usize;
+        assert_eq!(stored, 0x3fff_ffff % 5);
+        assert_eq!(mem.words()[stored], (10 + stored as u32) & 0xffff_0000 | 0xbeef);
+
+        // `word` wraps the same way, and in-range addresses are unchanged.
+        for addr in [0, 4, 16, 20, 28, 4096, top] {
+            assert_eq!(mem.word(addr), mem.word(wrapped(addr)), "address {addr:#x}");
+            assert_eq!(mem.word(addr), mem.words()[(addr >> 2) as usize % 5]);
+        }
     }
 }

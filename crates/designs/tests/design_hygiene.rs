@@ -70,7 +70,7 @@ fn generated_cpp_models_mention_every_rule() {
     for design in all_designs() {
         let td = check(&design).unwrap();
         let cpp = cuttlesim::codegen_cpp::emit(&td);
-        for rule in &td.rules {
+        for rule in td.rules.iter() {
             assert!(
                 cpp.contains(&format!("DEF_RULE({})", rule.name)),
                 "{}: rule {} missing from the generated model",

@@ -340,14 +340,11 @@ impl RuleCtx<'_> {
     }
 }
 
-/// Analyzes a design under the given schedule assumption.
-pub fn analyze(design: &TDesign, assumption: ScheduleAssumption) -> Analysis {
+/// The join, over every rule run in isolation against an empty cycle log,
+/// of the weakened flags it leaves: the cycle log a rule may see when any
+/// subset of the rules may precede it.
+fn any_order_cycle_log(design: &TDesign) -> Vec<AbsFlags> {
     let nsyms = design.syms.len();
-    let mut warnings = Vec::new();
-
-    // Under AnyOrder, the abstract cycle log seen by every rule is the join
-    // of "nothing ran before" and "anything may have run before": compute a
-    // fixpoint by first gathering every rule's own flags in isolation.
     let isolated: Vec<Vec<AbsFlags>> = design
         .rules
         .iter()
@@ -365,8 +362,7 @@ pub fn analyze(design: &TDesign, assumption: ScheduleAssumption) -> Analysis {
             ctx.rule
         })
         .collect();
-
-    let any_order_cycle: Vec<AbsFlags> = (0..nsyms)
+    (0..nsyms)
         .map(|s| {
             let mut f = AbsFlags::EMPTY;
             for rf in &isolated {
@@ -374,7 +370,19 @@ pub fn analyze(design: &TDesign, assumption: ScheduleAssumption) -> Analysis {
             }
             f
         })
-        .collect();
+        .collect()
+}
+
+/// Analyzes a design under the given schedule assumption.
+pub fn analyze(design: &TDesign, assumption: ScheduleAssumption) -> Analysis {
+    let nsyms = design.syms.len();
+    let mut warnings = Vec::new();
+
+    // Under AnyOrder, the abstract cycle log seen by every rule is the join
+    // of "nothing ran before" and "anything may have run before". It is
+    // needed only under AnyOrder or for a rule missing from the schedule,
+    // so it is computed on first use.
+    let mut any_order_cycle: Option<Vec<AbsFlags>> = None;
 
     let mut cycle = vec![AbsFlags::EMPTY; nsyms];
     let mut summaries: Vec<Option<RuleSummary>> = vec![None; design.rules.len()];
@@ -388,7 +396,9 @@ pub fn analyze(design: &TDesign, assumption: ScheduleAssumption) -> Analysis {
         let rule = &design.rules[idx];
         let input = match assumption {
             ScheduleAssumption::Declared => cycle.clone(),
-            ScheduleAssumption::AnyOrder => any_order_cycle.clone(),
+            ScheduleAssumption::AnyOrder => {
+                any_order_cycle.get_or_insert_with(|| any_order_cycle_log(design)).clone()
+            }
         };
         let mut ctx = RuleCtx {
             design,
@@ -437,7 +447,7 @@ pub fn analyze(design: &TDesign, assumption: ScheduleAssumption) -> Analysis {
             let rule = &design.rules[idx];
             let mut ctx = RuleCtx {
                 design,
-                cycle: &any_order_cycle,
+                cycle: any_order_cycle.get_or_insert_with(|| any_order_cycle_log(design)),
                 rule: vec![AbsFlags::EMPTY; nsyms],
                 may_fail: vec![false; nsyms],
                 may_abort: false,

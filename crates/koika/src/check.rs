@@ -28,6 +28,7 @@ use crate::tir::*;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// An error found while checking a design.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,9 +123,12 @@ impl Error for CheckError {}
 
 struct Ctx<'a> {
     syms: &'a [SymInfo],
-    sym_by_name: &'a HashMap<String, SymId>,
+    sym_by_name: &'a HashMap<&'a str, SymId>,
     // Per-rule state:
-    scopes: Vec<HashMap<String, u16>>,
+    /// The variables in scope, innermost last. A lookup scans from the end,
+    /// so a later binding shadows an earlier one, and leaving a block
+    /// truncates its bindings away.
+    vars: Vec<(&'a str, u16)>,
     slot_widths: Vec<u32>,
 }
 
@@ -137,21 +141,18 @@ impl<'a> Ctx<'a> {
     }
 
     fn lookup_var(&self, name: &str) -> Result<u16, CheckError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(slot) = scope.get(name) {
-                return Ok(*slot);
-            }
-        }
-        Err(CheckError::UnknownVar(name.to_string()))
+        self.vars
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, slot)| slot)
+            .ok_or_else(|| CheckError::UnknownVar(name.to_string()))
     }
 
-    fn bind_var(&mut self, name: &str, width: u32) -> u16 {
+    fn bind_var(&mut self, name: &'a str, width: u32) -> u16 {
         let slot = self.slot_widths.len() as u16;
         self.slot_widths.push(width);
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_string(), slot);
+        self.vars.push((name, slot));
         slot
     }
 
@@ -309,17 +310,17 @@ impl<'a> Ctx<'a> {
         Ok(te)
     }
 
-    fn check_actions(&mut self, actions: &[Action]) -> Result<Vec<TAction>, CheckError> {
-        self.scopes.push(HashMap::new());
+    fn check_actions(&mut self, actions: &'a [Action]) -> Result<Vec<TAction>, CheckError> {
+        let mark = self.vars.len();
         let result = actions
             .iter()
             .map(|a| self.check_action(a))
             .collect::<Result<Vec<_>, _>>();
-        self.scopes.pop();
+        self.vars.truncate(mark);
         result
     }
 
-    fn check_action(&mut self, a: &Action) -> Result<TAction, CheckError> {
+    fn check_action(&mut self, a: &'a Action) -> Result<TAction, CheckError> {
         match a {
             Action::Let(name, e) => {
                 let te = self.check_expr(e, false)?;
@@ -421,7 +422,7 @@ pub fn check(design: &Design) -> Result<TDesign, CheckError> {
             }
         }
         let sym_id = SymId(syms.len() as u32);
-        if sym_by_name.insert(decl.name.clone(), sym_id).is_some() {
+        if sym_by_name.insert(decl.name.as_str(), sym_id).is_some() {
             return Err(CheckError::DuplicateReg(decl.name.clone()));
         }
         let base = RegId(regs.len() as u32);
@@ -450,16 +451,13 @@ pub fn check(design: &Design) -> Result<TDesign, CheckError> {
     let mut rules = Vec::new();
     let mut rule_by_name = HashMap::new();
     for rule in &design.rules {
-        if rule_by_name
-            .insert(rule.name.clone(), rules.len())
-            .is_some()
-        {
+        if rule_by_name.insert(rule.name.as_str(), rules.len()).is_some() {
             return Err(CheckError::DuplicateRule(rule.name.clone()));
         }
         let mut ctx = Ctx {
             syms: &syms,
             sym_by_name: &sym_by_name,
-            scopes: Vec::new(),
+            vars: Vec::new(),
             slot_widths: Vec::new(),
         };
         let body = ctx.check_actions(&rule.body)?;
@@ -475,7 +473,7 @@ pub fn check(design: &Design) -> Result<TDesign, CheckError> {
     let mut seen = vec![false; rules.len()];
     for name in &design.schedule {
         let idx = *rule_by_name
-            .get(name)
+            .get(name.as_str())
             .ok_or_else(|| CheckError::UnknownRule(name.clone()))?;
         if seen[idx] {
             return Err(CheckError::RescheduledRule(name.clone()));
@@ -486,9 +484,9 @@ pub fn check(design: &Design) -> Result<TDesign, CheckError> {
 
     Ok(TDesign {
         name: design.name.clone(),
-        syms,
-        regs,
-        rules,
+        syms: Arc::new(syms),
+        regs: Arc::new(regs),
+        rules: Arc::new(rules),
         schedule,
     })
 }

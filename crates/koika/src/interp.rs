@@ -29,6 +29,7 @@ use crate::obs::{FailureReason, Observer};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::tir::{RegId, TAction, TDesign, TExpr};
 use crate::ast::{BinOp, Port, UnOp};
+use std::sync::Arc;
 
 /// Rule execution aborted: an explicit `abort` (or failed guard), or a
 /// read/write check failing on a specific register.
@@ -293,9 +294,8 @@ impl Interp {
             e.clear();
         }
         self.locals.clear();
-        let body = std::mem::take(&mut self.design.rules[rule_idx].body);
-        let result = self.exec(&body);
-        self.design.rules[rule_idx].body = body;
+        let rules = Arc::clone(&self.design.rules);
+        let result = self.exec(&rules[rule_idx].body);
         if result.is_ok() {
             // Commit: or the read-write sets, move write data.
             for (cyc, rl) in self.cycle_log.iter_mut().zip(self.rule_log.iter_mut()) {
@@ -652,5 +652,41 @@ mod tests {
         sim.end_cycle();
         assert_eq!(sim.get64(RegId(0)), 1);
         assert_eq!(sim.get64(RegId(1)), 1);
+    }
+
+    #[test]
+    fn interpreters_over_one_shared_design_step_in_lock_step() {
+        // rlA and rlB alternate on `st`; rlC conflicts with whichever of
+        // them wrote `x`, so every cycle has a commit and a failure.
+        let mut b = DesignBuilder::new("shared");
+        b.reg("st", 1, 0u64);
+        b.reg("x", 32, 3u64);
+        for (name, st, next) in [("rlA", 0, 1), ("rlB", 1, 0)] {
+            let step = if st == 0 { rd0("x").add(k(32, 7)) } else { rd0("x").mul(k(32, 3)) };
+            let body = vec![guard(rd0("st").eq(k(1, st))), wr0("st", k(1, next)), wr0("x", step)];
+            b.rule(name, body);
+        }
+        b.rule("rlC", vec![wr0("x", rd0("x").add(k(32, 1)))]);
+        let design = b.build();
+        let td = check(&design).unwrap();
+        let (da, db) = (td.clone(), td.clone());
+        assert!(Arc::ptr_eq(&da.rules, &db.rules) && Arc::ptr_eq(&da.regs, &td.regs));
+        let mut a = Interp::new(&da);
+        let mut c = Interp::new(&db);
+        assert!(Arc::ptr_eq(&a.design().rules, &c.design().rules));
+        for cycle in 0..50 {
+            // Interleave the two rule by rule, each borrowing its bodies
+            // from the one shared rule list.
+            a.begin_cycle();
+            c.begin_cycle();
+            for &idx in &td.schedule {
+                assert_eq!(a.step_rule(idx), c.step_rule(idx), "cycle {cycle} rule {idx}");
+            }
+            a.end_cycle();
+            c.end_cycle();
+            assert_eq!(a.snapshot(), c.snapshot(), "cycle {cycle}");
+        }
+        assert_eq!(a.fired_per_rule(), &[25, 25, 0]);
+        assert_eq!(td.rules, check(&design).unwrap().rules, "the shared rules are untouched");
     }
 }

@@ -36,12 +36,12 @@ pub fn shape_fingerprint(td: &TDesign) -> u64 {
             h = (h ^ b as u64).wrapping_mul(PRIME);
         }
     };
-    for r in &td.regs {
+    for r in td.regs.iter() {
         eat(r.name.as_bytes());
         eat(&r.width.to_le_bytes());
     }
     eat(&[0xff]);
-    for rule in &td.rules {
+    for rule in td.rules.iter() {
         eat(rule.name.as_bytes());
     }
     h

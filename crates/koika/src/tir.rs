@@ -9,6 +9,7 @@
 use crate::ast::{BinOp, Port, UnOp};
 use crate::bits::Bits;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a single state element (a scalar register or one array
 /// element) in the flattened register space.
@@ -215,16 +216,23 @@ pub struct TRule {
 }
 
 /// A fully-checked design: the input to every backend.
+///
+/// The symbol table, register space and rules are shared handles: a clone
+/// (one per compiled program, interpreter or simulator factory) bumps three
+/// reference counts instead of copying every expression tree. Code that
+/// edits a design goes through [`Arc::make_mut`], which copies only a
+/// handle that is still shared. An `Arc<Vec<T>>` prints like a `Vec<T>`, so
+/// the `Debug` text is that of the plain vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TDesign {
     /// Design name.
     pub name: String,
     /// Declared symbols.
-    pub syms: Vec<SymInfo>,
+    pub syms: Arc<Vec<SymInfo>>,
     /// Flattened register space (array elements expanded).
-    pub regs: Vec<RegInfo>,
+    pub regs: Arc<Vec<RegInfo>>,
     /// Typed rules, in declaration order.
-    pub rules: Vec<TRule>,
+    pub rules: Arc<Vec<TRule>>,
     /// Scheduler: indices into `rules` in execution order.
     pub schedule: Vec<usize>,
 }

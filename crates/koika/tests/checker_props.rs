@@ -67,7 +67,7 @@ proptest! {
     #[test]
     fn typed_ir_respects_width_discipline(seed in any::<u64>()) {
         let td = check(&random_design(seed)).expect("generator is well-typed");
-        for rule in &td.rules {
+        for rule in td.rules.iter() {
             rule.body.iter().for_each(check_action_widths);
         }
     }
@@ -121,7 +121,7 @@ proptest! {
     fn data_footprint_is_subset_of_rw_footprint(seed in any::<u64>()) {
         let td = check(&random_design(seed)).unwrap();
         let a = analyze(&td, ScheduleAssumption::Declared);
-        for rule in &a.rules {
+        for rule in a.rules.iter() {
             for sym in &rule.footprint_data {
                 prop_assert!(
                     rule.footprint_rw.contains(sym),

@@ -541,7 +541,7 @@ fn static_conflict(a: &koika::analysis::RuleSummary, b: &koika::analysis::RuleSu
 ///
 /// Returns [`RtlError`] if the design uses values wider than 64 bits.
 pub fn compile(design: &TDesign, scheme: Scheme) -> Result<RtlModel, RtlError> {
-    for r in &design.regs {
+    for r in design.regs.iter() {
         if r.width > 64 {
             return Err(RtlError::RegTooWide {
                 reg: r.name.clone(),
@@ -552,7 +552,7 @@ pub fn compile(design: &TDesign, scheme: Scheme) -> Result<RtlModel, RtlError> {
     let analysis = analyze(design, ScheduleAssumption::Declared);
 
     let mut nl = Netlist::new();
-    for r in &design.regs {
+    for r in design.regs.iter() {
         nl.add_reg(r.name.clone(), r.width, r.init.to_u64());
     }
 

@@ -727,14 +727,14 @@ impl Target {
 enum SimFactory {
     Interp(TDesign),
     Vm(Box<Sim>),
-    Rtl(RtlSim),
+    Rtl(Box<RtlSim>),
 }
 
 impl SimFactory {
     fn new(td: &TDesign, backend: &str, level: OptLevel, dispatch: Dispatch) -> Result<SimFactory, CliError> {
         let rtl = |scheme| {
             rtl_compile(td, scheme)
-                .map(|model| SimFactory::Rtl(RtlSim::new(model)))
+                .map(|model| SimFactory::Rtl(Box::new(RtlSim::new(model))))
                 .map_err(|e| CliError::runtime(format!("rtl error: {e}")))
         };
         match backend {
@@ -762,7 +762,7 @@ impl SimFactory {
         match self {
             SimFactory::Interp(td) => Box::new(koika::Interp::new(td)),
             SimFactory::Vm(sim) => sim.clone(),
-            SimFactory::Rtl(sim) => Box::new(sim.clone()),
+            SimFactory::Rtl(sim) => sim.clone(),
         }
     }
 

@@ -275,7 +275,7 @@ fn observed_cycles_replay_the_record_on_every_dispatch() {
     let rv32i = check(&rv32::rv32i()).unwrap();
     let opts = CompileOptions::default();
     let mut trapping = cuttlesim::compile(&clash, &opts).unwrap();
-    trapping.rules[1].code.insert(0, Insn::Add { mask: u64::MAX });
+    std::sync::Arc::make_mut(&mut trapping.rules)[1].code.insert(0, Insn::Add { mask: u64::MAX });
     let program = programs::primes(20);
     let cases = [
         (cuttlesim::compile(&collatz, &opts).unwrap(), true, 200),
