@@ -29,9 +29,11 @@
 //! Up to its first injection a member repeats the golden run exactly, so
 //! no runner simulates that prefix again: the golden run keeps a
 //! checkpoint (simulator snapshot, device states, stall count) at each
-//! member's first injection and the member starts there, with the golden
-//! fingerprints up to it as its own. The report is the one a from-reset
-//! run gives.
+//! member's first injection and the member starts there, comparing its
+//! commit fingerprints with the golden ones from there on. A device state
+//! equal to the previous checkpoint's shares its allocation, so
+//! checkpoints of a device that did not change cost nothing more. The
+//! report is the one a from-reset run gives.
 //!
 //! The engine is backend-agnostic: it drives any [`SimBackend`] through
 //! factory closures, so campaigns run on the reference interpreter, the
@@ -49,6 +51,7 @@ use crate::tir::{RegId, TDesign};
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::DerefMut;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One SEU: flip bit `bit` of register `reg` just before cycle `cycle`
@@ -514,8 +517,9 @@ struct Checkpoint {
     /// The simulator state ([`SimBackend::snapshot`]); its `cycles` is the
     /// checkpoint's cycle.
     snapshot: Snapshot,
-    /// Every device's [`Device::save_state`], in device order.
-    devices: Vec<Vec<u8>>,
+    /// Every device's [`Device::save_state`], in device order; a state
+    /// byte-equal to the previous checkpoint's shares its allocation.
+    devices: Vec<Arc<[u8]>>,
     /// The golden stall watchdog's consecutive commit-free cycles.
     stall_count: u64,
 }
@@ -533,8 +537,8 @@ impl Checkpoint {
 /// a campaign's golden run also keeps checkpoints (simulator snapshot,
 /// device states, stall count) at the cycles its members first inject
 /// at, and every runner starts a member at the latest one at or before
-/// its first injection, with the golden fingerprints up to there as its
-/// prefix. With no checkpoint there (or none at all, as when a device
+/// its first injection and compares its fingerprints with the golden ones
+/// from there on. With no checkpoint there (or none at all, as when a device
 /// cannot save its state, or for [`FaultEngine::golden`]) the member
 /// starts at reset: reset is the cycle-0 checkpoint.
 #[derive(Debug, Clone)]
@@ -572,18 +576,30 @@ pub fn classify(
     final_regs: &[u64],
     hang: Option<u64>,
 ) -> Outcome {
-    if let Some(cycle) = hang {
-        return Outcome::Hang { cycle };
-    }
-    if final_regs == golden.final_regs.as_slice() {
-        return Outcome::Masked;
-    }
     let diverged = golden
         .fps
         .iter()
         .zip(fps)
         .position(|(a, b)| a != b)
         .map(|i| i as u64);
+    decide(golden, diverged, final_regs, hang)
+}
+
+/// [`classify`] given the first cycle whose commit fingerprint differs
+/// from the golden run's (`None`: none does), which is all it reads of a
+/// run's fingerprints.
+fn decide(
+    golden: &GoldenRun,
+    diverged: Option<u64>,
+    final_regs: &[u64],
+    hang: Option<u64>,
+) -> Outcome {
+    if let Some(cycle) = hang {
+        return Outcome::Hang { cycle };
+    }
+    if final_regs == golden.final_regs.as_slice() {
+        return Outcome::Masked;
+    }
     match diverged {
         Some(first_cycle) => Outcome::Divergence { first_cycle },
         None => Outcome::Sdc,
@@ -791,9 +807,9 @@ impl FaultEngine<'_> {
         let (mut sim, mut devices) = ((self.make_sim)(), (self.make_devices)());
         let mut armed = Watchdog::stall_only(stall_cycles).arm();
         let start = golden.checkpoint_before(first_injection(injections, cycles));
-        let prefix = start_member(golden, start, &mut *sim, &mut devices, &mut armed)
+        start_member(start, &mut *sim, &mut devices, &mut armed)
             .unwrap_or_else(|e| panic!("cannot start a member at its golden checkpoint: {e}"));
-        member_run(golden, sim, devices, cycles, injections, armed, prefix)
+        member_run(golden, sim, devices, cycles, injections, armed, None)
             .unwrap_or_else(|trip| unreachable!("stall-only watchdog tripped on wall time: {trip}"))
     }
 
@@ -930,9 +946,11 @@ fn member_watchdog(cfg: &CampaignConfig, opts: &ParallelOptions) -> Watchdog {
 
 /// Executes the fault-free golden run on a freshly built simulator (or
 /// reports why it could not be built) and fresh devices, keeping a
-/// checkpoint at each distinct cycle of `at` below `cycles`. The first
-/// device whose [`Device::save_state`] returns `None` drops every
-/// checkpoint: members then start at reset.
+/// checkpoint at each distinct cycle of `at` below `cycles`. A device
+/// state that did not change since the previous checkpoint shares that
+/// checkpoint's allocation. The first device whose
+/// [`Device::save_state`] returns `None` drops every checkpoint: members
+/// then start at reset.
 fn golden_run(
     td: &TDesign,
     sim: Result<Box<dyn SimBackend>, String>,
@@ -947,18 +965,27 @@ fn golden_run(
     at.dedup();
     let mut fp = CommitFingerprint::default();
     let mut armed = Watchdog::stall_only(stall_cycles).arm();
-    let mut checkpoints = Vec::with_capacity(at.len());
+    let mut checkpoints: Vec<Checkpoint> = Vec::with_capacity(at.len());
     for c in at {
         let ncycles = c - sim.cycle_count();
         run_watchdogged(&mut *sim, &mut devices, ncycles, &[], &mut armed, Some(&mut fp))
             .map_err(FaultError::GoldenHang)?;
-        let Some(states) = devices.iter().map(|d| d.save_state()).collect() else {
+        let Some(states): Option<Vec<_>> = devices.iter().map(|d| d.save_state()).collect() else {
             checkpoints.clear();
             break;
         };
+        let prev = checkpoints.last().map(|c| c.devices.as_slice()).unwrap_or_default();
+        let devices = states
+            .iter()
+            .enumerate()
+            .map(|(i, state)| match prev.get(i) {
+                Some(old) if **old == **state => Arc::clone(old),
+                _ => Arc::from(state.as_slice()),
+            })
+            .collect();
         checkpoints.push(Checkpoint {
             snapshot: sim.snapshot(),
-            devices: states,
+            devices,
             stall_count: armed.stall_count(),
         });
     }
@@ -972,28 +999,25 @@ fn golden_run(
     })
 }
 
-/// Puts a fresh member's simulator, devices and stall watchdog at `start`
-/// and returns the golden fingerprints up to there: the fingerprint
-/// prefix [`member_run`] continues. `None` is reset, where nothing needs
-/// restoring and the prefix is empty.
+/// Puts a fresh member's simulator, devices and stall watchdog at `start`;
+/// `None` is reset, where nothing needs restoring.
 ///
 /// # Errors
 ///
 /// A message when the snapshot or a device state does not load.
 fn start_member(
-    golden: &GoldenRun,
     start: Option<&Checkpoint>,
     sim: &mut dyn SimBackend,
     devices: &mut [Box<dyn Device>],
     armed: &mut ArmedWatchdog,
-) -> Result<Vec<u64>, String> {
+) -> Result<(), String> {
     let Some(cp) = start else {
-        return Ok(Vec::new());
+        return Ok(());
     };
     sim.restore(&cp.snapshot).map_err(|e| e.to_string())?;
     load_devices(cp, devices)?;
     armed.set_stall_count(cp.stall_count);
-    Ok(golden.fps[..cp.cycle() as usize].to_vec())
+    Ok(())
 }
 
 /// Loads a checkpoint's device states into fresh devices.
@@ -1015,15 +1039,16 @@ fn load_devices(cp: &Checkpoint, devices: &mut [Box<dyn Device>]) -> Result<(), 
 /// cycle it is at to `cycles` and classifies it against `golden`.
 ///
 /// A member starts here at its golden checkpoint ([`start_member`]): a
-/// fresh simulator, devices and watchdog restored to it, with the golden
-/// fingerprints up to it as `prefix` (at reset: nothing restored, an
-/// empty prefix). It also starts here mid-run when a batch hands one of
-/// its lanes over: then `sim` holds the lane's restored state, `devices`
-/// the lane's devices, `armed` the lane's stall count and the chunk's
-/// wall clock, and `prefix` the lane's per-cycle fingerprints so far. A
-/// member's wall budget runs from its start, that is from its first
-/// injection. A wall-clock trip depends on the machine, not the design,
-/// so it is returned for the caller to retry instead of being classified.
+/// fresh simulator, devices and watchdog restored to it (at reset:
+/// nothing restored), with `diverged` `None`, since up to there it
+/// committed what the golden run did. It also starts here mid-run when a
+/// batch hands one of its lanes over: then `sim` holds the lane's
+/// restored state, `devices` the lane's devices, `armed` the lane's stall
+/// count and the chunk's wall clock, and `diverged` the cycle the lane's
+/// fingerprint first differed from the golden run's. A member's wall
+/// budget runs from its start, that is from its first injection. A
+/// wall-clock trip depends on the machine, not the design, so it is
+/// returned for the caller to retry instead of being classified.
 fn member_run(
     golden: &GoldenRun,
     mut sim: Box<dyn SimBackend>,
@@ -1031,20 +1056,21 @@ fn member_run(
     cycles: u64,
     injections: &[Injection],
     mut armed: ArmedWatchdog,
-    prefix: Vec<u64>,
+    mut diverged: Option<u64>,
 ) -> Result<Outcome, WatchdogTrip> {
-    let mut fp = CommitFingerprint {
-        per_cycle: prefix,
-        cur: FNV_OFFSET,
-    };
-    // `classify` reads the fingerprints only up to the first one that
-    // differs from the golden run's, so from there on the member runs
-    // unobserved, which is cheaper on every dispatch.
-    let diverged =
-        |fps: &[u64]| fps.last().is_some_and(|&f| golden.fps.get(fps.len() - 1) != Some(&f));
+    // Classification reads only the first cycle whose fingerprint differs
+    // from the golden run's, so each cycle is observed until then (and
+    // only while the golden run has a fingerprint to compare), and the
+    // rest runs unobserved, which is cheaper on every dispatch.
+    let observed = cycles.min(golden.fps.len() as u64);
+    let mut fp = CommitFingerprint::default();
     let mut run = Ok(());
-    while run.is_ok() && sim.cycle_count() < cycles && !diverged(&fp.per_cycle) {
+    while run.is_ok() && diverged.is_none() && sim.cycle_count() < observed {
+        let cycle = sim.cycle_count();
         run = run_watchdogged(&mut *sim, &mut devices, 1, injections, &mut armed, Some(&mut fp));
+        if fp.per_cycle.pop().is_some_and(|f| f != golden.fps[cycle as usize]) {
+            diverged = Some(cycle);
+        }
     }
     if run.is_ok() {
         let remaining = cycles - sim.cycle_count();
@@ -1056,7 +1082,7 @@ fn member_run(
         Err(trip) => Some(trip.cycle),
     };
     let final_regs = read_final_regs(golden.final_regs.len(), &mut *sim);
-    Ok(classify(golden, &fp.per_cycle, &final_regs, hang))
+    Ok(decide(golden, diverged, &final_regs, hang))
 }
 
 /// The worker-pool campaigns' golden run, contained, with a checkpoint
@@ -1109,9 +1135,8 @@ pub fn run_campaign_parallel(
         let injections = draw_schedule(env.td, cfg, index);
         let mut armed = watchdog.arm();
         let start = golden.checkpoint_before(first_injection(&injections, cfg.cycles));
-        let prefix = start_member(&golden, start, &mut *sim, &mut devices, &mut armed)
-            .map_err(JobError::Fatal)?;
-        member_run(&golden, sim, devices, cfg.cycles, &injections, armed, prefix)
+        start_member(start, &mut *sim, &mut devices, &mut armed).map_err(JobError::Fatal)?;
+        member_run(&golden, sim, devices, cfg.cycles, &injections, armed, None)
             .map_err(|trip| JobError::Transient(trip.to_string()))
     };
 
@@ -1192,9 +1217,9 @@ fn lane_sim(
 /// * its commit fingerprint first differs from the golden run's: a scalar
 ///   simulator from `env.make_sim`, restored to the lane's registers and
 ///   cycle count, finishes the run through [`member_run`] with the lane's
-///   devices and stall count, the golden fingerprints up to this cycle
-///   plus this cycle's as its prefix, on the chunk's wall clock, so a
-///   wall trip there still fails the whole chunk.
+///   devices and stall count, this cycle as its first divergence, on the
+///   chunk's wall clock, so a wall trip there still fails the whole
+///   chunk.
 ///
 /// The chunk ends when every lane has left or the cycles run out; the
 /// lanes still in the batch then classify from their final registers.
@@ -1269,9 +1294,8 @@ fn run_batched_chunk(
                 armed.start = clock.start;
                 armed.set_stall_count(stalls[l].stall_count());
                 let lane_devices = std::mem::take(&mut devices[l]);
-                let mut prefix = golden.fps[..cycle as usize].to_vec();
-                prefix.push(fp);
-                member_run(golden, sim, lane_devices, cfg.cycles, &schedules[order[l].0], armed, prefix)
+                let injections = &schedules[order[l].0];
+                member_run(golden, sim, lane_devices, cfg.cycles, injections, armed, Some(cycle))
                     .map_err(|trip| JobError::Transient(trip.to_string()))?
             } else {
                 continue;
@@ -1294,7 +1318,7 @@ fn run_batched_chunk(
             None => {
                 let regs: Vec<u64> =
                     (0..env.td.regs.len()).map(|i| batch.lane_get64(l, RegId(i as u32))).collect();
-                classify(golden, &golden.fps, &regs, None)
+                decide(golden, None, &regs, None)
             }
         };
     }
@@ -2280,6 +2304,95 @@ mod tests {
         assert!(golden.checkpoints.is_empty());
         assert_eq!(golden.checkpoint_before(cfg.cycles).map(Checkpoint::cycle), None);
         assert_runners_match_reference(&td, false, &cfg, &from_reset(&td, false, &cfg));
+    }
+
+    /// A device whose whole state is a byte image: before cycle `c` it
+    /// adds one to the byte at `offset` for each `(c, offset)` in
+    /// `writes`, and it cannot save its state once it has ticked more than
+    /// `saves_until` times.
+    #[derive(Clone)]
+    struct Image {
+        bytes: Vec<u8>,
+        writes: Vec<(u64, usize)>,
+        ticks: u64,
+        saves_until: u64,
+    }
+
+    impl Image {
+        fn new(len: usize, writes: &[(u64, usize)]) -> Image {
+            Image {
+                bytes: (0..len).map(|i| (i % 251) as u8).collect(),
+                writes: writes.to_vec(),
+                ticks: 0,
+                saves_until: u64::MAX,
+            }
+        }
+    }
+
+    impl Device for Image {
+        fn tick(&mut self, cycle: u64, _regs: &mut dyn RegAccess) {
+            for &(_, offset) in self.writes.iter().filter(|w| w.0 == cycle) {
+                self.bytes[offset] = self.bytes[offset].wrapping_add(1);
+            }
+            self.ticks += 1;
+        }
+        fn save_state(&self) -> Option<Vec<u8>> {
+            (self.ticks <= self.saves_until).then(|| self.bytes.clone())
+        }
+        fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
+            self.bytes = state.to_vec();
+            Ok(())
+        }
+    }
+
+    fn image_golden(devices: &[Image], at: &[u64]) -> GoldenRun {
+        let td = counter_design();
+        let boxed = devices.iter().map(|d| Box::new(d.clone()) as Box<dyn Device>).collect();
+        golden_run(&td, Ok(Box::new(Interp::new(&td))), boxed, 12, 64, at).unwrap()
+    }
+
+    #[test]
+    fn checkpoints_share_the_device_states_that_did_not_change() {
+        // An odd-length image with one byte changed before cycle 5, an
+        // empty image, and an image that never changes.
+        let devices = [Image::new(4197, &[(5, 1031)]), Image::new(0, &[]), Image::new(100, &[])];
+        let golden = image_golden(&devices, &[2, 4, 6, 8]);
+        let cps = &golden.checkpoints;
+        let cycles: Vec<u64> = cps.iter().map(Checkpoint::cycle).collect();
+        assert_eq!(cycles, [2, 4, 6, 8]);
+        let shared = |a: &Checkpoint, b: &Checkpoint| -> Vec<bool> {
+            a.devices.iter().zip(&b.devices).map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+        };
+        for (a, b) in [(0, 1), (2, 3)] {
+            assert_eq!(shared(&cps[a], &cps[b]), [true; 3], "unchanged between {a} and {b}");
+        }
+        assert_eq!(shared(&cps[1], &cps[2]), [false, true, true], "one byte changed");
+
+        let td = counter_design();
+        let mut regs = Interp::new(&td);
+        for cp in cps {
+            let mut reference: Vec<Image> = devices.to_vec();
+            for cycle in 0..cp.cycle() {
+                for d in &mut reference {
+                    d.tick(cycle, &mut regs);
+                }
+            }
+            let mut fresh: Vec<Box<dyn Device>> =
+                devices.iter().map(|d| Box::new(d.clone()) as Box<dyn Device>).collect();
+            load_devices(cp, &mut fresh).unwrap();
+            for (loaded, want) in fresh.iter().zip(&reference) {
+                assert_eq!(loaded.save_state(), want.save_state(), "cycle {}", cp.cycle());
+            }
+        }
+    }
+
+    #[test]
+    fn a_device_that_stops_saving_drops_every_checkpoint() {
+        let mut late = Image::new(2048, &[(1, 3)]);
+        late.saves_until = 5;
+        let golden = image_golden(&[Image::new(1024, &[]), late], &[2, 4, 6, 8]);
+        assert!(golden.checkpoints.is_empty());
+        assert_eq!(golden.fps.len(), 12, "the golden run still runs to the end");
     }
 
     #[test]

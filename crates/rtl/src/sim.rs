@@ -20,11 +20,13 @@ use koika::device::{RegAccess, SimBackend};
 use koika::obs::{FailureReason, Observer};
 use koika::snapshot::{Snapshot, SnapshotError};
 use koika::tir::RegId;
+use std::sync::Arc;
 
-/// A running RTL simulation.
+/// A running RTL simulation. Clones share the compiled model and copy
+/// only the register and wire state.
 #[derive(Debug, Clone)]
 pub struct RtlSim {
-    model: RtlModel,
+    model: Arc<RtlModel>,
     /// Current register values.
     regs: Vec<u64>,
     /// Per-node wire values, recomputed every cycle.
@@ -43,7 +45,7 @@ impl RtlSim {
         let vals = vec![0; model.netlist.len()];
         let nrules = model.fires.len();
         RtlSim {
-            model,
+            model: Arc::new(model),
             regs,
             vals,
             cycles: 0,
@@ -375,5 +377,39 @@ mod tests {
         assert_eq!(sim.get64(RegId(0)), 7, "settling must not advance state");
         sim.cycle();
         assert_eq!(sim.get64(RegId(0)), 8);
+    }
+
+    #[test]
+    fn clones_share_the_model_and_step_alike() {
+        let mut nl = Netlist::new();
+        let n = nl.add_reg("n", 8, 250);
+        let acc = nl.add_reg("acc", 16, 0);
+        let (qn, qacc) = (nl.reg_q(n), nl.reg_q(acc));
+        let one = nl.constant(8, 1);
+        let next_n = nl.bin(8, NlBin::Add, qn, one);
+        let wide = nl.un(16, NlUn::Mask, qn);
+        let next_acc = nl.bin(16, NlBin::Add, qacc, wide);
+        nl.set_next(n, next_n);
+        nl.set_next(acc, next_acc);
+        let model = RtlModel {
+            name: "c".into(),
+            netlist: nl,
+            fires: Vec::new(),
+            fire_names: Vec::new(),
+            sched_rules: Vec::new(),
+            scheme: crate::Scheme::Dynamic,
+        };
+        let mut a = RtlSim::new(model);
+        a.cycle();
+        let mut b = a.clone();
+        assert!(std::ptr::eq(a.model(), b.model()), "a clone shares the model");
+        for _ in 0..10 {
+            a.cycle();
+            b.cycle();
+            assert_eq!(a.get64(RegId(0)), b.get64(RegId(0)));
+            assert_eq!(a.get64(RegId(1)), b.get64(RegId(1)));
+        }
+        assert_eq!(a.cycle_count(), 11);
+        assert_eq!(a.get64(RegId(0)), 5, "n wraps at 8 bits");
     }
 }
