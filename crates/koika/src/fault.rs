@@ -704,8 +704,11 @@ impl fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// The backend-agnostic campaign driver: owns factories that produce fresh
-/// simulator instances and their (deterministic) devices.
+/// The backend-agnostic single-member engine: owns factories that produce
+/// fresh simulator instances and their (deterministic) devices, and runs
+/// the golden run and one injection schedule at a time: the replay path
+/// ([`replay_campaign`]), its shrinking, and one-off classification. A
+/// whole campaign runs on the worker pool ([`run_campaign_parallel`]).
 pub struct FaultEngine<'a> {
     /// The design under test.
     pub td: &'a TDesign,
@@ -714,18 +717,6 @@ pub struct FaultEngine<'a> {
     /// Produces the matching device set (must be deterministic — campaign
     /// reproducibility depends on it).
     pub make_devices: &'a mut dyn FnMut() -> Vec<Box<dyn Device>>,
-}
-
-/// Checks that every register of the design fits the engine's `u64`-based
-/// state comparison.
-fn check_design_regs(td: &TDesign) -> Result<(), FaultError> {
-    if td.regs.is_empty() {
-        return Err(FaultError::NoRegisters);
-    }
-    match td.regs.iter().find(|r| r.width > 64) {
-        Some(r) => Err(FaultError::WideDesign(r.name.clone())),
-        None => Ok(()),
-    }
 }
 
 /// Reads the first `nregs` registers of the flattened register file (low
@@ -772,21 +763,8 @@ impl FaultEngine<'_> {
     ///
     /// [`FaultError::GoldenHang`] if even the unperturbed design stalls.
     pub fn golden(&mut self, cycles: u64, stall_cycles: u64) -> Result<GoldenRun, FaultError> {
-        self.golden_with_checkpoints(cycles, stall_cycles, &[])
-    }
-
-    /// Executes the fault-free golden run and keeps a checkpoint at each
-    /// cycle of `at` below `cycles` (the members' first injections),
-    /// unless a device cannot save its state.
-    fn golden_with_checkpoints(
-        &mut self,
-        cycles: u64,
-        stall_cycles: u64,
-        at: &[u64],
-    ) -> Result<GoldenRun, FaultError> {
-        check_design_regs(self.td)?;
         let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
-        golden_run(self.td, Ok(sim), devices, cycles, stall_cycles, at)
+        golden_run(self.td, Ok(sim), devices, cycles, stall_cycles, [])
     }
 
     /// Runs one injection schedule and classifies it against `golden`,
@@ -804,42 +782,15 @@ impl FaultEngine<'_> {
         stall_cycles: u64,
         golden: &GoldenRun,
     ) -> Outcome {
-        let (mut sim, mut devices) = ((self.make_sim)(), (self.make_devices)());
-        let mut armed = Watchdog::stall_only(stall_cycles).arm();
-        let start = golden.checkpoint_before(first_injection(injections, cycles));
-        start_member(start, &mut *sim, &mut devices, &mut armed)
-            .unwrap_or_else(|e| panic!("cannot start a member at its golden checkpoint: {e}"));
-        member_run(golden, sim, devices, cycles, injections, armed, None)
-            .unwrap_or_else(|trip| unreachable!("stall-only watchdog tripped on wall time: {trip}"))
-    }
-
-    /// Runs a full campaign: golden run, then every member, classified.
-    ///
-    /// # Errors
-    ///
-    /// Only from setup ([`FaultError`]); members always classify (hangs are
-    /// caught by the watchdog, never escape).
-    pub fn run_campaign(&mut self, cfg: &CampaignConfig) -> Result<CampaignReport, FaultError> {
-        let at = first_injections(self.td, cfg);
-        let golden = self.golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &at)?;
-        let mut members = Vec::with_capacity(cfg.members);
-        for index in 0..cfg.members {
-            let injections = draw_schedule(self.td, cfg, index);
-            let outcome =
-                self.classify_injections(&injections, cfg.cycles, cfg.stall_cycles, &golden);
-            members.push(MemberReport {
-                index,
-                injections,
-                outcome,
-                detail: None,
-            });
-        }
-        Ok(CampaignReport {
-            design: self.td.name.clone(),
-            reg_names: self.td.regs.iter().map(|r| r.name.clone()).collect(),
-            config: cfg.clone(),
-            golden_digest: golden.digest(),
-            members,
+        let (sim, devices) = ((self.make_sim)(), (self.make_devices)());
+        let watchdog = Watchdog::stall_only(stall_cycles);
+        // A stall-only watchdog never trips on wall time, so the only
+        // error is a checkpoint that does not load.
+        scalar_member(golden, sim, devices, cycles, injections, &watchdog).unwrap_or_else(|e| {
+            panic!(
+                "cannot start a member at its golden checkpoint: {}",
+                e.message()
+            )
         })
     }
 
@@ -875,11 +826,13 @@ fn first_injection(injections: &[Injection], cycles: u64) -> u64 {
 }
 
 /// Every campaign member's first-injection cycle, in member order: where
-/// the golden run keeps its checkpoints.
-fn first_injections(td: &TDesign, cfg: &CampaignConfig) -> Vec<u64> {
-    (0..cfg.members)
-        .map(|index| first_injection(&draw_schedule(td, cfg, index), cfg.cycles))
-        .collect()
+/// the golden run keeps its checkpoints. Lazy, so [`golden_run`] checks
+/// the design's registers before any schedule is drawn.
+fn first_injections<'a>(
+    td: &'a TDesign,
+    cfg: &'a CampaignConfig,
+) -> impl Iterator<Item = u64> + 'a {
+    (0..cfg.members).map(|index| first_injection(&draw_schedule(td, cfg, index), cfg.cycles))
 }
 
 /// Draws member `index`'s injection schedule from the campaign seed — a
@@ -920,8 +873,9 @@ pub struct ParallelFactories<'a> {
     pub make_devices: &'a (dyn Fn() -> Vec<Box<dyn Device>> + Sync),
 }
 
-/// Execution policy for [`run_campaign_parallel`]: worker-pool shape plus
-/// the per-member wall-clock deadline.
+/// Execution policy for the worker-pool campaigns ([`run_campaign_parallel`]
+/// and [`run_campaign_batched`]): worker-pool shape plus the per-member
+/// wall-clock deadline.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelOptions {
     /// Worker count, retry budget, and backoff.
@@ -934,33 +888,30 @@ pub struct ParallelOptions {
     pub wall_budget: Option<Duration>,
 }
 
-/// The watchdog every member of a worker-pool campaign runs under: the
-/// campaign's stall budget and the per-member wall deadline.
-fn member_watchdog(cfg: &CampaignConfig, opts: &ParallelOptions) -> Watchdog {
-    Watchdog {
-        max_cycles: None,
-        stall_cycles: Some(cfg.stall_cycles),
-        wall_budget: opts.wall_budget,
-    }
-}
-
 /// Executes the fault-free golden run on a freshly built simulator (or
 /// reports why it could not be built) and fresh devices, keeping a
-/// checkpoint at each distinct cycle of `at` below `cycles`. A device
-/// state that did not change since the previous checkpoint shares that
-/// checkpoint's allocation. The first device whose
-/// [`Device::save_state`] returns `None` drops every checkpoint: members
-/// then start at reset.
+/// checkpoint at each distinct cycle of `at` below `cycles`. First it
+/// checks that the design has registers and that each fits the engine's
+/// `u64`-based state comparison, before `at` is read. A device state that did not
+/// change since the previous checkpoint shares that checkpoint's
+/// allocation. The first device whose [`Device::save_state`] returns
+/// `None` drops every checkpoint: members then start at reset.
 fn golden_run(
     td: &TDesign,
     sim: Result<Box<dyn SimBackend>, String>,
     mut devices: Vec<Box<dyn Device>>,
     cycles: u64,
     stall_cycles: u64,
-    at: &[u64],
+    at: impl IntoIterator<Item = u64>,
 ) -> Result<GoldenRun, FaultError> {
+    if td.regs.is_empty() {
+        return Err(FaultError::NoRegisters);
+    }
+    if let Some(r) = td.regs.iter().find(|r| r.width > 64) {
+        return Err(FaultError::WideDesign(r.name.clone()));
+    }
     let mut sim = sim.map_err(FaultError::Setup)?;
-    let mut at: Vec<u64> = at.iter().copied().filter(|&c| c < cycles).collect();
+    let mut at: Vec<u64> = at.into_iter().filter(|&c| c < cycles).collect();
     at.sort_unstable();
     at.dedup();
     let mut fp = CommitFingerprint::default();
@@ -999,25 +950,33 @@ fn golden_run(
     })
 }
 
-/// Puts a fresh member's simulator, devices and stall watchdog at `start`;
-/// `None` is reset, where nothing needs restoring.
+/// Runs one member on a fresh simulator and devices from start to end:
+/// starts it at `golden`'s latest checkpoint at or before its first
+/// injection (at reset without one, where nothing needs restoring), with
+/// `watchdog` armed there and carrying the checkpoint's stall count, and
+/// finishes it through [`member_run`].
 ///
 /// # Errors
 ///
-/// A message when the snapshot or a device state does not load.
-fn start_member(
-    start: Option<&Checkpoint>,
-    sim: &mut dyn SimBackend,
-    devices: &mut [Box<dyn Device>],
-    armed: &mut ArmedWatchdog,
-) -> Result<(), String> {
-    let Some(cp) = start else {
-        return Ok(());
-    };
-    sim.restore(&cp.snapshot).map_err(|e| e.to_string())?;
-    load_devices(cp, devices)?;
-    armed.set_stall_count(cp.stall_count);
-    Ok(())
+/// [`JobError::Fatal`] when the snapshot or a device state does not load,
+/// [`JobError::Transient`] when the wall budget trips.
+fn scalar_member(
+    golden: &GoldenRun,
+    mut sim: Box<dyn SimBackend>,
+    mut devices: Vec<Box<dyn Device>>,
+    cycles: u64,
+    injections: &[Injection],
+    watchdog: &Watchdog,
+) -> Result<Outcome, JobError> {
+    let mut armed = watchdog.arm();
+    if let Some(cp) = golden.checkpoint_before(first_injection(injections, cycles)) {
+        sim.restore(&cp.snapshot)
+            .map_err(|e| JobError::Fatal(e.to_string()))?;
+        load_devices(cp, &mut devices).map_err(JobError::Fatal)?;
+        armed.set_stall_count(cp.stall_count);
+    }
+    member_run(golden, sim, devices, cycles, injections, armed, None)
+        .map_err(|trip| JobError::Transient(trip.to_string()))
 }
 
 /// Loads a checkpoint's device states into fresh devices.
@@ -1038,7 +997,7 @@ fn load_devices(cp: &Checkpoint, devices: &mut [Box<dyn Device>]) -> Result<(), 
 /// The one scalar member loop: runs a campaign member on `sim` from the
 /// cycle it is at to `cycles` and classifies it against `golden`.
 ///
-/// A member starts here at its golden checkpoint ([`start_member`]): a
+/// A member starts here at its golden checkpoint ([`scalar_member`]): a
 /// fresh simulator, devices and watchdog restored to it (at reset:
 /// nothing restored), with `diverged` `None`, since up to there it
 /// committed what the golden run did. It also starts here mid-run when a
@@ -1085,20 +1044,75 @@ fn member_run(
     Ok(decide(golden, diverged, &final_regs, hang))
 }
 
-/// The worker-pool campaigns' golden run, contained, with a checkpoint
-/// at every member's first injection.
-fn campaign_golden(env: &ParallelFactories<'_>, cfg: &CampaignConfig) -> Result<GoldenRun, FaultError> {
-    check_design_regs(env.td)?;
+/// The one campaign driver behind [`run_campaign_parallel`] and
+/// [`run_campaign_batched`]. It runs the golden run, contained, with a
+/// checkpoint at every member's first injection, then hands each `width`
+/// consecutive members to one `chunk` job on the worker pool
+/// ([`runner::run_jobs`]) under the member watchdog (the campaign's stall
+/// budget and the per-member wall deadline). `chunk` gets the golden run,
+/// that watchdog, its first member and its member count, and returns one
+/// outcome per member. The report lists every member in index order. A
+/// failed chunk classifies each of its members by the error, with its
+/// message as [`MemberReport::detail`]: [`Outcome::Flaky`] for a wall trip
+/// that kept tripping through its retries, [`Outcome::Panic`] for a
+/// contained panic or a fatal error.
+fn run_chunks(
+    env: &ParallelFactories<'_>,
+    cfg: &CampaignConfig,
+    opts: &ParallelOptions,
+    progress: Option<&mut dyn FnMut(JobUpdate)>,
+    width: usize,
+    chunk: impl Fn(&GoldenRun, &Watchdog, usize, usize) -> Result<Vec<Outcome>, JobError> + Sync,
+) -> Result<(CampaignReport, RunnerStats), FaultError> {
     let at = first_injections(env.td, cfg);
-    contain(|| {
-        golden_run(env.td, (env.make_sim)(), (env.make_devices)(), cfg.cycles, cfg.stall_cycles, &at)
+    let golden = contain(|| {
+        let (sim, devices) = ((env.make_sim)(), (env.make_devices)());
+        golden_run(env.td, sim, devices, cfg.cycles, cfg.stall_cycles, at)
     })
-    .map_err(FaultError::GoldenPanic)?
+    .map_err(FaultError::GoldenPanic)??;
+    let watchdog = Watchdog {
+        max_cycles: None,
+        stall_cycles: Some(cfg.stall_cycles),
+        wall_budget: opts.wall_budget,
+    };
+    let lanes = |first: usize| width.min(cfg.members - first);
+    let job = |c: usize| chunk(&golden, &watchdog, c * width, lanes(c * width));
+    let (reports, stats) =
+        runner::run_jobs(cfg.members.div_ceil(width), &opts.runner, job, progress);
+
+    let mut members = Vec::with_capacity(cfg.members);
+    for r in reports {
+        let first = r.index * width;
+        let (outcomes, detail) = match r.result {
+            Ok(outcomes) => (outcomes, None),
+            Err(JobError::Transient(msg)) => (vec![Outcome::Flaky; lanes(first)], Some(msg)),
+            Err(JobError::Panic(msg) | JobError::Fatal(msg)) => {
+                (vec![Outcome::Panic; lanes(first)], Some(msg))
+            }
+        };
+        for (index, outcome) in (first..).zip(outcomes) {
+            members.push(MemberReport {
+                index,
+                injections: draw_schedule(env.td, cfg, index),
+                outcome,
+                detail: detail.clone(),
+            });
+        }
+    }
+    let report = CampaignReport {
+        design: env.td.name.clone(),
+        reg_names: env.td.regs.iter().map(|r| r.name.clone()).collect(),
+        config: cfg.clone(),
+        golden_digest: golden.digest(),
+        members,
+    };
+    Ok((report, stats))
 }
 
 /// Runs a campaign with members fanned out over a crash-isolated worker
-/// pool ([`crate::runner`]). Returns the report plus the runner's aggregate
-/// stats (panics contained, retries spent).
+/// pool ([`crate::runner`]), one member per job. Returns the report plus
+/// the runner's aggregate stats (members run, panics contained, retries
+/// spent).
 ///
 /// Guarantees, regardless of `opts.runner.jobs`:
 ///
@@ -1127,46 +1141,12 @@ pub fn run_campaign_parallel(
     opts: &ParallelOptions,
     progress: Option<&mut dyn FnMut(JobUpdate)>,
 ) -> Result<(CampaignReport, RunnerStats), FaultError> {
-    let golden = campaign_golden(env, cfg)?;
-    let watchdog = member_watchdog(cfg, opts);
-    let job = |index: usize| -> Result<Outcome, JobError> {
-        let mut sim = (env.make_sim)().map_err(JobError::Fatal)?;
-        let mut devices = (env.make_devices)();
+    run_chunks(env, cfg, opts, progress, 1, |golden, watchdog, index, _| {
+        let sim = (env.make_sim)().map_err(JobError::Fatal)?;
+        let devices = (env.make_devices)();
         let injections = draw_schedule(env.td, cfg, index);
-        let mut armed = watchdog.arm();
-        let start = golden.checkpoint_before(first_injection(&injections, cfg.cycles));
-        start_member(start, &mut *sim, &mut devices, &mut armed).map_err(JobError::Fatal)?;
-        member_run(&golden, sim, devices, cfg.cycles, &injections, armed, None)
-            .map_err(|trip| JobError::Transient(trip.to_string()))
-    };
-
-    let (reports, stats) = runner::run_jobs(cfg.members, &opts.runner, job, progress);
-    let members = reports
-        .into_iter()
-        .map(|r| {
-            let injections = draw_schedule(env.td, cfg, r.index);
-            let (outcome, detail) = match r.result {
-                Ok(outcome) => (outcome, None),
-                Err(JobError::Panic(msg)) => (Outcome::Panic, Some(msg)),
-                Err(JobError::Transient(msg)) => (Outcome::Flaky, Some(msg)),
-                Err(JobError::Fatal(msg)) => (Outcome::Panic, Some(msg)),
-            };
-            MemberReport {
-                index: r.index,
-                injections,
-                outcome,
-                detail,
-            }
-        })
-        .collect();
-    let report = CampaignReport {
-        design: env.td.name.clone(),
-        reg_names: env.td.regs.iter().map(|r| r.name.clone()).collect(),
-        config: cfg.clone(),
-        golden_digest: golden.digest(),
-        members,
-    };
-    Ok((report, stats))
+        scalar_member(golden, sim, devices, cfg.cycles, &injections, watchdog).map(|o| vec![o])
+    })
 }
 
 /// A thread-safe factory producing batched backends for
@@ -1343,14 +1323,15 @@ fn run_batched_chunk(
 /// injection on, nobody runs the golden prefix again, and the diverging
 /// rest runs scalar.
 ///
-/// The report is **byte-identical** to [`run_campaign_parallel`]'s (and the
-/// sequential [`FaultEngine::run_campaign`]'s) for the same configuration:
-/// batching is an execution strategy, not an observable. The only caveats
-/// are the machine-dependent classes: a wall-budget trip or a contained
-/// panic applies to the whole chunk (all of its members retry together or
+/// The report is **byte-identical** to [`run_campaign_parallel`]'s for the
+/// same configuration (and so to each member classified on its own by
+/// [`FaultEngine::classify_injections`]): batching is an execution
+/// strategy, not an observable. The only caveats are the
+/// machine-dependent classes: a wall-budget trip or a contained panic
+/// applies to the whole chunk (all of its members retry together or
 /// report [`Outcome::Panic`] together), because the chunk shares one
 /// backend and one wall clock, also for the members it hands to a scalar
-/// simulator.
+/// simulator. Its [`RunnerStats`] and progress updates count chunks.
 ///
 /// # Errors
 ///
@@ -1363,57 +1344,10 @@ pub fn run_campaign_batched(
     opts: &ParallelOptions,
     progress: Option<&mut dyn FnMut(JobUpdate)>,
 ) -> Result<(CampaignReport, RunnerStats), FaultError> {
-    let width = width.max(1);
-    let golden = campaign_golden(env, cfg)?;
-    let watchdog = member_watchdog(cfg, opts);
-    let nchunks = cfg.members.div_ceil(width);
-    let job = |chunk: usize| -> Result<Vec<Outcome>, JobError> {
-        let first = chunk * width;
-        let lanes = width.min(cfg.members - first);
-        run_batched_chunk(env, make_batch, cfg, &watchdog, &golden, first, lanes)
+    let chunk = |golden: &GoldenRun, watchdog: &Watchdog, first, lanes| {
+        run_batched_chunk(env, make_batch, cfg, watchdog, golden, first, lanes)
     };
-    let (reports, stats) = runner::run_jobs(nchunks, &opts.runner, job, progress);
-
-    let mut members = Vec::with_capacity(cfg.members);
-    for r in reports {
-        let first = r.index * width;
-        let lanes = width.min(cfg.members - first);
-        match r.result {
-            Ok(outcomes) => {
-                for (l, outcome) in outcomes.into_iter().enumerate().take(lanes) {
-                    members.push(MemberReport {
-                        index: first + l,
-                        injections: draw_schedule(env.td, cfg, first + l),
-                        outcome,
-                        detail: None,
-                    });
-                }
-            }
-            Err(e) => {
-                let (outcome, msg) = match e {
-                    JobError::Panic(m) => (Outcome::Panic, m),
-                    JobError::Transient(m) => (Outcome::Flaky, m),
-                    JobError::Fatal(m) => (Outcome::Panic, m),
-                };
-                for l in 0..lanes {
-                    members.push(MemberReport {
-                        index: first + l,
-                        injections: draw_schedule(env.td, cfg, first + l),
-                        outcome,
-                        detail: Some(msg.clone()),
-                    });
-                }
-            }
-        }
-    }
-    let report = CampaignReport {
-        design: env.td.name.clone(),
-        reg_names: env.td.regs.iter().map(|r| r.name.clone()).collect(),
-        config: cfg.clone(),
-        golden_digest: golden.digest(),
-        members,
-    };
-    Ok((report, stats))
+    run_chunks(env, cfg, opts, progress, width.max(1), chunk)
 }
 
 /// A finished campaign: configuration, golden digest, and every member's
@@ -1615,6 +1549,12 @@ impl ReplayLog {
             };
             parsed.map_err(|_| format!("bad {what} value {v:?}"))
         }
+        // Registers, bits and levels are `u32`: a larger value is refused,
+        // not wrapped onto another register or level.
+        fn parse_u32(v: &str, what: &str, line: &str) -> Result<u32, String> {
+            u32::try_from(parse_u64(v, what)?)
+                .map_err(|_| format!("{what} {} out of range in line {line:?}", v.trim()))
+        }
         for line in lines {
             let line = line.trim();
             if line.is_empty() {
@@ -1625,10 +1565,15 @@ impl ReplayLog {
                 "design" => log.design = rest.to_string(),
                 "backend" => log.backend = rest.to_string(),
                 "program" => log.program = rest.to_string(),
-                "level" => log.level = parse_u64(rest, "level")? as u32,
+                "level" => log.level = parse_u32(rest, "level", line)?,
                 "cycles" => log.cycles = parse_u64(rest, "cycles")?,
                 "seed" => log.seed = parse_u64(rest, "seed")?,
-                "stall" => log.stall_cycles = parse_u64(rest, "stall")?,
+                "stall" => {
+                    log.stall_cycles = parse_u64(rest, "stall")?;
+                    if log.stall_cycles == 0 {
+                        return Err(format!("stall must be at least 1 in line {line:?}"));
+                    }
+                }
                 "golden-digest" => log.golden_digest = parse_u64(rest, "golden-digest")?,
                 "member" => {
                     let mut parts = rest.split_whitespace();
@@ -1647,8 +1592,8 @@ impl ReplayLog {
                         };
                         injections.push(Injection {
                             cycle: parse_u64(c, "injection cycle")?,
-                            reg: RegId(parse_u64(r, "injection register")? as u32),
-                            bit: parse_u64(b, "injection bit")? as u32,
+                            reg: RegId(parse_u32(r, "injection register", line)?),
+                            bit: parse_u32(b, "injection bit", line)?,
                         });
                     }
                     if injections.is_empty() {
@@ -1696,12 +1641,13 @@ pub fn replay_campaign(
     engine: &mut FaultEngine<'_>,
     log: &ReplayLog,
 ) -> Result<Vec<ReplayResult>, FaultError> {
+    let mut at = Vec::with_capacity(log.members.len());
     for member in &log.members {
         validate_injections(engine.td, &member.injections)?;
+        at.push(first_injection(&member.injections, log.cycles));
     }
-    let at: Vec<u64> =
-        log.members.iter().map(|m| first_injection(&m.injections, log.cycles)).collect();
-    let golden = engine.golden_with_checkpoints(log.cycles, log.stall_cycles, &at)?;
+    let (sim, devices) = (Ok((engine.make_sim)()), (engine.make_devices)());
+    let golden = golden_run(engine.td, sim, devices, log.cycles, log.stall_cycles, at)?;
     if golden.digest() != log.golden_digest {
         return Err(FaultError::DigestMismatch {
             recorded: log.golden_digest,
@@ -1760,6 +1706,46 @@ mod tests {
             make_devices: &mut *make_devices,
         };
         f(&mut engine)
+    }
+
+    /// `cfg` on the worker pool, on the interpreter with no devices.
+    fn parallel_test(td: &TDesign, cfg: &CampaignConfig) -> Result<CampaignReport, FaultError> {
+        let make_sim = || Ok(Box::new(Interp::new(td)) as Box<dyn SimBackend>);
+        let make_devices = Vec::new;
+        let env = ParallelFactories {
+            td,
+            make_sim: &make_sim,
+            make_devices: &make_devices,
+        };
+        run_campaign_parallel(&env, cfg, &ParallelOptions::default(), None)
+            .map(|(report, _)| report)
+    }
+
+    /// The report of `cfg` on the replay path: a golden run without
+    /// checkpoints and every member classified on its own, from reset, by
+    /// `classify_injections`.
+    fn classified_one_by_one(e: &mut FaultEngine<'_>, cfg: &CampaignConfig) -> CampaignReport {
+        let golden = e.golden(cfg.cycles, cfg.stall_cycles).unwrap();
+        let members = (0..cfg.members)
+            .map(|index| {
+                let injections = draw_schedule(e.td, cfg, index);
+                let outcome =
+                    e.classify_injections(&injections, cfg.cycles, cfg.stall_cycles, &golden);
+                MemberReport {
+                    index,
+                    injections,
+                    outcome,
+                    detail: None,
+                }
+            })
+            .collect();
+        CampaignReport {
+            design: e.td.name.clone(),
+            reg_names: e.td.regs.iter().map(|r| r.name.clone()).collect(),
+            config: cfg.clone(),
+            golden_digest: golden.digest(),
+            members,
+        }
     }
 
     #[test]
@@ -1827,15 +1813,16 @@ mod tests {
         assert_eq!(err.cycle, 8);
         assert!(err.reason.contains("no rule committed"));
         // And a campaign on it refuses to run: the golden run itself hangs.
-        engine_test(&td, |e| {
-            let err = e.run_campaign(&CampaignConfig {
+        let err = parallel_test(
+            &td,
+            &CampaignConfig {
                 cycles: 100,
                 members: 2,
                 stall_cycles: 8,
                 ..CampaignConfig::default()
-            });
-            assert!(matches!(err, Err(FaultError::GoldenHang(_))));
-        });
+            },
+        );
+        assert!(matches!(err, Err(FaultError::GoldenHang(_))));
     }
 
     #[test]
@@ -1905,9 +1892,10 @@ mod tests {
             max_injections: 3,
             stall_cycles: 16,
         };
-        let (a, b) = engine_test(&td, |e| {
-            (e.run_campaign(&cfg).unwrap(), e.run_campaign(&cfg).unwrap())
-        });
+        let (a, b) = (
+            parallel_test(&td, &cfg).unwrap(),
+            parallel_test(&td, &cfg).unwrap(),
+        );
         assert_eq!(a.summary(), b.summary(), "byte-for-byte reproducible");
         assert_eq!(a.counts().iter().sum::<usize>(), 20);
         assert_eq!(a.counts()[3], 0, "nothing can hang this design");
@@ -1977,7 +1965,7 @@ mod tests {
             max_injections: 3,
             stall_cycles: 16,
         };
-        let sequential = engine_test(&td, |e| e.run_campaign(&cfg).unwrap());
+        let reference = engine_test(&td, |e| classified_one_by_one(e, &cfg));
 
         let make_sim = || Ok(Box::new(Interp::new(&td)) as Box<dyn SimBackend>);
         let make_devices = || Vec::new();
@@ -1996,8 +1984,8 @@ mod tests {
         for width in [1usize, 3, 8, 32] {
             let (report, stats) =
                 run_campaign_batched(&env, &make_batch, width, &cfg, &opts, None).unwrap();
-            assert_eq!(report.members, sequential.members, "width {width}");
-            assert_eq!(report.summary(), sequential.summary(), "width {width}");
+            assert_eq!(report.members, reference.members, "width {width}");
+            assert_eq!(report.summary(), reference.summary(), "width {width}");
             assert_eq!(stats.total, cfg.members.div_ceil(width));
         }
     }
@@ -2012,8 +2000,8 @@ mod tests {
             max_injections: 3,
             stall_cycles: 16,
         };
+        let report = parallel_test(&td, &cfg).unwrap();
         engine_test(&td, |e| {
-            let report = e.run_campaign(&cfg).unwrap();
             let log = report.to_replay_log("interp", 6, "");
             assert!(!log.members.is_empty(), "seed 11 must produce failures");
             let parsed = ReplayLog::from_text(&log.to_text()).unwrap();
@@ -2056,16 +2044,15 @@ mod tests {
     #[test]
     fn replay_refuses_mismatched_golden_digest() {
         let td = counter_design();
+        let cfg = CampaignConfig {
+            seed: 3,
+            members: 4,
+            cycles: 24,
+            max_injections: 1,
+            stall_cycles: 16,
+        };
+        let report = parallel_test(&td, &cfg).unwrap();
         engine_test(&td, |e| {
-            let report = e
-                .run_campaign(&CampaignConfig {
-                    seed: 3,
-                    members: 4,
-                    cycles: 24,
-                    max_injections: 1,
-                    stall_cycles: 16,
-                })
-                .unwrap();
             let mut log = report.to_replay_log("interp", 6, "");
             log.golden_digest ^= 1;
             assert!(replay_campaign(e, &log).is_err());
@@ -2156,6 +2143,18 @@ mod tests {
             .collect()
     }
 
+    /// The golden run of `cfg` on the pulse design, with a checkpoint at
+    /// each cycle of `at`.
+    fn pulse_golden(
+        td: &TDesign,
+        saves: bool,
+        cfg: &CampaignConfig,
+        at: impl IntoIterator<Item = u64>,
+    ) -> GoldenRun {
+        let (sim, devices) = (Box::new(Interp::new(td)), pulse_devices(td, saves));
+        golden_run(td, Ok(sim), devices, cfg.cycles, cfg.stall_cycles, at).unwrap()
+    }
+
     /// The first seed whose campaign holds every checkpoint edge case:
     /// first injections at cycle 0 and at the last cycle, two members that
     /// share a first-injection cycle, a member with three injections, and
@@ -2189,10 +2188,10 @@ mod tests {
             .expect("some seed hits every edge case")
     }
 
-    /// Every runner, each against the from-reset reference: sequential
-    /// (with replay), parallel at one and two jobs, and batched at widths
-    /// that run one lane each, leave a ragged tail, and hold the whole
-    /// campaign.
+    /// Every runner, each against the from-reset reference: parallel at
+    /// one and two jobs, the replay of its failing members, and batched at
+    /// widths that run one lane each, leave a ragged tail, and hold the
+    /// whole campaign.
     fn assert_runners_match_reference(td: &TDesign, saves: bool, cfg: &CampaignConfig, want: &[Outcome]) {
         let outcomes = |r: &CampaignReport| r.members.iter().map(|m| m.outcome).collect::<Vec<_>>();
         let mut make_sim = || Box::new(Interp::new(td)) as Box<dyn SimBackend>;
@@ -2202,11 +2201,14 @@ mod tests {
             make_sim: &mut make_sim,
             make_devices: &mut make_devices,
         };
-        let report = engine.run_campaign(cfg).unwrap();
-        assert_eq!(outcomes(&report), want, "sequential");
-        for r in replay_campaign(&mut engine, &report.to_replay_log("interp", 6, "")).unwrap() {
-            assert!(r.reproduced, "replayed member {}", r.member.index);
-        }
+        let golden = pulse_golden(td, saves, cfg, first_injections(td, cfg));
+        let one_by_one: Vec<Outcome> = (0..cfg.members)
+            .map(|index| {
+                let injections = draw_schedule(td, cfg, index);
+                engine.classify_injections(&injections, cfg.cycles, cfg.stall_cycles, &golden)
+            })
+            .collect();
+        assert_eq!(one_by_one, want, "classified one by one from checkpoints");
 
         let make_sim = || Ok(Box::new(Interp::new(td)) as Box<dyn SimBackend>);
         let make_devices = || pulse_devices(td, saves);
@@ -2222,6 +2224,13 @@ mod tests {
             };
             let (report, _) = run_campaign_parallel(&env, cfg, &opts, None).unwrap();
             assert_eq!(outcomes(&report), want, "parallel, jobs {jobs}");
+            for r in replay_campaign(&mut engine, &report.to_replay_log("interp", 6, "")).unwrap() {
+                assert!(
+                    r.reproduced,
+                    "replayed member {}, jobs {jobs}",
+                    r.member.index
+                );
+            }
         }
         let make_batch = InterpBatch::factory(td);
         for width in [1, 5, 32] {
@@ -2243,8 +2252,8 @@ mod tests {
             make_sim: &mut make_sim,
             make_devices: &mut make_devices,
         };
-        let at = first_injections(&td, &cfg);
-        let golden = engine.golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &at).unwrap();
+        let at: Vec<u64> = first_injections(&td, &cfg).collect();
+        let golden = pulse_golden(&td, true, &cfg, at.iter().copied());
         let mut distinct = at.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -2269,7 +2278,7 @@ mod tests {
             ],
         ];
         let firsts: Vec<u64> = picked.iter().map(|p| p[0].cycle).collect();
-        let starts = engine.golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &firsts).unwrap();
+        let starts = pulse_golden(&td, true, &cfg, firsts);
         let reset = engine.golden(cfg.cycles, cfg.stall_cycles).unwrap();
         assert!(reset.checkpoints.is_empty());
         assert_eq!(starts.checkpoint_before(16).map(|c| (c.cycle(), c.stall_count)), Some((16, 7)));
@@ -2292,15 +2301,7 @@ mod tests {
     fn a_device_without_saved_state_starts_every_member_at_reset() {
         let td = pulse_design();
         let (cfg, _) = edge_case_campaign(&td);
-        let mut make_sim = || Box::new(Interp::new(&td)) as Box<dyn SimBackend>;
-        let mut make_devices = || pulse_devices(&td, false);
-        let golden = FaultEngine {
-            td: &td,
-            make_sim: &mut make_sim,
-            make_devices: &mut make_devices,
-        }
-        .golden_with_checkpoints(cfg.cycles, cfg.stall_cycles, &first_injections(&td, &cfg))
-        .unwrap();
+        let golden = pulse_golden(&td, false, &cfg, first_injections(&td, &cfg));
         assert!(golden.checkpoints.is_empty());
         assert_eq!(golden.checkpoint_before(cfg.cycles).map(Checkpoint::cycle), None);
         assert_runners_match_reference(&td, false, &cfg, &from_reset(&td, false, &cfg));
@@ -2348,7 +2349,8 @@ mod tests {
     fn image_golden(devices: &[Image], at: &[u64]) -> GoldenRun {
         let td = counter_design();
         let boxed = devices.iter().map(|d| Box::new(d.clone()) as Box<dyn Device>).collect();
-        golden_run(&td, Ok(Box::new(Interp::new(&td))), boxed, 12, 64, at).unwrap()
+        let sim = Box::new(Interp::new(&td));
+        golden_run(&td, Ok(sim), boxed, 12, 64, at.iter().copied()).unwrap()
     }
 
     #[test]
@@ -2393,6 +2395,27 @@ mod tests {
         let golden = image_golden(&[Image::new(1024, &[]), late], &[2, 4, 6, 8]);
         assert!(golden.checkpoints.is_empty());
         assert_eq!(golden.fps.len(), 12, "the golden run still runs to the end");
+    }
+
+    #[test]
+    fn replay_logs_refuse_numbers_that_do_not_fit() {
+        let head = "koika-replay v1\ndesign cnt\ncycles 32\n";
+        let log =
+            ReplayLog::from_text(&format!("{head}level 4\nstall 1\nmember 0 sdc 3:1:2\n")).unwrap();
+        assert_eq!((log.level, log.stall_cycles), (4, 1));
+        assert_eq!(log.members[0].injections[0].to_string(), "3:1:2");
+        // Cast to `u32`, the first three would wrap into range (register
+        // 48, bit 0, level 2), and a zero stall budget trips the golden
+        // run's watchdog at once.
+        for bad in [
+            "member 0 sdc 45:4294967344:1",
+            "member 0 sdc 45:1:4294967296",
+            "level 4294967298",
+            "stall 0",
+        ] {
+            let err = ReplayLog::from_text(&format!("{head}{bad}\n")).unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
     }
 
     #[test]

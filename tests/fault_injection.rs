@@ -12,8 +12,9 @@ use koika::check::check;
 use koika::design::DesignBuilder;
 use koika::device::{BatchBackend, Device, SimBackend};
 use koika::fault::{
-    replay_campaign, run_campaign_batched, run_watchdogged, CampaignConfig, FaultEngine,
-    Injection, Outcome, ParallelFactories, ParallelOptions, ReplayLog, Watchdog,
+    replay_campaign, run_campaign_batched, run_campaign_parallel, run_watchdogged, CampaignConfig,
+    CampaignReport, FaultEngine, Injection, Outcome, ParallelFactories, ParallelOptions, ReplayLog,
+    Watchdog,
 };
 use koika::runner::RunnerConfig;
 use koika::snapshot::{Snapshot, SnapshotError};
@@ -25,6 +26,9 @@ use koika_riscv::programs;
 use koika_rtl::{compile as rtl_compile, RtlSim, Scheme};
 use std::process::Command;
 
+mod common;
+use common::{classified_one_by_one, MakeDevices, MakeSim};
+
 // ---------------------------------------------------------------------------
 // Helpers.
 
@@ -32,9 +36,7 @@ fn collatz() -> TDesign {
     check(&small::collatz()).unwrap()
 }
 
-type BackendFactory = Box<dyn Fn(&TDesign) -> Box<dyn SimBackend>>;
-type SimFactory = Box<dyn FnMut() -> Box<dyn SimBackend>>;
-type DeviceFactory = Box<dyn FnMut() -> Vec<Box<dyn Device>>>;
+type BackendFactory = Box<dyn Fn(&TDesign) -> Box<dyn SimBackend> + Sync>;
 
 /// One factory per backend, so every test below can sweep all three.
 fn backends() -> Vec<(&'static str, BackendFactory)> {
@@ -155,19 +157,39 @@ fn restore_rejects_mismatched_designs_and_corrupt_bytes() {
 // ---------------------------------------------------------------------------
 // Campaigns and classification.
 
-fn collatz_engine_parts() -> (TDesign, SimFactory, DeviceFactory) {
-    let td = collatz();
-    let td2 = td.clone();
-    (
+fn compiled_sim(td: &TDesign) -> Box<dyn SimBackend> {
+    Box::new(Sim::compile(td).unwrap())
+}
+
+/// `cfg` on the worker pool at `jobs` workers.
+fn parallel_campaign(
+    td: &TDesign,
+    make_sim: MakeSim<'_>,
+    make_devices: MakeDevices<'_>,
+    cfg: &CampaignConfig,
+    jobs: usize,
+) -> CampaignReport {
+    let make_sim = || Ok(make_sim());
+    let env = ParallelFactories {
         td,
-        Box::new(move || Box::new(Sim::compile(&td2).unwrap()) as Box<dyn SimBackend>),
-        Box::new(Vec::new),
-    )
+        make_sim: &make_sim,
+        make_devices,
+    };
+    let opts = ParallelOptions {
+        runner: RunnerConfig::with_jobs(jobs),
+        wall_budget: None,
+    };
+    run_campaign_parallel(&env, cfg, &opts, None).unwrap().0
+}
+
+fn no_devices() -> Vec<Box<dyn Device>> {
+    Vec::new()
 }
 
 #[test]
 fn collatz_campaign_summary_matches_golden_and_is_reproducible() {
-    let (td, mut make_sim, mut make_devices) = collatz_engine_parts();
+    let td = collatz();
+    let make_sim = || compiled_sim(&td);
     let cfg = CampaignConfig {
         seed: 0xC0FFEE,
         members: 40,
@@ -175,13 +197,8 @@ fn collatz_campaign_summary_matches_golden_and_is_reproducible() {
         max_injections: 3,
         stall_cycles: 32,
     };
-    let mut engine = FaultEngine {
-        td: &td,
-        make_sim: &mut *make_sim,
-        make_devices: &mut *make_devices,
-    };
-    let a = engine.run_campaign(&cfg).unwrap();
-    let b = engine.run_campaign(&cfg).unwrap();
+    let a = parallel_campaign(&td, &make_sim, &no_devices, &cfg, 1);
+    let b = parallel_campaign(&td, &make_sim, &no_devices, &cfg, 2);
     assert_eq!(a.summary(), b.summary(), "campaign must be deterministic");
     assert_eq!(a.counts().iter().sum::<usize>(), 40, "every member classified");
     golden_check("collatz_campaign.txt", &a.summary());
@@ -201,15 +218,8 @@ fn campaigns_agree_across_backends_on_collatz() {
     };
     let mut summaries = Vec::new();
     for (name, make) in backends() {
-        let td2 = td.clone();
-        let mut make_sim = move || make(&td2);
-        let mut make_devices = Vec::new;
-        let mut engine = FaultEngine {
-            td: &td,
-            make_sim: &mut make_sim,
-            make_devices: &mut make_devices,
-        };
-        let report = engine.run_campaign(&cfg).unwrap();
+        let make_sim = || make(&td);
+        let report = parallel_campaign(&td, &make_sim, &no_devices, &cfg, 2);
         summaries.push((name, report.summary()));
     }
     let (first_name, first) = &summaries[0];
@@ -290,7 +300,8 @@ fn hang_injections_are_caught_and_classified() {
 
 #[test]
 fn replay_log_survives_text_round_trip_and_reproduces() {
-    let (td, mut make_sim, mut make_devices) = collatz_engine_parts();
+    let td = collatz();
+    let make_sim = || compiled_sim(&td);
     let cfg = CampaignConfig {
         seed: 5,
         members: 10,
@@ -298,12 +309,12 @@ fn replay_log_survives_text_round_trip_and_reproduces() {
         max_injections: 2,
         stall_cycles: 24,
     };
+    let report = parallel_campaign(&td, &make_sim, &no_devices, &cfg, 2);
     let mut engine = FaultEngine {
         td: &td,
-        make_sim: &mut *make_sim,
-        make_devices: &mut *make_devices,
+        make_sim: &mut || make_sim(),
+        make_devices: &mut no_devices,
     };
-    let report = engine.run_campaign(&cfg).unwrap();
     let log = report.to_replay_log("cuttlesim", 6, "");
     let parsed = ReplayLog::from_text(&log.to_text()).unwrap();
     assert_eq!(parsed, log);
@@ -880,21 +891,13 @@ fn rv32_campaign_reproduces_at_library_level() {
         max_injections: 2,
         stall_cycles: 64,
     };
-    let td2 = td.clone();
-    let mut make_sim =
-        move || Box::new(Sim::compile(&td2).unwrap()) as Box<dyn SimBackend>;
-    let td3 = td.clone();
-    let prog = program.clone();
-    let mut make_devices = move || {
-        vec![Box::new(MagicMemory::new(&td3, &["imem", "dmem"], &prog, MEM_WORDS)) as Box<dyn Device>]
+    let make_sim = || compiled_sim(&td);
+    let make_devices = || -> Vec<Box<dyn Device>> {
+        let memory = MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS);
+        vec![Box::new(memory)]
     };
-    let mut engine = FaultEngine {
-        td: &td,
-        make_sim: &mut make_sim,
-        make_devices: &mut make_devices,
-    };
-    let a = engine.run_campaign(&cfg).unwrap();
-    let b = engine.run_campaign(&cfg).unwrap();
+    let a = parallel_campaign(&td, &make_sim, &make_devices, &cfg, 1);
+    let b = parallel_campaign(&td, &make_sim, &make_devices, &cfg, 2);
     assert_eq!(a.summary(), b.summary());
     assert_eq!(a.counts().iter().sum::<usize>(), 8);
 }
@@ -906,9 +909,9 @@ fn batched_rv32_campaign_with_handed_over_members_matches_sequential() {
     // the lane; stall-tripped lanes leave at once. This shape yields both
     // hangs and divergences, and some hand-overs happen mid-stall, so the
     // hand-over of registers, cycle count, fingerprint prefix and stall
-    // count is compared against the sequential engine member for member,
-    // at widths that run one lane each, leave a ragged tail, and fit the
-    // campaign in one batch.
+    // count is compared member for member against each member classified
+    // on its own from reset, at widths that run one lane each, leave a
+    // ragged tail, and fit the campaign in one batch.
     let td = check(&rv32::rv32i()).unwrap();
     let program = programs::primes(100);
     let cfg = CampaignConfig {
@@ -927,14 +930,7 @@ fn batched_rv32_campaign_with_handed_over_members_matches_sequential() {
         vec![Box::new(MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS))
             as Box<dyn Device>]
     };
-    let (mut seq_sim, mut seq_devices) = (tac_sim, devices);
-    let sequential = FaultEngine {
-        td: &td,
-        make_sim: &mut seq_sim,
-        make_devices: &mut seq_devices,
-    }
-    .run_campaign(&cfg)
-    .unwrap();
+    let sequential = classified_one_by_one(&td, &tac_sim, &devices, &cfg);
     let counts = sequential.counts();
     assert!(counts[2] > 0 && counts[3] > 0, "need divergences and hangs: {counts:?}");
 

@@ -13,14 +13,17 @@ use koika::obs::Observer;
 use cuttlesim::BatchSim;
 use koika::device::BatchBackend;
 use koika::fault::{
-    run_campaign_batched, run_campaign_parallel, CampaignConfig, FaultEngine, Outcome,
-    ParallelFactories, ParallelOptions,
+    run_campaign_batched, run_campaign_parallel, CampaignConfig, Outcome, ParallelFactories,
+    ParallelOptions,
 };
-use koika::runner::RunnerConfig;
+use koika::runner::{JobUpdate, RunnerConfig};
 use koika::snapshot::{Snapshot, SnapshotError};
 use koika::tir::{RegId, TDesign};
 use koika::Interp;
 use koika_designs::small;
+
+mod common;
+use common::classified_one_by_one;
 
 fn collatz() -> TDesign {
     check(&small::collatz()).unwrap()
@@ -137,6 +140,7 @@ fn run_interp_campaign(
     td: &TDesign,
     cfg: &CampaignConfig,
     opts: &ParallelOptions,
+    progress: Option<&mut dyn FnMut(JobUpdate)>,
 ) -> (koika::fault::CampaignReport, koika::runner::RunnerStats) {
     let td2 = td.clone();
     let make_sim = move || -> Result<Box<dyn SimBackend>, String> { Ok(Box::new(Interp::new(&td2))) };
@@ -146,7 +150,7 @@ fn run_interp_campaign(
         make_sim: &make_sim,
         make_devices: &make_devices,
     };
-    run_campaign_parallel(&env, cfg, opts, None).unwrap()
+    run_campaign_parallel(&env, cfg, opts, progress).unwrap()
 }
 
 #[test]
@@ -164,7 +168,19 @@ fn reports_are_identical_for_any_worker_count() {
             runner: RunnerConfig::with_jobs(jobs),
             wall_budget: None,
         };
-        let (report, _) = run_interp_campaign(&td, &cfg, &opts);
+        // The runner counts members: one job, and one progress update,
+        // per member.
+        let mut updates = 0;
+        let mut progress = |u: JobUpdate| {
+            assert!(
+                matches!(u, JobUpdate::Finished { total, .. } if total == cfg.members),
+                "{u:?}"
+            );
+            updates += 1;
+        };
+        let (report, stats) = run_interp_campaign(&td, &cfg, &opts, Some(&mut progress));
+        assert_eq!(stats.total, cfg.members, "jobs {jobs}");
+        assert_eq!(updates, cfg.members, "jobs {jobs}");
         report.summary()
     };
     let seq = run(1);
@@ -174,6 +190,8 @@ fn reports_are_identical_for_any_worker_count() {
 
 #[test]
 fn parallel_campaign_matches_the_sequential_engine() {
+    // The sequential engine: each member classified on its own, from
+    // reset, on the replay path.
     let td = collatz();
     let cfg = CampaignConfig {
         seed: 0xFEED,
@@ -183,20 +201,15 @@ fn parallel_campaign_matches_the_sequential_engine() {
         stall_cycles: 32,
     };
 
-    let mut make_sim = || -> Box<dyn SimBackend> { Box::new(Interp::new(&collatz())) };
-    let mut make_devices = || -> Vec<Box<dyn Device>> { Vec::new() };
-    let mut engine = FaultEngine {
-        td: &td,
-        make_sim: &mut make_sim,
-        make_devices: &mut make_devices,
-    };
-    let sequential = engine.run_campaign(&cfg).unwrap();
+    let make_sim = || -> Box<dyn SimBackend> { Box::new(Interp::new(&collatz())) };
+    let make_devices = || -> Vec<Box<dyn Device>> { Vec::new() };
+    let sequential = classified_one_by_one(&td, &make_sim, &make_devices, &cfg);
 
     let opts = ParallelOptions {
         runner: RunnerConfig::with_jobs(4),
         wall_budget: None,
     };
-    let (parallel, _) = run_interp_campaign(&td, &cfg, &opts);
+    let (parallel, _) = run_interp_campaign(&td, &cfg, &opts, None);
 
     assert_eq!(sequential.summary(), parallel.summary());
 }
@@ -225,7 +238,7 @@ fn wall_only_trips_classify_flaky_after_retries() {
         // attempt: a pure wall-clock (machine-speed) failure.
         wall_budget: Some(Duration::ZERO),
     };
-    let (report, stats) = run_interp_campaign(&td, &cfg, &opts);
+    let (report, stats) = run_interp_campaign(&td, &cfg, &opts, None);
     for m in &report.members {
         assert_eq!(
             m.outcome,
