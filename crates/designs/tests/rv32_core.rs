@@ -42,6 +42,20 @@ fn cuttlesim_runs_primes_and_matches_golden() {
 }
 
 #[test]
+fn cuttlesim_runs_memwalk_and_matches_golden() {
+    let td = check(&rv32::rv32i()).unwrap();
+    let program = programs::memwalk(6);
+    let golden = golden_run(&program, 2_000_000);
+
+    let mut sim = Sim::compile(&td).unwrap();
+    let mut mem = mem_for(&td, "", &program);
+    let run = run_until_retired(&mut sim, &mut mem, &td, "", golden.retired, 5_000_000);
+    assert!(run.completed, "core did not finish: {run:?}");
+    assert_matches_golden(&mut sim, &mem, &td, "", 32, &golden);
+    assert_eq!(mem.word(programs::RESULT_ADDR), programs::memwalk_expected(6));
+}
+
+#[test]
 fn rv32e_runs_primes_and_matches_golden() {
     let td = check(&rv32::rv32e()).unwrap();
     let program = programs::primes(40);

@@ -30,10 +30,10 @@
 //!
 //! * **Checkpoint ring + deterministic re-execution.** Reverse execution
 //!   needs no engine-level undo. The session keeps a bounded ring of full
-//!   state checkpoints (registers via [`Snapshot`], device state via
-//!   [`Device::save_state`]) taken every K cycles, K adaptive to state
-//!   size. `reverse-step` restores the nearest checkpoint at or before
-//!   the target cycle and re-executes forward — simulation is
+//!   state checkpoints ([`StateImage`]s: registers and device states)
+//!   taken every K cycles, K adaptive to state size. `reverse-step`
+//!   restores the nearest checkpoint at or before the target cycle and
+//!   re-executes forward — simulation is
 //!   deterministic, so the replay reproduces the original timeline
 //!   exactly, including the event ring and per-rule counters (both are
 //!   checkpointed alongside the state). `dump-vcd` is the same trick:
@@ -48,7 +48,7 @@
 use crate::device::{Device, SimBackend};
 use crate::fault::{run_watchdogged, ArmedWatchdog, Watchdog, WatchdogTrip};
 use crate::obs::{FailureReason, Observer};
-use crate::snapshot::Snapshot;
+use crate::snapshot::StateImage;
 use crate::tir::{RegId, TDesign};
 use crate::vcd::VcdRecorder;
 use std::collections::{BTreeMap, VecDeque};
@@ -95,26 +95,6 @@ impl Observer for CycleCapture {
     }
 }
 
-/// Complete restorable state of a [`ScalarTarget`]: a register
-/// [`Snapshot`] plus every device's serialized state.
-#[derive(Debug, Clone)]
-struct TargetState {
-    snap: Snapshot,
-    devices: Vec<Vec<u8>>,
-}
-
-impl TargetState {
-    /// Approximate state size in bytes (register words plus device
-    /// blobs); drives the adaptive checkpoint interval. Depends only on
-    /// the design and devices, never on the backend, so every backend
-    /// picks the same interval.
-    fn state_bytes(&self) -> usize {
-        let regs: usize = self.snap.regs.iter().map(|r| r.words().len() * 8).sum();
-        let devs: usize = self.devices.iter().map(Vec::len).sum();
-        regs + devs
-    }
-}
-
 /// One debuggable simulation: any [`SimBackend`] plus its devices,
 /// steppable one cycle at a time with full state capture/restore.
 pub struct ScalarTarget<'a> {
@@ -136,40 +116,6 @@ impl<'a> ScalarTarget<'a> {
         }
         vcd.sample(cycle, self.sim.as_reg_access());
         self.sim.cycle();
-    }
-
-    /// Captures complete restorable state, labeling it with the given
-    /// logical cycle number. Fails when a device does not support state
-    /// save ([`Device::save_state`] returned `None`) — time travel is
-    /// then unavailable.
-    fn checkpoint(&self, cycle: u64) -> Result<TargetState, String> {
-        let mut devices = Vec::with_capacity(self.devices.len());
-        for (i, d) in self.devices.iter().enumerate() {
-            devices.push(d.save_state().ok_or_else(|| {
-                format!("device {i} does not support state save/restore")
-            })?);
-        }
-        Ok(TargetState {
-            snap: self.snapshot(cycle),
-            devices,
-        })
-    }
-
-    /// Restores state captured by [`ScalarTarget::checkpoint`].
-    fn restore(&mut self, st: &TargetState) -> Result<(), String> {
-        self.sim.restore(&st.snap).map_err(|e| e.to_string())?;
-        for (d, blob) in self.devices.iter_mut().zip(&st.devices) {
-            d.load_state(blob)?;
-        }
-        Ok(())
-    }
-
-    /// A portable [`Snapshot`] labeled with the given logical cycle, for
-    /// `snapshot <file>`.
-    fn snapshot(&self, cycle: u64) -> Snapshot {
-        let mut snap = self.sim.snapshot();
-        snap.cycles = cycle;
-        snap
     }
 }
 
@@ -226,7 +172,7 @@ struct RuleCounter {
 #[derive(Clone)]
 struct DebugCheckpoint {
     cycle: u64,
-    state: TargetState,
+    state: StateImage,
     ring: VecDeque<EventRec>,
     counters: Vec<RuleCounter>,
     last_writes: Vec<(RegId, u64, u64)>,
@@ -340,10 +286,19 @@ impl Session<'_, '_, '_> {
         (cap, trip)
     }
 
+    /// Captures the target's state, sharing the device states that did
+    /// not change since the last checkpoint. Fails when a device does not
+    /// support state save ([`Device::save_state`] returned `None`) — time
+    /// travel is then unavailable.
     fn make_checkpoint(&self) -> Result<DebugCheckpoint, String> {
+        let prev = self.checkpoints.back().or(self.genesis.as_ref()).map(|c| &c.state);
+        let state = StateImage::capture(&*self.target.sim, &self.target.devices, prev);
+        if let Some(i) = state.devices.iter().position(Option::is_none) {
+            return Err(format!("device {i} does not support state save/restore"));
+        }
         Ok(DebugCheckpoint {
             cycle: self.pos,
-            state: self.target.checkpoint(self.pos)?,
+            state,
             ring: self.ring.clone(),
             counters: self.counters.clone(),
             last_writes: self.last_writes.clone(),
@@ -370,7 +325,7 @@ impl Session<'_, '_, '_> {
         if ck.cycle > c {
             return Err(format!("cannot travel before cycle {}", ck.cycle));
         }
-        self.target.restore(&ck.state)?;
+        ck.state.apply(&mut *self.target.sim, &mut self.target.devices).map_err(|e| e.to_string())?;
         self.pos = ck.cycle;
         self.ring = ck.ring;
         self.counters = ck.counters;
@@ -802,7 +757,7 @@ impl Session<'_, '_, '_> {
         };
         let cur = self.pos;
         let mut vcd = VcdRecorder::all_registers(self.td);
-        if let Err(e) = self.target.restore(&genesis.state) {
+        if let Err(e) = genesis.state.apply(&mut *self.target.sim, &mut self.target.devices) {
             return writeln!(self.out, "error: {e}");
         }
         self.pos = genesis.cycle;
@@ -825,7 +780,8 @@ impl Session<'_, '_, '_> {
     }
 
     fn cmd_snapshot(&mut self, path: &str) -> CmdResult {
-        match std::fs::write(path, self.target.snapshot(self.pos).to_bytes()) {
+        let image = StateImage::capture(&*self.target.sim, &self.target.devices, None);
+        match std::fs::write(path, image.to_bytes()) {
             Ok(()) => writeln!(self.out, "snapshot written to {path} (cycle {})", self.pos),
             Err(e) => writeln!(self.out, "error: cannot write '{path}': {e}"),
         }

@@ -28,7 +28,7 @@
 //!
 //! Up to its first injection a member repeats the golden run exactly, so
 //! no runner simulates that prefix again: the golden run keeps a
-//! checkpoint (simulator snapshot, device states, stall count) at each
+//! checkpoint (a [`StateImage`] and the stall count) at each
 //! member's first injection and the member starts there, comparing its
 //! commit fingerprints with the golden ones from there on. A device state
 //! equal to the previous checkpoint's shares its allocation, so
@@ -45,13 +45,12 @@ use crate::bits::Bits;
 use crate::device::{BatchBackend, Device, LaneAccess, RegAccess, SimBackend};
 use crate::obs::Observer;
 use crate::runner::{self, contain, JobError, JobUpdate, RunnerConfig, RunnerStats};
-use crate::snapshot::Snapshot;
+use crate::snapshot::StateImage;
 use crate::testgen::SplitMix64;
 use crate::tir::{RegId, TDesign};
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::DerefMut;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One SEU: flip bit `bit` of register `reg` just before cycle `cycle`
@@ -514,12 +513,9 @@ pub fn run_watchdogged<D: DerefMut<Target: Device>>(
 /// repeating the golden prefix from reset.
 #[derive(Debug, Clone)]
 struct Checkpoint {
-    /// The simulator state ([`SimBackend::snapshot`]); its `cycles` is the
+    /// The simulator and every device; its snapshot's `cycles` is the
     /// checkpoint's cycle.
-    snapshot: Snapshot,
-    /// Every device's [`Device::save_state`], in device order; a state
-    /// byte-equal to the previous checkpoint's shares its allocation.
-    devices: Vec<Arc<[u8]>>,
+    image: StateImage,
     /// The golden stall watchdog's consecutive commit-free cycles.
     stall_count: u64,
 }
@@ -527,15 +523,15 @@ struct Checkpoint {
 impl Checkpoint {
     /// The cycle boundary the checkpoint was taken at.
     fn cycle(&self) -> u64 {
-        self.snapshot.cycles
+        self.image.snap.cycles
     }
 }
 
 /// The recorded golden (fault-free) run a campaign classifies against.
 ///
 /// Up to its first injection a member repeats the golden run exactly, so
-/// a campaign's golden run also keeps checkpoints (simulator snapshot,
-/// device states, stall count) at the cycles its members first inject
+/// a campaign's golden run also keeps checkpoints (state image and stall
+/// count) at the cycles its members first inject
 /// at, and every runner starts a member at the latest one at or before
 /// its first injection and compares its fingerprints with the golden ones
 /// from there on. With no checkpoint there (or none at all, as when a device
@@ -892,10 +888,10 @@ pub struct ParallelOptions {
 /// reports why it could not be built) and fresh devices, keeping a
 /// checkpoint at each distinct cycle of `at` below `cycles`. First it
 /// checks that the design has registers and that each fits the engine's
-/// `u64`-based state comparison, before `at` is read. A device state that did not
-/// change since the previous checkpoint shares that checkpoint's
-/// allocation. The first device whose [`Device::save_state`] returns
-/// `None` drops every checkpoint: members then start at reset.
+/// `u64`-based state comparison, before `at` is read. A device state that
+/// did not change since the previous checkpoint shares its allocation.
+/// The first device whose [`Device::save_state`] returns `None` drops
+/// every checkpoint: members then start at reset.
 fn golden_run(
     td: &TDesign,
     sim: Result<Box<dyn SimBackend>, String>,
@@ -921,22 +917,13 @@ fn golden_run(
         let ncycles = c - sim.cycle_count();
         run_watchdogged(&mut *sim, &mut devices, ncycles, &[], &mut armed, Some(&mut fp))
             .map_err(FaultError::GoldenHang)?;
-        let Some(states): Option<Vec<_>> = devices.iter().map(|d| d.save_state()).collect() else {
+        let image = StateImage::capture(&*sim, &devices, checkpoints.last().map(|c| &c.image));
+        if image.devices.contains(&None) {
             checkpoints.clear();
             break;
-        };
-        let prev = checkpoints.last().map(|c| c.devices.as_slice()).unwrap_or_default();
-        let devices = states
-            .iter()
-            .enumerate()
-            .map(|(i, state)| match prev.get(i) {
-                Some(old) if **old == **state => Arc::clone(old),
-                _ => Arc::from(state.as_slice()),
-            })
-            .collect();
+        }
         checkpoints.push(Checkpoint {
-            snapshot: sim.snapshot(),
-            devices,
+            image,
             stall_count: armed.stall_count(),
         });
     }
@@ -970,28 +957,13 @@ fn scalar_member(
 ) -> Result<Outcome, JobError> {
     let mut armed = watchdog.arm();
     if let Some(cp) = golden.checkpoint_before(first_injection(injections, cycles)) {
-        sim.restore(&cp.snapshot)
+        cp.image
+            .apply(&mut *sim, &mut devices)
             .map_err(|e| JobError::Fatal(e.to_string()))?;
-        load_devices(cp, &mut devices).map_err(JobError::Fatal)?;
         armed.set_stall_count(cp.stall_count);
     }
     member_run(golden, sim, devices, cycles, injections, armed, None)
         .map_err(|trip| JobError::Transient(trip.to_string()))
-}
-
-/// Loads a checkpoint's device states into fresh devices.
-fn load_devices(cp: &Checkpoint, devices: &mut [Box<dyn Device>]) -> Result<(), String> {
-    if devices.len() != cp.devices.len() {
-        return Err(format!(
-            "{} devices, but the checkpoint saved {}",
-            devices.len(),
-            cp.devices.len()
-        ));
-    }
-    for (d, state) in devices.iter_mut().zip(&cp.devices) {
-        d.load_state(state)?;
-    }
-    Ok(())
 }
 
 /// The one scalar member loop: runs a campaign member on `sim` from the
@@ -1239,10 +1211,12 @@ fn run_batched_chunk(
             let l = admitted;
             devices[l] = (env.make_devices)();
             if let Some(cp) = order[l].1 {
-                for (i, r) in cp.snapshot.regs.iter().enumerate() {
+                for (i, r) in cp.image.snap.regs.iter().enumerate() {
                     batch.lane_set64(l, RegId(i as u32), r.low_u64());
                 }
-                load_devices(cp, &mut devices[l]).map_err(JobError::Fatal)?;
+                cp.image
+                    .apply_devices(&mut devices[l])
+                    .map_err(|e| JobError::Fatal(e.to_string()))?;
                 stalls[l].set_stall_count(cp.stall_count);
             }
             batch.admit_lane(l);
@@ -1681,6 +1655,7 @@ mod tests {
     use crate::check::check;
     use crate::design::DesignBuilder;
     use crate::interp::Interp;
+    use std::sync::Arc;
 
     fn counter_design() -> TDesign {
         let mut b = DesignBuilder::new("cnt");
@@ -2363,7 +2338,8 @@ mod tests {
         let cycles: Vec<u64> = cps.iter().map(Checkpoint::cycle).collect();
         assert_eq!(cycles, [2, 4, 6, 8]);
         let shared = |a: &Checkpoint, b: &Checkpoint| -> Vec<bool> {
-            a.devices.iter().zip(&b.devices).map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+            let (a, b) = (&a.image.devices, &b.image.devices);
+            a.iter().flatten().zip(b.iter().flatten()).map(|(x, y)| Arc::ptr_eq(x, y)).collect()
         };
         for (a, b) in [(0, 1), (2, 3)] {
             assert_eq!(shared(&cps[a], &cps[b]), [true; 3], "unchanged between {a} and {b}");
@@ -2381,7 +2357,7 @@ mod tests {
             }
             let mut fresh: Vec<Box<dyn Device>> =
                 devices.iter().map(|d| Box::new(d.clone()) as Box<dyn Device>).collect();
-            load_devices(cp, &mut fresh).unwrap();
+            cp.image.apply_devices(&mut fresh).unwrap();
             for (loaded, want) in fresh.iter().zip(&reference) {
                 assert_eq!(loaded.save_state(), want.save_state(), "cycle {}", cp.cycle());
             }

@@ -2,7 +2,8 @@
 //! paper's workloads: "a simple integer arithmetic benchmark" (trial-
 //! division prime counting) for the performance figures, 100 NOPs for the
 //! performance-debugging case study, and a branch-heavy kernel for the
-//! branch-prediction case study.
+//! branch-prediction case study; plus a kernel that keeps its working
+//! state in data memory, for checking that saved states carry it.
 //!
 //! Every program halts with `jal x0, 0` and leaves its result in `a0`
 //! (x10), which the harness also mirrors to memory word
@@ -148,6 +149,58 @@ pub fn branchy(iters: u32) -> Vec<u32> {
     .expect("branchy program assembles")
 }
 
+/// `passes` passes over a 16-word array at byte address `0x800` (zero at
+/// reset), each loading every word the previous pass stored and storing
+/// `mem[i] * 3 + i + pass` (wrapping) back, folded into a checksum
+/// (`sum * 31 + value`) left in `a0` and at [`RESULT_ADDR`]: a run restored
+/// with stale memory ends with a different one. Uses only `x0`..`x15`.
+pub fn memwalk(passes: u32) -> Vec<u32> {
+    assemble(&format!(
+        "
+        li   s0, {passes}
+        li   s1, 0            # pass
+        li   a0, 0            # checksum
+    next_pass:
+        bge  s1, s0, done
+        li   t0, 0x800        # &mem[i]
+        li   t1, 0            # i
+    next_word:
+        lw   t2, 0(t0)
+        slli a1, t2, 1
+        add  t2, t2, a1       # mem[i] * 3
+        add  t2, t2, t1
+        add  t2, t2, s1
+        sw   t2, 0(t0)
+        slli a1, a0, 5
+        sub  a0, a1, a0       # checksum * 31
+        add  a0, a0, t2
+        addi t0, t0, 4
+        addi t1, t1, 1
+        li   a2, 16
+        blt  t1, a2, next_word
+        addi s1, s1, 1
+        j    next_pass
+    done:
+        li   t0, {RESULT_ADDR}
+        sw   a0, 0(t0)
+        halt
+        "
+    ))
+    .expect("memwalk program assembles")
+}
+
+/// [`memwalk`]'s checksum, computed in Rust.
+pub fn memwalk_expected(passes: u32) -> u32 {
+    let (mut mem, mut sum) = ([0u32; 16], 0u32);
+    for pass in 0..passes {
+        for (i, w) in (0u32..).zip(&mut mem) {
+            *w = w.wrapping_mul(3).wrapping_add(i).wrapping_add(pass);
+            sum = sum.wrapping_mul(31).wrapping_add(*w);
+        }
+    }
+    sum
+}
+
 /// Back-to-back dependent arithmetic (read-after-write hazards on every
 /// instruction) — exposes missing bypass paths, the secondary finding in
 /// the paper's case study 4.
@@ -198,6 +251,19 @@ mod tests {
         let mut m = Golden::new(&prog, 1024);
         assert_eq!(m.run(100_000), Exit::Halted);
         assert!(m.regs[10] > 0);
+    }
+
+    #[test]
+    fn memwalk_matches_its_expected_checksum() {
+        for passes in [0u32, 1, 5, 40] {
+            let prog = memwalk(passes);
+            let mut m = Golden::new(&prog, 1024);
+            assert_eq!(m.run(1_000_000), Exit::Halted, "passes {passes}");
+            assert_eq!(m.regs[10], memwalk_expected(passes), "passes {passes}");
+            assert_eq!(m.load_word(RESULT_ADDR), memwalk_expected(passes));
+        }
+        // The first pass stores `i`; values wrap.
+        assert_eq!(memwalk_expected(1), (0..16).fold(0u32, |s, i| s.wrapping_mul(31).wrapping_add(i)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! # Why a journal?
 //!
-//! A session's canonical state is pure data (snapshot + device blobs),
+//! A session's canonical state is pure data (registers + device states),
 //! and stepping it is **deterministic**: given the design, the backend,
 //! the devices, and the pending injections, replaying `step n` commits
 //! byte-identical state every time (the differential-fuzz matrix already
@@ -22,7 +22,7 @@
 //! payload := seq:u64 flags:u8 [req_id:u64] tag:u8 fields…
 //! ```
 //!
-//! All integers little-endian, like the `.ksnap` format the spools embed.
+//! All integers little-endian, like the `.ksnap` images the spools hold.
 //! `seq` is strictly monotonic per session. `flags` bit 0 marks a
 //! client-supplied `req_id` (the idempotency window is rebuilt from these
 //! on recovery). Ops: `1`=create, `2`=step, `3`=inject, `4`=restore,

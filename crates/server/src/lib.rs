@@ -18,10 +18,10 @@
 //!   clean `error` reply, the session is torn down, and every other
 //!   session — and the server itself — is unaffected.
 //! * **Snapshot-backed eviction** — idle sessions spill their register
-//!   file and device state to a `.ksnap`-based spool file and are
-//!   transparently rehydrated on the next request. Sessions are *data*
-//!   (a [`koika::snapshot::Snapshot`] plus device blobs), not live
-//!   threads, so eviction is cheap and exact.
+//!   file and device state to a spool file holding a `.ksnap` state
+//!   image and are transparently rehydrated on the next request. Sessions
+//!   are *data* (a [`koika::snapshot::StateImage`]), not live threads, so
+//!   eviction is cheap and exact.
 //! * **Watchdog budgets** — each session owns an armed
 //!   [`koika::fault::Watchdog`] (cycle / stall / wall budgets). The wall
 //!   clock is paused whenever the session is idle or evicted, so a slow

@@ -14,7 +14,7 @@
 //! | `step`         | `session`, opt `n` (default 1)                 | `cycles`, `fired` |
 //! | `stream-trace` | `session`, opt `n`                             | `cycles`, `fired`, `events`, `truncated` |
 //! | `inject`       | `session`, `cycle`, `reg`, `bit`               | `pending` |
-//! | `snapshot`     | `session`                                      | `cycles`, `ksnap` (hex) |
+//! | `snapshot`     | `session`                                      | `cycles`, `ksnap` (hex state image) |
 //! | `restore`      | `session`, `ksnap` (hex)                       | `cycles` |
 //! | `query-regs`   | `session`, opt `regs` (names)                  | `cycles`, `regs` |
 //! | `evict`        | `session`                                      | `evicted` |
@@ -70,14 +70,14 @@ use crate::journal::{self, Journal, JournalOp, JournalRecord, WatchdogSpec};
 use crate::json::{self, Json};
 use crate::metrics::ServerMetrics;
 use crate::session::{
-    req_cached, req_store, req_store_bounded, spill, spool_bytes, unspill, BackendKind,
-    DesignProvider, DeviceBlobs, EnginePool, EvictedStub, ReqWindow, SessionBody, SessionSlot,
-    SessionTable,
+    req_cached, req_store, req_store_bounded, spill, unspill, BackendKind, DesignProvider,
+    EnginePool, EvictedStub, ReqWindow, SessionBody, SessionSlot, SessionTable,
 };
 use koika::fault::{run_watchdogged, ArmedWatchdog, Injection, TripKind, Watchdog, WatchdogTrip};
 use koika::obs::Observer;
 use koika::runner::{contain, run_jobs, JobError, RunnerConfig};
-use koika::snapshot::Snapshot;
+use koika::interp::Interp;
+use koika::snapshot::StateImage;
 use koika::tir::{RegId, TDesign};
 use std::collections::HashSet;
 use std::io::{ErrorKind, Read as _, Write as _};
@@ -350,8 +350,8 @@ fn checkpoint_body(
     id: u64,
     body: &mut SessionBody,
 ) -> std::io::Result<Option<PathBuf>> {
-    let bytes = spool_bytes(&body.snap, &body.dev_blobs);
-    let cycles = body.snap.cycles;
+    let bytes = body.image.to_bytes();
+    let cycles = body.image.snap.cycles;
     let stalled = body.watchdog.as_ref().map(ArmedWatchdog::stall_count).unwrap_or(0);
     let pending = body.pending.clone();
     let Some(j) = body.journal.as_mut() else {
@@ -483,7 +483,7 @@ fn apply(shared: &Shared, id: u64, body: &mut SessionBody, op: &JournalOp) -> Op
             };
             Some(apply_inject(id, &mut body.pending, inj))
         }
-        JournalOp::Restore { ksnap } => Some(apply_restore(id, body, ksnap)),
+        JournalOp::Restore { ksnap } => Some(apply_restore(id, body, restorable(shared, body, ksnap))),
         JournalOp::Create { .. }
         | JournalOp::Checkpoint { .. }
         | JournalOp::Rollback { .. }
@@ -499,25 +499,29 @@ fn apply_inject(id: u64, pending: &mut Vec<Injection>, inj: Injection) -> Applie
     Applied::Done(format!("{{\"ok\":true,\"session\":{id},\"pending\":{count}}}"))
 }
 
-/// Restores a session to a `.ksnap`. The live op validates the bytes
-/// before journaling them; replay checks them again here because the
-/// design may have changed across the restart.
-fn apply_restore(id: u64, body: &mut SessionBody, ksnap: &[u8]) -> Applied {
-    let parsed = Snapshot::from_bytes(ksnap).map_err(|e| e.to_string());
-    match parsed.and_then(|s| fits(&body.td, &s).map(|()| s)) {
-        Ok(s) => body.snap = s,
+/// Restores a session to a `.ksnap` state image. The live op vets the
+/// bytes ([`restorable`]) before journaling them; replay vets them again
+/// because the design may have changed across the restart.
+fn apply_restore(id: u64, body: &mut SessionBody, image: Result<StateImage, String>) -> Applied {
+    match image {
+        Ok(image) => body.image = image,
         Err(msg) => return Applied::Failed(msg),
     }
-    let done = body.snap.cycles;
+    let done = body.image.snap.cycles;
     body.pending.retain(|i| i.cycle >= done);
     Applied::Done(format!("{{\"ok\":true,\"session\":{id},\"cycles\":{done}}}"))
 }
 
-/// Checks that a snapshot was taken of this design.
-fn fits(td: &TDesign, snap: &Snapshot) -> Result<(), String> {
-    let widths: Vec<u32> = td.regs.iter().map(|r| r.width).collect();
-    snap.check_shape(&td.name, &widths, td.fingerprint())
-        .map_err(|e| e.to_string())
+/// Parses `.ksnap` bytes into an image that fits the session: it applies
+/// to a fresh interpreter of the session's design and to fresh devices.
+/// Devices run embedder code, so one that panics on its state refuses it.
+fn restorable(shared: &Shared, body: &SessionBody, ksnap: &[u8]) -> Result<StateImage, String> {
+    let image = StateImage::from_bytes(ksnap).map_err(|e| e.to_string())?;
+    contain(|| {
+        let mut devices = shared.provider.devices(&body.design_name, &body.td);
+        image.apply(&mut Interp::new(&body.td), &mut devices).map_err(|e| e.to_string())
+    })??;
+    Ok(image)
 }
 
 /// Collects committed rules per cycle for `stream-trace`.
@@ -548,7 +552,7 @@ impl Observer for TraceObs {
 /// set (`stream-trace`; replay never traces).
 fn apply_step(shared: &Shared, id: u64, body: &mut SessionBody, n: u64, trace: bool) -> Applied {
     let mut tracer = trace.then(|| TraceObs {
-        cur: body.snap.cycles,
+        cur: body.image.snap.cycles,
         cap: shared.cfg.max_trace,
         events: Vec::new(),
         truncated: false,
@@ -567,7 +571,7 @@ fn apply_step(shared: &Shared, id: u64, body: &mut SessionBody, n: u64, trace: b
 fn step_reply(id: u64, body: &SessionBody, tracer: Option<TraceObs>) -> String {
     let mut reply = format!(
         "{{\"ok\":true,\"session\":{id},\"cycles\":{},\"fired\":{}",
-        body.snap.cycles, body.snap.fired
+        body.image.snap.cycles, body.image.snap.fired
     );
     if let Some(t) = tracer {
         reply.push_str(",\"events\":[");
@@ -590,9 +594,9 @@ fn step_reply(id: u64, body: &SessionBody, tracer: Option<TraceObs>) -> String {
 /// Runs `n` cycles of a session on a pooled scalar engine through
 /// [`run_watchdogged`], the one scalar cycle loop, so a server step is
 /// the same run a library caller or the CLI would make: check an engine
-/// out, load the session's registers and devices into it, run, commit,
-/// check the engine back in. A session without a watchdog steps under an
-/// unlimited one.
+/// out, apply the session's image to it and to fresh devices, run,
+/// capture the new image, check the engine back in. A session without a
+/// watchdog steps under an unlimited one.
 ///
 /// Commit discipline: the session body is only mutated after the run
 /// finishes (or at a deterministic trip boundary), so a panic, a wall
@@ -605,37 +609,30 @@ fn run_step(
     obs: Option<&mut dyn Observer>,
 ) -> Result<Option<WatchdogTrip>, String> {
     let mut engine = lock(&shared.pool).checkout_scalar(&body.design_name, &body.td, body.backend)?;
-    let ran = (|| {
-        engine
-            .restore(&body.snap)
-            .map_err(|e| format!("restoring session state: {e}"))?;
-        // Devices are rebuilt from their blobs each step; a provider or
-        // device that panics here is contained by the caller and tears
-        // down only this session (the checked-out engine unwinds with us
-        // and is simply recompiled next time).
-        let mut devices = shared.provider.devices(&body.design_name, &body.td);
-        for (d, blob) in devices.iter_mut().zip(&body.dev_blobs) {
-            if let Some(bytes) = blob {
-                d.load_state(bytes)
-                    .map_err(|e| format!("restoring device state: {e}"))?;
+    // Devices are built fresh each step; a provider or device that
+    // panics here is contained by the caller and tears down only this
+    // session (the checked-out engine unwinds with us and is simply
+    // recompiled next time).
+    let mut devices = shared.provider.devices(&body.design_name, &body.td);
+    let ran = match body.image.apply(&mut *engine, &mut devices) {
+        Err(e) => Err(format!("restoring session state: {e}")),
+        Ok(()) => {
+            let mut unlimited = Watchdog::default().arm();
+            let wd = body.watchdog.as_mut().unwrap_or(&mut unlimited);
+            wd.resume();
+            let tripped = run_watchdogged(&mut *engine, &mut devices, n, &body.pending, wd, obs).err();
+            wd.pause();
+            // Commit, unless the wall clock tripped: deterministic trips
+            // keep the progress made up to the trip boundary; full runs
+            // keep everything.
+            if tripped.as_ref().is_none_or(|t| t.kind != TripKind::Wall) {
+                body.image = StateImage::capture(&*engine, &devices, Some(&body.image));
+                let done = body.image.snap.cycles;
+                body.pending.retain(|i| i.cycle >= done);
             }
+            Ok(tripped)
         }
-        let mut unlimited = Watchdog::default().arm();
-        let wd = body.watchdog.as_mut().unwrap_or(&mut unlimited);
-        wd.resume();
-        let tripped = run_watchdogged(&mut *engine, &mut devices, n, &body.pending, wd, obs).err();
-        wd.pause();
-        if tripped.as_ref().is_some_and(|t| t.kind == TripKind::Wall) {
-            return Ok(tripped);
-        }
-        // Commit: deterministic trips keep the progress made up to the
-        // trip boundary; full runs keep everything.
-        body.snap = engine.snapshot();
-        body.dev_blobs = devices.iter().map(|d| d.save_state()).collect();
-        let done = body.snap.cycles;
-        body.pending.retain(|i| i.cycle >= done);
-        Ok(tripped)
-    })();
+    };
     lock(&shared.pool).checkin_scalar(&body.design_name, body.backend, engine);
     ran
 }
@@ -738,7 +735,7 @@ fn finish_task(shared: &Shared, mut task: StepTask, job_err: Option<JobError>) {
         let mut m = lock(&shared.metrics);
         let t = m.tenant(&tenant);
         t.steps += 1;
-        t.cycles += task.body.snap.cycles.saturating_sub(task.start_cycles);
+        t.cycles += task.body.image.snap.cycles.saturating_sub(task.start_cycles);
         if matches!(applied, Applied::Trip(_) | Applied::Wall(_)) {
             t.watchdog_trips += 1;
         }
@@ -1040,7 +1037,7 @@ fn op_create(shared: &Shared, v: &Json) -> String {
         );
     }
     let wd_cfg = parse_watchdog(v).unwrap_or_else(|| shared.cfg.default_watchdog.clone());
-    let (snap, dev_blobs) = match fresh_state(shared, design, &td) {
+    let image = match fresh_state(shared, design, &td) {
         Ok(state) => state,
         Err(msg) => {
             let mut m = lock(&shared.metrics);
@@ -1052,8 +1049,7 @@ fn op_create(shared: &Shared, v: &Json) -> String {
         design_name: design.to_string(),
         td,
         backend,
-        snap,
-        dev_blobs,
+        image,
         watchdog: arm_paused(&wd_cfg),
         pending: Vec::new(),
         tenant: tenant.clone(),
@@ -1107,29 +1103,16 @@ fn op_create(shared: &Shared, v: &Json) -> String {
     reply
 }
 
-/// A fresh session's state: registers at their initial values and the
+/// A fresh session's state: a fresh interpreter's registers and the
 /// devices as the provider builds them. Building devices runs embedder
 /// code; it is contained so a provider that panics at construction
 /// poisons nothing.
-fn fresh_state(
-    shared: &Shared,
-    design: &str,
-    td: &TDesign,
-) -> Result<(Snapshot, DeviceBlobs), String> {
-    let dev_blobs = contain(|| {
+fn fresh_state(shared: &Shared, design: &str, td: &TDesign) -> Result<StateImage, String> {
+    contain(|| {
         let devices = shared.provider.devices(design, td);
-        devices.iter().map(|d| d.save_state()).collect::<Vec<_>>()
+        StateImage::capture(&Interp::new(td), &devices, None)
     })
-    .map_err(|msg| format!("device construction panicked: {msg}"))?;
-    let snap = Snapshot {
-        design: td.name.clone(),
-        cycles: 0,
-        fired: 0,
-        fingerprint: td.fingerprint(),
-        fired_per_rule: vec![0; td.rules.len()],
-        regs: td.initial_values(),
-    };
-    Ok((snap, dev_blobs))
+    .map_err(|msg| format!("device construction panicked: {msg}"))
 }
 
 fn session_id(v: &Json) -> Result<u64, String> {
@@ -1151,7 +1134,7 @@ fn rehydrate_locked(shared: &Shared, table: &mut SessionTable, id: u64) -> Resul
     // A durable stub's spool is the journal's checkpoint base: it must
     // survive rehydration (only the next checkpoint supersedes it).
     match unspill(&stub.path, stub.journal.is_some()) {
-        Ok((snap, dev_blobs)) => {
+        Ok(image) => {
             let tenant = stub.tenant.clone();
             table.put(
                 id,
@@ -1159,8 +1142,7 @@ fn rehydrate_locked(shared: &Shared, table: &mut SessionTable, id: u64) -> Resul
                     design_name: stub.design_name,
                     td: stub.td,
                     backend: stub.backend,
-                    snap,
-                    dev_blobs,
+                    image,
                     watchdog: stub.watchdog,
                     pending: stub.pending,
                     tenant: stub.tenant,
@@ -1256,7 +1238,7 @@ fn op_step(shared: &Shared, tx: &SyncSender<StepTask>, v: &Json, trace: bool) ->
             &format!("journaling step: {e}; the step was not applied"),
         );
     }
-    let start_cycles = body.snap.cycles;
+    let start_cycles = body.image.snap.cycles;
     let (reply_tx, reply_rx) = mpsc::channel();
     let task = StepTask {
         id,
@@ -1321,7 +1303,7 @@ fn op_inject(shared: &Shared, v: &Json) -> String {
         }
         Some(SessionSlot::Live(b)) => (
             Arc::clone(&b.td),
-            b.snap.cycles,
+            b.image.snap.cycles,
             &mut b.pending,
             b.journal.as_mut(),
             &mut b.recent,
@@ -1407,7 +1389,7 @@ fn op_snapshot(shared: &Shared, v: &Json) -> String {
         Err(reply) => return reply,
     };
     match with_live_session(shared, id, |body| {
-        (body.snap.cycles, json::hex_encode(&body.snap.to_bytes()))
+        (body.image.snap.cycles, json::hex_encode(&body.image.to_bytes()))
     }) {
         Ok((cycles, hex)) => {
             format!("{{\"ok\":true,\"session\":{id},\"cycles\":{cycles},\"ksnap\":\"{hex}\"}}")
@@ -1426,12 +1408,6 @@ fn op_restore(shared: &Shared, v: &Json) -> String {
     };
     let Some(bytes) = json::hex_decode(hex) else {
         return err_reply("protocol", "\"ksnap\" is not valid hex");
-    };
-    let snap = match Snapshot::from_bytes(&bytes) {
-        Ok(s) => s,
-        // A corrupt or mismatched snapshot is the client's problem, not
-        // the server's: typed `bad-snapshot`, session state untouched.
-        Err(e) => return err_reply("bad-snapshot", &e.to_string()),
     };
     let req_id = v.get("req_id").and_then(Json::as_u64);
     if let Some(reply) = read_only_guard(shared) {
@@ -1454,9 +1430,12 @@ fn op_restore(shared: &Shared, v: &Json) -> String {
             return reply;
         }
     }
-    if let Err(e) = fits(&body.td, &snap) {
-        return err_reply("bad-snapshot", &e);
-    }
+    // A corrupt or mismatched snapshot is the client's problem, not the
+    // server's: typed `bad-snapshot`, session state untouched.
+    let image = match restorable(shared, body, &bytes) {
+        Ok(image) => image,
+        Err(e) => return err_reply("bad-snapshot", &e),
+    };
     // Write-ahead: replay applies the same bytes, so the restored state
     // survives a crash without waiting for a checkpoint.
     let tenant = body.tenant.clone();
@@ -1473,7 +1452,7 @@ fn op_restore(shared: &Shared, v: &Json) -> String {
         }
     }
     body.last_touch = Instant::now();
-    apply_restore(id, body, &bytes).answer(&mut body.recent, req_id)
+    apply_restore(id, body, Ok(image)).answer(&mut body.recent, req_id)
 }
 
 fn op_query_regs(shared: &Shared, v: &Json) -> String {
@@ -1510,12 +1489,12 @@ fn op_query_regs(shared: &Shared, v: &Json) -> String {
                 .collect(),
         };
         indices.map(|idx| {
-            let mut out = format!("{{\"ok\":true,\"session\":{id},\"cycles\":{},\"regs\":{{", body.snap.cycles);
+            let mut out = format!("{{\"ok\":true,\"session\":{id},\"cycles\":{},\"regs\":{{", body.image.snap.cycles);
             for (i, &r) in idx.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let bits = &body.snap.regs[r];
+                let bits = &body.image.snap.regs[r];
                 if bits.width() <= 64 {
                     out.push_str(&format!(
                         "\"{}\":{}",
@@ -1600,7 +1579,7 @@ fn evict_session(shared: &Shared, id: u64) -> Result<bool, String> {
                             tenant: body.tenant,
                             watchdog: body.watchdog,
                             pending: body.pending,
-                            cycles: body.snap.cycles,
+                            cycles: body.image.snap.cycles,
                             path,
                             journal: body.journal,
                             recent: body.recent,
@@ -1826,23 +1805,20 @@ fn recover_one(shared: &Shared, dir: &Path, id: u64, path: &Path) -> Result<bool
         }
     }
     let ck_seq = ck.as_ref().map(|(seq, ..)| *seq);
-    let (snap, dev_blobs, pending, stalled0) = match ck {
+    let (image, pending, stalled0) = match ck {
         Some((seq, cycles, stalled, pend)) => {
             let spool = journal::spool_path(dir, id, seq);
-            let (snap, blobs) = unspill(&spool, true)
-                .map_err(|e| format!("loading checkpoint spool {}: {e}", spool.display()))?;
-            if snap.cycles != cycles {
+            let image = unspill(&spool, true)
+                .map_err(|e| format!("loading checkpoint spool: {e}"))?;
+            if image.snap.cycles != cycles {
                 return Err(format!(
                     "checkpoint spool is at cycle {} but the record says {cycles}",
-                    snap.cycles
+                    image.snap.cycles
                 ));
             }
-            (snap, blobs, pend, stalled)
+            (image, pend, stalled)
         }
-        None => {
-            let (snap, blobs) = fresh_state(shared, design, &td)?;
-            (snap, blobs, Vec::new(), 0)
-        }
+        None => (fresh_state(shared, design, &td)?, Vec::new(), 0),
     };
     // Replay runs under the *deterministic* budgets only — wall time
     // elapsed before the crash is unknowable, and replaying under a wall
@@ -1856,8 +1832,7 @@ fn recover_one(shared: &Shared, dir: &Path, id: u64, path: &Path) -> Result<bool
         design_name: design.clone(),
         td,
         backend,
-        snap,
-        dev_blobs,
+        image,
         watchdog: replay_wd,
         pending,
         tenant: tenant.clone(),

@@ -2,10 +2,10 @@
 //! compiled-engine pools.
 //!
 //! A session is **not** a live simulator. Its canonical state is a
-//! [`Snapshot`] plus one serialized blob per device — pure data. Each
+//! [`StateImage`] (registers plus each device's state) — pure data. Each
 //! `step` request checks a compiled engine out of a per-design pool,
-//! restores the snapshot into it, rebuilds the devices from their blobs,
-//! runs, and commits a fresh snapshot back. This is what makes the
+//! applies the image to it and to freshly built devices, runs, and
+//! captures a fresh image back. This is what makes the
 //! robustness features cheap:
 //!
 //! * **eviction** just writes the data to a spool file and drops it from
@@ -15,7 +15,7 @@
 //!   panic (or a retried wall trip) observes the pre-step state intact;
 //! * **engine choice** is free per step: any pooled engine of the
 //!   session's backend can run it, because all engines restore from and
-//!   produce the same portable snapshots.
+//!   produce the same portable images.
 //!
 //! The armed watchdog stays in memory even while a session is evicted —
 //! it is a few dozen bytes, and keeping it live (paused) is what makes
@@ -27,7 +27,7 @@ use cuttlesim::{CompileOptions, Sim};
 use koika::device::{Device, SimBackend};
 use koika::fault::{ArmedWatchdog, Injection};
 use koika::interp::Interp;
-use koika::snapshot::Snapshot;
+use koika::snapshot::StateImage;
 use koika::tir::TDesign;
 use std::collections::{HashMap, VecDeque};
 use std::io::Read as _;
@@ -47,8 +47,8 @@ pub trait DesignProvider: Send + Sync {
 
     /// Fresh device instances for a new step of a session of this design.
     ///
-    /// Called once per step (device state is carried between steps as
-    /// [`Device::save_state`] blobs), so this must be cheap and
+    /// Called once per step (device state is carried between steps in
+    /// the session's [`StateImage`]), so this must be cheap and
     /// deterministic.
     fn devices(&self, name: &str, td: &TDesign) -> Vec<Box<dyn Device + Send>>;
 }
@@ -121,10 +121,9 @@ pub struct SessionBody {
     pub td: Arc<TDesign>,
     /// Scalar engine choice.
     pub backend: BackendKind,
-    /// Canonical simulator state at the current cycle boundary.
-    pub snap: Snapshot,
-    /// One serialized state blob per device (`None` for stateless devices).
-    pub dev_blobs: Vec<Option<Vec<u8>>>,
+    /// Canonical state (registers and devices) at the current cycle
+    /// boundary.
+    pub image: StateImage,
     /// Armed budgets; paused whenever the session is not actively stepping.
     pub watchdog: Option<ArmedWatchdog>,
     /// Injections waiting for their cycle to come up.
@@ -143,8 +142,8 @@ pub struct SessionBody {
 }
 
 /// The spilled remainder of an evicted session: everything that is cheap
-/// to keep in memory. The heavy state (registers, device blobs) lives in
-/// the spool file at `path`.
+/// to keep in memory. The heavy state (the state image) lives in the
+/// spool file at `path`.
 pub struct EvictedStub {
     /// See [`SessionBody::design_name`].
     pub design_name: String,
@@ -162,7 +161,7 @@ pub struct EvictedStub {
     /// Cycle count at eviction time, so `inject` can validate cycles
     /// without rehydrating.
     pub cycles: u64,
-    /// Spool file holding the snapshot and device blobs.
+    /// Spool file holding the state image.
     pub path: PathBuf,
     /// See [`SessionBody::journal`].
     pub journal: Option<Journal>,
@@ -239,99 +238,25 @@ impl SessionTable {
     }
 }
 
-/// One serialized state blob per device (`None` for stateless devices).
-pub type DeviceBlobs = Vec<Option<Vec<u8>>>;
-
-/// Magic bytes opening a spool file (a `.ksnap` snapshot plus device
-/// blobs).
-pub const SPOOL_MAGIC: [u8; 4] = *b"KSES";
-
-/// Serializes a session's heavy state for the eviction spool.
-///
-/// Layout: `"KSES"` · `ksnap_len:u32` · ksnap bytes · `ndev:u32` · per
-/// device `has:u8` and, when present, `len:u32` + bytes. All integers
-/// little-endian, like the `.ksnap` format it embeds.
-pub fn spool_bytes(snap: &Snapshot, dev_blobs: &[Option<Vec<u8>>]) -> Vec<u8> {
-    let ksnap = snap.to_bytes();
-    let mut out = Vec::with_capacity(ksnap.len() + 64);
-    out.extend_from_slice(&SPOOL_MAGIC);
-    out.extend_from_slice(&(ksnap.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ksnap);
-    out.extend_from_slice(&(dev_blobs.len() as u32).to_le_bytes());
-    for blob in dev_blobs {
-        match blob {
-            Some(bytes) => {
-                out.push(1);
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-            None => out.push(0),
-        }
-    }
-    out
-}
-
-/// Parses a spool file written by [`spool_bytes`].
-///
-/// # Errors
-///
-/// A human-readable message on truncation or corruption — spool files are
-/// server-written, but a message still beats a panic if the spool
-/// directory is tampered with.
-pub fn parse_spool(bytes: &[u8]) -> Result<(Snapshot, DeviceBlobs), String> {
-    fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-        if buf.len() < n {
-            return Err("spool file truncated".into());
-        }
-        let (head, rest) = buf.split_at(n);
-        *buf = rest;
-        Ok(head)
-    }
-    fn take_u32(buf: &mut &[u8]) -> Result<usize, String> {
-        Ok(u32::from_le_bytes(take(buf, 4)?.try_into().expect("length checked")) as usize)
-    }
-    let mut buf = bytes;
-    if take(&mut buf, 4)? != SPOOL_MAGIC {
-        return Err("not a session spool file (bad magic)".into());
-    }
-    let ksnap_len = take_u32(&mut buf)?;
-    let snap = Snapshot::from_bytes(take(&mut buf, ksnap_len)?)
-        .map_err(|e| format!("embedded snapshot: {e}"))?;
-    let ndev = take_u32(&mut buf)?;
-    if ndev > bytes.len() {
-        return Err("device count exceeds stream size".into());
-    }
-    let mut blobs = Vec::with_capacity(ndev);
-    for _ in 0..ndev {
-        let has = take(&mut buf, 1)?[0];
-        if has == 1 {
-            let len = take_u32(&mut buf)?;
-            blobs.push(Some(take(&mut buf, len)?.to_vec()));
-        } else {
-            blobs.push(None);
-        }
-    }
-    Ok((snap, blobs))
-}
-
-/// Writes a session's heavy state to its spool file, crash-atomically
+/// Writes a session's state image to its spool file, crash-atomically
 /// (temp + fsync + rename): a crash mid-evict leaves either no spool or
-/// the complete previous one, never a torn KSES file that would poison
+/// the complete previous one, never a torn image that would poison
 /// rehydration.
 pub fn spill(body: &SessionBody, path: &Path) -> std::io::Result<()> {
-    koika::snapshot::write_atomic(path, &spool_bytes(&body.snap, &body.dev_blobs))
+    koika::snapshot::write_atomic(path, &body.image.to_bytes())
 }
 
-/// Reads a spool file back. When `keep` is false (a plain eviction
+/// Reads a spool file back. Spools of older builds are refused. When `keep` is false (a plain eviction
 /// spool) the file is removed on success; durable servers pass `true`
 /// because the file doubles as the journal's checkpoint base and must
 /// survive until the next checkpoint supersedes it.
-pub fn unspill(path: &Path, keep: bool) -> Result<(Snapshot, DeviceBlobs), String> {
+pub fn unspill(path: &Path, keep: bool) -> Result<StateImage, String> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| format!("reading spool file {}: {e}", path.display()))?;
-    let parsed = parse_spool(&bytes)?;
+    let parsed = StateImage::from_bytes(&bytes)
+        .map_err(|e| format!("spool file {}: {e}", path.display()))?;
     if !keep {
         let _ = std::fs::remove_file(path);
     }
@@ -389,28 +314,6 @@ impl EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use koika::bits::Bits;
-
-    fn snap() -> Snapshot {
-        Snapshot {
-            design: "d".into(),
-            cycles: 7,
-            fired: 5,
-            fingerprint: 0xfeed,
-            fired_per_rule: vec![3, 2],
-            regs: vec![Bits::new(8, 0x42u64), Bits::new(96, 1u128 << 70)],
-        }
-    }
-
-    #[test]
-    fn spool_round_trips_snapshot_and_blobs() {
-        let blobs = vec![Some(vec![1, 2, 3]), None, Some(Vec::new())];
-        let bytes = spool_bytes(&snap(), &blobs);
-        assert_eq!(&bytes[..4], b"KSES");
-        let (s2, b2) = parse_spool(&bytes).unwrap();
-        assert_eq!(s2, snap());
-        assert_eq!(b2, blobs);
-    }
 
     #[test]
     fn req_window_caches_and_evicts_oldest() {
@@ -424,17 +327,5 @@ mod tests {
         assert_eq!(win.len(), REQ_WINDOW);
         assert_eq!(req_cached(&win, 1), None, "oldest entry evicted");
         assert!(req_cached(&win, REQ_WINDOW as u64 + 1).is_some());
-    }
-
-    #[test]
-    fn spool_rejects_corruption_without_panicking() {
-        let good = spool_bytes(&snap(), &[Some(vec![9])]);
-        assert!(parse_spool(b"XXXX").is_err());
-        for cut in [0, 3, 7, good.len() - 1] {
-            assert!(parse_spool(&good[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'Z';
-        assert!(parse_spool(&bad_magic).is_err());
     }
 }

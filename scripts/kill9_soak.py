@@ -39,7 +39,10 @@ import tempfile
 BIN = sys.argv[1] if len(sys.argv) > 1 else "./target/release/koika_sim"
 SESSIONS = 200
 KILL_AT = 120  # SIGKILL lands after this many sessions' op groups
-DESIGNS = ("collatz", "fir", "rv32i+primes:8")
+# The rv32i slot alternates between two workloads. memwalk keeps its state
+# in data memory, so its snapshots, restores and recovered spools carry a
+# memory image that changes.
+DESIGNS = ("collatz", "fir", ("rv32i+primes:8", "rv32i+memwalk:4"))
 
 
 def start(state_dir):
@@ -96,7 +99,17 @@ def drive_one(c, i):
         sent.append((req, reply))
         return json.loads(reply)
 
-    create = {"op": "create", "design": DESIGNS[i % 3], "tenant": f"t{i % 4}"}
+    design = DESIGNS[i % 3]
+    if i % 3 == 2:
+        # Switching every 12 sessions gives each workload budgeted
+        # (i % 5) and evicted (i % 4) sessions.
+        design = design[(i // 12) % 2]
+    if design.endswith("memwalk:4"):
+        # memwalk's first store lands at cycle 52 and pass 1 starts near
+        # cycle 436: step past the first, so its snapshots, restores and
+        # spools hold a memory that changed.
+        first += 50
+    create = {"op": "create", "design": design, "tenant": f"t{i % 4}"}
     if budgeted:
         # Trips in the second step, five cycles past the first one.
         create["watchdog"] = {"max_cycles": first + 5}
@@ -125,6 +138,10 @@ def drive_one(c, i):
     if i % 4 == 0:
         assert c.rpc({"op": "evict", "session": sid})["ok"]
         sent = []
+    if design.endswith("memwalk:4") and not budgeted:
+        # Into pass 1, which reloads pass 0's stores: a rehydration or a
+        # recovery that lost the memory shows in the final registers.
+        assert tagged({"op": "step", "session": sid, "n": 400})["ok"]
     return sid, sent
 
 

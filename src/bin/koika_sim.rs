@@ -24,7 +24,7 @@ use koika::fault::{
 };
 use koika::obs::{Fanout, Metrics, Observer, PerfettoTrace, RegWatch};
 use koika::runner::{JobUpdate, RunnerConfig, RunnerStats};
-use koika::snapshot::Snapshot;
+use koika::snapshot::StateImage;
 use koika::tir::{RegId, TDesign};
 use koika::vcd::VcdRecorder;
 use koika_designs::harness::MEM_WORDS;
@@ -271,7 +271,7 @@ Options:
                       artifacts are keyed by design fingerprint, so a
                       changed design never reuses a stale library
   --cycles <N>        cycles to run       (default 10000; 96 under --fuzz)
-  --program <primes:N|nops:N|branchy:N>  core workload (default primes:100)
+  --program <primes:N|nops:N|branchy:N|memwalk:N>  core workload (default primes:100)
   --vcd <FILE>        record all registers to a VCD file
   --profile           print a per-rule work profile (cuttlesim backend)
   --trace <N>         print the last N cycles of rule activity
@@ -338,7 +338,7 @@ Parallel execution & differential fuzzing:
                       reproduces, and shrink to single-injection reproducers
   --snapshot-every <K>  write <prefix><cycle>.ksnap every K cycles
   --snapshot-prefix <P> snapshot file prefix (default \"<design>-\")
-  --restore <FILE>    restore simulator state from a .ksnap snapshot first
+  --restore <FILE>    restore simulator and device state from a .ksnap first
   --max-cycles <N>    watchdog: abort after N total cycles (exit 3)
   --stall-cycles <N>  watchdog: abort after N consecutive commit-free
                       cycles with a JSON state dump (exit 3)
@@ -503,6 +503,7 @@ fn workload(spec: &str) -> Option<Vec<u32>> {
         "primes" => programs::primes(n),
         "nops" => programs::nops(n as usize),
         "branchy" => programs::branchy(n),
+        "memwalk" => programs::memwalk(n),
         _ => return None,
     })
 }
@@ -766,17 +767,18 @@ impl SimFactory {
         }
     }
 
-    /// A fresh simulator, restored from `--restore` if one was given.
-    fn make_restored(&self, args: &Args) -> Result<Box<dyn SimBackend>, CliError> {
+    /// A fresh simulator; it and `devs` are restored from `--restore` if given.
+    fn make_restored(&self, args: &Args, devs: &mut [Box<dyn Device>]) -> Result<Box<dyn SimBackend>, CliError> {
         let mut sim = self.make();
         if let Some(path) = &args.restore {
             let bytes = std::fs::read(path)
                 .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
-            let snap = Snapshot::from_bytes(&bytes)
+            let image = StateImage::from_bytes(&bytes)
                 .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
-            sim.restore(&snap)
+            image
+                .apply(&mut *sim, devs)
                 .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
-            println!("restored {} at cycle {} from {path}", snap.design, snap.cycles);
+            println!("restored {} at cycle {} from {path}", image.snap.design, image.snap.cycles);
         }
         Ok(sim)
     }
@@ -1176,8 +1178,9 @@ fn run_debug_mode(args: &Args, target: &Target, sims: &SimFactory) -> Result<Exi
     let mut armed = args.watchdog().arm();
     let mut input = open_debug_input(args, None)?;
     let mut out = std::io::stdout().lock();
-    let sim = sims.make_restored(args)?;
-    let mut target = ScalarTarget::new(sim, build_devices(td, &target.program));
+    let mut devices = build_devices(td, &target.program);
+    let sim = sims.make_restored(args, &mut devices)?;
+    let mut target = ScalarTarget::new(sim, devices);
     koika::debug::run_session(
         td,
         &mut target,
@@ -1320,7 +1323,7 @@ fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode
     let td = &target.td;
     let mut devices = build_devices(td, &target.program);
     let mut vcd = args.vcd.as_ref().map(|_| VcdRecorder::all_registers(td));
-    let mut sim = sims.make_restored(args)?;
+    let mut sim = sims.make_restored(args, &mut devices)?;
 
     // Observability sinks, attached only when asked for — unobserved runs
     // take the plain `cycle()` path below.
@@ -1362,7 +1365,9 @@ fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode
         } else {
             Some(Fanout::new(sinks))
         };
-        // The VCD recorder samples last, after the devices have ticked.
+        // The VCD recorder samples last, after the devices have ticked;
+        // snapshots hold the devices before it.
+        let ndev = devices.len();
         let mut devs: Vec<&mut dyn Device> = devices.iter_mut().map(|d| &mut **d as _).collect();
         if let Some(v) = &mut vcd {
             devs.push(v);
@@ -1381,7 +1386,7 @@ fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode
                 let now = sim.cycle_count();
                 if now % k == 0 {
                     let path = format!("{}{now:08}.ksnap", target.snapshot_prefix);
-                    write_file(&path, &sim.snapshot().to_bytes())?;
+                    write_file(&path, &StateImage::capture(&*sim, &devs[..ndev], None).to_bytes())?;
                     println!("wrote snapshot {path}");
                 }
             }

@@ -167,6 +167,44 @@ quit
 }
 
 #[test]
+fn debugger_snapshot_restores_on_the_cli_with_its_memory() {
+    // `memwalk:4` stores to memory from cycle 52 on, each pass reloading
+    // the last one's stores. The session travels back from 1000 to 500
+    // through a checkpoint and writes its state there; the CLI resumes it
+    // to cycle 2,000, past the halt.
+    let dir = scratch("memwalk");
+    let memwalk = ["rv32i", "--program", "memwalk:4"];
+    let script = "run-to 1000\nreverse-step 500\nsnapshot at-500.ksnap\nquit\n";
+    for flags in backend_matrix() {
+        let tag = flags.join("_").replace('-', "");
+        let run = |args: &[&str]| {
+            let out =
+                koika_sim().current_dir(&dir).args(memwalk).args(&flags).args(args).output().unwrap();
+            assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+            String::from_utf8(out.stdout).unwrap()
+        };
+        std::fs::write(dir.join("walk.kdb"), script).unwrap();
+        let transcript = run(&["--cycles", "2000", "--debug-script", "walk.kdb"]);
+        assert!(transcript.contains("snapshot written to at-500.ksnap (cycle 500)"), "{transcript}");
+        run(&["--cycles", "2000", "--snapshot-every", "2000", "--snapshot-prefix", "straight-"]);
+        run(&[
+            "--restore",
+            "at-500.ksnap",
+            "--cycles",
+            "1500",
+            "--snapshot-every",
+            "2000",
+            "--snapshot-prefix",
+            "resumed-",
+        ]);
+        let straight = std::fs::read(dir.join("straight-00002000.ksnap")).unwrap();
+        let resumed = std::fs::read(dir.join("resumed-00002000.ksnap")).unwrap();
+        assert!(straight == resumed, "{tag}: the debugger's cycle-500 image resumes differently");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn vcd_is_byte_identical_across_dispatchers() {
     // `--vcd` under every dispatch engine produces byte-identical
     // waveforms.

@@ -17,7 +17,7 @@ use koika::fault::{
     Watchdog,
 };
 use koika::runner::RunnerConfig;
-use koika::snapshot::{Snapshot, SnapshotError};
+use koika::snapshot::{Snapshot, SnapshotError, StateImage};
 use koika::tir::TDesign;
 use koika_designs::harness::MEM_WORDS;
 use koika_designs::memdev::MagicMemory;
@@ -28,6 +28,8 @@ use std::process::Command;
 
 mod common;
 use common::{classified_one_by_one, MakeDevices, MakeSim};
+mod legacy;
+use legacy::{kses_spool, version_2_ksnap};
 
 // ---------------------------------------------------------------------------
 // Helpers.
@@ -57,6 +59,14 @@ fn backends() -> Vec<(&'static str, BackendFactory)> {
             }),
         ),
     ]
+}
+
+/// The state image of a run without devices.
+fn image(snap: Snapshot) -> StateImage {
+    StateImage {
+        snap,
+        devices: Vec::new(),
+    }
 }
 
 fn run_plain(sim: &mut dyn SimBackend, cycles: u64) {
@@ -107,7 +117,7 @@ fn snapshot_restore_round_trips_on_all_three_backends() {
         let got = resumed.snapshot();
 
         assert_eq!(got, want, "snapshot round-trip diverged on {name}");
-        assert_eq!(got.to_bytes(), want.to_bytes(), "binary form differs on {name}");
+        assert_eq!(image(got).to_bytes(), image(want).to_bytes(), "binary form differs on {name}");
     }
 }
 
@@ -149,9 +159,9 @@ fn restore_rejects_mismatched_designs_and_corrupt_bytes() {
         Err(SnapshotError::DesignMismatch { .. })
     ));
 
-    let mut bytes = snap.to_bytes();
+    let mut bytes = image(snap).to_bytes();
     bytes.truncate(bytes.len() - 3);
-    assert_eq!(Snapshot::from_bytes(&bytes), Err(SnapshotError::Truncated));
+    assert_eq!(StateImage::from_bytes(&bytes), Err(SnapshotError::Truncated));
 }
 
 // ---------------------------------------------------------------------------
@@ -766,6 +776,98 @@ fn cli_restore_rejects_wrong_design_snapshot() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("collatz"), "error must name the mismatch: {err}");
     assert!(!err.contains("panicked"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The CLI's scalar engines as `(label, flags)`: interp, match and tac,
+/// plus native where a rustc toolchain exists (skipped loudly otherwise).
+fn cli_engines() -> Vec<(&'static str, Vec<&'static str>)> {
+    let mut engines = vec![
+        ("interp", vec!["--backend", "interp"]),
+        ("match", vec!["--dispatch", "match"]),
+        ("tac", vec!["--dispatch", "tac"]),
+    ];
+    if cuttlesim::toolchain_available() {
+        engines.push(("native", vec!["--dispatch", "native"]));
+    } else {
+        eprintln!("SKIP: no rustc toolchain; the native engine was not checked");
+    }
+    engines
+}
+
+/// `memwalk:4` stores to memory from cycle 52 on, each pass reloading the
+/// last one's stores, and halts near cycle 1,600; cycle 500 is mid-pass.
+const MEMWALK: [&str; 3] = ["rv32i", "--program", "memwalk:4"];
+
+#[test]
+fn cli_restore_carries_memory_on_memwalk() {
+    let dir = std::env::temp_dir().join(format!("koika-memwalk-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = |p: &str| dir.join(p).to_str().unwrap().to_string();
+    let mut finals = Vec::new();
+    for (label, flags) in cli_engines() {
+        let straight = prefix(&format!("{label}-a-"));
+        let out = koika_sim()
+            .args(MEMWALK)
+            .args(["--cycles", "2000", "--snapshot-every", "500"])
+            .args(["--snapshot-prefix", &straight])
+            .args(&flags)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{label}: {}", String::from_utf8_lossy(&out.stderr));
+        let resumed = prefix(&format!("{label}-b-"));
+        let out = koika_sim()
+            .args(MEMWALK)
+            .args(["--cycles", "1500", "--snapshot-every", "500"])
+            .args(["--restore", &format!("{straight}00000500.ksnap")])
+            .args(["--snapshot-prefix", &resumed])
+            .args(&flags)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{label}: {}", String::from_utf8_lossy(&out.stderr));
+        for c in [1000, 1500, 2000] {
+            let a = std::fs::read(format!("{straight}{c:08}.ksnap")).unwrap();
+            let b = std::fs::read(format!("{resumed}{c:08}.ksnap")).unwrap();
+            assert!(a == b, "{label}: the image restored at cycle 500 differs at cycle {c}");
+        }
+        finals.push(std::fs::read(format!("{resumed}00002000.ksnap")).unwrap());
+    }
+    assert!(finals.windows(2).all(|w| w[0] == w[1]), "engines disagree at cycle 2000");
+    // The program finished on the restored memory with the right result.
+    let image = StateImage::from_bytes(&finals[0]).unwrap();
+    let mem = image.devices[0].as_deref().expect("the memory saves its state");
+    let at = programs::RESULT_ADDR as usize;
+    let result = u32::from_le_bytes(mem[at..at + 4].try_into().unwrap());
+    assert_eq!(result, programs::memwalk_expected(4));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_restore_refuses_older_snapshot_formats() {
+    let dir = std::env::temp_dir().join(format!("koika-oldsnap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = dir.join("c-").to_str().unwrap().to_string();
+    let out = koika_sim()
+        .args(["collatz", "--cycles", "16", "--snapshot-every", "16"])
+        .args(["--snapshot-prefix", &prefix])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let v3 = std::fs::read(format!("{prefix}00000016.ksnap")).unwrap();
+    for (name, bytes, names) in [
+        ("v2.ksnap", version_2_ksnap(&v3), "version 2"),
+        ("old.kses", kses_spool(&v3), "KSES"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let out = koika_sim()
+            .args(["collatz", "--cycles", "4", "--restore", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad snapshot") && err.contains(names), "{name}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

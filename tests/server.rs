@@ -7,28 +7,36 @@
 use koika::check::check;
 use koika::device::{Device, RegAccess};
 use koika::tir::TDesign;
-use koika_designs::small;
-use koika_server::json::Json;
+use koika_designs::harness::MEM_WORDS;
+use koika_designs::memdev::MagicMemory;
+use koika_designs::{rv32, small};
+use koika_riscv::programs;
+use koika_server::json::{hex_decode, hex_encode, Json};
 use koika_server::{spawn, DesignProvider, ServerConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod legacy;
+
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
 
 /// Serves `collatz` plus a `boom` alias of the same design whose device
-/// panics on its fifth tick — the poisoned tenant of the isolation tests.
+/// panics on its fifth tick — the poisoned tenant of the isolation tests —
+/// and `memwalk`, rv32i running `memwalk:4` in a magic memory.
 struct TestProvider {
     td: Arc<TDesign>,
+    rv32i: Arc<TDesign>,
 }
 
 impl TestProvider {
     fn new() -> TestProvider {
         TestProvider {
             td: Arc::new(check(&small::collatz()).unwrap()),
+            rv32i: Arc::new(check(&rv32::rv32i()).unwrap()),
         }
     }
 }
@@ -60,13 +68,20 @@ impl DesignProvider for TestProvider {
     fn design(&self, name: &str) -> Option<Arc<TDesign>> {
         match name {
             "collatz" | "boom" => Some(Arc::clone(&self.td)),
+            "memwalk" => Some(Arc::clone(&self.rv32i)),
             _ => None,
         }
     }
 
-    fn devices(&self, name: &str, _td: &TDesign) -> Vec<Box<dyn Device + Send>> {
+    fn devices(&self, name: &str, td: &TDesign) -> Vec<Box<dyn Device + Send>> {
         match name {
             "boom" => vec![Box::new(BoomDevice { ticks: 0 })],
+            "memwalk" => vec![Box::new(MagicMemory::new(
+                td,
+                &["imem", "dmem"],
+                &programs::memwalk(4),
+                MEM_WORDS,
+            ))],
             _ => Vec::new(),
         }
     }
@@ -511,6 +526,94 @@ fn restore_rejects_corrupt_and_mismatched_snapshots_as_bad_snapshot() {
     let r = c.send(&format!(r#"{{"op":"restore","session":{id},"ksnap":"{hex}"}}"#));
     assert!(ok(&r), "{r:?}");
     assert_eq!(u(&r, "cycles"), 10);
+    handle.join();
+}
+
+/// The hex image a session's `snapshot` replies with.
+fn snapshot_hex(c: &mut Client, id: u64) -> String {
+    let r = c.send(&format!(r#"{{"op":"snapshot","session":{id}}}"#));
+    r.get("ksnap").and_then(Json::as_str).unwrap().to_string()
+}
+
+#[test]
+fn restore_carries_memory_on_memwalk() {
+    // `memwalk:4` stores to memory from cycle 52 on, each pass reloading
+    // the last one's stores; cycle 500 is mid-pass and 2,000 is past the
+    // halt.
+    let handle = test_server(test_config());
+    let mut c = Client::connect(&handle);
+    for backend in ["interp", "cuttlesim"] {
+        let create = format!(r#"{{"op":"create","design":"memwalk","backend":"{backend}"}}"#);
+        let id = u(&c.send(&create), "session");
+        let step = |c: &mut Client, n: u64| {
+            let r = c.send(&format!(r#"{{"op":"step","session":{id},"n":{n}}}"#));
+            assert!(ok(&r), "{r:?}");
+        };
+        step(&mut c, 500);
+        let at_500 = snapshot_hex(&mut c, id);
+        step(&mut c, 1500);
+        let straight = snapshot_hex(&mut c, id);
+        let r = c.send(&format!(r#"{{"op":"restore","session":{id},"ksnap":"{at_500}"}}"#));
+        assert_eq!(u(&r, "cycles"), 500, "{r:?}");
+        step(&mut c, 1500);
+        assert!(
+            snapshot_hex(&mut c, id) == straight,
+            "{backend}: the image restored at cycle 500 differs at cycle 2000"
+        );
+        // The program finished with its result in memory.
+        let image = koika::snapshot::StateImage::from_bytes(&hex_decode(&straight).unwrap()).unwrap();
+        let mem = image.devices[0].as_deref().unwrap();
+        let at = programs::RESULT_ADDR as usize;
+        let result = u32::from_le_bytes(mem[at..at + 4].try_into().unwrap());
+        assert_eq!(result, programs::memwalk_expected(4), "{backend}");
+    }
+    handle.join();
+}
+
+#[test]
+fn restore_refuses_images_the_devices_do_not_take() {
+    let handle = test_server(test_config());
+    let mut c = Client::connect(&handle);
+    // `boom` has one device, whose state is 8 bytes; `collatz` has none.
+    let plain = u(&c.send(r#"{"op":"create","design":"collatz"}"#), "session");
+    let boom = u(&c.send(r#"{"op":"create","design":"boom"}"#), "session");
+    for id in [plain, boom] {
+        assert!(ok(&c.send(&format!(r#"{{"op":"step","session":{id},"n":3}}"#))));
+    }
+    let (plain_hex, boom_hex) = (snapshot_hex(&mut c, plain), snapshot_hex(&mut c, boom));
+    // The wrong device count, both ways round.
+    for (id, hex) in [(plain, &boom_hex), (boom, &plain_hex)] {
+        let r = c.send(&format!(r#"{{"op":"restore","session":{id},"ksnap":"{hex}"}}"#));
+        assert_eq!(err_kind(&r), "bad-snapshot", "{r:?}");
+        assert!(r.get("detail").and_then(Json::as_str).unwrap().contains("device"), "{r:?}");
+    }
+    // A device section the device refuses: 7 bytes instead of 8.
+    let mut bytes = hex_decode(&boom_hex).unwrap();
+    let n = bytes.len();
+    bytes[n - 12..n - 8].copy_from_slice(&7u32.to_le_bytes());
+    bytes.pop();
+    let refused = hex_encode(&bytes);
+    let r = c.send(&format!(r#"{{"op":"restore","session":{boom},"ksnap":"{refused}"}}"#));
+    assert_eq!(err_kind(&r), "bad-snapshot", "{r:?}");
+    assert!(r.get("detail").and_then(Json::as_str).unwrap().contains("bad blob"), "{r:?}");
+    // Refused restores leave both sessions as they were.
+    assert_eq!(snapshot_hex(&mut c, plain), plain_hex);
+    assert_eq!(snapshot_hex(&mut c, boom), boom_hex);
+    handle.join();
+}
+
+#[test]
+fn restore_refuses_older_snapshot_formats_as_bad_snapshot() {
+    let handle = test_server(test_config());
+    let mut c = Client::connect(&handle);
+    let id = u(&c.send(r#"{"op":"create","design":"collatz"}"#), "session");
+    let v3 = hex_decode(&snapshot_hex(&mut c, id)).unwrap();
+    for (old, names) in [(legacy::version_2_ksnap(&v3), "version 2"), (legacy::kses_spool(&v3), "KSES")] {
+        let hex = hex_encode(&old);
+        let r = c.send(&format!(r#"{{"op":"restore","session":{id},"ksnap":"{hex}"}}"#));
+        assert_eq!(err_kind(&r), "bad-snapshot", "{r:?}");
+        assert!(r.get("detail").and_then(Json::as_str).unwrap().contains(names), "{r:?}");
+    }
     handle.join();
 }
 

@@ -6,8 +6,9 @@
 
 use cuttlesim::Sim;
 use koika::check::check;
-use koika::device::{Device, RegAccess, SimBackend};
+use koika::device::{Device, RegAccess};
 use koika::fault::{run_watchdogged, Injection, Watchdog};
+use koika::snapshot::StateImage;
 use koika::tir::TDesign;
 use koika_designs::small;
 use koika_server::journal::{
@@ -21,6 +22,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+mod legacy;
 
 // ---------------------------------------------------------------------------
 // Harness (mirrors tests/server.rs)
@@ -256,7 +259,7 @@ fn server_steps_match_the_library_cycle_loop_and_survive_recovery() {
     let trip = run_watchdogged(&mut sim, &mut devices, 48, &injections, &mut budget.arm(), None)
         .expect_err("the cycle budget must trip");
     assert_eq!(trip.cycle, 30);
-    assert_eq!(served, hex_encode(&sim.snapshot().to_bytes()));
+    assert_eq!(served, hex_encode(&StateImage::capture(&sim, &devices, None).to_bytes()));
 
     // Recovery replays the journaled steps through the same loop.
     handle.abort();
@@ -339,6 +342,54 @@ fn corrupt_journal_header_quarantines_only_that_session() {
         "unrecoverable journals are quarantined for forensics"
     );
     handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_refuses_an_older_spool_naming_the_file() {
+    let dir = state_dir("kses");
+    let handle = durable_server(durable_config(&dir));
+    let mut c = Client::connect(&handle);
+    let old = u(&c.send(r#"{"op":"create","design":"collatz"}"#), "session");
+    let kept = u(&c.send(r#"{"op":"create","design":"collatz"}"#), "session");
+    for id in [old, kept] {
+        assert!(ok(&c.send(&format!(r#"{{"op":"step","session":{id},"n":6}}"#))));
+    }
+    // A durable eviction checkpoints the session into a spool file.
+    assert!(ok(&c.send(&format!(r#"{{"op":"evict","session":{old}}}"#))));
+    handle.abort();
+    let spool = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.starts_with(&format!("session-{old}-")) && name.ends_with(".kses")
+        })
+        .expect("the eviction wrote a checkpoint spool");
+    std::fs::write(&spool, legacy::kses_spool(&std::fs::read(&spool).unwrap())).unwrap();
+
+    // The CLI server reports recovery on stdout and each lost session,
+    // with its reason, on stderr.
+    let mut server = std::process::Command::new(env!("CARGO_BIN_EXE_koika_sim"))
+        .args(["--serve", "127.0.0.1:0", "--state-dir", dir.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(server.stdout.take().unwrap());
+    let mut recovered = String::new();
+    stdout.read_line(&mut recovered).unwrap();
+    server.kill().unwrap();
+    let out = server.wait_with_output().unwrap();
+    assert_eq!(recovered.trim(), "recovered 1 sessions (1 lost)");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = err.lines().find(|l| l.contains("unrecoverable")).unwrap_or_default();
+    assert!(
+        line.contains(&format!("session {old}"))
+            && line.contains(spool.to_str().unwrap())
+            && line.contains("KSES"),
+        "stderr: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
