@@ -8,12 +8,24 @@
 //! built with `rustc` into a `#![no_std]` cdylib cached by design
 //! fingerprint and loaded through a minimal hand-rolled `dlopen` shim.
 //!
-//! The crate exports one function, `koika_cycle`: it clears the cycle
-//! log, runs every scheduled rule body in turn and merges the cycle log
-//! into the beginning-of-cycle state. Each rule body is the whole
-//! transaction: the rule prologue, the rule's micro-ops, then commit and
-//! the fired counters, or the failed counter and rollback. Each body is
-//! inlined into `koika_cycle` and compiled once.
+//! The crate exports two functions. `koika_cycle` clears the cycle log,
+//! runs every scheduled rule body in turn and merges the cycle log into
+//! the beginning-of-cycle state. Each rule body is the whole transaction:
+//! the rule prologue, the rule's micro-ops, then commit and the fired
+//! counters, or the failed counter and rollback. Each body is inlined
+//! into `koika_cycle` and compiled once. `koika_run` runs a span of
+//! unobserved cycles ([`koika::device::Span`]) without returning to the
+//! host: per cycle it checks the stop register, serves every word-memory
+//! port ([`koika::device::WordPort`]) over the memories the host passed
+//! in, calls `koika_cycle` (never inlined, so the body stays one copy)
+//! and counts the stall budget. It returns after a trapping cycle, so the
+//! host records the trap as it would for one cycle.
+//!
+//! The emitted code must not panic: `#![no_std]` has no unwinding, and a
+//! panicking operation (a bounds-checked runtime index, `%` by a divisor
+//! that may be zero) makes the cdylib reference `rust_eh_personality`,
+//! which then fails to `dlopen`. Runtime indices are host-validated raw
+//! offsets, and the memory wrap is a `checked_rem`.
 //!
 //! Every whole cycle fills the per-cycle record in `State`: one word per
 //! scheduled rule, saying whether it committed, conflicted (on which
@@ -64,6 +76,8 @@ use crate::insn::{FusedBin, Insn};
 use crate::level::LevelCfg;
 use crate::tac::{TacProgram, TacRule, Uop};
 use crate::vm::{rec_fail_info, State, VmError, REC_ABORT, REC_CONFLICT, REC_TRAP};
+use koika::device::{Span, SpanEnd, SpanRun, WordMemory};
+use koika::tir::RegId;
 
 /// Bumped whenever the generated-source ABI (the `Ctx` layout, the
 /// exported symbol set, or the return-code encoding) changes; part of the
@@ -76,8 +90,10 @@ use crate::vm::{rec_fail_info, State, VmError, REC_ABORT, REC_CONFLICT, REC_TRAP
 /// `last_*` record (`fail_reg` is gone), and the crate is `#![no_std]`.
 /// v7 exports only `koika_cycle`, which fills the per-cycle record
 /// (`rec`); the per-rule entry points, their weight counters and the
-/// `last_*` and `executed` fields are gone.
-const ABI_VERSION: u32 = 7;
+/// `last_*` and `executed` fields are gone. v8 adds `koika_run`, which
+/// loops `koika_cycle` over a span and serves word-memory ports itself
+/// (the `Port` and `Run` structs).
+const ABI_VERSION: u32 = 8;
 
 /// Why the native backend could not be selected. Unlike rule failures
 /// (normal Kôika semantics) these are environment or lowering problems:
@@ -194,6 +210,86 @@ impl NativeCtx {
         }
     }
 }
+
+/// One word-memory port as `koika_run` serves it: the [`WordPort`]
+/// registers in field order and the memory the port accesses. The host
+/// validates every field before the call ([`native_ports`]).
+#[repr(C)]
+pub(crate) struct NativePort {
+    regs: [u32; 7],
+    words: u64,
+    mem: *mut u32,
+}
+
+/// The ports of `mems`, in serving order, if `koika_run` can serve them
+/// exactly as [`WordMemory::serve`] would on a simulator with these
+/// register `widths`: every register exists, the registers a serve writes
+/// hold what it writes without masking, and each memory has a word.
+/// `None` sends the run down the per-cycle path, which behaves (or
+/// panics) as the device always did.
+pub(crate) fn native_ports(mems: &mut [WordMemory<'_>], widths: &[u32]) -> Option<Vec<NativePort>> {
+    let mut out = Vec::new();
+    for m in mems.iter_mut() {
+        if m.words.is_empty() {
+            return None;
+        }
+        for p in m.ports {
+            let regs = [
+                p.req_valid,
+                p.req_addr,
+                p.req_wen,
+                p.req_wstrb,
+                p.req_wdata,
+                p.resp_valid,
+                p.resp_data,
+            ];
+            let width = |r: RegId| widths.get(r.0 as usize).copied();
+            if regs.iter().any(|&r| width(r).is_none())
+                || width(p.resp_valid) < Some(1)
+                || width(p.resp_data) < Some(32)
+            {
+                return None;
+            }
+            out.push(NativePort {
+                regs: regs.map(|r| r.0),
+                words: m.words.len() as u64,
+                mem: m.words.as_mut_ptr(),
+            });
+        }
+    }
+    Some(out)
+}
+
+/// The `#[repr(C)]` span bounds and results handed to `koika_run`; field
+/// order must match the emitted `Run`.
+#[repr(C)]
+struct NativeRun {
+    ports: *const NativePort,
+    nports: u64,
+    /// Cycles to run at most.
+    max: u64,
+    /// The stop register (`u64::MAX`: none) and its target.
+    stop_reg: u64,
+    stop_at: u64,
+    /// The stall limit (`u64::MAX`: none).
+    stall_limit: u64,
+    /// In and out: consecutive commit-free cycles.
+    stalled: u64,
+    /// Out: cycles run.
+    ran: u64,
+    /// Out: the latest failure in the span, as `koika_cycle`'s `j` (`0`:
+    /// none), its record word and the span cycle it happened in.
+    last: u64,
+    last_word: u64,
+    last_cycle: u64,
+}
+
+/// `koika_run`'s return value: why the span ended, in bits 0–1.
+const RUN_STOP: u64 = 1;
+/// See [`RUN_STOP`].
+const RUN_STALL: u64 = 2;
+/// `koika_run`'s return value: bit 2 is set if the last cycle trapped.
+const RUN_TRAPPED: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // Source emission.
@@ -650,6 +746,24 @@ fn emit_source(prog: &Program, tac: &TacProgram) -> Result<Emitted, NativeError>
          pub fired_per_rule: *mut u64,\n\
          pub fail_per_rule: *mut u64,\n\
          pub rec: *mut u64,\n\
+         }\n\
+         #[repr(C)]\npub struct Port {\n\
+         pub regs: [u32; 7],\n\
+         pub words: u64,\n\
+         pub mem: *mut u32,\n\
+         }\n\
+         #[repr(C)]\npub struct Run {\n\
+         pub ports: *const Port,\n\
+         pub nports: u64,\n\
+         pub max: u64,\n\
+         pub stop_reg: u64,\n\
+         pub stop_at: u64,\n\
+         pub stall_limit: u64,\n\
+         pub stalled: u64,\n\
+         pub ran: u64,\n\
+         pub last: u64,\n\
+         pub last_word: u64,\n\
+         pub last_cycle: u64,\n\
          }\n",
     );
     let _ = writeln!(out, "const N: usize = {n};");
@@ -686,6 +800,7 @@ fn emit_source(prog: &Program, tac: &TacProgram) -> Result<Emitted, NativeError>
         emit_rule_fn(be, &prog.rules[k]);
     }
     emit_cycle_fn(&mut out, prog);
+    emit_run_fn(&mut out, prog);
     Ok(Emitted { source: out, traps })
 }
 
@@ -799,7 +914,7 @@ fn emit_rule_fn(mut be: BodyEmitter<'_>, rule: &RuleCode) {
 fn emit_cycle_fn(out: &mut String, prog: &Program) {
     let cfg = prog.cfg;
     out.push_str(
-        "#[no_mangle]\npub extern \"C\" fn koika_cycle(ctx: *mut Ctx) -> u64 { unsafe {\n\
+        "#[no_mangle]\n#[inline(never)]\npub extern \"C\" fn koika_cycle(ctx: *mut Ctx) -> u64 { unsafe {\n\
          let ctx = &mut *ctx;\n{\n",
     );
     emit_slices(out, &["cyc_rw", "log_rw"]);
@@ -838,6 +953,80 @@ fn emit_cycle_fn(out: &mut String, prog: &Program) {
         );
     }
     out.push_str("_last << 1 | _trap\n} }\n");
+}
+
+/// Emits the exported span loop `koika_run(ctx, run)` and the word-memory
+/// serve it calls. Register access mirrors `Sim::get64` and `Sim::set64`
+/// for this program's level: the beginning-of-cycle state, or from the
+/// level that drops it, the log data (a set writes `log_d0` and
+/// `cyc_d0`). Per cycle: the stop check, every port served in order, one
+/// `koika_cycle`, the stall count, the latest failure; a trap or the
+/// stall limit ends the span after its cycle. Returns why the span ended
+/// ([`RUN_STOP`], [`RUN_STALL`], else `0`) with [`RUN_TRAPPED`] if the
+/// last cycle trapped.
+///
+/// Every index is host-validated (the stop register is checked against
+/// `N` here), and an address past the end wraps by `checked_rem`, so
+/// nothing here can panic.
+fn emit_run_fn(out: &mut String, prog: &Program) {
+    let (get, set) = if prog.cfg.no_boc {
+        (
+            "*(*ctx).log_d0.add(i as usize)",
+            "*(*ctx).log_d0.add(i as usize) = v; *(*ctx).cyc_d0.add(i as usize) = v;",
+        )
+    } else {
+        (
+            "*(*ctx).boc.add(i as usize)",
+            "*(*ctx).boc.add(i as usize) = v;",
+        )
+    };
+    let _ = writeln!(
+        out,
+        "#[inline(always)]\nunsafe fn get(ctx: *mut Ctx, i: u32) -> u64 {{ {get} }}\n\
+         #[inline(always)]\nunsafe fn set(ctx: *mut Ctx, i: u32, v: u64) {{ {set} }}"
+    );
+    out.push_str(
+        "#[inline(always)]\nunsafe fn serve(ctx: *mut Ctx, p: &Port) {\n\
+         let r = p.regs;\n\
+         if get(ctx, r[0]) == 0 { return; }\n\
+         let mut idx = ((get(ctx, r[1]) as u32) >> 2) as u64;\n\
+         if idx >= p.words { idx = idx.checked_rem(p.words).unwrap_or(0); }\n\
+         let w = p.mem.add(idx as usize);\n\
+         if get(ctx, r[2]) != 0 {\n\
+         let strb = get(ctx, r[3]);\n\
+         let mut m = 0u32;\n\
+         if strb & 1 != 0 { m |= 0xffu32; }\n\
+         if strb & 2 != 0 { m |= 0xff00u32; }\n\
+         if strb & 4 != 0 { m |= 0xff_0000u32; }\n\
+         if strb & 8 != 0 { m |= 0xff00_0000u32; }\n\
+         *w = (*w & !m) | ((get(ctx, r[4]) as u32) & m);\n\
+         set(ctx, r[0], 0);\n\
+         } else if get(ctx, r[5]) == 0 {\n\
+         set(ctx, r[6], *w as u64);\n\
+         set(ctx, r[5], 1);\n\
+         set(ctx, r[0], 0);\n\
+         }\n}\n",
+    );
+    let _ = writeln!(
+        out,
+        "#[no_mangle]\npub extern \"C\" fn koika_run(ctx: *mut Ctx, run: *mut Run) -> u64 {{ unsafe {{\n\
+         let run = &mut *run;\n\
+         let mut ran = 0u64;\nlet mut stalled = run.stalled;\nlet mut why = 0u64;\n\
+         while ran < run.max {{\n\
+         if run.stop_reg < N as u64 && get(ctx, run.stop_reg as u32) >= run.stop_at {{ why = {RUN_STOP}u64; break; }}\n\
+         let mut i = 0u64;\n\
+         while i < run.nports {{ serve(ctx, &*run.ports.add(i as usize)); i += 1; }}\n\
+         let before = *(*ctx).fired;\n\
+         let r = koika_cycle(ctx);\n\
+         stalled = if *(*ctx).fired == before {{ stalled + 1 }} else {{ 0 }};\n\
+         if r >> 1 != 0 {{ run.last = r >> 1; run.last_word = *(*ctx).rec.add((r >> 1) as usize - 1); run.last_cycle = ran; }}\n\
+         ran += 1;\n\
+         if stalled >= run.stall_limit {{ why = {RUN_STALL}u64; }}\n\
+         if r & 1 != 0 {{ why |= {RUN_TRAPPED}u64; }}\n\
+         if why != 0 {{ break; }}\n\
+         }}\n\
+         run.ran = ran;\nrun.stalled = stalled;\nwhy\n}} }}"
+    );
 }
 
 /// What one micro-op can change in the rule log at the design-specific
@@ -1047,6 +1236,9 @@ fn emit_rollback(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
 /// The generated `koika_cycle` inside the loaded cdylib.
 type CycleFn = unsafe extern "C" fn(*mut NativeCtx) -> u64;
 
+/// The generated `koika_run` inside the loaded cdylib.
+type RunFn = unsafe extern "C" fn(*mut NativeCtx, *mut NativeRun) -> u64;
+
 /// A loaded native engine for one `(design, level, coverage)` compilation:
 /// the open cdylib and its `koika_cycle`, the host-retained trap table,
 /// the schedule the cycle runs, and the micro-op program the crate was
@@ -1056,6 +1248,7 @@ type CycleFn = unsafe extern "C" fn(*mut NativeCtx) -> u64;
 pub struct NativeEngine {
     _lib: dl::Handle,
     cycle_fn: CycleFn,
+    run_fn: RunFn,
     traps: Vec<Trap>,
     schedule: Vec<usize>,
     tac: TacProgram,
@@ -1071,6 +1264,12 @@ impl NativeEngine {
     /// The micro-op program the engine was emitted from.
     pub(crate) fn tac(&self) -> &TacProgram {
         &self.tac
+    }
+
+    /// The [`VmError`] of the first trapping rule in a cycle's record.
+    fn first_trap(&self, rec: &[u64]) -> VmError {
+        let first = rec.iter().find(|&&w| w & 3 == REC_TRAP).copied().unwrap_or(u64::MAX);
+        self.trap(first >> 2)
     }
 
     /// The [`VmError`] for trap ordinal `t` of the generated code.
@@ -1173,11 +1372,13 @@ pub(crate) fn build_engine(prog: &Program) -> Result<Arc<NativeEngine>, NativeEr
     let so_path = ensure_built(prog, &emitted.source, cache_key(prog, &emitted.source))?;
     let lib = dl::open(&so_path).map_err(NativeError::Load)?;
     let cycle = dl::sym(&lib, "koika_cycle").map_err(NativeError::Load)?;
+    let run = dl::sym(&lib, "koika_run").map_err(NativeError::Load)?;
     let engine = Arc::new(NativeEngine {
         _lib: lib,
-        // SAFETY: the symbol was emitted by us with exactly this
-        // signature; the cache key ties the cdylib to the emitter version.
+        // SAFETY: the symbols were emitted by us with exactly these
+        // signatures; the cache key ties the cdylib to the emitter version.
         cycle_fn: unsafe { std::mem::transmute::<*mut std::os::raw::c_void, CycleFn>(cycle) },
+        run_fn: unsafe { std::mem::transmute::<*mut std::os::raw::c_void, RunFn>(run) },
         traps: emitted.traps,
         schedule: prog.schedule.clone(),
         tac,
@@ -1364,8 +1565,67 @@ pub(crate) fn run_cycle_native(engine: &NativeEngine, st: &mut State) -> Result<
     if ret & 1 == 0 {
         return Ok(());
     }
-    let first = st.rec.iter().find(|&&w| w & 3 == REC_TRAP).copied().unwrap_or(u64::MAX);
-    Err(engine.trap(first >> 2))
+    Err(engine.first_trap(&st.rec))
+}
+
+/// Runs `span` through the generated `koika_run` over the validated
+/// `ports`, leaving `st` as the same cycles run one by one through
+/// [`run_cycle_native`] would: the cycle count, the record of the last
+/// cycle and the latest failure. A trapping cycle ends a `koika_run`
+/// call; its trap is recorded in `trap` (if none is yet) and the span goes
+/// on, as a per-cycle run would.
+pub(crate) fn run_span_native(
+    engine: &NativeEngine,
+    st: &mut State,
+    ports: &[NativePort],
+    span: Span,
+    trap: &mut Option<VmError>,
+) -> SpanRun {
+    st.rec.resize(engine.schedule.len(), 0);
+    let mut run = NativeRun {
+        ports: ports.as_ptr(),
+        nports: ports.len() as u64,
+        max: 0,
+        stop_reg: span.stop.map_or(u64::MAX, |(r, _)| r.0 as u64),
+        stop_at: span.stop.map_or(0, |(_, at)| at),
+        stall_limit: span.stall_limit.unwrap_or(u64::MAX),
+        stalled: span.stalled,
+        ran: 0,
+        last: 0,
+        last_word: 0,
+        last_cycle: 0,
+    };
+    let mut done = 0;
+    loop {
+        run.max = span.cycles - done;
+        run.last = 0;
+        let mut ctx = NativeCtx::for_state(st);
+        // SAFETY: as in `run_cycle_native`; besides, every port register
+        // is below the register count and every port's memory pointer
+        // covers `words > 0` words of a device that is not touched while
+        // the call runs (`native_ports`).
+        let why = unsafe { (engine.run_fn)(&mut ctx, &mut run) };
+        if let Some(j) = (run.last as usize).checked_sub(1) {
+            let cycle = st.cycles + run.last_cycle;
+            st.last_fail = Some(rec_fail_info(run.last_word, engine.schedule[j], cycle));
+        }
+        st.cycles += run.ran;
+        done += run.ran;
+        if why & RUN_TRAPPED != 0 {
+            trap.get_or_insert(engine.first_trap(&st.rec));
+        }
+        let end = match why & 3 {
+            RUN_STOP => SpanEnd::Stop,
+            RUN_STALL => SpanEnd::Stall,
+            _ if done == span.cycles => SpanEnd::Cycles,
+            _ => continue,
+        };
+        return SpanRun {
+            cycles: done,
+            stalled: run.stalled,
+            end,
+        };
+    }
 }
 
 #[cfg(test)]
@@ -1759,7 +2019,7 @@ mod tests {
     }
 
     #[test]
-    fn source_exports_only_koika_cycle_and_no_std() {
+    fn source_exports_the_cycle_and_span_entries_and_no_std() {
         // Pure emission — no toolchain needed, no skip.
         for level in OptLevel::ALL {
             let prog = compile(&scatter(), &CompileOptions { level, ..CompileOptions::default() })
@@ -1767,12 +2027,19 @@ mod tests {
             let src = emit_source(&prog, &TacProgram::lower(&prog)).unwrap().source;
             assert!(src.contains("\n#![no_std]\n"), "{level}");
             let exported: Vec<&str> = src
-                .split("#[no_mangle]\npub extern \"C\" fn ")
+                .split("pub extern \"C\" fn ")
                 .skip(1)
                 .map(|f| f.split('(').next().unwrap())
                 .collect();
-            assert_eq!(exported, ["koika_cycle"], "{level}");
-            assert_eq!(src.matches("extern \"C\" fn ").count(), 1, "{level}");
+            assert_eq!(exported, ["koika_cycle", "koika_run"], "{level}");
+            assert_eq!(src.matches("#[no_mangle]\n").count(), 2, "{level}");
+            // The span loop calls the one cycle body, which is never
+            // inlined into it: the body is compiled once.
+            assert!(
+                src.contains("#[inline(never)]\npub extern \"C\" fn koika_cycle("),
+                "{level}"
+            );
+            assert_eq!(src.matches("koika_cycle(ctx)").count(), 1, "{level}");
             // One body per rule, inlined into its one caller, with no
             // weight counter.
             for k in 0..prog.rules.len() {

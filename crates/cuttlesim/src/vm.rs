@@ -20,7 +20,7 @@ use crate::level::LevelCfg;
 use koika::analysis::ScheduleAssumption;
 use koika::bits::word;
 use koika::bits::Bits;
-use koika::device::{RegAccess, SimBackend};
+use koika::device::{run_span_per_cycle, Device, RegAccess, SimBackend, Span, SpanRun, WordMemory};
 use koika::obs::{FailureReason, Metrics, Observer};
 use koika::snapshot::{Snapshot, SnapshotError};
 use koika::tir::{RegId, TDesign};
@@ -1266,6 +1266,38 @@ impl SimBackend for Sim {
         }
         self.obs_prev = prev;
         obs.cycle_end(cycle);
+    }
+
+    /// On native dispatch with no profile and no history, and with every
+    /// device a word memory whose ports [`crate::native`] can serve, the
+    /// whole span runs inside the generated crate (`koika_run`); it leaves
+    /// the same state as the per-cycle loop, devices included. Anything
+    /// else runs [`run_span_per_cycle`].
+    fn run_span(&mut self, span: Span, devices: &mut [&mut dyn Device]) -> SpanRun {
+        debug_assert!(
+            !self.mid_cycle,
+            "run_span() called while stepping mid-cycle"
+        );
+        let n = self.prog.init.len();
+        let plain = self.profile.is_none() && self.history.is_none();
+        if let (Engine::Native(native, _), true) = (&self.engine, plain) {
+            if span.cycles > 0 && span.stop.is_none_or(|(r, _)| (r.0 as usize) < n) {
+                let mems: Option<Vec<WordMemory<'_>>> =
+                    devices.iter_mut().map(|d| d.word_memory()).collect();
+                if let Some(mut mems) = mems {
+                    if let Some(ports) = crate::native::native_ports(&mut mems, &self.prog.widths) {
+                        return crate::native::run_span_native(
+                            native,
+                            &mut self.st,
+                            &ports,
+                            span,
+                            &mut self.trap,
+                        );
+                    }
+                }
+            }
+        }
+        run_span_per_cycle(self, span, devices)
     }
 
     fn cycle_count(&self) -> u64 {

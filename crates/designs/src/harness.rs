@@ -3,7 +3,7 @@
 //! golden-model comparison.
 
 use crate::memdev::MagicMemory;
-use koika::device::SimBackend;
+use koika::device::{SimBackend, Span, SpanEnd};
 use koika::tir::TDesign;
 use koika_riscv::golden::{Exit, Golden};
 
@@ -23,11 +23,14 @@ pub const MEM_WORDS: usize = 4096;
 
 /// Runs `sim` (with `mem` as its memory device) until the core with name
 /// prefix `prefix` has retired `target_retired` instructions, up to
-/// `max_cycles`.
+/// `max_cycles`: one [`SimBackend::run_span`] whose stop is the retire
+/// counter reaching the target. The span checks the counter before each
+/// cycle, so a run that reaches the target on its last budgeted cycle
+/// counts as not completed.
 ///
-/// Generic over the backend so that, for a concrete simulator, the loop's
-/// register reads and the device's port accesses inline; `&mut dyn
-/// SimBackend` works too.
+/// On the native Cuttlesim dispatch the whole run stays inside the
+/// compiled crate, which serves `mem`'s ports itself; on any other backend
+/// it ticks `mem` and steps one cycle at a time.
 pub fn run_until_retired<S: SimBackend + ?Sized>(
     sim: &mut S,
     mem: &mut MagicMemory,
@@ -37,23 +40,16 @@ pub fn run_until_retired<S: SimBackend + ?Sized>(
     max_cycles: u64,
 ) -> CoreRun {
     let retired = td.reg_id(&format!("{prefix}retired"));
-    let mut cycles = 0;
-    while cycles < max_cycles {
-        if sim.get64(retired) >= target_retired {
-            return CoreRun {
-                cycles,
-                retired: sim.get64(retired),
-                completed: true,
-            };
-        }
-        mem.serve(sim);
-        sim.cycle();
-        cycles += 1;
-    }
+    let span = Span {
+        cycles: max_cycles,
+        stop: Some((retired, target_retired)),
+        ..Span::default()
+    };
+    let run = sim.run_span(span, &mut [mem]);
     CoreRun {
-        cycles,
+        cycles: run.cycles,
         retired: sim.get64(retired),
-        completed: false,
+        completed: run.end == SpanEnd::Stop,
     }
 }
 

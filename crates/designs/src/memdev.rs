@@ -7,19 +7,13 @@
 //! issued during cycle `N` is answered before cycle `N + 1` — the paper's
 //! "idealized single-cycle memory" (case study 3).
 //!
-//! Protocol, per port:
-//!
-//! * the design asserts `req_valid` with `req_addr` (byte address),
-//!   `req_wen`/`req_wstrb`/`req_wdata` for stores;
-//! * between cycles, the device clears `req_valid` and performs the access;
-//!   loads produce `resp_valid = 1` and `resp_data` (only when the previous
-//!   response has been consumed — otherwise the request stays pending);
-//!   stores complete silently;
-//! * the design consumes a response by clearing `resp_valid`.
+//! The port protocol is [`WordPort`]'s. The device offers itself as a
+//! [`WordMemory`], so the native Cuttlesim dispatch serves its ports inside
+//! the compiled cycle loop instead of ticking it from the host.
 
-use koika::device::{Device, RegAccess};
+use koika::device::{word_index, Device, RegAccess, WordMemory, WordPort};
 use koika::design::DesignBuilder;
-use koika::tir::{RegId, TDesign};
+use koika::tir::TDesign;
 
 /// The register names of one memory port (all prefixed with the port name).
 #[derive(Debug, Clone)]
@@ -49,37 +43,11 @@ impl MemPort {
     }
 }
 
-/// Resolved register ids of a memory port, for the device's fast path.
-#[derive(Debug, Clone, Copy)]
-struct PortRegs {
-    req_valid: RegId,
-    req_addr: RegId,
-    req_wen: RegId,
-    req_wstrb: RegId,
-    req_wdata: RegId,
-    resp_valid: RegId,
-    resp_data: RegId,
-}
-
-impl PortRegs {
-    fn resolve(design: &TDesign, prefix: &str) -> PortRegs {
-        PortRegs {
-            req_valid: design.reg_id(&format!("{prefix}_req_valid")),
-            req_addr: design.reg_id(&format!("{prefix}_req_addr")),
-            req_wen: design.reg_id(&format!("{prefix}_req_wen")),
-            req_wstrb: design.reg_id(&format!("{prefix}_req_wstrb")),
-            req_wdata: design.reg_id(&format!("{prefix}_req_wdata")),
-            resp_valid: design.reg_id(&format!("{prefix}_resp_valid")),
-            resp_data: design.reg_id(&format!("{prefix}_resp_data")),
-        }
-    }
-}
-
 /// A word-addressed magic memory servicing any number of ports.
 #[derive(Debug, Clone)]
 pub struct MagicMemory {
     mem: Vec<u32>,
-    ports: Vec<PortRegs>,
+    ports: Vec<WordPort>,
 }
 
 impl MagicMemory {
@@ -93,7 +61,7 @@ impl MagicMemory {
     pub fn new(design: &TDesign, ports: &[&str], program: &[u32], words: usize) -> MagicMemory {
         let mut m = MagicMemory {
             mem: vec![0; words],
-            ports: ports.iter().map(|p| PortRegs::resolve(design, p)).collect(),
+            ports: ports.iter().map(|p| WordPort::resolve(design, p)).collect(),
         };
         m.load(0, program);
         m
@@ -113,21 +81,10 @@ impl MagicMemory {
         self.mem[base..base + program.len()].copy_from_slice(program);
     }
 
-    /// Reads a memory word (by byte address).
+    /// Reads a memory word (by byte address); addresses past the end wrap
+    /// around.
     pub fn word(&self, byte_addr: u32) -> u32 {
-        self.mem[self.index(byte_addr)]
-    }
-
-    /// The word index of a byte address: addresses past the end wrap
-    /// around. The division is taken only for those, so an in-range access
-    /// (every access of a program that fits) pays a compare, not a `div`.
-    fn index(&self, byte_addr: u32) -> usize {
-        let idx = (byte_addr >> 2) as usize;
-        if idx < self.mem.len() {
-            idx
-        } else {
-            idx % self.mem.len()
-        }
+        self.mem[word_index(byte_addr, self.mem.len())]
     }
 
     /// The whole memory contents.
@@ -135,37 +92,18 @@ impl MagicMemory {
         &self.mem
     }
 
+    /// The ports and the words, as the protocol serves them.
+    fn memory(&mut self) -> WordMemory<'_> {
+        WordMemory {
+            ports: &self.ports,
+            words: &mut self.mem,
+        }
+    }
+
     /// Services every port once: the body of [`Device::tick`], generic so
     /// a caller holding a concrete simulator gets inlined register access.
     pub fn serve<R: RegAccess + ?Sized>(&mut self, regs: &mut R) {
-        for p in &self.ports {
-            if regs.get64(p.req_valid) == 0 {
-                continue;
-            }
-            let addr = regs.get64(p.req_addr) as u32;
-            let idx = self.index(addr);
-            if regs.get64(p.req_wen) != 0 {
-                // Stores complete immediately and silently.
-                let strb = regs.get64(p.req_wstrb) as u32;
-                let wdata = regs.get64(p.req_wdata) as u32;
-                let mut word = self.mem[idx];
-                for byte in 0..4 {
-                    if strb & (1 << byte) != 0 {
-                        let mask = 0xffu32 << (byte * 8);
-                        word = (word & !mask) | (wdata & mask);
-                    }
-                }
-                self.mem[idx] = word;
-                regs.set64(p.req_valid, 0);
-            } else {
-                // Loads respond only when the response slot is free.
-                if regs.get64(p.resp_valid) == 0 {
-                    regs.set64(p.resp_data, self.mem[idx] as u64);
-                    regs.set64(p.resp_valid, 1);
-                    regs.set64(p.req_valid, 0);
-                }
-            }
-        }
+        self.memory().serve(regs);
     }
 }
 
@@ -199,6 +137,10 @@ impl Device for MagicMemory {
 
     fn tick(&mut self, _cycle: u64, regs: &mut dyn RegAccess) {
         self.serve(regs);
+    }
+
+    fn word_memory(&mut self) -> Option<WordMemory<'_>> {
+        Some(self.memory())
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::obs::Observer;
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::tir::RegId;
+use crate::tir::{RegId, TDesign};
 
 /// Register-level access to a simulator's architectural state, as visible
 /// between cycles.
@@ -56,6 +56,208 @@ pub trait Device {
     /// Restores state previously produced by [`Device::save_state`].
     fn load_state(&mut self, _state: &[u8]) -> Result<(), String> {
         Err("device does not support state save/restore".into())
+    }
+
+    /// The device as a word memory, if that is all it is: its ticks then
+    /// do exactly what [`WordMemory::serve`] does, so a backend may serve
+    /// the ports itself instead of calling [`Device::tick`] (the native
+    /// Cuttlesim dispatch does, inside its compiled cycle loop).
+    fn word_memory(&mut self) -> Option<WordMemory<'_>> {
+        None
+    }
+}
+
+/// The registers of one port of a word memory. Per cycle boundary:
+///
+/// * the design asserts `req_valid` with `req_addr` (a byte address) and,
+///   for a store, `req_wen`, `req_wstrb` and `req_wdata`;
+/// * the device clears `req_valid` and performs the access: a store
+///   writes the strobed bytes of the addressed word and completes
+///   silently; a load sets `resp_valid` and `resp_data`, but only once
+///   the previous response is consumed (until then the request stays
+///   pending);
+/// * the design consumes a response by clearing `resp_valid`.
+///
+/// Word addresses past the end of the memory wrap around.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordPort {
+    /// A request is pending (1 bit).
+    pub req_valid: RegId,
+    /// The request's byte address (32 bits).
+    pub req_addr: RegId,
+    /// The request is a store (1 bit).
+    pub req_wen: RegId,
+    /// Which bytes of the word a store writes (4 bits).
+    pub req_wstrb: RegId,
+    /// The word a store writes (32 bits).
+    pub req_wdata: RegId,
+    /// A load's response is waiting (1 bit).
+    pub resp_valid: RegId,
+    /// The loaded word (32 bits).
+    pub resp_data: RegId,
+}
+
+impl WordPort {
+    /// The port whose registers are `{prefix}_req_valid`, ...,
+    /// `{prefix}_resp_data` in `design`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of them is missing.
+    pub fn resolve(design: &TDesign, prefix: &str) -> WordPort {
+        let reg = |field: &str| design.reg_id(&format!("{prefix}_{field}"));
+        WordPort {
+            req_valid: reg("req_valid"),
+            req_addr: reg("req_addr"),
+            req_wen: reg("req_wen"),
+            req_wstrb: reg("req_wstrb"),
+            req_wdata: reg("req_wdata"),
+            resp_valid: reg("resp_valid"),
+            resp_data: reg("resp_data"),
+        }
+    }
+}
+
+/// A word memory as a device offers it ([`Device::word_memory`]): the
+/// ports it serves, in serving order, and its words.
+#[derive(Debug)]
+pub struct WordMemory<'a> {
+    /// The ports, served in this order.
+    pub ports: &'a [WordPort],
+    /// The memory words.
+    pub words: &'a mut [u32],
+}
+
+/// The word index of `byte_addr` in a memory of `len` words: addresses
+/// past the end wrap around. The division is taken only for those, so an
+/// in-range access (every access of a program that fits) pays a compare,
+/// not a `div`.
+///
+/// # Panics
+///
+/// Panics if `len` is 0.
+pub fn word_index(byte_addr: u32, len: usize) -> usize {
+    let idx = (byte_addr >> 2) as usize;
+    if idx < len {
+        idx
+    } else {
+        idx % len
+    }
+}
+
+impl WordMemory<'_> {
+    /// Serves every port once, as [`WordPort`] describes: the body of a
+    /// word memory's [`Device::tick`]. Generic, so a caller holding a
+    /// concrete simulator gets inlined register access.
+    pub fn serve<R: RegAccess + ?Sized>(&mut self, regs: &mut R) {
+        for p in self.ports {
+            if regs.get64(p.req_valid) == 0 {
+                continue;
+            }
+            let idx = word_index(regs.get64(p.req_addr) as u32, self.words.len());
+            if regs.get64(p.req_wen) != 0 {
+                let strb = regs.get64(p.req_wstrb) as u32;
+                let wdata = regs.get64(p.req_wdata) as u32;
+                let mut word = self.words[idx];
+                for byte in 0..4 {
+                    if strb & (1 << byte) != 0 {
+                        let mask = 0xffu32 << (byte * 8);
+                        word = (word & !mask) | (wdata & mask);
+                    }
+                }
+                self.words[idx] = word;
+                regs.set64(p.req_valid, 0);
+            } else if regs.get64(p.resp_valid) == 0 {
+                regs.set64(p.resp_data, self.words[idx] as u64);
+                regs.set64(p.resp_valid, 1);
+                regs.set64(p.req_valid, 0);
+            }
+        }
+    }
+}
+
+/// The bounds of one [`SimBackend::run_span`] call. Before each cycle the
+/// span checks `stop`, then ticks the devices and runs the cycle, then
+/// counts the cycle toward the stall budget; it ends at whichever of these
+/// comes first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Span {
+    /// Run at most this many cycles.
+    pub cycles: u64,
+    /// Stop before the first cycle at which this register reads at least
+    /// the given value.
+    pub stop: Option<(RegId, u64)>,
+    /// Stop after the cycle that makes `stalled` reach this many.
+    pub stall_limit: Option<u64>,
+    /// Consecutive commit-free cycles before the span (a watchdog's stall
+    /// count, carried across spans).
+    pub stalled: u64,
+}
+
+/// Why a span ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanEnd {
+    /// It ran [`Span::cycles`] cycles.
+    Cycles,
+    /// The stop register reached its target.
+    Stop,
+    /// The stall count reached [`Span::stall_limit`].
+    Stall,
+}
+
+/// What one [`SimBackend::run_span`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanRun {
+    /// Cycles executed.
+    pub cycles: u64,
+    /// Consecutive commit-free cycles at the end of the span.
+    pub stalled: u64,
+    /// Why the span ended.
+    pub end: SpanEnd,
+}
+
+/// The per-cycle span loop every backend can run, and the body of the
+/// provided [`SimBackend::run_span`]: per cycle, the stop check, the
+/// device ticks in order, then the cycle.
+pub fn run_span_per_cycle<S: SimBackend + ?Sized>(
+    sim: &mut S,
+    span: Span,
+    devices: &mut [&mut dyn Device],
+) -> SpanRun {
+    let mut stalled = span.stalled;
+    for ran in 0..span.cycles {
+        if let Some((reg, target)) = span.stop {
+            if sim.get64(reg) >= target {
+                return SpanRun {
+                    cycles: ran,
+                    stalled,
+                    end: SpanEnd::Stop,
+                };
+            }
+        }
+        let cycle = sim.cycle_count();
+        for d in devices.iter_mut() {
+            d.tick(cycle, sim.as_reg_access());
+        }
+        let before = sim.rules_fired();
+        sim.cycle();
+        stalled = if sim.rules_fired() == before {
+            stalled + 1
+        } else {
+            0
+        };
+        if span.stall_limit.is_some_and(|k| stalled >= k) {
+            return SpanRun {
+                cycles: ran + 1,
+                stalled,
+                end: SpanEnd::Stall,
+            };
+        }
+    }
+    SpanRun {
+        cycles: span.cycles,
+        stalled,
+        end: SpanEnd::Cycles,
     }
 }
 
@@ -120,15 +322,24 @@ pub trait SimBackend: RegAccess {
     /// ([`SnapshotError`]).
     fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError>;
 
-    /// Runs `ncycles` cycles, ticking each device before each cycle.
+    /// Runs `ncycles` cycles, ticking each device before each cycle: a
+    /// [`SimBackend::run_span`] with no stop.
     fn run(&mut self, ncycles: u64, devices: &mut [&mut dyn Device]) {
-        for _ in 0..ncycles {
-            let cycle = self.cycle_count();
-            for d in devices.iter_mut() {
-                d.tick(cycle, self.as_reg_access());
-            }
-            self.cycle();
-        }
+        self.run_span(
+            Span {
+                cycles: ncycles,
+                ..Span::default()
+            },
+            devices,
+        );
+    }
+
+    /// Runs unobserved cycles, ticking each device before each cycle,
+    /// until the [`Span`] ends. The provided body is
+    /// [`run_span_per_cycle`]; a backend may run the span its own way if
+    /// it leaves the same state behind, devices included.
+    fn run_span(&mut self, span: Span, devices: &mut [&mut dyn Device]) -> SpanRun {
+        run_span_per_cycle(self, span, devices)
     }
 
     /// Like [`SimBackend::run`], but with an [`Observer`] attached to

@@ -42,7 +42,7 @@
 //! timelines alongside ordinary rule activity.
 
 use crate::bits::Bits;
-use crate::device::{BatchBackend, Device, LaneAccess, RegAccess, SimBackend};
+use crate::device::{BatchBackend, Device, LaneAccess, RegAccess, SimBackend, Span, WordMemory};
 use crate::obs::Observer;
 use crate::runner::{self, contain, JobError, JobUpdate, RunnerConfig, RunnerStats};
 use crate::snapshot::StateImage;
@@ -367,6 +367,13 @@ impl ArmedWatchdog {
         } else {
             self.stalled = 0;
         }
+        self.check(cycles_done)
+    }
+
+    /// The trip due at `cycles_done` with the current stall count, if any
+    /// budget is exhausted: the stall budget first, then the cycle budget,
+    /// then the wall clock.
+    fn check(&self, cycles_done: u64) -> Option<WatchdogTrip> {
         if let Some(k) = self.cfg.stall_cycles {
             if self.stalled >= k {
                 return Some(WatchdogTrip {
@@ -396,7 +403,29 @@ impl ArmedWatchdog {
         }
         None
     }
+
+    /// The longest span that can start at cycle `cycle` and end no later
+    /// than a trip [`ArmedWatchdog::observe`] would report: up to the
+    /// cycle budget (whose trip cycle it ends on), and [`WALL_SPAN`]
+    /// cycles at most under a wall budget, so the clock is still read that
+    /// often. The stall budget is the span's own stop.
+    fn span_cap(&self, cycle: u64) -> u64 {
+        let budget = self
+            .cfg
+            .max_cycles
+            .map_or(u64::MAX, |max| max.saturating_sub(cycle).max(1));
+        let wall = if self.cfg.wall_budget.is_some() {
+            WALL_SPAN
+        } else {
+            u64::MAX
+        };
+        budget.min(wall)
+    }
 }
+
+/// The most cycles an unobserved span runs under a wall budget between
+/// two readings of the clock.
+const WALL_SPAN: u64 = 1 << 16;
 
 /// An [`Observer`] that folds each cycle's committed-rule sequence into one
 /// 64-bit fingerprint (FNV-1a over schedule-ordered rule indices). Two runs
@@ -466,11 +495,61 @@ impl Observer for CommitFingerprint {
 /// what the cycle sees) and are matched by **absolute** cycle number, which
 /// makes them stable across snapshot/restore.
 ///
+/// Unobserved, the cycles between injections run as spans
+/// ([`SimBackend::run_span`]), which end at the next injection cycle or
+/// where a budget trips, so every trip lands on the cycle a per-cycle loop
+/// would trip on (a wall trip, which depends on the machine, is checked
+/// at least every 2^16 cycles). On the native Cuttlesim dispatch
+/// a span over word-memory devices runs inside the compiled crate.
+///
 /// # Errors
 ///
 /// Returns the [`WatchdogTrip`] if a budget was exhausted; the simulator is
 /// left at the cycle boundary where the trip fired.
 pub fn run_watchdogged<D: DerefMut<Target: Device>>(
+    sim: &mut dyn SimBackend,
+    devices: &mut [D],
+    ncycles: u64,
+    injections: &[Injection],
+    armed: &mut ArmedWatchdog,
+    obs: Option<&mut dyn Observer>,
+) -> Result<(), WatchdogTrip> {
+    match obs {
+        Some(obs) => run_per_cycle(sim, devices, ncycles, injections, armed, Some(obs)),
+        None => {
+            let mut lent: Vec<Lent<'_, D::Target>> =
+                devices.iter_mut().map(|d| Lent(&mut **d)).collect();
+            let mut devices: Vec<&mut dyn Device> = lent.iter_mut().map(|d| d as _).collect();
+            run_spans(sim, &mut devices, ncycles, injections, armed)
+        }
+    }
+}
+
+/// A device behind any handle, lent as a sized [`Device`] so that a slice
+/// of handles can be viewed as `&mut dyn Device`s.
+struct Lent<'a, T: ?Sized>(&'a mut T);
+
+impl<T: Device + ?Sized> Device for Lent<'_, T> {
+    fn tick(&mut self, cycle: u64, regs: &mut dyn RegAccess) {
+        self.0.tick(cycle, regs);
+    }
+
+    fn save_state(&self) -> Option<Vec<u8>> {
+        self.0.save_state()
+    }
+
+    fn load_state(&mut self, state: &[u8]) -> Result<(), String> {
+        self.0.load_state(state)
+    }
+
+    fn word_memory(&mut self) -> Option<WordMemory<'_>> {
+        self.0.word_memory()
+    }
+}
+
+/// [`run_watchdogged`] one cycle at a time: the observed run, and an
+/// unobserved cycle with an injection due.
+fn run_per_cycle<D: DerefMut<Target: Device>>(
     sim: &mut dyn SimBackend,
     devices: &mut [D],
     ncycles: u64,
@@ -502,6 +581,46 @@ pub fn run_watchdogged<D: DerefMut<Target: Device>>(
             if let Some(o) = obs.as_deref_mut() {
                 o.watchdog_trip(trip.cycle, &trip.reason);
             }
+            return Err(trip);
+        }
+    }
+    Ok(())
+}
+
+/// The unobserved [`run_watchdogged`]: a cycle with an injection due runs
+/// on its own, and the cycles up to the next one run as spans.
+fn run_spans(
+    sim: &mut dyn SimBackend,
+    devices: &mut [&mut dyn Device],
+    ncycles: u64,
+    injections: &[Injection],
+    armed: &mut ArmedWatchdog,
+) -> Result<(), WatchdogTrip> {
+    let mut left = ncycles;
+    while left > 0 {
+        let cycle = sim.cycle_count();
+        if injections.iter().any(|i| i.cycle == cycle) {
+            run_per_cycle(sim, devices, 1, injections, armed, None)?;
+            left -= 1;
+            continue;
+        }
+        let next = injections
+            .iter()
+            .map(|i| i.cycle)
+            .filter(|&c| c > cycle)
+            .min();
+        let span = Span {
+            cycles: left
+                .min(next.map_or(u64::MAX, |c| c - cycle))
+                .min(armed.span_cap(cycle)),
+            stop: None,
+            stall_limit: armed.cfg.stall_cycles,
+            stalled: armed.stalled,
+        };
+        let run = sim.run_span(span, devices);
+        armed.stalled = run.stalled;
+        left -= run.cycles;
+        if let Some(trip) = armed.check(sim.cycle_count()) {
             return Err(trip);
         }
     }

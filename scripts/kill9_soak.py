@@ -45,13 +45,15 @@ KILL_AT = 120  # SIGKILL lands after this many sessions' op groups
 DESIGNS = ("collatz", "fir", ("rv32i+primes:8", "rv32i+memwalk:4"))
 
 
-def start(state_dir):
-    """Spawns a durable server; returns (proc, (host, port), recovered)."""
+def start(state_dir, started):
+    """Spawns a durable server and appends it to `started` (so the caller
+    can stop it whatever happens); returns (proc, (host, port), recovered)."""
     proc = subprocess.Popen(
         [BIN, "--serve", "127.0.0.1:0", "--jobs", "2", "--state-dir", state_dir],
         stdout=subprocess.PIPE,
         text=True,
     )
+    started.append(proc)
     recovered = None
     addr = None
     while True:
@@ -156,10 +158,11 @@ def collect(c, sids):
 
 def main():
     root = tempfile.mkdtemp(prefix="koika-kill9-")
+    started = []
     try:
         # Golden: uninterrupted.
         gold_dir = os.path.join(root, "gold")
-        proc, addr, _ = start(gold_dir)
+        proc, addr, _ = start(gold_dir, started)
         c = Client(addr)
         groups = [drive_one(c, i) for i in range(SESSIONS)]
         sids = [sid for sid, _ in groups]
@@ -169,13 +172,13 @@ def main():
 
         # Kill run: SIGKILL mid-load, restart from the state dir, finish.
         kill_dir = os.path.join(root, "kill")
-        proc, addr, _ = start(kill_dir)
+        proc, addr, _ = start(kill_dir, started)
         c = Client(addr)
         kgroups = [drive_one(c, i) for i in range(KILL_AT)]
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60)
 
-        proc, addr, recovered = start(kill_dir)
+        proc, addr, recovered = start(kill_dir, started)
         assert recovered == KILL_AT, f"recovered {recovered}, expected {KILL_AT}"
         c = Client(addr)
         # Re-submit every req_id still inside a recovered window: each must
@@ -214,6 +217,11 @@ def main():
         )
         return 0
     finally:
+        # A failing step leaves its server running: stop every one.
+        for proc in started:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
         shutil.rmtree(root, ignore_errors=True)
 
 

@@ -473,6 +473,34 @@ fn req_id_resubmission_is_at_most_once_even_across_a_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn stream_trace_resubmitted_after_a_crash_gets_the_plain_step_reply() {
+    let dir = state_dir("trace-reqid");
+    let handle = durable_server(durable_config(&dir));
+    let mut c = Client::connect(&handle);
+    let id = u(&c.send(r#"{"op":"create","design":"collatz"}"#), "session");
+    let trace = format!(r#"{{"op":"stream-trace","session":{id},"n":5,"req_id":21}}"#);
+    let first = c.send(&trace);
+    assert!(ok(&first), "{first:?}");
+    assert!(first.get("events").is_some() && first.get("truncated").is_some(), "{first:?}");
+
+    // The journal keeps the step but not its trace: after recovery the
+    // same req_id answers with the step's counters and nothing else.
+    handle.abort();
+    let handle = durable_server(durable_config(&dir));
+    let mut c = Client::connect(&handle);
+    let again = c.send(&trace);
+    assert!(ok(&again), "{again:?}");
+    assert_eq!(u(&again, "cycles"), u(&first, "cycles"));
+    assert_eq!(u(&again, "fired"), u(&first, "fired"));
+    assert!(again.get("events").is_none(), "{again:?}");
+    assert!(again.get("truncated").is_none(), "{again:?}");
+    let r = c.send(&format!(r#"{{"op":"query-regs","session":{id}}}"#));
+    assert_eq!(u(&r, "cycles"), 5, "the re-submitted stream-trace must not step again");
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Read-only degradation under injected disk faults
 // ---------------------------------------------------------------------------
