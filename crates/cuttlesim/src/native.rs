@@ -25,17 +25,19 @@
 //! panicking operation (a bounds-checked runtime index, `%` by a divisor
 //! that may be zero) makes the cdylib reference `rust_eh_personality`,
 //! which then fails to `dlopen`. Runtime indices are host-validated raw
-//! offsets, and the memory wrap is a `checked_rem`.
+//! offsets, whole-log copies are raw copies over the length constant, and
+//! the memory wrap is a `checked_rem`.
 //!
 //! Every whole cycle fills the per-cycle record in `State`: one word per
 //! scheduled rule, saying whether it committed, conflicted (on which
 //! register), aborted or trapped, and at which bytecode pc it failed
-//! (`vm::REC_COMMIT` documents the encoding). The host maps the last
-//! failure to [`crate::FailInfo`], and `Sim::cycle_obs` replays the record
-//! to an observer, so an observed cycle runs at native speed too. Per-rule
-//! work — profiling, stepping mid-cycle, `Sim::try_cycle` — runs the
-//! micro-op bodies of the same program over the same `State` (see
-//! [`crate::tac`]), so profile weights are tac's by construction.
+//! ([`koika::obs::REC_COMMIT`] documents the encoding). The host maps the
+//! last failure to [`crate::FailInfo`], and `SimBackend::cycle_obs`
+//! replays the record to an observer, so an observed cycle runs at native
+//! speed too. Per-rule work — profiling, stepping mid-cycle,
+//! `Sim::try_cycle` — runs the micro-op bodies of the same program over
+//! the same `State` (see [`crate::tac`]), so profile weights are tac's by
+//! construction.
 //!
 //! Observability is preserved the same way `tac` preserves it: every
 //! emitted failure site carries its *bytecode* pc as an immediate, and
@@ -75,8 +77,9 @@ use crate::compile::{CopyPlan, Program, RuleCode};
 use crate::insn::{FusedBin, Insn};
 use crate::level::LevelCfg;
 use crate::tac::{TacProgram, TacRule, Uop};
-use crate::vm::{rec_fail_info, State, VmError, REC_ABORT, REC_CONFLICT, REC_TRAP};
+use crate::vm::{rec_fail_info, State, VmError};
 use koika::device::{Span, SpanEnd, SpanRun, WordMemory};
+use koika::obs::{REC_ABORT, REC_CONFLICT, REC_TRAP};
 use koika::tir::RegId;
 
 /// Bumped whenever the generated-source ABI (the `Ctx` layout, the
@@ -831,7 +834,7 @@ fn emit_slices(out: &mut String, names: &[&str]) {
 /// whole per-rule transaction, that is the baked
 /// [`crate::vm::rule_prologue`], the rule's micro-ops, then commit and the
 /// fired counters, or the failed counter and rollback. It returns the
-/// rule's per-cycle record word ([`crate::vm::REC_COMMIT`]); a trap
+/// rule's per-cycle record word ([`koika::obs::REC_COMMIT`]); a trap
 /// commits and rolls back nothing.
 ///
 /// Below the design-specific level commits and rollbacks follow the rule's
@@ -862,10 +865,7 @@ fn emit_rule_fn(mut be: BodyEmitter<'_>, rule: &RuleCode) {
     if !cfg.acc_logs {
         out.push_str("log_rw.fill(0);\n");
     } else if !cfg.reset_on_fail {
-        out.push_str("log_rw.copy_from_slice(cyc_rw);\nlog_d0.copy_from_slice(cyc_d0);\n");
-        if !cfg.merged_data {
-            out.push_str("log_d1.copy_from_slice(cyc_d1);\n");
-        }
+        emit_log_copy(out, cfg, "cyc", "log");
     }
     if let Some(fp) = &fp {
         for &(i, base, ..) in &fp.sites {
@@ -1151,6 +1151,24 @@ fn usize_list(xs: &[u32]) -> String {
     s
 }
 
+/// Emits a whole-log copy from the `from` log (`cyc` or `log`) to the
+/// `to` log: the read-write bytes, `data0` and, unless data is merged,
+/// `data1`. Each is a raw copy over the views' length constant, because a
+/// slice `copy_from_slice` keeps a length-mismatch panic path that only
+/// inlining removes.
+fn emit_log_copy(out: &mut String, cfg: LevelCfg, from: &str, to: &str) {
+    let mut fields = vec![("rw", "N"), ("d0", "N")];
+    if !cfg.merged_data {
+        fields.push(("d1", "D1_LEN"));
+    }
+    for (field, len) in fields {
+        let _ = writeln!(
+            out,
+            "core::ptr::copy_nonoverlapping({from}_{field}.as_ptr(), {to}_{field}.as_mut_ptr(), {len});"
+        );
+    }
+}
+
 /// Baked mirror of [`rule_commit`] (minus the fired counters, emitted by
 /// the caller).
 fn emit_commit(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
@@ -1169,12 +1187,7 @@ fn emit_commit(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
         );
     } else {
         match &rule.commit {
-            CopyPlan::Full => {
-                out.push_str("cyc_rw.copy_from_slice(log_rw);\ncyc_d0.copy_from_slice(log_d0);\n");
-                if !cfg.merged_data {
-                    out.push_str("cyc_d1.copy_from_slice(log_d1);\n");
-                }
-            }
+            CopyPlan::Full => emit_log_copy(out, cfg, "log", "cyc"),
             CopyPlan::Footprint { rw, data } => {
                 if !rw.is_empty() {
                     let _ = writeln!(
@@ -1203,12 +1216,7 @@ fn emit_commit(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
 /// Baked mirror of the rollback half of [`rule_failure`].
 fn emit_rollback(out: &mut String, cfg: LevelCfg, rule: &RuleCode) {
     match &rule.rollback {
-        CopyPlan::Full => {
-            out.push_str("log_rw.copy_from_slice(cyc_rw);\nlog_d0.copy_from_slice(cyc_d0);\n");
-            if !cfg.merged_data {
-                out.push_str("log_d1.copy_from_slice(cyc_d1);\n");
-            }
-        }
+        CopyPlan::Full => emit_log_copy(out, cfg, "cyc", "log"),
         CopyPlan::Footprint { rw, data } => {
             if !rw.is_empty() {
                 let _ = writeln!(out, "for _i in {} {{ log_rw[_i] = cyc_rw[_i]; }}", usize_list(rw));
@@ -2074,6 +2082,40 @@ mod tests {
                 .unwrap();
             assert!(out.status.success(), "{level}");
             assert_eq!(String::from_utf8_lossy(&out.stderr), "", "{level}: rustc printed");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The emitted code is free of panic paths by construction, not
+    /// because `koika_cycle` happens to inline every `core` helper: built
+    /// in sixteen codegen units, where a helper's instance may stay out of
+    /// line, the crate still loads at every level (O2–O5 copy whole logs).
+    #[test]
+    fn generated_crate_loads_when_split_into_codegen_units() {
+        if !available("generated_crate_loads_when_split_into_codegen_units") {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("koika-native-cgu-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for level in OptLevel::ALL {
+            let prog = compile(&scatter(), &CompileOptions { level, ..CompileOptions::default() })
+                .unwrap();
+            let src = emit_source(&prog, &TacProgram::lower(&prog)).unwrap().source;
+            let rs = dir.join(format!("{}.rs", level.short_name()));
+            std::fs::write(&rs, src).unwrap();
+            let so = rs.with_extension("so");
+            let out = std::process::Command::new(rustc_cmd())
+                .args(RUSTC_ARGS)
+                .args(["-C", "codegen-units=16"])
+                .arg("-o")
+                .arg(&so)
+                .arg(&rs)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{level}: {}", String::from_utf8_lossy(&out.stderr));
+            if let Err(e) = dl::open(&so) {
+                panic!("{level}: the cdylib does not load: {e}");
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

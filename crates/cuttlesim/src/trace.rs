@@ -11,6 +11,7 @@
 
 use crate::vm::Sim;
 use koika::device::Device;
+use koika::fault::{run_watchdogged, Watchdog};
 use koika::obs::{FailureReason, Observer};
 use std::fmt;
 
@@ -62,7 +63,6 @@ impl RuleTrace {
     /// Runs `ncycles` cycles on `sim` (ticking `devices` at each boundary),
     /// recording every rule's outcome.
     pub fn record(sim: &mut Sim, devices: &mut [&mut dyn Device], ncycles: u64) -> RuleTrace {
-        use koika::device::SimBackend;
         let rule_names: Vec<String> = sim
             .program()
             .schedule
@@ -70,7 +70,9 @@ impl RuleTrace {
             .map(|&i| sim.program().rules[i].name.clone())
             .collect();
         let mut collector = TraceCollector::default();
-        sim.run_obs(ncycles, devices, &mut collector);
+        let mut unarmed = Watchdog::default().arm();
+        let run = run_watchdogged(sim, devices, ncycles, &[], &mut unarmed, Some(&mut collector));
+        run.expect("a watchdog without budgets never trips");
         RuleTrace {
             rule_names,
             cycles: collector.cycles,

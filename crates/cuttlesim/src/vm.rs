@@ -21,7 +21,7 @@ use koika::analysis::ScheduleAssumption;
 use koika::bits::word;
 use koika::bits::Bits;
 use koika::device::{run_span_per_cycle, Device, RegAccess, SimBackend, Span, SpanRun, WordMemory};
-use koika::obs::{FailureReason, Metrics, Observer};
+use koika::obs::{rec_conflict, Metrics, REC_ABORT, REC_COMMIT, REC_CONFLICT, REC_TRAP};
 use koika::snapshot::{Snapshot, SnapshotError};
 use koika::tir::{RegId, TDesign};
 use std::collections::VecDeque;
@@ -113,8 +113,8 @@ pub(crate) struct State {
     pub(crate) cov: Vec<u64>,
     pub(crate) last_fail: Option<FailInfo>,
     /// The per-cycle record: one word per rule the current cycle ran, in
-    /// run order (for a plain cycle, schedule order). See [`REC_COMMIT`]
-    /// for the encoding.
+    /// run order (for a plain cycle, schedule order). See
+    /// [`koika::obs::REC_COMMIT`] for the encoding.
     pub(crate) rec: Vec<u64>,
 }
 
@@ -146,23 +146,10 @@ impl State {
     }
 }
 
-/// Per-cycle record word of a rule that committed. A record word holds
-/// the outcome in bits 0–1 (this, [`REC_CONFLICT`], [`REC_ABORT`] or
-/// [`REC_TRAP`]), the conflicting register (or a native trap's ordinal)
-/// in bits 2–31 and the failing bytecode pc in bits 32–63. The host's
-/// per-rule step and the generated `koika_cycle` write the same words.
-pub(crate) const REC_COMMIT: u64 = 0;
-/// Record outcome: a read/write check failed on the recorded register.
-pub(crate) const REC_CONFLICT: u64 = 1;
-/// Record outcome: an explicit abort.
-pub(crate) const REC_ABORT: u64 = 2;
-/// Record outcome: a VM trap; the rule neither committed nor rolled back.
-pub(crate) const REC_TRAP: u64 = 3;
-
 /// The record word of the failure `f` describes.
 fn rec_failure(f: &FailInfo) -> u64 {
     let how = match f.reg {
-        Some(r) => (r.0 as u64) << 2 | REC_CONFLICT,
+        Some(r) => rec_conflict(r),
         None => REC_ABORT,
     };
     (f.pc as u64) << 32 | how
@@ -175,17 +162,6 @@ pub(crate) fn rec_fail_info(w: u64, rule: usize, cycle: u64) -> FailInfo {
         pc: (w >> 32) as usize,
         reg: (w & 3 == REC_CONFLICT).then_some(RegId((w as u32) >> 2)),
         cycle,
-    }
-}
-
-/// Why the rule behind record word `w` failed; `None` if it committed. A
-/// trap reads as [`FailureReason::Unspecified`].
-fn rec_reason(w: u64) -> Option<FailureReason> {
-    match w & 3 {
-        REC_COMMIT => None,
-        REC_CONFLICT => Some(FailureReason::Conflict(RegId((w as u32) >> 2))),
-        REC_ABORT => Some(FailureReason::Abort),
-        _ => Some(FailureReason::Unspecified),
     }
 }
 
@@ -286,9 +262,6 @@ pub struct Sim {
     /// Per-rule executed-instruction counters (gprof-style profiling),
     /// `None` unless enabled.
     profile: Option<Vec<u64>>,
-    /// Scratch buffer for `cycle_obs` boundary diffs. Lives outside `State`
-    /// so snapshots and reverse debugging don't drag it along.
-    obs_prev: Vec<u64>,
     /// The first VM-internal error hit, if any (see [`Sim::take_trap`]).
     trap: Option<VmError>,
 }
@@ -344,7 +317,6 @@ impl Sim {
             history: None,
             mid_cycle: false,
             profile: None,
-            obs_prev: Vec::new(),
             trap: None,
         }
     }
@@ -1237,35 +1209,14 @@ impl SimBackend for Sim {
         self.end_cycle();
     }
 
-    /// Runs the ordinary [`SimBackend::cycle`], then replays its per-cycle
-    /// record to `obs` in schedule order, so an observed cycle runs the
-    /// same engine code as an unobserved one on every dispatch. Registers
-    /// are captured around the cycle only if `obs` reads `reg_write`.
-    fn cycle_obs(&mut self, obs: &mut dyn Observer) {
-        debug_assert!(!self.mid_cycle, "cycle_obs() called while stepping mid-cycle");
-        let mut prev = std::mem::take(&mut self.obs_prev);
-        prev.clear();
-        if obs.reads_reg_writes() {
-            prev.extend_from_slice(self.regs());
-        }
-        let cycle = self.st.cycles;
-        obs.cycle_start(cycle);
-        self.cycle();
-        debug_assert_eq!(self.st.rec.len(), self.prog.schedule.len(), "one word per rule");
-        for (&rule, &word) in self.prog.schedule.iter().zip(&self.st.rec) {
-            obs.rule_attempt(rule);
-            match rec_reason(word) {
-                None => obs.rule_commit(rule),
-                Some(reason) => obs.rule_fail(rule, reason),
-            }
-        }
-        for (i, (&old, &new)) in prev.iter().zip(self.regs()).enumerate() {
-            if new != old {
-                obs.reg_write(RegId(i as u32), old, new);
-            }
-        }
-        self.obs_prev = prev;
-        obs.cycle_end(cycle);
+    #[inline]
+    fn last_record(&self) -> (&[usize], &[u64]) {
+        (&self.prog.schedule, &self.st.rec)
+    }
+
+    #[inline]
+    fn reg_words(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(self.regs());
     }
 
     /// On native dispatch with no profile and no history, and with every
@@ -1300,6 +1251,7 @@ impl SimBackend for Sim {
         run_span_per_cycle(self, span, devices)
     }
 
+    #[inline]
     fn cycle_count(&self) -> u64 {
         self.st.cycles
     }

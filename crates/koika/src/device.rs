@@ -12,9 +12,10 @@
 //! Devices may only touch registers at most 64 bits wide (every design in
 //! this repository qualifies).
 
-use crate::obs::Observer;
+use crate::obs::{rec_reason, Observer};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::tir::{RegId, TDesign};
+use std::cell::Cell;
 
 /// Register-level access to a simulator's architectural state, as visible
 /// between cycles.
@@ -261,6 +262,13 @@ pub fn run_span_per_cycle<S: SimBackend + ?Sized>(
     }
 }
 
+thread_local! {
+    /// The register capture of [`SimBackend::cycle_obs`], before the
+    /// cycle and after it: one buffer per thread, reused by every
+    /// observed cycle on it.
+    static CAPTURE: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
 /// A cycle-accurate simulation backend.
 ///
 /// All simulators in this workspace (the reference interpreter, every
@@ -272,31 +280,63 @@ pub trait SimBackend: RegAccess {
     /// update).
     fn cycle(&mut self);
 
+    /// The per-cycle record the last [`SimBackend::cycle`] left: the
+    /// rules it ran, in schedule order, as **declaration order** indices,
+    /// and one record word per rule ([`crate::obs::REC_COMMIT`] gives the
+    /// encoding).
+    fn last_record(&self) -> (&[usize], &[u64]);
+
+    /// Appends the low 64 bits of every register to `out`, in index order.
+    fn reg_words(&self, out: &mut Vec<u64>);
+
     /// Executes one full cycle while reporting rule-level events to the
-    /// given [`Observer`].
+    /// given [`Observer`]: the ordinary [`SimBackend::cycle`], then a
+    /// replay of the record it left ([`SimBackend::last_record`]), so an
+    /// observed cycle runs the same engine code as an unobserved one and
+    /// every backend sends the same event order. That order is
+    /// `cycle_start`; per scheduled rule, in schedule order,
+    /// `rule_attempt` then `rule_commit` or `rule_fail`; `reg_write` for
+    /// each register whose low 64 bits changed across the cycle boundary,
+    /// in index order; `cycle_end`. Registers are captured around the
+    /// cycle only for an observer whose [`Observer::reads_reg_writes`] is
+    /// `true`.
     ///
-    /// This is a separate entry point (rather than an `Option<&mut dyn
-    /// Observer>` parameter on [`SimBackend::cycle`]) so that unobserved
-    /// simulation pays no dispatch or branching cost at all: the hot
-    /// `cycle` loops stay byte-for-byte what they were before observation
-    /// existed.
-    ///
-    /// A backend may implement it as its ordinary `cycle` followed by a
-    /// replay of what the cycle did, as the Cuttlesim VM does on every
-    /// dispatch (its per-cycle record holds each scheduled rule's
-    /// outcome), instead of stepping rule by rule. The events are the
-    /// same either way: `cycle_start`; per scheduled rule, in schedule
-    /// order, `rule_attempt` then `rule_commit` or `rule_fail`; `reg_write`
-    /// for each changed register, in index order; `cycle_end`. A backend
-    /// may skip the `reg_write` events for an observer whose
-    /// [`Observer::reads_reg_writes`] is `false`.
-    ///
-    /// Rule indices reported to the observer are **declaration order**
-    /// indices on every backend, and `reg_write` reports registers whose
-    /// low 64 bits changed across the cycle boundary, so event streams
-    /// from different backends over the same design are directly
-    /// comparable.
-    fn cycle_obs(&mut self, obs: &mut dyn Observer);
+    /// Rule indices reported to the observer are declaration order
+    /// indices on every backend, so event streams from different backends
+    /// over the same design are directly comparable.
+    fn cycle_obs(&mut self, obs: &mut dyn Observer) {
+        let capture = obs.reads_reg_writes();
+        let mut regs = Vec::new();
+        if capture {
+            regs = CAPTURE.take();
+            regs.clear();
+            self.reg_words(&mut regs);
+        }
+        let cycle = self.cycle_count();
+        obs.cycle_start(cycle);
+        self.cycle();
+        let (rules, words) = self.last_record();
+        debug_assert_eq!(rules.len(), words.len(), "one record word per rule");
+        for (&rule, &word) in rules.iter().zip(words) {
+            obs.rule_attempt(rule);
+            match rec_reason(word) {
+                None => obs.rule_commit(rule),
+                Some(reason) => obs.rule_fail(rule, reason),
+            }
+        }
+        if capture {
+            let n = regs.len();
+            self.reg_words(&mut regs);
+            let (old, new) = regs.split_at(n);
+            for (i, (&old, &new)) in old.iter().zip(new).enumerate() {
+                if new != old {
+                    obs.reg_write(RegId(i as u32), old, new);
+                }
+            }
+            CAPTURE.set(regs);
+        }
+        obs.cycle_end(cycle);
+    }
 
     /// The number of cycles executed so far.
     fn cycle_count(&self) -> u64;
@@ -340,18 +380,6 @@ pub trait SimBackend: RegAccess {
     /// it leaves the same state behind, devices included.
     fn run_span(&mut self, span: Span, devices: &mut [&mut dyn Device]) -> SpanRun {
         run_span_per_cycle(self, span, devices)
-    }
-
-    /// Like [`SimBackend::run`], but with an [`Observer`] attached to
-    /// every cycle.
-    fn run_obs(&mut self, ncycles: u64, devices: &mut [&mut dyn Device], obs: &mut dyn Observer) {
-        for _ in 0..ncycles {
-            let cycle = self.cycle_count();
-            for d in devices.iter_mut() {
-                d.tick(cycle, self.as_reg_access());
-            }
-            self.cycle_obs(obs);
-        }
     }
 
     /// Upcast helper so `run` can hand devices a `&mut dyn RegAccess`.

@@ -25,7 +25,7 @@
 
 use crate::bits::Bits;
 use crate::device::{RegAccess, SimBackend};
-use crate::obs::{FailureReason, Observer};
+use crate::obs::{rec_conflict, REC_ABORT, REC_COMMIT};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::tir::{RegId, TAction, TDesign, TExpr};
 use crate::ast::{BinOp, Port, UnOp};
@@ -66,6 +66,8 @@ pub struct Interp {
     fired: u64,
     /// Per-rule commit counts (same order as `design.rules`).
     fired_per_rule: Vec<u64>,
+    /// The last cycle's record word per scheduled rule.
+    rec: Vec<u64>,
     mid_cycle: bool,
 }
 
@@ -81,6 +83,7 @@ impl Interp {
             cycles: 0,
             fired: 0,
             fired_per_rule: vec![0; design.rules.len()],
+            rec: Vec::with_capacity(design.schedule.len()),
             design: design.clone(),
         mid_cycle: false,
         }
@@ -361,36 +364,24 @@ impl SimBackend for Interp {
     fn cycle(&mut self) {
         debug_assert!(!self.mid_cycle, "cycle() called while stepping mid-cycle");
         self.begin_cycle();
-        let schedule = self.design.schedule.clone();
-        for idx in schedule {
-            self.step_rule(idx);
+        self.rec.clear();
+        for i in 0..self.design.schedule.len() {
+            let word = match self.try_rule(self.design.schedule[i]) {
+                Ok(()) => REC_COMMIT,
+                Err(Aborted::Explicit) => REC_ABORT,
+                Err(Aborted::Conflict(reg)) => rec_conflict(reg),
+            };
+            self.rec.push(word);
         }
         self.end_cycle();
     }
 
-    fn cycle_obs(&mut self, obs: &mut dyn Observer) {
-        debug_assert!(!self.mid_cycle, "cycle_obs() called while stepping mid-cycle");
-        let n = self.cycles;
-        let prev: Vec<u64> = self.regs.iter().map(|b| b.low_u64()).collect();
-        obs.cycle_start(n);
-        self.begin_cycle();
-        let schedule = self.design.schedule.clone();
-        for idx in schedule {
-            obs.rule_attempt(idx);
-            match self.try_rule(idx) {
-                Ok(()) => obs.rule_commit(idx),
-                Err(Aborted::Explicit) => obs.rule_fail(idx, FailureReason::Abort),
-                Err(Aborted::Conflict(reg)) => obs.rule_fail(idx, FailureReason::Conflict(reg)),
-            }
-        }
-        self.end_cycle();
-        for (i, &old) in prev.iter().enumerate() {
-            let new = self.regs[i].low_u64();
-            if new != old {
-                obs.reg_write(RegId(i as u32), old, new);
-            }
-        }
-        obs.cycle_end(n);
+    fn last_record(&self) -> (&[usize], &[u64]) {
+        (&self.design.schedule, &self.rec)
+    }
+
+    fn reg_words(&self, out: &mut Vec<u64>) {
+        out.extend(self.regs.iter().map(Bits::low_u64));
     }
 
     fn cycle_count(&self) -> u64 {

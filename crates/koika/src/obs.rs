@@ -10,15 +10,15 @@
 //! differential tests report *where* two backends diverge, not just that
 //! they do.
 //!
-//! Observation is strictly opt-in: backends expose a separate
-//! `cycle_obs(&mut dyn Observer)` entry point next to their unhooked
-//! `cycle()`, so a simulation that never attaches an observer executes the
-//! exact same code as before this module existed (zero cost when disabled).
-//! The Cuttlesim VM does not step rule by rule for an observer either: on
-//! every dispatch it runs the ordinary cycle, which leaves a per-cycle
-//! record of each scheduled rule's outcome, and replays that record as
-//! events. The boundary register diff behind `reg_write` is taken only
-//! for observers whose [`Observer::reads_reg_writes`] says they read it.
+//! Observation is strictly opt-in, and no backend steps rule by rule for
+//! an observer. Every backend's ordinary `cycle()` leaves a per-cycle
+//! record: one record word per scheduled rule ([`REC_COMMIT`] gives the
+//! encoding). The one observed cycle, the provided
+//! [`crate::device::SimBackend::cycle_obs`], runs that ordinary cycle
+//! and replays its record as events, so an observed cycle executes the
+//! same engine code as an unobserved one. The boundary register diff
+//! behind `reg_write` is taken only for observers whose
+//! [`Observer::reads_reg_writes`] says they read it.
 //!
 //! Sinks provided here:
 //! - [`Metrics`] — per-rule commit/abort counters, commit/abort-per-cycle
@@ -42,9 +42,46 @@ pub enum FailureReason {
     Abort,
     /// A read/write check failed on the given register.
     Conflict(RegId),
-    /// The backend cannot distinguish abort from conflict (the RTL
-    /// simulator only sees the final `will_fire` wire).
+    /// The reason is unknown: the RTL simulator only sees the final
+    /// `will_fire` wire, and a Cuttlesim VM trap is neither.
     Unspecified,
+}
+
+/// Per-cycle record word of a rule that committed. A record word holds
+/// the outcome in bits 0–1 (this, [`REC_CONFLICT`], [`REC_ABORT`] or
+/// [`REC_TRAP`]), the conflicting register (or a native trap's ordinal)
+/// in bits 2–31 and the failing bytecode pc in bits 32–63 (0 where the
+/// backend has no bytecode). Every backend's cycle leaves one word per
+/// scheduled rule ([`SimBackend::last_record`]); the Cuttlesim host and
+/// its generated native crate write the same words.
+///
+/// [`SimBackend::last_record`]: crate::device::SimBackend::last_record
+pub const REC_COMMIT: u64 = 0;
+/// Record outcome: a read/write check failed on the recorded register.
+pub const REC_CONFLICT: u64 = 1;
+/// Record outcome: an explicit abort.
+pub const REC_ABORT: u64 = 2;
+/// Record outcome: the rule failed for an unspecified reason. A Cuttlesim
+/// VM trap (the rule neither committed nor rolled back) writes it, and so
+/// does an RTL rule whose will-fire wire is low.
+pub const REC_TRAP: u64 = 3;
+
+/// The record word of a conflict on `reg` (pc 0).
+#[inline]
+pub fn rec_conflict(reg: RegId) -> u64 {
+    (reg.0 as u64) << 2 | REC_CONFLICT
+}
+
+/// Why the rule behind record word `w` failed; `None` if it committed.
+/// [`REC_TRAP`] reads as [`FailureReason::Unspecified`].
+#[inline]
+pub fn rec_reason(w: u64) -> Option<FailureReason> {
+    match w & 3 {
+        REC_COMMIT => None,
+        REC_CONFLICT => Some(FailureReason::Conflict(RegId((w as u32) >> 2))),
+        REC_ABORT => Some(FailureReason::Abort),
+        _ => Some(FailureReason::Unspecified),
+    }
 }
 
 /// A probe attached to a simulation backend.

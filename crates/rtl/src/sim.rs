@@ -17,7 +17,7 @@ use crate::compile::RtlModel;
 use crate::netlist::{NlBin, NlUn, Node};
 use koika::bits::{word, Bits};
 use koika::device::{RegAccess, SimBackend};
-use koika::obs::{FailureReason, Observer};
+use koika::obs::{REC_COMMIT, REC_TRAP};
 use koika::snapshot::{Snapshot, SnapshotError};
 use koika::tir::RegId;
 use std::sync::Arc;
@@ -34,8 +34,12 @@ pub struct RtlSim {
     cycles: u64,
     fired: u64,
     fired_per_rule: Vec<u64>,
-    /// Scratch buffer for `cycle_obs` boundary diffs.
-    obs_prev: Vec<u64>,
+    /// The declaration-order index of each scheduled rule (a hand-built
+    /// model without scheduling metadata falls back to the position).
+    rules: Arc<[usize]>,
+    /// The last cycle's record word per scheduled rule: committed, or
+    /// failed for an unspecified reason.
+    rec: Vec<u64>,
 }
 
 impl RtlSim {
@@ -44,6 +48,9 @@ impl RtlSim {
         let regs: Vec<u64> = model.netlist.regs.iter().map(|r| r.init).collect();
         let vals = vec![0; model.netlist.len()];
         let nrules = model.fires.len();
+        let rules = (0..nrules)
+            .map(|i| model.sched_rules.get(i).copied().unwrap_or(i))
+            .collect();
         RtlSim {
             model: Arc::new(model),
             regs,
@@ -51,7 +58,8 @@ impl RtlSim {
             cycles: 0,
             fired: 0,
             fired_per_rule: vec![0; nrules],
-            obs_prev: Vec::new(),
+            rules,
+            rec: vec![REC_COMMIT; nrules],
         }
     }
 
@@ -164,10 +172,15 @@ impl SimBackend for RtlSim {
     fn cycle(&mut self) {
         self.settle();
         for (i, &fire) in self.model.fires.iter().enumerate() {
-            if self.vals[fire.0 as usize] != 0 {
+            // The netlist only exposes the final will-fire wire: abort and
+            // conflict are indistinguishable here.
+            self.rec[i] = if self.vals[fire.0 as usize] != 0 {
                 self.fired += 1;
                 self.fired_per_rule[i] += 1;
-            }
+                REC_COMMIT
+            } else {
+                REC_TRAP
+            };
         }
         for i in 0..self.regs.len() {
             if let Some(next) = self.model.netlist.regs[i].next {
@@ -177,43 +190,12 @@ impl SimBackend for RtlSim {
         self.cycles += 1;
     }
 
-    fn cycle_obs(&mut self, obs: &mut dyn Observer) {
-        let mut prev = std::mem::take(&mut self.obs_prev);
-        prev.clear();
-        prev.extend_from_slice(&self.regs);
-        let cycle = self.cycles;
-        obs.cycle_start(cycle);
-        self.settle();
-        for (i, &fire) in self.model.fires.iter().enumerate() {
-            // Report the declaration-order rule index, like the other
-            // backends (schedule position falls back to itself for
-            // hand-built models without scheduling metadata).
-            let rule = self.model.sched_rules.get(i).copied().unwrap_or(i);
-            obs.rule_attempt(rule);
-            if self.vals[fire.0 as usize] != 0 {
-                self.fired += 1;
-                self.fired_per_rule[i] += 1;
-                obs.rule_commit(rule);
-            } else {
-                // The netlist only exposes the final will-fire wire; abort
-                // and conflict are indistinguishable here.
-                obs.rule_fail(rule, FailureReason::Unspecified);
-            }
-        }
-        for i in 0..self.regs.len() {
-            if let Some(next) = self.model.netlist.regs[i].next {
-                self.regs[i] = self.vals[next.0 as usize];
-            }
-        }
-        self.cycles += 1;
-        for (i, &old) in prev.iter().enumerate() {
-            let new = self.regs[i];
-            if new != old {
-                obs.reg_write(RegId(i as u32), old, new);
-            }
-        }
-        self.obs_prev = prev;
-        obs.cycle_end(cycle);
+    fn last_record(&self) -> (&[usize], &[u64]) {
+        (&self.rules, &self.rec)
+    }
+
+    fn reg_words(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&self.regs);
     }
 
     fn cycle_count(&self) -> u64 {
@@ -228,16 +210,9 @@ impl SimBackend for RtlSim {
         // Commit counters live in schedule order here; export them in
         // declaration order like the other backends so snapshots are
         // portable.
-        let nrules = self
-            .model
-            .sched_rules
-            .iter()
-            .map(|&r| r + 1)
-            .max()
-            .unwrap_or(self.fired_per_rule.len());
+        let nrules = self.rules.iter().map(|&r| r + 1).max().unwrap_or(0);
         let mut decl = vec![0u64; nrules];
-        for (i, &count) in self.fired_per_rule.iter().enumerate() {
-            let rule = self.model.sched_rules.get(i).copied().unwrap_or(i);
+        for (&rule, &count) in self.rules.iter().zip(&self.fired_per_rule) {
             decl[rule] += count;
         }
         Snapshot {
@@ -265,8 +240,7 @@ impl SimBackend for RtlSim {
         }
         self.cycles = snap.cycles;
         self.fired = snap.fired;
-        for (i, slot) in self.fired_per_rule.iter_mut().enumerate() {
-            let rule = self.model.sched_rules.get(i).copied().unwrap_or(i);
+        for (slot, &rule) in self.fired_per_rule.iter_mut().zip(self.rules.iter()) {
             *slot = snap.fired_per_rule.get(rule).copied().unwrap_or(0);
         }
         Ok(())

@@ -9,8 +9,9 @@
 use cuttlesim::{CompileOptions, Sim};
 use koika::check::check;
 use koika::device::{Device, SimBackend};
-use koika::obs::Metrics;
-use koika::obs::PerfettoTrace;
+use koika::fault::{run_watchdogged, CommitFingerprint, Watchdog};
+use koika::obs::{Fanout, Metrics, Observer, PerfettoTrace};
+use koika::tir::{RegId, TDesign};
 use koika_designs::harness::MEM_WORDS;
 use koika_designs::memdev::MagicMemory;
 use koika_designs::{rv32, small};
@@ -178,7 +179,8 @@ fn interp_and_cuttlesim_agree_per_rule_on_rv32i() {
         let mut sim = koika::Interp::new(&td);
         let mut mem = MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS);
         let mut devs: Vec<&mut dyn Device> = vec![&mut mem];
-        sim.run_obs(N, &mut devs, &mut m_interp);
+        let mut unarmed = Watchdog::default().arm();
+        run_watchdogged(&mut sim, &mut devs, N, &[], &mut unarmed, Some(&mut m_interp)).unwrap();
     }
 
     let mut m_vm = Metrics::for_design(&td);
@@ -186,7 +188,8 @@ fn interp_and_cuttlesim_agree_per_rule_on_rv32i() {
         let mut sim = Sim::compile_with(&td, &CompileOptions::default()).unwrap();
         let mut mem = MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS);
         let mut devs: Vec<&mut dyn Device> = vec![&mut mem];
-        sim.run_obs(N, &mut devs, &mut m_vm);
+        let mut unarmed = Watchdog::default().arm();
+        run_watchdogged(&mut sim, &mut devs, N, &[], &mut unarmed, Some(&mut m_vm)).unwrap();
     }
 
     assert_eq!(
@@ -217,42 +220,122 @@ fn observation_does_not_change_simulation_results() {
     assert_eq!(m.commits_per_rule(), plain.fired_per_rule().to_vec());
 }
 
-/// The sinks an observed VM cycle feeds, and what they export.
+/// Every `reg_write` event, with the cycle it came in.
+#[derive(Default)]
+struct RegWrites {
+    cycle: u64,
+    events: Vec<(u64, RegId, u64, u64)>,
+}
+
+impl Observer for RegWrites {
+    fn cycle_start(&mut self, cycle: u64) {
+        self.cycle = cycle;
+    }
+
+    fn reg_write(&mut self, reg: RegId, old: u64, new: u64) {
+        self.events.push((self.cycle, reg, old, new));
+    }
+}
+
+/// The sinks an observed cycle feeds, and what they export.
 struct Sinks {
     metrics: Metrics,
     perfetto: PerfettoTrace,
-    fp: koika::fault::CommitFingerprint,
+    fp: CommitFingerprint,
+    writes: RegWrites,
 }
 
+/// What [`Sinks`] export: metrics JSON, Perfetto JSON, the commit
+/// fingerprint, the `reg_write` stream and the per-rule commits.
+type Export = (String, String, u64, Vec<(u64, RegId, u64, u64)>, Vec<u64>);
+
 impl Sinks {
-    fn for_design(td: &koika::tir::TDesign) -> Sinks {
+    fn for_design(td: &TDesign) -> Sinks {
         Sinks {
             metrics: Metrics::for_design(td),
             perfetto: PerfettoTrace::for_design(td),
             fp: Default::default(),
+            writes: Default::default(),
         }
     }
 
     fn cycle_obs(&mut self, sim: &mut dyn SimBackend) {
-        let sinks: Vec<&mut dyn koika::obs::Observer> =
-            vec![&mut self.metrics, &mut self.perfetto, &mut self.fp];
-        sim.cycle_obs(&mut koika::obs::Fanout::new(sinks));
+        let sinks: Vec<&mut dyn Observer> = vec![
+            &mut self.metrics,
+            &mut self.perfetto,
+            &mut self.fp,
+            &mut self.writes,
+        ];
+        sim.cycle_obs(&mut Fanout::new(sinks));
     }
 
-    fn export(&self) -> (String, String, u64) {
-        (self.metrics.to_json(false), self.perfetto.to_json(), self.fp.digest())
+    fn export(self) -> Export {
+        (
+            self.metrics.to_json(false),
+            self.perfetto.to_json(),
+            self.fp.digest(),
+            self.writes.events,
+            self.metrics.commits_per_rule(),
+        )
     }
 }
 
-/// An observed VM cycle is the engine's ordinary cycle plus a replay of
-/// the per-cycle record it leaves. On match, tac and native, a design runs
-/// unobserved, observed by Metrics, Perfetto and a commit fingerprint, and
-/// observed by a fingerprint alone (which skips the register capture). All
-/// three runs end in the same state, and the exports are byte-identical
-/// across dispatches and, where the interpreter can run the design, equal
-/// to the interpreter's. Clash conflicts every cycle; `trapping` is clash
-/// with rule `b`'s bytecode broken, so it traps every cycle, which the
-/// replay reports as a failure of unspecified reason.
+/// Runs three copies of one backend for `cycles` cycles, each with its
+/// own memory device where the design has one: unobserved, observed
+/// through [`Sinks`], and observed by a commit fingerprint alone (which
+/// skips the register capture). After every cycle the three hold the same
+/// snapshot (registers and counters) and `same` compares whatever else
+/// the backend keeps; at the end the fingerprint alone equals the
+/// fanout's, and the observed commits equal the backend's counters.
+fn observed_runs<S: SimBackend>(
+    [mut plain, mut observed, mut fingerprinted]: [S; 3],
+    td: &TDesign,
+    memory: &dyn Fn() -> Option<MagicMemory>,
+    cycles: u64,
+    at: &dyn Fn(u64) -> String,
+    mut same: impl FnMut([&mut S; 3], &str),
+) -> Sinks {
+    let mut mems = [memory(), memory(), memory()];
+    let mut sinks = Sinks::for_design(td);
+    let mut fp = CommitFingerprint::default();
+    for cycle in 0..cycles {
+        let sims = [&mut plain, &mut observed, &mut fingerprinted];
+        for (mem, sim) in mems.iter_mut().zip(sims) {
+            if let Some(m) = mem {
+                m.tick(cycle, sim);
+            }
+        }
+        plain.cycle();
+        sinks.cycle_obs(&mut observed);
+        fingerprinted.cycle_obs(&mut fp);
+        for sim in [&observed, &fingerprinted] {
+            assert_eq!(sim.snapshot(), plain.snapshot(), "{}", at(cycle));
+        }
+        same([&mut plain, &mut observed, &mut fingerprinted], &at(cycle));
+    }
+    assert_eq!(
+        fp.digest(),
+        sinks.fp.digest(),
+        "{}: fingerprint alone",
+        at(cycles)
+    );
+    let commits = sinks.metrics.commits_per_rule();
+    assert_eq!(commits, plain.snapshot().fired_per_rule, "{}", at(cycles));
+    sinks
+}
+
+/// An observed cycle is the backend's ordinary cycle plus a replay of the
+/// per-cycle record it leaves. On the interpreter, both RTL schemes and
+/// the VM's match, tac and native dispatch, a design runs unobserved,
+/// observed by Metrics, Perfetto, a commit fingerprint and a `reg_write`
+/// recorder, and observed by a fingerprint alone; all three runs end in
+/// the same state ([`observed_runs`]). Against the interpreter, every
+/// backend's per-rule commits, fingerprint and `reg_write` stream are
+/// equal, and the VM's Metrics and Perfetto exports are byte-identical
+/// (RTL failures have no reason, so its exports are not). Clash runs its
+/// rules against declaration order and conflicts every cycle; `trapping`
+/// is clash with rule `b`'s bytecode broken, so it traps every cycle,
+/// which the replay reports as a failure of unspecified reason.
 #[test]
 fn observed_cycles_replay_the_record_on_every_dispatch() {
     use cuttlesim::insn::Insn;
@@ -270,12 +353,15 @@ fn observed_cycles_replay_the_record_on_every_dispatch() {
     b.reg("n", 8, 0u64);
     b.rule("a", vec![wr0("n", rd0("n").add(k(8, 1)))]);
     b.rule("b", vec![wr0("n", rd0("n").add(k(8, 2)))]);
+    b.schedule(["b", "a"]);
     let clash = check(&b.build()).unwrap();
     let collatz = check(&small::collatz()).unwrap();
     let rv32i = check(&rv32::rv32i()).unwrap();
     let opts = CompileOptions::default();
     let mut trapping = cuttlesim::compile(&clash, &opts).unwrap();
-    std::sync::Arc::make_mut(&mut trapping.rules)[1].code.insert(0, Insn::Add { mask: u64::MAX });
+    std::sync::Arc::make_mut(&mut trapping.rules)[1]
+        .code
+        .insert(0, Insn::Add { mask: u64::MAX });
     let program = programs::primes(20);
     let cases = [
         (cuttlesim::compile(&collatz, &opts).unwrap(), true, 200),
@@ -285,68 +371,68 @@ fn observed_cycles_replay_the_record_on_every_dispatch() {
     ];
     for (prog, interp_runs, cycles) in cases {
         let td = prog.design.clone();
-        let name = if interp_runs { td.name.clone() } else { "trapping".to_string() };
+        let name = if interp_runs {
+            td.name.clone()
+        } else {
+            "trapping".to_string()
+        };
         let memory = || {
-            (td.name == "rv32i").then(|| MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS))
+            (td.name == "rv32i")
+                .then(|| MagicMemory::new(&td, &["imem", "dmem"], &program, MEM_WORDS))
         };
         let mut want = None;
         if interp_runs {
-            let mut sim = koika::Interp::new(&td);
-            let mut mem = memory();
-            let mut sinks = Sinks::for_design(&td);
-            for cycle in 0..cycles {
-                if let Some(m) = &mut mem {
-                    m.tick(cycle, &mut sim);
-                }
-                sinks.cycle_obs(&mut sim);
+            let at = |cycle: u64| format!("{name} interp cycle {cycle}");
+            let sims = std::array::from_fn(|_| koika::Interp::new(&td));
+            let got = observed_runs(sims, &td, &memory, cycles, &at, |_, _| {}).export();
+            for scheme in [Scheme::Dynamic, Scheme::Static] {
+                let at = |cycle: u64| format!("{name} rtl {scheme:?} cycle {cycle}");
+                let model = rtl_compile(&td, scheme).unwrap();
+                let sims = std::array::from_fn(|_| RtlSim::new(model.clone()));
+                let rtl = observed_runs(sims, &td, &memory, cycles, &at, |_, _| {}).export();
+                assert_eq!(rtl.2, got.2, "{name} rtl {scheme:?}: fingerprint");
+                assert_eq!(rtl.3, got.3, "{name} rtl {scheme:?}: reg_write stream");
+                assert_eq!(rtl.4, got.4, "{name} rtl {scheme:?}: per-rule commits");
             }
-            want = Some(sinks.export());
+            want = Some(got);
         }
-        for dispatch in Dispatch::ALL.into_iter().filter(|&d| native || d != Dispatch::Native) {
+        for dispatch in Dispatch::ALL
+            .into_iter()
+            .filter(|&d| native || d != Dispatch::Native)
+        {
             let at = |cycle: u64| format!("{name} {dispatch:?} cycle {cycle}");
-            let sims: [Sim; 3] = std::array::from_fn(|_| {
+            let sims = std::array::from_fn(|_| {
                 let mut sim = Sim::new(prog.clone());
                 sim.set_dispatch(dispatch);
                 sim
             });
-            let [mut plain, mut observed, mut fingerprinted] = sims;
-            let mut mems = [memory(), memory(), memory()];
-            let mut sinks = Sinks::for_design(&td);
-            let mut fp = koika::fault::CommitFingerprint::default();
-            for cycle in 0..cycles {
-                let sims = [&mut plain, &mut observed, &mut fingerprinted];
-                for (mem, sim) in mems.iter_mut().zip(sims) {
-                    if let Some(m) = mem {
-                        m.tick(cycle, sim);
+            let sinks = observed_runs(
+                sims,
+                &td,
+                &memory,
+                cycles,
+                &at,
+                |[plain, observed, fingerprinted], at| {
+                    let trap = plain.take_trap();
+                    assert_eq!(trap.is_some(), !interp_runs, "{at}");
+                    for sim in [observed, fingerprinted] {
+                        assert_eq!(sim.fails_per_rule(), plain.fails_per_rule(), "{at}");
+                        assert_eq!(sim.last_fail(), plain.last_fail(), "{at}");
+                        assert_eq!(sim.take_trap(), trap, "{at}");
                     }
-                }
-                plain.cycle();
-                sinks.cycle_obs(&mut observed);
-                fingerprinted.cycle_obs(&mut fp);
-                let trap = plain.take_trap();
-                assert_eq!(trap.is_some(), !interp_runs, "{}", at(cycle));
-                for sim in [&mut observed, &mut fingerprinted] {
-                    assert_eq!(sim.reg_values(), plain.reg_values(), "{}", at(cycle));
-                    assert_eq!(sim.fired_per_rule(), plain.fired_per_rule(), "{}", at(cycle));
-                    assert_eq!(sim.fails_per_rule(), plain.fails_per_rule(), "{}", at(cycle));
-                    assert_eq!(sim.last_fail(), plain.last_fail(), "{}", at(cycle));
-                    assert_eq!(sim.take_trap(), trap, "{}", at(cycle));
-                }
+                },
+            );
+            if !interp_runs {
+                assert_eq!(
+                    sinks.metrics.rules()[1].failed_other,
+                    cycles,
+                    "{name} {dispatch:?}"
+                );
             }
             let got = sinks.export();
-            assert_eq!(fp.digest(), got.2, "{name} {dispatch:?}: fingerprint alone");
-            let commits = sinks.metrics.commits_per_rule();
-            assert_eq!(commits, plain.fired_per_rule(), "{name} {dispatch:?}");
-            if !interp_runs {
-                assert_eq!(sinks.metrics.rules()[1].failed_other, cycles, "{name} {dispatch:?}");
-            }
             match &want {
                 None => want = Some(got),
-                Some(want) => {
-                    assert_eq!(got.0, want.0, "{name} {dispatch:?}: metrics");
-                    assert_eq!(got.1, want.1, "{name} {dispatch:?}: perfetto");
-                    assert_eq!(got.2, want.2, "{name} {dispatch:?}: fingerprint");
-                }
+                Some(want) => assert_eq!(&got, want, "{name} {dispatch:?}"),
             }
         }
     }

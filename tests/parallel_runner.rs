@@ -9,7 +9,6 @@ use std::time::Duration;
 
 use koika::check::check;
 use koika::device::{Device, RegAccess, SimBackend};
-use koika::obs::Observer;
 use cuttlesim::BatchSim;
 use koika::device::BatchBackend;
 use koika::fault::{
@@ -62,9 +61,12 @@ impl SimBackend for PoisonedSim {
         self.inner.cycle();
     }
 
-    fn cycle_obs(&mut self, obs: &mut dyn Observer) {
-        assert!(!self.poisoned, "poisoned design: refusing to cycle");
-        self.inner.cycle_obs(obs);
+    fn last_record(&self) -> (&[usize], &[u64]) {
+        self.inner.last_record()
+    }
+
+    fn reg_words(&self, out: &mut Vec<u64>) {
+        self.inner.reg_words(out);
     }
 
     fn cycle_count(&self) -> u64 {
