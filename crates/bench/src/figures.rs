@@ -10,10 +10,11 @@
 //! ratios of medians. Table 1 and CS4 are count sections: they time
 //! nothing, and land in the same record.
 
-use crate::{all_benches, record_fingerprint, run_bench, run_bench_batched, scale, scaled};
-use crate::{BackendKind, Bench, PRIMES_LIMIT};
+use crate::{all_benches, column_name, record_fingerprint, run_bench, run_bench_batched, scale};
+use crate::{scaled, Bench, PRIMES_LIMIT};
 use cuttlesim::{codegen_cpp, toolchain_available, CompileOptions, CoverageReport, Dispatch};
 use cuttlesim::{OptLevel, Sim};
+use cuttlesim_repro::engine::EngineSpec;
 use koika::check::check;
 use koika::device::{RegAccess, SimBackend};
 use koika_designs::harness::{golden_run, MEM_WORDS};
@@ -36,17 +37,23 @@ const BATCH_LANES: [usize; 2] = [16, 32];
 /// Iterations of the CS4 branchy kernel at scale 1.0 (500 under `--quick`).
 const CS4_ITERS: u32 = 20_000;
 
-const O6_MATCH: BackendKind = BackendKind::Vm(OptLevel::DesignSpecific, Dispatch::Match);
-const O6_NATIVE: BackendKind = BackendKind::Vm(OptLevel::DesignSpecific, Dispatch::Native);
-const RTL_KOIKA: BackendKind = BackendKind::Rtl(Scheme::Dynamic);
-const RTL_BSC: BackendKind = BackendKind::Rtl(Scheme::Static);
+const O6_MATCH: EngineSpec = match_at(OptLevel::DesignSpecific);
+const O6_NATIVE: EngineSpec = o6(Dispatch::Native);
+const RTL_KOIKA: EngineSpec = EngineSpec::Rtl(Scheme::Dynamic);
+const RTL_BSC: EngineSpec = EngineSpec::Rtl(Scheme::Static);
 
-fn o6(dispatch: Dispatch) -> BackendKind {
-    BackendKind::Vm(OptLevel::max(), dispatch)
+const fn o6(dispatch: Dispatch) -> EngineSpec {
+    EngineSpec::Vm {
+        level: OptLevel::DesignSpecific,
+        dispatch,
+    }
 }
 
-fn match_at(level: OptLevel) -> BackendKind {
-    BackendKind::Vm(level, Dispatch::Match)
+const fn match_at(level: OptLevel) -> EngineSpec {
+    EngineSpec::Vm {
+        level,
+        dispatch: Dispatch::Match,
+    }
 }
 
 /// One table of the evaluation.
@@ -92,13 +99,13 @@ impl Section {
     }
 
     /// The (backend, lanes) cells this section reads on `design`.
-    fn cells(self, design: &str) -> Vec<(BackendKind, usize)> {
+    fn cells(self, design: &str) -> Vec<(EngineSpec, usize)> {
         let backends = match self {
             Section::Table1 | Section::Cs4 => vec![],
             Section::Fig1 => vec![O6_MATCH, RTL_KOIKA, O6_NATIVE],
             Section::Fig2 => vec![O6_MATCH, RTL_KOIKA, RTL_BSC, O6_NATIVE],
             Section::Fig3 => once(RTL_KOIKA).chain(Dispatch::ALL.map(o6)).collect(),
-            Section::Ablation => once(BackendKind::Interp)
+            Section::Ablation => once(EngineSpec::Interp)
                 .chain(OptLevel::ALL.map(match_at))
                 .collect(),
             Section::Batch if BATCH_DESIGNS.contains(&design) => {
@@ -117,7 +124,7 @@ impl Section {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cell {
     design: &'static str,
-    backend: BackendKind,
+    backend: EngineSpec,
     lanes: usize,
 }
 
@@ -134,7 +141,8 @@ fn plan(sections: &[Section], native: bool) -> Vec<Cell> {
                     backend,
                     lanes,
                 };
-                let skipped = !native && matches!(backend, BackendKind::Vm(_, Dispatch::Native));
+                let native_cell = matches!(backend, EngineSpec::Vm { dispatch, .. } if dispatch == Dispatch::Native);
+                let skipped = !native && native_cell;
                 if !skipped && !cells.contains(&cell) {
                     cells.push(cell);
                 }
@@ -288,11 +296,11 @@ fn cs4(iters: u32) -> Table {
 #[derive(Debug, Clone, Copy)]
 enum Col {
     /// A scalar cell's median wall-clock seconds.
-    Secs(BackendKind),
+    Secs(EngineSpec),
     /// A scalar cell's median cycles/s.
-    Rate(BackendKind),
+    Rate(EngineSpec),
     /// The ratio of two scalar cells' median cycles/s.
-    Ratio(BackendKind, BackendKind),
+    Ratio(EngineSpec, EngineSpec),
 }
 
 fn ratio(a: f64, b: f64) -> String {
@@ -338,7 +346,7 @@ impl Record {
                 // Half the default budget; 1/32 on the slow O0 interpreter.
                 let cycles = match (quick, cell.backend) {
                     (true, _) => QUICK_CYCLES,
-                    (false, BackendKind::Interp) => scaled(bench.default_cycles / 32),
+                    (false, EngineSpec::Interp) => scaled(bench.default_cycles / 32),
                     (false, _) => scaled(bench.default_cycles / 2),
                 };
                 runs.push(match cell.lanes {
@@ -367,7 +375,7 @@ impl Record {
         }
     }
 
-    fn get(&self, design: &str, backend: BackendKind, lanes: usize) -> Option<&Timing> {
+    fn get(&self, design: &str, backend: EngineSpec, lanes: usize) -> Option<&Timing> {
         let key = (design, backend, lanes);
         self.timings
             .iter()
@@ -375,7 +383,7 @@ impl Record {
     }
 
     /// Median cycles/s of a scalar cell.
-    fn cps(&self, design: &str, backend: BackendKind) -> Option<f64> {
+    fn cps(&self, design: &str, backend: EngineSpec) -> Option<f64> {
         self.get(design, backend, 1).map(|t| t.cps.median)
     }
 
@@ -408,7 +416,7 @@ impl Record {
     /// One row per timed cell of `section`, with its speedup over each
     /// reference: a scalar cell of the same design, or with `None` the
     /// fastest scalar cell.
-    fn per_cell(&self, section: Section, refs: &[(&str, Option<BackendKind>)]) -> Table {
+    fn per_cell(&self, section: Section, refs: &[(&str, Option<EngineSpec>)]) -> Table {
         let mut rows = Vec::new();
         for d in self.designs() {
             let cells = section.cells(d).into_iter();
@@ -421,7 +429,7 @@ impl Record {
                 let ratios = base.map(|b| b.map_or("-".to_string(), |b| ratio(cps, b)));
                 let wall = format!("{:.1}", t.wall_ms.median);
                 let cells = [
-                    c.backend.label(),
+                    column_name(c.backend),
                     c.lanes.to_string(),
                     t.cycles.to_string(),
                     wall,
@@ -475,7 +483,7 @@ impl Record {
                 self.per_cell(section, &[("vs match", Some(m)), ("vs rtl", Some(r))]),
             ),
             Section::Ablation => {
-                let o0 = ("O0", Col::Rate(BackendKind::Interp));
+                let o0 = ("O0", Col::Rate(EngineSpec::Interp));
                 let ladder = OptLevel::ALL.map(|l| (l.short_name(), Col::Rate(match_at(l))));
                 let cols: Vec<_> = once(o0).chain(ladder).collect();
                 let title = format!("Ablation: optimization-ladder cycles/second {of}");
@@ -537,7 +545,7 @@ impl Record {
         };
         let rows = self.timings.iter().map(|t| {
             let (c, wall, cps) = (t.cell, t.wall_ms.json(3), t.cps.json(1));
-            let (design, backend) = (c.design, c.backend.label());
+            let (design, backend) = (c.design, column_name(c.backend));
             format!(
                 "    {{\"design\": \"{design}\", \"backend\": \"{backend}\", \"lanes\": {}, \
                  \"cycles\": {}, \"wall_ms\": {wall}, \"cycles_per_sec\": {cps}}}",

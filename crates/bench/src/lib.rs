@@ -3,10 +3,11 @@
 //!
 //! The benchmark set mirrors Table 1: `collatz`, `fir`, `fft`,
 //! `rv32e-primes`, `rv32i-primes`, `rv32i-bp-primes`, and `rv32i-mc-primes`.
-//! Each can be run on any backend ([`BackendKind`]): the reference
+//! Each can be run on any engine an [`EngineSpec`] names: the reference
 //! interpreter (the naive O0 model), the Cuttlesim VM at any optimization
 //! level and with any dispatch strategy, or the RTL netlist simulator
-//! under either compilation scheme.
+//! under either compilation scheme. Printed tables and records name the
+//! engine by [`column_name`].
 //!
 //! Two binaries use it. `figures [SECTION…] [--quick] [--out FILE]` prints
 //! Table 1, Figs 1–3, the ablation, CS4 and the batch section (see
@@ -19,48 +20,37 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use cuttlesim::{BatchSim, CompileOptions, Dispatch, OptLevel, Sim};
+use cuttlesim::{BatchSim, CompileOptions, OptLevel};
+use cuttlesim_repro::engine::EngineSpec;
 use koika::check::check;
 use koika::design::Design;
-use koika::device::{Device, LaneAccess, RegAccess, SimBackend};
-use koika::interp::Interp;
+use koika::device::{Device, LaneAccess, RegAccess};
 use koika::testgen::SplitMix64;
 use koika::tir::TDesign;
 use koika_designs::memdev::MagicMemory;
 use koika_designs::{rv32, small};
 use koika_riscv::programs;
-use koika_rtl::{compile as rtl_compile, RtlSim, Scheme};
+use koika_rtl::Scheme;
 use std::time::Instant;
 
 pub mod figures;
 
-/// Which simulation backend to run a workload on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The reference interpreter — the naive model, "O0".
-    Interp,
-    /// The Cuttlesim VM at a given level, with a given dispatcher.
-    Vm(OptLevel, Dispatch),
-    /// The RTL netlist simulator (the Verilator stand-in).
-    Rtl(Scheme),
-}
-
-impl BackendKind {
-    /// The name used in printed tables and records: the dispatch at O6
-    /// (`match`, `tac`, `native`), suffixed with the level below it
-    /// (`match-O1`), `interp`, `rtl-koika` or `rtl-bluespec-style`.
-    pub fn label(self) -> String {
-        match self {
-            BackendKind::Interp => "interp".to_string(),
-            BackendKind::Vm(level, dispatch) if level == OptLevel::max() => {
-                dispatch.short_name().to_string()
-            }
-            BackendKind::Vm(level, dispatch) => {
-                format!("{}-{}", dispatch.short_name(), level.short_name())
-            }
-            BackendKind::Rtl(Scheme::Dynamic) => "rtl-koika".to_string(),
-            BackendKind::Rtl(Scheme::Static) => "rtl-bluespec-style".to_string(),
+/// The name printed tables and records give an engine, the paper's
+/// column names: the dispatch at O6 (`match`, `tac`, `native`), suffixed
+/// with the level below it (`match-O1`), `interp`, `rtl-koika` or
+/// `rtl-bluespec-style`. Records are keyed by these names, and nothing
+/// parses them back.
+pub fn column_name(spec: EngineSpec) -> String {
+    match spec {
+        EngineSpec::Interp => "interp".to_string(),
+        EngineSpec::Vm { level, dispatch } if level == OptLevel::max() => {
+            dispatch.short_name().to_string()
         }
+        EngineSpec::Vm { level, dispatch } => {
+            format!("{}-{}", dispatch.short_name(), level.short_name())
+        }
+        EngineSpec::Rtl(Scheme::Dynamic) => "rtl-koika".to_string(),
+        EngineSpec::Rtl(Scheme::Static) => "rtl-bluespec-style".to_string(),
     }
 }
 
@@ -198,39 +188,20 @@ impl RunStats {
     }
 }
 
-/// Instantiates the backend for a checked design.
+/// Runs a benchmark for `cycles` cycles on the given engine and measures
+/// wall-clock time.
 ///
 /// # Panics
 ///
-/// Panics if the design cannot be compiled for the requested backend (all
-/// Table-1 designs can).
-pub fn make_backend(td: &TDesign, kind: BackendKind) -> Box<dyn SimBackend> {
-    match kind {
-        BackendKind::Interp => Box::new(Interp::new(td)),
-        BackendKind::Vm(level, dispatch) => {
-            let mut sim = Sim::compile_with(
-                td,
-                &CompileOptions {
-                    level,
-                    ..CompileOptions::default()
-                },
-            )
-            .expect("benchmark designs fit the fast path");
-            sim.set_dispatch(dispatch);
-            Box::new(sim)
-        }
-        BackendKind::Rtl(scheme) => Box::new(RtlSim::new(
-            rtl_compile(td, scheme).expect("benchmark designs are RTL-compilable"),
-        )),
-    }
-}
-
-/// Runs a benchmark for `cycles` cycles on the given backend and measures
-/// wall-clock time.
-pub fn run_bench(bench: &Bench, kind: BackendKind, cycles: u64) -> RunStats {
+/// Panics if the design cannot be built for the engine (every Table-1
+/// design can, given a rustc for native dispatch).
+pub fn run_bench(bench: &Bench, spec: EngineSpec, cycles: u64) -> RunStats {
     let td = check(&(bench.design)()).expect("benchmark designs typecheck");
     let mut devices = (bench.devices)(&td);
-    let mut sim = make_backend(&td, kind);
+    let engine = spec
+        .prepare(&td)
+        .expect("benchmark designs build on every engine");
+    let mut sim = engine.make();
     let start = Instant::now();
     for cycle in 0..cycles {
         for d in devices.iter_mut() {
@@ -337,22 +308,29 @@ pub fn record_fingerprint() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cuttlesim::Dispatch;
+
+    fn o6(dispatch: Dispatch) -> EngineSpec {
+        EngineSpec::Vm {
+            level: OptLevel::max(),
+            dispatch,
+        }
+    }
 
     #[test]
     fn all_benches_run_everywhere_briefly() {
         for bench in all_benches() {
-            for kind in [
-                BackendKind::Interp,
-                BackendKind::Vm(OptLevel::max(), Dispatch::Match),
-                BackendKind::Rtl(Scheme::Dynamic),
+            for spec in [
+                EngineSpec::Interp,
+                o6(Dispatch::Match),
+                EngineSpec::Rtl(Scheme::Dynamic),
             ] {
-                let stats = run_bench(&bench, kind, 500);
-                assert_eq!(stats.cycles, 500, "{} on {}", bench.name, kind.label());
+                let stats = run_bench(&bench, spec, 500);
+                assert_eq!(stats.cycles, 500, "{} on {spec}", bench.name);
                 assert!(
                     stats.rules_fired > 0,
-                    "{} on {}: no rules fired",
-                    bench.name,
-                    kind.label()
+                    "{} on {spec}: no rules fired",
+                    bench.name
                 );
             }
         }
@@ -361,7 +339,7 @@ mod tests {
     #[test]
     fn batched_fired_counts_match_scalar_times_lanes() {
         for bench in all_benches() {
-            let scalar = run_bench(&bench, BackendKind::Vm(OptLevel::max(), Dispatch::Match), 300);
+            let scalar = run_bench(&bench, o6(Dispatch::Match), 300);
             let batched = run_bench_batched(&bench, OptLevel::max(), 300, 4);
             assert_eq!(
                 batched.rules_fired,
@@ -376,13 +354,16 @@ mod tests {
     fn fired_counts_agree_across_backends() {
         for bench in all_benches() {
             let mut counts = Vec::new();
-            for kind in [
-                BackendKind::Interp,
-                BackendKind::Vm(OptLevel::SplitRwSets, Dispatch::Match),
-                BackendKind::Vm(OptLevel::max(), Dispatch::Tac),
-                BackendKind::Rtl(Scheme::Dynamic),
+            for spec in [
+                EngineSpec::Interp,
+                EngineSpec::Vm {
+                    level: OptLevel::SplitRwSets,
+                    dispatch: Dispatch::Match,
+                },
+                o6(Dispatch::Tac),
+                EngineSpec::Rtl(Scheme::Dynamic),
             ] {
-                counts.push(run_bench(&bench, kind, 300).rules_fired);
+                counts.push(run_bench(&bench, spec, 300).rules_fired);
             }
             assert!(
                 counts.windows(2).all(|w| w[0] == w[1]),

@@ -635,7 +635,7 @@ impl BatchSim {
     ///
     /// Returns [`VmError::CompilerBug`] if the bytecode violates a VM
     /// invariant (never for programs produced by
-    /// [`compile`](crate::compile::compile)); the cycle is abandoned
+    /// [`crate::compile::compile`]); the cycle is abandoned
     /// mid-way and the batch state is unspecified (but memory-safe).
     pub fn cycle(&mut self) -> Result<(), VmError> {
         // begin_cycle, vectorized. Plane-wide clears and copies (here, in

@@ -2,10 +2,10 @@
 //!
 //! This is where the paper's optimization ladder becomes concrete:
 //!
-//! * the chosen [`OptLevel`](crate::OptLevel) selects the transactional
+//! * the chosen [`OptLevel`] selects the transactional
 //!   behavior baked into each read/write instruction and each rule's commit
 //!   and rollback plans;
-//! * at [`OptLevel::DesignSpecific`](crate::OptLevel::DesignSpecific), the
+//! * at [`OptLevel::DesignSpecific`], the
 //!   static analysis of [`koika::analysis`] drives instruction selection:
 //!   accesses to *safe* registers compile to unchecked `*Fast` instructions,
 //!   commits and rollbacks are restricted to each rule's footprint (falling

@@ -2,7 +2,7 @@
 //! the paper's real endgame, transplanted: Cuttlesim wins by *compiling*
 //! designs to straight-line software instead of interpreting them, and this
 //! module does the same for our VM. Each compiled design's typed
-//! [`crate::tac::Uop`] arrays are lowered once more, into Rust source — one
+//! `tac::Uop` arrays are lowered once more, into Rust source — one
 //! compiled body per rule, as straight-line code over the slot file with
 //! the optimization level's log discipline baked in at emit time — then
 //! built with `rustc` into a `#![no_std]` cdylib cached by design
@@ -46,7 +46,7 @@
 //! to the interpreter.
 //!
 //! The generated code communicates with the host through a `#[repr(C)]`
-//! context of raw pointers into [`State`]'s flat arrays (the slot-file
+//! context of raw pointers into `State`'s flat arrays (the slot-file
 //! ABI), the per-rule counters and the record. `koika_cycle` returns
 //! `j << 1 | t`: `j` is one past the schedule position of the cycle's last
 //! failing rule (`0` if none failed) and `t` is `1` if a rule trapped. A
@@ -55,16 +55,16 @@
 //!
 //! Below the design-specific level commits and rollbacks follow each
 //! rule's [`CopyPlan`], exactly as the host helpers
-//! ([`crate::vm::rule_commit`], [`crate::vm::rule_failure`]) do. At the
+//! (`vm::rule_commit`, `vm::rule_failure`) do. At the
 //! design-specific level a rule body copies its *exact footprint* instead:
 //! the statically named registers its micro-ops can change, plus, for each
 //! dynamic-index site, the one element that site touched (recorded in a
 //! local as the site runs). The begin-cycle clear likewise zeroes only the
 //! registers whose read-write byte some checked access can flag
-//! ([`rw_flag_set`]). Both rest on one invariant of the reset-on-failure
+//! (`rw_flag_set`). Both rest on one invariant of the reset-on-failure
 //! levels — the rule log equals the cycle log at every rule entry — so
 //! copying an entry a rule did not change is a no-op, and on no engine can
-//! a flag appear outside the cleared set; see [`emit_rule_fn`].
+//! a flag appear outside the cleared set; see `emit_rule_fn`.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -175,7 +175,7 @@ pub fn cache_dir() -> PathBuf {
 // ---------------------------------------------------------------------------
 
 /// The `#[repr(C)]` context handed to `koika_cycle` — raw pointers into
-/// [`State`]'s flat arrays, counters and per-cycle record. Field order
+/// `State`'s flat arrays, counters and per-cycle record. Field order
 /// must match the `Ctx` struct the emitter writes into every generated
 /// crate ([`ABI_VERSION`] guards drift).
 #[repr(C)]

@@ -13,15 +13,15 @@
 //!   operand. Compiler-produced bytecode keeps the operand stack empty at
 //!   every jump target (branching is statement-level), which makes the
 //!   abstract stack exact; hand-built bytecode that violates this discipline
-//!   lowers to a [`Uop::Trap`] and surfaces as [`VmError::CompilerBug`] at
+//!   lowers to a `Uop::Trap` and surfaces as [`VmError::CompilerBug`] at
 //!   run time, never a panic.
 //! * **Constant pre-folding.** `Const` pushes never execute: constants are
 //!   folded into operands at lowering time (constant × constant operations
 //!   fold completely) and materialized into read-only slots that are filled
 //!   once, when the slot file is built.
 //! * **Superinstruction fusion.** The dominant `rd0 → binop → wr0` and
-//!   `binop → guard` chains fuse into single micro-ops ([`Uop::RdBin`],
-//!   [`Uop::BinWr`], [`Uop::RdBinWr`], [`Uop::BinJz`]), extending the
+//!   `binop → guard` chains fuse into single micro-ops (`Uop::RdBin`,
+//!   `Uop::BinWr`, `Uop::RdBinWr`, `Uop::BinJz`), extending the
 //!   peephole [`FusedBin`] machinery one level further.
 //!
 //! Observability is preserved: every micro-op carries the source bytecode pc

@@ -359,7 +359,7 @@ impl Sim {
     ///
     /// # Errors
     ///
-    /// [`NativeError`] when the native engine cannot be emitted, built, or
+    /// [`NativeError`](crate::NativeError) when the native engine cannot be emitted, built, or
     /// loaded. The previously selected dispatch stays in effect.
     pub fn try_set_dispatch(&mut self, dispatch: Dispatch) -> Result<(), crate::NativeError> {
         if dispatch != self.dispatch() {

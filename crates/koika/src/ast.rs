@@ -9,7 +9,7 @@
 //! * writes at port 1 only become visible in the next cycle;
 //! * `abort` cancels the executing rule, discarding its effects.
 //!
-//! Names are plain strings at this level; the [`crate::check`] pass resolves
+//! Names are plain strings at this level; the [`crate::check`](mod@crate::check) pass resolves
 //! them, infers widths, and produces the typed IR ([`crate::tir`]) that all
 //! simulators consume.
 //!

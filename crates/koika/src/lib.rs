@@ -6,7 +6,7 @@
 //!
 //! * [`bits`] — fixed-width bit vectors, the value domain of designs;
 //! * [`ast`] / [`design`] — the surface language and design builders;
-//! * [`check`] / [`tir`] — the type checker and the typed IR every backend
+//! * [`check`](mod@check) / [`tir`] — the type checker and the typed IR every backend
 //!   consumes;
 //! * [`interp`] — the reference one-rule-at-a-time interpreter (the naive
 //!   log-based model of the paper's §3.1, used as differential-testing

@@ -1,4 +1,4 @@
-//! The typed intermediate representation produced by [`crate::check`].
+//! The typed intermediate representation produced by [`crate::check()`].
 //!
 //! Names are resolved (registers to dense [`RegId`]s, locals to frame slots),
 //! every expression carries its width, and register arrays are flattened into

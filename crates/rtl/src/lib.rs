@@ -6,7 +6,7 @@
 //!
 //! * [`netlist`] — a hash-consed synchronous netlist IR with local constant
 //!   folding;
-//! * [`compile`] — the Kôika hardware compilation scheme (§2.2): one circuit
+//! * [`compile`](mod@compile) — the Kôika hardware compilation scheme (§2.2): one circuit
 //!   per rule, dynamic read/write-set wires, a-posteriori conflict
 //!   reconciliation — plus a leaner "Bluespec-style" static scheme for the
 //!   paper's Fig. 2 comparison;

@@ -591,12 +591,12 @@ fn step_reply(id: u64, body: &SessionBody, tracer: Option<TraceObs>) -> String {
     reply
 }
 
-/// Runs `n` cycles of a session on a pooled scalar engine through
-/// [`run_watchdogged`], the one scalar cycle loop, so a server step is
-/// the same run a library caller or the CLI would make: check an engine
-/// out, apply the session's image to it and to fresh devices, run,
-/// capture the new image, check the engine back in. A session without a
-/// watchdog steps under an unlimited one.
+/// Runs `n` cycles of a session on a fresh copy of its design's prepared
+/// scalar engine through [`run_watchdogged`], the one scalar cycle loop,
+/// so a server step is the same run a library caller or the CLI would
+/// make: apply the session's image to the engine and to fresh devices,
+/// run, capture the new image. A session without a watchdog steps under
+/// an unlimited one.
 ///
 /// Commit discipline: the session body is only mutated after the run
 /// finishes (or at a deterministic trip boundary), so a panic, a wall
@@ -608,13 +608,12 @@ fn run_step(
     n: u64,
     obs: Option<&mut dyn Observer>,
 ) -> Result<Option<WatchdogTrip>, String> {
-    let mut engine = lock(&shared.pool).checkout_scalar(&body.design_name, &body.td, body.backend)?;
+    let mut engine = lock(&shared.pool).scalar(&body.design_name, &body.td, body.backend)?;
     // Devices are built fresh each step; a provider or device that
     // panics here is contained by the caller and tears down only this
-    // session (the checked-out engine unwinds with us and is simply
-    // recompiled next time).
+    // session (the engine copy unwinds with us).
     let mut devices = shared.provider.devices(&body.design_name, &body.td);
-    let ran = match body.image.apply(&mut *engine, &mut devices) {
+    match body.image.apply(&mut *engine, &mut devices) {
         Err(e) => Err(format!("restoring session state: {e}")),
         Ok(()) => {
             let mut unlimited = Watchdog::default().arm();
@@ -632,9 +631,7 @@ fn run_step(
             }
             Ok(tripped)
         }
-    };
-    lock(&shared.pool).checkin_scalar(&body.design_name, body.backend, engine);
-    ran
+    }
 }
 
 /// Runs one live step task on a worker. A wall trip returns

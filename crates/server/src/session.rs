@@ -263,51 +263,40 @@ pub fn unspill(path: &Path, keep: bool) -> Result<StateImage, String> {
     Ok(parsed)
 }
 
-/// Pools of compiled engines, keyed by design. Compiling a design is the
-/// expensive part of a step; pooling amortizes it across every session of
-/// that design. Engines carry no session state between checkouts — each
-/// step restores a snapshot before running.
+/// One prepared engine per design and backend. Compiling a design is the
+/// expensive part of a step; each step instead gets a copy of the
+/// reset-state prototype compiled the first time the design ran. Engines
+/// carry no session state — each step restores a snapshot before running
+/// — so a step that panics drops only its own copy.
 #[derive(Default)]
 pub struct EnginePool {
-    scalar: HashMap<(String, BackendKind), Vec<Box<dyn SimBackend + Send>>>,
+    vms: HashMap<String, Sim>,
 }
 
 impl EnginePool {
-    /// Checks out (or compiles) a scalar engine for a design.
+    /// A fresh scalar engine for a design, compiled on first use.
     ///
     /// # Errors
     ///
     /// Compilation errors, e.g. a >64-bit register on the Cuttlesim
     /// backend.
-    pub fn checkout_scalar(
+    pub fn scalar(
         &mut self,
         name: &str,
         td: &TDesign,
         kind: BackendKind,
     ) -> Result<Box<dyn SimBackend + Send>, String> {
-        if let Some(engine) = self
-            .scalar
-            .get_mut(&(name.to_string(), kind))
-            .and_then(Vec::pop)
-        {
-            return Ok(engine);
+        match kind {
+            BackendKind::Interp => Ok(Box::new(Interp::new(td))),
+            BackendKind::Cuttlesim => {
+                if !self.vms.contains_key(name) {
+                    let sim = Sim::compile_with(td, &CompileOptions::default())
+                        .map_err(|e| format!("cuttlesim compile error: {e}"))?;
+                    self.vms.insert(name.to_string(), sim);
+                }
+                Ok(Box::new(self.vms[name].clone()))
+            }
         }
-        Ok(match kind {
-            BackendKind::Interp => Box::new(Interp::new(td)),
-            BackendKind::Cuttlesim => Box::new(
-                Sim::compile_with(td, &CompileOptions::default())
-                    .map_err(|e| format!("cuttlesim compile error: {e}"))?,
-            ),
-        })
-    }
-
-    /// Returns a scalar engine to the pool. Engines that panicked are
-    /// simply dropped by the unwinding step instead of being checked in.
-    pub fn checkin_scalar(&mut self, name: &str, kind: BackendKind, engine: Box<dyn SimBackend + Send>) {
-        self.scalar
-            .entry((name.to_string(), kind))
-            .or_default()
-            .push(engine);
     }
 }
 

@@ -4,14 +4,15 @@
 //! An invocation is resolved once, before anything runs: [`validate`]
 //! picks the run mode and admits every given flag through the [`FLAGS`]
 //! table, [`Target::resolve`] checks the flags that name parts of the
-//! design, and a [`SimFactory`] compiles the design once for every
+//! design, and [`EngineSpec::prepare`] compiles the design once for every
 //! simulator the mode then runs.
 //!
 //! Campaign and fuzz progress goes to **stderr**; stdout carries only the
 //! machine-parseable report, which is byte-identical for a given seed
 //! regardless of `--jobs`.
 
-use cuttlesim::{codegen_cpp, BatchSim, CompileOptions, Dispatch, OptLevel, ProfileReport, RuleTrace, Sim};
+use cuttlesim::{codegen_cpp, BatchSim, Dispatch, ProfileReport, RuleTrace};
+use cuttlesim_repro::engine::{Engine, EngineError, EngineSpec};
 use cuttlesim_repro::fuzz;
 use koika::check::check;
 use koika::debug::{DebugOptions, ScalarTarget};
@@ -31,7 +32,7 @@ use koika_designs::harness::MEM_WORDS;
 use koika_designs::memdev::MagicMemory;
 use koika_designs::{msi, rv32, small};
 use koika_riscv::programs;
-use koika_rtl::{compile as rtl_compile, verilog, RtlSim, Scheme};
+use koika_rtl::{compile as rtl_compile, verilog, Scheme};
 use koika_server::{DesignProvider, ServerConfig};
 use std::io::{BufRead, Read};
 use std::process::ExitCode;
@@ -377,6 +378,19 @@ enum CliError {
     Runtime(String),
 }
 
+/// An engine is prepared once, before anything runs: a dispatch that
+/// cannot be selected (native without rustc) is a usage error (exit 2),
+/// a design the compiler refuses a runtime one.
+impl From<EngineError> for CliError {
+    fn from(e: EngineError) -> CliError {
+        match e {
+            EngineError::Compile(e) => CliError::runtime(format!("cuttlesim compile error: {e}")),
+            EngineError::Rtl(e) => CliError::runtime(format!("rtl error: {e}")),
+            e @ EngineError::Dispatch(..) => CliError::usage(e.to_string()),
+        }
+    }
+}
+
 impl CliError {
     fn usage(msg: impl Into<String>) -> CliError {
         CliError::Usage(msg.into())
@@ -511,10 +525,8 @@ fn workload(spec: &str) -> Option<Vec<u32>> {
 /// What [`validate`] settles for every invocation.
 struct Plan {
     mode: Mode,
-    level: OptLevel,
-    /// `--dispatch`, if given: design modes default to match, and `--fuzz`
-    /// then compares every dispatcher.
-    dispatch: Option<Dispatch>,
+    /// The engine `--backend`, `--level` and `--dispatch` name.
+    engine: EngineSpec,
 }
 
 /// Decides the run mode and rejects every bad flag and flag combination
@@ -594,45 +606,28 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
         ));
     }
 
-    match args.backend.as_str() {
-        "interp" | "cuttlesim" | "rtl" | "rtl-static" => {}
-        other => return Err(CliError::usage(format!("unknown backend {other:?}"))),
-    }
-    let level = OptLevel::from_number(args.level)
-        .ok_or_else(|| CliError::usage(format!("bad --level {}: expected 1..6", args.level)))?;
-    let dispatch = args
-        .dispatch
-        .as_deref()
-        .map(|name| {
-            Dispatch::from_name(name).ok_or_else(|| {
-                CliError::usage(format!("bad --dispatch {name:?}: expected match, tac, or native"))
-            })
-        })
-        .transpose()?;
+    let engine = EngineSpec::from_flags(&args.backend, args.level, args.dispatch.as_deref())
+        .map_err(CliError::Usage)?;
     if args.batch.is_some() {
         // A batch runs the micro-op lock-step engine only, so any other
         // dispatch would be silently ignored: refused on every host.
-        if let Some(d) = dispatch.filter(|&d| d != Dispatch::Tac) {
-            let name = d.short_name();
-            return Err(CliError::usage(format!(
-                "--batch cannot be combined with --dispatch {name}: a batch runs the \
-                 micro-op lock-step engine (--dispatch tac) only; drop --batch to run \
-                 scalar {name} (with --jobs for campaigns and fuzz)"
-            )));
+        match engine {
+            EngineSpec::Vm { dispatch, .. } if args.dispatch.is_some() && dispatch != Dispatch::Tac => {
+                let name = dispatch.short_name();
+                return Err(CliError::usage(format!(
+                    "--batch cannot be combined with --dispatch {name}: a batch runs the \
+                     micro-op lock-step engine (--dispatch tac) only; drop --batch to run \
+                     scalar {name} (with --jobs for campaigns and fuzz)"
+                )));
+            }
+            EngineSpec::Vm { .. } => {}
+            _ => {
+                return Err(CliError::usage(format!(
+                    "--batch requires the cuttlesim backend (got {:?})",
+                    args.backend
+                )))
+            }
         }
-        if args.backend != "cuttlesim" {
-            return Err(CliError::usage(format!(
-                "--batch requires the cuttlesim backend (got {:?})",
-                args.backend
-            )));
-        }
-    }
-    if let Some(d) = dispatch.filter(|&d| d != Dispatch::Match && args.backend != "cuttlesim") {
-        return Err(CliError::usage(format!(
-            "--dispatch {} requires the cuttlesim backend (got {:?})",
-            d.short_name(),
-            args.backend
-        )));
     }
     if let Some(what) = &args.emit {
         if !matches!(what.as_str(), "cpp" | "cpp-header" | "verilog") {
@@ -641,7 +636,7 @@ fn validate(args: &Args) -> Result<Plan, CliError> {
             )));
         }
     }
-    Ok(Plan { mode, level, dispatch })
+    Ok(Plan { mode, engine })
 }
 
 /// What a design mode resolves against its design, before any simulator
@@ -721,83 +716,27 @@ impl Target {
     }
 }
 
-/// The one compiled simulator of an invocation. The design is compiled,
-/// and its dispatch selected, once, so a missing toolchain is reported
-/// here (exit 2) and no simulator can fail to build later. Every simulator
-/// the mode runs is a copy of this reset-state prototype.
-enum SimFactory {
-    Interp(TDesign),
-    Vm(Box<Sim>),
-    Rtl(Box<RtlSim>),
+/// A fresh simulator from `engine`; it and `devs` are restored from
+/// `--restore` if given.
+fn make_restored(
+    engine: &Engine,
+    args: &Args,
+    devs: &mut [Box<dyn Device>],
+) -> Result<Box<dyn SimBackend>, CliError> {
+    let mut sim = engine.make();
+    if let Some(path) = &args.restore {
+        let bytes = std::fs::read(path)
+            .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
+        let image = StateImage::from_bytes(&bytes)
+            .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
+        image
+            .apply(&mut *sim, devs)
+            .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
+        println!("restored {} at cycle {} from {path}", image.snap.design, image.snap.cycles);
+    }
+    Ok(sim)
 }
 
-impl SimFactory {
-    fn new(td: &TDesign, backend: &str, level: OptLevel, dispatch: Dispatch) -> Result<SimFactory, CliError> {
-        let rtl = |scheme| {
-            rtl_compile(td, scheme)
-                .map(|model| SimFactory::Rtl(Box::new(RtlSim::new(model))))
-                .map_err(|e| CliError::runtime(format!("rtl error: {e}")))
-        };
-        match backend {
-            "interp" => Ok(SimFactory::Interp(td.clone())),
-            "rtl" => rtl(Scheme::Dynamic),
-            "rtl-static" => rtl(Scheme::Static),
-            "cuttlesim" => {
-                let opts = CompileOptions {
-                    level,
-                    ..CompileOptions::default()
-                };
-                let mut sim = Sim::compile_with(td, &opts)
-                    .map_err(|e| CliError::runtime(format!("cuttlesim compile error: {e}")))?;
-                sim.try_set_dispatch(dispatch).map_err(|e| {
-                    CliError::usage(format!("cannot select {} dispatch: {e}", dispatch.short_name()))
-                })?;
-                Ok(SimFactory::Vm(Box::new(sim)))
-            }
-            other => Err(CliError::usage(format!("unknown backend {other:?}"))),
-        }
-    }
-
-    /// A fresh simulator at reset state.
-    fn make(&self) -> Box<dyn SimBackend> {
-        match self {
-            SimFactory::Interp(td) => Box::new(koika::Interp::new(td)),
-            SimFactory::Vm(sim) => sim.clone(),
-            SimFactory::Rtl(sim) => sim.clone(),
-        }
-    }
-
-    /// A fresh simulator; it and `devs` are restored from `--restore` if given.
-    fn make_restored(&self, args: &Args, devs: &mut [Box<dyn Device>]) -> Result<Box<dyn SimBackend>, CliError> {
-        let mut sim = self.make();
-        if let Some(path) = &args.restore {
-            let bytes = std::fs::read(path)
-                .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
-            let image = StateImage::from_bytes(&bytes)
-                .map_err(|e| CliError::runtime(format!("bad snapshot {path}: {e}")))?;
-            image
-                .apply(&mut *sim, devs)
-                .map_err(|e| CliError::runtime(format!("cannot restore {path}: {e}")))?;
-            println!("restored {} at cycle {} from {path}", image.snap.design, image.snap.cycles);
-        }
-        Ok(sim)
-    }
-
-    /// The prototype VM, for the stepping and profiling APIs only the
-    /// cuttlesim backend has.
-    fn vm(&self) -> Option<&Sim> {
-        match self {
-            SimFactory::Vm(sim) => Some(sim.as_ref()),
-            _ => None,
-        }
-    }
-
-    /// A `lanes`-wide lock-step batch of the prototype's program.
-    fn batch(&self, lanes: usize) -> Result<Box<dyn BatchBackend>, String> {
-        let sim = self.vm().ok_or("a batch needs the cuttlesim backend")?;
-        Ok(Box::new(BatchSim::new(sim.program().clone(), lanes)))
-    }
-}
 /// Prints each injected SEU as it fires, just before its cycle runs.
 struct SeuPrinter<'a> {
     td: &'a TDesign,
@@ -959,8 +898,9 @@ fn open_debug_input(args: &Args, preamble: Option<String>) -> Result<Box<dyn Buf
 }
 
 /// `--debug-on-divergence`, shared tail: print both register files side by
-/// side, then attach the debugger to the diverging backend with an
-/// automatic `run-to` at the first divergent cycle boundary.
+/// side, then attach the debugger to the diverging backend, rebuilt from
+/// the [`EngineSpec`] its label names, with an automatic `run-to` at the
+/// first divergent cycle boundary.
 fn debug_divergence(args: &Args, div: &fuzz::Divergence, cycles: u64) -> Result<(), CliError> {
     let td = &div.td;
     println!(
@@ -979,7 +919,8 @@ fn debug_divergence(args: &Args, div: &fuzz::Divergence, cycles: u64) -> Result<
             format!("{b:#x}")
         );
     }
-    let sim = fuzz::build_backend_by_label(td, &div.backend).map_err(CliError::runtime)?;
+    let spec: EngineSpec = div.backend.parse().map_err(CliError::Runtime)?;
+    let sim = spec.prepare(td).map_err(|e| CliError::runtime(e.to_string()))?.make();
     let mut target = ScalarTarget::new(sim, Vec::new());
     let mut input = open_debug_input(args, Some(format!("run-to {}\n", div.cycle + 1)))?;
     let mut out = std::io::stdout().lock();
@@ -1107,7 +1048,7 @@ fn run_serve_mode(args: &Args, addr: &str) -> Result<ExitCode, CliError> {
 fn run_campaign_mode(
     args: &Args,
     target: &Target,
-    sims: &SimFactory,
+    engine: &Engine,
     members: usize,
 ) -> Result<ExitCode, CliError> {
     let td = &target.td;
@@ -1118,7 +1059,7 @@ fn run_campaign_mode(
         max_injections: args.max_injections,
         stall_cycles: target.stall_cycles,
     };
-    let make_sim = || Ok(sims.make());
+    let make_sim = || Ok(engine.make());
     let make_devices = || build_devices(td, &target.program);
     let env = ParallelFactories {
         td,
@@ -1137,7 +1078,10 @@ fn run_campaign_mode(
         // to the scalar path.
         Some(width) => run_campaign_batched(
             &env,
-            &|lanes| sims.batch(lanes),
+            &|lanes| {
+                let sim = engine.vm().ok_or("a batch needs the cuttlesim backend")?;
+                Ok(Box::new(BatchSim::new(sim.program().clone(), lanes)) as Box<dyn BatchBackend>)
+            },
             width,
             &cfg,
             &opts,
@@ -1171,7 +1115,7 @@ fn run_campaign_mode(
 /// fresh simulator and hand it the run loop.
 /// Watchdog trips are reported in-band at the paused prompt instead of
 /// exiting 3 — a run paused under a debugger is not a hang.
-fn run_debug_mode(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode, CliError> {
+fn run_debug_mode(args: &Args, target: &Target, engine: &Engine) -> Result<ExitCode, CliError> {
     let td = &target.td;
     let wd_wanted =
         args.max_cycles.is_some() || args.stall_cycles.is_some() || args.max_wall_ms.is_some();
@@ -1179,7 +1123,7 @@ fn run_debug_mode(args: &Args, target: &Target, sims: &SimFactory) -> Result<Exi
     let mut input = open_debug_input(args, None)?;
     let mut out = std::io::stdout().lock();
     let mut devices = build_devices(td, &target.program);
-    let sim = sims.make_restored(args, &mut devices)?;
+    let sim = make_restored(engine, args, &mut devices)?;
     let mut target = ScalarTarget::new(sim, devices);
     koika::debug::run_session(
         td,
@@ -1193,9 +1137,13 @@ fn run_debug_mode(args: &Args, target: &Target, sims: &SimFactory) -> Result<Exi
     Ok(ExitCode::SUCCESS)
 }
 
-fn run_fuzz_mode(args: &Args, dispatch: Option<Dispatch>) -> Result<ExitCode, CliError> {
+fn run_fuzz_mode(args: &Args, plan: &Plan) -> Result<ExitCode, CliError> {
     // No --dispatch under --fuzz means the full matrix (all three
     // dispatchers per VM level), not the scalar default of Match.
+    let dispatch = match plan.engine {
+        EngineSpec::Vm { dispatch, .. } if args.dispatch.is_some() => Some(dispatch),
+        _ => None,
+    };
     if !cuttlesim::toolchain_available() {
         // An explicit `--dispatch native` request with no toolchain is a
         // loud no-op (exit 0, nothing silently substituted) so CI can run
@@ -1258,7 +1206,7 @@ fn run_fuzz_mode(args: &Args, dispatch: Option<Dispatch>) -> Result<ExitCode, Cl
     }
 }
 
-fn run_replay_mode(args: &Args, plan: &Plan, target: &Target, path: &str) -> Result<ExitCode, CliError> {
+fn run_replay_mode(args: &Args, target: &Target, path: &str) -> Result<ExitCode, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("failed to read {path}: {e}")))?;
     let log = ReplayLog::from_text(&text).map_err(CliError::Runtime)?;
@@ -1270,7 +1218,8 @@ fn run_replay_mode(args: &Args, plan: &Plan, target: &Target, path: &str) -> Res
     }
     // The log's recorded environment decides the run: backend, level,
     // workload, and cycle count all come from the recording.
-    let level = OptLevel::from_number(log.level).unwrap_or_else(OptLevel::max);
+    let engine = EngineSpec::from_flags(&log.backend, log.level, args.dispatch.as_deref())
+        .map_err(|e| CliError::runtime(format!("bad replay log {path}: {e}")))?;
     let program = if log.program.is_empty() || !args.design.starts_with("rv32") {
         None
     } else {
@@ -1280,10 +1229,10 @@ fn run_replay_mode(args: &Args, plan: &Plan, target: &Target, path: &str) -> Res
         )
     };
     let td = &target.td;
-    let sims = SimFactory::new(td, &log.backend, level, plan.dispatch.unwrap_or_default())?;
-    let mut engine = FaultEngine {
+    let engine = engine.prepare(td)?;
+    let mut faults = FaultEngine {
         td,
-        make_sim: &mut || sims.make(),
+        make_sim: &mut || engine.make(),
         make_devices: &mut || build_devices(td, &program),
     };
     println!(
@@ -1293,7 +1242,7 @@ fn run_replay_mode(args: &Args, plan: &Plan, target: &Target, path: &str) -> Res
         log.backend,
         log.cycles
     );
-    let results = replay_campaign(&mut engine, &log).map_err(|e| CliError::runtime(e.to_string()))?;
+    let results = replay_campaign(&mut faults, &log).map_err(|e| CliError::runtime(e.to_string()))?;
     let mut reproduced = 0usize;
     for r in &results {
         let minimal = match &r.minimal {
@@ -1319,11 +1268,11 @@ fn run_replay_mode(args: &Args, plan: &Plan, target: &Target, path: &str) -> Res
 
 /// A plain run, possibly with injections, snapshots, observers, and a
 /// watchdog.
-fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode, CliError> {
+fn run_plain(args: &Args, target: &Target, engine: &Engine) -> Result<ExitCode, CliError> {
     let td = &target.td;
     let mut devices = build_devices(td, &target.program);
     let mut vcd = args.vcd.as_ref().map(|_| VcdRecorder::all_registers(td));
-    let mut sim = sims.make_restored(args, &mut devices)?;
+    let mut sim = make_restored(engine, args, &mut devices)?;
 
     // Observability sinks, attached only when asked for — unobserved runs
     // take the plain `cycle()` path below.
@@ -1422,12 +1371,12 @@ fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode
 
     // Classify an injected run against a fresh golden run.
     if let Some(fp) = &fingerprint {
-        let mut engine = FaultEngine {
+        let mut faults = FaultEngine {
             td,
-            make_sim: &mut || sims.make(),
+            make_sim: &mut || engine.make(),
             make_devices: &mut || build_devices(td, &target.program),
         };
-        let golden = engine
+        let golden = faults
             .golden(main_cycles, target.stall_cycles)
             .map_err(|e| CliError::runtime(e.to_string()))?;
         let final_regs: Vec<u64> = (0..td.regs.len())
@@ -1442,7 +1391,7 @@ fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode
         println!("injection outcome: {outcome}");
     }
 
-    if let (Some(n), Some(vm)) = (args.trace, sims.vm()) {
+    if let (Some(n), Some(vm)) = (args.trace, engine.vm()) {
         // Tracing uses the VM's stepping API: a fresh Sim with the same
         // (deterministic) devices fast-forwards, then records the tail.
         let mut traced = vm.clone();
@@ -1453,7 +1402,7 @@ fn run_plain(args: &Args, target: &Target, sims: &SimFactory) -> Result<ExitCode
         println!("\nRule activity (last {n} cycles):\n{trace}");
     }
 
-    if let (true, Some(vm)) = (args.profile, sims.vm()) {
+    if let (true, Some(vm)) = (args.profile, engine.vm()) {
         // A profiled native Sim runs the micro-op bodies instead of
         // `koika_cycle`, so the main run stays unprofiled and a fresh
         // profiled Sim re-runs its cycles.
@@ -1504,7 +1453,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
     }
     match (plan.mode, &args.serve, &args.replay_corpus) {
         (Mode::Serve, Some(addr), _) => return run_serve_mode(args, addr),
-        (Mode::Fuzz, ..) => return run_fuzz_mode(args, plan.dispatch),
+        (Mode::Fuzz, ..) => return run_fuzz_mode(args, &plan),
         (Mode::ReplayCorpus, _, Some(dir)) => return run_replay_corpus_mode(args, dir),
         _ => {}
     }
@@ -1523,14 +1472,14 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
             }
             return Ok(ExitCode::SUCCESS);
         }
-        (None, Some(path)) => return run_replay_mode(args, &plan, &target, path),
+        (None, Some(path)) => return run_replay_mode(args, &target, path),
         (None, None) => {}
     }
-    let sims = SimFactory::new(td, &args.backend, plan.level, plan.dispatch.unwrap_or_default())?;
+    let engine = plan.engine.prepare(td)?;
     match (plan.mode, args.campaign) {
-        (Mode::Campaign, Some(n)) => run_campaign_mode(args, &target, &sims, n),
-        (Mode::Debug, _) => run_debug_mode(args, &target, &sims),
-        _ => run_plain(args, &target, &sims),
+        (Mode::Campaign, Some(n)) => run_campaign_mode(args, &target, &engine, n),
+        (Mode::Debug, _) => run_debug_mode(args, &target, &engine),
+        _ => run_plain(args, &target, &engine),
     }
 }
 

@@ -15,8 +15,7 @@
 //!
 //! Findings dedup into [`Bucket`]s keyed by the *normalized* failure
 //! message (digit runs collapsed, so two out-of-bounds panics at different
-//! indices coincide) plus the design's
-//! [`shape_fingerprint`](koika::testgen::shape_fingerprint) — two seeds
+//! indices coincide) plus the design's [`shape_fingerprint`] — two seeds
 //! whose designs share a register/rule shape and fail the same way are
 //! almost certainly the same root cause. Each bucket's first reproducer is
 //! shrunk by binary search to the smallest cycle budget that still
@@ -36,13 +35,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use cuttlesim::{BatchSim, CompileOptions, Dispatch, OptLevel, Sim};
+use cuttlesim::{BatchSim, CompileOptions, Dispatch, OptLevel};
 use koika::check::check;
 use koika::device::{RegAccess, SimBackend};
 use koika::runner::{self, contain, JobError, JobUpdate, RunnerConfig, RunnerStats};
 use koika::testgen::{random_design, shape_fingerprint, SplitMix64};
 use koika::tir::{RegId, TDesign};
-use koika_rtl::{compile as rtl_compile, RtlSim, Scheme};
+use koika_rtl::Scheme;
+
+use crate::engine::{EngineError, EngineSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -63,16 +64,16 @@ pub struct FuzzConfig {
     /// it is retried and, if it keeps tripping, triaged as a hang.
     pub wall_budget: Option<Duration>,
     /// Batched-engine lanes for the tac VM rows: `0` runs them as scalar
-    /// [`Sim`]s (the historical path), `n >= 1` runs each tac row as one
-    /// [`BatchSim`] (the micro-op lock-step engine) whose lane 0 uses the
-    /// declared initial values (so its findings are labeled identically to
-    /// the scalar path) and whose lanes `1..n` use seed-derived perturbed
-    /// initial register values, each compared against its own
-    /// reference-interpreter run — deliberately forcing control-flow
-    /// divergence inside the batch. Match and native rows have no batched
-    /// engine of their own and run as scalar [`Sim`]s at any `n`, exactly
-    /// like the RTL rows, so a batched run still exercises every
-    /// dispatcher.
+    /// [`Sim`](cuttlesim::Sim)s (the historical path), `n >= 1` runs each
+    /// tac row as one [`BatchSim`] (the micro-op lock-step engine) whose
+    /// lane 0 uses the declared initial values (so its findings are
+    /// labeled identically to the scalar path) and whose lanes `1..n` use
+    /// seed-derived perturbed initial register values, each compared
+    /// against its own reference-interpreter run — deliberately forcing
+    /// control-flow divergence inside the batch. Match and native rows
+    /// have no batched engine of their own and run as scalar
+    /// [`Sim`](cuttlesim::Sim)s at any `n`, exactly like the RTL rows, so
+    /// a batched run still exercises every dispatcher.
     pub batch: usize,
     /// Which VM dispatch engines to include in the matrix: `None` (the
     /// default) compares every level under *all* dispatchers — direct
@@ -154,8 +155,9 @@ impl FindingKind {
 /// One triaged failure on one backend of one case.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Backend label (`interp`, `O1`..`O6`, `rtl`, `rtl-static`, or
-    /// `case` for whole-case hangs).
+    /// The engine's [`EngineSpec`] label (`interp`, `O4`, `O4-tac`,
+    /// `rtl-static`, ...), suffixed `/laneN` on a perturbed batched lane;
+    /// or `check`, `testgen` or `case` for a failure outside any engine.
     pub backend: String,
     /// Failure class and payload.
     pub kind: FindingKind,
@@ -277,80 +279,55 @@ impl FuzzReport {
     }
 }
 
-/// Every backend a case is compared on, beyond the reference interpreter.
-#[derive(Debug, Clone, Copy)]
-enum BackendId {
-    Vm(OptLevel, Dispatch),
-    Rtl(Scheme),
+/// The comparison matrix: every engine a case is compared on, beyond the
+/// reference interpreter, in [`EngineSpec::all`] order. The VM rows are
+/// restricted to the requested dispatcher (`None` = all three). Native
+/// dispatch is included only when `native` says a `rustc` toolchain is
+/// available: every case would otherwise triage as a spurious native
+/// finding. Callers that were explicitly asked for native check the
+/// toolchain themselves and skip loudly.
+pub(crate) fn matrix(dispatch: Option<Dispatch>, native: bool) -> Vec<EngineSpec> {
+    let compared = |spec: &EngineSpec| match *spec {
+        EngineSpec::Interp => false,
+        EngineSpec::Vm { dispatch: d, .. } => {
+            (d != Dispatch::Native || native) && dispatch.is_none_or(|want| want == d)
+        }
+        EngineSpec::Rtl(_) => true,
+    };
+    EngineSpec::all().filter(compared).collect()
 }
 
-impl BackendId {
-    /// The comparison matrix: every VM level under the requested
-    /// dispatchers (`None` = all three), then both RTL schemes. Match
-    /// comes first per level so bucket labels of pre-existing corpus
-    /// entries (`O1`..`O6`) are produced before the suffixed variants.
-    /// The native dispatcher is included only when a `rustc` toolchain is
-    /// available — `set_dispatch` would otherwise panic inside the
-    /// containment harness and every case would triage as a spurious
-    /// panic. Callers that were explicitly asked for `native` check the
-    /// toolchain themselves and skip loudly.
-    fn all(dispatch: Option<Dispatch>) -> Vec<BackendId> {
-        let mut v = Vec::new();
-        for &level in OptLevel::ALL.iter() {
-            for &d in Dispatch::ALL.iter() {
-                if d == Dispatch::Native && !cuttlesim::toolchain_available() {
-                    continue;
-                }
-                if dispatch.is_none() || dispatch == Some(d) {
-                    v.push(BackendId::Vm(level, d));
-                }
-            }
-        }
-        v.push(BackendId::Rtl(Scheme::Dynamic));
-        v.push(BackendId::Rtl(Scheme::Static));
-        v
-    }
+/// Whether an engine's trace is compared against the reference
+/// interpreter. The Bluespec-style static-conflict scheme does not
+/// promise cycle-exact agreement — its conservative conflict matrix may
+/// block rules the dynamic semantics would fire — so it is run (panics
+/// and compile errors still triage) but its trace is not compared.
+fn compares_traces(spec: EngineSpec) -> bool {
+    spec != EngineSpec::Rtl(Scheme::Static)
+}
 
-    /// Bucket label. Match keeps the bare level name (`O4`) so labels —
-    /// and therefore checked-in corpus keys — are unchanged from before
-    /// the dispatch axis existed; the other dispatchers get a suffix.
-    fn label(self) -> String {
-        match self {
-            BackendId::Vm(level, Dispatch::Match) => level.short_name().to_string(),
-            BackendId::Vm(level, d) => format!("{}-{}", level.short_name(), d.short_name()),
-            BackendId::Rtl(Scheme::Dynamic) => "rtl".to_string(),
-            BackendId::Rtl(Scheme::Static) => "rtl-static".to_string(),
-        }
-    }
-
-    /// Whether this backend promises cycle-exact agreement with the
-    /// reference interpreter. The Bluespec-style static-conflict scheme
-    /// does not — its conservative conflict matrix may block rules the
-    /// dynamic semantics would fire — so it is run (panics and compile
-    /// errors still triage) but its trace is not compared.
-    fn compares_traces(self) -> bool {
-        !matches!(self, BackendId::Rtl(Scheme::Static))
-    }
-
-    fn build(self, td: &TDesign) -> Result<Box<dyn SimBackend>, String> {
-        match self {
-            BackendId::Vm(level, dispatch) => Sim::compile_with(
-                td,
-                &CompileOptions {
-                    level,
-                    ..CompileOptions::default()
-                },
-            )
-            .map(|mut s| {
-                s.set_dispatch(dispatch);
-                Box::new(s) as Box<dyn SimBackend>
-            })
-            .map_err(|e| e.to_string()),
-            BackendId::Rtl(scheme) => rtl_compile(td, scheme)
-                .map(|m| Box::new(RtlSim::new(m)) as Box<dyn SimBackend>)
-                .map_err(|e| e.to_string()),
-        }
-    }
+/// Builds `spec` for `td` and runs it for `cycles` cycles under panic
+/// containment, comparing its trace against `reference`. A dispatch that
+/// cannot be selected triages as a panic, the class it has always had.
+fn scalar_finding(td: &TDesign, spec: EngineSpec, cycles: u64, reference: &[u64]) -> Option<Finding> {
+    let run = contain(|| spec.prepare(td).map(|e| state_trace(td, e.make().as_mut(), cycles)));
+    let kind = match run {
+        Ok(Ok(_)) if !compares_traces(spec) => return None,
+        Ok(Ok(trace)) => FindingKind::Mismatch {
+            cycle: reference.iter().zip(&trace).position(|(a, b)| a != b)? as u64,
+        },
+        Ok(Err(e @ EngineError::Dispatch(..))) => FindingKind::Panic {
+            message: e.to_string(),
+        },
+        Ok(Err(e)) => FindingKind::Build {
+            message: e.to_string(),
+        },
+        Err(message) => FindingKind::Panic { message },
+    };
+    Some(Finding {
+        backend: spec.to_string(),
+        kind,
+    })
 }
 
 /// Runs a simulator for `cycles` cycles, digesting the full register file
@@ -375,76 +352,13 @@ fn state_trace(td: &TDesign, sim: &mut dyn SimBackend, cycles: u64) -> Vec<u64> 
 /// that makes one backend panic mid-cycle produces a [`Finding`], not an
 /// abort.
 pub fn run_case(seed: u64, cycles: u64) -> CaseResult {
-    run_case_dispatch(seed, cycles, None)
+    run_case_with(seed, cycles, 0, None)
 }
 
 /// [`run_case`] with the VM axis restricted to one dispatcher
 /// (`None` = all three; see [`FuzzConfig::dispatch`]).
 pub fn run_case_dispatch(seed: u64, cycles: u64, dispatch: Option<Dispatch>) -> CaseResult {
-    let mut findings = Vec::new();
-
-    let Some((td, shape)) = case_design(seed, &mut findings) else {
-        return CaseResult {
-            seed,
-            shape: 0,
-            findings,
-        };
-    };
-
-    let reference = match contain(|| {
-        let mut sim = koika::Interp::new(&td);
-        state_trace(&td, &mut sim, cycles)
-    }) {
-        Ok(trace) => trace,
-        Err(msg) => {
-            findings.push(Finding {
-                backend: "interp".to_string(),
-                kind: FindingKind::Panic { message: msg },
-            });
-            return CaseResult {
-                seed,
-                shape,
-                findings,
-            };
-        }
-    };
-
-    for backend in BackendId::all(dispatch) {
-        let run = contain(|| {
-            backend
-                .build(&td)
-                .map(|mut sim| state_trace(&td, sim.as_mut(), cycles))
-        });
-        match run {
-            Ok(Ok(trace)) => {
-                if !backend.compares_traces() {
-                    continue;
-                }
-                if let Some(cycle) = reference.iter().zip(&trace).position(|(a, b)| a != b) {
-                    findings.push(Finding {
-                        backend: backend.label(),
-                        kind: FindingKind::Mismatch {
-                            cycle: cycle as u64,
-                        },
-                    });
-                }
-            }
-            Ok(Err(message)) => findings.push(Finding {
-                backend: backend.label(),
-                kind: FindingKind::Build { message },
-            }),
-            Err(message) => findings.push(Finding {
-                backend: backend.label(),
-                kind: FindingKind::Panic { message },
-            }),
-        }
-    }
-
-    CaseResult {
-        seed,
-        shape,
-        findings,
-    }
+    run_case_with(seed, cycles, 0, dispatch)
 }
 
 /// Generates and type-checks the design for one case, recording a finding
@@ -490,11 +404,11 @@ fn perturb_regs(td: &TDesign, seed: u64, lane: usize, set: &mut dyn FnMut(RegId,
 /// label so `batch == 1` reports are byte-identical to scalar reports;
 /// perturbed lanes get a `/laneN` suffix (no `@`, which would collide
 /// with the bucket-key shape separator).
-fn lane_label(backend: BackendId, lane: usize) -> String {
+pub(crate) fn lane_label(spec: EngineSpec, lane: usize) -> String {
     if lane == 0 {
-        backend.label()
+        spec.to_string()
     } else {
-        format!("{}/lane{lane}", backend.label())
+        format!("{spec}/lane{lane}")
     }
 }
 
@@ -546,7 +460,18 @@ pub fn run_case_batched(
     lanes: usize,
     dispatch: Option<Dispatch>,
 ) -> CaseResult {
-    let lanes = lanes.max(1);
+    run_case_with(seed, cycles, lanes.max(1), dispatch)
+}
+
+/// Runs one case with the engine the configuration selects: the tac VM
+/// rows as scalar simulators when `batch == 0`, as `batch`-lane lock-step
+/// engines otherwise ([`run_case_batched`]).
+pub fn run_case_with(
+    seed: u64,
+    cycles: u64,
+    batch: usize,
+    dispatch: Option<Dispatch>,
+) -> CaseResult {
     let mut findings = Vec::new();
 
     let Some((td, shape)) = case_design(seed, &mut findings) else {
@@ -557,8 +482,9 @@ pub fn run_case_batched(
         };
     };
 
+    // One reference trace per lane; a scalar case has one lane.
     let refs = match contain(|| {
-        (0..lanes)
+        (0..batch.max(1))
             .map(|l| {
                 let mut sim = koika::Interp::new(&td);
                 perturb_regs(&td, seed, l, &mut |r, v| sim.set64(r, v));
@@ -580,49 +506,23 @@ pub fn run_case_batched(
         }
     };
 
-    for backend in BackendId::all(dispatch) {
-        let level = match backend {
-            BackendId::Vm(level, Dispatch::Tac) => level,
+    for spec in matrix(dispatch, cuttlesim::toolchain_available()) {
+        let level = match spec {
+            EngineSpec::Vm {
+                level,
+                dispatch: Dispatch::Tac,
+            } if batch > 0 => level,
             _ => {
-                // Scalar path, identical to `run_case`.
-                let run = contain(|| {
-                    backend
-                        .build(&td)
-                        .map(|mut sim| state_trace(&td, sim.as_mut(), cycles))
-                });
-                match run {
-                    Ok(Ok(trace)) => {
-                        if backend.compares_traces() {
-                            if let Some(cycle) =
-                                refs[0].iter().zip(&trace).position(|(a, b)| a != b)
-                            {
-                                findings.push(Finding {
-                                    backend: backend.label(),
-                                    kind: FindingKind::Mismatch {
-                                        cycle: cycle as u64,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    Ok(Err(message)) => findings.push(Finding {
-                        backend: backend.label(),
-                        kind: FindingKind::Build { message },
-                    }),
-                    Err(message) => findings.push(Finding {
-                        backend: backend.label(),
-                        kind: FindingKind::Panic { message },
-                    }),
-                }
+                findings.extend(scalar_finding(&td, spec, cycles, &refs[0]));
                 continue;
             }
         };
-        match contain(|| batched_traces(&td, level, seed, cycles, lanes)) {
+        match contain(|| batched_traces(&td, level, seed, cycles, batch)) {
             Ok(Ok(traces)) => {
                 for (l, trace) in traces.iter().enumerate() {
                     if let Some(cycle) = refs[l].iter().zip(trace).position(|(a, b)| a != b) {
                         findings.push(Finding {
-                            backend: lane_label(backend, l),
+                            backend: lane_label(spec, l),
                             kind: FindingKind::Mismatch {
                                 cycle: cycle as u64,
                             },
@@ -631,7 +531,7 @@ pub fn run_case_batched(
                 }
             }
             Ok(Err((is_build, message))) => findings.push(Finding {
-                backend: backend.label(),
+                backend: spec.to_string(),
                 kind: if is_build {
                     FindingKind::Build { message }
                 } else {
@@ -639,7 +539,7 @@ pub fn run_case_batched(
                 },
             }),
             Err(message) => findings.push(Finding {
-                backend: backend.label(),
+                backend: spec.to_string(),
                 kind: FindingKind::Panic { message },
             }),
         }
@@ -652,28 +552,14 @@ pub fn run_case_batched(
     }
 }
 
-/// Runs one case with the engine the configuration selects: the scalar
-/// path when `batch == 0`, the batched VM levels otherwise.
-pub fn run_case_with(
-    seed: u64,
-    cycles: u64,
-    batch: usize,
-    dispatch: Option<Dispatch>,
-) -> CaseResult {
-    if batch == 0 {
-        run_case_dispatch(seed, cycles, dispatch)
-    } else {
-        run_case_batched(seed, cycles, batch, dispatch)
-    }
-}
-
 /// A concrete first point of disagreement between the reference
 /// interpreter and one backend on a fuzz case — the raw material for
 /// `--debug-on-divergence`, which drops a debugger exactly here.
 pub struct Divergence {
     /// The case seed.
     pub seed: u64,
-    /// Label of the diverging backend (`O4-tac`, `rtl-static`, ...).
+    /// The diverging engine's [`EngineSpec`] label (`O4-tac`,
+    /// `rtl-static`, ...), which parses back to the spec that rebuilds it.
     pub backend: String,
     /// 0-based index of the first cycle whose post-cycle register state
     /// differs (the state at cycle boundary `cycle + 1`).
@@ -687,35 +573,13 @@ pub struct Divergence {
     pub td: TDesign,
 }
 
-/// Builds the backend a fuzz bucket label names, for re-running a
-/// reproducer under the debugger. Accepts `interp`, `O1`..`O6` with an
-/// optional `-tac`/`-native` suffix, `rtl`, and `rtl-static`.
-///
-/// # Errors
-///
-/// Unknown labels and backend compile errors.
-pub fn build_backend_by_label(
-    td: &TDesign,
-    label: &str,
-) -> Result<Box<dyn SimBackend>, String> {
-    if label == "interp" {
-        return Ok(Box::new(koika::Interp::new(td)));
-    }
-    for id in BackendId::all(None) {
-        if id.label() == label {
-            return id.build(td);
-        }
-    }
-    Err(format!("unknown backend label '{label}'"))
-}
-
 /// Re-runs the case for `seed`, comparing every backend's full register
 /// file against the reference interpreter cycle by cycle — including
 /// `rtl-static`, whose conservative static-conflict scheduling the
 /// normal fuzz loop deliberately exempts from trace comparison. Returns
 /// the first divergence of the first diverging backend (backends in
-/// [`BackendId::all`] order), or `None` when every backend agrees for
-/// the whole budget.
+/// the fuzz matrix's order), or `None` when every backend agrees for the
+/// whole budget.
 ///
 /// # Errors
 ///
@@ -734,15 +598,15 @@ pub fn scan_divergence(seed: u64, cycles: u64) -> Result<Option<Divergence>, Str
         interp.cycle();
         reference.push(regs_of(&mut interp));
     }
-    for id in BackendId::all(None) {
-        let mut sim = id.build(&td)?;
+    for spec in matrix(None, cuttlesim::toolchain_available()) {
+        let mut sim = spec.prepare(&td).map_err(|e| e.to_string())?.make();
         for (c, want) in reference.iter().enumerate() {
             sim.cycle();
             let got = regs_of(sim.as_mut());
             if &got != want {
                 return Ok(Some(Divergence {
                     seed,
-                    backend: id.label(),
+                    backend: spec.to_string(),
                     cycle: c as u64,
                     interp_regs: want.clone(),
                     backend_regs: got,

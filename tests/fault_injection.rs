@@ -441,6 +441,40 @@ fn cli_record_and_replay_reproduce_every_failing_member() {
 }
 
 #[test]
+fn cli_replay_refuses_a_log_with_a_bad_level() {
+    let dir = std::env::temp_dir().join(format!("koika-replay-level-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("campaign.replay");
+    let out = koika_sim()
+        .args(["collatz", "--cycles", "64", "--campaign", "20", "--seed", "42", "--record"])
+        .arg(&log)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let recorded = std::fs::read_to_string(&log).unwrap();
+    assert!(recorded.contains("\nlevel 6\n"), "{recorded}");
+
+    // A level outside 1..6 is a malformed log: exit 1, naming the level
+    // and the file, and nothing replays.
+    for level in [9, 0] {
+        let edited = dir.join(format!("level-{level}.replay"));
+        std::fs::write(&edited, recorded.replace("\nlevel 6\n", &format!("\nlevel {level}\n"))).unwrap();
+        let out = koika_sim().arg("collatz").arg("--replay").arg(&edited).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "level {level}: {err}");
+        assert!(err.contains(&format!("level {level}")), "{err}");
+        assert!(err.contains(edited.to_str().unwrap()), "{err}");
+        assert!(out.stdout.is_empty(), "level {level} must not replay");
+    }
+
+    let out = koika_sim().arg("collatz").arg("--replay").arg(&log).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "unedited log: {text}");
+    assert!(text.contains("reproduced") && !text.contains("NOT reproduced"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_watchdog_trips_with_exit_3_and_state_dump() {
     let out = koika_sim()
         .args(["collatz", "--cycles", "100", "--max-cycles", "50"])
